@@ -18,7 +18,7 @@ from .config import PreprocessConfig, RunConfig
 from .evaluation import (ClassMetrics, ConfusionMatrix, EvalReport, accuracy,
                          confusion, evaluate, f1_per_class)
 from .quality import (BoxplotStats, ImputationModel, NormalizationModel,
-                      QualityReport, apply_imputer, apply_normalizer,
+                      Preprocessor, QualityReport, apply_imputer, apply_normalizer,
                       boxplot_stats, detect_empty, detect_frozen, fit_boxplots,
                       fit_imputer, fit_normalizer, quality_report, scan_missing,
                       treat_outliers)

@@ -21,7 +21,8 @@ from .. import jsonio
 from ..dataset.model import FeatureMatrix
 from .knn import KnnClassifier
 from .nb import GaussianNb
-from .tree import FORMAT_VERSION, DecisionTree
+from .tree import DecisionTree
+from .validation import FORMAT_VERSION
 
 MODEL_KINDS = ("dt", "knn", "nb")
 
@@ -78,7 +79,7 @@ def save_model(model, path: str | Path) -> None:
 
 def load_model(path: str | Path):
     data = jsonio.load(path)
-    if data.get("format") != "hydet-model":
+    if not isinstance(data, dict) or data.get("format") != "hydet-model":
         raise ModelFormatError(f"{path}: not a model file")
     if data.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: unsupported model version "
@@ -87,7 +88,10 @@ def load_model(path: str | Path):
     cls = _KIND_TO_CLS.get(kind)
     if cls is None:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
-    return cls.from_json_dict(data)
+    try:
+        return cls.from_json_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed {kind} model: {exc!r}") from None
 
 
 __all__ = ["ClassifiersConfig", "DecisionTree", "GaussianNb", "KnnClassifier",

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..errors import ModelFormatError
-from .tree import FORMAT_VERSION, validate_rows, validate_training_inputs
+from .validation import FORMAT_VERSION, validate_rows, validate_training_inputs
 
 _CHUNK = 512  # fixed query block size; results do not depend on thread count
 

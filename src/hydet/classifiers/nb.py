@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EmptyDataError, ModelFormatError
-from .tree import FORMAT_VERSION, validate_rows, validate_training_inputs
+from .validation import FORMAT_VERSION, validate_rows, validate_training_inputs
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 

@@ -20,12 +20,9 @@ from .dataset import (CLASS_DIRS, ClassLabel, build_manifest, default_config,
                       write_instance_csv)
 from .dataset.io import write_matrix_csv
 from .dataset.model import FeatureMatrix, TimeSeriesInstance
-from .errors import ConfigError, HydetError
+from .errors import ConfigError, HydetError, ModelFormatError
 from .evaluation import EvalReport, evaluate
-from .quality import (apply_imputer, apply_normalizer, fit_boxplots, fit_imputer,
-                      fit_normalizer, quality_report, render_boxplot_svg,
-                      treat_outliers, BoxplotStats, ImputationModel,
-                      NormalizationModel)
+from .quality import Preprocessor, quality_report, render_boxplot_svg
 from .stats import compare_models
 
 EXIT_OK = 0
@@ -116,11 +113,13 @@ def _load_corpus(config: RunConfig) -> list[TimeSeriesInstance]:
     config.require_data()
     if config.data_root is not None:
         manifest = build_manifest(config.data_root)
-        if not manifest.entries:
-            return []
-        return load_instances(config.data_root, manifest)
-    synth = config.synth or default_config()
-    return synth_generate(synth, config.seed)
+        instances = load_instances(config.data_root, manifest) \
+            if manifest.entries else []
+    else:
+        instances = synth_generate(config.synth or default_config(), config.seed)
+    if not instances:
+        raise HydetError("dataset is empty")
+    return instances
 
 
 def _echo_config(config: RunConfig, out: Path) -> None:
@@ -155,8 +154,6 @@ def cmd_qc(config: RunConfig, args) -> int:
     out = Path(config.out_dir)
     _echo_config(config, out)
     instances = _load_corpus(config)
-    if not instances:
-        raise HydetError("dataset is empty: nothing to audit")
     # standalone qc audits every channel in the corpus unless restricted,
     # so 8-channel corpora report all-channel aggregates by default
     variables = config.variables if args.variables is not None \
@@ -170,7 +167,7 @@ def cmd_qc(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(config: RunConfig) -> int:
+def cmd_synth(config: RunConfig, args) -> int:
     out = Path(config.out_dir)
     _echo_config(config, out)
     synth = config.synth or default_config()
@@ -187,104 +184,77 @@ def cmd_synth(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _preprocess_fit(config: RunConfig, train: FeatureMatrix):
-    imputer = fit_imputer(train)
-    train_imp = apply_imputer(imputer, train)
-    fences = fit_boxplots(train_imp, config.preprocess.tukey_multiplier,
-                          config.preprocess.quartile_method)
-    train_w = treat_outliers(train_imp, fences)
-    normalizer = fit_normalizer(train_w, config.preprocess.normalization)
-    return imputer, fences, normalizer, apply_normalizer(normalizer, train_w)
-
-
-def _preprocess_apply(imputer, fences, normalizer,
-                      matrix: FeatureMatrix) -> FeatureMatrix:
-    return apply_normalizer(normalizer,
-                            treat_outliers(apply_imputer(imputer, matrix), fences))
-
-
-def _preprocess_to_json(imputer, fences, normalizer) -> dict:
-    return {
-        "format": "hydet-preprocess", "version": 1,
-        "imputer": imputer.to_json_dict(),
-        "fences": [{"q1": s.q1, "median": s.median, "q3": s.q3, "iqr": s.iqr,
-                    "lower_fence": s.lower_fence, "upper_fence": s.upper_fence}
-                   for s in fences],
-        "normalizer": normalizer.to_json_dict(),
-    }
-
-
-def _preprocess_from_json(data: dict):
-    if data.get("format") != "hydet-preprocess" or data.get("version") != 1:
-        raise HydetError("unsupported preprocess model file")
-    imp = ImputationModel(column_names=tuple(data["imputer"]["columns"]),
-                          means=tuple(data["imputer"]["means"]))
-    fences = tuple(BoxplotStats(q1=f["q1"], median=f["median"], q3=f["q3"],
-                                iqr=f["iqr"], lower_fence=f["lower_fence"],
-                                upper_fence=f["upper_fence"],
-                                outlier_row_indices=())
-                   for f in data["fences"])
-    norm = NormalizationModel(column_names=tuple(data["normalizer"]["columns"]),
-                              center=tuple(data["normalizer"]["center"]),
-                              scale=tuple(data["normalizer"]["scale"]),
-                              mode=data["normalizer"]["mode"])
-    return imp, fences, norm
-
-
 def _split_matrices(config: RunConfig, instances):
     matrix = flatten(instances, config.variables)
     return split(matrix, config.split)
 
 
-def cmd_train(config: RunConfig) -> int:
-    out = Path(config.out_dir)
-    _echo_config(config, out)
-    instances = _load_corpus(config)
-    train_m, _ = _split_matrices(config, instances)
-    imputer, fences, normalizer, train_ready = _preprocess_fit(config, train_m)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    jsonio.dump(_preprocess_to_json(imputer, fences, normalizer),
-                out / "models" / "preprocess.json")
+def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
+                      models_dir: Path) -> Preprocessor:
+    prep = Preprocessor.fit(train, config.preprocess)
+    models_dir.mkdir(parents=True, exist_ok=True)
+    jsonio.dump(prep.to_json_dict(), models_dir / "preprocess.json")
+    return prep
+
+
+def _train_and_save(config: RunConfig, train_ready: FeatureMatrix,
+                    models_dir: Path) -> dict:
     result = train_all(train_ready, config.classifiers, config.models)
     for name, model in result.models.items():
-        save_model(model, out / "models" / f"{name}.json")
+        save_model(model, models_dir / f"{name}.json")
         print(f"trained {MODEL_DISPLAY[name]} in {result.seconds[name]:.3f}s")
-    return EXIT_OK
+    return result.models
 
 
-def _eval_reports(config: RunConfig, models: dict, test_ready) -> dict[str, EvalReport]:
-    reports = {}
-    for name, model in models.items():
-        reports[name] = evaluate(model, test_ready, MODEL_DISPLAY[name],
-                                 threads=config.threads)
-    return reports
-
-
-def _write_eval_outputs(reports: dict[str, EvalReport], out: Path) -> None:
+def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatrix,
+                        out: Path) -> dict[str, EvalReport]:
+    reports = {name: evaluate(model, test_ready, MODEL_DISPLAY[name],
+                              threads=config.threads)
+               for name, model in models.items()}
     for name, report in reports.items():
         jsonio.dump(report.to_json_dict(), out / f"eval_{name}.json")
         (out / f"eval_{name}_confusion.csv").write_text(
             report.matrix.to_csv(), encoding="utf-8", newline="\n")
+    classes = tuple(ClassLabel)
+    head = "model".ljust(14) + "accuracy".rjust(10)
+    for c in classes:
+        head += f"F1({c.display_name})".rjust(10 + len(c.display_name))
+    print(head)
+    for report in reports.values():
+        line = report.model_name.ljust(14) + f"{report.accuracy:10.4f}"
+        for c in classes:
+            line += f"{report.per_class[c].f1:{10 + len(c.display_name)}.2f}"
+        print(line)
+    return reports
 
 
-def cmd_eval(config: RunConfig) -> int:
+def cmd_train(config: RunConfig, args) -> int:
+    out = Path(config.out_dir)
+    _echo_config(config, out)
+    train_m, _ = _split_matrices(config, _load_corpus(config))
+    prep = _fit_preprocessor(config, train_m, out / "models")
+    _train_and_save(config, prep.transform(train_m), out / "models")
+    return EXIT_OK
+
+
+def cmd_eval(config: RunConfig, args) -> int:
     out = Path(config.out_dir)
     models_dir = out / "models"
     if not models_dir.is_dir():
         raise HydetError(f"no models directory at {models_dir}; run train first")
     _echo_config(config, out)
-    instances = _load_corpus(config)
-    _, test_m = _split_matrices(config, instances)
-    imputer, fences, normalizer = _preprocess_from_json(
-        jsonio.load(models_dir / "preprocess.json"))
-    test_ready = _preprocess_apply(imputer, fences, normalizer, test_m)
+    _, test_m = _split_matrices(config, _load_corpus(config))
+    prep_path = models_dir / "preprocess.json"
+    try:
+        prep = Preprocessor.from_json_dict(jsonio.load(prep_path))
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{prep_path}: {exc}") from None
+    test_ready = prep.transform(test_m)
     models = {name: load_model(models_dir / f"{name}.json")
               for name in config.models if (models_dir / f"{name}.json").exists()}
     if not models:
         raise HydetError(f"no model files found under {models_dir}")
-    reports = _eval_reports(config, models, test_ready)
-    _write_eval_outputs(reports, out)
-    _print_eval_summary(reports)
+    _evaluate_and_write(config, models, test_ready, out)
     return EXIT_OK
 
 
@@ -299,25 +269,30 @@ def _comparison_outputs(f1_vectors, config: RunConfig, out: Path) -> None:
 def cmd_compare(config: RunConfig, args) -> int:
     out = Path(config.out_dir)
     _echo_config(config, out)
-    if args.from_f1:
-        raw = jsonio.load(args.from_f1)
-        f1_vectors = {str(k): [float(x) for x in v] for k, v in raw.items()}
-    else:
-        paths = args.eval_reports
-        if not paths:
-            paths = sorted(str(p) for p in out.glob("eval_*.json"))
-        f1_vectors = {}
-        for path in paths:
-            data = jsonio.load(path)
-            per_class = data["per_class"]
-            f1_vectors[data["model"]] = [per_class[c]["f1"] for c in data["classes"]]
+    path = args.from_f1
+    try:
+        if path:
+            raw = jsonio.load(path)
+            if not isinstance(raw, dict):
+                raise HydetError(f"{path}: expected an object of model -> F1 list")
+            f1_vectors = {str(k): [float(x) for x in v] for k, v in raw.items()}
+        else:
+            f1_vectors = {}
+            for path in args.eval_reports or sorted(
+                    str(p) for p in out.glob("eval_*.json")):
+                data = jsonio.load(path)
+                per_class = data["per_class"]
+                f1_vectors[data["model"]] = [per_class[c]["f1"]
+                                             for c in data["classes"]]
+    except (KeyError, TypeError) as exc:
+        raise HydetError(f"{path}: unexpected input shape: {exc!r}") from None
     if len(f1_vectors) < 2:
         raise _UsageError(f"comparison needs at least 2 models, got {len(f1_vectors)}")
     _comparison_outputs(f1_vectors, config, out)
     return EXIT_OK
 
 
-def cmd_pipeline(config: RunConfig) -> int:
+def cmd_pipeline(config: RunConfig, args) -> int:
     out = Path(config.out_dir)
     stage = "configure"
     try:
@@ -325,27 +300,17 @@ def cmd_pipeline(config: RunConfig) -> int:
         (out / "INCOMPLETE").unlink(missing_ok=True)
         stage = "ingest"
         instances = _load_corpus(config)
-        if not instances:
-            raise HydetError("dataset is empty")
         stage = "quality-audit"
         _write_quality(config, instances, out, config.variables)
         stage = "split"
         train_m, test_m = _split_matrices(config, instances)
         stage = "preprocess"
-        imputer, fences, normalizer, train_ready = _preprocess_fit(config, train_m)
-        test_ready = _preprocess_apply(imputer, fences, normalizer, test_m)
-        (out / "models").mkdir(parents=True, exist_ok=True)
-        jsonio.dump(_preprocess_to_json(imputer, fences, normalizer),
-                    out / "models" / "preprocess.json")
+        prep = _fit_preprocessor(config, train_m, out / "models")
+        train_ready, test_ready = prep.transform(train_m), prep.transform(test_m)
         stage = "train"
-        result = train_all(train_ready, config.classifiers, config.models)
-        for name, model in result.models.items():
-            save_model(model, out / "models" / f"{name}.json")
-            print(f"trained {MODEL_DISPLAY[name]} in {result.seconds[name]:.3f}s")
+        models = _train_and_save(config, train_ready, out / "models")
         stage = "evaluate"
-        reports = _eval_reports(config, result.models, test_ready)
-        _write_eval_outputs(reports, out)
-        _print_eval_summary(reports)
+        reports = _evaluate_and_write(config, models, test_ready, out)
         stage = "compare"
         if len(reports) >= 2:
             f1_vectors = {MODEL_DISPLAY[name]: list(r.f1_vector())
@@ -359,19 +324,6 @@ def cmd_pipeline(config: RunConfig) -> int:
             (out / "INCOMPLETE").write_text(f"pipeline aborted in stage {stage}\n",
                                             encoding="utf-8")
         raise HydetError(f"stage {stage} failed: {exc}") from exc
-
-
-def _print_eval_summary(reports: dict[str, EvalReport]) -> None:
-    classes = tuple(ClassLabel)
-    head = "model".ljust(14) + "accuracy".rjust(10)
-    for c in classes:
-        head += f"F1({c.display_name})".rjust(10 + len(c.display_name))
-    print(head)
-    for report in reports.values():
-        line = report.model_name.ljust(14) + f"{report.accuracy:10.4f}"
-        for c in classes:
-            line += f"{report.per_class[c].f1:{10 + len(c.display_name)}.2f}"
-        print(line)
 
 
 def _print_comparison(table) -> None:
@@ -389,19 +341,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_run_config(args)
-        if args.command == "qc":
-            return cmd_qc(config, args)
-        if args.command == "synth":
-            return cmd_synth(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "eval":
-            return cmd_eval(config)
-        if args.command == "compare":
-            return cmd_compare(config, args)
-        if args.command == "pipeline":
-            return cmd_pipeline(config)
-        raise _UsageError(f"unknown command {args.command!r}")
+        command = {"qc": cmd_qc, "synth": cmd_synth, "train": cmd_train,
+                   "eval": cmd_eval, "compare": cmd_compare,
+                   "pipeline": cmd_pipeline}[args.command]
+        return command(config, args)
     except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

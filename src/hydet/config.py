@@ -8,13 +8,14 @@ the output directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from .classifiers import ClassifiersConfig
 from .dataset.model import CANONICAL_VARIABLE_NAMES, SplitSpec
 from .dataset.synth import SynthConfig, config_from_json, config_to_json
 from .errors import ConfigError
+from .quality import PreprocessConfig
 from .stats import TestConfig
 
 
@@ -22,21 +23,6 @@ def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    tukey_multiplier: float = 1.5
-    quartile_method: str = "linear"
-    normalization: str = "zscore"
-
-    def __post_init__(self):
-        if self.tukey_multiplier <= 0:
-            raise ConfigError("tukey_multiplier must be > 0")
-        if self.quartile_method not in ("linear", "nearest"):
-            raise ConfigError(f"unknown quartile_method {self.quartile_method!r}")
-        if self.normalization not in ("zscore", "minmax"):
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -81,17 +67,8 @@ class RunConfig:
             "models": list(self.models),
             "threads": self.threads,
             "data": data,
-            "preprocess": {
-                "tukey_multiplier": self.preprocess.tukey_multiplier,
-                "quartile_method": self.preprocess.quartile_method,
-                "normalization": self.preprocess.normalization,
-            },
-            "split": {
-                "test_fraction": self.split.test_fraction,
-                "seed": self.split.seed,
-                "mode": self.split.mode,
-                "stratified": self.split.stratified,
-            },
+            "preprocess": asdict(self.preprocess),
+            "split": asdict(self.split),
             "classifiers": {
                 "tree": {
                     "max_depth": self.classifiers.tree_max_depth,

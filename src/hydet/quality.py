@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (AllMissingColumnError, EmptyDataError, MissingCellsError,
-                     NonFiniteError, WidthMismatchError)
+from .errors import (AllMissingColumnError, ConfigError, EmptyDataError,
+                     MissingCellsError, ModelFormatError, NonFiniteError,
+                     WidthMismatchError)
 from .dataset.model import FeatureMatrix, TimeSeriesInstance
 
 
@@ -53,6 +54,9 @@ def quantile(values: np.ndarray, p: float, method: str = "linear") -> float:
     return min(max(r, a), b)
 
 
+_FENCE_KEYS = ("q1", "median", "q3", "iqr", "lower_fence", "upper_fence")
+
+
 @dataclass(frozen=True)
 class BoxplotStats:
     q1: float
@@ -68,12 +72,8 @@ class BoxplotStats:
         return len(self.outlier_row_indices)
 
     def to_json_dict(self) -> dict:
-        return {
-            "q1": self.q1, "median": self.median, "q3": self.q3,
-            "iqr": self.iqr, "lower_fence": self.lower_fence,
-            "upper_fence": self.upper_fence,
-            "outlier_row_indices": list(self.outlier_row_indices),
-        }
+        return {**{k: getattr(self, k) for k in _FENCE_KEYS},
+                "outlier_row_indices": list(self.outlier_row_indices)}
 
 
 def boxplot_stats(column: np.ndarray, tukey_k: float = 1.5,
@@ -145,6 +145,21 @@ def detect_empty(instance: TimeSeriesInstance) -> set[str]:
 
 # ---------------------------------------------------------------------------
 # fitted preprocessing models
+
+
+@dataclass(frozen=True)
+class PreprocessConfig:
+    tukey_multiplier: float = 1.5
+    quartile_method: str = "linear"
+    normalization: str = "zscore"
+
+    def __post_init__(self):
+        if self.tukey_multiplier <= 0:
+            raise ConfigError("tukey_multiplier must be > 0")
+        if self.quartile_method not in ("linear", "nearest"):
+            raise ConfigError(f"unknown quartile_method {self.quartile_method!r}")
+        if self.normalization not in ("zscore", "minmax"):
+            raise ConfigError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -257,6 +272,56 @@ def _check_columns(expected: tuple[str, ...], matrix: FeatureMatrix) -> None:
     if expected != matrix.column_names:
         raise WidthMismatchError(f"fitted on columns {expected}, "
                                  f"applying to {matrix.column_names}")
+
+
+@dataclass(frozen=True)
+class Preprocessor:
+    """The fitted chain: mean imputation, then winsorizing at the Tukey
+    fences, then normalization. Every model is fitted on training rows only;
+    ``to_json_dict`` is the ``models/preprocess.json`` payload."""
+    imputer: ImputationModel
+    fences: tuple[BoxplotStats, ...]
+    normalizer: NormalizationModel
+
+    @classmethod
+    def fit(cls, train: FeatureMatrix,
+            config: PreprocessConfig = PreprocessConfig()) -> "Preprocessor":
+        imputer = fit_imputer(train)
+        imputed = apply_imputer(imputer, train)
+        fences = fit_boxplots(imputed, config.tukey_multiplier,
+                              config.quartile_method)
+        normalizer = fit_normalizer(treat_outliers(imputed, fences),
+                                    config.normalization)
+        return cls(imputer, fences, normalizer)
+
+    def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
+        return apply_normalizer(self.normalizer, treat_outliers(
+            apply_imputer(self.imputer, matrix), self.fences))
+
+    def to_json_dict(self) -> dict:
+        # fences keep their cut points only: the training outlier rows are
+        # audit output, not part of the fitted model
+        return {"format": "hydet-preprocess", "version": 1,
+                "fences": [{k: getattr(f, k) for k in _FENCE_KEYS}
+                           for f in self.fences],
+                "imputer": self.imputer.to_json_dict(),
+                "normalizer": self.normalizer.to_json_dict()}
+
+    @classmethod
+    def from_json_dict(cls, data) -> "Preprocessor":
+        if not isinstance(data, dict) or data.get("format") != "hydet-preprocess" \
+                or data.get("version") != 1:
+            raise ModelFormatError("unsupported preprocess model file")
+        try:
+            imp, norm = data["imputer"], data["normalizer"]
+            return cls(
+                ImputationModel(tuple(imp["columns"]), tuple(imp["means"])),
+                tuple(BoxplotStats(**{k: f[k] for k in _FENCE_KEYS},
+                                   outlier_row_indices=()) for f in data["fences"]),
+                NormalizationModel(tuple(norm["columns"]), tuple(norm["center"]),
+                                   tuple(norm["scale"]), norm["mode"]))
+        except (KeyError, TypeError) as exc:
+            raise ModelFormatError(f"malformed preprocess model: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,7 @@ from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config
 from hydet.dataset.model import CANONICAL_VARIABLE_NAMES
 from hydet.dataset.synth import config_to_json
 from hydet.evaluation import ConfusionMatrix, accuracy, evaluate, f1_per_class
-from hydet.quality import (apply_imputer, apply_normalizer, fit_boxplots,
-                           fit_imputer, fit_normalizer, quality_report,
-                           treat_outliers)
+from hydet.quality import Preprocessor, quality_report
 from hydet.stats import TestConfig, compare_models, ks_two_sample, mwu_two_sample
 from oracles import ks_exact_p, mwu_exact_p
 
@@ -47,18 +45,6 @@ def criterion(name: str, budget_seconds: float):
     elapsed = time.perf_counter() - start
     print(f"PASS  {name}  ({elapsed:.2f}s)", flush=True)
     assert elapsed < budget_seconds, f"{name}: {elapsed:.1f}s over budget"
-
-
-def preprocess_chain(train, test, normalization="zscore"):
-    imputer = fit_imputer(train)
-    train = apply_imputer(imputer, train)
-    fences = fit_boxplots(train)
-    train = treat_outliers(train, fences)
-    normalizer = fit_normalizer(train, normalization)
-    train = apply_normalizer(normalizer, train)
-    test = apply_normalizer(
-        normalizer, treat_outliers(apply_imputer(imputer, test), fences))
-    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +244,8 @@ def test_qualitative_classifier_ordering():
         counts = np.bincount(matrix.labels, minlength=3)
         assert counts[0] // 597 == counts[1] // 344 == counts[2] // 84
         train, test = split(matrix, SplitSpec())
-        train, test = preprocess_chain(train, test)
+        prep = Preprocessor.fit(train)
+        train, test = prep.transform(train), prep.transform(test)
         result = train_all(train, ClassifiersConfig())
         reports = {name: evaluate(model, test, name, threads=2)
                    for name, model in result.models.items()}
@@ -337,7 +324,8 @@ def test_real_corpus_missingness_and_accuracy():
         assert report.overall_missing_pct == pytest.approx(24.18, abs=0.5)
 
         train, test = split(matrix, SplitSpec())
-        train, test = preprocess_chain(train, test)
+        prep = Preprocessor.fit(train)
+        train, test = prep.transform(train), prep.transform(test)
         result = train_all(train, ClassifiersConfig(), models=("dt", "knn"))
         for name, model in result.models.items():
             rep = evaluate(model, test, name, threads=4)

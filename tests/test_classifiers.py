@@ -9,8 +9,7 @@ from hydet.dataset import default_config, flatten, split, synth_generate
 from hydet.dataset.model import CANONICAL_VARIABLE_NAMES, SplitSpec
 from hydet.errors import (EmptyDataError, MissingCellsError, ModelFormatError,
                           NonFiniteError, WidthMismatchError)
-from hydet.quality import (apply_imputer, apply_normalizer, fit_boxplots,
-                           fit_imputer, fit_normalizer, treat_outliers)
+from hydet.quality import Preprocessor
 
 
 def tree_replay(node, row):
@@ -318,15 +317,8 @@ def _prepared_desk_matrices():
     instances = synth_generate(cfg, 42)
     matrix = flatten(instances, CANONICAL_VARIABLE_NAMES)
     train, test = split(matrix, SplitSpec())
-    imputer = fit_imputer(train)
-    train = apply_imputer(imputer, train)
-    fences = fit_boxplots(train)
-    train = treat_outliers(train, fences)
-    normalizer = fit_normalizer(train)
-    train = apply_normalizer(normalizer, train)
-    test = apply_normalizer(normalizer,
-                            treat_outliers(apply_imputer(imputer, test), fences))
-    return train, test
+    prep = Preprocessor.fit(train)
+    return prep.transform(train), prep.transform(test)
 
 
 def test_train_all_equals_individual_fits():

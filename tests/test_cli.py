@@ -184,6 +184,16 @@ def test_train_then_eval_separate_commands(tmp_path):
     report = jsonio.load(out / "eval_dt.json")
     assert 0.0 <= report["accuracy"] <= 1.0
 
+    # the pipeline writes the same models and evaluations byte for byte
+    piped = tmp_path / "piped"
+    assert main(["pipeline", "--config", str(config_path),
+                 "--out", str(piped)]) == EXIT_OK
+    separate, together = read_tree(out), read_tree(piped)
+    shared = [rel for rel in separate if rel.startswith(("models/", "eval_"))]
+    assert len(shared) == 4 + 2 * 3  # preprocess + 3 models, json + csv each
+    for rel in shared:
+        assert separate[rel] == together[rel], rel
+
 
 def test_eval_without_models_is_data_error(tmp_path):
     config_path, _ = small_synth_config(tmp_path, out_name="fresh")
@@ -233,6 +243,58 @@ def test_pipeline_failure_names_stage_and_flags_partial_output(tmp_path, capsys)
     assert main(["pipeline", "--config", str(config_path),
                  "--out", str(out)]) == EXIT_OK
     assert not (out / "INCOMPLETE").exists()
+
+    # a model that cannot be fitted (k above the training rows) fails in train
+    config = jsonio.load(config_path)
+    config["classifiers"] = {"knn": {"k": 10_000}}
+    jsonio.dump(config, config_path)
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(config_path),
+                 "--out", str(out)]) == EXIT_DATA
+    assert "stage train failed" in capsys.readouterr().err
+    assert (out / "INCOMPLETE").read_text() == "pipeline aborted in stage train\n"
+
+
+def _drop_key(path, key):
+    data = jsonio.load(path)
+    del data[key]
+    jsonio.dump(data, path)
+    return path
+
+
+def _trained_then_broken(tmp_path, rel, key):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["train", "--config", str(config_path), "--models", "dt"]) == EXIT_OK
+    bad = _drop_key(out / "models" / rel, key)
+    return bad, ["eval", "--config", str(config_path), "--models", "dt"]
+
+
+def _f1_list(tmp_path):
+    bad = tmp_path / "f1.json"
+    jsonio.dump([[1.0, 0.9], [0.5, 0.4]], bad)
+    return bad, ["compare", "--from-f1", str(bad), "--out", str(tmp_path / "c")]
+
+
+def _report_without_per_class(tmp_path):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
+    bad = _drop_key(out / "eval_nb.json", "per_class")
+    return bad, ["compare", "--eval-reports", str(out / "eval_dt.json"), str(bad),
+                 "--out", str(out)]
+
+
+@pytest.mark.parametrize("make_case", [
+    lambda tmp: _trained_then_broken(tmp, "preprocess.json", "fences"),
+    lambda tmp: _trained_then_broken(tmp, "dt.json", "params"),
+    _f1_list,
+    _report_without_per_class,
+], ids=["preprocess-without-fences", "model-without-params",
+        "from-f1-list", "eval-report-without-per-class"])
+def test_malformed_input_file_is_data_error_naming_it(tmp_path, capsys, make_case):
+    bad, argv = make_case(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_config_file_unknown_key_is_usage_error(tmp_path):

@@ -1,17 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydet import jsonio
 from hydet.dataset import ClassLabel, default_config, flatten, synth_generate
 from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance
 from hydet.errors import (AllMissingColumnError, EmptyDataError,
-                          MissingCellsError, WidthMismatchError)
-from hydet.quality import (apply_imputer, apply_normalizer, boxplot_stats,
-                           detect_empty, detect_frozen, fit_boxplots,
-                           fit_imputer, fit_normalizer, quality_report,
-                           quantile, render_boxplot_svg, scan_missing,
-                           treat_outliers)
+                          MissingCellsError, ModelFormatError,
+                          WidthMismatchError)
+from hydet.quality import (PreprocessConfig, Preprocessor, apply_imputer,
+                           apply_normalizer, boxplot_stats, detect_empty,
+                           detect_frozen, fit_boxplots, fit_imputer,
+                           fit_normalizer, quality_report, quantile,
+                           render_boxplot_svg, scan_missing, treat_outliers)
 
 VARS = ("P-TPT", "T-TPT", "P-MON-CKP", "T-JUS-CKP")
 
@@ -301,6 +305,32 @@ def test_pipeline_order_invariant():
     for j, st_ in enumerate(fences):
         col = winsorized.values[:, j]
         assert ((col >= st_.lower_fence) & (col <= st_.upper_fence)).all()
+
+
+def test_preprocessor_json_round_trip_transforms_bit_identically():
+    rng = np.random.default_rng(6)
+    values = rng.normal(size=(120, 3))
+    values[rng.random(values.shape) < 0.15] = np.nan
+    values[0] = (1.0, 2.0, 3.0)
+    values[9] = (1e6, -1e6, 1e6)  # raw outliers
+    train = matrix_of(*values.T)
+    config = PreprocessConfig(quartile_method="nearest", normalization="minmax")
+    prep = Preprocessor.fit(train, config)
+    assert prep.normalizer.mode == "minmax"
+    assert prep.fences == fit_boxplots(apply_imputer(prep.imputer, train), 1.5,
+                                       "nearest")
+
+    payload = prep.to_json_dict()
+    assert all("outlier_row_indices" not in f for f in payload["fences"])
+    back = Preprocessor.from_json_dict(json.loads(jsonio.dumps(payload)))
+    test = matrix_of(*rng.normal(scale=3.0, size=(40, 3)).T)
+    for m in (train, test):
+        assert np.array_equal(back.transform(m).values, prep.transform(m).values)
+    assert not np.isnan(prep.transform(train).values).any()
+
+    for bad in ({**payload, "format": "hydet-model"}, {**payload, "version": 2}):
+        with pytest.raises(ModelFormatError):
+            Preprocessor.from_json_dict(bad)
 
 
 def test_fitting_never_consults_test_rows():
