@@ -131,13 +131,11 @@ def _shared_channels(instances: list[TimeSeriesInstance]) -> tuple[str, ...]:
     """Channels present in every instance, in first-instance order."""
     first = instances[0].variable_names
     return tuple(v for v in first
-                 if all(v in inst.channels for inst in instances))
+                 if all(v in inst.variable_names for inst in instances))
 
 
-def _write_quality(config: RunConfig, instances, out: Path,
-                   variables: tuple[str, ...],
-                   report_path: Path | None = None) -> None:
-    matrix = flatten(instances, variables)
+def _write_quality(config: RunConfig, instances, matrix: FeatureMatrix,
+                   out: Path, report_path: Path | None = None) -> None:
     report = quality_report(instances, matrix,
                             tukey_k=config.preprocess.tukey_multiplier,
                             quartile_method=config.preprocess.quartile_method)
@@ -159,9 +157,10 @@ def cmd_qc(config: RunConfig, args) -> int:
     variables = config.variables if args.variables is not None \
         else (_shared_channels(instances) or config.variables)
     report_path = Path(args.report) if args.report else None
-    _write_quality(config, instances, out, variables, report_path)
+    matrix = flatten(instances, variables)
+    _write_quality(config, instances, matrix, out, report_path)
     if args.points:
-        write_matrix_csv(flatten(instances, variables), args.points)
+        write_matrix_csv(matrix, args.points)
     print(f"quality report written to "
           f"{report_path or out / 'quality_report.json'}")
     return EXIT_OK
@@ -301,9 +300,10 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         stage = "ingest"
         instances = _load_corpus(config)
         stage = "quality-audit"
-        _write_quality(config, instances, out, config.variables)
+        matrix = flatten(instances, config.variables)
+        _write_quality(config, instances, matrix, out)
         stage = "split"
-        train_m, test_m = _split_matrices(config, instances)
+        train_m, test_m = split(matrix, config.split)
         stage = "preprocess"
         prep = _fit_preprocessor(config, train_m, out / "models")
         train_ready, test_ready = prep.transform(train_m), prep.transform(test_m)

@@ -3,7 +3,8 @@
 Instance files are UTF-8 CSV with header ``timestamp,<var1>,...[,class]``.
 Timestamps are either integer epoch seconds or ISO-8601 strings, auto-detected
 per file and required to be uniform within a file. Empty cells and the
-literal tokens ``NaN``/``nan`` are missing readings.
+literal tokens ``NaN``/``nan`` are missing readings; any other cell must parse
+to a finite float.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from datetime import datetime
 from pathlib import Path
 from typing import BinaryIO, Mapping
@@ -106,7 +108,7 @@ def load_instance_csv(source: str | Path | BinaryIO,
         raise CsvFormatError(f"{name}: duplicate channel names {sorted(dupes)}")
 
     timestamps: list[Timestamp] = []
-    columns: list[list[float | None]] = [[] for _ in var_names]
+    rows: list[list[float]] = []
     file_label: ClassLabel | None = None
     ts_kind: str | None = None
 
@@ -125,16 +127,22 @@ def load_instance_csv(source: str | Path | BinaryIO,
                                  f"({ts_kind} then {kind})")
         timestamps.append(ts)
 
+        cells = []
         for j, cell in enumerate(row[1:len(var_names) + 1]):
             cell = cell.strip()
             if cell in _MISSING_TOKENS:
-                columns[j].append(None)
-            else:
-                try:
-                    columns[j].append(float(cell))
-                except ValueError:
-                    raise CsvFormatError(f"{where}, column {var_names[j]!r}: "
-                                         f"bad numeric cell {cell!r}") from None
+                cells.append(math.nan)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CsvFormatError(f"{where}, column {var_names[j]!r}: "
+                                     f"bad numeric cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise CsvFormatError(f"{where}, column {var_names[j]!r}: "
+                                     f"non-finite numeric cell {cell!r}")
+            cells.append(value)
+        rows.append(cells)
 
         if has_class:
             row_label = _parse_label_token(row[-1].strip(), label_map, where)
@@ -158,7 +166,8 @@ def load_instance_csv(source: str | Path | BinaryIO,
         instance_id=instance_id,
         label=final_label,
         timestamps=tuple(timestamps),
-        channels={v: tuple(col) for v, col in zip(var_names, columns)},
+        variable_names=tuple(var_names),
+        values=np.array(rows, dtype=np.float64),
     )
 
 
@@ -169,17 +178,12 @@ def write_instance_csv(instance: TimeSeriesInstance, dest: str | Path,
     Floats are rendered at 17 significant digits (bit round-trip); missing
     cells are empty fields.
     """
-    names = list(instance.channels)
-    lines = ["timestamp," + ",".join(names) + (",class" if include_class else "")]
-    for i, ts in enumerate(instance.timestamps):
+    lines = ["timestamp," + ",".join(instance.variable_names)
+             + (",class" if include_class else "")]
+    label = f",{int(instance.label)}" if include_class else ""
+    for ts, row in zip(instance.timestamps, instance.values.tolist()):
         ts_txt = ts.isoformat() if isinstance(ts, datetime) else str(ts)
-        cells = [ts_txt]
-        for name in names:
-            v = instance.channels[name][i]
-            cells.append("" if v is None else format_float(v))
-        if include_class:
-            cells.append(str(int(instance.label)))
-        lines.append(",".join(cells))
+        lines.append(",".join([ts_txt, *_format_cells(row)]) + label)
     Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -188,17 +192,16 @@ def write_matrix_csv(matrix, dest: str | Path) -> None:
 
     Columns: instance_id, t_index, one column per channel, label.
     """
-    names = list(matrix.column_names)
-    lines = ["instance_id,t_index," + ",".join(names) + ",label"]
-    for i in range(matrix.n_rows):
-        iid, t = matrix.origin[i]
-        cells = [iid, str(t)]
-        for j in range(len(names)):
-            v = matrix.values[i, j]
-            cells.append("" if np.isnan(v) else format_float(float(v)))
-        cells.append(str(int(matrix.labels[i])))
-        lines.append(",".join(cells))
+    lines = ["instance_id,t_index," + ",".join(matrix.column_names) + ",label"]
+    for (inst, t), row, label in zip(matrix.origin.tolist(), matrix.values.tolist(),
+                                     matrix.labels.tolist()):
+        lines.append(",".join([matrix.instance_ids[inst], str(t),
+                               *_format_cells(row), str(label)]))
     Path(dest).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _format_cells(values: list[float]) -> list[str]:
+    return ["" if math.isnan(v) else format_float(v) for v in values]
 
 
 def build_manifest(root: str | Path) -> DatasetManifest:

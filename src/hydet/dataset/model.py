@@ -67,30 +67,37 @@ def variable_info(name: str) -> SensorVariable:
 Timestamp = int | datetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesInstance:
     """One labeled well episode.
 
-    ``channels`` maps variable name to per-timestep readings, with None for
-    missing cells. Every channel has exactly one reading per timestamp.
+    ``values`` is a read-only float64 array of shape (T, C): one row per
+    timestamp, one column per name in ``variable_names``, NaN for a missing
+    reading.
     """
 
     instance_id: str
     label: ClassLabel
     timestamps: tuple[Timestamp, ...]
-    channels: Mapping[str, tuple[float | None, ...]]
+    variable_names: tuple[str, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         n = len(self.timestamps)
         if n == 0:
             raise EmptyDataError(f"instance {self.instance_id!r} has zero rows")
-        if not self.channels:
+        if not self.variable_names:
             raise EmptyDataError(f"instance {self.instance_id!r} has no channels")
-        for name, values in self.channels.items():
-            if len(values) != n:
-                raise ValueError(
-                    f"instance {self.instance_id!r} channel {name!r}: "
-                    f"{len(values)} values for {n} timestamps")
+        if len(set(self.variable_names)) != len(self.variable_names):
+            raise ValueError(f"instance {self.instance_id!r}: duplicate channel "
+                             f"names in {self.variable_names}")
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.shape != (n, len(self.variable_names)):
+            raise ValueError(f"instance {self.instance_id!r}: values shape "
+                             f"{values.shape} is not ({n} timestamps, "
+                             f"{len(self.variable_names)} channels)")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
         for i in range(1, n):
             if self.timestamps[i] < self.timestamps[i - 1]:  # type: ignore[operator]
                 raise TimestampOrderError(
@@ -99,10 +106,6 @@ class TimeSeriesInstance:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(self.channels)
 
 
 @dataclass(frozen=True)
@@ -144,29 +147,31 @@ class DatasetManifest:
 class FeatureMatrix:
     """Row-per-timestamp numeric table; NaN marks a missing reading.
 
-    ``origin`` records, per row, the source instance id and timestamp index
-    so that partitions can be traced back to episodes.
+    ``origin`` is a read-only int64 array of shape (n_rows, 2) holding, per
+    row, the source instance's index into ``instance_ids`` and the timestamp
+    index, so that partitions can be traced back to episodes.
     """
 
     column_names: tuple[str, ...]
     values: np.ndarray
     labels: np.ndarray
-    origin: tuple[tuple[str, int], ...]
+    origin: np.ndarray
+    instance_ids: tuple[str, ...]
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        origin = np.ascontiguousarray(self.origin, dtype=np.int64)
         if values.ndim != 2 or values.shape[1] != len(self.column_names):
             raise ValueError(f"values shape {values.shape} does not match "
                              f"{len(self.column_names)} columns")
         if labels.shape != (values.shape[0],):
             raise ValueError("labels length does not match row count")
-        if len(self.origin) != values.shape[0]:
-            raise ValueError("origin length does not match row count")
-        values.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
+        if origin.shape != (values.shape[0], 2):
+            raise ValueError(f"origin shape {origin.shape} is not (rows, 2)")
+        for name, array in (("values", values), ("labels", labels), ("origin", origin)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_rows(self) -> int:
@@ -178,16 +183,13 @@ class FeatureMatrix:
 
     def take(self, indices: Sequence[int]) -> "FeatureMatrix":
         idx = np.asarray(indices, dtype=np.int64)
-        return FeatureMatrix(
-            column_names=self.column_names,
-            values=self.values[idx].copy(),
-            labels=self.labels[idx].copy(),
-            origin=tuple(self.origin[i] for i in idx),
-        )
+        return FeatureMatrix(self.column_names, self.values[idx], self.labels[idx],
+                             self.origin[idx], self.instance_ids)
 
     def with_values(self, values: np.ndarray) -> "FeatureMatrix":
         """Same rows/labels/origin with a replaced value grid."""
-        return FeatureMatrix(self.column_names, values, self.labels.copy(), self.origin)
+        return FeatureMatrix(self.column_names, values, self.labels, self.origin,
+                             self.instance_ids)
 
 
 @dataclass(frozen=True)

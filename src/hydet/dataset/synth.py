@@ -253,17 +253,11 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TimeSeriesInstance]:
 
     _inject_corruption(values, config, rng)
 
-    instances = []
     timestamps = tuple(config.epoch_start + t for t in range(length))
-    for i, (label, k) in enumerate(plan):
-        channels = {}
-        for j, var in enumerate(variables):
-            col = values[i, j]
-            channels[var] = tuple(None if np.isnan(v) else float(v) for v in col)
-        instances.append(TimeSeriesInstance(
-            instance_id=f"synth-{label.name.lower()}-{k:05d}",
-            label=label, timestamps=timestamps, channels=channels))
-    return instances
+    return [TimeSeriesInstance(instance_id=f"synth-{label.name.lower()}-{k:05d}",
+                               label=label, timestamps=timestamps,
+                               variable_names=variables, values=values[i].T)
+            for i, (label, k) in enumerate(plan)]
 
 
 def _inject_corruption(values: np.ndarray, config: SynthConfig,
@@ -283,7 +277,7 @@ def _inject_corruption(values: np.ndarray, config: SynthConfig,
             values[i, j, :] = values[i, j, 0]
             frozen_mask[i, j] = True
 
-    outlier_cells: set[int] = set()
+    outlier_mask = np.zeros(values.shape, dtype=bool)
     for j, var in enumerate(config.variables):
         frac = config.outlier_fractions.get(var, 0.0)
         k_out = _rounded(frac, n_inst * length)
@@ -303,14 +297,11 @@ def _inject_corruption(values: np.ndarray, config: SynthConfig,
         magnitudes = hi + (5.0 + 5.0 * ch_rng.derive(1).uniforms(k_out)) * spread
         rows, ts = np.divmod(picks, length)
         values[rows, j, ts] = magnitudes
-        outlier_cells.update(((rows * n_ch + j) * length + ts).tolist())
+        outlier_mask[rows, j, ts] = True
 
     k_missing = _rounded(config.missing_fraction, total_cells)
     if k_missing:
-        pool = np.setdiff1d(np.arange(total_cells),
-                            np.fromiter(outlier_cells, dtype=np.int64,
-                                        count=len(outlier_cells)),
-                            assume_unique=False)
+        pool = np.flatnonzero(~outlier_mask)
         if k_missing > len(pool):
             raise ConfigError("missing_fraction leaves too few undamaged cells")
         picks = pool[rng.derive(4).sample_indices(len(pool), k_missing)]

@@ -20,30 +20,23 @@ def flatten(instances: Sequence[TimeSeriesInstance],
         raise EmptyDataError("flatten: no variables requested")
     variables = tuple(variables)
 
+    columns = []
     for inst in instances:
         for var in variables:
-            if var not in inst.channels:
+            if var not in inst.variable_names:
                 raise MissingVariableError(
                     f"instance {inst.instance_id!r} lacks channel {var!r}")
-
-    n = sum(len(inst) for inst in instances)
-    values = np.empty((n, len(variables)), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    origin: list[tuple[str, int]] = []
-
-    row = 0
-    for inst in instances:
-        m = len(inst)
-        for j, var in enumerate(variables):
-            col = np.array([np.nan if v is None else v for v in inst.channels[var]],
-                           dtype=np.float64)
-            values[row:row + m, j] = col
-        labels[row:row + m] = int(inst.label)
-        origin.extend((inst.instance_id, t) for t in range(m))
-        row += m
-
-    return FeatureMatrix(column_names=variables, values=values, labels=labels,
-                         origin=tuple(origin))
+        columns.append([inst.variable_names.index(var) for var in variables])
+    lengths = np.array([len(inst) for inst in instances], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    inst_index = np.repeat(np.arange(len(instances)), lengths)
+    return FeatureMatrix(
+        column_names=variables,
+        values=np.concatenate([inst.values[:, cols]
+                               for inst, cols in zip(instances, columns)]),
+        labels=np.repeat([int(inst.label) for inst in instances], lengths),
+        origin=np.column_stack((inst_index, np.arange(lengths.sum()) - starts[inst_index])),
+        instance_ids=tuple(inst.instance_id for inst in instances))
 
 
 def _rounded_count(fraction: float, n: int) -> int:
@@ -102,31 +95,21 @@ def _split_row(matrix: FeatureMatrix, spec: SplitSpec, rng: CounterRng) -> np.nd
 
 def _split_instance(matrix: FeatureMatrix, spec: SplitSpec,
                     rng: CounterRng) -> np.ndarray:
-    inst_ids: list[str] = []
-    inst_label: dict[str, int] = {}
-    inst_rows: dict[str, list[int]] = {}
-    for row, (iid, _) in enumerate(matrix.origin):
-        if iid not in inst_rows:
-            inst_ids.append(iid)
-            inst_rows[iid] = []
-            inst_label[iid] = int(matrix.labels[row])
-        inst_rows[iid].append(row)
-
-    if len(inst_ids) < 2:
+    inst_of_row = matrix.origin[:, 0]
+    # first row of every instance, in order of first appearance
+    firsts = np.sort(np.unique(inst_of_row, return_index=True)[1])
+    if len(firsts) < 2:
         raise SplitError("instance split needs at least 2 instances")
 
-    def rows_of(chosen: Sequence[int]) -> np.ndarray:
-        out: list[int] = []
-        for i in chosen:
-            out.extend(inst_rows[inst_ids[i]])
-        return np.asarray(out, dtype=np.int64)
+    def rows_of(chosen: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(np.isin(inst_of_row, inst_of_row[firsts[chosen]]))
 
     if not spec.stratified:
-        test_inst = _pick_test_rows(np.arange(len(inst_ids)), spec.test_fraction,
+        test_inst = _pick_test_rows(np.arange(len(firsts)), spec.test_fraction,
                                     rng.derive(0))
         return rows_of(test_inst)
 
-    labels_arr = np.array([inst_label[i] for i in inst_ids])
+    labels_arr = matrix.labels[firsts]
     picks = []
     for label in np.unique(labels_arr):
         members = np.flatnonzero(labels_arr == label)

@@ -130,17 +130,19 @@ def detect_frozen(instance: TimeSeriesInstance, min_length: int = 2) -> set[str]
     """
     if min_length < 2:
         raise ValueError("min_length must be >= 2")
-    frozen = set()
-    for name, values in instance.channels.items():
-        observed = [v for v in values if v is not None]
-        if len(observed) >= min_length and all(v == observed[0] for v in observed):
-            frozen.add(name)
-    return frozen
+    values = instance.values
+    # fmin/fmax skip NaN, so equal extremes mean all observed values are equal
+    frozen = ((~np.isnan(values)).sum(axis=0) >= min_length) \
+        & (np.fmin.reduce(values, axis=0) == np.fmax.reduce(values, axis=0))
+    return _names_where(instance, frozen)
 
 
 def detect_empty(instance: TimeSeriesInstance) -> set[str]:
-    return {name for name, values in instance.channels.items()
-            if all(v is None for v in values)}
+    return _names_where(instance, np.isnan(instance.values).all(axis=0))
+
+
+def _names_where(instance: TimeSeriesInstance, flags: np.ndarray) -> set[str]:
+    return {name for name, f in zip(instance.variable_names, flags.tolist()) if f}
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +395,13 @@ def quality_report(instances: Sequence[TimeSeriesInstance],
     n = matrix.n_rows
     missing = np.isnan(matrix.values)
 
-    frozen_counts = {name: 0 for name in matrix.column_names}
-    empty_counts = {name: 0 for name in matrix.column_names}
+    frozen_counts = dict.fromkeys(matrix.column_names, 0)
+    empty_counts = dict.fromkeys(matrix.column_names, 0)
     for inst in instances:
-        frozen = detect_frozen(inst, min_length)
-        empty = detect_empty(inst)
-        for name in matrix.column_names:
-            if name in frozen:
-                frozen_counts[name] += 1
-            if name in empty:
-                empty_counts[name] += 1
+        for name in detect_frozen(inst, min_length) & frozen_counts.keys():
+            frozen_counts[name] += 1
+        for name in detect_empty(inst) & empty_counts.keys():
+            empty_counts[name] += 1
 
     n_inst = len(instances)
     channels = []

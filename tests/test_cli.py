@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hydet import jsonio
@@ -153,13 +154,11 @@ def test_wide_corpus_audits_all_channels_models_use_four(tmp_path):
             base = {ClassLabel.NORMAL: 10.0, ClassLabel.RAPID_LOSS: 30.0,
                     ClassLabel.HYDRATE: 50.0}[label]
             draw = rng.derive(int(label), k)
-            channels = {
-                name: tuple(base + j + v for v in draw.derive(j).uniforms(12))
-                for j, name in enumerate(("P-TPT", "T-TPT", "P-MON-CKP",
-                                          "T-JUS-CKP", "QGL", "ABER-CKGL"))
-            }
+            names = ("P-TPT", "T-TPT", "P-MON-CKP", "T-JUS-CKP", "QGL", "ABER-CKGL")
+            values = np.column_stack([base + j + draw.derive(j).uniforms(12)
+                                      for j in range(len(names))])
             inst = TimeSeriesInstance(f"{sub}/w{k}", label, tuple(range(12)),
-                                      channels)
+                                      names, values)
             write_instance_csv(inst, tmp_path / "wide" / sub / f"w{k}.csv")
 
     out = tmp_path / "wide_out"
@@ -283,18 +282,34 @@ def _report_without_per_class(tmp_path):
                  "--out", str(out)]
 
 
+def _corpus_with_inf_cell(tmp_path):
+    config_path, corpus = small_synth_config(tmp_path, out_name="corpus")
+    assert main(["synth", "--config", str(config_path)]) == EXIT_OK
+    bad = sorted((corpus / "1_rapid_loss").glob("*.csv"))[0]
+    lines = bad.read_text(encoding="utf-8").split("\n")
+    cells = lines[3].split(",")
+    cells[2] = "inf"  # row 4, second channel
+    lines[3] = ",".join(cells)
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    return bad, ["pipeline", "--data", str(corpus), "--out", str(tmp_path / "out")], \
+        "stage ingest failed", "row 4, column 'T-TPT': non-finite numeric cell 'inf'"
+
+
 @pytest.mark.parametrize("make_case", [
     lambda tmp: _trained_then_broken(tmp, "preprocess.json", "fences"),
     lambda tmp: _trained_then_broken(tmp, "dt.json", "params"),
     _f1_list,
     _report_without_per_class,
+    _corpus_with_inf_cell,
 ], ids=["preprocess-without-fences", "model-without-params",
-        "from-f1-list", "eval-report-without-per-class"])
+        "from-f1-list", "eval-report-without-per-class", "corpus-with-inf-cell"])
 def test_malformed_input_file_is_data_error_naming_it(tmp_path, capsys, make_case):
-    bad, argv = make_case(tmp_path)
+    bad, argv, *more_texts = make_case(tmp_path)
     capsys.readouterr()
     assert main(argv) == EXIT_DATA
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for text in (str(bad), *more_texts):
+        assert text in err
 
 
 def test_config_file_unknown_key_is_usage_error(tmp_path):

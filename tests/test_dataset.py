@@ -1,7 +1,11 @@
 import io
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, flatten,
                            load_instance_csv, split, write_instance_csv)
@@ -15,10 +19,18 @@ def _stream(text):
 
 
 def make_instance(instance_id="i0", label=ClassLabel.NORMAL, n=5, channels=None):
-    channels = channels or {"P-TPT": tuple(float(i) for i in range(n)),
-                            "T-TPT": tuple(10.0 + i for i in range(n))}
+    channels = channels or {"P-TPT": [float(i) for i in range(n)],
+                            "T-TPT": [10.0 + i for i in range(n)]}
     return TimeSeriesInstance(instance_id=instance_id, label=label,
-                              timestamps=tuple(range(n)), channels=channels)
+                              timestamps=tuple(range(n)),
+                              variable_names=tuple(channels),
+                              values=np.array(list(channels.values())).T)
+
+
+def same_bits(actual, expected):
+    """Bitwise equality of float arrays: NaN positions, signed zeros and all."""
+    expected = np.asarray(expected, dtype=np.float64)
+    return actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -29,9 +41,8 @@ def test_load_single_row_with_missing_cell():
     inst = load_instance_csv(_stream("timestamp,a,b,c,d\n0,10.0,,5.0,3.0\n"),
                              "one", ClassLabel.NORMAL)
     assert len(inst) == 1
-    assert inst.channels["b"] == (None,)
-    assert inst.channels["a"] == (10.0,)
-    assert inst.channels["d"] == (3.0,)
+    assert inst.variable_names == ("a", "b", "c", "d")
+    assert same_bits(inst.values, [[10.0, np.nan, 5.0, 3.0]])
 
 
 def test_class_column_supplies_label():
@@ -52,14 +63,14 @@ def test_missing_count_matches_cell_scan_oracle():
     raw_missing = sum(1 for line in text.splitlines()[1:]
                       if line.split(",")[1] == "")
     assert raw_missing == 3
-    assert sum(v is None for v in inst.channels["P-TPT"]) == raw_missing
+    assert np.isnan(inst.values[:, 0]).sum() == raw_missing
 
 
 def test_nan_tokens_and_iso_timestamps():
     text = ("timestamp,x\n2024-01-01T00:00:00,NaN\n"
             "2024-01-01T00:00:01,nan\n2024-01-01T00:00:02,3.5\n")
     inst = load_instance_csv(_stream(text), "i", ClassLabel.NORMAL)
-    assert inst.channels["x"] == (None, None, 3.5)
+    assert same_bits(inst.values, [[np.nan], [np.nan], [3.5]])
 
 
 def test_load_errors():
@@ -79,6 +90,12 @@ def test_load_errors():
         load_instance_csv(_stream("timestamp,x\n0,abc\n"), "i", ClassLabel.NORMAL)
     with pytest.raises(LabelConflictError):  # no label anywhere
         load_instance_csv(_stream("timestamp,x\n0,1.0\n"), "i")
+    # non-finite cells other than the missing tokens name file, row and column
+    for cell in ("inf", "-inf", "Infinity", "NAN", "+nan", "1e999"):
+        message = f"f.csv row 3, column 'y': non-finite numeric cell '{cell}'"
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+            load_instance_csv(_stream(f"timestamp,x,y\n0,1.0,2.0\n1,3.0, {cell}\n"),
+                              "f.csv", ClassLabel.NORMAL)
 
 
 def test_label_map_translates_foreign_codes():
@@ -90,7 +107,7 @@ def test_label_map_translates_foreign_codes():
 def test_crlf_line_endings_accepted():
     text = "timestamp,x\r\n0,1.5\r\n1,2.5\r\n"
     inst = load_instance_csv(_stream(text), "i", ClassLabel.NORMAL)
-    assert inst.channels["x"] == (1.5, 2.5)
+    assert same_bits(inst.values, [[1.5], [2.5]])
 
 
 def test_duplicate_channel_names_rejected():
@@ -100,36 +117,71 @@ def test_duplicate_channel_names_rejected():
 
 
 def test_csv_round_trip_bit_identical(tmp_path):
-    values = (0.1, None, 1 / 3, 2.5e-7, -1.23456789012345e10)
-    inst = TimeSeriesInstance(
-        instance_id="rt", label=ClassLabel.RAPID_LOSS,
-        timestamps=tuple(range(5)),
-        channels={"P-TPT": values, "T-TPT": (1.0, 2.0, 3.0, 4.0, 5.0)})
+    inst = make_instance("rt", ClassLabel.RAPID_LOSS, channels={
+        "P-TPT": [0.1, np.nan, 1 / 3, 2.5e-7, -1.23456789012345e10],
+        "T-TPT": [1.0, 2.0, 3.0, 4.0, 5.0]})
     path = tmp_path / "rt.csv"
     write_instance_csv(inst, path)
     back = load_instance_csv(path, "rt")
     assert back.label is inst.label
     assert back.timestamps == inst.timestamps
-    assert back.channels == inst.channels  # bit-identical floats and missing
+    assert back.variable_names == inst.variable_names
+    assert same_bits(back.values, inst.values)  # bit-identical floats and missing
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1e308, -1e308, 1.7976931348623157e308])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_csv_round_trip_property(tmp_path_factory, data):
+    shape = data.draw(st.tuples(st.integers(1, 12), st.integers(1, 4)))
+    values = data.draw(arrays(np.float64, shape, elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), _EDGE_FLOATS)))
+    values[data.draw(arrays(np.bool_, shape))] = np.nan
+    timestamps = tuple(sorted(data.draw(st.lists(
+        st.integers(0, 2**40), min_size=shape[0], max_size=shape[0]))))
+    inst = TimeSeriesInstance("p", data.draw(st.sampled_from(ClassLabel)), timestamps,
+                              tuple(f"c{j}" for j in range(shape[1])), values)
+    path = tmp_path_factory.mktemp("round_trip") / "p.csv"
+    write_instance_csv(inst, path)
+    back = load_instance_csv(path, "p")
+    assert back.values.tobytes() == inst.values.tobytes()
+    assert back.variable_names == inst.variable_names
+    assert back.timestamps == inst.timestamps
 
 
 def test_csv_round_trip_iso_timestamps(tmp_path):
     from datetime import datetime
     stamps = tuple(datetime(2024, 1, 1, 0, 0, s) for s in range(3))
     inst = TimeSeriesInstance(instance_id="iso", label=ClassLabel.HYDRATE,
-                              timestamps=stamps,
-                              channels={"T-TPT": (4.5, None, 5.5)})
+                              timestamps=stamps, variable_names=("T-TPT",),
+                              values=[[4.5], [np.nan], [5.5]])
     path = tmp_path / "iso.csv"
     write_instance_csv(inst, path)
     back = load_instance_csv(path, "iso")
     assert back.timestamps == stamps
-    assert back.channels == inst.channels
+    assert back.variable_names == inst.variable_names
+    assert same_bits(back.values, inst.values)
+
+
+def test_instance_values_are_a_checked_read_only_grid():
+    inst = make_instance(n=3)
+    assert not hasattr(inst, "channels")
+    assert inst.values.dtype == np.float64 and inst.values.shape == (3, 2)
+    with pytest.raises(ValueError):
+        inst.values[0, 0] = 1.0
+    with pytest.raises(ValueError):  # one row short
+        TimeSeriesInstance("i", ClassLabel.NORMAL, (0, 1, 2), ("x",), [[1.0], [2.0]])
+    with pytest.raises(ValueError):  # names must be unique
+        TimeSeriesInstance("i", ClassLabel.NORMAL, (0,), ("x", "x"), [[1.0, 2.0]])
 
 
 def test_write_matrix_csv_labeled_points(tmp_path):
     from hydet.dataset.io import write_matrix_csv
     m = flatten([make_instance("a", ClassLabel.HYDRATE, 2,
-                               channels={"x": (1.5, None)})], ("x",))
+                               channels={"x": [1.5, np.nan]})], ("x",))
     path = tmp_path / "points.csv"
     write_matrix_csv(m, path)
     lines = path.read_text().strip().split("\n")
@@ -195,7 +247,9 @@ def test_flatten_labels_match_enumeration_oracle():
     for inst in instances:  # brute-force loop over (instance, t)
         for t in range(len(inst)):
             expected.append((inst.instance_id, t, int(inst.label)))
-    got = [(iid, t, int(lab)) for (iid, t), lab in zip(m.origin, m.labels)]
+    assert m.origin.dtype == np.int64 and m.origin.shape == (9, 2)
+    got = [(m.instance_ids[i], t, int(lab))
+           for (i, t), lab in zip(m.origin.tolist(), m.labels)]
     assert got == expected
 
 
@@ -205,7 +259,7 @@ def test_flatten_missing_variable():
 
 
 def test_flatten_preserves_missing_cells():
-    inst = make_instance(n=3, channels={"x": (1.0, None, 3.0)})
+    inst = make_instance(n=3, channels={"x": [1.0, np.nan, 3.0]})
     m = flatten([inst], ("x",))
     assert np.isnan(m.values[1, 0]) and not np.isnan(m.values[0, 0])
 
@@ -225,7 +279,7 @@ def test_split_7_3():
     m = _matrix([0] * 10)
     train, test = split(m, SplitSpec(test_fraction=0.3, seed=5, stratified=False))
     assert (train.n_rows, test.n_rows) == (7, 3)
-    origins = {o for o in train.origin} | {o for o in test.origin}
+    origins = set(map(tuple, train.origin.tolist() + test.origin.tolist()))
     assert len(origins) == 10  # disjoint and exhaustive
 
 
@@ -234,9 +288,10 @@ def test_split_deterministic():
     s = SplitSpec(test_fraction=0.4, seed=77)
     t1 = split(m, s)
     t2 = split(m, s)
-    assert t1[0].origin == t2[0].origin and t1[1].origin == t2[1].origin
+    assert t1[0].origin.tobytes() == t2[0].origin.tobytes()
+    assert t1[1].origin.tobytes() == t2[1].origin.tobytes()
     t3 = split(m, SplitSpec(test_fraction=0.4, seed=78))
-    assert t1[1].origin != t3[1].origin
+    assert t1[1].origin.tobytes() != t3[1].origin.tobytes()
 
 
 def test_stratified_split_counts_by_label_oracle():
@@ -251,7 +306,8 @@ def test_split_partition_preserves_multiset():
     train, test = split(m, SplitSpec(test_fraction=0.25, seed=3))
 
     def rows_of(part):
-        return [(part.origin[i], tuple(part.values[i]), int(part.labels[i]))
+        return [(tuple(part.origin[i].tolist()), tuple(part.values[i]),
+                 int(part.labels[i]))
                 for i in range(part.n_rows)]
 
     assert sorted(rows_of(train) + rows_of(test)) == sorted(rows_of(m))
@@ -263,8 +319,8 @@ def test_instance_mode_never_splits_an_episode():
     for stratified in (True, False):
         train, test = split(m, SplitSpec(test_fraction=0.34, seed=9,
                                          mode="instance", stratified=stratified))
-        train_ids = {iid for iid, _ in train.origin}
-        test_ids = {iid for iid, _ in test.origin}
+        train_ids = {train.instance_ids[i] for i in train.origin[:, 0]}
+        test_ids = {test.instance_ids[i] for i in test.origin[:, 0]}
         assert not (train_ids & test_ids)
         assert train.n_rows + test.n_rows == m.n_rows
 
@@ -277,7 +333,7 @@ def test_stratified_instance_split_proportions_within_one():
             instances.append(make_instance(f"{label.name}-{k}", label, n=3))
     m = flatten(instances, ("P-TPT",))
     _, test = split(m, SplitSpec(test_fraction=0.5, seed=2, mode="instance"))
-    test_instances = {iid for iid, _ in test.origin}
+    test_instances = {test.instance_ids[i] for i in test.origin[:, 0]}
     per_class = {label: 0 for label in ClassLabel}
     for iid in test_instances:
         per_class[ClassLabel.from_name(iid.split("-")[0])] += 1

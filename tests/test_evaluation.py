@@ -125,7 +125,9 @@ def test_evaluate_memorizing_tree_and_recomposition():
     labels = rng.integers(0, 3, size=120)
     matrix = FeatureMatrix(column_names=("a", "b", "c"), values=values,
                            labels=labels,
-                           origin=tuple(("i", t) for t in range(120)))
+                           origin=np.column_stack((np.zeros(120, dtype=np.int64),
+                                                   np.arange(120))),
+                           instance_ids=("i",))
     model = DecisionTree(max_depth=None).fit(values, labels)
     report = evaluate(model, matrix, "tree")
     assert report.accuracy == 1.0

@@ -27,7 +27,8 @@ def matrix_of(*columns, labels=None):
     return FeatureMatrix(
         column_names=tuple(f"c{j}" for j in range(values.shape[1])),
         values=values, labels=labels,
-        origin=tuple(("i", t) for t in range(n)))
+        origin=np.column_stack((np.zeros(n, dtype=np.int64), np.arange(n))),
+        instance_ids=("i",))
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +119,9 @@ def test_scan_missing_fully_observed_is_zero():
 
 
 def _instance(channels):
-    n = len(next(iter(channels.values())))
-    return TimeSeriesInstance("i", ClassLabel.NORMAL, tuple(range(n)),
-                              {k: tuple(v) for k, v in channels.items()})
+    values = np.array(list(channels.values()), dtype=np.float64).T
+    return TimeSeriesInstance("i", ClassLabel.NORMAL, tuple(range(len(values))),
+                              tuple(channels), values)
 
 
 def test_detect_frozen_exact_equality_required():
@@ -129,15 +130,33 @@ def test_detect_frozen_exact_equality_required():
 
 
 def test_all_missing_is_empty_not_frozen():
-    inst = _instance({"a": [None, None, None], "b": [1.0, 1.0, 1.0]})
+    inst = _instance({"a": [np.nan, np.nan, np.nan], "b": [1.0, 1.0, 1.0]})
     assert detect_frozen(inst) == {"b"}
     assert detect_empty(inst) == {"a"}
 
 
 def test_frozen_min_length():
-    inst = _instance({"a": [5.0, None, None, 5.0]})
+    inst = _instance({"a": [5.0, np.nan, np.nan, 5.0]})
     assert detect_frozen(inst, min_length=2) == {"a"}
     assert detect_frozen(inst, min_length=3) == set()
+
+
+@given(st.lists(st.lists(st.sampled_from([1.0, 2.0, 0.0, -0.0, np.nan]),
+                         min_size=1, max_size=6), min_size=1, max_size=4),
+       st.integers(2, 4))
+@settings(max_examples=200, deadline=None)
+def test_frozen_and_empty_match_cell_loop_oracle(columns, min_length):
+    length = min(len(c) for c in columns)
+    inst = _instance({f"c{j}": c[:length] for j, c in enumerate(columns)})
+    frozen, empty = set(), set()
+    for j, col in enumerate(columns):  # reference: one cell at a time
+        observed = [v for v in col[:length] if not np.isnan(v)]
+        if len(observed) >= min_length and all(v == observed[0] for v in observed):
+            frozen.add(f"c{j}")
+        if not observed:
+            empty.add(f"c{j}")
+    assert detect_frozen(inst, min_length) == frozen
+    assert detect_empty(inst) == empty
     with pytest.raises(ValueError):
         detect_frozen(inst, min_length=1)
 
