@@ -257,37 +257,47 @@ def cmd_eval(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _comparison_outputs(f1_vectors, config: RunConfig, out: Path) -> None:
-    table = compare_models(f1_vectors, config.stats)
+def _comparison_outputs(table, out: Path) -> None:
     jsonio.dump(table.to_json_dict(), out / "comparison.json")
     (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8",
                                         newline="\n")
     _print_comparison(table)
 
 
+def _score_list(path: str, model, scores) -> list[float]:
+    if not (isinstance(scores, list) and all(type(x) in (int, float) for x in scores)):
+        raise HydetError(f"{path}: model {model!r}: expected a list of numbers, "
+                         f"got {scores!r}")
+    return [float(x) for x in scores]
+
+
 def cmd_compare(config: RunConfig, args) -> int:
     out = Path(config.out_dir)
     _echo_config(config, out)
-    path = args.from_f1
-    try:
-        if path:
-            raw = jsonio.load(path)
-            if not isinstance(raw, dict):
-                raise HydetError(f"{path}: expected an object of model -> F1 list")
-            f1_vectors = {str(k): [float(x) for x in v] for k, v in raw.items()}
-        else:
-            f1_vectors = {}
-            for path in args.eval_reports or sorted(
-                    str(p) for p in out.glob("eval_*.json")):
-                data = jsonio.load(path)
+    if args.from_f1:
+        paths = [args.from_f1]
+        raw = jsonio.load(args.from_f1)
+        if not isinstance(raw, dict):
+            raise HydetError(f"{args.from_f1}: expected an object of model -> F1 list")
+        f1_vectors = {k: _score_list(args.from_f1, k, v) for k, v in raw.items()}
+    else:
+        paths = args.eval_reports or sorted(str(p) for p in out.glob("eval_*.json"))
+        f1_vectors = {}
+        for path in paths:
+            data = jsonio.load(path)
+            try:
                 per_class = data["per_class"]
-                f1_vectors[data["model"]] = [per_class[c]["f1"]
-                                             for c in data["classes"]]
-    except (KeyError, TypeError) as exc:
-        raise HydetError(f"{path}: unexpected input shape: {exc!r}") from None
+                f1_vectors[data["model"]] = _score_list(
+                    path, data["model"], [per_class[c]["f1"] for c in data["classes"]])
+            except (KeyError, TypeError) as exc:
+                raise HydetError(f"{path}: unexpected input shape: {exc!r}") from None
     if len(f1_vectors) < 2:
         raise _UsageError(f"comparison needs at least 2 models, got {len(f1_vectors)}")
-    _comparison_outputs(f1_vectors, config, out)
+    try:
+        table = compare_models(f1_vectors, config.stats)
+    except (HydetError, ValueError) as exc:  # the message names the model
+        raise HydetError(f"{', '.join(paths)}: {exc}") from None
+    _comparison_outputs(table, out)
     return EXIT_OK
 
 
@@ -315,7 +325,7 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         if len(reports) >= 2:
             f1_vectors = {MODEL_DISPLAY[name]: list(r.f1_vector())
                           for name, r in reports.items()}
-            _comparison_outputs(f1_vectors, config, out)
+            _comparison_outputs(compare_models(f1_vectors, config.stats), out)
         else:
             print("comparison skipped: needs at least 2 models")
         return EXIT_OK

@@ -1,11 +1,15 @@
 """Distribution-free two-sample tests: Kolmogorov-Smirnov and Mann-Whitney U.
 
-Both tests come in an exact flavor (full enumeration of the C(n, n1)
+Both tests come in an exact flavor (the null distribution over all C(n, n1)
 assignments of the pooled multiset, correct under ties) and an asymptotic
 flavor (Kolmogorov limit distribution; normal approximation with tie and
-continuity correction). Exact enumeration compares integer-valued statistics
-(D numerators over n1*n2; doubled midrank sums), so p-values are exact
-multiset-count ratios with no float-comparison fuzz.
+continuity correction). The exact flavor counts assignments instead of
+enumerating them, walking the sorted pooled positions once: KS counts the
+lattice paths that stay inside the observed D at every tied-group end
+(Hodges 1958), and MWU counts assignments per doubled midrank sum (the Mann
+and Whitney 1947 recursion). Counts are Python integers and the compared
+statistics are integer-valued (D numerators over n1*n2; doubled midrank
+sums), so p-values are exact count ratios with no float-comparison fuzz.
 
 ``method="auto"`` uses exact KS for pooled sizes up to 25 and the
 tie-corrected asymptotic MWU with continuity correction, the combination
@@ -30,8 +34,6 @@ from .errors import EmptyDataError, NonFiniteError
 
 #: largest pooled size for which "auto" picks the exact KS method
 EXACT_POOLED_LIMIT = 25
-
-_ENUM_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,18 @@ class MwuResult:
     method_used: str  # exact | asymptotic-tie-corrected
 
 
-def _validate_sample(sample: Sequence[float], name: str) -> np.ndarray:
+def _validate_sample(sample: Sequence[float], what: str) -> np.ndarray:
     arr = np.asarray(sample, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
-        raise EmptyDataError(f"sample {name} is empty")
+        raise EmptyDataError(f"{what} is empty")
     if not np.isfinite(arr).all():
-        raise NonFiniteError(f"sample {name} contains non-finite values")
+        raise NonFiniteError(f"{what} contains non-finite values")
     return arr
 
 
 def ecdf_eval(sample: Sequence[float], x: float) -> float:
     """Right-continuous empirical CDF: (# values <= x) / n."""
-    arr = _validate_sample(sample, "ecdf")
+    arr = _validate_sample(sample, "sample ecdf")
     return float(np.count_nonzero(arr <= x)) / arr.size
 
 
@@ -114,35 +116,14 @@ def _doubled_midranks(group_ends: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _combination_masks(n: int, n1: int):
-    """Yield (chunk, n) 0/1 int matrices covering all C(n, n1) assignments."""
-    buf = []
-    for comb in combinations(range(n), n1):
-        buf.append(comb)
-        if len(buf) == _ENUM_CHUNK:
-            yield _masks_from(buf, n)
-            buf = []
-    if buf:
-        yield _masks_from(buf, n)
-
-
-def _masks_from(combs: list[tuple[int, ...]], n: int) -> np.ndarray:
-    mask = np.zeros((len(combs), n), dtype=np.int64)
-    rows = np.repeat(np.arange(len(combs)), len(combs[0]) if combs[0] else 0)
-    cols = np.asarray([c for comb in combs for c in comb], dtype=np.int64)
-    if cols.size:
-        mask[rows, cols] = 1
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov
 
 
 def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
     """D = sup_x |F_a(x) - F_b(x)| evaluated at pooled sample points."""
-    a = _validate_sample(a, "a")
-    b = _validate_sample(b, "b")
+    a = _validate_sample(a, "sample a")
+    b = _validate_sample(b, "sample b")
     _, in_a, ends = _pooled_layout(a, b)
     return _ks_numerator(in_a, ends, a.size, b.size) / (a.size * b.size)
 
@@ -164,8 +145,8 @@ def _kolmogorov_sf(lam: float) -> float:
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float],
                   config: TestConfig = TestConfig()) -> KsResult:
-    a = _validate_sample(a, "a")
-    b = _validate_sample(b, "b")
+    a = _validate_sample(a, "sample a")
+    b = _validate_sample(b, "sample b")
     n1, n2 = a.size, b.size
     n = n1 + n2
     _, in_a, ends = _pooled_layout(a, b)
@@ -175,13 +156,16 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float],
     use_exact = config.method == "exact" or (
         config.method == "auto" and n <= EXACT_POOLED_LIMIT)
     if use_exact:
-        hits = 0
-        for mask in _combination_masks(n, n1):
-            cum_a = np.cumsum(mask, axis=1)[:, ends]
-            cum_all = ends + 1
-            m_star = np.max(np.abs(cum_a * n2 - (cum_all[None, :] - cum_a) * n1),
-                            axis=1)
-            hits += int(np.count_nonzero(m_star >= m_obs))
+        # inside[k]: paths over the positions so far that place k members of
+        # a and have stayed below m_obs at every tied-group end
+        inside = np.zeros(n1 + 1, dtype=object)
+        inside[0] = 1
+        k = np.arange(n1 + 1)
+        for i in range(n):
+            inside[1:] = inside[1:] + inside[:-1]
+            if i in ends:
+                inside[np.abs(k * n2 - (i + 1 - k) * n1) >= m_obs] = 0
+        hits = math.comb(n, n1) - inside[n1]
         p = hits / math.comb(n, n1)
         return KsResult(statistic=d, p_value=min(max(p, 0.0), 1.0),
                         method_used="exact")
@@ -197,8 +181,8 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float],
 
 def mwu_two_sample(a: Sequence[float], b: Sequence[float],
                    config: TestConfig = TestConfig()) -> MwuResult:
-    a = _validate_sample(a, "a")
-    b = _validate_sample(b, "b")
+    a = _validate_sample(a, "sample a")
+    b = _validate_sample(b, "sample b")
     n1, n2 = a.size, b.size
     n = n1 + n2
     _, in_a, ends = _pooled_layout(a, b)
@@ -211,11 +195,14 @@ def mwu_two_sample(a: Sequence[float], b: Sequence[float],
 
     if config.method == "exact":
         obs_dev = abs(u_doubled - mu_doubled)
-        hits = 0
-        for mask in _combination_masks(n, n1):
-            r1s = mask @ mid2
-            u_star = r1s - n1 * (n1 + 1)
-            hits += int(np.count_nonzero(np.abs(u_star - mu_doubled) >= obs_dev))
+        # ways[k, s]: assignments of the positions so far that place k
+        # members of a with doubled rank sum s
+        ways = np.zeros((n1 + 1, int(mid2.sum()) + 1), dtype=object)
+        ways[0, 0] = 1
+        for m in mid2.tolist():
+            ways[1:, m:] = ways[1:, m:] + ways[:-1, :-m]
+        u_star = np.arange(ways.shape[1]) - n1 * (n1 + 1)
+        hits = sum(ways[n1, np.abs(u_star - mu_doubled) >= obs_dev])
         p = hits / math.comb(n, n1)
         return MwuResult(u_statistic=u, p_value=min(max(p, 0.0), 1.0),
                          z=None, method_used="exact")
@@ -303,9 +290,11 @@ def compare_models(f1_vectors: Mapping[str, Sequence[float]],
     names = list(f1_vectors)
     if len(names) < 2:
         raise ValueError(f"need at least 2 models, got {len(names)}")
-    lengths = {len(f1_vectors[n]) for n in names}
-    if len(lengths) != 1:
-        raise ValueError(f"score vectors have mismatched lengths: {sorted(lengths)}")
+    lengths = {n: _validate_sample(f1_vectors[n], f"score vector of model {n!r}").size
+               for n in names}
+    if len(set(lengths.values())) != 1:
+        raise ValueError("score vectors have mismatched lengths: " + ", ".join(
+            f"{n!r} has {size}" for n, size in lengths.items()))
 
     pairs = []
     for name_a, name_b in combinations(names, 2):

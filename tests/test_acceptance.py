@@ -131,9 +131,9 @@ def test_exact_enumeration_equivalence_200_pairs():
             b = (rng.integers(0, 5, n2) * 0.25).tolist()
             ks = ks_two_sample(a, b, cfg)
             assert ks.method_used == "exact"
-            assert ks.p_value == pytest.approx(float(ks_exact_p(a, b)), abs=1e-12)
+            assert ks.p_value == float(ks_exact_p(a, b))
             mwu = mwu_two_sample(a, b, cfg)
-            assert mwu.p_value == pytest.approx(float(mwu_exact_p(a, b)), abs=1e-12)
+            assert mwu.p_value == float(mwu_exact_p(a, b))
             checked += 1
 
 

@@ -1,30 +1,37 @@
-"""The benchmark's span names must keep resolving to hydet's public names.
+"""The benchmark must keep measuring what it claims to measure.
 
 ``bench/tracer.py`` wraps the functions listed in its ``SPANS`` table; a name
 it cannot find is reported as missing and its per-layer metrics vanish from
-the benchmark output.  These tests turn such a rename into a test failure.
-The tracer is compiled from its source, so nothing is written under bench/.
+the benchmark output.  The ``compare_exact`` workload checks hydet's exact
+p-values against the independent oracle in ``bench/checks.py``.  These tests
+turn a rename or a p-value drift into a test failure.  The bench modules are
+compiled from their source, so nothing is written under bench/.
 """
 
 import types
+from itertools import combinations
 from pathlib import Path
+
+import pytest
 
 from hydet.dataset import default_config, flatten, split, synth_generate
 from hydet.dataset.model import SplitSpec
+from hydet.stats import TestConfig, compare_models
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    module = types.ModuleType("bench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"),
+def load_bench(name):
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          module.__dict__)
     return module
 
 
 def test_every_traced_public_name_resolves():
-    tracer = load_tracer()
+    tracer = load_bench("tracer")
     missing = [f"{module}.{qualname}"
                for names, _, _ in tracer.SPANS.values()
                for module, qualname in names
@@ -33,7 +40,7 @@ def test_every_traced_public_name_resolves():
 
 
 def test_data_layer_counters_read_the_data_model():
-    tracer = load_tracer()
+    tracer = load_bench("tracer")
     cfg = default_config(n_normal=3, n_rapid_loss=3, n_hydrate=3, length=4)
     instances = synth_generate(cfg, 1)
     matrix = flatten(instances, cfg.variables)
@@ -45,3 +52,18 @@ def test_data_layer_counters_read_the_data_model():
     assert count("dataset.transform.flatten", (instances,), matrix) == 36
     spec = SplitSpec()
     assert count("dataset.transform.split", (matrix, spec), split(matrix, spec)) == 36
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1])
+def test_compare_exact_workload_pvalues_equal_the_bench_oracle(seed):
+    # the compare_exact workload: 3 models x 11 tied F1 scores, pooled 22
+    checks = load_bench("checks")
+    f1 = load_bench("inputs").f1_scores(seed, 11)
+    table = compare_models(f1, TestConfig(method="exact"))
+    assert [pc.name for pc in table.pairs] == [
+        f"{a} vs {b}" for a, b in combinations(f1, 2)]
+    for pc in table.pairs:
+        a, b = f1[pc.model_a], f1[pc.model_b]
+        assert (pc.ks.method_used, pc.mwu.method_used) == ("exact", "exact")
+        assert pc.ks.p_value == checks.exact_ks_p(a, b)
+        assert pc.mwu.p_value == checks.exact_mwu_p(a, b)

@@ -274,6 +274,13 @@ def _f1_list(tmp_path):
     return bad, ["compare", "--from-f1", str(bad), "--out", str(tmp_path / "c")]
 
 
+def _f1_file(tmp_path, scores, model):
+    bad = tmp_path / "f1.json"
+    bad.write_text(json.dumps(scores))
+    return bad, ["compare", "--from-f1", str(bad), "--out", str(tmp_path / "c")], \
+        f"model {model!r}"
+
+
 def _report_without_per_class(tmp_path):
     config_path, out = small_synth_config(tmp_path)
     assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
@@ -299,10 +306,17 @@ def _corpus_with_inf_cell(tmp_path):
     lambda tmp: _trained_then_broken(tmp, "preprocess.json", "fences"),
     lambda tmp: _trained_then_broken(tmp, "dt.json", "params"),
     _f1_list,
+    lambda tmp: _f1_file(tmp, {"k-NN": [1.0, 0.9], "Naive Bayes": [0.5, "x"]},
+                         "Naive Bayes"),
+    lambda tmp: _f1_file(tmp, {"k-NN": [1.0, 0.9], "Naive Bayes": []}, "Naive Bayes"),
+    lambda tmp: _f1_file(tmp, {"k-NN": [1.0, float("nan")], "Naive Bayes": [0.5, 0.4]},
+                         "k-NN"),
+    lambda tmp: _f1_file(tmp, {"k-NN": [1.0, True], "Naive Bayes": [0.5, 0.4]}, "k-NN"),
     _report_without_per_class,
     _corpus_with_inf_cell,
-], ids=["preprocess-without-fences", "model-without-params",
-        "from-f1-list", "eval-report-without-per-class", "corpus-with-inf-cell"])
+], ids=["preprocess-without-fences", "model-without-params", "from-f1-list",
+        "from-f1-non-numeric", "from-f1-empty-list", "from-f1-nan-score",
+        "from-f1-boolean", "eval-report-without-per-class", "corpus-with-inf-cell"])
 def test_malformed_input_file_is_data_error_naming_it(tmp_path, capsys, make_case):
     bad, argv, *more_texts = make_case(tmp_path)
     capsys.readouterr()

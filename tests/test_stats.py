@@ -93,8 +93,7 @@ def test_ks_exact_matches_enumeration_oracle_small_cases():
         a = rng.integers(0, 4, n1).astype(float).tolist()
         b = rng.integers(0, 4, n2).astype(float).tolist()
         res = ks_two_sample(a, b, TestConfig(method="exact"))
-        assert res.p_value == pytest.approx(float(oracle_ks_exact_p(a, b)),
-                                            abs=1e-12)
+        assert res.p_value == float(oracle_ks_exact_p(a, b))
         assert res.statistic == pytest.approx(float(oracle_ks_d(a, b)), abs=1e-12)
 
 
@@ -107,8 +106,7 @@ def test_mwu_exact_matches_enumeration_oracle_small_cases():
         b = rng.integers(0, 4, n2).astype(float).tolist()
         res = mwu_two_sample(a, b, TestConfig(method="exact"))
         assert res.u_statistic == pytest.approx(float(oracle_mwu_u(a, b)), abs=0)
-        assert res.p_value == pytest.approx(float(oracle_mwu_exact_p(a, b)),
-                                            abs=1e-12)
+        assert res.p_value == float(oracle_mwu_exact_p(a, b))
 
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=6),
@@ -118,10 +116,27 @@ def test_exact_pvalues_equal_brute_force_property(xs, ys):
     a = [float(v) for v in xs]
     b = [float(v) for v in ys]
     cfg = TestConfig(method="exact")
-    assert ks_two_sample(a, b, cfg).p_value == pytest.approx(
-        float(oracle_ks_exact_p(a, b)), abs=1e-12)
-    assert mwu_two_sample(a, b, cfg).p_value == pytest.approx(
-        float(oracle_mwu_exact_p(a, b)), abs=1e-12)
+    assert ks_two_sample(a, b, cfg).p_value == float(oracle_ks_exact_p(a, b))
+    assert mwu_two_sample(a, b, cfg).p_value == float(oracle_mwu_exact_p(a, b))
+
+
+@pytest.mark.parametrize("n1", [20, 15])
+def test_exact_closed_forms_beyond_enumeration(n1):
+    # pooled 40: C(40, n1) >= 4e10 assignments, out of enumeration's reach
+    n2 = 40 - n1
+    cfg = TestConfig(method="exact")
+    low = [float(v) for v in range(n1)]
+    high = [100.0 + v for v in range(n2)]
+    # only the two fully separated assignments reach D = 1 / the extreme U
+    separated = 2 / math.comb(40, n1)
+    ks = ks_two_sample(low, high, cfg)
+    assert ks.statistic == 1.0 and ks.p_value == separated
+    assert mwu_two_sample(low, high, cfg).p_value == separated
+    if n1 == n2:
+        assert ks_two_sample(low, low, cfg).p_value == 1.0
+    tied_a, tied_b = [0.5] * n1, [0.5] * n2
+    assert ks_two_sample(tied_a, tied_b, cfg).p_value == 1.0
+    assert mwu_two_sample(tied_a, tied_b, cfg).p_value == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +251,20 @@ def test_compare_validation():
         compare_models({"only": ONES})
     with pytest.raises(ValueError):
         compare_models({"a": ONES, "b": [1.0, 2.0]})
+
+
+@pytest.mark.parametrize("vectors, error, text", [
+    ({"Decision Tree": ONES, "k-NN": []}, EmptyDataError,
+     "score vector of model 'k-NN' is empty"),
+    ({"Decision Tree": ONES, "Naive Bayes": [0.1, math.nan, 0.2]}, NonFiniteError,
+     "score vector of model 'Naive Bayes' contains non-finite values"),
+    ({"Decision Tree": ONES, "k-NN": [1.0, 0.5]}, ValueError,
+     "'Decision Tree' has 3, 'k-NN' has 2"),
+])
+def test_compare_errors_name_the_model(vectors, error, text):
+    with pytest.raises(error) as info:
+        compare_models(vectors)
+    assert text in str(info.value)
 
 
 def test_comparison_csv_and_json_agree():
