@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import ModelFormatError
+from ..errors import HydetError, ModelFormatError
 from .. import jsonio
 from ..dataset.model import FeatureMatrix
 from .knn import KnnClassifier
@@ -90,7 +90,7 @@ def load_model(path: str | Path):
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
     try:
         return cls.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, HydetError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model: {exc!r}") from None
 
 

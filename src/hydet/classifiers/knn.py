@@ -1,24 +1,52 @@
-"""Exact brute-force k-nearest-neighbors classifier.
+"""Exact k-nearest-neighbors classifier over a leaf-bucket k-d tree.
 
 Neighbors are the k training rows with smallest Euclidean distance, distance
 ties broken by lower training-row index. Vote ties go to the tied class
-whose nearest member is closest, then to the lowest class code. No spatial
-index: with a handful of features an exact blocked scan is both faster to
-validate and easy to parallelize over query chunks without changing results.
-Query blocks have a fixed size, so predictions are independent of the
-worker-thread count.
+whose nearest member is closest, then to the lowest class code.
+
+Squared distances are direct differences summed one feature at a time, left
+to right: ``d = (q0-t0)**2; d += (q1-t1)**2; ...``. The search is exact, not
+approximate. The tree (Friedman, Bentley & Finkel 1977) splits at the median
+of the widest dimension down to leaves of ``max(k, 32)`` to ``2*max(k, 32)``
+rows. A query's home leaf holds at least k rows, so its k-th smallest
+distance there, tau, bounds the true k-th distance from above. Every leaf
+whose box lower bound ``sum max(lo-q, q-hi, 0)**2``, summed in the same
+order, is at most tau is scanned. IEEE rounding is monotone, so that bound
+never exceeds a computed distance inside the box: every row at or within the
+k-th distance, ties included, is scanned, and the scanned rows then decide
+exactly as an all-pairs scan would. Queries are scored in blocks of at most
+``_BLOCK`` that share a home leaf, so no array is larger than one block by
+its scanned rows, and results do not depend on how the queries are ordered
+or sliced. The tree is rebuilt on load and never serialised.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..errors import ModelFormatError
 from .validation import FORMAT_VERSION, validate_rows, validate_training_inputs
 
-_CHUNK = 512  # fixed query block size; results do not depend on thread count
+_LEAF = 32     # smallest leaf when k is smaller
+_BLOCK = 256   # queries scored together at most
+
+
+def _squares_summed(terms):
+    """Sum the squares of per-feature differences left to right."""
+    total = None
+    for diff in terms:
+        np.multiply(diff, diff, out=diff)
+        total = diff if total is None else np.add(total, diff, out=total)
+    return total
+
+
+def _box_bound(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray,
+               qhi: np.ndarray) -> np.ndarray:
+    """Squared-distance lower bound between boxes [lo, hi] and [qlo, qhi]."""
+    return _squares_summed(
+        np.maximum(np.maximum(lo[..., j] - qhi[..., j], qlo[..., j] - hi[..., j]),
+                   0.0)
+        for j in range(lo.shape[-1]))
 
 
 class KnnClassifier:
@@ -29,7 +57,6 @@ class KnnClassifier:
         self.train_: np.ndarray | None = None
         self.labels_: np.ndarray | None = None
         self.classes_: np.ndarray | None = None
-        self._train_sq: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnClassifier":
         X = np.asarray(X, dtype=np.float64)
@@ -39,86 +66,123 @@ class KnnClassifier:
             raise ValueError(f"k={self.k} exceeds {X.shape[0]} training rows")
         self.train_ = X.copy()
         self.labels_ = y.copy()
-        self.classes_ = np.unique(y)
-        self._train_sq = np.sum(self.train_ ** 2, axis=1)
+        self._build_index()
         return self
 
-    def _distances(self, queries: np.ndarray) -> np.ndarray:
-        """Squared Euclidean distances via the inner-product expansion.
+    def _build_index(self) -> None:
+        """Build the k-d tree as a complete binary tree in heap order.
 
-        Bitwise-identical rows get bitwise-identical distances, so the
-        (distance, index) tie contract holds for duplicates; rounding floor
-        at 0 keeps self-distances from going negative."""
-        d2 = (np.sum(queries ** 2, axis=1)[:, None]
-              + self._train_sq[None, :]
-              - 2.0 * (queries @ self.train_.T))
-        np.maximum(d2, 0.0, out=d2)
-        return d2
+        Halving every node of a level at its median keeps all leaf sizes
+        within one of each other, so every leaf sits at the same depth: the
+        largest one whose leaves still hold ``max(k, _LEAF)`` rows."""
+        X = self.train_
+        n = X.shape[0]
+        leaf = max(self.k, _LEAF)
+        depth = 0
+        while n >> (depth + 1) >= leaf:
+            depth += 1
+        perm = np.arange(n)
+        bounds = np.array([0, n])
+        dims, vals = [], []
+        for _ in range(depth):
+            mids = bounds[:-1] + np.diff(bounds) // 2
+            for s, m, e in zip(bounds[:-1].tolist(), mids.tolist(),
+                               bounds[1:].tolist()):
+                rows = X[perm[s:e]]
+                dim = int(np.argmax(rows.max(axis=0) - rows.min(axis=0)))
+                part = np.argpartition(rows[:, dim], m - s)
+                perm[s:e] = perm[s:e][part]
+                dims.append(dim)
+                vals.append(X[perm[m], dim])
+            bounds = np.sort(np.concatenate([bounds, mids]))
+        self.classes_ = np.unique(self.labels_)
+        self._codes = np.searchsorted(self.classes_, self.labels_)
+        self._depth = depth
+        self._dims = np.array(dims, dtype=np.intp)
+        self._vals = np.array(vals, dtype=np.float64)
+        self._perm = perm
+        self._bounds = bounds
+        self._lo = np.minimum.reduceat(X[perm], bounds[:-1], axis=0)
+        self._hi = np.maximum.reduceat(X[perm], bounds[:-1], axis=0)
+        self._columns = np.ascontiguousarray(X.T)
 
-    def _chunk_votes(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d2 = self._distances(queries)
+    def _home_leaves(self, X: np.ndarray) -> np.ndarray:
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        for _ in range(self._depth):
+            right = X[rows, self._dims[node]] >= self._vals[node]
+            node = 2 * node + 1 + right
+        return node - (2 ** self._depth - 1)
+
+    def _leaf_rows(self, leaf: int) -> np.ndarray:
+        return self._perm[self._bounds[leaf]:self._bounds[leaf + 1]]
+
+    def _sq_distances(self, queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        cols = self._columns[:, rows]
+        return _squares_summed(queries[:, j, None] - cols[j]
+                               for j in range(cols.shape[0]))
+
+    def _block_votes(self, queries: np.ndarray,
+                     leaf: int) -> tuple[np.ndarray, np.ndarray]:
+        """Votes and picked class codes for queries sharing a home leaf."""
         k = self.k
-        n_train = self.train_.shape[0]
+        tau = np.partition(self._sq_distances(queries, self._leaf_rows(leaf)),
+                           k - 1, axis=1)[:, k - 1]
+        near = np.flatnonzero(_box_bound(self._lo, self._hi, queries.min(axis=0),
+                                         queries.max(axis=0)) <= tau.max())
+        q = queries[:, None, :]
+        keep = (_box_bound(self._lo[near], self._hi[near], q, q)
+                <= tau[:, None]).any(axis=0)
+        # candidate columns in training-index order, so that a stable sort
+        # by distance is a (distance, index) sort
+        cand = np.sort(np.concatenate([self._leaf_rows(i) for i in near[keep]]))
+        d2 = self._sq_distances(queries, cand)
+
+        nbrs = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(d2, nbrs, axis=1).max(axis=1)
+        # rows whose k-th distance value repeats past the boundary need the
+        # full (distance, index) resolution
+        tied = np.flatnonzero(np.count_nonzero(d2 <= kth[:, None], axis=1) > k)
+        if tied.size:
+            nbrs[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+        dist = np.take_along_axis(d2, nbrs, axis=1)
+        codes = self._codes[cand[nbrs]]
+
         n_classes = len(self.classes_)
-        enc = np.searchsorted(self.classes_, self.labels_)
-
-        if k < n_train:
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            kth = np.take_along_axis(d2, part, axis=1).max(axis=1)
-            # rows whose k-th distance value repeats past the boundary need
-            # the full (distance, index) candidate resolution
-            n_le = np.count_nonzero(d2 <= kth[:, None], axis=1)
-        else:
-            part = np.broadcast_to(np.arange(n_train), d2.shape)
-            kth = d2.max(axis=1)
-            n_le = np.full(d2.shape[0], n_train)
-
-        votes = np.zeros((queries.shape[0], n_classes), dtype=np.float64)
-        picks = np.empty(queries.shape[0], dtype=np.int64)
-        for i in range(queries.shape[0]):
-            cand = part[i] if n_le[i] == k else np.flatnonzero(d2[i] <= kth[i])
-            row = d2[i]
-            nbrs = sorted(cand.tolist(), key=lambda j: (row[j], j))[:k]
-            classes = enc[nbrs]
-            counts = np.bincount(classes, minlength=n_classes)
-            votes[i] = counts
-            top = counts.max()
-            tied = np.flatnonzero(counts == top)
-            if len(tied) == 1:
-                picks[i] = tied[0]
-            else:
-                # nbrs are (distance, index)-sorted, so the first member of a
-                # class is its nearest one
-                nearest = {c: row[nbrs[int(np.flatnonzero(classes == c)[0])]]
-                           for c in tied}
-                best = min(nearest.values())
-                picks[i] = min(c for c in tied if nearest[c] == best)
+        votes = np.empty((queries.shape[0], n_classes), dtype=np.float64)
+        nearest = np.empty_like(votes)
+        for c in range(n_classes):
+            member = codes == c
+            votes[:, c] = np.count_nonzero(member, axis=1)
+            nearest[:, c] = np.where(member, dist, np.inf).min(axis=1)
+        contested = votes == votes.max(axis=1)[:, None]
+        best = np.where(contested, nearest, np.inf).min(axis=1)
+        picks = np.argmax(contested & (nearest == best[:, None]), axis=1)
         return votes, picks
 
-    def _run_chunks(self, X: np.ndarray, threads: int):
-        chunks = [X[s:s + _CHUNK] for s in range(0, X.shape[0], _CHUNK)]
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(self._chunk_votes, chunks))
-        return [self._chunk_votes(c) for c in chunks]
+    def _votes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.train_ is None:
+            raise ValueError("model is not fitted")
+        X = validate_rows(X, self.train_.shape[1], "k-NN predict")
+        votes = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
+        picks = np.zeros(X.shape[0], dtype=np.int64)
+        home = self._home_leaves(X)
+        order = np.argsort(home, kind="stable")
+        leaves, starts = np.unique(home[order], return_index=True)
+        stops = np.append(starts[1:], X.shape[0])
+        for leaf, start, stop in zip(leaves.tolist(), starts.tolist(),
+                                     stops.tolist()):
+            for s in range(start, stop, _BLOCK):
+                block = order[s:min(s + _BLOCK, stop)]
+                votes[block], picks[block] = self._block_votes(X[block], leaf)
+        return votes, picks
 
-    def predict_scores(self, X: np.ndarray, threads: int = 1) -> np.ndarray:
+    def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Per-class vote counts among the k neighbors."""
-        if self.train_ is None:
-            raise ValueError("model is not fitted")
-        X = validate_rows(X, self.train_.shape[1], "k-NN predict")
-        if X.shape[0] == 0:
-            return np.zeros((0, len(self.classes_)))
-        return np.concatenate([v for v, _ in self._run_chunks(X, threads)])
+        return self._votes(X)[0]
 
-    def predict(self, X: np.ndarray, threads: int = 1) -> np.ndarray:
-        if self.train_ is None:
-            raise ValueError("model is not fitted")
-        X = validate_rows(X, self.train_.shape[1], "k-NN predict")
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        picks = np.concatenate([p for _, p in self._run_chunks(X, threads)])
-        return self.classes_[picks]
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.classes_[self._votes(X)[1]]
 
     def to_json_dict(self) -> dict:
         if self.train_ is None:
@@ -135,9 +199,4 @@ class KnnClassifier:
     def from_json_dict(cls, data: dict) -> "KnnClassifier":
         if data.get("kind") != "knn":
             raise ModelFormatError(f"not a knn payload: {data.get('kind')!r}")
-        model = cls(k=int(data["params"]["k"]))
-        model.train_ = np.asarray(data["train"], dtype=np.float64)
-        model.labels_ = np.asarray(data["labels"], dtype=np.int64)
-        model.classes_ = np.unique(model.labels_)
-        model._train_sq = np.sum(model.train_ ** 2, axis=1)
-        return model
+        return cls(k=int(data["params"]["k"])).fit(data["train"], data["labels"])

@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--models", default=None,
                        help="comma list from dt,knn,nb")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for batch scoring")
+                       help="accepted for configuration compatibility; "
+                            "scoring is single-threaded")
         p.add_argument("--data", default=None,
                        help="dataset root (folder-per-class corpus)")
         p.add_argument("--variables", default=None,
@@ -207,8 +208,7 @@ def _train_and_save(config: RunConfig, train_ready: FeatureMatrix,
 
 def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatrix,
                         out: Path) -> dict[str, EvalReport]:
-    reports = {name: evaluate(model, test_ready, MODEL_DISPLAY[name],
-                              threads=config.threads)
+    reports = {name: evaluate(model, test_ready, MODEL_DISPLAY[name])
                for name, model in models.items()}
     for name, report in reports.items():
         jsonio.dump(report.to_json_dict(), out / f"eval_{name}.json")

@@ -6,7 +6,6 @@ full-precision values; any rounding is display-only.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -133,14 +132,9 @@ def report_from_confusion(matrix: ConfusionMatrix, model_name: str) -> EvalRepor
 
 
 def evaluate(model, test: FeatureMatrix, model_name: str = "",
-             classes: Sequence[ClassLabel] = tuple(ClassLabel),
-             threads: int = 1) -> EvalReport:
+             classes: Sequence[ClassLabel] = tuple(ClassLabel)) -> EvalReport:
     """Predict on the test matrix and score against its labels."""
     if test.n_rows == 0:
         raise EmptyDataError("evaluate on empty test matrix")
-    if "threads" in inspect.signature(model.predict).parameters:
-        predicted = model.predict(test.values, threads=threads)
-    else:
-        predicted = model.predict(test.values)
-    cm = confusion(test.labels, predicted, classes)
+    cm = confusion(test.labels, model.predict(test.values), classes)
     return report_from_confusion(cm, model_name or type(model).__name__)

@@ -13,6 +13,8 @@ import math
 from pathlib import Path
 from typing import Any
 
+from .errors import HydetError
+
 
 def format_float(x: float) -> str:
     if math.isnan(x):
@@ -66,4 +68,7 @@ def dump(obj: Any, path: str | Path) -> None:
 
 def load(path: str | Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise HydetError(f"{path}: invalid JSON: {exc}") from None

@@ -247,7 +247,7 @@ def test_qualitative_classifier_ordering():
         prep = Preprocessor.fit(train)
         train, test = prep.transform(train), prep.transform(test)
         result = train_all(train, ClassifiersConfig())
-        reports = {name: evaluate(model, test, name, threads=2)
+        reports = {name: evaluate(model, test, name)
                    for name, model in result.models.items()}
         acc = {name: r.accuracy for name, r in reports.items()}
         hyd_f1 = {name: r.per_class[ClassLabel.HYDRATE].f1
@@ -328,5 +328,5 @@ def test_real_corpus_missingness_and_accuracy():
         train, test = prep.transform(train), prep.transform(test)
         result = train_all(train, ClassifiersConfig(), models=("dt", "knn"))
         for name, model in result.models.items():
-            rep = evaluate(model, test, name, threads=4)
+            rep = evaluate(model, test, name)
             assert rep.accuracy >= 0.99, (name, rep.accuracy)

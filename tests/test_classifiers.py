@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hydet.classifiers import (ClassifiersConfig, DecisionTree, GaussianNb,
                                KnnClassifier, load_model, save_model, train_all)
@@ -206,14 +209,85 @@ def test_knn_matches_exhaustive_all_pairs_oracle():
     assert predicted.tolist() == [oracle(q) for q in Xte]
 
 
-def test_knn_thread_count_does_not_change_results():
+def knn_oracle(Xtr, ytr, k, Xte):
+    """All-pairs k-NN over direct differences summed feature by feature, left
+    to right; (distance, index) neighbor order; vote ties to the nearest
+    member, then the lowest code."""
+    train, labels = Xtr.tolist(), ytr.tolist()
+    classes = sorted(set(labels))
+    out = []
+    for q in Xte.tolist():
+        dists = []
+        for i, t in enumerate(train):
+            d = (q[0] - t[0]) * (q[0] - t[0])
+            for a, b in zip(q[1:], t[1:]):
+                d += (a - b) * (a - b)
+            dists.append((d, i))
+        votes = {c: 0 for c in classes}
+        nearest = {}
+        for d, i in sorted(dists)[:k]:
+            votes[labels[i]] += 1
+            nearest.setdefault(labels[i], d)
+        top = max(votes.values())
+        out.append(min((nearest[c], c) for c in classes if votes[c] == top)[1])
+    return out
+
+
+def test_knn_raw_scale_matches_all_pairs_oracle():
+    # unnormalized rows: a large offset and a spread of 1, where an
+    # inner-product expansion of the distance loses the differences
+    rng = np.random.default_rng(9)
+    center = np.array([2e7, 1.5e7, 90.0, 60.0])
+    spread = np.array([1.0, 1.0, 0.5, 0.5])
+    Xtr = center + spread * rng.normal(size=(400, 4))
+    ytr = rng.integers(0, 3, size=400)
+    Xte = center + spread * rng.normal(size=(300, 4))
+    model = KnnClassifier(k=5).fit(Xtr, ytr)
+    assert model.predict(Xte).tolist() == knn_oracle(Xtr, ytr, 5, Xte)
+
+
+_GRID = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])  # exact distance ties
+_WIDE = st.floats(-1e150, 1e150)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_knn_matches_all_pairs_oracle_property(data):
+    width = data.draw(st.integers(1, 3))
+    pool = data.draw(arrays(np.float64, (data.draw(st.integers(1, 40)), width),
+                            elements=st.one_of(_GRID, _WIDE)))
+    n_train = data.draw(st.integers(1, 160))
+    # rows drawn from a small pool repeat: duplicates and tied distances
+    Xtr = pool[data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                  min_size=n_train, max_size=n_train))]
+    ytr = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n_train,
+                                      max_size=n_train)))
+    fresh = data.draw(arrays(np.float64, (data.draw(st.integers(0, 10)), width),
+                             elements=st.one_of(_GRID, _WIDE)))
+    Xte = np.concatenate([pool, fresh])
+    k = data.draw(st.one_of(st.integers(1, n_train), st.just(n_train),
+                            st.integers(min(33, n_train), n_train)))
+    model = KnnClassifier(k=k).fit(Xtr, ytr)
+    assert model.predict(Xte).tolist() == knn_oracle(Xtr, ytr, k, Xte)
+
+
+def test_knn_query_partition_does_not_change_results():
     rng = np.random.default_rng(6)
     Xtr = rng.normal(size=(700, 4))
     ytr = rng.integers(0, 3, size=700)
     Xte = rng.normal(size=(1200, 4))
+    # a dense cluster puts hundreds of queries in one home leaf, more than
+    # one query block holds
+    Xte[:600] *= 0.01
     model = KnnClassifier(k=5).fit(Xtr, ytr)
-    assert np.array_equal(model.predict(Xte, threads=1),
-                          model.predict(Xte, threads=4))
+    whole = model.predict(Xte)
+    cuts = [0, 1, 2, 300, 301, 599, 957, 1200]
+    assert np.array_equal(whole, np.concatenate(
+        [model.predict(Xte[a:b]) for a, b in zip(cuts, cuts[1:])]))
+    order = rng.permutation(len(Xte))
+    shuffled = np.empty_like(whole)
+    shuffled[order] = model.predict(Xte[order])
+    assert np.array_equal(whole, shuffled)
 
 
 def test_knn_k_validation():

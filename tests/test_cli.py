@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +285,25 @@ def _f1_file(tmp_path, scores, model):
         f"model {model!r}"
 
 
+def _truncated(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:len(text) // 2], encoding="utf-8")
+    return path
+
+
+def _truncated_f1_file(tmp_path):
+    bad, argv, _ = _f1_file(tmp_path, {"k-NN": [1.0, 0.9], "Naive Bayes": [0.5, 0.4]},
+                            "k-NN")
+    return _truncated(bad), argv, "invalid JSON"
+
+
+def _truncated_knn_model(tmp_path):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["train", "--config", str(config_path), "--models", "knn"]) == EXIT_OK
+    return _truncated(out / "models" / "knn.json"), \
+        ["eval", "--config", str(config_path), "--models", "knn"], "invalid JSON"
+
+
 def _report_without_per_class(tmp_path):
     config_path, out = small_synth_config(tmp_path)
     assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
@@ -312,11 +335,14 @@ def _corpus_with_inf_cell(tmp_path):
     lambda tmp: _f1_file(tmp, {"k-NN": [1.0, float("nan")], "Naive Bayes": [0.5, 0.4]},
                          "k-NN"),
     lambda tmp: _f1_file(tmp, {"k-NN": [1.0, True], "Naive Bayes": [0.5, 0.4]}, "k-NN"),
+    _truncated_f1_file,
+    _truncated_knn_model,
     _report_without_per_class,
     _corpus_with_inf_cell,
 ], ids=["preprocess-without-fences", "model-without-params", "from-f1-list",
         "from-f1-non-numeric", "from-f1-empty-list", "from-f1-nan-score",
-        "from-f1-boolean", "eval-report-without-per-class", "corpus-with-inf-cell"])
+        "from-f1-boolean", "from-f1-truncated", "knn-model-truncated",
+        "eval-report-without-per-class", "corpus-with-inf-cell"])
 def test_malformed_input_file_is_data_error_naming_it(tmp_path, capsys, make_case):
     bad, argv, *more_texts = make_case(tmp_path)
     capsys.readouterr()
@@ -330,3 +356,19 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"mystery": 1}))
     assert main(["qc", "--config", str(bad)]) == EXIT_USAGE
+
+
+def test_pipeline_never_imports_scipy(tmp_path):
+    # scipy is an optional test cross-check, never a runtime dependency; a
+    # fresh interpreter shows what the pipeline itself imports
+    cfg, _ = small_synth_config(tmp_path)
+    script = ("import sys\n"
+              "from hydet.cli import main\n"
+              f"assert main(['pipeline', '--config', {str(cfg)!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"

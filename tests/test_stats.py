@@ -139,6 +139,13 @@ def test_exact_closed_forms_beyond_enumeration(n1):
     assert mwu_two_sample(tied_a, tied_b, cfg).p_value == 1.0
 
 
+def test_exact_mwu_closed_form_at_pooled_120():
+    cfg = TestConfig(method="exact")
+    low = [float(v) for v in range(60)]
+    high = [100.0 + v for v in range(60)]
+    assert mwu_two_sample(low, high, cfg).p_value == 2 / math.comb(120, 60)
+
+
 # ---------------------------------------------------------------------------
 # invariances
 
