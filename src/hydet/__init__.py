@@ -2,7 +2,7 @@
 
 Library plus CLI covering the full workflow: ingest or synthesize labeled
 multichannel well episodes, audit and preprocess data quality, train three
-classical classifiers (CART decision tree, brute-force k-NN, Gaussian naive
+classical classifiers (CART decision tree, exact k-d-tree k-NN, Gaussian naive
 Bayes), score them with confusion-matrix metrics, and compare models with
 exact and asymptotic Kolmogorov-Smirnov and Mann-Whitney U tests.
 """

@@ -9,10 +9,8 @@ versioned JSON payloads.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -31,46 +29,60 @@ _KIND_TO_CLS = {"decision_tree": DecisionTree, "knn": KnnClassifier,
 
 
 @dataclass(frozen=True)
-class ClassifiersConfig:
-    tree_max_depth: int | None = 16
-    tree_min_samples_split: int = 2
-    tree_min_impurity_decrease: float = 0.0
-    knn_k: int = 5
-    nb_eps_rel: float = 1e-9
+class TreeConfig:
+    """Keyword arguments of ``DecisionTree``, checked by building one."""
 
-    def make(self, name: str):
-        if name == "dt":
-            return DecisionTree(self.tree_max_depth, self.tree_min_samples_split,
-                                self.tree_min_impurity_decrease)
-        if name == "knn":
-            return KnnClassifier(self.knn_k)
-        if name == "nb":
-            return GaussianNb(self.nb_eps_rel)
-        raise ValueError(f"unknown model name {name!r}")
+    max_depth: int | None = 16
+    min_samples_split: int = 2
+    min_impurity_decrease: float = 0.0
+
+    def __post_init__(self):
+        DecisionTree(**asdict(self))
 
 
 @dataclass(frozen=True)
-class TrainResult:
-    models: Mapping[str, object]
-    seconds: Mapping[str, float]
+class KnnConfig:
+    """Keyword arguments of ``KnnClassifier``, checked by building one."""
+
+    k: int = 5
+
+    def __post_init__(self):
+        KnnClassifier(**asdict(self))
+
+
+@dataclass(frozen=True)
+class NbConfig:
+    """Keyword arguments of ``GaussianNb``, checked by building one."""
+
+    eps_rel: float = 1e-9
+
+    def __post_init__(self):
+        GaussianNb(**asdict(self))
+
+
+@dataclass(frozen=True)
+class ClassifiersConfig:
+    tree: TreeConfig = field(default_factory=TreeConfig)
+    knn: KnnConfig = field(default_factory=KnnConfig)
+    nb: NbConfig = field(default_factory=NbConfig)
+
+    def make(self, name: str):
+        if name == "dt":
+            return DecisionTree(**asdict(self.tree))
+        if name == "knn":
+            return KnnClassifier(**asdict(self.knn))
+        if name == "nb":
+            return GaussianNb(**asdict(self.nb))
+        raise ValueError(f"unknown model name {name!r}")
 
 
 def train_all(matrix: FeatureMatrix, config: ClassifiersConfig | None = None,
-              models: tuple[str, ...] = MODEL_KINDS) -> TrainResult:
-    """Fit the requested models on a fully observed matrix; wall-clock per
-    model is reported for information only."""
+              models: tuple[str, ...] = MODEL_KINDS) -> dict[str, object]:
+    """Fit the requested models on a fully observed matrix."""
     config = config or ClassifiersConfig()
-    fitted: dict[str, object] = {}
-    seconds: dict[str, float] = {}
     X = np.asarray(matrix.values, dtype=np.float64)
     y = np.asarray(matrix.labels, dtype=np.int64)
-    for name in models:
-        model = config.make(name)
-        t0 = time.perf_counter()
-        model.fit(X, y)
-        seconds[name] = time.perf_counter() - t0
-        fitted[name] = model
-    return TrainResult(models=fitted, seconds=seconds)
+    return {name: config.make(name).fit(X, y) for name in models}
 
 
 def save_model(model, path: str | Path) -> None:
@@ -95,4 +107,5 @@ def load_model(path: str | Path):
 
 
 __all__ = ["ClassifiersConfig", "DecisionTree", "GaussianNb", "KnnClassifier",
-           "MODEL_KINDS", "TrainResult", "load_model", "save_model", "train_all"]
+           "KnnConfig", "MODEL_KINDS", "NbConfig", "TreeConfig", "load_model",
+           "save_model", "train_all"]

@@ -191,8 +191,8 @@ class KnnClassifier:
             "format": "hydet-model", "version": FORMAT_VERSION, "kind": "knn",
             "params": {"k": self.k},
             "classes": [int(c) for c in self.classes_],
-            "train": [[float(v) for v in row] for row in self.train_],
-            "labels": [int(v) for v in self.labels_],
+            "train": self.train_.tolist(),
+            "labels": self.labels_.tolist(),
         }
 
     @classmethod

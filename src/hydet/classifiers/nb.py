@@ -84,9 +84,9 @@ class GaussianNb:
             "format": "hydet-model", "version": FORMAT_VERSION, "kind": "gaussian_nb",
             "params": {"eps_rel": self.eps_rel},
             "classes": [int(c) for c in self.classes_],
-            "priors": [float(p) for p in self.priors_],
-            "means": [[float(v) for v in row] for row in self.means_],
-            "variances": [[float(v) for v in row] for row in self.variances_],
+            "priors": self.priors_.tolist(),
+            "means": self.means_.tolist(),
+            "variances": self.variances_.tolist(),
             "epsilon": self.epsilon_,
         }
 

@@ -141,11 +141,9 @@ def _write_quality(config: RunConfig, instances, matrix: FeatureMatrix,
                             tukey_k=config.preprocess.tukey_multiplier,
                             quartile_method=config.preprocess.quartile_method)
     jsonio.dump(report.to_json_dict(), report_path or out / "quality_report.json")
-    for j, name in enumerate(matrix.column_names):
-        svg = render_boxplot_svg(matrix.values[:, j], name,
-                                 tukey_k=config.preprocess.tukey_multiplier,
-                                 quartile_method=config.preprocess.quartile_method)
-        safe = name.replace("/", "_")
+    for j, channel in enumerate(report.channels):
+        svg = render_boxplot_svg(matrix.values[:, j], channel.name, channel.boxplot)
+        safe = channel.name.replace("/", "_")
         (out / f"boxplot_{safe}.svg").write_text(svg, encoding="utf-8", newline="\n")
 
 
@@ -199,11 +197,10 @@ def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
 
 def _train_and_save(config: RunConfig, train_ready: FeatureMatrix,
                     models_dir: Path) -> dict:
-    result = train_all(train_ready, config.classifiers, config.models)
-    for name, model in result.models.items():
+    models = train_all(train_ready, config.classifiers, config.models)
+    for name, model in models.items():
         save_model(model, models_dir / f"{name}.json")
-        print(f"trained {MODEL_DISPLAY[name]} in {result.seconds[name]:.3f}s")
-    return result.models
+    return models
 
 
 def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatrix,

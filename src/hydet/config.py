@@ -1,28 +1,115 @@
-"""End-to-end run configuration with strict JSON round-trip.
+"""End-to-end run configuration and its JSON codec.
 
-A config file fully determines a run; unknown keys are rejected at every
-nesting level so typos fail loudly instead of silently using defaults. CLI
-flags override file values, and the effective configuration is echoed into
-the output directory.
+A config file fully determines a run. Every section is read off its
+dataclass's own fields and type hints, so each key and default is written
+once, on the dataclass. Unknown keys are rejected at every nesting level so
+typos fail loudly instead of silently using defaults. A JSON number is
+accepted for a ``float``; an ``int``, ``str`` or ``bool`` needs exactly that
+JSON type; a list reads as a tuple and an object as a mapping (class names
+as keys read via ``ClassLabel.from_name``) or a nested section; ``null`` only
+where the hint allows ``None``. Any bad value is a ``ConfigError`` naming
+its key path as written in the file. CLI flags override file values, and the
+effective configuration is echoed into the output directory.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import NoneType, UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .classifiers import ClassifiersConfig
-from .dataset.model import CANONICAL_VARIABLE_NAMES, SplitSpec
-from .dataset.synth import SynthConfig, config_from_json, config_to_json
+from .dataset.model import CANONICAL_VARIABLE_NAMES, ClassLabel, SplitSpec
+from .dataset.synth import SynthConfig
 from .errors import ConfigError
 from .quality import PreprocessConfig
 from .stats import TestConfig
 
 
-def _check_keys(data: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(data) - allowed
+_JSON_NAMES = {tuple: "a list", Mapping: "an object", float: "a number",
+               int: "an integer", str: "a string", bool: "true or false"}
+
+
+def to_json(value: Any) -> Any:
+    """JSON form of a config value; ``from_json`` reads it back."""
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        return {k.display_name if isinstance(k, ClassLabel) else k: to_json(v)
+                for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    return value
+
+
+def from_json(hint: Any, value: Any, path: str) -> Any:
+    """The value of type ``hint`` spelled by the JSON ``value`` at key ``path``."""
+    if is_dataclass(hint):
+        return _build(hint, _fields_from_json(hint, value, path,
+                                              {f.name: f.name for f in fields(hint)}),
+                      path)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):  # X | None
+        if value is None and NoneType in args:
+            return None
+        (hint,) = (a for a in args if a is not NoneType)
+        return from_json(hint, value, path)
+    if origin is tuple and isinstance(value, list):
+        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(hints) != len(value):
+            raise ConfigError(f"{path}: expected {len(hints)} items, got {value!r}")
+        return tuple(from_json(h, v, f"{path}[{i}]")
+                     for i, (h, v) in enumerate(zip(hints, value)))
+    if origin is Mapping and isinstance(value, dict):
+        key_hint, value_hint = args
+        return {_key(key_hint, k, path): from_json(value_hint, v, f"{path}.{k}")
+                for k, v in value.items()}
+    if hint is float and type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond float range
+            pass
+    if hint in (int, str, bool) and type(value) is hint:
+        return value
+    raise ConfigError(f"{path}: expected {_JSON_NAMES[origin or hint]}, got {value!r}")
+
+
+def _key(hint: Any, key: str, path: str) -> Any:
+    if hint is not ClassLabel:
+        return key
+    try:
+        return ClassLabel.from_name(key)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _fields_from_json(cls: type, value: Any, path: str,
+                      keys: Mapping[str, str]) -> dict:
+    """Constructor arguments of ``cls`` from the JSON object ``value``, whose
+    keys name fields through ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    unknown = set(value) - set(keys)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    return {keys[k]: from_json(hints[keys[k]], v, f"{path}.{k}")
+            for k, v in value.items()}
+
+
+def _build(cls: type, kwargs: dict, path: str) -> Any:
+    missing = [f.name for f in fields(cls) if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{path}: missing required keys {missing}")
+    try:
+        return cls(**kwargs)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+_DATA_KEYS = {"root": "data_root", "synth": "synth"}  # key under "data" -> field
 
 
 @dataclass(frozen=True)
@@ -55,99 +142,22 @@ class RunConfig:
             raise ConfigError("config needs a data source: data.root or data.synth")
 
     def to_json_dict(self) -> dict:
-        data: dict = {}
-        if self.data_root is not None:
-            data["root"] = self.data_root
-        if self.synth is not None:
-            data["synth"] = config_to_json(self.synth)
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "variables": list(self.variables),
-            "models": list(self.models),
-            "threads": self.threads,
-            "data": data,
-            "preprocess": asdict(self.preprocess),
-            "split": asdict(self.split),
-            "classifiers": {
-                "tree": {
-                    "max_depth": self.classifiers.tree_max_depth,
-                    "min_samples_split": self.classifiers.tree_min_samples_split,
-                    "min_impurity_decrease": self.classifiers.tree_min_impurity_decrease,
-                },
-                "knn": {"k": self.classifiers.knn_k},
-                "nb": {"eps_rel": self.classifiers.nb_eps_rel},
-            },
-            "stats": {"alpha": self.stats.alpha, "method": self.stats.method},
-        }
+        out = to_json(self)
+        sources = {key: out.pop(name) for key, name in _DATA_KEYS.items()}
+        out["data"] = {k: v for k, v in sources.items() if v is not None}
+        return out
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "RunConfig":
-        _check_keys(data, {"seed", "out_dir", "variables", "models", "threads",
-                           "data", "preprocess", "split", "classifiers", "stats"},
-                    "config")
-        kwargs: dict = {}
-        for key, conv in (("seed", int), ("out_dir", str), ("threads", int)):
-            if key in data:
-                kwargs[key] = conv(data[key])
-        if "variables" in data:
-            kwargs["variables"] = tuple(str(v) for v in data["variables"])
-        if "models" in data:
-            kwargs["models"] = tuple(str(m) for m in data["models"])
-
-        if "data" in data:
-            _check_keys(data["data"], {"root", "synth"}, "config.data")
-            if "root" in data["data"] and "synth" in data["data"]:
-                raise ConfigError("config.data: give either root or synth, not both")
-            if "root" in data["data"]:
-                kwargs["data_root"] = str(data["data"]["root"])
-            if "synth" in data["data"]:
-                kwargs["synth"] = config_from_json(data["data"]["synth"])
-
-        if "preprocess" in data:
-            src = data["preprocess"]
-            _check_keys(src, {"tukey_multiplier", "quartile_method", "normalization"},
-                        "config.preprocess")
-            kwargs["preprocess"] = PreprocessConfig(
-                tukey_multiplier=float(src.get("tukey_multiplier", 1.5)),
-                quartile_method=str(src.get("quartile_method", "linear")),
-                normalization=str(src.get("normalization", "zscore")))
-
-        if "split" in data:
-            src = data["split"]
-            _check_keys(src, {"test_fraction", "seed", "mode", "stratified"},
-                        "config.split")
-            kwargs["split"] = SplitSpec(
-                test_fraction=float(src.get("test_fraction", 0.25)),
-                seed=int(src.get("seed", 42)),
-                mode=str(src.get("mode", "row")),
-                stratified=bool(src.get("stratified", True)))
-
-        if "classifiers" in data:
-            src = data["classifiers"]
-            _check_keys(src, {"tree", "knn", "nb"}, "config.classifiers")
-            tree = src.get("tree", {})
-            _check_keys(tree, {"max_depth", "min_samples_split",
-                               "min_impurity_decrease"}, "config.classifiers.tree")
-            knn = src.get("knn", {})
-            _check_keys(knn, {"k"}, "config.classifiers.knn")
-            nb = src.get("nb", {})
-            _check_keys(nb, {"eps_rel"}, "config.classifiers.nb")
-            max_depth = tree.get("max_depth", 16)
-            kwargs["classifiers"] = ClassifiersConfig(
-                tree_max_depth=None if max_depth is None else int(max_depth),
-                tree_min_samples_split=int(tree.get("min_samples_split", 2)),
-                tree_min_impurity_decrease=float(tree.get("min_impurity_decrease", 0.0)),
-                knn_k=int(knn.get("k", 5)),
-                nb_eps_rel=float(nb.get("eps_rel", 1e-9)))
-
-        if "stats" in data:
-            src = data["stats"]
-            _check_keys(src, {"alpha", "method"}, "config.stats")
-            try:
-                kwargs["stats"] = TestConfig(alpha=float(src.get("alpha", 0.05)),
-                                             method=str(src.get("method", "auto")))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-
-        return cls(**kwargs)
+    def from_json_dict(cls, data: Any) -> "RunConfig":
+        """Read a config file's JSON: ``data.root`` and ``data.synth`` fill
+        ``data_root`` and ``synth``, every other key names its field."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: expected an object, got {data!r}")
+        top = {k: v for k, v in data.items() if k != "data"}
+        kwargs = _fields_from_json(cls, top, "config", {
+            f.name: f.name for f in fields(cls) if f.name not in _DATA_KEYS.values()})
+        kwargs |= _fields_from_json(cls, data.get("data", {}), "config.data",
+                                    _DATA_KEYS)
+        if kwargs.get("data_root") is not None and kwargs.get("synth") is not None:
+            raise ConfigError("config.data: give either root or synth, not both")
+        return _build(cls, kwargs, "config")

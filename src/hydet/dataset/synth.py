@@ -90,6 +90,8 @@ class SynthConfig:
     epoch_start: int = 1_700_000_000
 
     def __post_init__(self):
+        object.__setattr__(self, "counts", {label: self.counts.get(label, 0)
+                                            for label in ClassLabel})
         if any(c < 0 for c in self.counts.values()):
             raise ConfigError("instance counts must be >= 0")
         if sum(self.counts.values()) == 0:
@@ -306,79 +308,3 @@ def _inject_corruption(values: np.ndarray, config: SynthConfig,
             raise ConfigError("missing_fraction leaves too few undamaged cells")
         picks = pool[rng.derive(4).sample_indices(len(pool), k_missing)]
         values.reshape(-1)[picks] = np.nan
-
-
-def regimes_to_json(regimes: Mapping[ClassLabel, Mapping[str, ChannelModel]]) -> dict:
-    out: dict = {}
-    for label, channels in regimes.items():
-        out[label.display_name] = {
-            var: {
-                "start": ch.start,
-                "end": ch.end,
-                "latent_loading": ch.latent_loading,
-                "noise_sd": ch.noise_sd,
-                "clamp": list(ch.clamp) if ch.clamp else None,
-            }
-            for var, ch in channels.items()
-        }
-    return out
-
-
-def regimes_from_json(data: Mapping) -> dict[ClassLabel, dict[str, ChannelModel]]:
-    out: dict[ClassLabel, dict[str, ChannelModel]] = {}
-    for label_name, channels in data.items():
-        label = ClassLabel.from_name(label_name)
-        regime = {}
-        for var, spec in channels.items():
-            allowed = {"start", "end", "latent_loading", "noise_sd", "clamp"}
-            unknown = set(spec) - allowed
-            if unknown:
-                raise ConfigError(f"regime {label_name}/{var}: unknown keys {sorted(unknown)}")
-            clamp = spec.get("clamp")
-            regime[var] = ChannelModel(
-                start=float(spec["start"]),
-                end=None if spec.get("end") is None else float(spec["end"]),
-                latent_loading=float(spec.get("latent_loading", 0.0)),
-                noise_sd=float(spec.get("noise_sd", 1.0)),
-                clamp=None if clamp is None else (float(clamp[0]), float(clamp[1])),
-            )
-        out[label] = regime
-    return out
-
-
-def config_to_json(config: SynthConfig) -> dict:
-    return {
-        "counts": {label.display_name: int(config.counts.get(label, 0))
-                   for label in ClassLabel},
-        "length": config.length,
-        "regimes": regimes_to_json(config.regimes),
-        "missing_fraction": config.missing_fraction,
-        "frozen_fraction": config.frozen_fraction,
-        "outlier_fractions": dict(config.outlier_fractions),
-        "epoch_start": config.epoch_start,
-    }
-
-
-def config_from_json(data: Mapping) -> SynthConfig:
-    allowed = {"counts", "length", "regimes", "missing_fraction",
-               "frozen_fraction", "outlier_fractions", "epoch_start"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"synth config: unknown keys {sorted(unknown)}")
-    kwargs: dict = {}
-    if "counts" not in data:
-        raise ConfigError("synth config requires 'counts'")
-    kwargs["counts"] = {ClassLabel.from_name(k): int(v)
-                        for k, v in data["counts"].items()}
-    if "regimes" in data:
-        kwargs["regimes"] = regimes_from_json(data["regimes"])
-    for key in ("length", "epoch_start"):
-        if key in data:
-            kwargs[key] = int(data[key])
-    for key in ("missing_fraction", "frozen_fraction"):
-        if key in data:
-            kwargs[key] = float(data[key])
-    if "outlier_fractions" in data:
-        kwargs["outlier_fractions"] = {str(k): float(v)
-                                       for k, v in data["outlier_fractions"].items()}
-    return SynthConfig(**kwargs)

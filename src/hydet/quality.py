@@ -443,11 +443,10 @@ _MID_X = (_BOX_LEFT + _BOX_RIGHT) // 2
 _MAX_DOTS = 1000
 
 
-def render_boxplot_svg(column: np.ndarray, name: str, tukey_k: float = 1.5,
-                       quartile_method: str = "linear") -> str:
-    """Standalone SVG boxplot: box, median, whiskers to the most extreme
-    in-fence values, and outlier dots (capped at 1000 for file size)."""
-    stats = boxplot_stats(column, tukey_k, quartile_method)
+def render_boxplot_svg(column: np.ndarray, name: str, stats: BoxplotStats) -> str:
+    """Standalone SVG boxplot of ``column`` from its ``boxplot_stats``: box,
+    median, whiskers to the most extreme in-fence values, and outlier dots
+    (capped at 1000 for file size)."""
     col = np.asarray(column, dtype=np.float64)
     observed = col[~np.isnan(col)]
     inside = observed[(observed >= stats.lower_fence) & (observed <= stats.upper_fence)]

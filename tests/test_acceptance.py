@@ -18,7 +18,7 @@ from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config
                            flatten, load_instances, qc_probe_config, split,
                            synth_generate)
 from hydet.dataset.model import CANONICAL_VARIABLE_NAMES
-from hydet.dataset.synth import config_to_json
+from hydet.config import to_json
 from hydet.evaluation import ConfusionMatrix, accuracy, evaluate, f1_per_class
 from hydet.quality import Preprocessor, quality_report
 from hydet.stats import TestConfig, compare_models, ks_two_sample, mwu_two_sample
@@ -248,7 +248,7 @@ def test_qualitative_classifier_ordering():
         train, test = prep.transform(train), prep.transform(test)
         result = train_all(train, ClassifiersConfig())
         reports = {name: evaluate(model, test, name)
-                   for name, model in result.models.items()}
+                   for name, model in result.items()}
         acc = {name: r.accuracy for name, r in reports.items()}
         hyd_f1 = {name: r.per_class[ClassLabel.HYDRATE].f1
                   for name, r in reports.items()}
@@ -272,7 +272,7 @@ def _pipeline_config(tmp_path, out_name):
     config = {
         "seed": 7,
         "out_dir": str(tmp_path / out_name),
-        "data": {"synth": config_to_json(synth)},
+        "data": {"synth": to_json(synth)},
     }
     path = tmp_path / f"{out_name}.json"
     jsonio.dump(config, path)
@@ -327,6 +327,6 @@ def test_real_corpus_missingness_and_accuracy():
         prep = Preprocessor.fit(train)
         train, test = prep.transform(train), prep.transform(test)
         result = train_all(train, ClassifiersConfig(), models=("dt", "knn"))
-        for name, model in result.models.items():
+        for name, model in result.items():
             rep = evaluate(model, test, name)
             assert rep.accuracy >= 0.99, (name, rep.accuracy)

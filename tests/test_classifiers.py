@@ -398,10 +398,9 @@ def _prepared_desk_matrices():
 def test_train_all_equals_individual_fits():
     train, test = _prepared_desk_matrices()
     result = train_all(train, ClassifiersConfig())
-    assert set(result.models) == {"dt", "knn", "nb"}
-    assert all(s >= 0 for s in result.seconds.values())
+    assert set(result) == {"dt", "knn", "nb"}
     individual = DecisionTree().fit(train.values, train.labels)
-    assert np.array_equal(result.models["dt"].predict(test.values),
+    assert np.array_equal(result["dt"].predict(test.values),
                           individual.predict(test.values))
 
 
@@ -409,15 +408,15 @@ def test_correlated_corpus_nb_below_tree():
     # the latent-correlated default corpus violates NB independence by design
     train, test = _prepared_desk_matrices()
     result = train_all(train, ClassifiersConfig())
-    dt_acc = (result.models["dt"].predict(test.values) == test.labels).mean()
-    nb_acc = (result.models["nb"].predict(test.values) == test.labels).mean()
+    dt_acc = (result["dt"].predict(test.values) == test.labels).mean()
+    nb_acc = (result["nb"].predict(test.values) == test.labels).mean()
     assert nb_acc < dt_acc
 
 
 def test_model_json_round_trip(tmp_path):
     train, test = _prepared_desk_matrices()
     result = train_all(train, ClassifiersConfig())
-    for name, model in result.models.items():
+    for name, model in result.items():
         path = tmp_path / f"{name}.json"
         save_model(model, path)
         back = load_model(path)

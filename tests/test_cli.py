@@ -6,12 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydet import jsonio
+from hydet.classifiers import ClassifiersConfig, KnnConfig, NbConfig, TreeConfig
 from hydet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from hydet.config import RunConfig
-from hydet.dataset.synth import config_to_json, default_config
+from hydet.config import RunConfig, to_json
+from hydet.dataset import CANONICAL_VARIABLE_NAMES, ClassLabel, SplitSpec
+from hydet.dataset.synth import ChannelModel, SynthConfig, default_config
 from hydet.errors import ConfigError
+from hydet.quality import PreprocessConfig
+from hydet.stats import TestConfig
 
 
 def small_synth_config(tmp_path, out_name="out", **synth_kwargs):
@@ -20,7 +26,7 @@ def small_synth_config(tmp_path, out_name="out", **synth_kwargs):
     config = {
         "seed": 11,
         "out_dir": str(tmp_path / out_name),
-        "data": {"synth": config_to_json(synth)},
+        "data": {"synth": to_json(synth)},
         "split": {"test_fraction": 0.25, "seed": 11, "mode": "row",
                   "stratified": True},
     }
@@ -52,6 +58,66 @@ def test_run_config_rejects_unknown_keys():
         RunConfig.from_json_dict({"split": {"fraction": 0.5}})
     with pytest.raises(ConfigError):
         RunConfig.from_json_dict({"classifiers": {"svm": {}}})
+
+
+_finite = st.floats(-1e9, 1e9, allow_nan=False)
+_fraction = st.floats(0.0, 0.5)
+_open_unit = st.floats(0.001, 0.999)
+_name = st.text(min_size=1, max_size=8)
+_channel = st.builds(ChannelModel, start=_finite, end=st.none() | _finite,
+                     latent_loading=_finite, noise_sd=st.floats(0.0, 1e6),
+                     clamp=st.none() | st.tuples(_finite, _finite))
+_synth = st.builds(
+    SynthConfig,
+    counts=st.fixed_dictionaries({label: st.integers(1, 5) for label in ClassLabel}),
+    length=st.integers(1, 100),
+    regimes=st.fixed_dictionaries({label: st.fixed_dictionaries(
+        dict.fromkeys(CANONICAL_VARIABLE_NAMES, _channel)) for label in ClassLabel}),
+    missing_fraction=_fraction, frozen_fraction=_fraction,
+    outlier_fractions=st.dictionaries(st.sampled_from(CANONICAL_VARIABLE_NAMES),
+                                      _fraction),
+    epoch_start=st.integers(0, 2**40))
+_run_config = st.builds(
+    RunConfig,
+    seed=st.integers(0, 2**63), out_dir=_name,
+    variables=st.lists(_name, min_size=1, max_size=5).map(tuple),
+    models=st.lists(st.sampled_from(["dt", "knn", "nb"]), min_size=1,
+                    max_size=3, unique=True).map(tuple),
+    threads=st.integers(1, 64),
+    data_root=st.none() | _name, synth=st.none(),
+    preprocess=st.builds(PreprocessConfig, tukey_multiplier=st.floats(0.1, 10.0),
+                         quartile_method=st.sampled_from(["linear", "nearest"]),
+                         normalization=st.sampled_from(["zscore", "minmax"])),
+    split=st.builds(SplitSpec, test_fraction=_open_unit, seed=st.integers(0, 2**32),
+                    mode=st.sampled_from(["row", "instance"]),
+                    stratified=st.booleans()),
+    classifiers=st.builds(
+        ClassifiersConfig,
+        tree=st.builds(TreeConfig, max_depth=st.none() | st.integers(0, 64),
+                       min_samples_split=st.integers(2, 100),
+                       min_impurity_decrease=st.floats(0.0, 1.0)),
+        knn=st.builds(KnnConfig, k=st.integers(1, 50)),
+        nb=st.builds(NbConfig, eps_rel=st.floats(1e-12, 1.0))),
+    stats=st.builds(TestConfig, alpha=_open_unit,
+                    method=st.sampled_from(["auto", "exact", "asymptotic"])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_run_config, synth=st.none() | _synth)
+def test_run_config_json_round_trip_drawn_sections(config, synth):
+    if synth is not None:
+        config = RunConfig(**{**vars(config), "data_root": None, "synth": synth})
+    text = jsonio.dumps(config.to_json_dict())
+    assert RunConfig.from_json_dict(json.loads(text)) == config
+
+
+def test_readme_config_example_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Config file", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert RunConfig.from_json_dict(json.loads(example)) == \
+        RunConfig(data_root="corpus")
 
 
 def test_run_config_validation():
@@ -356,6 +422,44 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"mystery": 1}))
     assert main(["qc", "--config", str(bad)]) == EXIT_USAGE
+
+
+def _regime_without_start(config):
+    del config["data"]["synth"]["regimes"]["Hydrate"]["P-TPT"]["start"]
+
+
+@pytest.mark.parametrize("edit, key_path", [
+    (lambda c: c.update(split=5), "config.split"),
+    (_regime_without_start, "config.data.synth.regimes.Hydrate.P-TPT"),
+    (lambda c: c["split"].update(test_fraction=1.5), "config.split: test_fraction"),
+    (lambda c: c.update(classifiers={"knn": {"k": 0}}), "config.classifiers.knn: k"),
+    (lambda c: c.update(classifiers={"tree": {"max_depth": -1}}),
+     "config.classifiers.tree: max_depth"),
+    (lambda c: c.update(classifiers={"nb": {"eps_rel": 0}}),
+     "config.classifiers.nb: eps_rel"),
+    (lambda c: c["data"]["synth"].update(length="x"), "config.data.synth.length"),
+    (lambda c: c["data"]["synth"]["counts"].update(Slugging=3),
+     "config.data.synth.counts"),
+    (lambda c: c["split"].update(stratified="false"), "config.split.stratified"),
+    (lambda c: c.update(seed="42"), "config.seed"),
+    (lambda c: c.update(seed=4.7), "config.seed"),
+    (lambda c: c.update(variables="P-TPT"), "config.variables"),
+    (lambda c: c.update(stats={"alpha": 10**400}), "config.stats.alpha"),
+], ids=["split-not-object", "channel-without-start", "test-fraction-1.5",
+        "knn-k-0", "tree-max-depth-negative", "nb-eps-rel-0", "length-string",
+        "unknown-class-name", "stratified-string", "seed-string", "seed-float",
+        "variables-string", "alpha-beyond-float-range"])
+def test_bad_config_value_is_usage_error_naming_its_key(tmp_path, capsys, edit,
+                                                         key_path):
+    path, _ = small_synth_config(tmp_path)
+    config = jsonio.load(path)
+    config["data"]["synth"]["regimes"] = to_json(default_config().regimes)
+    edit(config)
+    jsonio.dump(config, path)
+    out = tmp_path / "never"
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert key_path in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_never_imports_scipy(tmp_path):

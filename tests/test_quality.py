@@ -414,6 +414,6 @@ def test_quality_report_json_serializable():
 
 def test_render_boxplot_svg_smoke():
     col = np.concatenate([np.arange(1.0, 50.0), [400.0]])
-    svg = render_boxplot_svg(col, "P-TPT")
+    svg = render_boxplot_svg(col, "P-TPT", boxplot_stats(col))
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "<circle" in svg  # the injected outlier dot

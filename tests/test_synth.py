@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hydet.dataset import ClassLabel, default_config, flatten, synth_generate
-from hydet.dataset.synth import config_from_json, config_to_json
+from hydet.config import from_json, to_json
+from hydet.dataset.synth import SynthConfig
 from hydet.errors import ConfigError
 
 VARS = ("P-TPT", "T-TPT", "P-MON-CKP", "T-JUS-CKP")
@@ -115,10 +116,10 @@ def test_config_json_round_trip():
     cfg = default_config(n_normal=2, n_rapid_loss=3, n_hydrate=4, length=12,
                          missing_fraction=0.05,
                          outlier_fractions={"T-TPT": 0.02})
-    back = config_from_json(config_to_json(cfg))
+    back = from_json(SynthConfig, to_json(cfg), "synth")
     assert back == cfg
     with pytest.raises(ConfigError):
-        config_from_json({"counts": {"Hydrate": 1}, "bogus": 1})
+        from_json(SynthConfig, {"counts": {"Hydrate": 1}, "bogus": 1}, "synth")
 
 
 def test_sorted_key_json_round_trip_generates_identical_corpus():
@@ -126,7 +127,7 @@ def test_sorted_key_json_round_trip_generates_identical_corpus():
     from hydet import jsonio
     cfg = default_config(n_normal=3, n_rapid_loss=2, n_hydrate=1, length=8)
     # the canonical writer sorts object keys; the corpus must not care
-    sorted_json = json.loads(jsonio.dumps(config_to_json(cfg)))
-    back = config_from_json(sorted_json)
+    sorted_json = json.loads(jsonio.dumps(to_json(cfg)))
+    back = from_json(SynthConfig, sorted_json, "synth")
     assert back.variables == cfg.variables
     assert corpus_bits(synth_generate(back, 33)) == corpus_bits(synth_generate(cfg, 33))
