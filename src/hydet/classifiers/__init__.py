@@ -5,6 +5,11 @@ Every model exposes ``fit(X, y)``, ``predict(rows)`` and
 and the row, and ``predict`` equals argmax over scores under each model's
 documented tie-break. Fitted models are immutable in use and serialize to
 versioned JSON payloads.
+
+Each model class declares itself once: its ``Config`` dataclass (built from
+the constructor's keywords) holds the checked hyperparameters, ``kind`` names
+its payload and ``display_name`` its reports. The ``MODELS`` registry maps
+each model name to its ``ClassifiersConfig`` section and class.
 """
 
 from __future__ import annotations
@@ -12,52 +17,19 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from ..errors import HydetError, ModelFormatError
+from ..errors import ConfigError, HydetError, ModelFormatError
 from .. import jsonio
 from ..dataset.model import FeatureMatrix
-from .knn import KnnClassifier
-from .nb import GaussianNb
-from .tree import DecisionTree
-from .validation import FORMAT_VERSION
+from .knn import KnnClassifier, KnnConfig
+from .nb import GaussianNb, NbConfig
+from .tree import DecisionTree, TreeConfig
 
-MODEL_KINDS = ("dt", "knn", "nb")
+FORMAT_VERSION = 1
 
-_KIND_TO_CLS = {"decision_tree": DecisionTree, "knn": KnnClassifier,
-                "gaussian_nb": GaussianNb}
+MODELS = {"dt": ("tree", DecisionTree), "knn": ("knn", KnnClassifier),
+          "nb": ("nb", GaussianNb)}
 
-
-@dataclass(frozen=True)
-class TreeConfig:
-    """Keyword arguments of ``DecisionTree``, checked by building one."""
-
-    max_depth: int | None = 16
-    min_samples_split: int = 2
-    min_impurity_decrease: float = 0.0
-
-    def __post_init__(self):
-        DecisionTree(**asdict(self))
-
-
-@dataclass(frozen=True)
-class KnnConfig:
-    """Keyword arguments of ``KnnClassifier``, checked by building one."""
-
-    k: int = 5
-
-    def __post_init__(self):
-        KnnClassifier(**asdict(self))
-
-
-@dataclass(frozen=True)
-class NbConfig:
-    """Keyword arguments of ``GaussianNb``, checked by building one."""
-
-    eps_rel: float = 1e-9
-
-    def __post_init__(self):
-        GaussianNb(**asdict(self))
+_KIND_TO_CLS = {cls.kind: cls for _, cls in MODELS.values()}
 
 
 @dataclass(frozen=True)
@@ -67,29 +39,27 @@ class ClassifiersConfig:
     nb: NbConfig = field(default_factory=NbConfig)
 
     def make(self, name: str):
-        if name == "dt":
-            return DecisionTree(**asdict(self.tree))
-        if name == "knn":
-            return KnnClassifier(**asdict(self.knn))
-        if name == "nb":
-            return GaussianNb(**asdict(self.nb))
-        raise ValueError(f"unknown model name {name!r}")
+        section, cls = MODELS[name]
+        return cls(**asdict(getattr(self, section)))
 
 
 def train_all(matrix: FeatureMatrix, config: ClassifiersConfig | None = None,
-              models: tuple[str, ...] = MODEL_KINDS) -> dict[str, object]:
+              models: tuple[str, ...] = tuple(MODELS)) -> dict[str, object]:
     """Fit the requested models on a fully observed matrix."""
     config = config or ClassifiersConfig()
-    X = np.asarray(matrix.values, dtype=np.float64)
-    y = np.asarray(matrix.labels, dtype=np.int64)
-    return {name: config.make(name).fit(X, y) for name in models}
+    return {name: config.make(name).fit(matrix.values, matrix.labels)
+            for name in models}
 
 
 def save_model(model, path: str | Path) -> None:
-    jsonio.dump(model.to_json_dict(), path)
+    jsonio.dump({"format": "hydet-model", "version": FORMAT_VERSION, "kind": model.kind,
+                 "params": asdict(model.params), **model.to_json_dict()}, path)
 
 
 def load_model(path: str | Path):
+    """Read a ``save_model`` file: ``params`` needs every key and follows the
+    config-file type rules, so a bad parameter names ``params.<key>``."""
+    from ..config import from_json  # config imports this package
     data = jsonio.load(path)
     if not isinstance(data, dict) or data.get("format") != "hydet-model":
         raise ModelFormatError(f"{path}: not a model file")
@@ -101,11 +71,17 @@ def load_model(path: str | Path):
     if cls is None:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
     try:
-        return cls.from_json_dict(data)
+        params = from_json(cls.Config, data.get("params"), "params")
+        missing = [f"params.{k}" for k in asdict(params) if k not in data["params"]]
+        if missing:  # save_model writes them all; a default could change the fit
+            raise ConfigError(f"missing keys {missing}")
+        return cls.from_json_dict(params, data)
+    except ConfigError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError, HydetError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model: {exc!r}") from None
 
 
 __all__ = ["ClassifiersConfig", "DecisionTree", "GaussianNb", "KnnClassifier",
-           "KnnConfig", "MODEL_KINDS", "NbConfig", "TreeConfig", "load_model",
+           "KnnConfig", "MODELS", "NbConfig", "TreeConfig", "load_model",
            "save_model", "train_all"]

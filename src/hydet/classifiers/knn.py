@@ -22,10 +22,11 @@ or sliced. The tree is rebuilt on load and never serialised.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
 
-from ..errors import ModelFormatError
-from .validation import FORMAT_VERSION, validate_rows, validate_training_inputs
+from .validation import validate_rows, validate_training_inputs
 
 _LEAF = 32     # smallest leaf when k is smaller
 _BLOCK = 256   # queries scored together at most
@@ -49,21 +50,30 @@ def _box_bound(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray,
         for j in range(lo.shape[-1]))
 
 
-class KnnClassifier:
-    def __init__(self, k: int = 5):
-        if k < 1:
+@dataclass(frozen=True)
+class KnnConfig:
+    """Hyperparameters of ``KnnClassifier``: the ``classifiers.knn`` section."""
+
+    k: int = 5
+
+    def __post_init__(self):
+        if self.k < 1:
             raise ValueError("k must be >= 1")
-        self.k = k
+
+
+class KnnClassifier:
+    Config = KnnConfig
+    kind = "knn"
+    display_name = "k-NN"
+
+    def __init__(self, **params):
+        self.params = KnnConfig(**params)
         self.train_: np.ndarray | None = None
-        self.labels_: np.ndarray | None = None
-        self.classes_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        validate_training_inputs(X, y, "k-NN fit")
-        if self.k > X.shape[0]:
-            raise ValueError(f"k={self.k} exceeds {X.shape[0]} training rows")
+        X, y = validate_training_inputs(X, y, "k-NN fit")
+        if self.params.k > X.shape[0]:
+            raise ValueError(f"k={self.params.k} exceeds {X.shape[0]} training rows")
         self.train_ = X.copy()
         self.labels_ = y.copy()
         self._build_index()
@@ -77,7 +87,7 @@ class KnnClassifier:
         largest one whose leaves still hold ``max(k, _LEAF)`` rows."""
         X = self.train_
         n = X.shape[0]
-        leaf = max(self.k, _LEAF)
+        leaf = max(self.params.k, _LEAF)
         depth = 0
         while n >> (depth + 1) >= leaf:
             depth += 1
@@ -125,7 +135,7 @@ class KnnClassifier:
     def _block_votes(self, queries: np.ndarray,
                      leaf: int) -> tuple[np.ndarray, np.ndarray]:
         """Votes and picked class codes for queries sharing a home leaf."""
-        k = self.k
+        k = self.params.k
         tau = np.partition(self._sq_distances(queries, self._leaf_rows(leaf)),
                            k - 1, axis=1)[:, k - 1]
         near = np.flatnonzero(_box_bound(self._lo, self._hi, queries.min(axis=0),
@@ -188,15 +198,11 @@ class KnnClassifier:
         if self.train_ is None:
             raise ValueError("model is not fitted")
         return {
-            "format": "hydet-model", "version": FORMAT_VERSION, "kind": "knn",
-            "params": {"k": self.k},
-            "classes": [int(c) for c in self.classes_],
+            "classes": self.classes_.tolist(),
             "train": self.train_.tolist(),
             "labels": self.labels_.tolist(),
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "KnnClassifier":
-        if data.get("kind") != "knn":
-            raise ModelFormatError(f"not a knn payload: {data.get('kind')!r}")
-        return cls(k=int(data["params"]["k"])).fit(data["train"], data["labels"])
+    def from_json_dict(cls, params: KnnConfig, data: dict) -> "KnnClassifier":
+        return cls(**asdict(params)).fit(data["train"], data["labels"])

@@ -14,36 +14,45 @@ normalized probabilities. Variances are floored at
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
 
-from ..errors import EmptyDataError, ModelFormatError
-from .validation import FORMAT_VERSION, validate_rows, validate_training_inputs
+from ..errors import EmptyDataError
+from .validation import validate_rows, validate_training_inputs
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-class GaussianNb:
-    def __init__(self, eps_rel: float = 1e-9):
-        if eps_rel <= 0:
+@dataclass(frozen=True)
+class NbConfig:
+    """Hyperparameters of ``GaussianNb``: the ``classifiers.nb`` section."""
+
+    eps_rel: float = 1e-9
+
+    def __post_init__(self):
+        if self.eps_rel <= 0:
             raise ValueError("eps_rel must be > 0")
-        self.eps_rel = eps_rel
-        self.classes_: np.ndarray | None = None
-        self.priors_: np.ndarray | None = None
+
+
+class GaussianNb:
+    Config = NbConfig
+    kind = "gaussian_nb"
+    display_name = "Naive Bayes"
+
+    def __init__(self, **params):
+        self.params = NbConfig(**params)
         self.means_: np.ndarray | None = None
-        self.variances_: np.ndarray | None = None
-        self.epsilon_: float | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianNb":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        validate_training_inputs(X, y, "naive Bayes fit")
+        X, y = validate_training_inputs(X, y, "naive Bayes fit")
         self.classes_ = np.unique(y)
 
         total_var = np.mean((X - X.mean(axis=0)) ** 2, axis=0)
         if total_var.max() == 0.0:
             raise ValueError("every training feature is constant; Gaussian "
                              "class-conditional densities are undefined")
-        self.epsilon_ = float(self.eps_rel * total_var.max())
+        self.epsilon_ = float(self.params.eps_rel * total_var.max())
 
         priors, means, variances = [], [], []
         for c in self.classes_:
@@ -81,9 +90,7 @@ class GaussianNb:
         if self.means_ is None:
             raise ValueError("model is not fitted")
         return {
-            "format": "hydet-model", "version": FORMAT_VERSION, "kind": "gaussian_nb",
-            "params": {"eps_rel": self.eps_rel},
-            "classes": [int(c) for c in self.classes_],
+            "classes": self.classes_.tolist(),
             "priors": self.priors_.tolist(),
             "means": self.means_.tolist(),
             "variances": self.variances_.tolist(),
@@ -91,10 +98,8 @@ class GaussianNb:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "GaussianNb":
-        if data.get("kind") != "gaussian_nb":
-            raise ModelFormatError(f"not a gaussian_nb payload: {data.get('kind')!r}")
-        model = cls(eps_rel=float(data["params"]["eps_rel"]))
+    def from_json_dict(cls, params: NbConfig, data: dict) -> "GaussianNb":
+        model = cls(**asdict(params))
         model.classes_ = np.asarray(data["classes"], dtype=np.int64)
         model.priors_ = np.asarray(data["priors"], dtype=np.float64)
         model.means_ = np.asarray(data["means"], dtype=np.float64)

@@ -13,10 +13,11 @@ Routing sends ``value <= threshold`` left.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
 
-from ..errors import ModelFormatError
-from .validation import FORMAT_VERSION, validate_rows, validate_training_inputs
+from .validation import validate_rows, validate_training_inputs
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -27,30 +28,38 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+@dataclass(frozen=True)
+class TreeConfig:
+    """Hyperparameters of ``DecisionTree``: the ``classifiers.tree`` section."""
+
+    max_depth: int | None = 16
+    min_samples_split: int = 2
+    min_impurity_decrease: float = 0.0
+
+    def __post_init__(self):
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be None or >= 0")
+        if self.min_samples_split < 2:
+            raise ValueError("min_samples_split must be >= 2")
+        if self.min_impurity_decrease < 0:
+            raise ValueError("min_impurity_decrease must be >= 0")
+
+
 class DecisionTree:
     """Binary CART classifier over integer class codes."""
 
-    def __init__(self, max_depth: int | None = 16, min_samples_split: int = 2,
-                 min_impurity_decrease: float = 0.0):
-        if max_depth is not None and max_depth < 0:
-            raise ValueError("max_depth must be None or >= 0")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if min_impurity_decrease < 0:
-            raise ValueError("min_impurity_decrease must be >= 0")
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_impurity_decrease = min_impurity_decrease
-        self.classes_: np.ndarray | None = None
+    Config = TreeConfig
+    kind = "decision_tree"
+    display_name = "Decision Tree"
+
+    def __init__(self, **params):
+        self.params = TreeConfig(**params)
         self.root_: dict | None = None
-        self.n_features_: int | None = None
 
     # -- fitting -----------------------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        validate_training_inputs(X, y, "decision tree fit")
+        X, y = validate_training_inputs(X, y, "decision tree fit")
         self.classes_ = np.unique(y)
         self.n_features_ = X.shape[1]
         y_enc = np.searchsorted(self.classes_, y)
@@ -65,13 +74,14 @@ class DecisionTree:
         counts = np.bincount(y[idx], minlength=len(self.classes_))
         if (counts > 0).sum() <= 1:
             return self._leaf(counts)
-        if self.max_depth is not None and depth >= self.max_depth:
+        params = self.params
+        if params.max_depth is not None and depth >= params.max_depth:
             return self._leaf(counts)
-        if len(idx) < self.min_samples_split:
+        if len(idx) < params.min_samples_split:
             return self._leaf(counts)
 
         best = self._best_split(X, y, idx, counts)
-        if best is None or best[0] < self.min_impurity_decrease:
+        if best is None or best[0] < params.min_impurity_decrease:
             return self._leaf(counts)
         _, feature, threshold = best
 
@@ -165,29 +175,19 @@ class DecisionTree:
 
         def encode(node):
             if "counts" in node:
-                return {"counts": [int(c) for c in node["counts"]]}
-            return {"feature": node["feature"], "threshold": float(node["threshold"]),
-                    "left": encode(node["left"]), "right": encode(node["right"])}
+                return {"counts": node["counts"].tolist()}
+            return {**node, "left": encode(node["left"]),
+                    "right": encode(node["right"])}
 
         return {
-            "format": "hydet-model", "version": FORMAT_VERSION,
-            "kind": "decision_tree",
-            "params": {"max_depth": self.max_depth,
-                       "min_samples_split": self.min_samples_split,
-                       "min_impurity_decrease": self.min_impurity_decrease},
-            "classes": [int(c) for c in self.classes_],
+            "classes": self.classes_.tolist(),
             "n_features": self.n_features_,
             "tree": encode(self.root_),
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "DecisionTree":
-        if data.get("kind") != "decision_tree":
-            raise ModelFormatError(f"not a decision_tree payload: {data.get('kind')!r}")
-        params = data["params"]
-        model = cls(max_depth=params["max_depth"],
-                    min_samples_split=params["min_samples_split"],
-                    min_impurity_decrease=params["min_impurity_decrease"])
+    def from_json_dict(cls, params: TreeConfig, data: dict) -> "DecisionTree":
+        model = cls(**asdict(params))
         model.classes_ = np.asarray(data["classes"], dtype=np.int64)
         model.n_features_ = int(data["n_features"])
 

@@ -1,4 +1,4 @@
-"""Input checks and the payload version shared by the three classifiers."""
+"""Input checks shared by the three classifiers."""
 
 from __future__ import annotations
 
@@ -7,10 +7,12 @@ import numpy as np
 from ..errors import (EmptyDataError, MissingCellsError, NonFiniteError,
                       WidthMismatchError)
 
-FORMAT_VERSION = 1
 
-
-def validate_training_inputs(X: np.ndarray, y: np.ndarray, what: str) -> None:
+def validate_training_inputs(X: np.ndarray, y: np.ndarray,
+                             what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` as float64 and ``y`` as int64, checked for fitting."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2:
         raise ValueError(f"{what}: X must be 2-D, got shape {X.shape}")
     if X.shape[0] == 0:
@@ -22,6 +24,7 @@ def validate_training_inputs(X: np.ndarray, y: np.ndarray, what: str) -> None:
         raise MissingCellsError(f"{what}: training data contains missing cells")
     if not np.isfinite(X).all():
         raise NonFiniteError(f"{what}: training data contains non-finite values")
+    return X, y
 
 
 def validate_rows(X: np.ndarray, width: int, what: str) -> np.ndarray:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .classifiers import load_model, save_model, train_all
+from .classifiers import MODELS, load_model, save_model, train_all
 from .config import RunConfig
 from .dataset import (CLASS_DIRS, ClassLabel, build_manifest, default_config,
                       flatten, load_instances, split, synth_generate,
@@ -28,8 +28,6 @@ from .stats import compare_models
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_USAGE = 64
-
-MODEL_DISPLAY = {"dt": "Decision Tree", "knn": "k-NN", "nb": "Naive Bayes"}
 
 
 class _UsageError(Exception):
@@ -52,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--models", default=None,
-                       help="comma list from dt,knn,nb")
+                       help=f"comma list from {','.join(MODELS)}")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted for configuration compatibility; "
                             "scoring is single-threaded")
@@ -205,7 +203,7 @@ def _train_and_save(config: RunConfig, train_ready: FeatureMatrix,
 
 def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatrix,
                         out: Path) -> dict[str, EvalReport]:
-    reports = {name: evaluate(model, test_ready, MODEL_DISPLAY[name])
+    reports = {name: evaluate(model, test_ready, model.display_name)
                for name, model in models.items()}
     for name, report in reports.items():
         jsonio.dump(report.to_json_dict(), out / f"eval_{name}.json")
@@ -320,8 +318,8 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         reports = _evaluate_and_write(config, models, test_ready, out)
         stage = "compare"
         if len(reports) >= 2:
-            f1_vectors = {MODEL_DISPLAY[name]: list(r.f1_vector())
-                          for name, r in reports.items()}
+            f1_vectors = {r.model_name: list(r.f1_vector())
+                          for r in reports.values()}
             _comparison_outputs(compare_models(f1_vectors, config.stats), out)
         else:
             print("comparison skipped: needs at least 2 models")

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import NoneType, UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
-from .classifiers import ClassifiersConfig
+from .classifiers import MODELS, ClassifiersConfig
 from .dataset.model import CANONICAL_VARIABLE_NAMES, ClassLabel, SplitSpec
 from .dataset.synth import SynthConfig
 from .errors import ConfigError
@@ -90,9 +90,9 @@ def _fields_from_json(cls: type, value: Any, path: str,
     keys name fields through ``keys``."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object, got {value!r}")
-    unknown = set(value) - set(keys)
+    unknown = sorted(f"{path}.{k}" for k in set(value) - set(keys))
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"unknown keys {unknown}")
     hints = get_type_hints(cls)
     return {keys[k]: from_json(hints[keys[k]], v, f"{path}.{k}")
             for k, v in value.items()}
@@ -117,7 +117,7 @@ class RunConfig:
     seed: int = 42
     out_dir: str = "out"
     variables: tuple[str, ...] = CANONICAL_VARIABLE_NAMES
-    models: tuple[str, ...] = ("dt", "knn", "nb")
+    models: tuple[str, ...] = tuple(MODELS)
     threads: int = 1
     data_root: str | None = None
     synth: SynthConfig | None = None
@@ -131,9 +131,9 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
         if not self.variables:
             raise ConfigError("variables list is empty")
-        bad = [m for m in self.models if m not in ("dt", "knn", "nb")]
+        bad = [m for m in self.models if m not in MODELS]
         if bad:
-            raise ConfigError(f"unknown models {bad}; choose from dt, knn, nb")
+            raise ConfigError(f"unknown models {bad}; choose from {', '.join(MODELS)}")
         if not self.models:
             raise ConfigError("models list is empty")
 

@@ -66,9 +66,20 @@ def dump(obj: Any, path: str | Path) -> None:
     Path(path).write_text(dumps(obj), encoding="utf-8", newline="\n")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load(path: str | Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise HydetError(f"{path}: invalid JSON: {exc}") from None
+        except ValueError as exc:  # a duplicate key, an over-long integer, bad UTF-8
+            raise HydetError(f"{path}: {exc}") from None

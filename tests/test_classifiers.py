@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hydet.classifiers import (ClassifiersConfig, DecisionTree, GaussianNb,
-                               KnnClassifier, load_model, save_model, train_all)
+from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, GaussianNb,
+                               KnnClassifier, KnnConfig, NbConfig, TreeConfig,
+                               load_model, save_model, train_all)
+from hydet.config import RunConfig
 from hydet.dataset import default_config, flatten, split, synth_generate
 from hydet.dataset.model import CANONICAL_VARIABLE_NAMES, SplitSpec
 from hydet.errors import (EmptyDataError, MissingCellsError, ModelFormatError,
@@ -414,12 +416,28 @@ def test_correlated_corpus_nb_below_tree():
 
 
 def test_model_json_round_trip(tmp_path):
+    # the registry is the one list of models: the config default, one
+    # ClassifiersConfig section of each model's Config type, and a payload
+    # that load_model reads back to the same class, params and predictions
+    from hydet import jsonio
+    assert RunConfig().models == tuple(MODELS)
     train, test = _prepared_desk_matrices()
-    result = train_all(train, ClassifiersConfig())
-    for name, model in result.items():
+    config = ClassifiersConfig(tree=TreeConfig(max_depth=7, min_samples_split=3),
+                               knn=KnnConfig(k=3), nb=NbConfig(eps_rel=1e-6))
+    result = train_all(train, config)
+    assert tuple(result) == tuple(MODELS)
+    for name, (section, cls) in MODELS.items():
+        model = result[name]
+        assert type(model) is cls
+        assert model.params == getattr(config, section)
+        assert type(model.params) is cls.Config
         path = tmp_path / f"{name}.json"
         save_model(model, path)
+        header = jsonio.load(path)
+        assert (header["format"], header["version"], header["kind"]) == \
+            ("hydet-model", 1, cls.kind)
         back = load_model(path)
+        assert type(back) is cls and back.params == model.params
         assert np.array_equal(back.predict(test.values[:50]),
                               model.predict(test.values[:50]))
 

@@ -324,18 +324,38 @@ def test_pipeline_failure_names_stage_and_flags_partial_output(tmp_path, capsys)
     assert (out / "INCOMPLETE").read_text() == "pipeline aborted in stage train\n"
 
 
-def _drop_key(path, key):
+def _drop_key(path, *keys):
     data = jsonio.load(path)
-    del data[key]
+    parent = data
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
     jsonio.dump(data, path)
     return path
 
 
-def _trained_then_broken(tmp_path, rel, key):
+def _trained_then_broken(tmp_path, rel, *keys):
     config_path, out = small_synth_config(tmp_path)
     assert main(["train", "--config", str(config_path), "--models", "dt"]) == EXIT_OK
-    bad = _drop_key(out / "models" / rel, key)
+    bad = _drop_key(out / "models" / rel, *keys)
     return bad, ["eval", "--config", str(config_path), "--models", "dt"]
+
+
+def _trained_with_params(tmp_path, name, **params):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["train", "--config", str(config_path), "--models", name]) == EXIT_OK
+    bad = out / "models" / f"{name}.json"
+    data = jsonio.load(bad)
+    data["params"].update(params)
+    jsonio.dump(data, bad)
+    return bad, ["eval", "--config", str(config_path), "--models", name], \
+        *(f"params.{key}" for key in params)
+
+
+def _config_file(tmp_path, text, *more_texts):
+    bad = tmp_path / "config.json"
+    bad.write_text(text, encoding="utf-8")
+    return bad, ["qc", "--config", str(bad), "--out", str(tmp_path / "q")], *more_texts
 
 
 def _f1_list(tmp_path):
@@ -405,10 +425,23 @@ def _corpus_with_inf_cell(tmp_path):
     _truncated_knn_model,
     _report_without_per_class,
     _corpus_with_inf_cell,
+    lambda tmp: _trained_with_params(tmp, "knn", k="5"),
+    lambda tmp: _trained_with_params(tmp, "knn", k=5.7),
+    lambda tmp: _trained_with_params(tmp, "nb", eps_rel="1e-9"),
+    lambda tmp: _trained_with_params(tmp, "dt", max_leaves=8),
+    lambda tmp: (*_trained_then_broken(tmp, "dt.json", "params", "max_depth"),
+                 "params.max_depth"),
+    lambda tmp: _config_file(tmp, '{"seed": 1, "seed": 2}', "duplicate key 'seed'"),
+    pytest.param(lambda tmp: _config_file(tmp, '{"seed": ' + "9" * 5000 + "}"),
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no integer digit limit")),
 ], ids=["preprocess-without-fences", "model-without-params", "from-f1-list",
         "from-f1-non-numeric", "from-f1-empty-list", "from-f1-nan-score",
         "from-f1-boolean", "from-f1-truncated", "knn-model-truncated",
-        "eval-report-without-per-class", "corpus-with-inf-cell"])
+        "eval-report-without-per-class", "corpus-with-inf-cell",
+        "knn-model-k-string", "knn-model-k-float", "nb-model-eps-rel-string",
+        "dt-model-unknown-param", "dt-model-without-max-depth",
+        "config-duplicate-key", "config-5000-digit-int"])
 def test_malformed_input_file_is_data_error_naming_it(tmp_path, capsys, make_case):
     bad, argv, *more_texts = make_case(tmp_path)
     capsys.readouterr()

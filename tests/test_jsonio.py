@@ -4,6 +4,7 @@ import math
 import pytest
 
 from hydet import jsonio
+from hydet.errors import HydetError
 
 
 def test_floats_render_at_17_significant_digits():
@@ -33,6 +34,17 @@ def test_rejects_non_string_keys_and_unknown_types():
         jsonio.dumps({1: "x"})
     with pytest.raises(TypeError):
         jsonio.dumps({"x": object()})
+
+
+def test_load_names_the_file_for_duplicate_keys_and_bad_json(tmp_path):
+    path = tmp_path / "r.json"
+    for text, message in (('{"a": [{"x": 1, "y": 2, "x": 3}]}', "duplicate key 'x'"),
+                          ('{"a": ', "invalid JSON")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(HydetError) as info:
+            jsonio.load(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
 
 
 def test_dump_and_load_file(tmp_path):
