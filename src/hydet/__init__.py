@@ -17,10 +17,11 @@ from .classifiers import (ClassifiersConfig, DecisionTree, GaussianNb,
 from .config import PreprocessConfig, RunConfig
 from .evaluation import (ClassMetrics, ConfusionMatrix, EvalReport, accuracy,
                          confusion, evaluate, f1_per_class)
-from .quality import (BoxplotStats, ImputationModel, NormalizationModel,
+from .quality import (BoxplotStats, Fences, ImputationModel, NormalizationModel,
                       Preprocessor, QualityReport, apply_imputer, apply_normalizer,
                       boxplot_stats, detect_empty, detect_frozen, fit_boxplots,
-                      fit_imputer, fit_normalizer, quality_report, scan_missing,
+                      fit_imputer, fit_normalizer, load_preprocessor,
+                      quality_report, save_preprocessor, scan_missing,
                       treat_outliers)
 from .stats import (ComparisonTable, KsResult, MwuResult, TestConfig,
                     compare_models, ecdf_eval, ks_two_sample, mwu_two_sample)

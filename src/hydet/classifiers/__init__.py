@@ -7,16 +7,19 @@ documented tie-break. Fitted models are immutable in use and serialize to
 versioned JSON payloads.
 
 Each model class declares itself once: its ``Config`` dataclass (built from
-the constructor's keywords) holds the checked hyperparameters, ``kind`` names
-its payload and ``display_name`` its reports. The ``MODELS`` registry maps
-each model name to its ``ClassifiersConfig`` section and class.
+the constructor's keywords) holds the checked hyperparameters, its
+``Payload`` dataclass the saved fitted state (field ``x`` is the fitted
+attribute ``x_``; ``from_payload`` restores it), ``kind`` names its payload
+and ``display_name`` its reports. The ``MODELS`` registry maps each model
+name to its ``ClassifiersConfig`` section and class.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from ..codec import from_json, to_json
 from ..errors import ConfigError, HydetError, ModelFormatError
 from .. import jsonio
 from ..dataset.model import FeatureMatrix
@@ -51,15 +54,23 @@ def train_all(matrix: FeatureMatrix, config: ClassifiersConfig | None = None,
             for name in models}
 
 
+_HEADER = ("format", "version", "kind", "params")
+
+
+def payload(model):
+    """A fitted model's ``Payload``: each field ``x`` is its attribute ``x_``."""
+    return model.Payload(**{f.name: getattr(model, f"{f.name}_")
+                            for f in fields(model.Payload)})
+
+
 def save_model(model, path: str | Path) -> None:
     jsonio.dump({"format": "hydet-model", "version": FORMAT_VERSION, "kind": model.kind,
-                 "params": asdict(model.params), **model.to_json_dict()}, path)
+                 "params": to_json(model.params), **to_json(payload(model))}, path)
 
 
 def load_model(path: str | Path):
-    """Read a ``save_model`` file: ``params`` needs every key and follows the
-    config-file type rules, so a bad parameter names ``params.<key>``."""
-    from ..config import from_json  # config imports this package
+    """Read a ``save_model`` file under the config-file type rules, so a bad
+    value names its key path; ``params`` needs every key."""
     data = jsonio.load(path)
     if not isinstance(data, dict) or data.get("format") != "hydet-model":
         raise ModelFormatError(f"{path}: not a model file")
@@ -75,13 +86,15 @@ def load_model(path: str | Path):
         missing = [f"params.{k}" for k in asdict(params) if k not in data["params"]]
         if missing:  # save_model writes them all; a default could change the fit
             raise ConfigError(f"missing keys {missing}")
-        return cls.from_json_dict(params, data)
+        fitted = from_json(cls.Payload,
+                           {k: v for k, v in data.items() if k not in _HEADER}, "")
+        return cls.from_payload(params, fitted)
     except ConfigError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError, HydetError) as exc:
+    except (KeyError, TypeError, ValueError, HydetError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model: {exc!r}") from None
 
 
 __all__ = ["ClassifiersConfig", "DecisionTree", "GaussianNb", "KnnClassifier",
            "KnnConfig", "MODELS", "NbConfig", "TreeConfig", "load_model",
-           "save_model", "train_all"]
+           "payload", "save_model", "train_all"]

@@ -61,8 +61,23 @@ class KnnConfig:
             raise ValueError("k must be >= 1")
 
 
+@dataclass(frozen=True)
+class KnnPayload:
+    """The ``knn.json`` payload after its header: the training rows."""
+
+    classes: tuple[int, ...]
+    train: tuple[tuple[float, ...], ...]
+    labels: tuple[int, ...]
+
+    def __post_init__(self):
+        if list(self.classes) != sorted(set(self.labels)):
+            raise ValueError(f"classes: {list(self.classes)} are not the distinct "
+                             f"labels {sorted(set(self.labels))}")
+
+
 class KnnClassifier:
     Config = KnnConfig
+    Payload = KnnPayload
     kind = "knn"
     display_name = "k-NN"
 
@@ -194,15 +209,6 @@ class KnnClassifier:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.classes_[self._votes(X)[1]]
 
-    def to_json_dict(self) -> dict:
-        if self.train_ is None:
-            raise ValueError("model is not fitted")
-        return {
-            "classes": self.classes_.tolist(),
-            "train": self.train_.tolist(),
-            "labels": self.labels_.tolist(),
-        }
-
     @classmethod
-    def from_json_dict(cls, params: KnnConfig, data: dict) -> "KnnClassifier":
-        return cls(**asdict(params)).fit(data["train"], data["labels"])
+    def from_payload(cls, params: KnnConfig, payload: KnnPayload) -> "KnnClassifier":
+        return cls(**asdict(params)).fit(payload.train, payload.labels)

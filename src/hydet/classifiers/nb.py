@@ -35,8 +35,33 @@ class NbConfig:
             raise ValueError("eps_rel must be > 0")
 
 
+@dataclass(frozen=True)
+class NbPayload:
+    """The ``nb.json`` payload after its header: one row per class."""
+
+    classes: tuple[int, ...]
+    priors: tuple[float, ...]
+    means: tuple[tuple[float, ...], ...]
+    variances: tuple[tuple[float, ...], ...]
+    epsilon: float
+
+    def __post_init__(self):
+        n, width = len(self.classes), len(self.means[0]) if len(self.means) else 0
+        if not (n and width):
+            raise ValueError("classes and means[0] must not be empty")
+        if len(self.priors) != n:
+            raise ValueError(f"priors: {len(self.priors)} entries for {n} classes")
+        for key in ("means", "variances"):
+            rows = getattr(self, key)
+            if len(rows) != n or any(len(row) != width for row in rows):
+                raise ValueError(f"{key}: expected {n} rows of {width} values")
+        if not all(v > 0 for row in self.variances for v in row):
+            raise ValueError("variances: every variance must be > 0")
+
+
 class GaussianNb:
     Config = NbConfig
+    Payload = NbPayload
     kind = "gaussian_nb"
     display_name = "Naive Bayes"
 
@@ -86,23 +111,12 @@ class GaussianNb:
         scores = self.predict_scores(X)
         return self.classes_[np.argmax(scores, axis=1)]  # first max: lowest code
 
-    def to_json_dict(self) -> dict:
-        if self.means_ is None:
-            raise ValueError("model is not fitted")
-        return {
-            "classes": self.classes_.tolist(),
-            "priors": self.priors_.tolist(),
-            "means": self.means_.tolist(),
-            "variances": self.variances_.tolist(),
-            "epsilon": self.epsilon_,
-        }
-
     @classmethod
-    def from_json_dict(cls, params: NbConfig, data: dict) -> "GaussianNb":
+    def from_payload(cls, params: NbConfig, payload: NbPayload) -> "GaussianNb":
         model = cls(**asdict(params))
-        model.classes_ = np.asarray(data["classes"], dtype=np.int64)
-        model.priors_ = np.asarray(data["priors"], dtype=np.float64)
-        model.means_ = np.asarray(data["means"], dtype=np.float64)
-        model.variances_ = np.asarray(data["variances"], dtype=np.float64)
-        model.epsilon_ = float(data["epsilon"])
+        model.classes_ = np.asarray(payload.classes, dtype=np.int64)
+        model.priors_ = np.asarray(payload.priors, dtype=np.float64)
+        model.means_ = np.asarray(payload.means, dtype=np.float64)
+        model.variances_ = np.asarray(payload.variances, dtype=np.float64)
+        model.epsilon_ = payload.epsilon
         return model

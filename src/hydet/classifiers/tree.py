@@ -8,7 +8,8 @@ decrease
 
 with ties broken by lower feature index, then lower threshold. Growth stops
 on purity, depth, node size, or a best gain below ``min_impurity_decrease``.
-Routing sends ``value <= threshold`` left.
+Routing sends ``value <= threshold`` left. The fitted tree is built of
+``Leaf`` and ``Split`` nodes, which are also its ``dt.json`` payload.
 """
 
 from __future__ import annotations
@@ -45,16 +46,56 @@ class TreeConfig:
             raise ValueError("min_impurity_decrease must be >= 0")
 
 
+@dataclass(frozen=True)
+class Leaf:
+    counts: tuple[int, ...]  # training rows per class, in ``classes`` order
+
+
+@dataclass(frozen=True)
+class Split:
+    feature: int
+    threshold: float
+    left: Leaf | Split
+    right: Leaf | Split
+
+
+@dataclass(frozen=True)
+class TreePayload:
+    """The ``dt.json`` payload after its header."""
+
+    classes: tuple[int, ...]
+    n_features: int
+    tree: Leaf | Split
+
+    def __post_init__(self):
+        for node, path in _walk(self.tree, "tree"):
+            if isinstance(node, Leaf) and len(node.counts) != len(self.classes):
+                raise ValueError(f"{path}.counts: {len(node.counts)} counts "
+                                 f"for {len(self.classes)} classes")
+            if isinstance(node, Split) and not 0 <= node.feature < self.n_features:
+                raise ValueError(f"{path}.feature: {node.feature} is outside "
+                                 f"0..{self.n_features - 1}")
+
+
+def _walk(node: Leaf | Split, path: str):
+    """Every node under ``node`` with its key path, parents first."""
+    yield node, path
+    if isinstance(node, Split):
+        yield from _walk(node.left, f"{path}.left")
+        yield from _walk(node.right, f"{path}.right")
+
+
 class DecisionTree:
     """Binary CART classifier over integer class codes."""
 
     Config = TreeConfig
+    Payload = TreePayload
     kind = "decision_tree"
     display_name = "Decision Tree"
 
     def __init__(self, **params):
         self.params = TreeConfig(**params)
-        self.root_: dict | None = None
+        self.tree_: Leaf | Split | None = None
 
     # -- fitting -----------------------------------------------------------
 
@@ -63,33 +104,29 @@ class DecisionTree:
         self.classes_ = np.unique(y)
         self.n_features_ = X.shape[1]
         y_enc = np.searchsorted(self.classes_, y)
-        self.root_ = self._build(X, y_enc, np.arange(X.shape[0]), depth=0)
+        self.tree_ = self._build(X, y_enc, np.arange(X.shape[0]), depth=0)
         return self
 
-    def _leaf(self, counts: np.ndarray) -> dict:
-        return {"counts": counts.astype(np.int64)}
-
     def _build(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-               depth: int) -> dict:
+               depth: int) -> Leaf | Split:
         counts = np.bincount(y[idx], minlength=len(self.classes_))
+        leaf = Leaf(tuple(counts.tolist()))
         if (counts > 0).sum() <= 1:
-            return self._leaf(counts)
+            return leaf
         params = self.params
         if params.max_depth is not None and depth >= params.max_depth:
-            return self._leaf(counts)
+            return leaf
         if len(idx) < params.min_samples_split:
-            return self._leaf(counts)
+            return leaf
 
         best = self._best_split(X, y, idx, counts)
         if best is None or best[0] < params.min_impurity_decrease:
-            return self._leaf(counts)
+            return leaf
         _, feature, threshold = best
 
         mask = X[idx, feature] <= threshold
-        left = self._build(X, y, idx[mask], depth + 1)
-        right = self._build(X, y, idx[~mask], depth + 1)
-        return {"feature": int(feature), "threshold": float(threshold),
-                "left": left, "right": right}
+        return Split(feature, threshold, self._build(X, y, idx[mask], depth + 1),
+                     self._build(X, y, idx[~mask], depth + 1))
 
     def _best_split(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
                     counts: np.ndarray) -> tuple[float, int, float] | None:
@@ -130,23 +167,23 @@ class DecisionTree:
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Leaf class-count vector per row (columns follow ``classes_``)."""
-        if self.root_ is None:
+        if self.tree_ is None:
             raise ValueError("model is not fitted")
         X = validate_rows(X, self.n_features_, "decision tree predict")
         out = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
-        self._route(self.root_, X, np.arange(X.shape[0]), out)
+        self._route(self.tree_, X, np.arange(X.shape[0]), out)
         return out
 
-    def _route(self, node: dict, X: np.ndarray, idx: np.ndarray,
+    def _route(self, node: Leaf | Split, X: np.ndarray, idx: np.ndarray,
                out: np.ndarray) -> None:
         if idx.size == 0:
             return
-        if "counts" in node:
-            out[idx] = node["counts"]
+        if isinstance(node, Leaf):
+            out[idx] = node.counts
             return
-        mask = X[idx, node["feature"]] <= node["threshold"]
-        self._route(node["left"], X, idx[mask], out)
-        self._route(node["right"], X, idx[~mask], out)
+        mask = X[idx, node.feature] <= node.threshold
+        self._route(node.left, X, idx[mask], out)
+        self._route(node.right, X, idx[~mask], out)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         scores = self.predict_scores(X)
@@ -156,47 +193,19 @@ class DecisionTree:
     # -- introspection and serialization ------------------------------------
 
     def depth(self) -> int:
-        def d(node):
-            if "counts" in node:
-                return 0
-            return 1 + max(d(node["left"]), d(node["right"]))
-        return d(self.root_) if self.root_ is not None else 0
+        if self.tree_ is None:
+            return 0
+        return max(path.count(".") for _, path in _walk(self.tree_, ""))
 
     def n_leaves(self) -> int:
-        def c(node):
-            if "counts" in node:
-                return 1
-            return c(node["left"]) + c(node["right"])
-        return c(self.root_) if self.root_ is not None else 0
-
-    def to_json_dict(self) -> dict:
-        if self.root_ is None:
-            raise ValueError("model is not fitted")
-
-        def encode(node):
-            if "counts" in node:
-                return {"counts": node["counts"].tolist()}
-            return {**node, "left": encode(node["left"]),
-                    "right": encode(node["right"])}
-
-        return {
-            "classes": self.classes_.tolist(),
-            "n_features": self.n_features_,
-            "tree": encode(self.root_),
-        }
+        if self.tree_ is None:
+            return 0
+        return sum(isinstance(node, Leaf) for node, _ in _walk(self.tree_, ""))
 
     @classmethod
-    def from_json_dict(cls, params: TreeConfig, data: dict) -> "DecisionTree":
+    def from_payload(cls, params: TreeConfig, payload: TreePayload) -> "DecisionTree":
         model = cls(**asdict(params))
-        model.classes_ = np.asarray(data["classes"], dtype=np.int64)
-        model.n_features_ = int(data["n_features"])
-
-        def decode(node):
-            if "counts" in node:
-                return {"counts": np.asarray(node["counts"], dtype=np.int64)}
-            return {"feature": int(node["feature"]),
-                    "threshold": float(node["threshold"]),
-                    "left": decode(node["left"]), "right": decode(node["right"])}
-
-        model.root_ = decode(data["tree"])
+        model.classes_ = np.asarray(payload.classes, dtype=np.int64)
+        model.n_features_ = payload.n_features
+        model.tree_ = payload.tree
         return model

@@ -14,15 +14,17 @@ from pathlib import Path
 
 from . import jsonio
 from .classifiers import MODELS, load_model, save_model, train_all
+from .codec import to_json
 from .config import RunConfig
 from .dataset import (CLASS_DIRS, ClassLabel, build_manifest, default_config,
                       flatten, load_instances, split, synth_generate,
                       write_instance_csv)
 from .dataset.io import write_matrix_csv
 from .dataset.model import FeatureMatrix, TimeSeriesInstance
-from .errors import ConfigError, HydetError, ModelFormatError
+from .errors import ConfigError, HydetError
 from .evaluation import EvalReport, evaluate
-from .quality import Preprocessor, quality_report, render_boxplot_svg
+from .quality import (Preprocessor, load_preprocessor, quality_report,
+                      render_boxplot_svg, save_preprocessor)
 from .stats import compare_models
 
 EXIT_OK = 0
@@ -138,7 +140,7 @@ def _write_quality(config: RunConfig, instances, matrix: FeatureMatrix,
     report = quality_report(instances, matrix,
                             tukey_k=config.preprocess.tukey_multiplier,
                             quartile_method=config.preprocess.quartile_method)
-    jsonio.dump(report.to_json_dict(), report_path or out / "quality_report.json")
+    jsonio.dump(to_json(report), report_path or out / "quality_report.json")
     for j, channel in enumerate(report.channels):
         svg = render_boxplot_svg(matrix.values[:, j], channel.name, channel.boxplot)
         safe = channel.name.replace("/", "_")
@@ -189,7 +191,7 @@ def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
                       models_dir: Path) -> Preprocessor:
     prep = Preprocessor.fit(train, config.preprocess)
     models_dir.mkdir(parents=True, exist_ok=True)
-    jsonio.dump(prep.to_json_dict(), models_dir / "preprocess.json")
+    save_preprocessor(prep, models_dir / "preprocess.json")
     return prep
 
 
@@ -238,11 +240,7 @@ def cmd_eval(config: RunConfig, args) -> int:
         raise HydetError(f"no models directory at {models_dir}; run train first")
     _echo_config(config, out)
     _, test_m = _split_matrices(config, _load_corpus(config))
-    prep_path = models_dir / "preprocess.json"
-    try:
-        prep = Preprocessor.from_json_dict(jsonio.load(prep_path))
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{prep_path}: {exc}") from None
+    prep = load_preprocessor(models_dir / "preprocess.json")
     test_ready = prep.transform(test_m)
     models = {name: load_model(models_dir / f"{name}.json")
               for name in config.models if (models_dir / f"{name}.json").exists()}

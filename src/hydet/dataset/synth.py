@@ -46,6 +46,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..rng import CounterRng
 from .model import CANONICAL_VARIABLE_NAMES, ClassLabel, TimeSeriesInstance
+from .transform import rounded_count
 
 _INSTANCE_LATENT_W = 0.6
 _STEP_LATENT_W = 0.8
@@ -221,10 +222,6 @@ def qc_probe_config(n_instances: int = 120, length: int = 50,
     )
 
 
-def _rounded(fraction: float, n: int) -> int:
-    return int(np.floor(fraction * n + 0.5))
-
-
 def synth_generate(config: SynthConfig, seed: int) -> list[TimeSeriesInstance]:
     """Generate the corpus; bit-identical for identical (config, seed)."""
     rng = CounterRng(seed)
@@ -271,7 +268,7 @@ def _inject_corruption(values: np.ndarray, config: SynthConfig,
     total_cells = n_inst * n_ch * length
 
     frozen_mask = np.zeros((n_inst, n_ch), dtype=bool)
-    k_frozen = _rounded(config.frozen_fraction, n_inst * n_ch)
+    k_frozen = rounded_count(config.frozen_fraction, n_inst * n_ch)
     if k_frozen:
         chosen = rng.derive(2).sample_indices(n_inst * n_ch, k_frozen)
         for c in chosen:
@@ -282,7 +279,7 @@ def _inject_corruption(values: np.ndarray, config: SynthConfig,
     outlier_mask = np.zeros(values.shape, dtype=bool)
     for j, var in enumerate(config.variables):
         frac = config.outlier_fractions.get(var, 0.0)
-        k_out = _rounded(frac, n_inst * length)
+        k_out = rounded_count(frac, n_inst * length)
         if not k_out:
             continue
         col = values[:, j, :]
@@ -301,7 +298,7 @@ def _inject_corruption(values: np.ndarray, config: SynthConfig,
         values[rows, j, ts] = magnitudes
         outlier_mask[rows, j, ts] = True
 
-    k_missing = _rounded(config.missing_fraction, total_cells)
+    k_missing = rounded_count(config.missing_fraction, total_cells)
     if k_missing:
         pool = np.flatnonzero(~outlier_mask)
         if k_missing > len(pool):

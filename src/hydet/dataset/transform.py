@@ -39,13 +39,14 @@ def flatten(instances: Sequence[TimeSeriesInstance],
         instance_ids=tuple(inst.instance_id for inst in instances))
 
 
-def _rounded_count(fraction: float, n: int) -> int:
-    # round-half-up keeps per-class counts within one row of proportionality
+def rounded_count(fraction: float, n: int) -> int:
+    """``fraction * n`` rounded half up: per-class counts stay within one row
+    of proportionality."""
     return int(np.floor(fraction * n + 0.5))
 
 
 def _pick_test_rows(indices: np.ndarray, fraction: float, rng: CounterRng) -> np.ndarray:
-    k = _rounded_count(fraction, len(indices))
+    k = rounded_count(fraction, len(indices))
     order = rng.permutation(len(indices))
     return indices[order[:k]]
 

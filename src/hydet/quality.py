@@ -4,7 +4,8 @@ The audit covers the three failure modes of raw well telemetry: missing
 readings, frozen (stuck-sensor) instance-channels, and boxplot outliers
 beyond Tukey fences. Preprocessing models (column-mean imputer, fences for
 winsorization, z-score/min-max normalizer) are fitted on training data only
-and applied anywhere.
+and applied anywhere. ``save_preprocessor`` / ``load_preprocessor`` write
+and read the fitted chain as ``models/preprocess.json`` through the codec.
 
 Quartiles use linear interpolation between order statistics at position
 (n-1)*p; fences are q1 - k*iqr and q3 + k*iqr with k=1.5 by default.
@@ -13,14 +14,17 @@ Quartiles use linear interpolation between order statistics at position
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import jsonio
+from .codec import from_json, to_json
 from .errors import (AllMissingColumnError, ConfigError, EmptyDataError,
                      MissingCellsError, ModelFormatError, NonFiniteError,
                      WidthMismatchError)
-from .dataset.model import FeatureMatrix, TimeSeriesInstance
+from .dataset.model import FeatureMatrix, TimeSeriesInstance, variable_info
 
 
 # ---------------------------------------------------------------------------
@@ -54,26 +58,29 @@ def quantile(values: np.ndarray, p: float, method: str = "linear") -> float:
     return min(max(r, a), b)
 
 
-_FENCE_KEYS = ("q1", "median", "q3", "iqr", "lower_fence", "upper_fence")
-
-
 @dataclass(frozen=True)
-class BoxplotStats:
+class Fences:
+    """The cut points of a boxplot: all winsorizing needs."""
     q1: float
     median: float
     q3: float
     iqr: float
     lower_fence: float
     upper_fence: float
+
+
+@dataclass(frozen=True)
+class BoxplotStats(Fences):
     outlier_row_indices: tuple[int, ...]
 
     @property
     def n_outliers(self) -> int:
         return len(self.outlier_row_indices)
 
-    def to_json_dict(self) -> dict:
-        return {**{k: getattr(self, k) for k in _FENCE_KEYS},
-                "outlier_row_indices": list(self.outlier_row_indices)}
+    @property
+    def fences(self) -> Fences:
+        return Fences(self.q1, self.median, self.q3, self.iqr, self.lower_fence,
+                      self.upper_fence)
 
 
 def boxplot_stats(column: np.ndarray, tukey_k: float = 1.5,
@@ -164,13 +171,19 @@ class PreprocessConfig:
             raise ConfigError(f"unknown normalization {self.normalization!r}")
 
 
+def _check_widths(columns: tuple[str, ...], **values: tuple) -> None:
+    for key, value in values.items():
+        if len(value) != len(columns):
+            raise ValueError(f"{key}: {len(value)} entries for {len(columns)} columns")
+
+
 @dataclass(frozen=True)
 class ImputationModel:
-    column_names: tuple[str, ...]
+    columns: tuple[str, ...]
     means: tuple[float, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"columns": list(self.column_names), "means": list(self.means)}
+    def __post_init__(self):
+        _check_widths(self.columns, means=self.means)
 
 
 def fit_imputer(train: FeatureMatrix) -> ImputationModel:
@@ -184,11 +197,11 @@ def fit_imputer(train: FeatureMatrix) -> ImputationModel:
         if not np.isfinite(mean):
             raise NonFiniteError(f"column {name!r}: training mean is not finite")
         means.append(mean)
-    return ImputationModel(column_names=train.column_names, means=tuple(means))
+    return ImputationModel(columns=train.column_names, means=tuple(means))
 
 
 def apply_imputer(model: ImputationModel, matrix: FeatureMatrix) -> FeatureMatrix:
-    _check_columns(model.column_names, matrix)
+    _check_columns(model.columns, matrix)
     values = matrix.values.copy()
     for j, mean in enumerate(model.means):
         col = values[:, j]
@@ -203,7 +216,7 @@ def fit_boxplots(train: FeatureMatrix, tukey_k: float = 1.5,
 
 
 def treat_outliers(matrix: FeatureMatrix,
-                   stats: Sequence[BoxplotStats]) -> FeatureMatrix:
+                   stats: Sequence[Fences]) -> FeatureMatrix:
     """Winsorize: clamp observed values into [lower_fence, upper_fence].
 
     Keeps the row count intact (deletion would change totals) and is
@@ -222,19 +235,19 @@ def treat_outliers(matrix: FeatureMatrix,
 
 @dataclass(frozen=True)
 class NormalizationModel:
-    column_names: tuple[str, ...]
+    columns: tuple[str, ...]
     center: tuple[float, ...]
     scale: tuple[float, ...]
     mode: str = "zscore"
 
+    def __post_init__(self):
+        if self.mode not in ("zscore", "minmax"):
+            raise ValueError(f"unknown normalization mode {self.mode!r}")
+        _check_widths(self.columns, center=self.center, scale=self.scale)
+
     @property
     def zero_scale_columns(self) -> tuple[str, ...]:
-        return tuple(name for name, s in zip(self.column_names, self.scale)
-                     if s == 0.0)
-
-    def to_json_dict(self) -> dict:
-        return {"columns": list(self.column_names), "center": list(self.center),
-                "scale": list(self.scale), "mode": self.mode}
+        return tuple(name for name, s in zip(self.columns, self.scale) if s == 0.0)
 
 
 def fit_normalizer(train: FeatureMatrix, mode: str = "zscore") -> NormalizationModel:
@@ -243,8 +256,6 @@ def fit_normalizer(train: FeatureMatrix, mode: str = "zscore") -> NormalizationM
     (imputation runs first)."""
     if np.isnan(train.values).any():
         raise MissingCellsError("normalizer fit requires no missing cells")
-    if mode not in ("zscore", "minmax"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
     center, scale = [], []
     for j in range(train.n_cols):
         col = train.values[:, j]
@@ -254,14 +265,14 @@ def fit_normalizer(train: FeatureMatrix, mode: str = "zscore") -> NormalizationM
         else:
             center.append(float(col.min()))
             scale.append(float(col.max() - col.min()))
-    return NormalizationModel(column_names=train.column_names,
+    return NormalizationModel(columns=train.column_names,
                               center=tuple(center), scale=tuple(scale), mode=mode)
 
 
 def apply_normalizer(model: NormalizationModel, matrix: FeatureMatrix) -> FeatureMatrix:
     if np.isnan(matrix.values).any():
         raise MissingCellsError("normalizer requires no missing cells")
-    _check_columns(model.column_names, matrix)
+    _check_columns(model.columns, matrix)
     values = matrix.values.copy()
     for j, (c, s) in enumerate(zip(model.center, model.scale)):
         values[:, j] -= c
@@ -280,50 +291,54 @@ def _check_columns(expected: tuple[str, ...], matrix: FeatureMatrix) -> None:
 class Preprocessor:
     """The fitted chain: mean imputation, then winsorizing at the Tukey
     fences, then normalization. Every model is fitted on training rows only;
-    ``to_json_dict`` is the ``models/preprocess.json`` payload."""
+    the fences keep their cut points only, since the training outlier rows
+    are audit output, not part of the fitted model."""
     imputer: ImputationModel
-    fences: tuple[BoxplotStats, ...]
+    fences: tuple[Fences, ...]
     normalizer: NormalizationModel
+
+    def __post_init__(self):
+        columns = self.imputer.columns
+        if self.normalizer.columns != columns:
+            raise ValueError(f"normalizer.columns {list(self.normalizer.columns)} "
+                             f"differ from imputer.columns {list(columns)}")
+        _check_widths(columns, fences=self.fences)
 
     @classmethod
     def fit(cls, train: FeatureMatrix,
             config: PreprocessConfig = PreprocessConfig()) -> "Preprocessor":
         imputer = fit_imputer(train)
         imputed = apply_imputer(imputer, train)
-        fences = fit_boxplots(imputed, config.tukey_multiplier,
-                              config.quartile_method)
-        normalizer = fit_normalizer(treat_outliers(imputed, fences),
+        boxplots = fit_boxplots(imputed, config.tukey_multiplier,
+                                config.quartile_method)
+        normalizer = fit_normalizer(treat_outliers(imputed, boxplots),
                                     config.normalization)
-        return cls(imputer, fences, normalizer)
+        return cls(imputer, tuple(b.fences for b in boxplots), normalizer)
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
         return apply_normalizer(self.normalizer, treat_outliers(
             apply_imputer(self.imputer, matrix), self.fences))
 
-    def to_json_dict(self) -> dict:
-        # fences keep their cut points only: the training outlier rows are
-        # audit output, not part of the fitted model
-        return {"format": "hydet-preprocess", "version": 1,
-                "fences": [{k: getattr(f, k) for k in _FENCE_KEYS}
-                           for f in self.fences],
-                "imputer": self.imputer.to_json_dict(),
-                "normalizer": self.normalizer.to_json_dict()}
 
-    @classmethod
-    def from_json_dict(cls, data) -> "Preprocessor":
-        if not isinstance(data, dict) or data.get("format") != "hydet-preprocess" \
-                or data.get("version") != 1:
-            raise ModelFormatError("unsupported preprocess model file")
-        try:
-            imp, norm = data["imputer"], data["normalizer"]
-            return cls(
-                ImputationModel(tuple(imp["columns"]), tuple(imp["means"])),
-                tuple(BoxplotStats(**{k: f[k] for k in _FENCE_KEYS},
-                                   outlier_row_indices=()) for f in data["fences"]),
-                NormalizationModel(tuple(norm["columns"]), tuple(norm["center"]),
-                                   tuple(norm["scale"]), norm["mode"]))
-        except (KeyError, TypeError) as exc:
-            raise ModelFormatError(f"malformed preprocess model: {exc!r}") from None
+_PREPROCESS_HEADER = {"format": "hydet-preprocess", "version": 1}
+
+
+def save_preprocessor(prep: Preprocessor, path: str | Path) -> None:
+    jsonio.dump({**_PREPROCESS_HEADER, **to_json(prep)}, path)
+
+
+def load_preprocessor(path: str | Path) -> Preprocessor:
+    """Read a ``save_preprocessor`` file under the config-file type rules, so
+    a bad value names its key path."""
+    data = jsonio.load(path)
+    if not isinstance(data, dict) or any(data.get(k) != v
+                                         for k, v in _PREPROCESS_HEADER.items()):
+        raise ModelFormatError(f"{path}: unsupported preprocess model file")
+    try:
+        return from_json(Preprocessor, {k: v for k, v in data.items()
+                                        if k not in _PREPROCESS_HEADER}, "")
+    except ConfigError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +348,7 @@ class Preprocessor:
 @dataclass(frozen=True)
 class ChannelQuality:
     name: str
+    unit: str
     n_total: int
     n_missing: int
     missing_pct: float
@@ -340,43 +356,19 @@ class ChannelQuality:
     frozen_pct: float
     n_empty_instance_channels: int
     boxplot: BoxplotStats
+    n_outliers: int
     outlier_pct: float
-
-    def to_json_dict(self) -> dict:
-        from .dataset.model import variable_info
-        return {
-            "name": self.name,
-            "unit": variable_info(self.name).unit,
-            "n_total": self.n_total,
-            "n_missing": self.n_missing,
-            "missing_pct": self.missing_pct,
-            "n_frozen_instance_channels": self.n_frozen_instance_channels,
-            "frozen_pct": self.frozen_pct,
-            "n_empty_instance_channels": self.n_empty_instance_channels,
-            "boxplot": self.boxplot.to_json_dict(),
-            "n_outliers": self.boxplot.n_outliers,
-            "outlier_pct": self.outlier_pct,
-        }
 
 
 @dataclass(frozen=True)
 class QualityReport:
+    """``to_json`` of it is ``quality_report.json``."""
     channels: tuple[ChannelQuality, ...]
     n_instances: int
     total_cells: int
     overall_missing_pct: float
     overall_frozen_pct: float
     overall_outlier_pct: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "channels": [c.to_json_dict() for c in self.channels],
-            "n_instances": self.n_instances,
-            "total_cells": self.total_cells,
-            "overall_missing_pct": self.overall_missing_pct,
-            "overall_frozen_pct": self.overall_frozen_pct,
-            "overall_outlier_pct": self.overall_outlier_pct,
-        }
 
 
 def quality_report(instances: Sequence[TimeSeriesInstance],
@@ -411,6 +403,7 @@ def quality_report(instances: Sequence[TimeSeriesInstance],
         total_outliers += bp.n_outliers
         channels.append(ChannelQuality(
             name=name,
+            unit=variable_info(name).unit,
             n_total=n,
             n_missing=int(missing[:, j].sum()),
             missing_pct=100.0 * missing[:, j].sum() / n,
@@ -418,6 +411,7 @@ def quality_report(instances: Sequence[TimeSeriesInstance],
             frozen_pct=100.0 * frozen_counts[name] / n_inst,
             n_empty_instance_channels=empty_counts[name],
             boxplot=bp,
+            n_outliers=bp.n_outliers,
             outlier_pct=100.0 * bp.n_outliers / n,
         ))
 

@@ -12,7 +12,7 @@ import pytest
 
 from hydet import jsonio
 from hydet.classifiers import (ClassifiersConfig, DecisionTree, GaussianNb,
-                               KnnClassifier, train_all)
+                               KnnClassifier, payload, train_all)
 from hydet.cli import EXIT_OK, main
 from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config,
                            flatten, load_instances, qc_probe_config, split,
@@ -205,7 +205,7 @@ def test_classifier_oracles():
 
         # decision tree vs independent root-to-leaf replay
         tree = DecisionTree(max_depth=12).fit(Xtr, ytr)
-        exported = tree.to_json_dict()["tree"]
+        exported = to_json(payload(tree))["tree"]
 
         def replay(node, row):
             if "counts" in node:

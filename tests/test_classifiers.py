@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, GaussianNb,
                                KnnClassifier, KnnConfig, NbConfig, TreeConfig,
-                               load_model, save_model, train_all)
+                               load_model, payload, save_model, train_all)
+from hydet.codec import to_json
 from hydet.config import RunConfig
 from hydet.dataset import default_config, flatten, split, synth_generate
 from hydet.dataset.model import CANONICAL_VARIABLE_NAMES, SplitSpec
@@ -42,8 +43,8 @@ def test_tree_1d_split_at_zero_matches_candidate_enumeration():
     X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
     y = np.array([0, 0, 1, 1])
     model = DecisionTree().fit(X, y)
-    root = model.root_
-    assert root["feature"] == 0
+    root = model.tree_
+    assert root.feature == 0
 
     # oracle: enumerate every midpoint candidate and its gain directly
     def gini(labels):
@@ -61,7 +62,7 @@ def test_tree_1d_split_at_zero_matches_candidate_enumeration():
         gain = gini(y) - len(left) / 4 * gini(left) - len(right) / 4 * gini(right)
         if best is None or gain > best[0]:
             best = (gain, thr)
-    assert root["threshold"] == best[1] == 0.0
+    assert root.threshold == best[1] == 0.0
     assert (model.predict(X) == y).all()
 
 
@@ -80,7 +81,7 @@ def test_tree_predictions_match_replay_oracle():
     model = DecisionTree(max_depth=6).fit(X, y)
     queries = rng.normal(size=(200, 3))
     predicted = model.predict(queries)
-    exported = model.to_json_dict()["tree"]
+    exported = to_json(payload(model))["tree"]
     replayed = [model.classes_[tree_replay(exported, q)] for q in queries]
     assert predicted.tolist() == replayed
 
@@ -95,7 +96,7 @@ def test_tree_depth_and_min_samples_limits():
     # no node smaller than min_samples_split is ever split: replay the
     # training rows through the exported tree and count arrivals
     model = DecisionTree(min_samples_split=40).fit(X, y)
-    exported = model.to_json_dict()["tree"]
+    exported = to_json(payload(model))["tree"]
 
     def check(node, rows):
         if "counts" in node:
@@ -113,7 +114,7 @@ def test_tree_split_tiebreak_prefers_lower_feature():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
     model = DecisionTree().fit(X, y)
-    assert model.root_["feature"] == 0
+    assert model.tree_.feature == 0
 
 
 def test_tree_leaf_tie_breaks_to_lowest_code():
@@ -455,6 +456,6 @@ def test_load_model_rejects_unknown_version(tmp_path):
 
 def test_determinism_identical_fits():
     train, _ = _prepared_desk_matrices()
-    a = DecisionTree().fit(train.values, train.labels).to_json_dict()
-    b = DecisionTree().fit(train.values, train.labels).to_json_dict()
+    a = to_json(payload(DecisionTree().fit(train.values, train.labels)))
+    b = to_json(payload(DecisionTree().fit(train.values, train.labels)))
     assert a == b

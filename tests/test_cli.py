@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -264,6 +265,33 @@ def test_train_then_eval_separate_commands(tmp_path):
         assert separate[rel] == together[rel], rel
 
 
+_PAYLOADS = ("models/dt.json", "models/knn.json", "models/nb.json",
+             "models/preprocess.json", "quality_report.json")
+
+
+@pytest.mark.parametrize("dirt, sha256", [
+    ({}, ["c81b22beac47c5bc8ef00dfaf6ac325058882d39e56b01f277035106967f17c8",
+          "80c26ccce7d36050f9160c71efa5fd7f64f74cb9785bafb1cff1208595cd728c",
+          "e1937297d987ecdff2985763bcb29a51bfb142907e1a67b9c006bcc2133934e1",
+          "1407b3f0bb4267db63da89c5546790842b2e6de1894d1e7b35141ca052f9babb",
+          "2760b4380685beacaa5bb399180a701b334dbd8ad9f0b0feac4fe03a81238c6c"]),
+    ({"missing_fraction": 0.05, "frozen_fraction": 0.1,
+      "outlier_fractions": {"P-TPT": 0.05}},
+     ["21a93261615ca9902c5a99d5971b1e1a746c967565ba9be63c1c6a32c629339a",
+      "e8df29de7a201883bef0b17ac22cca70749ebf4563c75c6b1a7514a8deb6d171",
+      "b3ff82732b64885b5a6b4bf8eb41bde4866fc72b0f73c87467c43bf160a025d2",
+      "1229f1bee67058c530bce2df0a2a39de5028ccd50b81bd87ecf744ea9fd8c431",
+      "cff07378fb268893a4be3c2d1d708ad10868ce904e0fda280336e38df784b518"]),
+], ids=["clean", "dirty"])
+def test_saved_payloads_keep_their_recorded_bytes(tmp_path, dirt, sha256):
+    # digests recorded when each payload still had a hand-written encoder;
+    # the dirty corpus puts 16 outlier rows into the quality report
+    config_path, out = small_synth_config(tmp_path, **dirt)
+    assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
+    assert [hashlib.sha256((out / rel).read_bytes()).hexdigest()
+            for rel in _PAYLOADS] == sha256
+
+
 def test_eval_without_models_is_data_error(tmp_path):
     config_path, _ = small_synth_config(tmp_path, out_name="fresh")
     assert main(["eval", "--config", str(config_path)]) == EXIT_DATA
@@ -334,22 +362,37 @@ def _drop_key(path, *keys):
     return path
 
 
-def _trained_then_broken(tmp_path, rel, *keys):
+def _trained_then_edited(tmp_path, rel, edit, *texts):
+    """Train the model of ``rel`` (dt for preprocess.json), then apply
+    ``edit`` to the saved JSON of ``rel``."""
+    name = "dt" if rel == "preprocess.json" else rel.removesuffix(".json")
     config_path, out = small_synth_config(tmp_path)
-    assert main(["train", "--config", str(config_path), "--models", "dt"]) == EXIT_OK
-    bad = _drop_key(out / "models" / rel, *keys)
-    return bad, ["eval", "--config", str(config_path), "--models", "dt"]
+    assert main(["train", "--config", str(config_path), "--models", name]) == EXIT_OK
+    bad = out / "models" / rel
+    data = jsonio.load(bad)
+    edit(data)
+    jsonio.dump(data, bad)
+    return bad, ["eval", "--config", str(config_path), "--models", name], *texts
+
+
+def _trained_then_broken(tmp_path, rel, *keys):
+    bad, argv = _trained_then_edited(tmp_path, rel, lambda data: None)
+    return _drop_key(bad, *keys), argv
 
 
 def _trained_with_params(tmp_path, name, **params):
-    config_path, out = small_synth_config(tmp_path)
-    assert main(["train", "--config", str(config_path), "--models", name]) == EXIT_OK
-    bad = out / "models" / f"{name}.json"
-    data = jsonio.load(bad)
-    data["params"].update(params)
-    jsonio.dump(data, bad)
-    return bad, ["eval", "--config", str(config_path), "--models", name], \
-        *(f"params.{key}" for key in params)
+    return _trained_then_edited(tmp_path, f"{name}.json",
+                                lambda data: data["params"].update(params),
+                                *(f"params.{key}" for key in params))
+
+
+def _set(*keys, value):
+    """An edit that sets the value at the key path ``keys``."""
+    def edit(data):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+    return edit
 
 
 def _config_file(tmp_path, text, *more_texts):
@@ -435,13 +478,61 @@ def _corpus_with_inf_cell(tmp_path):
     pytest.param(lambda tmp: _config_file(tmp, '{"seed": ' + "9" * 5000 + "}"),
                  marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                           reason="no integer digit limit")),
+    lambda tmp: _trained_then_edited(
+        tmp, "preprocess.json", _set("normalizer", "center", 1, value="2"),
+        "normalizer.center[1]: expected a number"),
+    lambda tmp: _trained_then_edited(
+        tmp, "preprocess.json", _set("fences", 0, "lower_fence", value="0"),
+        "fences[0].lower_fence: expected a number"),
+    lambda tmp: _trained_then_edited(
+        tmp, "preprocess.json", _set("normalizer", "mode", value="bogus"),
+        "normalizer: unknown normalization mode 'bogus'"),
+    lambda tmp: _trained_then_edited(
+        tmp, "preprocess.json", _set("imputer", "meens", value=[0.0] * 4),
+        "unknown keys ['imputer.meens']"),
+    lambda tmp: _trained_then_edited(
+        tmp, "preprocess.json", _set("imputer", "columns", value="P-TPT"),
+        "imputer.columns: expected a list, got 'P-TPT'"),
+    lambda tmp: _trained_then_edited(
+        tmp, "preprocess.json", lambda data: data.update(fences=data["fences"][:2]),
+        "fences: 2 entries for 4 columns"),
+    lambda tmp: _trained_then_edited(tmp, "dt.json", _set("tree", "feature", value=7),
+                                     "tree.feature: 7 is outside 0..3"),
+    lambda tmp: _trained_then_edited(tmp, "dt.json", _set("tree", "feature", value=1.9),
+                                     "tree.feature: expected an integer, got 1.9"),
+    lambda tmp: _trained_then_edited(
+        tmp, "dt.json", _set("tree", "threshold", value="0.5"),
+        "tree.threshold: expected a number, got '0.5'"),
+    lambda tmp: _trained_then_edited(
+        tmp, "dt.json", _set("tree", "left", value={"counts": [5]}),
+        "tree.left.counts: 1 counts for 3 classes"),
+    lambda tmp: _trained_then_edited(tmp, "nb.json", lambda data: data["priors"].pop(),
+                                     "priors: 2 entries for 3 classes"),
+    lambda tmp: _trained_then_edited(
+        tmp, "nb.json", _set("variances", 0, 0, value="1"),
+        "variances[0][0]: expected a number"),
+    lambda tmp: _trained_then_edited(tmp, "nb.json", _set("classes", 0, value=0.7),
+                                     "classes[0]: expected an integer, got 0.7"),
+    lambda tmp: _trained_then_edited(tmp, "nb.json", _set("variances", 0, 0, value=-1.0),
+                                     "variances: every variance must be > 0"),
+    lambda tmp: _trained_then_edited(tmp, "knn.json", _set("classes", value=[9]),
+                                     "classes: [9] are not the distinct labels"),
+    lambda tmp: _trained_then_edited(tmp, "knn.json", _set("bogus", value=1),
+                                     "unknown keys ['bogus']"),
 ], ids=["preprocess-without-fences", "model-without-params", "from-f1-list",
         "from-f1-non-numeric", "from-f1-empty-list", "from-f1-nan-score",
         "from-f1-boolean", "from-f1-truncated", "knn-model-truncated",
         "eval-report-without-per-class", "corpus-with-inf-cell",
         "knn-model-k-string", "knn-model-k-float", "nb-model-eps-rel-string",
         "dt-model-unknown-param", "dt-model-without-max-depth",
-        "config-duplicate-key", "config-5000-digit-int"])
+        "config-duplicate-key", "config-5000-digit-int",
+        "preprocess-center-string", "preprocess-fence-string",
+        "preprocess-mode-bogus", "preprocess-unknown-imputer-key",
+        "preprocess-columns-string", "preprocess-two-fence-sets",
+        "dt-feature-out-of-range", "dt-feature-float", "dt-threshold-string",
+        "dt-leaf-short-counts", "nb-priors-short", "nb-variance-string",
+        "nb-class-float", "nb-variance-negative", "knn-classes-not-labels",
+        "knn-unknown-key"])
 def test_malformed_input_file_is_data_error_naming_it(tmp_path, capsys, make_case):
     bad, argv, *more_texts = make_case(tmp_path)
     capsys.readouterr()

@@ -1,11 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydet import jsonio
+from hydet.codec import to_json
 from hydet.dataset import ClassLabel, default_config, flatten, synth_generate
 from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance
 from hydet.errors import (AllMissingColumnError, EmptyDataError,
@@ -14,8 +13,9 @@ from hydet.errors import (AllMissingColumnError, EmptyDataError,
 from hydet.quality import (PreprocessConfig, Preprocessor, apply_imputer,
                            apply_normalizer, boxplot_stats, detect_empty,
                            detect_frozen, fit_boxplots, fit_imputer,
-                           fit_normalizer, quality_report, quantile,
-                           render_boxplot_svg, scan_missing, treat_outliers)
+                           fit_normalizer, load_preprocessor, quality_report,
+                           quantile, render_boxplot_svg, save_preprocessor,
+                           scan_missing, treat_outliers)
 
 VARS = ("P-TPT", "T-TPT", "P-MON-CKP", "T-JUS-CKP")
 
@@ -326,7 +326,7 @@ def test_pipeline_order_invariant():
         assert ((col >= st_.lower_fence) & (col <= st_.upper_fence)).all()
 
 
-def test_preprocessor_json_round_trip_transforms_bit_identically():
+def test_preprocessor_json_round_trip_transforms_bit_identically(tmp_path):
     rng = np.random.default_rng(6)
     values = rng.normal(size=(120, 3))
     values[rng.random(values.shape) < 0.15] = np.nan
@@ -336,20 +336,23 @@ def test_preprocessor_json_round_trip_transforms_bit_identically():
     config = PreprocessConfig(quartile_method="nearest", normalization="minmax")
     prep = Preprocessor.fit(train, config)
     assert prep.normalizer.mode == "minmax"
-    assert prep.fences == fit_boxplots(apply_imputer(prep.imputer, train), 1.5,
-                                       "nearest")
+    assert prep.fences == tuple(b.fences for b in fit_boxplots(
+        apply_imputer(prep.imputer, train), 1.5, "nearest"))
 
-    payload = prep.to_json_dict()
+    path = tmp_path / "preprocess.json"
+    save_preprocessor(prep, path)
+    payload = jsonio.load(path)
     assert all("outlier_row_indices" not in f for f in payload["fences"])
-    back = Preprocessor.from_json_dict(json.loads(jsonio.dumps(payload)))
+    back = load_preprocessor(path)
     test = matrix_of(*rng.normal(scale=3.0, size=(40, 3)).T)
     for m in (train, test):
         assert np.array_equal(back.transform(m).values, prep.transform(m).values)
     assert not np.isnan(prep.transform(train).values).any()
 
     for bad in ({**payload, "format": "hydet-model"}, {**payload, "version": 2}):
+        jsonio.dump(bad, path)
         with pytest.raises(ModelFormatError):
-            Preprocessor.from_json_dict(bad)
+            load_preprocessor(path)
 
 
 def test_fitting_never_consults_test_rows():
@@ -408,7 +411,7 @@ def test_quality_report_json_serializable():
     instances = synth_generate(cfg, 2)
     matrix = flatten(instances, VARS)
     report = quality_report(instances, matrix)
-    text = jsonio.dumps(report.to_json_dict())
+    text = jsonio.dumps(to_json(report))
     assert '"overall_missing_pct"' in text
 
 
