@@ -10,6 +10,26 @@ with ties broken by lower feature index, then lower threshold. Growth stops
 on purity, depth, node size, or a best gain below ``min_impurity_decrease``.
 Routing sends ``value <= threshold`` left. The fitted tree is built of
 ``Leaf`` and ``Split`` nodes, which are also its ``dt.json`` payload.
+
+The search runs over presorted attribute lists (SLIQ: Mehta, Agrawal &
+Rissanen 1996). ``fit`` sorts each feature once, stably, into an int32 row
+order; a split marks its left rows in one boolean array over all rows and
+filters every order of the node by it. The node's row set is ascending, so
+each filtered order equals a stable argsort of the node's own rows, and the
+candidate thresholds and their class counts are those of a per-node sort.
+A node drops its orders once its children's are built, so only the open
+path's orders stay alive.
+
+Gains are bitwise those of summing the ``(m, C)`` squared-proportion matrix
+with ``np.sum(axis=1)``: numpy adds a row of fewer than 8 items left to
+right, so below 8 classes the squares are added one class column at a time,
+``(p0**2 + p1**2) + p2**2``, from integer ``cumsum`` counts; from 8 classes
+on numpy unrolls the row sum into partial sums, so there the matrix is built
+and summed by numpy. ``tests/oracles.py`` keeps the per-node search, and the
+tests compare the two fits node for node. On the x10 corpus (461,250
+training rows, 4 features, 1,256 leaves) the fit takes 2.9-3.2 s against
+8.2-8.8 s for the per-node search, and on the default corpus (46,125 rows)
+0.18 s against 0.42-0.54 s (2-CPU Xeon VM, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -103,65 +123,9 @@ class DecisionTree:
         X, y = validate_training_inputs(X, y, "decision tree fit")
         self.classes_ = np.unique(y)
         self.n_features_ = X.shape[1]
-        y_enc = np.searchsorted(self.classes_, y)
-        self.tree_ = self._build(X, y_enc, np.arange(X.shape[0]), depth=0)
+        self.tree_ = _Grower(self.params, X, np.searchsorted(self.classes_, y),
+                             len(self.classes_)).grow()
         return self
-
-    def _build(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-               depth: int) -> Leaf | Split:
-        counts = np.bincount(y[idx], minlength=len(self.classes_))
-        leaf = Leaf(tuple(counts.tolist()))
-        if (counts > 0).sum() <= 1:
-            return leaf
-        params = self.params
-        if params.max_depth is not None and depth >= params.max_depth:
-            return leaf
-        if len(idx) < params.min_samples_split:
-            return leaf
-
-        best = self._best_split(X, y, idx, counts)
-        if best is None or best[0] < params.min_impurity_decrease:
-            return leaf
-        _, feature, threshold = best
-
-        mask = X[idx, feature] <= threshold
-        return Split(feature, threshold, self._build(X, y, idx[mask], depth + 1),
-                     self._build(X, y, idx[~mask], depth + 1))
-
-    def _best_split(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                    counts: np.ndarray) -> tuple[float, int, float] | None:
-        n = len(idx)
-        n_classes = len(self.classes_)
-        parent_gini = _gini(counts)
-        best: tuple[float, int, float] | None = None
-
-        for feature in range(X.shape[1]):
-            col = X[idx, feature]
-            order = np.argsort(col, kind="stable")
-            xs = col[order]
-            boundaries = np.flatnonzero(xs[:-1] != xs[1:])
-            if boundaries.size == 0:
-                continue
-
-            one_hot = np.zeros((n, n_classes), dtype=np.float64)
-            one_hot[np.arange(n), y[idx][order]] = 1.0
-            cum = np.cumsum(one_hot, axis=0)
-
-            left_counts = cum[boundaries]
-            right_counts = counts[None, :] - left_counts
-            n_left = (boundaries + 1).astype(np.float64)
-            n_right = n - n_left
-            gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-            gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
-            gains = parent_gini - (n_left / n) * gini_left - (n_right / n) * gini_right
-
-            pos = int(np.argmax(gains))  # first max: lowest threshold wins ties
-            gain = float(gains[pos])
-            if best is None or gain > best[0]:  # strict: lowest feature wins ties
-                b = boundaries[pos]
-                threshold = (xs[b] + xs[b + 1]) / 2.0
-                best = (gain, feature, float(threshold))
-        return best
 
     # -- prediction --------------------------------------------------------
 
@@ -209,3 +173,110 @@ class DecisionTree:
         model.n_features_ = payload.n_features
         model.tree_ = payload.tree
         return model
+
+
+class _Grower:
+    """One fit's tree growth over presorted attribute lists.
+
+    A node holds one row order per feature: its rows sorted by that
+    feature's value, ties in ascending row order."""
+
+    def __init__(self, params: TreeConfig, X: np.ndarray, y: np.ndarray,
+                 n_classes: int):
+        self.params = params
+        self.columns = np.ascontiguousarray(X.T)
+        self.y = y
+        self.n_classes = n_classes
+        self.goes_left = np.zeros(len(y), dtype=bool)
+
+    def grow(self) -> Leaf | Split:
+        """The tree over every row; each feature is sorted once, here."""
+        orders = [np.argsort(col, kind="stable").astype(np.int32)
+                  for col in self.columns]
+        return self.build(orders, np.bincount(self.y, minlength=self.n_classes), 0)
+
+    def build(self, orders: list[np.ndarray], counts: np.ndarray,
+              depth: int) -> Leaf | Split:
+        params = self.params
+        best = None
+        if ((counts > 0).sum() > 1
+                and (params.max_depth is None or depth < params.max_depth)
+                and counts.sum() >= params.min_samples_split):
+            best = self._best_split(orders, counts)
+        if best is None or best[0] < params.min_impurity_decrease:
+            orders.clear()
+            return Leaf(tuple(counts.tolist()))
+        _, feature, threshold = best
+        left, right, left_counts = self._partition(orders, feature, threshold)
+        orders.clear()  # only the open path's orders stay alive
+        return Split(feature, threshold, self.build(left, left_counts, depth + 1),
+                     self.build(right, counts - left_counts, depth + 1))
+
+    def _partition(self, orders: list[np.ndarray], feature: int, threshold: float):
+        """Each order filtered to the rows routed left and to the rest, both
+        still ascending among ties, and the left rows' class counts."""
+        by_feature = orders[feature]
+        rows = by_feature[self.columns[feature][by_feature] <= threshold]
+        goes_left = self.goes_left
+        goes_left[rows] = True
+        left, right = [], []
+        for order in orders:
+            mask = goes_left[order]
+            left.append(order[mask])
+            right.append(order[~mask])
+        goes_left[rows] = False
+        return left, right, np.bincount(self.y[rows], minlength=self.n_classes)
+
+    def _best_split(self, orders: list[np.ndarray],
+                    counts: np.ndarray) -> tuple[float, int, float] | None:
+        n = int(counts.sum())
+        parent_gini = _gini(counts)
+        # Absent classes add exact zeros, so the class-by-class sum skips
+        # them; the matrix sum of 8 or more classes needs every column.
+        classes = [c for c in range(self.n_classes)
+                   if counts[c] or self.n_classes >= 8]
+        best: tuple[float, int, float] | None = None
+
+        for feature, order in enumerate(orders):
+            xs = self.columns[feature][order]
+            boundaries = np.flatnonzero(xs[:-1] != xs[1:])
+            if boundaries.size == 0:
+                continue
+
+            ys = self.y[order]
+            left = [np.cumsum(ys == c, dtype=np.int32)[boundaries] for c in classes]
+            n_left = (boundaries + 1).astype(np.float64)
+            n_right = n - n_left
+            gini_left = _gini_rows(left, n_left)
+            gini_right = _gini_rows([counts[c] - cum for c, cum in zip(classes, left)],
+                                    n_right)
+            gini_left *= n_left / n
+            gini_right *= n_right / n
+            gains = np.subtract(parent_gini, gini_left, out=gini_left)
+            gains -= gini_right
+
+            pos = int(np.argmax(gains))  # first max: lowest threshold wins ties
+            gain = float(gains[pos])
+            if best is None or gain > best[0]:  # strict: lowest feature wins ties
+                b = boundaries[pos]
+                threshold = (xs[b] + xs[b + 1]) / 2.0
+                best = (gain, feature, float(threshold))
+        return best
+
+
+def _gini_rows(class_counts: list[np.ndarray], n: np.ndarray) -> np.ndarray:
+    """``1 - sum_c (count_c / n)**2`` per candidate, bit for bit as
+    ``np.sum(..., axis=1)`` over the ``(m, C)`` proportion matrix.
+
+    numpy adds a row of fewer than 8 items left to right, so the squares
+    are added one class column at a time, in class order.  From 8 items on
+    numpy unrolls the row sum into partial sums, an order a column loop
+    would not reproduce, so there numpy sums the matrix itself."""
+    if len(class_counts) >= 8:
+        total = np.sum((np.stack(class_counts, axis=1) / n[:, None]) ** 2, axis=1)
+    else:
+        squares = ((counts / n) ** 2 for counts in class_counts)
+        total = next(squares)
+        for square in squares:
+            total += square
+    return np.subtract(1.0, total, out=total)

@@ -2,18 +2,20 @@
 
 A value is read off its dataclass's fields and type hints, so each key is
 written once, on the dataclass. Unknown keys are rejected at every nesting
-level and a field without a default must be present. A JSON number is
-accepted for a ``float``; an ``int``, ``str`` or ``bool`` needs exactly that
-JSON type; a list reads as a tuple (a list of numbers, or of number lists,
-in one pass), an object as a mapping (class names as keys read via
-``ClassLabel.from_name``) or a dataclass, and for a union of dataclasses as
-the member whose field names are its keys; ``null`` only where the hint
-allows ``None``. Any bad value, or ``TypeError``/``ValueError`` from a
-dataclass's own checks, is a ``ConfigError`` naming its key path as written.
+level and a field without a default must be present. A finite JSON number
+is accepted for a ``float`` (``NaN`` and ``Infinity`` are not); an ``int``,
+``str`` or ``bool`` needs exactly that JSON type; a list reads as a tuple (a
+list of numbers, or of number lists, in one pass), an object as a mapping
+(class names as keys read via ``ClassLabel.from_name``) or a dataclass, and
+for a union of dataclasses as the member whose field names are its keys;
+``null`` only where the hint allows ``None``. Any bad value, or
+``TypeError``/``ValueError`` from a dataclass's own checks, is a
+``ConfigError`` naming its key path as written.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
 from itertools import chain
@@ -77,9 +79,13 @@ def from_json(hint: Any, value: Any, path: str) -> Any:
                 for k, v in value.items()}
     if hint is float and type(value) in (int, float):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:  # an integer literal beyond float range
             pass
+        else:
+            if math.isfinite(number):
+                return number
+            raise _error(path, f"expected a finite number, got {value!r}")
     if hint in (int, str, bool) and type(value) is hint:
         return value
     raise _error(path, f"expected {_JSON_NAMES[origin or hint]}, got {value!r}")
@@ -88,7 +94,10 @@ def from_json(hint: Any, value: Any, path: str) -> Any:
 def _numbers(args: tuple, value: list) -> tuple | None:
     """``value`` as ``tuple[N, ...]`` or ``tuple[tuple[N, ...], ...]`` for N
     ``float`` or ``int``, checked in one pass; None where that does not
-    apply or an item is bad, which the item-by-item path then names."""
+    apply or an item is bad, which the item-by-item path then names.  A sum
+    of floats is finite only if every float is, so one ``sum`` checks that
+    no item is ``NaN`` or infinite; finite items whose sum overflows take
+    the item-by-item path too."""
     inner = get_args(args[0])
     rows = inner[-1:] == (Ellipsis,)
     kind = inner[0] if rows else args[0]
@@ -98,10 +107,13 @@ def _numbers(args: tuple, value: list) -> tuple | None:
     if {type(v) for v in (chain.from_iterable(value) if rows else value)} \
             <= _NUMBER_TYPES[kind]:
         try:
-            return tuple(tuple(map(kind, r)) for r in value) if rows \
+            numbers = tuple(tuple(map(kind, r)) for r in value) if rows \
                 else tuple(map(kind, value))
         except OverflowError:
-            pass
+            return None
+        if kind is int or math.isfinite(sum(map(sum, numbers)) if rows
+                                        else sum(numbers)):
+            return numbers
     return None
 
 

@@ -1,12 +1,18 @@
 """Independent brute-force oracles shared by the test modules.
 
-Everything here uses exact rational arithmetic (fractions.Fraction) and
-plain enumeration, deliberately avoiding the library's integer-numerator
-formulation so the two routes stay independent.
+The exact-test oracles use exact rational arithmetic (fractions.Fraction)
+and plain enumeration, deliberately avoiding the library's integer-numerator
+formulation so the two routes stay independent.  ``reference_tree`` is the
+straightforward per-node CART search that the library's presorted one must
+reproduce node for node.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
+
+from hydet.classifiers.tree import Leaf, Split
 
 
 def ks_d(a, b):
@@ -67,3 +73,76 @@ def mwu_exact_p(a, b):
         if abs(u_star - mu) >= obs:
             hits += 1
     return Fraction(hits, total)
+
+
+def reference_tree(X, y, max_depth=16, min_samples_split=2,
+                   min_impurity_decrease=0.0):
+    """The per-node CART builder the presorted ``DecisionTree.fit`` replaced:
+    every node re-sorts each feature with a stable argsort and reduces a
+    float one-hot ``cumsum`` row by row.  Returns the ``Leaf``/``Split``
+    tree, so the two fits compare with ``==``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    classes = np.unique(y)
+    n_classes = len(classes)
+
+    def gini(counts):
+        n = counts.sum()
+        if n == 0:
+            return 0.0
+        p = counts / n
+        return float(1.0 - np.sum(p * p))
+
+    def best_split(y, idx, counts):
+        n = len(idx)
+        parent_gini = gini(counts)
+        best = None
+
+        for feature in range(X.shape[1]):
+            col = X[idx, feature]
+            order = np.argsort(col, kind="stable")
+            xs = col[order]
+            boundaries = np.flatnonzero(xs[:-1] != xs[1:])
+            if boundaries.size == 0:
+                continue
+
+            one_hot = np.zeros((n, n_classes), dtype=np.float64)
+            one_hot[np.arange(n), y[idx][order]] = 1.0
+            cum = np.cumsum(one_hot, axis=0)
+
+            left_counts = cum[boundaries]
+            right_counts = counts[None, :] - left_counts
+            n_left = (boundaries + 1).astype(np.float64)
+            n_right = n - n_left
+            gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
+            gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
+            gains = parent_gini - (n_left / n) * gini_left - (n_right / n) * gini_right
+
+            pos = int(np.argmax(gains))  # first max: lowest threshold wins ties
+            gain = float(gains[pos])
+            if best is None or gain > best[0]:  # strict: lowest feature wins ties
+                b = boundaries[pos]
+                threshold = (xs[b] + xs[b + 1]) / 2.0
+                best = (gain, feature, float(threshold))
+        return best
+
+    def build(y, idx, depth):
+        counts = np.bincount(y[idx], minlength=n_classes)
+        leaf = Leaf(tuple(counts.tolist()))
+        if (counts > 0).sum() <= 1:
+            return leaf
+        if max_depth is not None and depth >= max_depth:
+            return leaf
+        if len(idx) < min_samples_split:
+            return leaf
+
+        best = best_split(y, idx, counts)
+        if best is None or best[0] < min_impurity_decrease:
+            return leaf
+        _, feature, threshold = best
+
+        mask = X[idx, feature] <= threshold
+        return Split(feature, threshold, build(y, idx[mask], depth + 1),
+                     build(y, idx[~mask], depth + 1))
+
+    return build(np.searchsorted(classes, y), np.arange(X.shape[0]), 0)

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, GaussianNb,
                                KnnClassifier, KnnConfig, NbConfig, TreeConfig,
                                load_model, payload, save_model, train_all)
+from hydet.classifiers.tree import _gini_rows
 from hydet.codec import to_json
 from hydet.config import RunConfig
 from hydet.dataset import default_config, flatten, split, synth_generate
@@ -16,6 +17,7 @@ from hydet.dataset.model import CANONICAL_VARIABLE_NAMES, SplitSpec
 from hydet.errors import (EmptyDataError, MissingCellsError, ModelFormatError,
                           NonFiniteError, WidthMismatchError)
 from hydet.quality import Preprocessor
+from oracles import reference_tree
 
 
 def tree_replay(node, row):
@@ -145,6 +147,63 @@ def test_tree_input_validation():
     model = DecisionTree().fit(np.array([[0.0], [1.0]]), np.array([0, 1]))
     with pytest.raises(WidthMismatchError):
         model.predict(np.array([[0.0, 1.0]]))
+
+
+_TIES = st.sampled_from([-1.5, -1.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_tree_equals_per_node_reference_fit(data):
+    # the presorted fit against the per-node stable-sort search it
+    # replaced: every split feature, threshold and leaf count equal
+    width = data.draw(st.integers(1, 4))
+    pool = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30)), width),
+                            elements=st.one_of(_TIES, st.floats(-1e3, 1e3, width=32))))
+    n = data.draw(st.integers(1, 150))
+    # rows drawn from a small pool repeat: duplicate rows and tied values
+    X = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+    for j in range(width):
+        shape = data.draw(st.sampled_from(["as drawn", "constant", "copy of 0"]))
+        if shape == "constant":
+            X[:, j] = X[0, j]
+        elif shape == "copy of 0":  # equal values across features
+            X[:, j] = X[:, 0]
+    n_classes = data.draw(st.sampled_from([2, 3, 5, 8, 9]))
+    codes = sorted(data.draw(st.sets(st.integers(-20, 60), min_size=n_classes,
+                                     max_size=n_classes)))  # not 0..C-1
+    y = np.array(data.draw(st.lists(st.sampled_from(codes), min_size=n, max_size=n)))
+    params = {"max_depth": data.draw(st.sampled_from([0, 1, 2, 4, None])),
+              "min_samples_split": data.draw(st.integers(2, 12)),
+              "min_impurity_decrease": data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3]))}
+    model = DecisionTree(**params).fit(X, y)
+    assert model.tree_ == reference_tree(X, y, **params)
+
+
+@pytest.mark.parametrize("n_classes", range(2, 11))
+def test_tree_gini_rows_add_as_numpy_row_sum(n_classes):
+    # the split search adds squared class proportions one class at a time
+    # below 8 classes; every bit must equal numpy's row sum of the
+    # (m, C) matrix, whose order changes at 8
+    rng = np.random.default_rng(n_classes)
+    counts = rng.integers(0, 1000, size=(20_000, n_classes))
+    counts[::7, rng.integers(n_classes)] = 0
+    n = counts.sum(axis=1).astype(np.float64) + (counts.sum(axis=1) == 0)
+    expected = 1.0 - np.sum((counts.astype(np.float64) / n[:, None]) ** 2, axis=1)
+    got = _gini_rows([counts[:, c] for c in range(n_classes)], n)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_tree_equals_reference_fit_on_dirty_corpus():
+    cfg = default_config(n_normal=60, n_rapid_loss=34, n_hydrate=8, length=40,
+                         missing_fraction=0.05, frozen_fraction=0.1,
+                         outlier_fractions={"P-TPT": 0.05})
+    matrix = flatten(synth_generate(cfg, 7), CANONICAL_VARIABLE_NAMES)
+    train, _ = split(matrix, SplitSpec())
+    train = Preprocessor.fit(train).transform(train)
+    model = DecisionTree(max_depth=None).fit(train.values, train.labels)
+    assert model.n_leaves() > 10
+    assert model.tree_ == reference_tree(train.values, train.labels, max_depth=None)
 
 
 # ---------------------------------------------------------------------------

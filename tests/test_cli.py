@@ -519,6 +519,18 @@ def _corpus_with_inf_cell(tmp_path):
                                      "classes: [9] are not the distinct labels"),
     lambda tmp: _trained_then_edited(tmp, "knn.json", _set("bogus", value=1),
                                      "unknown keys ['bogus']"),
+    lambda tmp: _trained_then_edited(
+        tmp, "nb.json", _set("means", 1, 2, value=float("nan")),
+        "means[1][2]: expected a finite number, got nan"),
+    lambda tmp: _trained_then_edited(
+        tmp, "dt.json", _set("tree", "threshold", value=float("nan")),
+        "tree.threshold: expected a finite number, got nan"),
+    lambda tmp: _trained_then_edited(
+        tmp, "knn.json", _set("train", 0, 1, value=float("inf")),
+        "train[0][1]: expected a finite number, got inf"),
+    lambda tmp: _trained_then_edited(
+        tmp, "preprocess.json", _set("normalizer", "center", 0, value=float("nan")),
+        "normalizer.center[0]: expected a finite number, got nan"),
 ], ids=["preprocess-without-fences", "model-without-params", "from-f1-list",
         "from-f1-non-numeric", "from-f1-empty-list", "from-f1-nan-score",
         "from-f1-boolean", "from-f1-truncated", "knn-model-truncated",
@@ -532,7 +544,8 @@ def _corpus_with_inf_cell(tmp_path):
         "dt-feature-out-of-range", "dt-feature-float", "dt-threshold-string",
         "dt-leaf-short-counts", "nb-priors-short", "nb-variance-string",
         "nb-class-float", "nb-variance-negative", "knn-classes-not-labels",
-        "knn-unknown-key"])
+        "knn-unknown-key", "nb-means-nan", "dt-threshold-nan", "knn-x-infinity",
+        "preprocess-center-nan"])
 def test_malformed_input_file_is_data_error_naming_it(tmp_path, capsys, make_case):
     bad, argv, *more_texts = make_case(tmp_path)
     capsys.readouterr()
@@ -569,10 +582,13 @@ def _regime_without_start(config):
     (lambda c: c.update(seed=4.7), "config.seed"),
     (lambda c: c.update(variables="P-TPT"), "config.variables"),
     (lambda c: c.update(stats={"alpha": 10**400}), "config.stats.alpha"),
+    (lambda c: c.update(classifiers={"tree": {"min_impurity_decrease": float("nan")}}),
+     "config.classifiers.tree.min_impurity_decrease: expected a finite number"),
 ], ids=["split-not-object", "channel-without-start", "test-fraction-1.5",
         "knn-k-0", "tree-max-depth-negative", "nb-eps-rel-0", "length-string",
         "unknown-class-name", "stratified-string", "seed-string", "seed-float",
-        "variables-string", "alpha-beyond-float-range"])
+        "variables-string", "alpha-beyond-float-range",
+        "tree-min-impurity-decrease-nan"])
 def test_bad_config_value_is_usage_error_naming_its_key(tmp_path, capsys, edit,
                                                          key_path):
     path, _ = small_synth_config(tmp_path)
