@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from ..codec import from_json, to_json
-from ..errors import ConfigError, HydetError, ModelFormatError
+from ..codec import from_file, to_json
+from ..errors import HydetError, ModelFormatError
 from .. import jsonio
 from ..dataset.model import FeatureMatrix
 from .knn import KnnClassifier, KnnConfig
@@ -82,15 +82,15 @@ def load_model(path: str | Path):
     if cls is None:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
     try:
-        params = from_json(cls.Config, data.get("params"), "params")
+        params = from_file(cls.Config, data.get("params"), path, "params")
         missing = [f"params.{k}" for k in asdict(params) if k not in data["params"]]
         if missing:  # save_model writes them all; a default could change the fit
-            raise ConfigError(f"missing keys {missing}")
-        fitted = from_json(cls.Payload,
-                           {k: v for k, v in data.items() if k not in _HEADER}, "")
+            raise ModelFormatError(f"{path}: missing keys {missing}")
+        fitted = from_file(cls.Payload,
+                           {k: v for k, v in data.items() if k not in _HEADER}, path)
         return cls.from_payload(params, fitted)
-    except ConfigError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+    except ModelFormatError:
+        raise
     except (KeyError, TypeError, ValueError, HydetError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model: {exc!r}") from None
 

@@ -1,8 +1,10 @@
 """CART decision tree with Gini impurity, exact tie-breaks, no pruning.
 
 Split search: candidate thresholds are midpoints between consecutive
-distinct sorted feature values; the chosen split maximizes the impurity
-decrease
+distinct sorted feature values, or the lower value where the midpoint rounds
+up to the upper one (``1+2**-52`` and ``1+2**-51``) or overflows to an
+infinity (scikit-learn's rule), so that a split always separates them; the
+chosen split maximizes the impurity decrease
 
     gain = gini(node) - (n_left/n) * gini(left) - (n_right/n) * gini(right)
 
@@ -34,6 +36,7 @@ training rows, 4 features, 1,256 leaves) the fit takes 2.9-3.2 s against
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -259,8 +262,9 @@ class _Grower:
             gain = float(gains[pos])
             if best is None or gain > best[0]:  # strict: lowest feature wins ties
                 b = boundaries[pos]
-                threshold = (xs[b] + xs[b + 1]) / 2.0
-                best = (gain, feature, float(threshold))
+                lo, hi = float(xs[b]), float(xs[b + 1])
+                mid = (lo + hi) / 2.0  # in Python floats an overflow does not warn
+                best = (gain, feature, mid if math.isfinite(mid) and mid < hi else lo)
         return best
 
 

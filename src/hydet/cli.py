@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 from . import jsonio
 from .classifiers import MODELS, load_model, save_model, train_all
-from .codec import to_json
+from .codec import from_file, to_json
 from .config import RunConfig
 from .dataset import (CLASS_DIRS, ClassLabel, build_manifest, default_config,
                       flatten, load_instances, split, synth_generate,
@@ -115,7 +116,7 @@ def _load_corpus(config: RunConfig) -> list[TimeSeriesInstance]:
     if config.data_root is not None:
         manifest = build_manifest(config.data_root)
         instances = load_instances(config.data_root, manifest) \
-            if manifest.entries else []
+            if manifest.instances else []
     else:
         instances = synth_generate(config.synth or default_config(), config.seed)
     if not instances:
@@ -177,7 +178,7 @@ def cmd_synth(config: RunConfig, args) -> int:
         stem = inst.instance_id.split("/")[-1]
         write_instance_csv(inst, out / dir_of[inst.label] / f"{stem}.csv")
     manifest = build_manifest(out)
-    jsonio.dump(manifest.to_json_dict(), out / "manifest.json")
+    jsonio.dump(to_json(manifest), out / "manifest.json")
     print(f"wrote {len(instances)} instances under {out}")
     return EXIT_OK
 
@@ -208,16 +209,16 @@ def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatr
     reports = {name: evaluate(model, test_ready, model.display_name)
                for name, model in models.items()}
     for name, report in reports.items():
-        jsonio.dump(report.to_json_dict(), out / f"eval_{name}.json")
+        jsonio.dump(to_json(report), out / f"eval_{name}.json")
         (out / f"eval_{name}_confusion.csv").write_text(
-            report.matrix.to_csv(), encoding="utf-8", newline="\n")
+            report.confusion_csv(), encoding="utf-8", newline="\n")
     classes = tuple(ClassLabel)
     head = "model".ljust(14) + "accuracy".rjust(10)
     for c in classes:
         head += f"F1({c.display_name})".rjust(10 + len(c.display_name))
     print(head)
     for report in reports.values():
-        line = report.model_name.ljust(14) + f"{report.accuracy:10.4f}"
+        line = report.model.ljust(14) + f"{report.accuracy:10.4f}"
         for c in classes:
             line += f"{report.per_class[c].f1:{10 + len(c.display_name)}.2f}"
         print(line)
@@ -257,33 +258,17 @@ def _comparison_outputs(table, out: Path) -> None:
     _print_comparison(table)
 
 
-def _score_list(path: str, model, scores) -> list[float]:
-    if not (isinstance(scores, list) and all(type(x) in (int, float) for x in scores)):
-        raise HydetError(f"{path}: model {model!r}: expected a list of numbers, "
-                         f"got {scores!r}")
-    return [float(x) for x in scores]
-
-
 def cmd_compare(config: RunConfig, args) -> int:
     out = Path(config.out_dir)
     _echo_config(config, out)
     if args.from_f1:
         paths = [args.from_f1]
-        raw = jsonio.load(args.from_f1)
-        if not isinstance(raw, dict):
-            raise HydetError(f"{args.from_f1}: expected an object of model -> F1 list")
-        f1_vectors = {k: _score_list(args.from_f1, k, v) for k, v in raw.items()}
+        f1_vectors = from_file(Mapping[str, tuple[float, ...]],
+                               jsonio.load(args.from_f1), args.from_f1)
     else:
         paths = args.eval_reports or sorted(str(p) for p in out.glob("eval_*.json"))
-        f1_vectors = {}
-        for path in paths:
-            data = jsonio.load(path)
-            try:
-                per_class = data["per_class"]
-                f1_vectors[data["model"]] = _score_list(
-                    path, data["model"], [per_class[c]["f1"] for c in data["classes"]])
-            except (KeyError, TypeError) as exc:
-                raise HydetError(f"{path}: unexpected input shape: {exc!r}") from None
+        f1_vectors = {r.model: r.f1_vector() for r in
+                      (from_file(EvalReport, jsonio.load(p), p) for p in paths)}
     if len(f1_vectors) < 2:
         raise _UsageError(f"comparison needs at least 2 models, got {len(f1_vectors)}")
     try:
@@ -316,8 +301,7 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         reports = _evaluate_and_write(config, models, test_ready, out)
         stage = "compare"
         if len(reports) >= 2:
-            f1_vectors = {r.model_name: list(r.f1_vector())
-                          for r in reports.values()}
+            f1_vectors = {r.model: r.f1_vector() for r in reports.values()}
             _comparison_outputs(compare_models(f1_vectors, config.stats), out)
         else:
             print("comparison skipped: needs at least 2 models")

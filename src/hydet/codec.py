@@ -6,11 +6,13 @@ level and a field without a default must be present. A finite JSON number
 is accepted for a ``float`` (``NaN`` and ``Infinity`` are not); an ``int``,
 ``str`` or ``bool`` needs exactly that JSON type; a list reads as a tuple (a
 list of numbers, or of number lists, in one pass), an object as a mapping
-(class names as keys read via ``ClassLabel.from_name``) or a dataclass, and
-for a union of dataclasses as the member whose field names are its keys;
-``null`` only where the hint allows ``None``. Any bad value, or
+or a dataclass, and for a union of dataclasses as the member whose field
+names are its keys; ``null`` only where the hint allows ``None``. A
+``ClassLabel``, as a mapping key or as a value, is written as its display
+name and read via ``ClassLabel.from_name``. Any bad value, or
 ``TypeError``/``ValueError`` from a dataclass's own checks, is a
-``ConfigError`` naming its key path as written.
+``ConfigError`` naming its key path as written; ``from_file`` reports it as
+a ``ModelFormatError`` that names the file too.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from types import NoneType, UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .dataset.model import ClassLabel
-from .errors import ConfigError
+from .errors import ConfigError, ModelFormatError
 
 _JSON_NAMES = {tuple: "a list", Mapping: "an object", float: "a number",
                int: "an integer", str: "a string", bool: "true or false"}
@@ -35,9 +37,10 @@ def to_json(value: Any) -> Any:
     arrays and scalars write through ``.tolist()``."""
     if is_dataclass(value):
         return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, ClassLabel):
+        return value.display_name
     if isinstance(value, Mapping):
-        return {k.display_name if isinstance(k, ClassLabel) else k: to_json(v)
-                for k, v in value.items()}
+        return {to_json(k): to_json(v) for k, v in value.items()}
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
     return value.tolist() if hasattr(value, "tolist") else value
@@ -88,7 +91,18 @@ def from_json(hint: Any, value: Any, path: str) -> Any:
             raise _error(path, f"expected a finite number, got {value!r}")
     if hint in (int, str, bool) and type(value) is hint:
         return value
+    if hint is ClassLabel:
+        return _key(hint, value, path)
     raise _error(path, f"expected {_JSON_NAMES[origin or hint]}, got {value!r}")
+
+
+def from_file(hint: Any, value: Any, file: Any, path: str = "") -> Any:
+    """``from_json`` of the JSON ``value`` read from ``file``: a bad value is
+    a data error, ``ModelFormatError`` "<file>: <key path>: <message>"."""
+    try:
+        return from_json(hint, value, path)
+    except ConfigError as exc:
+        raise ModelFormatError(f"{file}: {exc}") from None
 
 
 def _numbers(args: tuple, value: list) -> tuple | None:

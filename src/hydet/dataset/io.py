@@ -216,22 +216,19 @@ def build_manifest(root: str | Path) -> DatasetManifest:
 
     entries: list[ManifestEntry] = []
     counts = {label: 0 for label in ClassLabel}
-    skipped: list[str] = []
 
     for sub in sorted(p for p in root.iterdir() if p.is_dir()):
         label = CLASS_DIRS.get(sub.name)
         if label is None:
-            skipped.append(sub.name)
             logger.warning("skipping unknown class directory %s", sub)
             continue
         for path in sorted(sub.glob("*.csv")):
             rel = path.relative_to(root).as_posix()
             entries.append(ManifestEntry(
-                instance_id=f"{sub.name}/{path.stem}", path=rel, label=label))
+                id=f"{sub.name}/{path.stem}", path=rel, label=label))
             counts[label] += 1
 
-    return DatasetManifest(entries=tuple(entries), class_counts=counts,
-                           skipped_dirs=tuple(skipped))
+    return DatasetManifest(instances=tuple(entries), class_counts=counts)
 
 
 def load_instances(root: str | Path, manifest: DatasetManifest,
@@ -240,6 +237,6 @@ def load_instances(root: str | Path, manifest: DatasetManifest,
     """Load every instance listed in a manifest, labeled by its directory."""
     root = Path(root)
     return [
-        load_instance_csv(root / e.path, e.instance_id, e.label, label_map)
-        for e in manifest.entries
+        load_instance_csv(root / e.path, e.id, e.label, label_map)
+        for e in manifest.instances
     ]

@@ -110,37 +110,29 @@ class TimeSeriesInstance:
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    instance_id: str
+    id: str
     path: str
     label: ClassLabel
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Directory inventory: one entry per instance file plus class counts."""
+    """Directory inventory, one entry per instance file: ``manifest.json``."""
 
-    entries: tuple[ManifestEntry, ...]
+    instances: tuple[ManifestEntry, ...]
     class_counts: Mapping[ClassLabel, int]
-    skipped_dirs: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if sum(self.class_counts.values()) != len(self.entries):
+        if sum(self.class_counts.values()) != len(self.instances):
             raise ValueError("class_counts does not sum to the entry count")
-        paths = [e.path for e in self.entries]
+        paths = [e.path for e in self.instances]
         if len(set(paths)) != len(paths):
             raise ValueError("manifest contains duplicate paths")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "instances": [
-                {"id": e.instance_id, "path": e.path, "label": e.label.display_name}
-                for e in self.entries
-            ],
-            "class_counts": {
-                label.display_name: int(self.class_counts.get(label, 0))
-                for label in ClassLabel
-            },
-        }
+    @property
+    def entries(self) -> tuple[ManifestEntry, ...]:
+        """``instances`` under its former name, which ``bench/tracer.py`` reads."""
+        return self.instances
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ class NonFiniteError(HydetError):
 
 
 class ModelFormatError(HydetError):
-    """Serialized model file has an unknown version or kind, or malformed fields."""
+    """A JSON input file has an unknown version or kind, or malformed fields."""
 
 
 class ConfigError(HydetError):

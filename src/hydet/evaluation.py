@@ -1,7 +1,8 @@
 """Confusion matrices, accuracy and per-class precision/recall/F1.
 
 Zero-denominator precision/recall/F1 are 0 by convention. Reports carry
-full-precision values; any rounding is display-only.
+full-precision values; any rounding is display-only. The ``codec`` writes
+an ``EvalReport`` as ``eval_<model>.json`` and reads it back for ``compare``.
 """
 
 from __future__ import annotations
@@ -36,13 +37,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def to_csv(self) -> str:
-        names = [c.display_name for c in self.classes]
-        lines = ["true\\predicted," + ",".join(names)]
-        for i, name in enumerate(names):
-            lines.append(name + "," + ",".join(str(int(v)) for v in self.counts[i]))
-        return "\n".join(lines) + "\n"
 
 
 def confusion(true_labels: Sequence[int], predicted_labels: Sequence[int],
@@ -98,35 +92,46 @@ def f1_per_class(matrix: ConfusionMatrix) -> dict[ClassLabel, ClassMetrics]:
 
 @dataclass(frozen=True)
 class EvalReport:
-    model_name: str
-    matrix: ConfusionMatrix
+    """``eval_<model>.json``: ``matrix[i][j]`` counts rows of true class
+    ``classes[i]`` predicted as ``classes[j]``."""
+
+    model: str
+    classes: tuple[ClassLabel, ...]
+    matrix: tuple[tuple[int, ...], ...]
     accuracy: float
     per_class: Mapping[ClassLabel, ClassMetrics]
     macro_f1: float
 
+    def __post_init__(self):
+        n = len(self.classes)
+        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+            raise ValueError(f"matrix: expected {n} rows of {n} counts")
+        if sorted(self.per_class) != sorted(self.classes):
+            raise ValueError(f"per_class: keys {_names(self.per_class)} do not "
+                             f"match classes {_names(self.classes)}")
+
     def f1_vector(self) -> tuple[float, ...]:
         """Per-class F1 in class order; the sample the statistical tests use."""
-        return tuple(self.per_class[c].f1 for c in self.matrix.classes)
+        return tuple(self.per_class[c].f1 for c in self.classes)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "classes": [c.display_name for c in self.matrix.classes],
-            "matrix": [[int(v) for v in row] for row in self.matrix.counts],
-            "accuracy": self.accuracy,
-            "per_class": {
-                c.display_name: {"precision": m.precision, "recall": m.recall,
-                                 "f1": m.f1}
-                for c, m in self.per_class.items()
-            },
-            "macro_f1": self.macro_f1,
-        }
+    def confusion_csv(self) -> str:
+        """``eval_<model>_confusion.csv``: true classes down, predicted across."""
+        names = _names(self.classes)
+        lines = ["true\\predicted," + ",".join(names)]
+        for name, row in zip(names, self.matrix):
+            lines.append(name + "," + ",".join(map(str, row)))
+        return "\n".join(lines) + "\n"
+
+
+def _names(classes) -> list[str]:
+    return [c.display_name for c in classes]
 
 
 def report_from_confusion(matrix: ConfusionMatrix, model_name: str) -> EvalReport:
     per_class = f1_per_class(matrix)
     macro = float(np.mean([m.f1 for m in per_class.values()]))
-    return EvalReport(model_name=model_name, matrix=matrix,
+    return EvalReport(model=model_name, classes=matrix.classes,
+                      matrix=tuple(map(tuple, matrix.counts.tolist())),
                       accuracy=accuracy(matrix), per_class=per_class,
                       macro_f1=macro)
 

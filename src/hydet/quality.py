@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jsonio
-from .codec import from_json, to_json
+from .codec import from_file, to_json
 from .errors import (AllMissingColumnError, ConfigError, EmptyDataError,
                      MissingCellsError, ModelFormatError, NonFiniteError,
                      WidthMismatchError)
@@ -334,11 +334,8 @@ def load_preprocessor(path: str | Path) -> Preprocessor:
     if not isinstance(data, dict) or any(data.get(k) != v
                                          for k, v in _PREPROCESS_HEADER.items()):
         raise ModelFormatError(f"{path}: unsupported preprocess model file")
-    try:
-        return from_json(Preprocessor, {k: v for k, v in data.items()
-                                        if k not in _PREPROCESS_HEADER}, "")
-    except ConfigError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+    return from_file(Preprocessor, {k: v for k, v in data.items()
+                                    if k not in _PREPROCESS_HEADER}, path)
 
 
 # ---------------------------------------------------------------------------

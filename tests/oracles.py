@@ -7,6 +7,7 @@ straightforward per-node CART search that the library's presorted one must
 reproduce node for node.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -79,8 +80,10 @@ def reference_tree(X, y, max_depth=16, min_samples_split=2,
                    min_impurity_decrease=0.0):
     """The per-node CART builder the presorted ``DecisionTree.fit`` replaced:
     every node re-sorts each feature with a stable argsort and reduces a
-    float one-hot ``cumsum`` row by row.  Returns the ``Leaf``/``Split``
-    tree, so the two fits compare with ``==``."""
+    float one-hot ``cumsum`` row by row.  A threshold is the midpoint of two
+    adjacent values, or the lower value where the midpoint is not below the
+    upper one or not finite.  Returns the ``Leaf``/``Split`` tree, so the two
+    fits compare with ``==``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     classes = np.unique(y)
@@ -122,8 +125,11 @@ def reference_tree(X, y, max_depth=16, min_samples_split=2,
             gain = float(gains[pos])
             if best is None or gain > best[0]:  # strict: lowest feature wins ties
                 b = boundaries[pos]
-                threshold = (xs[b] + xs[b + 1]) / 2.0
-                best = (gain, feature, float(threshold))
+                lo, hi = float(xs[b]), float(xs[b + 1])
+                threshold = (lo + hi) / 2.0
+                if not (math.isfinite(threshold) and threshold < hi):
+                    threshold = lo  # the midpoint rounded up to hi or overflowed
+                best = (gain, feature, threshold)
         return best
 
     def build(y, idx, depth):

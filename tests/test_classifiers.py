@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ def test_tree_equals_reference_fit_on_dirty_corpus():
     model = DecisionTree(max_depth=None).fit(train.values, train.labels)
     assert model.n_leaves() > 10
     assert model.tree_ == reference_tree(train.values, train.labels, max_depth=None)
+
+
+@pytest.mark.parametrize("max_depth", [16, None])
+@pytest.mark.parametrize("pair", [(1 + 2**-52, 1 + 2**-51), (1.7e308, 1.79e308),
+                                  (-1.79e308, -1.7e308)],
+                         ids=["midpoint-rounds-up", "sum-overflows", "sum-overflows-below"])
+def test_tree_threshold_separates_adjacent_values(pair, max_depth):
+    # the midpoint of these two values is the upper one or an infinity, a
+    # split that sends both rows one way; the lower value separates them
+    X, y = np.array(pair)[:, None], np.array([0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = DecisionTree(max_depth=max_depth).fit(X, y)
+    assert (model.depth(), model.tree_.threshold) == (1, pair[0])
+    assert model.predict(X).tolist() == [0, 1]
+    assert model.tree_ == reference_tree(X, y, max_depth=max_depth)
 
 
 # ---------------------------------------------------------------------------

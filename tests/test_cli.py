@@ -11,13 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydet import jsonio
-from hydet.classifiers import ClassifiersConfig, KnnConfig, NbConfig, TreeConfig
+from hydet.classifiers import (ClassifiersConfig, KnnConfig, NbConfig, TreeConfig,
+                               load_model, save_model)
 from hydet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from hydet.config import RunConfig, to_json
+from hydet.config import RunConfig, from_json, to_json
 from hydet.dataset import CANONICAL_VARIABLE_NAMES, ClassLabel, SplitSpec
+from hydet.dataset.model import DatasetManifest
 from hydet.dataset.synth import ChannelModel, SynthConfig, default_config
 from hydet.errors import ConfigError
-from hydet.quality import PreprocessConfig
+from hydet.evaluation import EvalReport
+from hydet.quality import (PreprocessConfig, QualityReport, load_preprocessor,
+                           save_preprocessor)
 from hydet.stats import TestConfig
 
 
@@ -292,6 +296,46 @@ def test_saved_payloads_keep_their_recorded_bytes(tmp_path, dirt, sha256):
             for rel in _PAYLOADS] == sha256
 
 
+def test_every_json_output_reads_back_to_its_bytes(tmp_path):
+    # each JSON file that synth and pipeline write is read back through its
+    # codec type and rendered again byte for byte; comparison.json, a
+    # flattened view of two result types that nothing reads, is the one
+    # exclusion
+    config_path, corpus = small_synth_config(tmp_path, out_name="corpus")
+    assert main(["synth", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["pipeline", "--data", str(corpus), "--out", str(out)]) == EXIT_OK
+    copy = tmp_path / "copy.json"
+
+    def decoded(hint):
+        return lambda path: jsonio.dumps(to_json(from_json(hint, jsonio.load(path), "")))
+
+    def saved(load, save):
+        def render(path):
+            save(load(path), copy)
+            return copy.read_text(encoding="utf-8")
+        return render
+
+    readers = {
+        "config.json": lambda path: jsonio.dumps(
+            RunConfig.from_json_dict(jsonio.load(path)).to_json_dict()),
+        "manifest.json": decoded(DatasetManifest),
+        "quality_report.json": decoded(QualityReport),
+        "eval_*.json": decoded(EvalReport),
+        "models/preprocess.json": saved(load_preprocessor, save_preprocessor),
+        "models/[!p]*.json": saved(load_model, save_model),
+    }
+    checked = set()
+    for root in (corpus, out):
+        for pattern, render in readers.items():
+            for path in root.glob(pattern):
+                assert render(path) == path.read_text(encoding="utf-8"), path
+                checked.add(path)
+    assert len(checked) == 11
+    written = {*corpus.rglob("*.json"), *out.rglob("*.json")}
+    assert written - checked == {out / "comparison.json"}
+
+
 def test_eval_without_models_is_data_error(tmp_path):
     config_path, _ = small_synth_config(tmp_path, out_name="fresh")
     assert main(["eval", "--config", str(config_path)]) == EXIT_DATA
@@ -407,11 +451,10 @@ def _f1_list(tmp_path):
     return bad, ["compare", "--from-f1", str(bad), "--out", str(tmp_path / "c")]
 
 
-def _f1_file(tmp_path, scores, model):
+def _f1_file(tmp_path, scores, text):
     bad = tmp_path / "f1.json"
     bad.write_text(json.dumps(scores))
-    return bad, ["compare", "--from-f1", str(bad), "--out", str(tmp_path / "c")], \
-        f"model {model!r}"
+    return bad, ["compare", "--from-f1", str(bad), "--out", str(tmp_path / "c")], text
 
 
 def _truncated(path):
@@ -421,9 +464,9 @@ def _truncated(path):
 
 
 def _truncated_f1_file(tmp_path):
-    bad, argv, _ = _f1_file(tmp_path, {"k-NN": [1.0, 0.9], "Naive Bayes": [0.5, 0.4]},
-                            "k-NN")
-    return _truncated(bad), argv, "invalid JSON"
+    bad, argv, text = _f1_file(tmp_path, {"k-NN": [1.0, 0.9], "Naive Bayes": [0.5, 0.4]},
+                               "invalid JSON")
+    return _truncated(bad), argv, text
 
 
 def _truncated_knn_model(tmp_path):
@@ -433,12 +476,17 @@ def _truncated_knn_model(tmp_path):
         ["eval", "--config", str(config_path), "--models", "knn"], "invalid JSON"
 
 
-def _report_without_per_class(tmp_path):
+def _edited_report(tmp_path, edit, *texts):
+    """Run the pipeline, apply ``edit`` to ``eval_nb.json`` and compare it
+    with ``eval_dt.json``."""
     config_path, out = small_synth_config(tmp_path)
     assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
-    bad = _drop_key(out / "eval_nb.json", "per_class")
+    bad = out / "eval_nb.json"
+    data = jsonio.load(bad)
+    edit(data)
+    jsonio.dump(data, bad)
     return bad, ["compare", "--eval-reports", str(out / "eval_dt.json"), str(bad),
-                 "--out", str(out)]
+                 "--out", str(out)], *texts
 
 
 def _corpus_with_inf_cell(tmp_path):
@@ -459,14 +507,27 @@ def _corpus_with_inf_cell(tmp_path):
     lambda tmp: _trained_then_broken(tmp, "dt.json", "params"),
     _f1_list,
     lambda tmp: _f1_file(tmp, {"k-NN": [1.0, 0.9], "Naive Bayes": [0.5, "x"]},
-                         "Naive Bayes"),
-    lambda tmp: _f1_file(tmp, {"k-NN": [1.0, 0.9], "Naive Bayes": []}, "Naive Bayes"),
+                         "Naive Bayes[1]: expected a number, got 'x'"),
+    lambda tmp: _f1_file(tmp, {"k-NN": [1.0, 0.9], "Naive Bayes": []},
+                         "model 'Naive Bayes'"),
     lambda tmp: _f1_file(tmp, {"k-NN": [1.0, float("nan")], "Naive Bayes": [0.5, 0.4]},
-                         "k-NN"),
-    lambda tmp: _f1_file(tmp, {"k-NN": [1.0, True], "Naive Bayes": [0.5, 0.4]}, "k-NN"),
+                         "k-NN[1]: expected a finite number, got nan"),
+    lambda tmp: _f1_file(tmp, {"k-NN": [1.0, True], "Naive Bayes": [0.5, 0.4]},
+                         "k-NN[1]: expected a number, got True"),
     _truncated_f1_file,
     _truncated_knn_model,
-    _report_without_per_class,
+    lambda tmp: _edited_report(tmp, lambda data: data.pop("per_class"),
+                               "missing required keys ['per_class']"),
+    lambda tmp: _edited_report(tmp, _set("per_class", "Hydrate", "f1", value="0.5"),
+                               "per_class.Hydrate.f1: expected a number"),
+    lambda tmp: _edited_report(tmp, _set("classes", 0, value="Bogus"),
+                               "classes[0]: unknown class label name"),
+    lambda tmp: _edited_report(
+        tmp, lambda data: data["per_class"].pop("Hydrate"),
+        "per_class: keys ['NormalCondition', 'RapidProductivityLoss'] do not match "
+        "classes ['NormalCondition', 'RapidProductivityLoss', 'Hydrate']"),
+    lambda tmp: _edited_report(tmp, lambda data: data["matrix"].pop(),
+                               "matrix: expected 3 rows of 3 counts"),
     _corpus_with_inf_cell,
     lambda tmp: _trained_with_params(tmp, "knn", k="5"),
     lambda tmp: _trained_with_params(tmp, "knn", k=5.7),
@@ -534,7 +595,9 @@ def _corpus_with_inf_cell(tmp_path):
 ], ids=["preprocess-without-fences", "model-without-params", "from-f1-list",
         "from-f1-non-numeric", "from-f1-empty-list", "from-f1-nan-score",
         "from-f1-boolean", "from-f1-truncated", "knn-model-truncated",
-        "eval-report-without-per-class", "corpus-with-inf-cell",
+        "eval-report-without-per-class", "eval-report-f1-string",
+        "eval-report-unknown-class", "eval-report-per-class-mismatch",
+        "eval-report-short-matrix", "corpus-with-inf-cell",
         "knn-model-k-string", "knn-model-k-float", "nb-model-eps-rel-string",
         "dt-model-unknown-param", "dt-model-without-max-depth",
         "config-duplicate-key", "config-5000-digit-int",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hydet.codec import to_json
 from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, flatten,
                            load_instance_csv, split, write_instance_csv)
 from hydet.dataset.model import TimeSeriesInstance
@@ -194,7 +195,7 @@ def test_write_matrix_csv_labeled_points(tmp_path):
 # manifest
 
 
-def test_build_manifest_counts_and_skips(tmp_path):
+def test_build_manifest_counts_and_skips(tmp_path, caplog):
     for sub, n in (("0_normal", 2), ("1_rapid_loss", 1), ("2_hydrate", 0)):
         (tmp_path / sub).mkdir()
         for i in range(n):
@@ -205,15 +206,19 @@ def test_build_manifest_counts_and_skips(tmp_path):
     assert manifest.class_counts == {ClassLabel.NORMAL: 2,
                                      ClassLabel.RAPID_LOSS: 1,
                                      ClassLabel.HYDRATE: 0}
-    assert manifest.skipped_dirs == ("9_unknown",)
-    data = manifest.to_json_dict()
+    assert "skipping unknown class directory" in caplog.text
+    assert "9_unknown" in caplog.text
+    assert not [e for e in manifest.instances if e.path.startswith("9_unknown")]
+    data = to_json(manifest)
     assert set(data) == {"instances", "class_counts"}
     assert data["class_counts"]["NormalCondition"] == 2
+    assert data["instances"][0] == {"id": "0_normal/w0", "path": "0_normal/w0.csv",
+                                    "label": "NormalCondition"}
 
 
 def test_build_manifest_empty_root(tmp_path):
     manifest = build_manifest(tmp_path)
-    assert manifest.entries == ()
+    assert manifest.instances == ()
     assert sum(manifest.class_counts.values()) == 0
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hydet import jsonio
 from hydet.dataset.model import ClassLabel, FeatureMatrix
 from hydet.classifiers import DecisionTree
+from hydet.codec import from_json, to_json
 from hydet.errors import EmptyDataError
-from hydet.evaluation import (ConfusionMatrix, accuracy, confusion, evaluate,
-                              f1_per_class, report_from_confusion)
+from hydet.evaluation import (ConfusionMatrix, EvalReport, accuracy, confusion,
+                              evaluate, f1_per_class, report_from_confusion)
 
 # Frozen reference confusion matrices (fixture data for the metric-math
 # oracles below); class order Hydrate / RapidLoss / Normal.
@@ -139,16 +141,13 @@ def test_evaluate_memorizing_tree_and_recomposition():
 
 def test_eval_report_json_round_trip_preserves_counts():
     report = report_from_confusion(cm(KNN_MATRIX), "k-NN")
-    data = jsonio.dumps(report.to_json_dict())
-    import json
-    back = json.loads(data)
-    assert back["matrix"] == KNN_MATRIX
-    assert back["model"] == "k-NN"
-    assert back["accuracy"] == report.accuracy
+    back = from_json(EvalReport, json.loads(jsonio.dumps(to_json(report))), "")
+    assert back == report
+    assert back.matrix == tuple(map(tuple, KNN_MATRIX))
 
 
 def test_confusion_csv_grid():
-    text = cm(DT_MATRIX).to_csv()
+    text = report_from_confusion(cm(DT_MATRIX), "dt").confusion_csv()
     lines = text.strip().split("\n")
     assert lines[0].split(",")[1] == "Hydrate"
     assert lines[1].split(",")[1:] == ["67926", "0", "0"]
