@@ -267,8 +267,14 @@ def cmd_compare(config: RunConfig, args) -> int:
                                jsonio.load(args.from_f1), args.from_f1)
     else:
         paths = args.eval_reports or sorted(str(p) for p in out.glob("eval_*.json"))
-        f1_vectors = {r.model: r.f1_vector() for r in
-                      (from_file(EvalReport, jsonio.load(p), p) for p in paths)}
+        f1_vectors, path_of = {}, {}
+        for path in paths:
+            report = from_file(EvalReport, jsonio.load(path), path)
+            if report.model in path_of:
+                raise HydetError(f"{path_of[report.model]}, {path}: both are eval "
+                                 f"reports of model {report.model!r}")
+            f1_vectors[report.model] = report.f1_vector()
+            path_of[report.model] = path
     if len(f1_vectors) < 2:
         raise _UsageError(f"comparison needs at least 2 models, got {len(f1_vectors)}")
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from datetime import datetime
 from enum import IntEnum
@@ -98,11 +99,12 @@ class TimeSeriesInstance:
                              f"{len(self.variable_names)} channels)")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        for i in range(1, n):
-            if self.timestamps[i] < self.timestamps[i - 1]:  # type: ignore[operator]
-                raise TimestampOrderError(
-                    f"instance {self.instance_id!r}: timestamp at row {i} "
-                    f"({self.timestamps[i]}) precedes row {i - 1}")
+        stamps = self.timestamps
+        if any(map(operator.lt, stamps[1:], stamps)):
+            i = next(i for i in range(1, n) if stamps[i] < stamps[i - 1])
+            raise TimestampOrderError(
+                f"instance {self.instance_id!r}: timestamp at row {i} "
+                f"({stamps[i]}) precedes row {i - 1}")
 
     def __len__(self) -> int:
         return len(self.timestamps)

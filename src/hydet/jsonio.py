@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -24,42 +25,75 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render(obj: Any, indent: int) -> str:
-    pad = " " * indent
+def _render(obj: Any, pad: str, out: list[str]) -> None:
+    """Append the text of ``obj``, nested at indent ``pad``, to ``out``."""
     if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, dict):
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(format_float(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = []
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n"
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"non-string JSON key: {key!r}")
-            items.append(f'{pad}  {json.dumps(key, ensure_ascii=False)}: '
-                         f"{_render(obj[key], indent + 2)}")
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            out.append(f"{sep}{inner}{json.dumps(key, ensure_ascii=False)}: ")
+            _render(obj[key], inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)):
         if not len(obj):
-            return "[]"
-        items = [f"{pad}  {_render(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    # numpy scalars and arrays funnel through item()/tolist() upstream;
-    # anything else here is a bug in the caller.
-    raise TypeError(f"unsupported JSON value type: {type(obj).__name__}")
+            out.append("[]")
+        elif not _render_float_rows(obj, pad, out):
+            inner = pad + "  "
+            sep = "[\n"
+            for value in obj:
+                out.append(sep + inner)
+                _render(value, inner, out)
+                sep = ",\n"
+            out.append(f"\n{pad}]")
+    else:
+        # numpy scalars and arrays funnel through item()/tolist() upstream;
+        # anything else here is a bug in the caller.
+        raise TypeError(f"unsupported JSON value type: {type(obj).__name__}")
+
+
+def _render_float_rows(rows: list | tuple, pad: str, out: list[str]) -> bool:
+    """Render a list of equal-length lists of finite floats with one ``%``
+    template, as ``_render`` would; returns False for anything else.
+
+    ``%.17g`` gives ``format_float``'s digits for every finite double.
+    """
+    if not set(map(type, rows)) <= {list, tuple}:
+        return False
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return False
+    values = list(chain.from_iterable(rows))
+    if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
+        return False  # a sum that overflows only costs the fast path
+    cell = f"\n{pad}    %.17g"
+    row = f"{pad}  [" + ",".join([cell] * widths.pop()) + f"\n{pad}  ]"
+    out.append("[\n" + ",\n".join([row] * len(rows)) % tuple(values) + f"\n{pad}]")
+    return True
 
 
 def dumps(obj: Any) -> str:
-    return _render(obj, 0) + "\n"
+    out: list[str] = []
+    _render(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def dump(obj: Any, path: str | Path) -> None:

@@ -4,9 +4,12 @@ The exact-test oracles use exact rational arithmetic (fractions.Fraction)
 and plain enumeration, deliberately avoiding the library's integer-numerator
 formulation so the two routes stay independent.  ``reference_tree`` is the
 straightforward per-node CART search that the library's presorted one must
-reproduce node for node.
+reproduce node for node.  ``reference_dumps`` renders JSON the plain recursive
+way, one string per nested value, that ``hydet.jsonio.dumps`` must match byte
+for byte.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -152,3 +155,39 @@ def reference_tree(X, y, max_depth=16, min_samples_split=2,
                      build(y, idx[~mask], depth + 1))
 
     return build(np.searchsorted(classes, y), np.arange(X.shape[0]), 0)
+
+
+def reference_dumps(obj):
+    """Canonical JSON text: sorted keys, two-space indent, one value per line,
+    floats at 17 significant digits, non-finite floats as NaN/Infinity."""
+    def number(x):
+        if math.isnan(x):
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return format(float(x), ".17g")
+
+    def render(value, indent):
+        pad = " " * indent
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, str):
+            return json.dumps(value, ensure_ascii=False)
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return number(value)
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = [f"{pad}  {json.dumps(k, ensure_ascii=False)}: "
+                     f"{render(value[k], indent + 2)}" for k in sorted(value)]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if not value:
+            return "[]"
+        items = [f"{pad}  {render(v, indent + 2)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+    return render(obj, 0) + "\n"

@@ -361,6 +361,22 @@ def test_compare_from_f1_reference_vectors(tmp_path, capsys):
     assert float(row["u_p"]) == data["Decision Tree vs Naive Bayes"]["u_p"]
 
 
+def test_compare_repeated_eval_report_model_is_data_error_naming_both(tmp_path, capsys):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "eval_knn.json").write_bytes((out / "eval_knn.json").read_bytes())
+    capsys.readouterr()
+    assert main(["compare", "--eval-reports", str(out / "eval_dt.json"),
+                 str(out / "eval_knn.json"), str(other / "eval_knn.json"),
+                 str(out / "eval_nb.json"), "--out", str(tmp_path / "c")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"{out / 'eval_knn.json'}, {other / 'eval_knn.json'}: both are eval "
+            "reports of model 'k-NN'") in err
+    assert not (tmp_path / "c" / "comparison.json").exists()
+
+
 def test_compare_single_model_usage_error(tmp_path):
     f1_path = tmp_path / "f1.json"
     jsonio.dump({"only-model": [1.0, 1.0, 1.0]}, f1_path)

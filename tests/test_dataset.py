@@ -1,5 +1,7 @@
 import io
+import math
 import re
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -10,7 +12,10 @@ from hypothesis.extra.numpy import arrays
 from hydet.codec import to_json
 from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, flatten,
                            load_instance_csv, split, write_instance_csv)
-from hydet.dataset.model import TimeSeriesInstance
+from hydet.dataset import io as dataset_io
+from hydet.dataset.io import _load_rows, write_matrix_csv
+from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance
+from hydet.jsonio import format_float
 from hydet.errors import (CsvFormatError, EmptyDataError, LabelConflictError,
                           MissingVariableError, SplitError, TimestampOrderError)
 
@@ -180,7 +185,6 @@ def test_instance_values_are_a_checked_read_only_grid():
 
 
 def test_write_matrix_csv_labeled_points(tmp_path):
-    from hydet.dataset.io import write_matrix_csv
     m = flatten([make_instance("a", ClassLabel.HYDRATE, 2,
                                channels={"x": [1.5, np.nan]})], ("x",))
     path = tmp_path / "points.csv"
@@ -189,6 +193,179 @@ def test_write_matrix_csv_labeled_points(tmp_path):
     assert lines[0] == "instance_id,t_index,x,label"
     assert lines[1] == "a,0,1.5,2"
     assert lines[2] == "a,1,,2"
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parse against the row loop
+
+
+def _outcome(load):
+    """What a load gives: the instance's fields bit for bit, or its error."""
+    try:
+        inst = load()
+    except Exception as exc:  # the type and message must match, whatever they are
+        return type(exc), str(exc)
+    values = inst.values
+    return (inst.label, inst.variable_names, inst.timestamps,
+            tuple(map(type, inst.timestamps)), values.shape, values.tobytes(),
+            values.dtype, values.flags.c_contiguous, values.base is None)
+
+
+def _assert_loads_like_the_row_loop(text, label=None, label_map=None):
+    expected = _outcome(lambda: _load_rows("d.csv", text, "d.csv", label, label_map))
+    actual = _outcome(lambda: load_instance_csv(_stream(text), "d.csv", label, label_map))
+    assert actual == expected
+
+
+_CELLS = st.one_of(
+    st.integers(-2**65, 2**65).map(str),
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda x: "%.17g" % x),
+    st.sampled_from(["", "", "nan", "NaN", "NAN", "+nan", "inf", "-Infinity", "1e999",
+                     "-0", "+2", "02", "0", "1", "2", "107", "1.0", "1e3", "1_0", " 1",
+                     '"1"', "2024-01-01T00:00:00"]),
+    st.text(alphabet="0123456789.,-+eE\n \r\"anNfiIZ", max_size=6))
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    has_class = draw(st.booleans())
+    header = ",".join(["timestamp", *(f"v{j}" for j in range(width))]
+                      + ["class"] * has_class)
+    n_rows = draw(st.integers(0, 5))
+    start = draw(st.integers(0, 2**40))
+    rows = []
+    for i in range(n_rows):
+        cells = [str(start + i) if draw(st.booleans()) else draw(_CELLS)]
+        cells += [draw(_CELLS) for _ in range(width)]
+        if has_class:
+            cells.append(draw(st.sampled_from(["2", "2", "0", "+2", "02", "107"]) | _CELLS))
+        rows.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\n\n"]))
+    body = newline.join(rows) + draw(st.sampled_from(["", newline]))
+    if draw(st.booleans()):  # an unstructured body over the same characters
+        body = draw(st.text(alphabet="0123456789.,-+eE\n \r\"nNa", max_size=40))
+    return header + "\n" + body
+
+
+@given(text=_csv_texts(),
+       label=st.sampled_from([None, ClassLabel.NORMAL, ClassLabel.HYDRATE]),
+       label_map=st.sampled_from([None, {107: ClassLabel.HYDRATE, 2: ClassLabel.NORMAL}]))
+@settings(max_examples=400, deadline=None)
+def test_load_equals_the_row_loop_property(text, label, label_map):
+    _assert_loads_like_the_row_loop(text, label, label_map)
+
+
+@pytest.mark.parametrize("text, label, label_map", [
+    *[(f"timestamp,x,y\n0,1.0,2.0\n1,3.0,{cell}\n", ClassLabel.NORMAL, None)
+      for cell in ("NAN", "+nan", "inf", "Infinity", "1e999", "-1e999")],
+    *[(f"timestamp,x\n{ts},1.0\n", ClassLabel.NORMAL, None)
+      for ts in ("1700000000.0", "1e9", "1_0", "12345678901234567890", "+5", "-0")],
+    ("timestamp,x,class\n0,1.0,+2\n1,2.0,2\n", None, None),
+    ("timestamp,x,class\n0,1.0,02\n", ClassLabel.HYDRATE, None),
+    ("timestamp,x,class\n0,1.0,2\n1,2.0,1\n", None, None),
+    ("timestamp,x,class\n0,1.0,107\n1,2.0,107\n", None, {107: ClassLabel.HYDRATE}),
+    ("timestamp,x,class\n0,1.0,107\n", None, None),
+    ("timestamp,x,class\n0,1.0,107\n", ClassLabel.NORMAL, {107: ClassLabel.HYDRATE}),
+    ('"timestamp","x y",class\n0,1.5,1\n', None, None),
+    ('timestamp,"x\ny"\n0,1.5\n', ClassLabel.NORMAL, None),
+    ('timestamp,"x\n0,1.5\n', ClassLabel.NORMAL, None),
+    ("timestamp,x\r\n0,1.5\r\n1,2.5\r\n", ClassLabel.NORMAL, None),
+    ("timestamp,x\r0,1.5\n", ClassLabel.NORMAL, None),
+    ("timestamp,x\n0,1.5\n\n1,2.5\n", ClassLabel.NORMAL, None),
+    ("timestamp,x\n\n0,1.5\n", ClassLabel.NORMAL, None),
+    ("timestamp,x\n0,1.5\n\n", ClassLabel.NORMAL, None),
+    ("timestamp,x,y\n0,1.5,2.5", None, None),
+    ("timestamp,x,y\n0,1.5,2.5", ClassLabel.NORMAL, None),
+    ("timestamp,x,y\n,1.5,2.5\n", ClassLabel.NORMAL, None),
+    ("timestamp,x,y\n0,1.5,\n1,,\n2,,2", ClassLabel.NORMAL, None),
+    ("timestamp,x,y,z\n0,,,\n1,,,\n", ClassLabel.NORMAL, None),
+    ("timestamp,x,class\n0,1.5,\n", None, None),
+    ("timestamp,x,y\n0,1.5\n", ClassLabel.NORMAL, None),
+    ("timestamp,x,y\n0,1.5,2,3\n", ClassLabel.NORMAL, None),
+    ("timestamp,x\n5,1.0\n3,2.0\n", ClassLabel.NORMAL, None),
+    ("timestamp,x\n", ClassLabel.NORMAL, None),
+    ("", ClassLabel.NORMAL, None),
+])
+def test_load_equals_the_row_loop(text, label, label_map):
+    _assert_loads_like_the_row_loop(text, label, label_map)
+
+
+def test_plain_numeric_files_never_reach_the_row_loop(tmp_path, monkeypatch):
+    inst = make_instance("fast", ClassLabel.HYDRATE, channels={
+        "P-TPT": [0.1, np.nan, -0.0, 5e-324, np.nan],
+        "T-TPT": [np.nan, 2.0, 3.0, 4.0, np.nan]})
+    path = tmp_path / "fast.csv"
+    write_instance_csv(inst, path)
+    expected = _outcome(lambda: load_instance_csv(path, "fast"))
+
+    def no_row_loop(*args):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr(dataset_io, "_load_rows", no_row_loop)
+    assert _outcome(lambda: load_instance_csv(path, "fast")) == expected
+    assert same_bits(load_instance_csv(path, "fast").values, inst.values)
+
+
+# ---------------------------------------------------------------------------
+# the one-template writers against per-value writers
+
+
+def _cells(row):
+    return ["" if math.isnan(v) else format_float(v) for v in row]
+
+
+def reference_instance_csv(inst, include_class):
+    lines = ["timestamp," + ",".join(inst.variable_names)
+             + (",class" if include_class else "")]
+    for ts, row in zip(inst.timestamps, inst.values.tolist()):
+        ts_txt = ts.isoformat() if isinstance(ts, datetime) else str(ts)
+        lines.append(",".join([ts_txt, *_cells(row)])
+                     + (f",{int(inst.label)}" if include_class else ""))
+    return "\n".join(lines) + "\n"
+
+
+def reference_matrix_csv(matrix):
+    lines = ["instance_id,t_index," + ",".join(matrix.column_names) + ",label"]
+    for (inst, t), row, label in zip(matrix.origin.tolist(), matrix.values.tolist(),
+                                     matrix.labels.tolist()):
+        lines.append(",".join([matrix.instance_ids[inst], str(t), *_cells(row),
+                               str(label)]))
+    return "\n".join(lines) + "\n"
+
+
+_WRITTEN_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, math.inf, -math.inf, math.nan]))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_writers_equal_per_value_writers(tmp_path_factory, data):
+    shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 4)))
+    values = data.draw(arrays(np.float64, shape, elements=_WRITTEN_FLOATS))
+    if data.draw(st.booleans()):
+        start = datetime(2024, 1, 1)
+        timestamps = tuple(start + timedelta(seconds=7 * i) for i in range(shape[0]))
+    else:
+        timestamps = tuple(sorted(data.draw(st.lists(
+            st.integers(-2**70, 2**70), min_size=shape[0], max_size=shape[0]))))
+    inst = TimeSeriesInstance("w", data.draw(st.sampled_from(ClassLabel)), timestamps,
+                              tuple(f"c{j}" for j in range(shape[1])), values)
+    include_class = data.draw(st.booleans())
+    path = tmp_path_factory.mktemp("writers") / "w.csv"
+    write_instance_csv(inst, path, include_class=include_class)
+    assert path.read_text(encoding="utf-8") == reference_instance_csv(inst, include_class)
+
+    ids = ("a,nan", "nan", "b")
+    matrix = FeatureMatrix(
+        inst.variable_names, values,
+        data.draw(arrays(np.int64, shape[0], elements=st.integers(0, 2))),
+        np.array([(data.draw(st.integers(0, 2)), t) for t in range(shape[0])]), ids)
+    write_matrix_csv(matrix, path)
+    assert path.read_text(encoding="utf-8") == reference_matrix_csv(matrix)
 
 
 # ---------------------------------------------------------------------------
