@@ -14,10 +14,19 @@ whose box lower bound ``sum max(lo-q, q-hi, 0)**2``, summed in the same
 order, is at most tau is scanned. IEEE rounding is monotone, so that bound
 never exceeds a computed distance inside the box: every row at or within the
 k-th distance, ties included, is scanned, and the scanned rows then decide
-exactly as an all-pairs scan would. Queries are scored in blocks of at most
-``_BLOCK`` that share a home leaf, so no array is larger than one block by
-its scanned rows, and results do not depend on how the queries are ordered
-or sliced. The tree is rebuilt on load and never serialised.
+exactly as an all-pairs scan would.
+
+Queries are searched in chunks of at most ``_CHUNK`` in home-leaf order.
+A chunk walks ``(query, node)`` pairs down the tree one level at a time and
+drops a pair whose node box bound exceeds the query's tau. A node's box
+holds every box below it, so its bound is at most theirs: the leaves that
+survive are exactly those the bound keeps. Each query's kept rows form one
+row of a padded candidate matrix; pad cells point at a column that is +inf
+in every feature, so they are never picked before a training row. Queries
+are scored in order of their kept-leaf count, in blocks of at most
+``_CELLS`` cells, so that little of a block is padding. Each query's result
+depends on that query alone, so it does not change with how the queries are
+ordered or sliced. The tree is rebuilt on load and never serialised.
 """
 
 from __future__ import annotations
@@ -28,8 +37,9 @@ import numpy as np
 
 from .validation import validate_rows, validate_training_inputs
 
-_LEAF = 32     # smallest leaf when k is smaller
-_BLOCK = 256   # queries scored together at most
+_LEAF = 32         # smallest leaf when k is smaller
+_CHUNK = 1024      # queries searched together at most
+_CELLS = 2 ** 14   # queries times candidate rows scored together at most
 
 
 def _squares_summed(terms):
@@ -41,13 +51,11 @@ def _squares_summed(terms):
     return total
 
 
-def _box_bound(lo: np.ndarray, hi: np.ndarray, qlo: np.ndarray,
-               qhi: np.ndarray) -> np.ndarray:
-    """Squared-distance lower bound between boxes [lo, hi] and [qlo, qhi]."""
-    return _squares_summed(
-        np.maximum(np.maximum(lo[..., j] - qhi[..., j], qlo[..., j] - hi[..., j]),
-                   0.0)
-        for j in range(lo.shape[-1]))
+def _box_bound(lo, hi, q):
+    """Squared-distance lower bound between boxes [lo, hi] and points q,
+    each given as one array per feature."""
+    return _squares_summed(np.maximum(np.maximum(lo_j - q_j, q_j - hi_j), 0.0)
+                           for lo_j, hi_j, q_j in zip(lo, hi, q))
 
 
 @dataclass(frozen=True)
@@ -125,11 +133,24 @@ class KnnClassifier:
         self._depth = depth
         self._dims = np.array(dims, dtype=np.intp)
         self._vals = np.array(vals, dtype=np.float64)
-        self._perm = perm
-        self._bounds = bounds
-        self._lo = np.minimum.reduceat(X[perm], bounds[:-1], axis=0)
-        self._hi = np.maximum.reduceat(X[perm], bounds[:-1], axis=0)
-        self._columns = np.ascontiguousarray(X.T)
+        # node boxes in heap order: a leaf's box bounds its rows, and every
+        # node above the leaves takes the min/max of its two children
+        lo = [np.minimum.reduceat(X[perm], bounds[:-1], axis=0)]
+        hi = [np.maximum.reduceat(X[perm], bounds[:-1], axis=0)]
+        for _ in range(depth):
+            lo.insert(0, np.minimum(lo[0][0::2], lo[0][1::2]))
+            hi.insert(0, np.maximum(hi[0][0::2], hi[0][1::2]))
+        # one row per feature, like ``_columns``
+        self._lo = np.concatenate(lo).T.copy()
+        self._hi = np.concatenate(hi).T.copy()
+        # each leaf's rows, then one all-pad row; pads point at column n,
+        # which is +inf in every feature
+        sizes = np.diff(bounds)
+        self._table = np.full((sizes.size + 1, sizes.max()), n, dtype=np.intp)
+        self._table[np.arange(sizes.size).repeat(sizes),
+                    np.arange(n) - bounds[:-1].repeat(sizes)] = perm
+        self._columns = np.concatenate([X.T, np.full((X.shape[1], 1), np.inf)],
+                                       axis=1)
 
     def _home_leaves(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(X.shape[0], dtype=np.intp)
@@ -139,39 +160,46 @@ class KnnClassifier:
             node = 2 * node + 1 + right
         return node - (2 ** self._depth - 1)
 
-    def _leaf_rows(self, leaf: int) -> np.ndarray:
-        return self._perm[self._bounds[leaf]:self._bounds[leaf + 1]]
+    def _sq_distances(self, queries: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Squared distances from each query to its row of candidate indices."""
+        return _squares_summed(queries[:, j, None] - self._columns[j][cand]
+                               for j in range(queries.shape[1]))
 
-    def _sq_distances(self, queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        cols = self._columns[:, rows]
-        return _squares_summed(queries[:, j, None] - cols[j]
-                               for j in range(cols.shape[0]))
+    def _kept_leaves(self, queries: np.ndarray,
+                     tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query, leaf) pairs whose leaf box bound is at most the query's tau,
+        sorted by query, then leaf."""
+        cols = queries.T.copy()
+        who = np.arange(queries.shape[0])
+        node = np.zeros_like(who)
+        for level in range(self._depth + 1):
+            keep = _box_bound((lo[node] for lo in self._lo),
+                              (hi[node] for hi in self._hi),
+                              (q[who] for q in cols)) <= tau[who]
+            who, node = who[keep], node[keep]
+            if level < self._depth:
+                who = np.repeat(who, 2)
+                node = (2 * node[:, None] + [1, 2]).ravel()
+        return who, node - (2 ** self._depth - 1)
 
     def _block_votes(self, queries: np.ndarray,
-                     leaf: int) -> tuple[np.ndarray, np.ndarray]:
-        """Votes and picked class codes for queries sharing a home leaf."""
+                     cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Votes and picked class codes of queries over their candidate rows."""
         k = self.params.k
-        tau = np.partition(self._sq_distances(queries, self._leaf_rows(leaf)),
-                           k - 1, axis=1)[:, k - 1]
-        near = np.flatnonzero(_box_bound(self._lo, self._hi, queries.min(axis=0),
-                                         queries.max(axis=0)) <= tau.max())
-        q = queries[:, None, :]
-        keep = (_box_bound(self._lo[near], self._hi[near], q, q)
-                <= tau[:, None]).any(axis=0)
-        # candidate columns in training-index order, so that a stable sort
-        # by distance is a (distance, index) sort
-        cand = np.sort(np.concatenate([self._leaf_rows(i) for i in near[keep]]))
         d2 = self._sq_distances(queries, cand)
-
         nbrs = np.argpartition(d2, k - 1, axis=1)[:, :k]
         kth = np.take_along_axis(d2, nbrs, axis=1).max(axis=1)
-        # rows whose k-th distance value repeats past the boundary need the
-        # full (distance, index) resolution
+        # rows whose k-th distance value repeats past the boundary take every
+        # cell below it and then the lowest-index cells at it: the first k of
+        # a (distance, index) sort
         tied = np.flatnonzero(np.count_nonzero(d2 <= kth[:, None], axis=1) > k)
         if tied.size:
-            nbrs[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+            d, at = d2[tied], kth[tied, None]
+            past = len(self._codes) + 1  # above every index and the pads' n
+            key = np.where(d < at, -1, np.where(d == at, cand[tied], past))
+            nbrs[tied] = np.argpartition(key, k - 1, axis=1)[:, :k]
         dist = np.take_along_axis(d2, nbrs, axis=1)
-        codes = self._codes[cand[nbrs]]
+        codes = self._codes[np.take_along_axis(cand, nbrs, axis=1)]
 
         n_classes = len(self.classes_)
         votes = np.empty((queries.shape[0], n_classes), dtype=np.float64)
@@ -185,21 +213,50 @@ class KnnClassifier:
         picks = np.argmax(contested & (nearest == best[:, None]), axis=1)
         return votes, picks
 
+    def _chunk_votes(self, queries: np.ndarray,
+                     home: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Votes and picks of one chunk of queries with their home leaves."""
+        k = self.params.k
+        tau = np.partition(self._sq_distances(queries, self._table[home]),
+                           k - 1, axis=1)[:, k - 1]
+        who, leaf = self._kept_leaves(queries, tau)
+        # queries in order of their kept-leaf count, so that little of a
+        # block is padding; the pairs, sorted by query, follow that order
+        counts = np.bincount(who, minlength=queries.shape[0])
+        order = np.argsort(counts, kind="stable")
+        leaf = leaf[np.argsort(counts[who], kind="stable")]
+        counts = counts[order]
+        ends = np.cumsum(counts)
+        row = np.repeat(np.arange(order.size), counts)
+        slot = np.arange(row.size) - np.repeat(ends - counts, counts)
+        width = counts * self._table.shape[1]
+        votes = np.empty((queries.shape[0], len(self.classes_)))
+        picks = np.empty(queries.shape[0], dtype=np.intp)
+        start = 0
+        while start < order.size:
+            cells = np.arange(1, order.size - start + 1) * width[start:]
+            stop = start + max(1, int(np.searchsorted(cells, _CELLS, "right")))
+            # one row of kept leaves per query, padded with the all-pad leaf
+            first, last = ends[start] - counts[start], ends[stop - 1]
+            leaves = np.full((stop - start, counts[stop - 1]), len(self._table) - 1)
+            leaves[row[first:last] - start, slot[first:last]] = leaf[first:last]
+            block = order[start:stop]
+            votes[block], picks[block] = self._block_votes(
+                queries[block], self._table[leaves].reshape(block.size, -1))
+            start = stop
+        return votes, picks
+
     def _votes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.train_ is None:
             raise ValueError("model is not fitted")
         X = validate_rows(X, self.train_.shape[1], "k-NN predict")
-        votes = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
-        picks = np.zeros(X.shape[0], dtype=np.int64)
+        votes = np.empty((X.shape[0], len(self.classes_)))
+        picks = np.empty(X.shape[0], dtype=np.intp)
         home = self._home_leaves(X)
         order = np.argsort(home, kind="stable")
-        leaves, starts = np.unique(home[order], return_index=True)
-        stops = np.append(starts[1:], X.shape[0])
-        for leaf, start, stop in zip(leaves.tolist(), starts.tolist(),
-                                     stops.tolist()):
-            for s in range(start, stop, _BLOCK):
-                block = order[s:min(s + _BLOCK, stop)]
-                votes[block], picks[block] = self._block_votes(X[block], leaf)
+        for s in range(0, X.shape[0], _CHUNK):
+            chunk = order[s:s + _CHUNK]
+            votes[chunk], picks[chunk] = self._chunk_votes(X[chunk], home[chunk])
         return votes, picks
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:

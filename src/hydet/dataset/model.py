@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import EmptyDataError, TimestampOrderError
+from ..errors import EmptyDataError, NonFiniteError, TimestampOrderError
 
 
 class ClassLabel(IntEnum):
@@ -74,7 +74,8 @@ class TimeSeriesInstance:
 
     ``values`` is a read-only float64 array of shape (T, C): one row per
     timestamp, one column per name in ``variable_names``, NaN for a missing
-    reading.
+    reading. An infinite value raises ``NonFiniteError``: the CSV loader
+    rejects one too, so every instance round-trips through its own file.
     """
 
     instance_id: str
@@ -97,6 +98,10 @@ class TimeSeriesInstance:
             raise ValueError(f"instance {self.instance_id!r}: values shape "
                              f"{values.shape} is not ({n} timestamps, "
                              f"{len(self.variable_names)} channels)")
+        if np.isinf(values).any():
+            i, j = np.argwhere(np.isinf(values))[0]
+            raise NonFiniteError(f"instance {self.instance_id!r}: infinite value at "
+                                 f"row {i}, channel {self.variable_names[j]!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         stamps = self.timestamps

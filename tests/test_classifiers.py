@@ -355,8 +355,8 @@ def test_knn_query_partition_does_not_change_results():
     Xtr = rng.normal(size=(700, 4))
     ytr = rng.integers(0, 3, size=700)
     Xte = rng.normal(size=(1200, 4))
-    # a dense cluster puts hundreds of queries in one home leaf, more than
-    # one query block holds
+    # a dense cluster puts hundreds of queries in one home leaf, and they
+    # are scored in many blocks
     Xte[:600] *= 0.01
     model = KnnClassifier(k=5).fit(Xtr, ytr)
     whole = model.predict(Xte)
@@ -367,6 +367,28 @@ def test_knn_query_partition_does_not_change_results():
     shuffled = np.empty_like(whole)
     shuffled[order] = model.predict(Xte[order])
     assert np.array_equal(whole, shuffled)
+
+
+@pytest.mark.parametrize("k", [1, 5, 33, 64])
+def test_knn_deep_tree_matches_all_pairs_oracle(k):
+    rng = np.random.default_rng(11)
+    Xtr = rng.normal(size=(1100, 3))
+    Xtr[::16] = Xtr[5]  # 70 copies of one row, more than any k here
+    ytr = rng.integers(0, 3, size=1100)
+    unique = np.concatenate([
+        0.01 * rng.normal(size=(300, 3)),  # a dense cluster
+        # far outliers: at 1e20 every distance and box bound rounds to the
+        # same value, so every leaf is kept and every distance ties
+        1e20 * rng.choice([-1.0, 1.0], size=(20, 3)),
+        50.0 * rng.normal(size=(20, 3)),
+        # distance-0 ties across the k boundary
+        Xtr[[5, 16, 1088]], Xtr[rng.integers(0, 1100, size=60)]])
+    # more queries than one search chunk holds
+    pick = rng.permutation(np.tile(np.arange(len(unique)), 3))
+    model = KnnClassifier(k=k).fit(Xtr, ytr)
+    assert model._depth >= 4 and len(pick) > 1024
+    expected = np.array(knn_oracle(Xtr, ytr, k, unique))
+    assert model.predict(unique[pick]).tolist() == expected[pick].tolist()
 
 
 def test_knn_k_validation():

@@ -17,7 +17,8 @@ from hydet.dataset.io import _load_rows, write_matrix_csv
 from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance
 from hydet.jsonio import format_float
 from hydet.errors import (CsvFormatError, EmptyDataError, LabelConflictError,
-                          MissingVariableError, SplitError, TimestampOrderError)
+                          MissingVariableError, NonFiniteError, SplitError,
+                          TimestampOrderError)
 
 
 def _stream(text):
@@ -182,6 +183,18 @@ def test_instance_values_are_a_checked_read_only_grid():
         TimeSeriesInstance("i", ClassLabel.NORMAL, (0, 1, 2), ("x",), [[1.0], [2.0]])
     with pytest.raises(ValueError):  # names must be unique
         TimeSeriesInstance("i", ClassLabel.NORMAL, (0,), ("x", "x"), [[1.0, 2.0]])
+
+
+def test_instance_rejects_infinite_value(tmp_path):
+    # the CSV writer spells it Infinity, which the loader rejects, so an
+    # instance holding one could not round-trip through its own file
+    with pytest.raises(NonFiniteError,
+                       match=r"instance 'w': infinite value at row 1, channel 'x'"):
+        inst = TimeSeriesInstance("w", ClassLabel.NORMAL, (0, 1), ("x",),
+                                  [[1.0], [math.inf]])
+        write_instance_csv(inst, tmp_path / "w.csv")
+    with pytest.raises(NonFiniteError, match="row 0, channel 'y'"):
+        TimeSeriesInstance("w", ClassLabel.NORMAL, (0,), ("x", "y"), [[1.0, -math.inf]])
 
 
 def test_write_matrix_csv_labeled_points(tmp_path):
@@ -352,8 +365,10 @@ def test_writers_equal_per_value_writers(tmp_path_factory, data):
     else:
         timestamps = tuple(sorted(data.draw(st.lists(
             st.integers(-2**70, 2**70), min_size=shape[0], max_size=shape[0]))))
+    # an instance holds no infinite value; the matrix below does
     inst = TimeSeriesInstance("w", data.draw(st.sampled_from(ClassLabel)), timestamps,
-                              tuple(f"c{j}" for j in range(shape[1])), values)
+                              tuple(f"c{j}" for j in range(shape[1])),
+                              np.where(np.isinf(values), np.nan, values))
     include_class = data.draw(st.booleans())
     path = tmp_path_factory.mktemp("writers") / "w.csv"
     write_instance_csv(inst, path, include_class=include_class)
