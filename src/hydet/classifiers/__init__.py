@@ -27,7 +27,7 @@ from .knn import KnnClassifier, KnnConfig
 from .nb import GaussianNb, NbConfig
 from .tree import DecisionTree, TreeConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MODELS = {"dt": ("tree", DecisionTree), "knn": ("knn", KnnClassifier),
           "nb": ("nb", GaussianNb)}
@@ -91,7 +91,7 @@ def load_model(path: str | Path):
         return cls.from_payload(params, fitted)
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, HydetError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, HydetError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model: {exc!r}") from None
 
 

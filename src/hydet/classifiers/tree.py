@@ -10,8 +10,8 @@ chosen split maximizes the impurity decrease
 
 with ties broken by lower feature index, then lower threshold. Growth stops
 on purity, depth, node size, or a best gain below ``min_impurity_decrease``.
-Routing sends ``value <= threshold`` left. The fitted tree is built of
-``Leaf`` and ``Split`` nodes, which are also its ``dt.json`` payload.
+Routing sends ``value <= threshold`` left. The fitted tree is flat preorder
+node lists, also its ``dt.json`` payload (``TreePayload``).
 
 The search runs over presorted attribute lists (SLIQ: Mehta, Agrawal &
 Rissanen 1996). ``fit`` sorts each feature once, stably, into an int32 row
@@ -37,7 +37,7 @@ training rows, 4 features, 1,256 leaves) the fit takes 2.9-3.2 s against
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -70,42 +70,48 @@ class TreeConfig:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    counts: tuple[int, ...]  # training rows per class, in ``classes`` order
-
-
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    left: Leaf | Split
-    right: Leaf | Split
-
-
-@dataclass(frozen=True)
 class TreePayload:
-    """The ``dt.json`` payload after its header."""
+    """The ``dt.json`` payload after its header: one entry per node, in
+    preorder. A split node i sends ``value <= threshold[i]`` to node i + 1
+    and the rest to node ``right[i]``; a leaf has ``feature == right == -1``
+    and ``threshold == 0.0``."""
 
     classes: tuple[int, ...]
     n_features: int
-    tree: Leaf | Split
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    right: tuple[int, ...]
+    counts: tuple[tuple[int, ...], ...]  # training rows per class, in ``classes`` order
 
-    def __post_init__(self):
-        for node, path in _walk(self.tree, "tree"):
-            if isinstance(node, Leaf) and len(node.counts) != len(self.classes):
-                raise ValueError(f"{path}.counts: {len(node.counts)} counts "
+    def __post_init__(self):  # one reverse pass: exactly one preorder tree
+        n = len(self.feature)
+        if n == 0:
+            raise ValueError("feature: a tree needs at least one node")
+        for key in ("threshold", "right", "counts"):
+            if len(values := getattr(self, key)) != n:
+                raise ValueError(f"{key}: {len(values)} entries for {n} nodes")
+        ends = [0] * n + [n]  # ends[i]: one past the last node of i's subtree
+        for i in reversed(range(n)):
+            feature, right = self.feature[i], self.right[i]
+            if len(self.counts[i]) != len(self.classes):
+                raise ValueError(f"counts[{i}]: {len(self.counts[i])} counts "
                                  f"for {len(self.classes)} classes")
-            if isinstance(node, Split) and not 0 <= node.feature < self.n_features:
-                raise ValueError(f"{path}.feature: {node.feature} is outside "
+            if feature == -1:
+                if (right, self.threshold[i]) != (-1, 0.0):
+                    raise ValueError(f"right[{i}], threshold[{i}]: a leaf has -1 and "
+                                     f"0.0, got {right} and {self.threshold[i]!r}")
+                ends[i] = i + 1
+            elif not 0 <= feature < self.n_features:
+                raise ValueError(f"feature[{i}]: {feature} is outside "
                                  f"0..{self.n_features - 1}")
-
-
-def _walk(node: Leaf | Split, path: str):
-    """Every node under ``node`` with its key path, parents first."""
-    yield node, path
-    if isinstance(node, Split):
-        yield from _walk(node.left, f"{path}.left")
-        yield from _walk(node.right, f"{path}.right")
+            elif right != ends[i + 1] or right == n:
+                raise ValueError(f"right[{i}]: {right} is not a right child: the "
+                                 f"left subtree of node {i} ends at {ends[i + 1]}")
+            else:
+                ends[i] = ends[right]
+        if ends[0] != n:
+            raise ValueError(f"feature[{ends[0]}]: node {ends[0]} is not reached "
+                             f"from the root")
 
 
 class DecisionTree:
@@ -118,7 +124,7 @@ class DecisionTree:
 
     def __init__(self, **params):
         self.params = TreeConfig(**params)
-        self.tree_: Leaf | Split | None = None
+        self.feature_: tuple[int, ...] | None = None
 
     # -- fitting -----------------------------------------------------------
 
@@ -126,31 +132,31 @@ class DecisionTree:
         X, y = validate_training_inputs(X, y, "decision tree fit")
         self.classes_ = np.unique(y)
         self.n_features_ = X.shape[1]
-        self.tree_ = _Grower(self.params, X, np.searchsorted(self.classes_, y),
-                             len(self.classes_)).grow()
+        self.feature_, self.threshold_, self.right_, self.counts_ = _Grower(
+            self.params, X, np.searchsorted(self.classes_, y), len(self.classes_)).grow()
         return self
 
     # -- prediction --------------------------------------------------------
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Leaf class-count vector per row (columns follow ``classes_``)."""
-        if self.tree_ is None:
+        if self.feature_ is None:
             raise ValueError("model is not fitted")
         X = validate_rows(X, self.n_features_, "decision tree predict")
         out = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
-        self._route(self.tree_, X, np.arange(X.shape[0]), out)
+        pending = {0: np.arange(X.shape[0])}  # node -> rows; children follow parents
+        for node, (feature, threshold, right) in enumerate(
+                zip(self.feature_, self.threshold_, self.right_)):
+            rows = pending.pop(node, None)
+            if rows is None or not rows.size:
+                continue
+            if feature == -1:
+                out[rows] = self.counts_[node]
+                continue
+            mask = X[rows, feature] <= threshold
+            pending[node + 1] = rows[mask]
+            pending[right] = rows[~mask]
         return out
-
-    def _route(self, node: Leaf | Split, X: np.ndarray, idx: np.ndarray,
-               out: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        if isinstance(node, Leaf):
-            out[idx] = node.counts
-            return
-        mask = X[idx, node.feature] <= node.threshold
-        self._route(node.left, X, idx[mask], out)
-        self._route(node.right, X, idx[~mask], out)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         scores = self.predict_scores(X)
@@ -160,21 +166,23 @@ class DecisionTree:
     # -- introspection and serialization ------------------------------------
 
     def depth(self) -> int:
-        if self.tree_ is None:
+        if self.feature_ is None:
             return 0
-        return max(path.count(".") for _, path in _walk(self.tree_, ""))
+        depths = [0] * len(self.feature_)
+        for node, right in enumerate(self.right_):
+            if right != -1:
+                depths[node + 1] = depths[right] = depths[node] + 1
+        return max(depths)
 
     def n_leaves(self) -> int:
-        if self.tree_ is None:
-            return 0
-        return sum(isinstance(node, Leaf) for node, _ in _walk(self.tree_, ""))
+        return 0 if self.feature_ is None else self.feature_.count(-1)
 
     @classmethod
     def from_payload(cls, params: TreeConfig, payload: TreePayload) -> "DecisionTree":
         model = cls(**asdict(params))
+        for f in fields(payload):
+            setattr(model, f"{f.name}_", getattr(payload, f.name))
         model.classes_ = np.asarray(payload.classes, dtype=np.int64)
-        model.n_features_ = payload.n_features
-        model.tree_ = payload.tree
         return model
 
 
@@ -192,28 +200,34 @@ class _Grower:
         self.n_classes = n_classes
         self.goes_left = np.zeros(len(y), dtype=bool)
 
-    def grow(self) -> Leaf | Split:
-        """The tree over every row; each feature is sorted once, here."""
+    def grow(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """The preorder ``feature``, ``threshold``, ``right`` and ``counts`` of
+        the tree over every row. Open nodes wait on a stack, the next in
+        preorder on top; ``parent`` is the split whose right child one is, or -1."""
+        params = self.params
+        nodes = []  # [feature, threshold, right, counts] per node, in preorder
         orders = [np.argsort(col, kind="stable").astype(np.int32)
                   for col in self.columns]
-        return self.build(orders, np.bincount(self.y, minlength=self.n_classes), 0)
-
-    def build(self, orders: list[np.ndarray], counts: np.ndarray,
-              depth: int) -> Leaf | Split:
-        params = self.params
-        best = None
-        if ((counts > 0).sum() > 1
-                and (params.max_depth is None or depth < params.max_depth)
-                and counts.sum() >= params.min_samples_split):
-            best = self._best_split(orders, counts)
-        if best is None or best[0] < params.min_impurity_decrease:
-            orders.clear()
-            return Leaf(tuple(counts.tolist()))
-        _, feature, threshold = best
-        left, right, left_counts = self._partition(orders, feature, threshold)
-        orders.clear()  # only the open path's orders stay alive
-        return Split(feature, threshold, self.build(left, left_counts, depth + 1),
-                     self.build(right, counts - left_counts, depth + 1))
+        stack = [(orders, np.bincount(self.y, minlength=self.n_classes), 0, -1)]
+        while stack:
+            orders, counts, depth, parent = stack.pop()
+            if parent != -1:
+                nodes[parent][2] = len(nodes)
+            nodes.append([-1, 0.0, -1, tuple(counts.tolist())])  # a leaf until split
+            best = None
+            if ((counts > 0).sum() > 1
+                    and (params.max_depth is None or depth < params.max_depth)
+                    and counts.sum() >= params.min_samples_split):
+                best = self._best_split(orders, counts)
+            if best is None or best[0] < params.min_impurity_decrease:
+                continue
+            _, feature, threshold = best
+            left, right, left_counts = self._partition(orders, feature, threshold)
+            nodes[-1][:2] = feature, threshold
+            stack.append((right, counts - left_counts, depth + 1, len(nodes) - 1))
+            stack.append((left, left_counts, depth + 1, -1))
+            del left, right  # only the open path's orders stay alive
+        return tuple(zip(*nodes))
 
     def _partition(self, orders: list[np.ndarray], feature: int, threshold: float):
         """Each order filtered to the rows routed left and to the rest, both

@@ -54,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--models", default=None,
                        help=f"comma list from {','.join(MODELS)}")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for configuration compatibility; "
-                            "scoring is single-threaded")
         p.add_argument("--data", default=None,
                        help="dataset root (folder-per-class corpus)")
         p.add_argument("--variables", default=None,
@@ -97,8 +94,6 @@ def _load_run_config(args) -> RunConfig:
         updates["out_dir"] = args.out
     if args.models is not None:
         updates["models"] = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    if args.threads is not None:
-        updates["threads"] = args.threads
     if args.data is not None:
         updates["data_root"] = args.data
         updates["synth"] = None

@@ -6,8 +6,7 @@ level and a field without a default must be present. A finite JSON number
 is accepted for a ``float`` (``NaN`` and ``Infinity`` are not); an ``int``,
 ``str`` or ``bool`` needs exactly that JSON type; a list reads as a tuple (a
 list of numbers, or of number lists, in one pass), an object as a mapping
-or a dataclass, and for a union of dataclasses as the member whose field
-names are its keys; ``null`` only where the hint allows ``None``. A
+or a dataclass; ``null`` only where the hint is ``X | None``. A
 ``ClassLabel``, as a mapping key or as a value, is written as its display
 name and read via ``ClassLabel.from_name``. Any bad value, or
 ``TypeError``/``ValueError`` from a dataclass's own checks, is a
@@ -50,18 +49,10 @@ def from_json(hint: Any, value: Any, path: str) -> Any:
     """The value of type ``hint`` spelled by the JSON ``value`` at key ``path``
     (``""`` for the top of a file)."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType):
+    if origin in (Union, UnionType):  # ``X | None``
         if value is None and NoneType in args:
             return None
-        members = [a for a in args if a is not NoneType]
-        if len(members) > 1:  # dataclasses: the one whose fields are the keys
-            keys = [sorted(f.name for f in fields(m)) for m in members]
-            if not isinstance(value, dict) or sorted(value) not in keys:
-                got = sorted(value) if isinstance(value, dict) else value
-                raise _error(path, f"expected an object with keys "
-                                   f"{' or '.join(map(str, keys))}, got {got!r}")
-            members = [members[keys.index(sorted(value))]]
-        hint = members[0]
+        hint, = (a for a in args if a is not NoneType)
         origin, args = get_origin(hint), get_args(hint)
     if is_dataclass(hint):
         return _build(hint, _fields_from_json(hint, value, path,

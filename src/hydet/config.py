@@ -31,7 +31,6 @@ class RunConfig:
     out_dir: str = "out"
     variables: tuple[str, ...] = CANONICAL_VARIABLE_NAMES
     models: tuple[str, ...] = tuple(MODELS)
-    threads: int = 1
     data_root: str | None = None
     synth: SynthConfig | None = None
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
@@ -40,8 +39,6 @@ class RunConfig:
     stats: TestConfig = field(default_factory=TestConfig)
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if not self.variables:
             raise ConfigError("variables list is empty")
         bad = [m for m in self.models if m not in MODELS]

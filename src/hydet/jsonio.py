@@ -115,5 +115,7 @@ def load(path: str | Path) -> Any:
             return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise HydetError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise HydetError(f"{path}: invalid JSON: nested too deeply") from None
         except ValueError as exc:  # a duplicate key, an over-long integer, bad UTF-8
             raise HydetError(f"{path}: {exc}") from None

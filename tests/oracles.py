@@ -4,9 +4,10 @@ The exact-test oracles use exact rational arithmetic (fractions.Fraction)
 and plain enumeration, deliberately avoiding the library's integer-numerator
 formulation so the two routes stay independent.  ``reference_tree`` is the
 straightforward per-node CART search that the library's presorted one must
-reproduce node for node.  ``reference_dumps`` renders JSON the plain recursive
-way, one string per nested value, that ``hydet.jsonio.dumps`` must match byte
-for byte.
+reproduce node for node, and ``tree_replay`` routes one row down the saved
+node lists.  ``reference_dumps`` renders JSON the plain recursive way, one
+string per nested value, that ``hydet.jsonio.dumps`` must match byte for
+byte.
 """
 
 import json
@@ -15,8 +16,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-
-from hydet.classifiers.tree import Leaf, Split
 
 
 def ks_d(a, b):
@@ -85,8 +84,8 @@ def reference_tree(X, y, max_depth=16, min_samples_split=2,
     every node re-sorts each feature with a stable argsort and reduces a
     float one-hot ``cumsum`` row by row.  A threshold is the midpoint of two
     adjacent values, or the lower value where the midpoint is not below the
-    upper one or not finite.  Returns the ``Leaf``/``Split`` tree, so the two
-    fits compare with ``==``."""
+    upper one or not finite.  Returns the preorder ``(feature, threshold,
+    right, counts)`` node lists, so the two fits compare with ``==``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     classes = np.unique(y)
@@ -135,26 +134,51 @@ def reference_tree(X, y, max_depth=16, min_samples_split=2,
                 best = (gain, feature, threshold)
         return best
 
+    feature, thresholds, right, node_counts = [], [], [], []
+
     def build(y, idx, depth):
+        """Append the subtree over rows ``idx`` in preorder: the node, then
+        its left subtree, then its right one."""
         counts = np.bincount(y[idx], minlength=n_classes)
-        leaf = Leaf(tuple(counts.tolist()))
+        node = len(feature)
+        feature.append(-1)
+        thresholds.append(0.0)
+        right.append(-1)
+        node_counts.append(tuple(counts.tolist()))
         if (counts > 0).sum() <= 1:
-            return leaf
+            return
         if max_depth is not None and depth >= max_depth:
-            return leaf
+            return
         if len(idx) < min_samples_split:
-            return leaf
+            return
 
         best = best_split(y, idx, counts)
         if best is None or best[0] < min_impurity_decrease:
-            return leaf
-        _, feature, threshold = best
+            return
+        _, feature[node], thresholds[node] = best
 
-        mask = X[idx, feature] <= threshold
-        return Split(feature, threshold, build(y, idx[mask], depth + 1),
-                     build(y, idx[~mask], depth + 1))
+        mask = X[idx, feature[node]] <= thresholds[node]
+        build(y, idx[mask], depth + 1)
+        right[node] = len(feature)
+        build(y, idx[~mask], depth + 1)
 
-    return build(np.searchsorted(classes, y), np.arange(X.shape[0]), 0)
+    build(np.searchsorted(classes, y), np.arange(X.shape[0]), 0)
+    return tuple(feature), tuple(thresholds), tuple(right), tuple(node_counts)
+
+
+def tree_replay(saved, row):
+    """The class index a saved tree (the JSON of its payload) predicts for
+    ``row``: walk from the root, to node i + 1 when ``row[feature[i]] <=
+    threshold[i]`` and else to ``right[i]``, until a leaf; its largest count
+    wins, the lowest class index on ties."""
+    node = 0
+    while saved["feature"][node] != -1:
+        if row[saved["feature"][node]] <= saved["threshold"][node]:
+            node += 1
+        else:
+            node = saved["right"][node]
+    counts = saved["counts"][node]
+    return max(range(len(counts)), key=lambda c: (counts[c], -c))
 
 
 def reference_dumps(obj):

