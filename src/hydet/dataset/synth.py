@@ -34,6 +34,16 @@ Corruption knobs inject exactly round(fraction * population) damaged cells:
 missing cells, frozen instance-channels (constant stuck reading) and
 per-channel high-side outliers guaranteed to sit strictly outside Tukey
 fences of the clean pooled channel.
+
+Draws
+-----
+Instance k of a class owns the streams ``derive(1, label, k).derive(s)``:
+``delta`` (s = 0), ``w`` (s = 1) and the noise of channel j (s = 2 + j).
+The generator draws them for a block of instances at once. Batching cannot
+change a value: a draw is a pure function of its stream key and counter
+(see :mod:`hydet.rng`), and every later step is elementwise, so an instance's
+values are the same whichever block it lands in. The block size only bounds
+the temporaries of one draw.
 """
 
 from __future__ import annotations
@@ -44,12 +54,15 @@ from typing import Mapping
 import numpy as np
 
 from ..errors import ConfigError
-from ..rng import CounterRng
+from ..rng import CounterRng, block_normals
 from .model import CANONICAL_VARIABLE_NAMES, ClassLabel, TimeSeriesInstance
 from .transform import rounded_count
 
 _INSTANCE_LATENT_W = 0.6
 _STEP_LATENT_W = 0.8
+# Normal draws per block of instances. 2**13 keeps `hydet synth` peak RSS
+# level with per-instance draws; 2**16 added ~2.3 MiB on the default corpus.
+_BLOCK_DRAWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -228,6 +241,7 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TimeSeriesInstance]:
     variables = config.variables
     n_ch = len(variables)
     length = config.length
+    per_block = max(1, _BLOCK_DRAWS // ((n_ch + 1) * length))
 
     plan: list[tuple[ClassLabel, int]] = []
     for label in ClassLabel:
@@ -236,19 +250,30 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TimeSeriesInstance]:
     n_inst = len(plan)
 
     values = np.empty((n_inst, n_ch, length), dtype=np.float64)
-    for i, (label, k) in enumerate(plan):
-        inst_rng = rng.derive(1, int(label), k)
-        delta = inst_rng.derive(0).normals(1)[0]
-        w = inst_rng.derive(1).normals(length)
-        z = _INSTANCE_LATENT_W * delta + _STEP_LATENT_W * w
-        regime = config.regimes[label]
-        for j, var in enumerate(variables):
-            ch = regime[var]
-            x = ch.base(length) + ch.latent_loading * z \
-                + ch.noise_sd * inst_rng.derive(2 + j).normals(length)
-            if ch.clamp is not None:
-                np.clip(x, ch.clamp[0], ch.clamp[1], out=x)
-            values[i, j] = x
+    first = 0
+    for label in ClassLabel:
+        count = config.counts.get(label, 0)
+        if not count:
+            continue
+        channels = [config.regimes[label][var] for var in variables]
+        bases = [ch.base(length) for ch in channels]
+        keys = np.array([[inst.derive(s).key for s in range(n_ch + 2)]
+                         for inst in (rng.derive(1, int(label), k)
+                                      for k in range(count))], dtype=np.uint64)
+        delta = block_normals(keys[:, 0], 1)
+        for k0 in range(0, count, per_block):
+            n_blk = min(per_block, count - k0)
+            draws = block_normals(keys[k0:k0 + n_blk, 1:].reshape(-1), length)
+            draws = draws.reshape(n_blk, n_ch + 1, length)
+            z = (_INSTANCE_LATENT_W * delta[k0:k0 + n_blk]
+                 + _STEP_LATENT_W * draws[:, 0])
+            block = values[first:first + n_blk]
+            for j, (ch, base) in enumerate(zip(channels, bases)):
+                x = base + ch.latent_loading * z + ch.noise_sd * draws[:, 1 + j]
+                if ch.clamp is not None:
+                    np.clip(x, ch.clamp[0], ch.clamp[1], out=x)
+                block[:, j] = x
+            first += n_blk
 
     _inject_corruption(values, config, rng)
 

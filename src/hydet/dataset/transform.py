@@ -47,8 +47,7 @@ def rounded_count(fraction: float, n: int) -> int:
 
 def _pick_test_rows(indices: np.ndarray, fraction: float, rng: CounterRng) -> np.ndarray:
     k = rounded_count(fraction, len(indices))
-    order = rng.permutation(len(indices))
-    return indices[order[:k]]
+    return indices[rng.sample_indices(len(indices), k)]
 
 
 def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:

@@ -49,14 +49,24 @@ def confusion(true_labels: Sequence[int], predicted_labels: Sequence[int],
     if y_true.size == 0:
         raise EmptyDataError("confusion of empty label sequences")
     classes = tuple(classes)
-    code_to_pos = {int(c): i for i, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(y_true.tolist(), y_pred.tolist()):
-        if t not in code_to_pos:
-            raise ValueError(f"true label {t} not in classes")
-        if p not in code_to_pos:
-            raise ValueError(f"predicted label {p} not in classes")
-        counts[code_to_pos[t], code_to_pos[p]] += 1
+    codes = np.array([int(c) for c in classes], dtype=np.int64)
+    known_true, known_pred = np.isin(y_true, codes), np.isin(y_pred, codes)
+    bad = np.flatnonzero(~(known_true & known_pred))
+    if bad.size:  # the first offending row, its true label checked first
+        i = bad[0]
+        if not known_true[i]:
+            raise ValueError(f"true label {int(y_true[i])} not in classes")
+        raise ValueError(f"predicted label {int(y_pred[i])} not in classes")
+    # a code listed twice counts at its last position
+    order = np.argsort(codes, kind="stable")
+    by_code = codes[order]
+
+    def position(y):
+        return order[np.searchsorted(by_code, y, side="right") - 1]
+
+    m = len(classes)
+    cells = position(y_true) * m + position(y_pred)
+    counts = np.bincount(cells, minlength=m * m).reshape(m, m)
     return ConfusionMatrix(classes=classes, counts=counts)
 
 

@@ -26,6 +26,23 @@ Uniform doubles take the top 53 bits: ``(u64 >> 11) * 2**-53`` for [0, 1),
 or with a half-bit offset for the open interval (0, 1). Normal deviates map
 one open-interval uniform through the Acklam inverse-normal-CDF
 approximation (relative error < 1.15e-9), so draw counts are position-stable.
+
+One draw path
+-------------
+:func:`block_normals` draws a ``(streams, n)`` block for an array of stream
+keys at once: the counters of every row, then the open uniforms, then one
+``_norm_ppf`` over the whole contiguous block. A draw depends on its
+(key, counter) pair alone, so a row of the block equals what its stream
+draws by itself. :class:`CounterRng`'s ``u64``, ``open_uniforms`` and
+``normals`` are the same stages with a single key.
+
+Sampling
+--------
+``sample_indices(n, k)`` is defined as ``permutation(n)[:k]``, the first k
+indices in (uniform, index) order. It is computed by selection instead of a
+sort of all n uniforms: ``np.partition`` finds the k-th smallest uniform,
+every index below it is taken together with the lowest-index ones equal to
+it, and only those k are sorted.
 """
 
 from __future__ import annotations
@@ -87,6 +104,26 @@ def _norm_ppf(p: np.ndarray) -> np.ndarray:
     return x
 
 
+def _draw_bits(keys: np.ndarray, n: int, offset: int) -> np.ndarray:
+    """``(len(keys), n)`` raw draws ``offset .. offset + n - 1`` of each stream."""
+    idx = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
+    keys = np.asarray(keys, dtype=np.uint64)
+    return _mix_array(keys[:, None] + idx * np.uint64(_PHI))
+
+
+def _open_unit(bits: np.ndarray) -> np.ndarray:
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def block_normals(keys: np.ndarray, n: int, offset: int = 0) -> np.ndarray:
+    """``(len(keys), n)`` normals: row r holds draws ``offset .. offset + n - 1``
+    of the stream with key ``keys[r]``, bit-identical to that stream's own
+    ``normals(n, offset)``."""
+    u = _open_unit(_draw_bits(keys, n, offset))
+    # one contiguous pass, so every element takes the same numpy loop
+    return _norm_ppf(u.reshape(-1)).reshape(u.shape)
+
+
 class CounterRng:
     """Counter-based deterministic generator (see module docstring).
 
@@ -107,9 +144,11 @@ class CounterRng:
             k = _mix(k ^ _mix((lab * _PHI + 1) & _MASK))
         return CounterRng(0, _raw_key=k)
 
+    def _keys(self) -> np.ndarray:
+        return np.array([self.key], dtype=np.uint64)
+
     def u64(self, n: int, offset: int = 0) -> np.ndarray:
-        idx = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
-        return _mix_array(np.uint64(self.key) + idx * np.uint64(_PHI))
+        return _draw_bits(self._keys(), n, offset)[0]
 
     def uniforms(self, n: int, offset: int = 0) -> np.ndarray:
         """n doubles in [0, 1)."""
@@ -117,18 +156,27 @@ class CounterRng:
 
     def open_uniforms(self, n: int, offset: int = 0) -> np.ndarray:
         """n doubles in the open interval (0, 1)."""
-        bits = (self.u64(n, offset) >> np.uint64(11)).astype(np.float64)
-        return (bits + 0.5) * 2.0 ** -53
+        return _open_unit(self.u64(n, offset))
 
     def normals(self, n: int, offset: int = 0) -> np.ndarray:
-        return _norm_ppf(self.open_uniforms(n, offset))
+        return block_normals(self._keys(), n, offset)[0]
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of per-index uniforms."""
         return np.argsort(self.uniforms(n), kind="stable")
 
     def sample_indices(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), in draw order."""
+        """k distinct indices from range(n), in draw order: ``permutation(n)[:k]``,
+        found by selection (see module docstring)."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} from {n}")
-        return self.permutation(n)[:k]
+        if k == 0:
+            return np.empty(0, dtype=np.intp)
+        u = self.uniforms(n)
+        cut = np.partition(u, k - 1)[k - 1]
+        chosen = u < cut
+        # the k-th place may be shared: the lowest indices holding it come first
+        ties = np.flatnonzero(u == cut)[:k - np.count_nonzero(chosen)]
+        chosen[ties] = True
+        picked = np.flatnonzero(chosen)
+        return picked[np.argsort(u[picked], kind="stable")]

@@ -7,7 +7,10 @@ straightforward per-node CART search that the library's presorted one must
 reproduce node for node, and ``tree_replay`` routes one row down the saved
 node lists.  ``reference_dumps`` renders JSON the plain recursive way, one
 string per nested value, that ``hydet.jsonio.dumps`` must match byte for
-byte.
+byte.  ``reference_synth`` is the per-instance synth loop that the blocked
+``synth_generate`` must match bit for bit: it draws each stream alone, one
+Python ``_mix`` per draw, and picks damaged cells as ``permutation(n)[:k]``.
+``reference_confusion`` tallies a confusion matrix row by row.
 """
 
 import json
@@ -16,6 +19,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from hydet.dataset.model import ClassLabel, TimeSeriesInstance
+from hydet.dataset.synth import _INSTANCE_LATENT_W, _STEP_LATENT_W
+from hydet.dataset.transform import rounded_count
+from hydet.rng import _PHI, CounterRng, _mix, _norm_ppf
 
 
 def ks_d(a, b):
@@ -215,3 +223,101 @@ def reference_dumps(obj):
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
     return render(obj, 0) + "\n"
+
+
+def stream_normals(key, n):
+    """Draws 0 .. n - 1 of the stream with ``key``: one Python ``_mix`` per
+    counter, the open-interval uniform of its top 53 bits, then one
+    ``_norm_ppf`` call on this stream alone."""
+    top = [_mix(key + (i + 1) * _PHI) >> 11 for i in range(n)]
+    return _norm_ppf((np.array(top, dtype=np.float64) + 0.5) * 2.0 ** -53)
+
+
+def reference_synth(config, seed):
+    """``synth_generate`` as one instance at a time and one stream at a time."""
+    rng = CounterRng(seed)
+    variables = config.variables
+    n_ch = len(variables)
+    length = config.length
+
+    plan = []
+    for label in ClassLabel:
+        for k in range(config.counts.get(label, 0)):
+            plan.append((label, k))
+    n_inst = len(plan)
+
+    values = np.empty((n_inst, n_ch, length), dtype=np.float64)
+    for i, (label, k) in enumerate(plan):
+        inst_rng = rng.derive(1, int(label), k)
+        delta = stream_normals(inst_rng.derive(0).key, 1)[0]
+        w = stream_normals(inst_rng.derive(1).key, length)
+        z = _INSTANCE_LATENT_W * delta + _STEP_LATENT_W * w
+        regime = config.regimes[label]
+        for j, var in enumerate(variables):
+            ch = regime[var]
+            x = ch.base(length) + ch.latent_loading * z \
+                + ch.noise_sd * stream_normals(inst_rng.derive(2 + j).key, length)
+            if ch.clamp is not None:
+                np.clip(x, ch.clamp[0], ch.clamp[1], out=x)
+            values[i, j] = x
+
+    _reference_corruption(values, config, rng)
+
+    timestamps = tuple(config.epoch_start + t for t in range(length))
+    return [TimeSeriesInstance(instance_id=f"synth-{label.name.lower()}-{k:05d}",
+                               label=label, timestamps=timestamps,
+                               variable_names=variables, values=values[i].T)
+            for i, (label, k) in enumerate(plan)]
+
+
+def _reference_corruption(values, config, rng):
+    """The synth damage pass with every sample taken as ``permutation(n)[:k]``."""
+    n_inst, n_ch, length = values.shape
+    total_cells = n_inst * n_ch * length
+
+    frozen_mask = np.zeros((n_inst, n_ch), dtype=bool)
+    k_frozen = rounded_count(config.frozen_fraction, n_inst * n_ch)
+    if k_frozen:
+        chosen = rng.derive(2).permutation(n_inst * n_ch)[:k_frozen]
+        for c in chosen:
+            i, j = divmod(int(c), n_ch)
+            values[i, j, :] = values[i, j, 0]
+            frozen_mask[i, j] = True
+
+    outlier_mask = np.zeros(values.shape, dtype=bool)
+    for j, var in enumerate(config.variables):
+        frac = config.outlier_fractions.get(var, 0.0)
+        k_out = rounded_count(frac, n_inst * length)
+        if not k_out:
+            continue
+        col = values[:, j, :]
+        lo, hi = float(col.min()), float(col.max())
+        spread = max(hi - lo, 1.0)
+        eligible = np.flatnonzero(~np.repeat(frozen_mask[:, j], length))
+        ch_rng = rng.derive(3, j)
+        picks = eligible[ch_rng.permutation(len(eligible))[:k_out]]
+        magnitudes = hi + (5.0 + 5.0 * ch_rng.derive(1).uniforms(k_out)) * spread
+        rows, ts = np.divmod(picks, length)
+        values[rows, j, ts] = magnitudes
+        outlier_mask[rows, j, ts] = True
+
+    k_missing = rounded_count(config.missing_fraction, total_cells)
+    if k_missing:
+        pool = np.flatnonzero(~outlier_mask)
+        picks = pool[rng.derive(4).permutation(len(pool))[:k_missing]]
+        values.reshape(-1)[picks] = np.nan
+
+
+def reference_confusion(true_labels, predicted_labels, classes):
+    """Counts tallied one row at a time; the first row holding an unknown
+    label raises, naming its true label if that is unknown."""
+    code_to_pos = {int(c): i for i, c in enumerate(classes)}
+    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for t, p in zip(np.asarray(true_labels).tolist(),
+                    np.asarray(predicted_labels).tolist()):
+        if t not in code_to_pos:
+            raise ValueError(f"true label {t} not in classes")
+        if p not in code_to_pos:
+            raise ValueError(f"predicted label {p} not in classes")
+        counts[code_to_pos[t], code_to_pos[p]] += 1
+    return counts

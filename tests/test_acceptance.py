@@ -277,21 +277,26 @@ def _read_tree(root):
 
 
 def test_pipeline_determinism(tmp_path):
+    """A rerun repeats every output byte, and so does a run on the same
+    corpus written to disk by ``hydet synth`` and read back with ``--data``."""
     with criterion("pipeline reruns are byte-identical", 120.0):
         cfg1, out1 = _pipeline_config(tmp_path, "run1")
         cfg2, out2 = _pipeline_config(tmp_path, "run2")
         cfg3, out3 = _pipeline_config(tmp_path, "run3")
+        corpus = tmp_path / "corpus"
         assert main(["pipeline", "--config", str(cfg1)]) == EXIT_OK
         assert main(["pipeline", "--config", str(cfg2)]) == EXIT_OK
-        assert main(["pipeline", "--config", str(cfg3)]) == EXIT_OK
+        assert main(["synth", "--config", str(cfg3), "--out", str(corpus)]) == EXIT_OK
+        assert main(["pipeline", "--config", str(cfg3),
+                     "--data", str(corpus)]) == EXIT_OK
 
         t1, t2, t3 = _read_tree(out1), _read_tree(out2), _read_tree(out3)
         assert set(t1) == set(t2) == set(t3)
         for rel in t1:
             if rel == "config.json":
-                continue  # echoes the differing out_dir by design
+                continue  # echoes the differing out_dir and data source by design
             assert t1[rel] == t2[rel], f"rerun differs: {rel}"
-            assert t1[rel] == t3[rel], f"rerun differs: {rel}"
+            assert t1[rel] == t3[rel], f"synth -> CSV -> ingest run differs: {rel}"
 
 
 # ---------------------------------------------------------------------------

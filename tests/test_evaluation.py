@@ -11,6 +11,7 @@ from hydet.codec import from_json, to_json
 from hydet.errors import EmptyDataError
 from hydet.evaluation import (ConfusionMatrix, EvalReport, accuracy, confusion,
                               evaluate, f1_per_class, report_from_confusion)
+from oracles import reference_confusion
 
 # Frozen reference confusion matrices (fixture data for the metric-math
 # oracles below); class order Hydrate / RapidLoss / Normal.
@@ -47,6 +48,36 @@ def test_confusion_matches_pairwise_tally_oracle():
     # row sums are true class frequencies; column sums predicted frequencies
     assert m.counts.sum(axis=1).tolist() == np.bincount(y_true, minlength=3).tolist()
     assert m.counts.sum(axis=0).tolist() == np.bincount(y_pred, minlength=3).tolist()
+
+
+@pytest.mark.parametrize("classes", [tuple(ClassLabel), CLASSES,
+                                     (ClassLabel.NORMAL, ClassLabel.HYDRATE),
+                                     (ClassLabel.NORMAL, ClassLabel.HYDRATE,
+                                      ClassLabel.NORMAL)])
+def test_confusion_matches_row_loop_oracle(classes):
+    rng = np.random.default_rng(5)
+    codes = np.array([int(c) for c in classes])
+    y_true, y_pred = rng.choice(codes, 400), rng.choice(codes, 400)
+    got = confusion(y_true, y_pred, classes)
+    assert got.counts.dtype == np.int64
+    assert got.counts.tolist() == reference_confusion(y_true, y_pred, classes).tolist()
+
+    def message(fn, t, p):
+        with pytest.raises(ValueError) as err:
+            fn(t, p, classes)
+        return str(err.value)
+
+    # unknown labels mid-array: the first offending row decides the message
+    for bad_true, bad_pred in ((200, None), (None, 150), (150, 200), (200, 150),
+                               (180, 180)):
+        t, p = y_true.copy(), y_pred.copy()
+        if bad_true is not None:
+            t[bad_true] = 9
+        if bad_pred is not None:
+            p[bad_pred] = -1
+        want = message(reference_confusion, t, p)
+        assert message(confusion, t, p) == want
+    assert message(confusion, t, p) == "true label 9 not in classes"
 
 
 def test_confusion_errors():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hydet.rng import CounterRng, _mix, _norm_ppf
+from hydet.rng import CounterRng, _mix, _norm_ppf, block_normals
+from oracles import stream_normals
 
 
 def test_mix_reference_values():
@@ -61,3 +62,46 @@ def test_sample_indices_distinct():
     assert len(set(idx.tolist())) == 20
     with pytest.raises(ValueError):
         CounterRng(3).sample_indices(5, 6)
+
+
+def test_block_normals_rows_equal_per_stream_draws():
+    root = CounterRng(2024)
+    streams = [root.derive(1, 2, k).derive(s) for k in range(6) for s in range(6)]
+    keys = np.array([r.key for r in streams], dtype=np.uint64)
+    for n in range(1, 71):
+        block = block_normals(keys, n)
+        assert block.shape == (len(keys), n)
+        for row, r in zip(block, streams):
+            assert row.tobytes() == stream_normals(r.key, n).tobytes(), n
+            assert row.tobytes() == r.normals(n).tobytes(), n
+    # offset addressing reads the same stream further on
+    assert np.array_equal(block_normals(keys, 30, offset=40),
+                          block_normals(keys, 70)[:, 40:])
+
+
+class _GridRng(CounterRng):
+    """A stream whose uniforms take only a few values, so many indices tie."""
+
+    def uniforms(self, n, offset=0):
+        return np.floor(super().uniforms(n, offset) * 5.0) / 5.0
+
+
+@pytest.mark.parametrize("rng", [CounterRng(3), CounterRng(41).derive(4),
+                                 _GridRng(8)], ids=["seed3", "derived", "grid"])
+def test_sample_indices_is_the_permutation_prefix(rng):
+    draws = np.random.default_rng(0)
+    sizes = [(1, 0), (1, 1), (2, 1), (5, 5), (997, 0), (997, 1), (997, 996), (997, 997)]
+    sizes += [(n, int(draws.integers(0, n + 1)))
+              for n in draws.integers(1, 3000, size=25).tolist()]
+    for n, k in sizes:
+        got = rng.sample_indices(n, k)
+        want = rng.permutation(n)[:k]
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n, k)
+
+
+def test_grid_stream_ties_straddle_the_cut():
+    # the tie step must matter: the k-th smallest value is shared with rows
+    # that fall past the first k
+    u = _GridRng(8).uniforms(997)
+    cut = np.sort(u)[400 - 1]
+    assert (u < cut).sum() < 400 < (u <= cut).sum()

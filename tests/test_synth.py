@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hydet.dataset import ClassLabel, default_config, flatten, synth_generate
+from hydet.dataset import (ClassLabel, default_config, flatten, qc_probe_config,
+                           synth_generate)
 from hydet.config import from_json, to_json
+from hydet.dataset import synth
 from hydet.dataset.synth import SynthConfig
 from hydet.errors import ConfigError
+from oracles import reference_synth
 
 VARS = ("P-TPT", "T-TPT", "P-MON-CKP", "T-JUS-CKP")
 
@@ -131,3 +134,45 @@ def test_sorted_key_json_round_trip_generates_identical_corpus():
     back = from_json(SynthConfig, sorted_json, "synth")
     assert back.variables == cfg.variables
     assert corpus_bits(synth_generate(back, 33)) == corpus_bits(synth_generate(cfg, 33))
+
+
+DIRTY = dict(missing_fraction=0.03, frozen_fraction=0.05,
+             outlier_fractions={"P-TPT": 0.01, "T-TPT": 0.02})
+
+# Instances per draw block at 4 channels: 1,638 at length 1, 819 at 2, 109 at
+# 15, 32 at 50, 26 at 61 and 2 at 600; every case spans a block boundary
+# mid-class.
+REFERENCE_CASES = {
+    "length1": default_config(1700, 1, 2, length=1, missing_fraction=0.1),
+    "length2": default_config(0, 825, 3, length=2,
+                              outlier_fractions={"T-JUS-CKP": 0.05}),
+    "length15": default_config(110, 2, 3, length=15, frozen_fraction=0.1),
+    "length61": default_config(30, 4, 27, length=61, **DIRTY),
+    "length600": default_config(5, 3, 3, length=600, **DIRTY),
+    "qc_probe": qc_probe_config(n_instances=40, length=50, **DIRTY),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 42, 11])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_blocked_draws_equal_per_stream_reference(case, seed):
+    cfg = REFERENCE_CASES[case]
+    assert corpus_bits(synth_generate(cfg, seed)) == \
+        corpus_bits(reference_synth(cfg, seed))
+
+
+@pytest.mark.parametrize("block_draws", [1, 3 * 5 * 7 + 1])
+def test_block_size_does_not_change_the_corpus(monkeypatch, block_draws):
+    # one instance per block, then three: edges land everywhere in each class
+    cfg = default_config(7, 5, 4, length=7, **DIRTY)
+    monkeypatch.setattr(synth, "_BLOCK_DRAWS", block_draws)
+    assert corpus_bits(synth_generate(cfg, 11)) == corpus_bits(reference_synth(cfg, 11))
+
+
+def test_hydrate_clamp_binds_in_the_reference_cases():
+    # the blocked clip must be exercised, not just configured
+    cfg = REFERENCE_CASES["length61"]
+    lo = cfg.regimes[ClassLabel.HYDRATE]["T-TPT"].clamp[0]
+    t_tpt = np.concatenate([inst.values[:, 1] for inst in synth_generate(cfg, 42)
+                            if inst.label is ClassLabel.HYDRATE])
+    assert (t_tpt == lo).any()
