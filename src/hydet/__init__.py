@@ -14,7 +14,7 @@ from .dataset import (CANONICAL_VARIABLE_NAMES, CANONICAL_VARIABLES, ClassLabel,
                       synth_generate, write_instance_csv)
 from .classifiers import (ClassifiersConfig, DecisionTree, GaussianNb,
                           KnnClassifier, load_model, save_model, train_all)
-from .config import PreprocessConfig, RunConfig
+from .config import DataConfig, PreprocessConfig, RunConfig
 from .evaluation import (ClassMetrics, ConfusionMatrix, EvalReport, accuracy,
                          confusion, evaluate, f1_per_class)
 from .quality import (BoxplotStats, Fences, ImputationModel, NormalizationModel,

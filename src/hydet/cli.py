@@ -3,7 +3,7 @@
 Exit codes are a stable contract: 0 success, 64 usage/configuration error,
 2 data or runtime error. Every command is deterministic given (config, seed):
 with a fixed effective config the output directory is byte-identical across
-reruns and thread counts.
+reruns.
 """
 
 from __future__ import annotations
@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Mapping
+from dataclasses import replace
 from pathlib import Path
 
 from . import jsonio
 from .classifiers import MODELS, load_model, save_model, train_all
-from .codec import from_file, to_json
-from .config import RunConfig
+from .codec import from_file, from_json, to_json
+from .config import DataConfig, RunConfig
 from .dataset import (CLASS_DIRS, ClassLabel, build_manifest, default_config,
                       flatten, load_instances, split, synth_generate,
                       write_instance_csv)
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_run_config(args) -> RunConfig:
     if args.config is not None:
-        config = RunConfig.from_json_dict(jsonio.load(args.config))
+        config = from_json(RunConfig, jsonio.load(args.config), "config")
     else:
         config = RunConfig()
     updates: dict = {}
@@ -95,25 +96,22 @@ def _load_run_config(args) -> RunConfig:
     if args.models is not None:
         updates["models"] = tuple(m.strip() for m in args.models.split(",") if m.strip())
     if args.data is not None:
-        updates["data_root"] = args.data
-        updates["synth"] = None
+        updates["data"] = DataConfig(root=args.data)
     if args.variables is not None:
         updates["variables"] = tuple(v.strip() for v in args.variables.split(",")
                                      if v.strip())
-    if updates:
-        from dataclasses import replace
-        config = replace(config, **updates)
-    return config
+    return replace(config, **updates)
 
 
 def _load_corpus(config: RunConfig) -> list[TimeSeriesInstance]:
-    config.require_data()
-    if config.data_root is not None:
-        manifest = build_manifest(config.data_root)
-        instances = load_instances(config.data_root, manifest) \
-            if manifest.instances else []
+    data = config.data
+    if data.root is not None:
+        manifest = build_manifest(data.root)
+        instances = load_instances(data.root, manifest) if manifest.instances else []
+    elif data.synth is not None:
+        instances = synth_generate(data.synth, config.seed)
     else:
-        instances = synth_generate(config.synth or default_config(), config.seed)
+        raise ConfigError("config needs a data source: data.root or data.synth")
     if not instances:
         raise HydetError("dataset is empty")
     return instances
@@ -164,7 +162,7 @@ def cmd_qc(config: RunConfig, args) -> int:
 def cmd_synth(config: RunConfig, args) -> int:
     out = Path(config.out_dir)
     _echo_config(config, out)
-    synth = config.synth or default_config()
+    synth = config.data.synth or default_config()
     instances = synth_generate(synth, config.seed)
     dir_of = {label: name for name, label in CLASS_DIRS.items()}
     for label in ClassLabel:
@@ -291,11 +289,14 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         stage = "quality-audit"
         matrix = flatten(instances, config.variables)
         _write_quality(config, instances, matrix, out)
+        del instances  # each stage's input goes once the next has what it needs
         stage = "split"
         train_m, test_m = split(matrix, config.split)
+        del matrix
         stage = "preprocess"
         prep = _fit_preprocessor(config, train_m, out / "models")
         train_ready, test_ready = prep.transform(train_m), prep.transform(test_m)
+        del train_m, test_m
         stage = "train"
         models = _train_and_save(config, train_ready, out / "models")
         stage = "evaluate"

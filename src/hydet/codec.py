@@ -55,9 +55,7 @@ def from_json(hint: Any, value: Any, path: str) -> Any:
         hint, = (a for a in args if a is not NoneType)
         origin, args = get_origin(hint), get_args(hint)
     if is_dataclass(hint):
-        return _build(hint, _fields_from_json(hint, value, path,
-                                              {f.name: f.name for f in fields(hint)}),
-                      path)
+        return _dataclass(hint, value, path)
     if origin is tuple and isinstance(value, list):
         numbers = _numbers(args, value)
         if numbers is not None:
@@ -139,21 +137,15 @@ def _key(hint: Any, key: str, path: str) -> Any:
         raise _error(path, str(exc)) from None
 
 
-def _fields_from_json(cls: type, value: Any, path: str,
-                      keys: Mapping[str, str]) -> dict:
-    """Constructor arguments of ``cls`` from the JSON object ``value``, whose
-    keys name fields through ``keys``."""
+def _dataclass(cls: type, value: Any, path: str) -> Any:
+    """The ``cls`` spelled by the JSON object ``value``, one key per field."""
     if not isinstance(value, dict):
         raise _error(path, f"expected an object, got {value!r}")
-    unknown = sorted(_at(path, k) for k in set(value) - set(keys))
+    unknown = sorted(_at(path, k) for k in value.keys() - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown keys {unknown}")
     hints = get_type_hints(cls)
-    return {keys[k]: from_json(hints[keys[k]], v, _at(path, k))
-            for k, v in value.items()}
-
-
-def _build(cls: type, kwargs: dict, path: str) -> Any:
+    kwargs = {k: from_json(hints[k], v, _at(path, k)) for k, v in value.items()}
     missing = [f.name for f in fields(cls) if f.name not in kwargs
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:

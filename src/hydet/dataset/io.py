@@ -129,8 +129,8 @@ def _load_table(name: str, text: str, instance_id: str,
 
     Only a body of digits, signs, points, exponents, commas and LF line ends
     is tried, so every token numpy accepts but the row loop rejects (``NAN``,
-    ``inf``, ISO timestamps) stays out, and ``1e999`` is caught as an
-    infinite value. Empty cells are filled with ``nan``.
+    ``inf``, ISO timestamps) stays out; ``1e999`` reads as infinite, which
+    ``TimeSeriesInstance`` rejects. Empty cells are filled with ``nan``.
     """
     stream = io.StringIO(text, newline="")
     var_names, has_class = _read_header(name, csv.reader(stream))
@@ -158,8 +158,6 @@ def _load_table(name: str, text: str, instance_id: str,
     if table.shape != values.shape[:1]:
         raise ValueError("row count")
     values[...] = table["v"]
-    if np.isinf(values).any():
-        raise ValueError("infinite value")
     file_label = None
     if has_class:
         codes = table["c"]

@@ -202,11 +202,8 @@ def fit_imputer(train: FeatureMatrix) -> ImputationModel:
 
 def apply_imputer(model: ImputationModel, matrix: FeatureMatrix) -> FeatureMatrix:
     _check_columns(model.columns, matrix)
-    values = matrix.values.copy()
-    for j, mean in enumerate(model.means):
-        col = values[:, j]
-        col[np.isnan(col)] = mean
-    return matrix.with_values(values)
+    return matrix.with_values(np.where(np.isnan(matrix.values), model.means,
+                                       matrix.values))
 
 
 def fit_boxplots(train: FeatureMatrix, tukey_k: float = 1.5,
@@ -225,12 +222,11 @@ def treat_outliers(matrix: FeatureMatrix,
     if len(stats) != matrix.n_cols:
         raise WidthMismatchError(f"{len(stats)} fence sets for "
                                  f"{matrix.n_cols} columns")
-    values = matrix.values.copy()
-    for j, st in enumerate(stats):
-        col = values[:, j]
-        observed = ~np.isnan(col)
-        col[observed] = np.clip(col[observed], st.lower_fence, st.upper_fence)
-    return matrix.with_values(values)
+    # fence first: a cell equal to its fence keeps its own sign of zero, as
+    # np.clip against scalar fences does; NaN cells pass through
+    values = np.maximum([st.lower_fence for st in stats], matrix.values)
+    return matrix.with_values(np.minimum([st.upper_fence for st in stats], values,
+                                         out=values))
 
 
 @dataclass(frozen=True)
@@ -273,11 +269,9 @@ def apply_normalizer(model: NormalizationModel, matrix: FeatureMatrix) -> Featur
     if np.isnan(matrix.values).any():
         raise MissingCellsError("normalizer requires no missing cells")
     _check_columns(model.columns, matrix)
-    values = matrix.values.copy()
-    for j, (c, s) in enumerate(zip(model.center, model.scale)):
-        values[:, j] -= c
-        if s != 0.0:  # constant columns pass through centered-only
-            values[:, j] /= s
+    values = matrix.values - model.center
+    scale = np.array(model.scale)
+    values /= np.where(scale == 0.0, 1.0, scale)  # constant columns: centered only
     return matrix.with_values(values)
 
 

@@ -11,6 +11,9 @@ byte.  ``reference_synth`` is the per-instance synth loop that the blocked
 ``synth_generate`` must match bit for bit: it draws each stream alone, one
 Python ``_mix`` per draw, and picks damaged cells as ``permutation(n)[:k]``.
 ``reference_confusion`` tallies a confusion matrix row by row.
+``reference_preprocess`` applies a fitted ``Preprocessor`` one column at a
+time, each stage in place on a copy, which the library's whole-matrix
+expressions must match bit for bit.
 """
 
 import json
@@ -321,3 +324,40 @@ def reference_confusion(true_labels, predicted_labels, classes):
             raise ValueError(f"predicted label {p} not in classes")
         counts[code_to_pos[t], code_to_pos[p]] += 1
     return counts
+
+
+def reference_impute(means, values):
+    """Each missing cell set to its column's training mean."""
+    values = values.copy()
+    for j, mean in enumerate(means):
+        col = values[:, j]
+        col[np.isnan(col)] = mean
+    return values
+
+
+def reference_winsorize(fences, values):
+    """Observed cells clamped into their column's fences; missing cells
+    stay."""
+    values = values.copy()
+    for j, st in enumerate(fences):
+        col = values[:, j]
+        observed = ~np.isnan(col)
+        col[observed] = np.clip(col[observed], st.lower_fence, st.upper_fence)
+    return values
+
+
+def reference_normalize(center, scale, values):
+    """Each column centered, then divided by its scale unless that is 0."""
+    values = values.copy()
+    for j, (c, s) in enumerate(zip(center, scale)):
+        values[:, j] -= c
+        if s != 0.0:
+            values[:, j] /= s
+    return values
+
+
+def reference_preprocess(prep, values):
+    """``prep.transform`` of the value grid ``values``."""
+    return reference_normalize(
+        prep.normalizer.center, prep.normalizer.scale,
+        reference_winsorize(prep.fences, reference_impute(prep.imputer.means, values)))

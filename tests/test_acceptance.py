@@ -18,7 +18,7 @@ from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config
                            flatten, load_instances, qc_probe_config, split,
                            synth_generate)
 from hydet.dataset.model import CANONICAL_VARIABLE_NAMES
-from hydet.config import to_json
+from hydet.codec import to_json
 from hydet.evaluation import ConfusionMatrix, accuracy, evaluate, f1_per_class
 from hydet.quality import Preprocessor, quality_report
 from hydet.stats import TestConfig, compare_models, ks_two_sample, mwu_two_sample

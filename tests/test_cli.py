@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from hydet import jsonio
 from hydet.classifiers import (ClassifiersConfig, KnnConfig, NbConfig, TreeConfig,
                                load_model, save_model)
 from hydet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from hydet.config import RunConfig, from_json, to_json
+from hydet.codec import from_json, to_json
+from hydet.config import DataConfig, RunConfig
 from hydet.dataset import CANONICAL_VARIABLE_NAMES, ClassLabel, SplitSpec
 from hydet.dataset.model import DatasetManifest
 from hydet.dataset.synth import ChannelModel, SynthConfig, default_config
@@ -50,18 +52,18 @@ def read_tree(root):
 
 
 def test_run_config_json_round_trip():
-    config = RunConfig(seed=9, models=("dt", "nb"), data_root="somewhere")
-    back = RunConfig.from_json_dict(config.to_json_dict())
+    config = RunConfig(seed=9, models=("dt", "nb"), data=DataConfig(root="somewhere"))
+    back = from_json(RunConfig, config.to_json_dict(), "config")
     assert back == config
 
 
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
-        RunConfig.from_json_dict({"seeed": 1})
+        from_json(RunConfig, {"seeed": 1}, "config")
     with pytest.raises(ConfigError):
-        RunConfig.from_json_dict({"split": {"fraction": 0.5}})
+        from_json(RunConfig, {"split": {"fraction": 0.5}}, "config")
     with pytest.raises(ConfigError):
-        RunConfig.from_json_dict({"classifiers": {"svm": {}}})
+        from_json(RunConfig, {"classifiers": {"svm": {}}}, "config")
 
 
 _finite = st.floats(-1e9, 1e9, allow_nan=False)
@@ -87,7 +89,7 @@ _run_config = st.builds(
     variables=st.lists(_name, min_size=1, max_size=5).map(tuple),
     models=st.lists(st.sampled_from(["dt", "knn", "nb"]), min_size=1,
                     max_size=3, unique=True).map(tuple),
-    data_root=st.none() | _name, synth=st.none(),
+    data=st.builds(DataConfig, root=st.none() | _name),
     preprocess=st.builds(PreprocessConfig, tukey_multiplier=st.floats(0.1, 10.0),
                          quartile_method=st.sampled_from(["linear", "nearest"]),
                          normalization=st.sampled_from(["zscore", "minmax"])),
@@ -109,9 +111,9 @@ _run_config = st.builds(
 @given(config=_run_config, synth=st.none() | _synth)
 def test_run_config_json_round_trip_drawn_sections(config, synth):
     if synth is not None:
-        config = RunConfig(**{**vars(config), "data_root": None, "synth": synth})
+        config = replace(config, data=DataConfig(synth=synth))
     text = jsonio.dumps(config.to_json_dict())
-    assert RunConfig.from_json_dict(json.loads(text)) == config
+    assert from_json(RunConfig, json.loads(text), "config") == config
 
 
 def test_readme_config_example_is_the_default_config():
@@ -119,15 +121,15 @@ def test_readme_config_example_is_the_default_config():
         encoding="utf-8")
     section = readme.split("## Config file", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
-    assert RunConfig.from_json_dict(json.loads(example)) == \
-        RunConfig(data_root="corpus")
+    assert from_json(RunConfig, json.loads(example), "config") == \
+        RunConfig(data=DataConfig(root="corpus"))
 
 
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(models=("dt", "boost"))
     with pytest.raises(ConfigError, match=r"unknown keys \['config.threads'\]"):
-        RunConfig.from_json_dict({"threads": 1})  # removed: it changed nothing
+        from_json(RunConfig, {"threads": 1}, "config")  # removed: it changed nothing
     with pytest.raises(ConfigError):
         RunConfig(variables=())
 
@@ -319,7 +321,7 @@ def test_every_json_output_reads_back_to_its_bytes(tmp_path):
 
     readers = {
         "config.json": lambda path: jsonio.dumps(
-            RunConfig.from_json_dict(jsonio.load(path)).to_json_dict()),
+            from_json(RunConfig, jsonio.load(path), "config").to_json_dict()),
         "manifest.json": decoded(DatasetManifest),
         "quality_report.json": decoded(QualityReport),
         "eval_*.json": decoded(EvalReport),
@@ -711,6 +713,48 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"mystery": 1}))
     assert main(["qc", "--config", str(bad)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"root": "corpus", "synth": to_json(default_config())},
+     "config.data: give either root or synth, not both"),
+    (5, "config.data: expected an object, got 5"),
+    ({"rot": "corpus"}, "unknown keys ['config.data.rot']"),
+], ids=["root-and-synth", "not-an-object", "unknown-key"])
+def test_bad_data_section_is_usage_error(tmp_path, capsys, data, message):
+    path = tmp_path / "config.json"
+    jsonio.dump({"data": data}, path)
+    out = tmp_path / "never"
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_pipeline_without_data_source_fails_at_ingest(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["pipeline", "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == ("error: stage ingest failed: config needs a "
+                                       "data source: data.root or data.synth\n")
+    assert (out / "INCOMPLETE").read_text() == "pipeline aborted in stage ingest\n"
+
+
+def test_config_echo_lists_only_the_data_source_set(tmp_path):
+    config_path, corpus = small_synth_config(tmp_path, out_name="corpus")
+    assert main(["synth", "--config", str(config_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["pipeline", "--data", str(corpus), "--out", str(out)]) == EXIT_OK
+    f1_path = tmp_path / "f1.json"
+    jsonio.dump({"a": [0.5, 0.6, 0.7], "b": [0.8, 0.9, 1.0]}, f1_path)
+    compared = tmp_path / "compared"
+    assert main(["compare", "--from-f1", str(f1_path), "--out", str(compared)]) \
+        == EXIT_OK
+
+    def data(root):
+        return jsonio.load(root / "config.json")["data"]
+
+    assert data(corpus) == {"synth": jsonio.load(config_path)["data"]["synth"]}
+    assert data(out) == {"root": str(corpus)}
+    assert data(compared) == {}
 
 
 def _regime_without_start(config):

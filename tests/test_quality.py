@@ -17,6 +17,8 @@ from hydet.quality import (PreprocessConfig, Preprocessor, apply_imputer,
                            quantile, render_boxplot_svg, save_preprocessor,
                            scan_missing, treat_outliers)
 
+from oracles import reference_impute, reference_preprocess, reference_winsorize
+
 VARS = ("P-TPT", "T-TPT", "P-MON-CKP", "T-JUS-CKP")
 
 
@@ -302,6 +304,29 @@ def test_normalizer_minmax_mode():
 def test_normalizer_rejects_missing():
     with pytest.raises(MissingCellsError):
         fit_normalizer(matrix_of([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("mode", ["zscore", "minmax"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_preprocess_stages_equal_the_per_column_oracle(seed, mode):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(300, 5))
+    values[:, 1] *= 1e150  # large, yet their squares stay finite
+    values[:, 2] = 7.5  # zero scale
+    values[:, 3] = np.where(rng.random(300) < 0.5, -0.0, 0.0)  # zero scale, signed
+    values[rng.random(300) < 0.1, 4] = -0.0
+    values[9] = (1e6, -1e152, 7.5, 0.0, -1e6)  # raw outliers
+    values[rng.random(values.shape) < 0.2] = np.nan
+    m = matrix_of(*values.T)
+    prep = Preprocessor.fit(m, PreprocessConfig(normalization=mode))
+    assert prep.normalizer.zero_scale_columns == ("c2", "c3")
+    assert apply_imputer(prep.imputer, m).values.tobytes() == \
+        reference_impute(prep.imputer.means, values).tobytes()
+    # before imputation, so missing cells must pass through
+    assert treat_outliers(m, prep.fences).values.tobytes() == \
+        reference_winsorize(prep.fences, values).tobytes()
+    assert prep.transform(m).values.tobytes() == \
+        reference_preprocess(prep, values).tobytes()
 
 
 # ---------------------------------------------------------------------------

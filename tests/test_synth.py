@@ -5,7 +5,7 @@ import pytest
 
 from hydet.dataset import (ClassLabel, default_config, flatten, qc_probe_config,
                            synth_generate)
-from hydet.config import from_json, to_json
+from hydet.codec import from_json, to_json
 from hydet.dataset import synth
 from hydet.dataset.synth import SynthConfig
 from hydet.errors import ConfigError
