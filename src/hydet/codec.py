@@ -25,6 +25,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .dataset.model import ClassLabel
 from .errors import ConfigError, ModelFormatError
+from .jsonio import is_float_matrix
 
 _JSON_NAMES = {tuple: "a list", Mapping: "an object", float: "a number",
                int: "an integer", str: "a string", bool: "true or false"}
@@ -33,7 +34,9 @@ _NUMBER_TYPES = {float: {int, float}, int: {int}}  # hint -> JSON value types
 
 def to_json(value: Any) -> Any:
     """JSON form of a dataclass value; ``from_json`` reads it back. numpy
-    arrays and scalars write through ``.tolist()``."""
+    arrays and scalars write through ``.tolist()``, except a 2-D float64
+    array, which stays whole for ``jsonio`` to write a block of rows at a
+    time."""
     if is_dataclass(value):
         return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, ClassLabel):
@@ -42,6 +45,8 @@ def to_json(value: Any) -> Any:
         return {to_json(k): to_json(v) for k, v in value.items()}
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
+    if is_float_matrix(value):
+        return value
     return value.tolist() if hasattr(value, "tolist") else value
 
 

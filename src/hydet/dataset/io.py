@@ -1,7 +1,8 @@
 """Instance CSV ingestion/serialization and directory manifests.
 
 Instance files are UTF-8 CSV with header ``timestamp,<var1>,...[,class]``.
-Timestamps are either integer epoch seconds or ISO-8601 strings, auto-detected
+Timestamps are either integer epoch seconds, read into an int64 array, or
+ISO-8601 strings, read into a tuple of ``datetime``; the kind is auto-detected
 per file and required to be uniform within a file. Empty cells and the
 literal tokens ``NaN``/``nan`` are missing readings; any other cell must parse
 to a finite float.
@@ -35,7 +36,7 @@ from typing import BinaryIO, Mapping
 import numpy as np
 
 from ..errors import CsvFormatError, EmptyDataError, HydetError, LabelConflictError
-from .model import ClassLabel, DatasetManifest, ManifestEntry, TimeSeriesInstance, Timestamp
+from .model import ClassLabel, DatasetManifest, ManifestEntry, TimeSeriesInstance
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +48,10 @@ CLASS_DIRS = {
 }
 
 _MISSING_TOKENS = {"", "NaN", "nan"}
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+Timestamp = int | datetime
 
 #: any other character in a file body sends it to the row loop
 _TABLE_CHARS = b"0123456789.,-+eE\n"
@@ -60,9 +65,14 @@ _NOT_A_TABLE = (HydetError, ValueError, Warning)
 def _parse_timestamp(token: str, where: str) -> tuple[Timestamp, str]:
     """Returns (value, kind) with kind in {'epoch', 'iso'}."""
     try:
-        return int(token), "epoch"
+        value = int(token)
     except ValueError:
         pass
+    else:
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise CsvFormatError(f"{where}: timestamp {token!r} is outside the "
+                                 "int64 range")
+        return value, "epoch"
     try:
         return datetime.fromisoformat(token.replace("Z", "+00:00")), "iso"
     except ValueError:
@@ -147,6 +157,7 @@ def _load_table(name: str, text: str, instance_id: str,
     # after it sat above the freed table, and the heap kept ~19 MiB of such
     # holes after reading the 615,000-row benchmark corpus.
     values = np.empty((body.count("\n") + (body[-1] != "\n"), len(var_names)))
+    stamps = np.empty(len(values), dtype=np.int64)
     fields = [("t", np.int64), ("v", np.float64, (len(var_names),))]
     if has_class:
         fields.append(("c", np.int64))
@@ -158,6 +169,7 @@ def _load_table(name: str, text: str, instance_id: str,
     if table.shape != values.shape[:1]:
         raise ValueError("row count")
     values[...] = table["v"]
+    stamps[...] = table["t"]
     file_label = None
     if has_class:
         codes = table["c"]
@@ -165,7 +177,7 @@ def _load_table(name: str, text: str, instance_id: str,
             raise ValueError("class column changes")
         file_label = _parse_label_token(str(codes[0]), label_map, name)
     return _instance(name, instance_id, label, file_label,
-                     tuple(table["t"].tolist()), var_names, values)
+                     stamps, var_names, values)
 
 
 def _load_rows(name: str, text: str, instance_id: str,
@@ -223,8 +235,10 @@ def _load_rows(name: str, text: str, instance_id: str,
 
     if not timestamps:
         raise EmptyDataError(f"{name}: header but zero data rows")
-    return _instance(name, instance_id, label, file_label, tuple(timestamps),
-                     var_names, np.array(rows, dtype=np.float64))
+    stamps = np.array(timestamps, dtype=np.int64) if ts_kind == "epoch" \
+        else tuple(timestamps)
+    return _instance(name, instance_id, label, file_label, stamps, var_names,
+                     np.array(rows, dtype=np.float64))
 
 
 def _read_header(name: str, reader) -> tuple[list[str], bool]:
@@ -250,7 +264,8 @@ def _read_header(name: str, reader) -> tuple[list[str], bool]:
 
 
 def _instance(name: str, instance_id: str, label: ClassLabel | None,
-              file_label: ClassLabel | None, timestamps: tuple[Timestamp, ...],
+              file_label: ClassLabel | None,
+              timestamps: np.ndarray | tuple[datetime, ...],
               var_names: list[str], values: np.ndarray) -> TimeSeriesInstance:
     if label is not None and file_label is not None and label != file_label:
         raise LabelConflictError(f"{name}: class column says {file_label.name} "

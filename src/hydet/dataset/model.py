@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from datetime import datetime
 from enum import IntEnum
@@ -65,9 +64,6 @@ def variable_info(name: str) -> SensorVariable:
     return _CANONICAL_BY_NAME.get(name, SensorVariable(name, ""))
 
 
-Timestamp = int | datetime
-
-
 @dataclass(frozen=True, eq=False)
 class TimeSeriesInstance:
     """One labeled well episode.
@@ -76,11 +72,13 @@ class TimeSeriesInstance:
     timestamp, one column per name in ``variable_names``, NaN for a missing
     reading. An infinite value raises ``NonFiniteError``: the CSV loader
     rejects one too, so every instance round-trips through its own file.
+    ``timestamps`` is a tuple of ``datetime`` (ISO files) or else a read-only
+    int64 array of epoch seconds (T,); either kind must not decrease.
     """
 
     instance_id: str
     label: ClassLabel
-    timestamps: tuple[Timestamp, ...]
+    timestamps: np.ndarray | tuple[datetime, ...]
     variable_names: tuple[str, ...]
     values: np.ndarray
 
@@ -105,11 +103,22 @@ class TimeSeriesInstance:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         stamps = self.timestamps
-        if any(map(operator.lt, stamps[1:], stamps)):
-            i = next(i for i in range(1, n) if stamps[i] < stamps[i - 1])
+        if isinstance(stamps[0], datetime):
+            back = next((i for i in range(1, n) if stamps[i] < stamps[i - 1]), None)
+        else:
+            stamps = np.ascontiguousarray(stamps)
+            if stamps.ndim != 1 or not np.can_cast(stamps.dtype, np.int64):
+                raise TypeError(f"instance {self.instance_id!r}: timestamps must be "
+                                f"int64 epoch seconds or datetimes")
+            stamps = stamps.astype(np.int64, copy=False)
+            stamps.setflags(write=False)
+            object.__setattr__(self, "timestamps", stamps)
+            later = np.flatnonzero(stamps[1:] < stamps[:-1])
+            back = int(later[0]) + 1 if later.size else None
+        if back is not None:
             raise TimestampOrderError(
-                f"instance {self.instance_id!r}: timestamp at row {i} "
-                f"({stamps[i]}) precedes row {i - 1}")
+                f"instance {self.instance_id!r}: timestamp at row {back} "
+                f"({stamps[back]}) precedes row {back - 1}")
 
     def __len__(self) -> int:
         return len(self.timestamps)

@@ -112,6 +112,9 @@ class SynthConfig:
             raise ConfigError("zero total instances requested")
         if self.length < 1:
             raise ConfigError("length must be >= 1")
+        if not -2**63 <= self.epoch_start <= 2**63 - self.length:
+            raise ConfigError("epoch_start and the length must keep every "
+                              "timestamp in the int64 range")
         for name, frac in (("missing_fraction", self.missing_fraction),
                            ("frozen_fraction", self.frozen_fraction),
                            *((f"outlier_fractions[{k}]", v)
@@ -277,7 +280,8 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TimeSeriesInstance]:
 
     _inject_corruption(values, config, rng)
 
-    timestamps = tuple(config.epoch_start + t for t in range(length))
+    timestamps = config.epoch_start + np.arange(length, dtype=np.int64)
+    timestamps.setflags(write=False)  # one array, shared by every instance
     return [TimeSeriesInstance(instance_id=f"synth-{label.name.lower()}-{k:05d}",
                                label=label, timestamps=timestamps,
                                variable_names=variables, values=values[i].T)

@@ -13,7 +13,10 @@ from .model import FeatureMatrix, SplitSpec, TimeSeriesInstance
 
 def flatten(instances: Sequence[TimeSeriesInstance],
             variables: Sequence[str]) -> FeatureMatrix:
-    """One matrix row per (instance, timestamp); labels broadcast per instance."""
+    """One matrix row per (instance, timestamp); labels broadcast per instance.
+
+    The output arrays are allocated once and filled instance by instance, so
+    flattening holds nothing beyond its result."""
     if not instances:
         raise EmptyDataError("flatten: no instances")
     if not variables:
@@ -27,16 +30,25 @@ def flatten(instances: Sequence[TimeSeriesInstance],
                 raise MissingVariableError(
                     f"instance {inst.instance_id!r} lacks channel {var!r}")
         columns.append([inst.variable_names.index(var) for var in variables])
-    lengths = np.array([len(inst) for inst in instances], dtype=np.int64)
-    starts = np.cumsum(lengths) - lengths
-    inst_index = np.repeat(np.arange(len(instances)), lengths)
-    return FeatureMatrix(
-        column_names=variables,
-        values=np.concatenate([inst.values[:, cols]
-                               for inst, cols in zip(instances, columns)]),
-        labels=np.repeat([int(inst.label) for inst in instances], lengths),
-        origin=np.column_stack((inst_index, np.arange(lengths.sum()) - starts[inst_index])),
-        instance_ids=tuple(inst.instance_id for inst in instances))
+    n_rows = sum(map(len, instances))
+    values = np.empty((n_rows, len(variables)))
+    labels = np.empty(n_rows, dtype=np.int64)
+    origin = np.empty((n_rows, 2), dtype=np.int64)
+    steps = np.arange(max(map(len, instances)))
+    start = 0
+    for i, (inst, cols) in enumerate(zip(instances, columns)):
+        stop = start + len(inst)
+        if inst.variable_names == variables:
+            values[start:stop] = inst.values
+        else:
+            values[start:stop] = inst.values[:, cols]
+        labels[start:stop] = inst.label
+        origin[start:stop, 0] = i
+        origin[start:stop, 1] = steps[:stop - start]
+        start = stop
+    return FeatureMatrix(column_names=variables, values=values, labels=labels,
+                         origin=origin,
+                         instance_ids=tuple(inst.instance_id for inst in instances))
 
 
 def rounded_count(fraction: float, n: int) -> int:

@@ -3,18 +3,23 @@
 Output directories must be byte-identical across reruns, so every JSON
 artifact is written with sorted keys, fixed separators and floats rendered
 at 17 significant digits (the shortest width that round-trips any IEEE-754
-double).
+double).  A 2-D float64 array is written as its list of rows would be, one
+block of rows at a time, so that ``dump`` never holds a large array as text.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
+
+import numpy as np
 
 from .errors import HydetError
+
+#: rows of a float array rendered and written at once
+_ROW_BLOCK = 1 << 12
 
 
 def format_float(x: float) -> str:
@@ -25,79 +30,98 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render(obj: Any, pad: str, out: list[str]) -> None:
-    """Append the text of ``obj``, nested at indent ``pad``, to ``out``."""
+def _render(obj: Any, pad: str, write: Callable[[str], Any]) -> None:
+    """Write the text of ``obj``, nested at indent ``pad``, with ``write``."""
     if obj is None:
-        out.append("null")
+        write("null")
     elif obj is True:
-        out.append("true")
+        write("true")
     elif obj is False:
-        out.append("false")
+        write("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        write(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, int):
-        out.append(str(obj))
+        write(str(obj))
     elif isinstance(obj, float):
-        out.append(format_float(obj))
+        write(format_float(obj))
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         inner = pad + "  "
         sep = "{\n"
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"non-string JSON key: {key!r}")
-            out.append(f"{sep}{inner}{json.dumps(key, ensure_ascii=False)}: ")
-            _render(obj[key], inner, out)
+            write(f"{sep}{inner}{json.dumps(key, ensure_ascii=False)}: ")
+            _render(obj[key], inner, write)
             sep = ",\n"
-        out.append(f"\n{pad}}}")
+        write(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple)):
         if not len(obj):
-            out.append("[]")
-        elif not _render_float_rows(obj, pad, out):
-            inner = pad + "  "
-            sep = "[\n"
-            for value in obj:
-                out.append(sep + inner)
-                _render(value, inner, out)
-                sep = ",\n"
-            out.append(f"\n{pad}]")
+            write("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n"
+        for value in obj:
+            write(sep + inner)
+            _render(value, inner, write)
+            sep = ",\n"
+        write(f"\n{pad}]")
+    elif is_float_matrix(obj):
+        _render_float_matrix(obj, pad, write)
     else:
-        # numpy scalars and arrays funnel through item()/tolist() upstream;
-        # anything else here is a bug in the caller.
+        # other numpy scalars and arrays funnel through item()/tolist()
+        # upstream; anything else here is a bug in the caller.
         raise TypeError(f"unsupported JSON value type: {type(obj).__name__}")
 
 
-def _render_float_rows(rows: list | tuple, pad: str, out: list[str]) -> bool:
-    """Render a list of equal-length lists of finite floats with one ``%``
-    template, as ``_render`` would; returns False for anything else.
+def is_float_matrix(obj: Any) -> bool:
+    """A 2-D float64 array: ``codec.to_json`` passes one through whole."""
+    return isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64
 
-    ``%.17g`` gives ``format_float``'s digits for every finite double.
-    """
-    if not set(map(type, rows)) <= {list, tuple}:
-        return False
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return False
-    values = list(chain.from_iterable(rows))
-    if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
-        return False  # a sum that overflows only costs the fast path
-    cell = f"\n{pad}    %.17g"
-    row = f"{pad}  [" + ",".join([cell] * widths.pop()) + f"\n{pad}  ]"
-    out.append("[\n" + ",\n".join([row] * len(rows)) % tuple(values) + f"\n{pad}]")
-    return True
+
+def _render_float_matrix(rows: np.ndarray, pad: str,
+                         write: Callable[[str], Any]) -> None:
+    """Write ``rows`` as ``_render`` writes ``rows.tolist()``, ``_ROW_BLOCK``
+    rows at a time, so that no more than one block is ever text.  A block of
+    finite values is rendered with one ``%`` template: ``%.17g`` gives
+    ``format_float``'s digits for every finite double.  A block with a NaN or
+    an infinite cell is rendered value by value."""
+    if not rows.size:
+        _render(rows.tolist(), pad, write)
+        return
+    inner = pad + "  "
+    cell = f"\n{inner}  %.17g"
+    row = f"{inner}[" + ",".join([cell] * rows.shape[1]) + f"\n{inner}]"
+    sep = "[\n"
+    for first in range(0, len(rows), _ROW_BLOCK):
+        block = rows[first:first + _ROW_BLOCK]
+        if np.isfinite(block).all():
+            write(sep)
+            write(",\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            for values in block.tolist():
+                write(sep + inner)
+                _render(values, inner, write)
+                sep = ",\n"
+        sep = ",\n"
+    write(f"\n{pad}]")
 
 
 def dumps(obj: Any) -> str:
     out: list[str] = []
-    _render(obj, "", out)
+    _render(obj, "", out.append)
     out.append("\n")
     return "".join(out)
 
 
 def dump(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8", newline="\n")
+    """Write ``dumps(obj)`` to ``path``, streamed: a 2-D float array is
+    rendered and written a block of rows at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _render(obj, "", fh.write)
+        fh.write("\n")
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:

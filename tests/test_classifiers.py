@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, GaussianNb,
                                KnnClassifier, KnnConfig, NbConfig, TreeConfig,
                                load_model, payload, save_model, train_all)
-from hydet.classifiers.tree import _gini_rows
+from hydet.classifiers.tree import _BLOCK, _gini_rows
 from hydet.codec import to_json
 from hydet.config import RunConfig
 from hydet.dataset import default_config, flatten, split, synth_generate
@@ -217,6 +217,42 @@ def test_tree_threshold_separates_adjacent_values(pair, max_depth):
     assert (model.depth(), model.threshold_[0]) == (1, pair[0])
     assert model.predict(X).tolist() == [0, 1]
     assert fitted_tree(model) == reference_tree(X, y, max_depth=max_depth)
+
+
+def test_tree_blocked_split_search_matches_the_per_node_search():
+    # the root's candidates on feature 0 fill three blocks and part of a
+    # fourth; feature 1 has ties, so its blocks hold fewer candidates
+    n = 3 * _BLOCK + 100
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(n, 2))
+    X[:, 1] = np.round(X[:, 1], 2)
+    y = (X[:, 0] + 0.5 * X[:, 1] > 0.3).astype(np.int64) + (X[:, 1] > 1)
+    flip = rng.random(n) < 0.05
+    y[flip] = rng.integers(0, 3, size=int(flip.sum()))
+    assert len(np.unique(X[:, 0])) - 1 > 3 * _BLOCK + 1
+    model = DecisionTree(max_depth=3).fit(X, y)
+    assert model.n_leaves() == 8
+    assert fitted_tree(model) == reference_tree(X, y, max_depth=3)
+
+
+def test_tree_equal_gains_across_a_block_border_keep_the_lower_threshold():
+    # rows 0 | 1 | 0 by x, the two runs of 0 equally long: splitting off
+    # either run gives bitwise the same gain, at candidates a - 1 (block 0)
+    # and a + m - 1 (block 1)
+    a, m = _BLOCK - 100, 300
+    n = 2 * a + m
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = np.array([0] * a + [1] * m + [0] * a)
+    n_left = np.array([a, a + m], dtype=np.float64)
+    gini_left = _gini_rows([np.array([a, a]), np.array([0, m])], n_left)
+    gini_right = _gini_rows([np.array([a, a]), np.array([m, 0])], n - n_left)
+    gini_left *= n_left / n
+    gini_right *= (n - n_left) / n
+    gains = 1.0 - ((a + a) / n) ** 2 - (m / n) ** 2 - gini_left - gini_right
+    assert gains[0] == gains[1]
+    model = DecisionTree(max_depth=1).fit(X, y)
+    assert model.threshold_[0] == a - 0.5
+    assert fitted_tree(model) == reference_tree(X, y, max_depth=1)
 
 
 def test_tree_deep_chain_fits_saves_and_loads(tmp_path):

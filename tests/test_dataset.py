@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hydet.codec import to_json
-from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, flatten,
-                           load_instance_csv, split, write_instance_csv)
+from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config,
+                           flatten, load_instance_csv, split, synth_generate,
+                           write_instance_csv)
 from hydet.dataset import io as dataset_io
 from hydet.dataset.io import _load_rows, write_matrix_csv
 from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance
@@ -32,6 +33,20 @@ def make_instance(instance_id="i0", label=ClassLabel.NORMAL, n=5, channels=None)
                               timestamps=tuple(range(n)),
                               variable_names=tuple(channels),
                               values=np.array(list(channels.values())).T)
+
+
+def assert_epoch_stamps(stamps, expected):
+    """``stamps`` is the read-only int64 array of the epoch seconds ``expected``."""
+    assert type(stamps) is np.ndarray and stamps.dtype == np.int64
+    assert stamps.shape == (len(expected),) and not stamps.flags.writeable
+    assert stamps.base is None  # not a view that keeps a parse table alive
+    assert stamps.tolist() == list(expected)
+
+
+def assert_iso_stamps(stamps, expected):
+    """``stamps`` is the tuple of the ``datetime`` values ``expected``."""
+    assert type(stamps) is tuple and stamps == tuple(expected)
+    assert {type(ts) for ts in stamps} == {datetime}
 
 
 def same_bits(actual, expected):
@@ -131,7 +146,8 @@ def test_csv_round_trip_bit_identical(tmp_path):
     write_instance_csv(inst, path)
     back = load_instance_csv(path, "rt")
     assert back.label is inst.label
-    assert back.timestamps == inst.timestamps
+    assert_epoch_stamps(inst.timestamps, range(5))
+    assert_epoch_stamps(back.timestamps, inst.timestamps)
     assert back.variable_names == inst.variable_names
     assert same_bits(back.values, inst.values)  # bit-identical floats and missing
 
@@ -156,7 +172,7 @@ def test_csv_round_trip_property(tmp_path_factory, data):
     back = load_instance_csv(path, "p")
     assert back.values.tobytes() == inst.values.tobytes()
     assert back.variable_names == inst.variable_names
-    assert back.timestamps == inst.timestamps
+    assert_epoch_stamps(back.timestamps, timestamps)
 
 
 def test_csv_round_trip_iso_timestamps(tmp_path):
@@ -168,7 +184,8 @@ def test_csv_round_trip_iso_timestamps(tmp_path):
     path = tmp_path / "iso.csv"
     write_instance_csv(inst, path)
     back = load_instance_csv(path, "iso")
-    assert back.timestamps == stamps
+    assert_iso_stamps(inst.timestamps, stamps)
+    assert_iso_stamps(back.timestamps, stamps)
     assert back.variable_names == inst.variable_names
     assert same_bits(back.values, inst.values)
 
@@ -212,6 +229,14 @@ def test_write_matrix_csv_labeled_points(tmp_path):
 # the one-pass parse against the row loop
 
 
+def _stamps_key(stamps):
+    """Timestamps as a comparable key: their container, type and values."""
+    if isinstance(stamps, np.ndarray):
+        return (type(stamps), stamps.dtype, stamps.shape, stamps.flags.writeable,
+                stamps.flags.c_contiguous, stamps.tolist())
+    return type(stamps), stamps, tuple(map(type, stamps))
+
+
 def _outcome(load):
     """What a load gives: the instance's fields bit for bit, or its error."""
     try:
@@ -219,8 +244,8 @@ def _outcome(load):
     except Exception as exc:  # the type and message must match, whatever they are
         return type(exc), str(exc)
     values = inst.values
-    return (inst.label, inst.variable_names, inst.timestamps,
-            tuple(map(type, inst.timestamps)), values.shape, values.tobytes(),
+    return (inst.label, inst.variable_names, _stamps_key(inst.timestamps),
+            values.shape, values.tobytes(),
             values.dtype, values.flags.c_contiguous, values.base is None)
 
 
@@ -322,6 +347,75 @@ def test_plain_numeric_files_never_reach_the_row_loop(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# timestamps: one read-only int64 array for epoch seconds, datetimes for ISO
+
+
+def test_epoch_timestamps_are_one_int64_array_on_every_path(tmp_path):
+    inst, = synth_generate(default_config(n_normal=1, n_rapid_loss=0, n_hydrate=0,
+                                          length=7), 3)
+    assert_epoch_stamps(inst.timestamps, range(1_700_000_000, 1_700_000_007))
+    path = tmp_path / "s.csv"
+    write_instance_csv(inst, path)
+    text = path.read_text(encoding="utf-8")
+    one_pass = load_instance_csv(path, "s")
+    row_loop = _load_rows("s.csv", text, "s", None, None)
+    for loaded in (one_pass, row_loop):
+        assert_epoch_stamps(loaded.timestamps, inst.timestamps.tolist())
+        assert same_bits(loaded.values, inst.values)
+    # a tuple or an integer array given to the constructor becomes the same
+    for given_stamps in (tuple(range(3)), np.arange(3, dtype=np.int32), [0, 1, 2]):
+        made = TimeSeriesInstance("m", ClassLabel.NORMAL, given_stamps, ("x",),
+                                  [[0.0], [1.0], [2.0]])
+        assert_epoch_stamps(made.timestamps, range(3))
+
+
+def test_iso_timestamps_stay_a_tuple_of_datetimes():
+    text = "timestamp,x\n2024-01-01T00:00:00Z,1.0\n2024-01-01T00:00:07+00:00,2.0\n"
+    expected = tuple(map(datetime.fromisoformat, ("2024-01-01T00:00:00+00:00",
+                                                  "2024-01-01T00:00:07+00:00")))
+    for inst in (load_instance_csv(_stream(text), "iso", ClassLabel.NORMAL),
+                 _load_rows("iso", text, "iso", ClassLabel.NORMAL, None)):
+        assert_iso_stamps(inst.timestamps, expected)
+
+
+@pytest.mark.parametrize("stamps, shown", [
+    ((0, 5, 3, 9), "3"),
+    (np.array([0, 5, 3, 9]), "3"),
+    (tuple(datetime(2024, 1, 1, 0, 0, s) for s in (0, 5, 3, 9)), "2024-01-01 00:00:03"),
+])
+def test_both_order_checks_name_the_same_row(stamps, shown):
+    message = f"instance 'o': timestamp at row 2 ({shown}) precedes row 1"
+    with pytest.raises(TimestampOrderError, match=f"^{re.escape(message)}$"):
+        TimeSeriesInstance("o", ClassLabel.NORMAL, stamps, ("x",), [[0.0]] * 4)
+
+
+def test_order_checks_of_csv_files_name_the_same_row():
+    epoch = "timestamp,x\n0,1.0\n5,1.0\n3,1.0\n"
+    iso = ("timestamp,x\n2024-01-01T00:00:00,1.0\n2024-01-01T00:00:05,1.0\n"
+           "2024-01-01T00:00:03,1.0\n")
+    for text, shown in ((epoch, "3"), (iso, "2024-01-01 00:00:03")):
+        message = f"instance 'o': timestamp at row 2 ({shown}) precedes row 1"
+        for load in (lambda: load_instance_csv(_stream(text), "o", ClassLabel.NORMAL),
+                     lambda: _load_rows("o", text, "o", ClassLabel.NORMAL, None)):
+            with pytest.raises(TimestampOrderError, match=f"^{re.escape(message)}$"):
+                load()
+
+
+def test_timestamps_outside_int64_are_rejected():
+    for stamps in ((0, 2**63), (0.0, 1.0), np.arange(2.0), np.zeros((2, 1), np.int64)):
+        with pytest.raises(TypeError, match="int64 epoch seconds or datetimes"):
+            TimeSeriesInstance("t", ClassLabel.NORMAL, stamps, ("x",), [[0.0], [1.0]])
+    for token in (str(2**63), str(-2**63 - 1)):
+        message = f"t.csv row 3: timestamp '{token}' is outside the int64 range"
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+            load_instance_csv(_stream(f"timestamp,x\n0,1.0\n{token},2.0\n"), "t.csv",
+                              ClassLabel.NORMAL)
+    inst = load_instance_csv(_stream(f"timestamp,x\n{-2**63},1.0\n{2**63 - 1},2.0\n"),
+                             "t", ClassLabel.NORMAL)
+    assert_epoch_stamps(inst.timestamps, [-2**63, 2**63 - 1])
+
+
+# ---------------------------------------------------------------------------
 # the one-template writers against per-value writers
 
 
@@ -364,7 +458,7 @@ def test_writers_equal_per_value_writers(tmp_path_factory, data):
         timestamps = tuple(start + timedelta(seconds=7 * i) for i in range(shape[0]))
     else:
         timestamps = tuple(sorted(data.draw(st.lists(
-            st.integers(-2**70, 2**70), min_size=shape[0], max_size=shape[0]))))
+            st.integers(-2**63, 2**63 - 1), min_size=shape[0], max_size=shape[0]))))
     # an instance holds no infinite value; the matrix below does
     inst = TimeSeriesInstance("w", data.draw(st.sampled_from(ClassLabel)), timestamps,
                               tuple(f"c{j}" for j in range(shape[1])),
@@ -448,6 +542,27 @@ def test_flatten_labels_match_enumeration_oracle():
     got = [(m.instance_ids[i], t, int(lab))
            for (i, t), lab in zip(m.origin.tolist(), m.labels)]
     assert got == expected
+
+
+def test_flatten_fills_columns_in_the_requested_order():
+    # instances whose channels come in the requested order, in another order
+    # or with extra channels; each row must be the instance's cells, bit for bit
+    instances = [
+        make_instance("a", n=3, channels={"P-TPT": [0.5, np.nan, -0.0],
+                                          "T-TPT": [1.0, 2.0, 3.0]}),
+        make_instance("b", ClassLabel.HYDRATE, 2, channels={"T-TPT": [4.0, 5e-324],
+                                                            "P-TPT": [6.0, -7.5]}),
+        make_instance("c", n=4, channels={"x": [9.0] * 4, "P-TPT": [1.0, 2.0, 3.0, 4.0],
+                                          "T-TPT": [np.nan] * 4}),
+    ]
+    for variables in (("P-TPT", "T-TPT"), ("T-TPT", "P-TPT"), ("T-TPT",)):
+        m = flatten(instances, variables)
+        expected = np.concatenate([
+            inst.values[:, [inst.variable_names.index(v) for v in variables]]
+            for inst in instances])
+        assert same_bits(m.values, expected)
+        assert m.values.flags.c_contiguous and not m.values.flags.writeable
+        assert m.labels.tolist() == [0] * 3 + [2] * 2 + [0] * 4
 
 
 def test_flatten_missing_variable():

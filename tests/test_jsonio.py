@@ -2,11 +2,13 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydet import jsonio
+from hydet.codec import to_json
 from hydet.errors import HydetError
 from oracles import reference_dumps
 
@@ -107,3 +109,55 @@ def test_deep_chain_dumps_in_linear_time():
     text = jsonio.dumps(chain)
     assert time.perf_counter() - start < 1.0
     assert text.count('"threshold"') == 900
+
+
+# ---------------------------------------------------------------------------
+# 2-D float arrays, written a block of rows at a time
+
+
+def _spread_floats(rng, n_rows, width):
+    return rng.normal(size=(n_rows, width)) * 10.0 ** rng.integers(-300, 300,
+                                                                   size=(n_rows, width))
+
+
+@pytest.mark.parametrize("n_rows", [jsonio._ROW_BLOCK - 1, jsonio._ROW_BLOCK,
+                                    jsonio._ROW_BLOCK + 1])
+def test_dump_writes_a_float_array_as_its_rows(tmp_path, n_rows):
+    arr = _spread_floats(np.random.default_rng(n_rows), n_rows, 3)
+    arr[0, 0], arr[-1, -1] = -0.0, 5e-324
+    path = tmp_path / "rows.json"
+    jsonio.dump(arr, path)
+    assert path.read_bytes() == reference_dumps(arr.tolist()).encode("utf-8")
+    nested = {"train": arr, "k": [arr[:2], 1]}
+    jsonio.dump(nested, path)
+    expected = reference_dumps({"train": arr.tolist(), "k": [arr[:2].tolist(), 1]})
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert jsonio.dumps(nested) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, jsonio._ROW_BLOCK - 1, jsonio._ROW_BLOCK + 5])
+def test_dump_spells_non_finite_cells_as_before(tmp_path, bad, row):
+    # the block holding the cell is rendered value by value; the others are not
+    arr = _spread_floats(np.random.default_rng(row), jsonio._ROW_BLOCK + 9, 2)
+    arr[row, 1] = bad
+    path = tmp_path / "bad.json"
+    jsonio.dump({"rows": arr}, path)
+    expected = reference_dumps({"rows": arr.tolist()})
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert jsonio.dumps({"rows": arr}) == expected
+
+
+def test_dump_writes_empty_float_arrays_as_their_rows(tmp_path):
+    path = tmp_path / "empty.json"
+    for arr in (np.empty((0, 3)), np.empty((2, 0))):
+        jsonio.dump({"a": arr}, path)
+        assert path.read_text(encoding="utf-8") == reference_dumps({"a": arr.tolist()})
+
+
+def test_to_json_keeps_only_2d_float64_arrays_whole():
+    matrix = np.arange(6.0).reshape(3, 2)
+    assert to_json(matrix) is matrix
+    for other in (np.arange(3.0), np.arange(6).reshape(3, 2),
+                  np.arange(6.0, dtype=np.float32).reshape(3, 2), np.float64(2.5)):
+        assert to_json(other) == other.tolist()

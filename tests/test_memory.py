@@ -1,0 +1,57 @@
+"""Structural memory gates: what a stage allocates beyond its result.
+
+Peaks are read with ``tracemalloc``, which numpy reports its array buffers
+to, so they count bytes the code asked for and do not depend on the machine
+or its load. Each bound sits well above the stage's own arrays and well
+below what holding a full-size temporary would cost.
+"""
+
+import os
+import tracemalloc
+
+import numpy as np
+
+from hydet.classifiers import DecisionTree, KnnClassifier, save_model
+from hydet.dataset import default_config, flatten, synth_generate
+
+
+def traced_peak(run):
+    """``run()``'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tree_fit_peaks_within_two_and_a_half_times_its_matrix():
+    # 1,025 episodes x 196 steps = 200,900 rows x 4 of the default corpus;
+    # the search once held the matrix's transpose and node-long float
+    # temporaries, about 5x the matrix
+    matrix = flatten(synth_generate(default_config(length=196), 0),
+                     default_config().variables)
+    model, peak = traced_peak(lambda: DecisionTree().fit(matrix.values, matrix.labels))
+    assert model.n_leaves() > 10
+    assert peak <= 2.5 * matrix.values.nbytes
+
+
+def test_flatten_peaks_within_its_output():
+    instances = synth_generate(default_config(n_normal=40, n_rapid_loss=20,
+                                              n_hydrate=10, length=600), 1)
+    variables = default_config().variables
+    matrix, peak = traced_peak(lambda: flatten(instances, variables))
+    output = matrix.values.nbytes + matrix.labels.nbytes + matrix.origin.nbytes
+    assert matrix.n_rows == 70 * 600
+    assert peak <= 1.3 * output
+
+
+def test_knn_save_model_peaks_within_half_its_file(tmp_path):
+    # the training rows are written a block at a time; rendering them whole
+    # took about 4.5x the file
+    rng = np.random.default_rng(3)
+    model = KnnClassifier().fit(rng.normal(size=(40_000, 4)),
+                                rng.integers(0, 3, size=40_000))
+    path = tmp_path / "knn.json"
+    _, peak = traced_peak(lambda: save_model(model, path))
+    assert peak <= 0.5 * os.path.getsize(path)

@@ -16,8 +16,10 @@ VARS = ("P-TPT", "T-TPT", "P-MON-CKP", "T-JUS-CKP")
 
 def corpus_bits(instances):
     """Everything an instance holds, with values compared bit for bit."""
-    return [(inst.instance_id, inst.label, inst.timestamps, inst.variable_names,
-             inst.values.shape, inst.values.tobytes()) for inst in instances]
+    return [(inst.instance_id, inst.label, type(inst.timestamps), inst.timestamps.dtype,
+             inst.timestamps.flags.writeable, inst.timestamps.tolist(),
+             inst.variable_names, inst.values.shape, inst.values.tobytes())
+            for inst in instances]
 
 
 def test_counts_and_length():
