@@ -23,9 +23,10 @@ from itertools import chain
 from types import NoneType, UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .dataset.model import ClassLabel
 from .errors import ConfigError, ModelFormatError
-from .jsonio import is_float_matrix
 
 _JSON_NAMES = {tuple: "a list", Mapping: "an object", float: "a number",
                int: "an integer", str: "a string", bool: "true or false"}
@@ -33,10 +34,10 @@ _NUMBER_TYPES = {float: {int, float}, int: {int}}  # hint -> JSON value types
 
 
 def to_json(value: Any) -> Any:
-    """JSON form of a dataclass value; ``from_json`` reads it back. numpy
-    arrays and scalars write through ``.tolist()``, except a 2-D float64
-    array, which stays whole for ``jsonio`` to write a block of rows at a
-    time."""
+    """The value ``jsonio`` writes as the JSON of a dataclass value; once
+    written, ``from_json`` reads back what ``jsonio.load`` returns. numpy
+    scalars become Python numbers; numpy arrays pass through whole, since
+    ``jsonio`` decides how each array is written."""
     if is_dataclass(value):
         return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, ClassLabel):
@@ -45,9 +46,7 @@ def to_json(value: Any) -> Any:
         return {to_json(k): to_json(v) for k, v in value.items()}
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
-    if is_float_matrix(value):
-        return value
-    return value.tolist() if hasattr(value, "tolist") else value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def from_json(hint: Any, value: Any, path: str) -> Any:

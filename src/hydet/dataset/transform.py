@@ -38,10 +38,7 @@ def flatten(instances: Sequence[TimeSeriesInstance],
     start = 0
     for i, (inst, cols) in enumerate(zip(instances, columns)):
         stop = start + len(inst)
-        if inst.variable_names == variables:
-            values[start:stop] = inst.values
-        else:
-            values[start:stop] = inst.values[:, cols]
+        values[start:stop] = inst.values[:, cols]
         labels[start:stop] = inst.label
         origin[start:stop, 0] = i
         origin[start:stop, 1] = steps[:stop - start]

@@ -3,8 +3,9 @@
 Output directories must be byte-identical across reruns, so every JSON
 artifact is written with sorted keys, fixed separators and floats rendered
 at 17 significant digits (the shortest width that round-trips any IEEE-754
-double).  A 2-D float64 array is written as its list of rows would be, one
-block of rows at a time, so that ``dump`` never holds a large array as text.
+double).  A numpy array is written as its ``.tolist()`` would be; a 2-D
+float64 array is written one block of rows at a time, so that ``dump`` never
+holds a large array as text.
 """
 
 from __future__ import annotations
@@ -68,17 +69,15 @@ def _render(obj: Any, pad: str, write: Callable[[str], Any]) -> None:
             _render(value, inner, write)
             sep = ",\n"
         write(f"\n{pad}]")
-    elif is_float_matrix(obj):
-        _render_float_matrix(obj, pad, write)
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.dtype == np.float64:
+            _render_float_matrix(obj, pad, write)
+        else:
+            _render(obj.tolist(), pad, write)
     else:
-        # other numpy scalars and arrays funnel through item()/tolist()
-        # upstream; anything else here is a bug in the caller.
+        # numpy scalars funnel through item() upstream; anything else here
+        # is a bug in the caller.
         raise TypeError(f"unsupported JSON value type: {type(obj).__name__}")
-
-
-def is_float_matrix(obj: Any) -> bool:
-    """A 2-D float64 array: ``codec.to_json`` passes one through whole."""
-    return isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == np.float64
 
 
 def _render_float_matrix(rows: np.ndarray, pad: str,

@@ -2,6 +2,7 @@
 PASS/FAIL line (visible with `pytest -s tests/test_acceptance.py`) and
 enforcing its runtime budget."""
 
+import json
 import math
 import os
 import time
@@ -205,7 +206,7 @@ def test_classifier_oracles():
 
         # decision tree vs independent root-to-leaf replay
         tree = DecisionTree(max_depth=12).fit(Xtr, ytr)
-        exported = to_json(payload(tree))
+        exported = json.loads(jsonio.dumps(to_json(payload(tree))))
         tree_pred = tree.predict(Xte)
         for i, q in enumerate(Xte):
             assert tree_pred[i] == tree.classes_[tree_replay(exported, q)]

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import warnings
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, GaussianNb,
                                KnnClassifier, KnnConfig, NbConfig, TreeConfig,
                                load_model, payload, save_model, train_all)
+from hydet import jsonio
 from hydet.classifiers.tree import _BLOCK, _gini_rows
 from hydet.codec import to_json
 from hydet.config import RunConfig
@@ -79,7 +81,7 @@ def test_tree_predictions_match_replay_oracle():
     model = DecisionTree(max_depth=6).fit(X, y)
     queries = rng.normal(size=(200, 3))
     predicted = model.predict(queries)
-    exported = to_json(payload(model))
+    exported = json.loads(jsonio.dumps(to_json(payload(model))))
     replayed = [model.classes_[tree_replay(exported, q)] for q in queries]
     assert predicted.tolist() == replayed
 
@@ -94,7 +96,7 @@ def test_tree_depth_and_min_samples_limits():
     # no node smaller than min_samples_split is ever split: replay the
     # training rows through the exported tree and count arrivals
     model = DecisionTree(min_samples_split=40).fit(X, y)
-    exported = to_json(payload(model))
+    exported = json.loads(jsonio.dumps(to_json(payload(model))))
     arrivals = [0] * len(exported["feature"])
     for row in X:
         node = 0
@@ -618,6 +620,6 @@ def test_load_model_rejects_unknown_version(tmp_path):
 
 def test_determinism_identical_fits():
     train, _ = _prepared_desk_matrices()
-    a = to_json(payload(DecisionTree().fit(train.values, train.labels)))
-    b = to_json(payload(DecisionTree().fit(train.values, train.labels)))
+    a = jsonio.dumps(to_json(payload(DecisionTree().fit(train.values, train.labels))))
+    b = jsonio.dumps(to_json(payload(DecisionTree().fit(train.values, train.labels))))
     assert a == b

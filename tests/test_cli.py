@@ -781,11 +781,16 @@ def _regime_without_start(config):
     (lambda c: c.update(classifiers={"tree": {"min_impurity_decrease": float("nan")}}),
      "config.classifiers.tree.min_impurity_decrease: expected a finite number"),
     (lambda c: c.update(threads=1), "unknown keys ['config.threads']"),
+    (lambda c: c["data"]["synth"].update(epoch_start=2**63 - 11),
+     "config.data.synth: epoch_start and the length must keep every timestamp"),
+    (lambda c: c["data"]["synth"].update(epoch_start=-2**63 - 1),
+     "config.data.synth: epoch_start and the length must keep every timestamp"),
 ], ids=["split-not-object", "channel-without-start", "test-fraction-1.5",
         "knn-k-0", "tree-max-depth-negative", "nb-eps-rel-0", "length-string",
         "unknown-class-name", "stratified-string", "seed-string", "seed-float",
         "variables-string", "alpha-beyond-float-range",
-        "tree-min-impurity-decrease-nan", "threads-removed"])
+        "tree-min-impurity-decrease-nan", "threads-removed",
+        "epoch-start-past-int64", "epoch-start-below-int64"])
 def test_bad_config_value_is_usage_error_naming_its_key(tmp_path, capsys, edit,
                                                          key_path):
     path, _ = small_synth_config(tmp_path)

@@ -155,9 +155,14 @@ def test_dump_writes_empty_float_arrays_as_their_rows(tmp_path):
         assert path.read_text(encoding="utf-8") == reference_dumps({"a": arr.tolist()})
 
 
-def test_to_json_keeps_only_2d_float64_arrays_whole():
-    matrix = np.arange(6.0).reshape(3, 2)
-    assert to_json(matrix) is matrix
-    for other in (np.arange(3.0), np.arange(6).reshape(3, 2),
-                  np.arange(6.0, dtype=np.float32).reshape(3, 2), np.float64(2.5)):
-        assert to_json(other) == other.tolist()
+def test_to_json_passes_arrays_whole_and_dump_writes_them_as_lists(tmp_path):
+    path = tmp_path / "arrays.json"
+    for arr in (np.arange(6.0).reshape(3, 2), np.arange(3.0), np.arange(6).reshape(3, 2),
+                np.arange(6.0, dtype=np.float32).reshape(3, 2), np.array(True),
+                np.arange(8.0).reshape(2, 2, 2)):
+        assert to_json(arr) is arr
+        jsonio.dump({"a": arr}, path)
+        assert path.read_text(encoding="utf-8") == reference_dumps({"a": arr.tolist()})
+    for scalar in (np.float64(2.5), np.int32(-3), np.bool_(False)):
+        out = to_json(scalar)
+        assert type(out) is type(scalar.item()) and out == scalar.item()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ def test_invalid_configs():
         default_config(n_normal=1, missing_fraction=1.0)
     with pytest.raises(ConfigError):
         default_config(n_normal=1, outlier_fractions={"NOPE": 0.1})
+
+
+def test_epoch_start_keeps_every_timestamp_in_int64():
+    length = 5
+    cfg = default_config(n_normal=1, n_rapid_loss=0, n_hydrate=0, length=length)
+    for start in (2**63 - length, -2**63):
+        stamps = synth_generate(replace(cfg, epoch_start=start), 0)[0].timestamps
+        assert stamps.dtype == np.int64
+        assert stamps.tolist() == list(range(start, start + length))
+    for start in (2**63 - length + 1, -2**63 - 1):
+        with pytest.raises(ConfigError, match="int64 range"):
+            replace(cfg, epoch_start=start)
 
 
 def test_channel_model_validation():
