@@ -245,7 +245,7 @@ def cmd_eval(config: RunConfig, args) -> int:
 
 
 def _comparison_outputs(table, out: Path) -> None:
-    jsonio.dump(table.to_json_dict(), out / "comparison.json")
+    jsonio.dump(to_json(table), out / "comparison.json")
     (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8",
                                         newline="\n")
     _print_comparison(table)
@@ -318,11 +318,10 @@ def cmd_pipeline(config: RunConfig, args) -> int:
 def _print_comparison(table) -> None:
     print("comparison".ljust(30) + "KS".rjust(6) + "p".rjust(8)
           + "U".rjust(8) + "p".rjust(8) + "  significant")
-    for pc in table.pairs:
-        print(pc.name.ljust(30)
-              + f"{pc.ks.statistic:6.2f}{pc.ks.p_value:8.3f}"
-              + f"{pc.mwu.u_statistic:8.1f}{pc.mwu.p_value:8.3f}"
-              + ("  yes" if pc.significant else "  no"))
+    for name, pc in table.pairs.items():
+        print(name.ljust(30) + f"{pc.ks_stat:6.2f}{pc.ks_p:8.3f}"
+              + f"{pc.u_stat:8.1f}{pc.u_p:8.3f}"
+              + ("  yes" if pc.significant_at_alpha else "  no"))
 
 
 def main(argv=None) -> int:

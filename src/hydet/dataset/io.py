@@ -3,7 +3,8 @@
 Instance files are UTF-8 CSV with header ``timestamp,<var1>,...[,class]``.
 Timestamps are either integer epoch seconds, read into an int64 array, or
 ISO-8601 strings, read into a tuple of ``datetime``; the kind is auto-detected
-per file and required to be uniform within a file. Empty cells and the
+per file and required to be uniform within a file (ISO stamps with a UTC
+offset are a kind apart from those without). Empty cells and the
 literal tokens ``NaN``/``nan`` are missing readings; any other cell must parse
 to a finite float.
 
@@ -63,7 +64,8 @@ _NOT_A_TABLE = (HydetError, ValueError, Warning)
 
 
 def _parse_timestamp(token: str, where: str) -> tuple[Timestamp, str]:
-    """Returns (value, kind) with kind in {'epoch', 'iso'}."""
+    """Returns (value, kind) with kind in {'epoch', 'iso', 'iso-offset'}:
+    ISO stamps with and without a UTC offset cannot be ordered together."""
     try:
         value = int(token)
     except ValueError:
@@ -74,10 +76,11 @@ def _parse_timestamp(token: str, where: str) -> tuple[Timestamp, str]:
                                  "int64 range")
         return value, "epoch"
     try:
-        return datetime.fromisoformat(token.replace("Z", "+00:00")), "iso"
+        stamp = datetime.fromisoformat(token.replace("Z", "+00:00"))
     except ValueError:
         raise CsvFormatError(f"{where}: bad timestamp {token!r} "
                              "(need integer epoch seconds or ISO-8601)") from None
+    return stamp, "iso" if stamp.utcoffset() is None else "iso-offset"
 
 
 def _parse_label_token(token: str, label_map: Mapping[int, ClassLabel] | None,

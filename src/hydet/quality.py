@@ -40,6 +40,11 @@ def quantile(values: np.ndarray, p: float, method: str = "linear") -> float:
     x = np.sort(np.asarray(values, dtype=np.float64))
     if x.size == 0:
         raise EmptyDataError("quantile of empty sample")
+    return _sorted_quantile(x, p, method)
+
+
+def _sorted_quantile(x: np.ndarray, p: float, method: str) -> float:
+    """``quantile`` of the non-empty, ascending array ``x``."""
     pos = (x.size - 1) * p
     if method == "nearest":
         return float(x[int(np.floor(pos + 0.5))])
@@ -89,12 +94,10 @@ def boxplot_stats(column: np.ndarray, tukey_k: float = 1.5,
     for the quantiles and never flagged as outliers."""
     col = np.asarray(column, dtype=np.float64)
     observed = ~np.isnan(col)
-    x = col[observed]
+    x = np.sort(col[observed])
     if x.size < 4:
         raise EmptyDataError(f"boxplot needs >= 4 observed values, have {x.size}")
-    q1 = quantile(x, 0.25, quartile_method)
-    med = quantile(x, 0.50, quartile_method)
-    q3 = quantile(x, 0.75, quartile_method)
+    q1, med, q3 = (_sorted_quantile(x, p, quartile_method) for p in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     lower = q1 - tukey_k * iqr
     upper = q3 + tukey_k * iqr

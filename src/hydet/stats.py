@@ -10,9 +10,10 @@ lattice paths that stay inside the observed D at every tied-group end
 and Whitney 1947 recursion). Counts are Python integers and the compared
 statistics are integer-valued (D numerators over n1*n2; doubled midrank
 sums), so p-values are exact count ratios with no float-comparison fuzz.
-The MWU count updates only the cells an assignment can still reach. Both
-exact tests together take about 0.01 s at pooled 40, 0.3 s at pooled 100
-and 4 s at pooled 200 on a 2-CPU Xeon VM, nearly all of it in the MWU count.
+The MWU count packs each row of its table into one integer and updates
+only the rows an assignment can still reach. Both exact tests together take
+about 0.002 s at pooled 40, 0.06 s at pooled 100 and 1.6 s at pooled 200 on
+a 2-CPU Xeon VM, nearly all of it in the MWU count.
 
 ``method="auto"`` uses exact KS for pooled sizes up to 25 and the
 tie-corrected asymptotic MWU with continuity correction, the combination
@@ -27,13 +28,14 @@ error is far below 1e-12.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from numbers import Real
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import EmptyDataError, NonFiniteError
+from .jsonio import format_float
 
 #: largest pooled size for which "auto" picks the exact KS method
 EXACT_POOLED_LIMIT = 25
@@ -68,55 +70,50 @@ class MwuResult:
     method_used: str  # exact | asymptotic-tie-corrected
 
 
-def _validate_sample(sample: Sequence[float], what: str) -> np.ndarray:
-    arr = np.asarray(sample, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
+def _validate_sample(sample: Sequence[float], what: str) -> list[float]:
+    items = list(sample) if isinstance(sample, Iterable) else None
+    if items is None or not all(isinstance(v, Real) for v in items):
+        raise ValueError(f"{what} is not a flat sequence of numbers")
+    if not items:
         raise EmptyDataError(f"{what} is empty")
-    if not np.isfinite(arr).all():
+    values = [float(v) for v in items]
+    if not all(map(math.isfinite, values)):
         raise NonFiniteError(f"{what} contains non-finite values")
-    return arr
+    return values
 
 
 def ecdf_eval(sample: Sequence[float], x: float) -> float:
     """Right-continuous empirical CDF: (# values <= x) / n."""
-    arr = _validate_sample(sample, "sample ecdf")
-    return float(np.count_nonzero(arr <= x)) / arr.size
+    values = _validate_sample(sample, "sample ecdf")
+    return sum(1 for v in values if v <= x) / len(values)
 
 
 # ---------------------------------------------------------------------------
 # shared pooled-sample machinery
 
 
-def _pooled_layout(a: np.ndarray, b: np.ndarray):
-    """Sorted pooled values with group-end positions and integer statistics
-    helpers. Returns (sorted pooled, membership-in-a sorted the same way,
-    indices of the last position of each tied group)."""
-    pooled = np.concatenate([a, b])
-    in_a = np.concatenate([np.ones(a.size, dtype=np.int64),
-                           np.zeros(b.size, dtype=np.int64)])
-    order = np.argsort(pooled, kind="stable")
-    pooled = pooled[order]
-    in_a = in_a[order]
-    is_end = np.append(pooled[:-1] != pooled[1:], True)
-    return pooled, in_a, np.flatnonzero(is_end)
+def _pooled_layout(a: list[float], b: list[float]) -> tuple[list[int], list[int]]:
+    """Membership in ``a`` (1 or 0) of each pooled position in sorted order,
+    and the position that ends each tied group."""
+    pooled = sorted([(v, 1) for v in a] + [(v, 0) for v in b])
+    ends = [i for i in range(len(pooled) - 1) if pooled[i][0] != pooled[i + 1][0]]
+    return [in_a for _, in_a in pooled], ends + [len(pooled) - 1]
 
 
-def _ks_numerator(in_a: np.ndarray, group_ends: np.ndarray,
-                  n1: int, n2: int) -> int:
+def _ks_numerator(in_a: list[int], ends: list[int], n1: int, n2: int) -> int:
     """max over distinct pooled values of |cA*n2 - cB*n1| (integer)."""
-    cum_a = np.cumsum(in_a)[group_ends]
-    cum_all = group_ends + 1
-    return int(np.max(np.abs(cum_a * n2 - (cum_all - cum_a) * n1)))
+    cum_a = list(accumulate(in_a))
+    return max(abs(cum_a[e] * n2 - (e + 1 - cum_a[e]) * n1) for e in ends)
 
 
-def _doubled_midranks(group_ends: np.ndarray, n: int) -> np.ndarray:
-    """2 * midrank per pooled position (integers)."""
-    out = np.empty(n, dtype=np.int64)
-    start = 0
-    for end in group_ends:
-        out[start:end + 1] = (start + 1) + (end + 1)  # 2 * (start+end+2)/2
+def _doubled_midranks(ends: list[int]) -> list[int]:
+    """2 * midrank per pooled position: a group over positions start..end
+    has midrank (start + 1 + end + 1) / 2."""
+    mid2, start = [], 0
+    for end in ends:
+        mid2 += [start + end + 2] * (end + 1 - start)
         start = end + 1
-    return out
+    return mid2
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +124,8 @@ def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
     """D = sup_x |F_a(x) - F_b(x)| evaluated at pooled sample points."""
     a = _validate_sample(a, "sample a")
     b = _validate_sample(b, "sample b")
-    _, in_a, ends = _pooled_layout(a, b)
-    return _ks_numerator(in_a, ends, a.size, b.size) / (a.size * b.size)
+    in_a, ends = _pooled_layout(a, b)
+    return _ks_numerator(in_a, ends, len(a), len(b)) / (len(a) * len(b))
 
 
 def _kolmogorov_sf(lam: float) -> float:
@@ -150,9 +147,9 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float],
                   config: TestConfig = TestConfig()) -> KsResult:
     a = _validate_sample(a, "sample a")
     b = _validate_sample(b, "sample b")
-    n1, n2 = a.size, b.size
+    n1, n2 = len(a), len(b)
     n = n1 + n2
-    _, in_a, ends = _pooled_layout(a, b)
+    in_a, ends = _pooled_layout(a, b)
     m_obs = _ks_numerator(in_a, ends, n1, n2)
     d = m_obs / (n1 * n2)
 
@@ -161,13 +158,13 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float],
     if use_exact:
         # inside[k]: paths over the positions so far that place k members of
         # a and have stayed below m_obs at every tied-group end
-        inside = np.zeros(n1 + 1, dtype=object)
-        inside[0] = 1
-        k = np.arange(n1 + 1)
+        inside = [1] + [0] * n1
+        group_ends = set(ends)
         for i in range(n):
-            inside[1:] = inside[1:] + inside[:-1]
-            if i in ends:
-                inside[np.abs(k * n2 - (i + 1 - k) * n1) >= m_obs] = 0
+            inside = [inside[0]] + [x + y for x, y in zip(inside[1:], inside)]
+            if i in group_ends:
+                inside = [0 if abs(k * n2 - (i + 1 - k) * n1) >= m_obs else c
+                          for k, c in enumerate(inside)]
         hits = math.comb(n, n1) - inside[n1]
         p = hits / math.comb(n, n1)
         return KsResult(statistic=d, p_value=min(max(p, 0.0), 1.0),
@@ -186,38 +183,40 @@ def mwu_two_sample(a: Sequence[float], b: Sequence[float],
                    config: TestConfig = TestConfig()) -> MwuResult:
     a = _validate_sample(a, "sample a")
     b = _validate_sample(b, "sample b")
-    n1, n2 = a.size, b.size
+    n1, n2 = len(a), len(b)
     n = n1 + n2
-    _, in_a, ends = _pooled_layout(a, b)
-    mid2 = _doubled_midranks(ends, n)
+    in_a, ends = _pooled_layout(a, b)
+    mid2 = _doubled_midranks(ends)
 
-    r1_doubled = int(np.sum(mid2[in_a == 1]))  # 2 * rank sum of sample a
+    r1_doubled = sum(m for m, member in zip(mid2, in_a) if member)  # 2 * R1
     u_doubled = r1_doubled - n1 * (n1 + 1)     # 2 * U
     u = u_doubled / 2.0
     mu_doubled = n1 * n2                       # 2 * mu = n1*n2
 
     if config.method == "exact":
         obs_dev = abs(u_doubled - mu_doubled)
-        # ways[k, s]: assignments of the positions so far that place k
-        # members of a with doubled rank sum s. After position i only rows
-        # that can still reach n1 and sums up to the running total change.
-        ways = np.zeros((n1 + 1, int(mid2.sum()) + 1), dtype=object)
-        ways[0, 0] = 1
-        total = 0
-        for i, m in enumerate(mid2.tolist()):
-            total += m
-            lo, hi = max(1, n1 - (n - i - 1)), min(i + 1, n1)
-            ways[lo:hi + 1, m:total + 1] = (ways[lo:hi + 1, m:total + 1]
-                                            + ways[lo - 1:hi, :total + 1 - m])
-        u_star = np.arange(ways.shape[1]) - n1 * (n1 + 1)
-        hits = sum(ways[n1, np.abs(u_star - mu_doubled) >= obs_dev])
+        # rows[k]: the assignments of the positions so far that place k
+        # members of a, one ``size``-byte field per doubled rank sum s (the
+        # shift algorithm of Streitberg & Röhmel 1986). No field exceeds
+        # C(n, n1). After position i only the rows that can still reach n1
+        # change.
+        size = math.comb(n, n1).bit_length() // 8 + 1
+        rows = [1] + [0] * n1
+        for i, m in enumerate(mid2):
+            for k in range(min(i + 1, n1), max(1, n1 - (n - i - 1)) - 1, -1):
+                rows[k] += rows[k - 1] << (8 * size * m)
+        total = sum(mid2)
+        fields = rows[n1].to_bytes(size * (total + 1), "little")
+        centre = n1 * (n1 + 1) + mu_doubled  # the doubled rank sum at U = mu
+        hits = sum(int.from_bytes(fields[s * size:(s + 1) * size], "little")
+                   for s in range(total + 1) if abs(s - centre) >= obs_dev)
         p = hits / math.comb(n, n1)
         return MwuResult(u_statistic=u, p_value=min(max(p, 0.0), 1.0),
                          z=None, method_used="exact")
 
     # asymptotic, tie-corrected, with continuity correction
-    group_sizes = np.diff(np.concatenate([[-1], ends]))
-    tie_term = float(np.sum(group_sizes.astype(np.float64) ** 3 - group_sizes))
+    sizes = [end - prev for prev, end in zip([-1] + ends, ends)]
+    tie_term = float(sum(t ** 3 - t for t in sizes))
     sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
     mu = n1 * n2 / 2.0
     if sigma2 <= 0.0:
@@ -236,58 +235,32 @@ def mwu_two_sample(a: Sequence[float], b: Sequence[float],
 
 @dataclass(frozen=True)
 class PairComparison:
-    model_a: str
-    model_b: str
-    ks: KsResult
-    mwu: MwuResult
+    """One ``"A vs B"`` entry of ``comparison.json``."""
+    ks_stat: float
+    ks_p: float
+    ks_method: str
     ks_significant: bool
+    u_stat: float
+    u_p: float
+    z: float | None
+    mwu_method: str
     mwu_significant: bool
-
-    @property
-    def name(self) -> str:
-        return f"{self.model_a} vs {self.model_b}"
-
-    @property
-    def significant(self) -> bool:
-        return self.ks_significant or self.mwu_significant
+    significant_at_alpha: bool
 
 
 @dataclass(frozen=True)
 class ComparisonTable:
+    """``comparison.json``: one entry per model pair, keyed ``"A vs B"``."""
     alpha: float
     method: str
-    pairs: tuple[PairComparison, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "method": self.method,
-            "pairs": {
-                pc.name: {
-                    "ks_stat": pc.ks.statistic,
-                    "ks_p": pc.ks.p_value,
-                    "ks_method": pc.ks.method_used,
-                    "ks_significant": pc.ks_significant,
-                    "u_stat": pc.mwu.u_statistic,
-                    "u_p": pc.mwu.p_value,
-                    "z": pc.mwu.z,
-                    "mwu_method": pc.mwu.method_used,
-                    "mwu_significant": pc.mwu_significant,
-                    "significant_at_alpha": pc.significant,
-                }
-                for pc in self.pairs
-            },
-        }
+    pairs: Mapping[str, PairComparison]
 
     def to_csv(self) -> str:
-        from .jsonio import format_float
         lines = ["comparison,ks_stat,ks_p,u_stat,u_p,significant_at_alpha"]
-        for pc in self.pairs:
+        for name, pc in self.pairs.items():
             lines.append(",".join([
-                pc.name,
-                format_float(pc.ks.statistic), format_float(pc.ks.p_value),
-                format_float(pc.mwu.u_statistic), format_float(pc.mwu.p_value),
-                "true" if pc.significant else "false",
+                name, *map(format_float, (pc.ks_stat, pc.ks_p, pc.u_stat, pc.u_p)),
+                "true" if pc.significant_at_alpha else "false",
             ]))
         return "\n".join(lines) + "\n"
 
@@ -298,20 +271,22 @@ def compare_models(f1_vectors: Mapping[str, Sequence[float]],
     names = list(f1_vectors)
     if len(names) < 2:
         raise ValueError(f"need at least 2 models, got {len(names)}")
-    lengths = {n: _validate_sample(f1_vectors[n], f"score vector of model {n!r}").size
+    lengths = {n: len(_validate_sample(f1_vectors[n], f"score vector of model {n!r}"))
                for n in names}
     if len(set(lengths.values())) != 1:
         raise ValueError("score vectors have mismatched lengths: " + ", ".join(
             f"{n!r} has {size}" for n, size in lengths.items()))
 
-    pairs = []
+    pairs = {}
     for name_a, name_b in combinations(names, 2):
         ks = ks_two_sample(f1_vectors[name_a], f1_vectors[name_b], config)
         mwu = mwu_two_sample(f1_vectors[name_a], f1_vectors[name_b], config)
-        pairs.append(PairComparison(
-            model_a=name_a, model_b=name_b, ks=ks, mwu=mwu,
-            ks_significant=ks.p_value < config.alpha,
-            mwu_significant=mwu.p_value < config.alpha,
-        ))
-    return ComparisonTable(alpha=config.alpha, method=config.method,
-                           pairs=tuple(pairs))
+        ks_significant = ks.p_value < config.alpha
+        mwu_significant = mwu.p_value < config.alpha
+        pairs[f"{name_a} vs {name_b}"] = PairComparison(
+            ks_stat=ks.statistic, ks_p=ks.p_value, ks_method=ks.method_used,
+            ks_significant=ks_significant, u_stat=mwu.u_statistic,
+            u_p=mwu.p_value, z=mwu.z, mwu_method=mwu.method_used,
+            mwu_significant=mwu_significant,
+            significant_at_alpha=ks_significant or mwu_significant)
+    return ComparisonTable(alpha=config.alpha, method=config.method, pairs=pairs)

@@ -96,13 +96,13 @@ def test_statistics_oracle_reference_results():
             "Decision Tree vs Naive Bayes": (1.00, 0.100, 9.0, 0.064),
             "k-NN vs Naive Bayes": (1.00, 0.100, 9.0, 0.064),
         }
-        assert len(table.pairs) == 3
-        for pc in table.pairs:
-            ks_d, ks_p, u, u_p = expected[pc.name]
-            assert round(pc.ks.statistic, 2) == ks_d
-            assert round(pc.ks.p_value, 3) == ks_p
-            assert pc.mwu.u_statistic == u
-            assert round(pc.mwu.p_value, 3) == u_p
+        assert list(table.pairs) == list(expected)
+        for name, pc in table.pairs.items():
+            ks_d, ks_p, u, u_p = expected[name]
+            assert round(pc.ks_stat, 2) == ks_d
+            assert round(pc.ks_p, 3) == ks_p
+            assert pc.u_stat == u
+            assert round(pc.u_p, 3) == u_p
 
         # exact MWU on the unequal pairs: enumeration gives 2/20
         exact = mwu_two_sample(vectors["Decision Tree"], vectors["Naive Bayes"],

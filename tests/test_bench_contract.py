@@ -8,6 +8,7 @@ turn a rename or a p-value drift into a test failure.  The bench modules are
 compiled from their source, so nothing is written under bench/.
 """
 
+import random
 import types
 from itertools import combinations
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 
 from hydet.dataset import default_config, flatten, split, synth_generate
 from hydet.dataset.model import SplitSpec
-from hydet.stats import TestConfig, compare_models
+from hydet.stats import TestConfig, compare_models, ks_two_sample, mwu_two_sample
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -60,10 +61,25 @@ def test_compare_exact_workload_pvalues_equal_the_bench_oracle(seed):
     checks = load_bench("checks")
     f1 = load_bench("inputs").f1_scores(seed, 11)
     table = compare_models(f1, TestConfig(method="exact"))
-    assert [pc.name for pc in table.pairs] == [
-        f"{a} vs {b}" for a, b in combinations(f1, 2)]
-    for pc in table.pairs:
-        a, b = f1[pc.model_a], f1[pc.model_b]
-        assert (pc.ks.method_used, pc.mwu.method_used) == ("exact", "exact")
-        assert pc.ks.p_value == checks.exact_ks_p(a, b)
-        assert pc.mwu.p_value == checks.exact_mwu_p(a, b)
+    assert list(table.pairs) == [f"{a} vs {b}" for a, b in combinations(f1, 2)]
+    for name_a, name_b in combinations(f1, 2):
+        pc = table.pairs[f"{name_a} vs {name_b}"]
+        a, b = f1[name_a], f1[name_b]
+        assert (pc.ks_method, pc.mwu_method) == ("exact", "exact")
+        assert pc.ks_p == checks.exact_ks_p(a, b)
+        assert pc.u_p == checks.exact_mwu_p(a, b)
+
+
+def test_exact_pvalues_equal_the_bench_oracle_on_tied_samples_at_pooled_60():
+    # 27 vs 33 scores on a 0.01 grid: ties in most groups, far beyond the
+    # reach of enumeration
+    checks = load_bench("checks")
+    rng = random.Random(60)
+    a = [round(rng.uniform(0.70, 1.0), 2) for _ in range(27)]
+    b = [round(rng.uniform(0.65, 0.95), 2) for _ in range(33)]
+    assert len(set(a + b)) < 40
+    cfg = TestConfig(method="exact")
+    ks, mwu = ks_two_sample(a, b, cfg), mwu_two_sample(a, b, cfg)
+    assert 1e-6 < ks.p_value < 0.5 and 1e-6 < mwu.p_value < 0.5
+    assert ks.p_value == checks.exact_ks_p(a, b)
+    assert mwu.p_value == checks.exact_mwu_p(a, b)

@@ -24,7 +24,7 @@ from hydet.errors import ConfigError
 from hydet.evaluation import EvalReport
 from hydet.quality import (PreprocessConfig, QualityReport, load_preprocessor,
                            save_preprocessor)
-from hydet.stats import TestConfig
+from hydet.stats import ComparisonTable, TestConfig
 
 
 def small_synth_config(tmp_path, out_name="out", **synth_kwargs):
@@ -179,6 +179,22 @@ def test_qc_missing_dataset_is_data_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("first, second, kinds", [
+    ("2024-01-01T00:00:00", "2024-01-01T00:00:01Z", "iso then iso-offset"),
+    ("2024-01-01T00:00:00+01:00", "2024-01-01T00:00:01", "iso-offset then iso"),
+])
+def test_qc_iso_stamps_with_and_without_offset_is_data_error(tmp_path, capsys,
+                                                             first, second, kinds):
+    # naive and offset datetimes cannot be ordered against each other
+    path = tmp_path / "corpus" / "0_normal" / "w.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text(f"timestamp,x\n{first},1.0\n{second},2.0\n", encoding="utf-8")
+    assert main(["qc", "--data", str(tmp_path / "corpus"),
+                 "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {path} row 3: timestamp format changes mid-file ({kinds})\n")
+
+
 def test_synth_then_qc_roundtrip_on_disk(tmp_path):
     config_path, out = small_synth_config(tmp_path, out_name="corpus")
     assert main(["synth", "--config", str(config_path)]) == EXIT_OK
@@ -301,9 +317,7 @@ def test_saved_payloads_keep_their_recorded_bytes(tmp_path, dirt, sha256):
 
 def test_every_json_output_reads_back_to_its_bytes(tmp_path):
     # each JSON file that synth and pipeline write is read back through its
-    # codec type and rendered again byte for byte; comparison.json, a
-    # flattened view of two result types that nothing reads, is the one
-    # exclusion
+    # codec type and rendered again byte for byte
     config_path, corpus = small_synth_config(tmp_path, out_name="corpus")
     assert main(["synth", "--config", str(config_path)]) == EXIT_OK
     out = tmp_path / "out"
@@ -325,6 +339,7 @@ def test_every_json_output_reads_back_to_its_bytes(tmp_path):
         "manifest.json": decoded(DatasetManifest),
         "quality_report.json": decoded(QualityReport),
         "eval_*.json": decoded(EvalReport),
+        "comparison.json": decoded(ComparisonTable),
         "models/preprocess.json": saved(load_preprocessor, save_preprocessor),
         "models/[!p]*.json": saved(load_model, save_model),
     }
@@ -334,9 +349,8 @@ def test_every_json_output_reads_back_to_its_bytes(tmp_path):
             for path in root.glob(pattern):
                 assert render(path) == path.read_text(encoding="utf-8"), path
                 checked.add(path)
-    assert len(checked) == 11
-    written = {*corpus.rglob("*.json"), *out.rglob("*.json")}
-    assert written - checked == {out / "comparison.json"}
+    assert len(checked) == 12
+    assert {*corpus.rglob("*.json"), *out.rglob("*.json")} == checked
 
 
 def test_eval_without_models_is_data_error(tmp_path):

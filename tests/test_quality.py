@@ -43,6 +43,12 @@ def test_quantile_matches_numpy_linear_oracle():
         x = rng.normal(size=n)
         for p in (0.25, 0.5, 0.75, 0.1, 0.9):
             assert quantile(x, p) == pytest.approx(np.quantile(x, p), abs=1e-12)
+        # boxplot_stats reads its quartiles off the observed cells alone
+        col = np.insert(x, [0, n // 2, n], np.nan)
+        for method in ("linear", "nearest"):
+            st_ = boxplot_stats(col, quartile_method=method)
+            assert (st_.q1, st_.median, st_.q3) == tuple(
+                quantile(x, p, method) for p in (0.25, 0.5, 0.75))
 
 
 def test_boxplot_one_to_nine():

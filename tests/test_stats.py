@@ -1,10 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydet.codec import to_json
 from hydet.errors import EmptyDataError, NonFiniteError
 from hydet.stats import (TestConfig, compare_models, ecdf_eval, ks_statistic,
                          ks_two_sample, mwu_two_sample)
@@ -210,6 +212,11 @@ def test_validation_errors():
         ks_two_sample([], [1.0])
     with pytest.raises(NonFiniteError):
         mwu_two_sample([1.0, float("nan")], [2.0])
+    for bad in ([[1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)), "12", 3.0):
+        with pytest.raises(ValueError, match="^sample a is not a flat sequence of numbers$"):
+            ks_two_sample(bad, [1.0])
+    with pytest.raises(ValueError, match="^sample b is not a flat sequence"):
+        mwu_two_sample([1.0], [1.0, None])
     with pytest.raises(ValueError):
         TestConfig(alpha=0.0)
     with pytest.raises(ValueError):
@@ -226,31 +233,35 @@ def reference_vectors():
 
 def test_compare_models_reference_results():
     table = compare_models(reference_vectors())
-    by_name = {pc.name: pc for pc in table.pairs}
-    dt_knn = by_name["Decision Tree vs k-NN"]
-    assert (round(dt_knn.ks.statistic, 2), round(dt_knn.ks.p_value, 3)) == (0.00, 1.000)
-    assert (dt_knn.mwu.u_statistic, round(dt_knn.mwu.p_value, 3)) == (4.5, 1.000)
+    dt_knn = table.pairs["Decision Tree vs k-NN"]
+    assert (round(dt_knn.ks_stat, 2), round(dt_knn.ks_p, 3)) == (0.00, 1.000)
+    assert (dt_knn.u_stat, round(dt_knn.u_p, 3)) == (4.5, 1.000)
     for name in ("Decision Tree vs Naive Bayes", "k-NN vs Naive Bayes"):
-        pc = by_name[name]
-        assert (round(pc.ks.statistic, 2), round(pc.ks.p_value, 3)) == (1.00, 0.100)
-        assert (pc.mwu.u_statistic, round(pc.mwu.p_value, 3)) == (9.0, 0.064)
-        assert not pc.significant  # nothing clears alpha=0.05 here
+        pc = table.pairs[name]
+        assert (round(pc.ks_stat, 2), round(pc.ks_p, 3)) == (1.00, 0.100)
+        assert (pc.u_stat, round(pc.u_p, 3)) == (9.0, 0.064)
+        assert not pc.significant_at_alpha  # nothing clears alpha=0.05 here
 
 
 def test_compare_model_with_itself_is_null():
     table = compare_models({"m1": NB_F1, "m2": NB_F1})
-    pc = table.pairs[0]
-    assert pc.ks.statistic == 0.0 and pc.ks.p_value == 1.0
-    assert pc.mwu.p_value == 1.0
+    pc = table.pairs["m1 vs m2"]
+    assert pc.ks_stat == 0.0 and pc.ks_p == 1.0
+    assert pc.u_p == 1.0
 
 
 def test_compare_equals_individual_tests():
-    table = compare_models(reference_vectors())
-    for pc in table.pairs:
-        ks = ks_two_sample(reference_vectors()[pc.model_a], reference_vectors()[pc.model_b])
-        assert pc.ks == ks
-        mwu = mwu_two_sample(reference_vectors()[pc.model_a], reference_vectors()[pc.model_b])
-        assert pc.mwu == mwu
+    vectors = reference_vectors()
+    table = compare_models(vectors)
+    assert list(table.pairs) == [f"{a} vs {b}" for a, b in combinations(vectors, 2)]
+    for a, b in combinations(vectors, 2):
+        pc = table.pairs[f"{a} vs {b}"]
+        ks = ks_two_sample(vectors[a], vectors[b])
+        assert (pc.ks_stat, pc.ks_p, pc.ks_method) == (
+            ks.statistic, ks.p_value, ks.method_used)
+        mwu = mwu_two_sample(vectors[a], vectors[b])
+        assert (pc.u_stat, pc.u_p, pc.z, pc.mwu_method) == (
+            mwu.u_statistic, mwu.p_value, mwu.z, mwu.method_used)
 
 
 def test_compare_validation():
@@ -276,7 +287,7 @@ def test_compare_errors_name_the_model(vectors, error, text):
 
 def test_comparison_csv_and_json_agree():
     table = compare_models(reference_vectors())
-    by_name = table.to_json_dict()["pairs"]
+    by_name = to_json(table)["pairs"]
     lines = table.to_csv().strip().split("\n")
     assert lines[0] == "comparison,ks_stat,ks_p,u_stat,u_p,significant_at_alpha"
     for line in lines[1:]:
@@ -291,6 +302,8 @@ def test_comparison_csv_and_json_agree():
 
 def test_significance_flag_is_p_below_alpha():
     table = compare_models(reference_vectors(), TestConfig(alpha=0.11))
-    by_name = {pc.name: pc for pc in table.pairs}
-    assert by_name["Decision Tree vs Naive Bayes"].significant
-    assert not by_name["Decision Tree vs k-NN"].significant
+    assert table.pairs["Decision Tree vs Naive Bayes"].significant_at_alpha
+    assert not table.pairs["Decision Tree vs k-NN"].significant_at_alpha
+    for pc in table.pairs.values():
+        assert (pc.ks_significant, pc.mwu_significant) == (pc.ks_p < 0.11, pc.u_p < 0.11)
+        assert pc.significant_at_alpha == (pc.ks_significant or pc.mwu_significant)
