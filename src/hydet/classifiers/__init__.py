@@ -11,15 +11,17 @@ the constructor's keywords) holds the checked hyperparameters, its
 ``Payload`` dataclass the saved fitted state (field ``x`` is the fitted
 attribute ``x_``; ``from_payload`` restores it), ``kind`` names its payload
 and ``display_name`` its reports. The ``MODELS`` registry maps each model
-name to its ``ClassifiersConfig`` section and class.
+name (declared with its ``ClassifiersConfig`` section in ``declarations``)
+to that section and the class whose ``Config`` it holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from ..codec import from_file, to_json
+from ..declarations import MODEL_SECTIONS, ClassifiersConfig
 from ..errors import HydetError, ModelFormatError
 from .. import jsonio
 from ..dataset.model import FeatureMatrix
@@ -29,29 +31,24 @@ from .tree import DecisionTree, TreeConfig
 
 FORMAT_VERSION = 2
 
-MODELS = {"dt": ("tree", DecisionTree), "knn": ("knn", KnnClassifier),
-          "nb": ("nb", GaussianNb)}
+_CLASS_OF_CONFIG = {cls.Config: cls for cls in (DecisionTree, KnnClassifier, GaussianNb)}
+
+MODELS = {name: (section, _CLASS_OF_CONFIG[type(getattr(ClassifiersConfig(), section))])
+          for name, section in MODEL_SECTIONS.items()}
 
 _KIND_TO_CLS = {cls.kind: cls for _, cls in MODELS.values()}
-
-
-@dataclass(frozen=True)
-class ClassifiersConfig:
-    tree: TreeConfig = field(default_factory=TreeConfig)
-    knn: KnnConfig = field(default_factory=KnnConfig)
-    nb: NbConfig = field(default_factory=NbConfig)
-
-    def make(self, name: str):
-        section, cls = MODELS[name]
-        return cls(**asdict(getattr(self, section)))
 
 
 def train_all(matrix: FeatureMatrix, config: ClassifiersConfig | None = None,
               models: tuple[str, ...] = tuple(MODELS)) -> dict[str, object]:
     """Fit the requested models on a fully observed matrix."""
     config = config or ClassifiersConfig()
-    return {name: config.make(name).fit(matrix.values, matrix.labels)
-            for name in models}
+    fitted = {}
+    for name in models:
+        section, cls = MODELS[name]
+        model = cls(**asdict(getattr(config, section)))
+        fitted[name] = model.fit(matrix.values, matrix.labels)
+    return fitted
 
 
 _HEADER = ("format", "version", "kind", "params")

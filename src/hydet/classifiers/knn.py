@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..declarations import KnnConfig
 from .validation import validate_rows, validate_training_inputs
 
 _LEAF = 32         # smallest leaf when k is smaller
@@ -56,17 +57,6 @@ def _box_bound(lo, hi, q):
     each given as one array per feature."""
     return _squares_summed(np.maximum(np.maximum(lo_j - q_j, q_j - hi_j), 0.0)
                            for lo_j, hi_j, q_j in zip(lo, hi, q))
-
-
-@dataclass(frozen=True)
-class KnnConfig:
-    """Hyperparameters of ``KnnClassifier``: the ``classifiers.knn`` section."""
-
-    k: int = 5
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -18,21 +18,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..declarations import NbConfig
 from ..errors import EmptyDataError
 from .validation import validate_rows, validate_training_inputs
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass(frozen=True)
-class NbConfig:
-    """Hyperparameters of ``GaussianNb``: the ``classifiers.nb`` section."""
-
-    eps_rel: float = 1e-9
-
-    def __post_init__(self):
-        if self.eps_rel <= 0:
-            raise ValueError("eps_rel must be > 0")
 
 
 @dataclass(frozen=True)

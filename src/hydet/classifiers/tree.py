@@ -53,6 +53,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ..declarations import TreeConfig
 from .validation import validate_rows, validate_training_inputs
 
 #: sorted positions whose split gains are computed at once: the float
@@ -66,23 +67,6 @@ def _gini(counts: np.ndarray) -> float:
         return 0.0
     p = counts / n
     return float(1.0 - np.sum(p * p))
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    """Hyperparameters of ``DecisionTree``: the ``classifiers.tree`` section."""
-
-    max_depth: int | None = 16
-    min_samples_split: int = 2
-    min_impurity_decrease: float = 0.0
-
-    def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be None or >= 0")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.min_impurity_decrease < 0:
-            raise ValueError("min_impurity_decrease must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,14 @@ a ``ModelFormatError`` that names the file too.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
 from itertools import chain
 from types import NoneType, UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from .dataset.model import ClassLabel
+from .declarations import ClassLabel
 from .errors import ConfigError, ModelFormatError
 
 _JSON_NAMES = {tuple: "a list", Mapping: "an object", float: "a number",
@@ -46,7 +45,8 @@ def to_json(value: Any) -> Any:
         return {to_json(k): to_json(v) for k, v in value.items()}
     if isinstance(value, tuple):
         return [to_json(v) for v in value]
-    return value.item() if isinstance(value, np.generic) else value
+    numpy = sys.modules.get("numpy")  # no numpy scalar exists unless it is loaded
+    return value.item() if numpy and isinstance(value, numpy.generic) else value
 
 
 def from_json(hint: Any, value: Any, path: str) -> Any:

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classifiers import MODELS, ClassifiersConfig
 from .codec import to_json
-from .dataset.model import CANONICAL_VARIABLE_NAMES, SplitSpec
-from .dataset.synth import SynthConfig
+from .declarations import (CANONICAL_VARIABLE_NAMES, MODEL_SECTIONS, ClassifiersConfig,
+                           PreprocessConfig, SplitSpec, SynthConfig)
 from .errors import ConfigError
-from .quality import PreprocessConfig
 from .stats import TestConfig
 
 
@@ -36,7 +34,7 @@ class RunConfig:
     seed: int = 42
     out_dir: str = "out"
     variables: tuple[str, ...] = CANONICAL_VARIABLE_NAMES
-    models: tuple[str, ...] = tuple(MODELS)
+    models: tuple[str, ...] = tuple(MODEL_SECTIONS)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     split: SplitSpec = field(default_factory=SplitSpec)
     classifiers: ClassifiersConfig = field(default_factory=ClassifiersConfig)
@@ -46,9 +44,10 @@ class RunConfig:
     def __post_init__(self):
         if not self.variables:
             raise ConfigError("variables list is empty")
-        bad = [m for m in self.models if m not in MODELS]
+        bad = [m for m in self.models if m not in MODEL_SECTIONS]
         if bad:
-            raise ConfigError(f"unknown models {bad}; choose from {', '.join(MODELS)}")
+            raise ConfigError(f"unknown models {bad}; "
+                              f"choose from {', '.join(MODEL_SECTIONS)}")
         if not self.models:
             raise ConfigError("models list is empty")
 

@@ -4,64 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from enum import IntEnum
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..declarations import (CANONICAL_VARIABLE_NAMES, CANONICAL_VARIABLES, ClassLabel,
+                            SensorVariable, SplitSpec, variable_info)
 from ..errors import EmptyDataError, NonFiniteError, TimestampOrderError
-
-
-class ClassLabel(IntEnum):
-    """Operational condition of a well episode. Codes are fixed: 0/1/2."""
-
-    NORMAL = 0
-    RAPID_LOSS = 1
-    HYDRATE = 2
-
-    @property
-    def display_name(self) -> str:
-        return _DISPLAY_NAMES[self]
-
-    @classmethod
-    def from_name(cls, name: str) -> "ClassLabel":
-        for label, display in _DISPLAY_NAMES.items():
-            if name in (display, label.name):
-                return label
-        raise ValueError(f"unknown class label name: {name!r}")
-
-
-_DISPLAY_NAMES = {
-    ClassLabel.NORMAL: "NormalCondition",
-    ClassLabel.RAPID_LOSS: "RapidProductivityLoss",
-    ClassLabel.HYDRATE: "Hydrate",
-}
-
-
-@dataclass(frozen=True)
-class SensorVariable:
-    """A named sensor channel with its physical unit."""
-
-    name: str
-    unit: str
-
-
-#: The four process variables used for modeling, in canonical column order.
-CANONICAL_VARIABLES = (
-    SensorVariable("P-TPT", "Pa"),
-    SensorVariable("T-TPT", "degC"),
-    SensorVariable("P-MON-CKP", "Pa"),
-    SensorVariable("T-JUS-CKP", "degC"),
-)
-
-CANONICAL_VARIABLE_NAMES = tuple(v.name for v in CANONICAL_VARIABLES)
-
-_CANONICAL_BY_NAME = {v.name: v for v in CANONICAL_VARIABLES}
-
-
-def variable_info(name: str) -> SensorVariable:
-    """Registry lookup; non-canonical channels carry no unit guarantee."""
-    return _CANONICAL_BY_NAME.get(name, SensorVariable(name, ""))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,19 +147,3 @@ class FeatureMatrix:
         """Same rows/labels/origin with a replaced value grid."""
         return FeatureMatrix(self.column_names, values, self.labels, self.origin,
                              self.instance_ids)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Parameters of the deterministic train/test partition."""
-
-    test_fraction: float = 0.25
-    seed: int = 42
-    mode: str = "row"
-    stratified: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0,1), got {self.test_fraction}")
-        if self.mode not in ("row", "instance"):
-            raise ValueError(f"mode must be 'row' or 'instance', got {self.mode!r}")

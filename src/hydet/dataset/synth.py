@@ -48,14 +48,14 @@ the temporaries of one draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
+from ..declarations import ChannelModel, ClassLabel, SynthConfig, default_regimes
 from ..errors import ConfigError
 from ..rng import CounterRng, block_normals
-from .model import CANONICAL_VARIABLE_NAMES, ClassLabel, TimeSeriesInstance
+from .model import TimeSeriesInstance
 from .transform import rounded_count
 
 _INSTANCE_LATENT_W = 0.6
@@ -65,121 +65,11 @@ _STEP_LATENT_W = 0.8
 _BLOCK_DRAWS = 1 << 13
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Generator parameters of one channel within a class regime."""
-
-    start: float
-    end: float | None = None
-    latent_loading: float = 0.0
-    noise_sd: float = 1.0
-    clamp: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        values = [self.start, self.latent_loading, self.noise_sd]
-        if self.end is not None:
-            values.append(self.end)
-        if self.clamp is not None:
-            values.extend(self.clamp)
-        if not all(np.isfinite(v) for v in values):
-            raise ConfigError("channel regime parameters must be finite")
-        if self.noise_sd < 0:
-            raise ConfigError("noise_sd must be >= 0")
-
-    def base(self, length: int) -> np.ndarray:
-        if self.end is None or length == 1:
-            return np.full(length, self.start)
-        return np.linspace(self.start, self.end, length)
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    counts: Mapping[ClassLabel, int]
-    length: int = 60
-    regimes: Mapping[ClassLabel, Mapping[str, ChannelModel]] = field(
-        default_factory=lambda: default_regimes())
-    missing_fraction: float = 0.0
-    frozen_fraction: float = 0.0
-    outlier_fractions: Mapping[str, float] = field(default_factory=dict)
-    epoch_start: int = 1_700_000_000
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", {label: self.counts.get(label, 0)
-                                            for label in ClassLabel})
-        if any(c < 0 for c in self.counts.values()):
-            raise ConfigError("instance counts must be >= 0")
-        if sum(self.counts.values()) == 0:
-            raise ConfigError("zero total instances requested")
-        if self.length < 1:
-            raise ConfigError("length must be >= 1")
-        if not -2**63 <= self.epoch_start <= 2**63 - self.length:
-            raise ConfigError("epoch_start and the length must keep every "
-                              "timestamp in the int64 range")
-        for name, frac in (("missing_fraction", self.missing_fraction),
-                           ("frozen_fraction", self.frozen_fraction),
-                           *((f"outlier_fractions[{k}]", v)
-                             for k, v in self.outlier_fractions.items())):
-            if not 0.0 <= frac < 1.0:
-                raise ConfigError(f"{name} must be in [0,1), got {frac}")
-        for label, count in self.counts.items():
-            if count > 0 and label not in self.regimes:
-                raise ConfigError(f"no regime configured for class {label.name}")
-        for label, count in self.counts.items():
-            if count > 0:
-                absent = set(self.variables) - set(self.regimes[label])
-                if absent:
-                    raise ConfigError(f"regime {label.name} lacks channels "
-                                      f"{sorted(absent)}")
-        for var in self.outlier_fractions:
-            if var not in self.variables:
-                raise ConfigError(f"outlier fraction for unknown channel {var!r}")
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        """Channel order: canonical names first, extras alphabetically.
-
-        Independent of regime-dict key order, so a config that round-trips
-        through sorted-key JSON generates an identical corpus. Every active
-        regime must cover this union (enforced at construction).
-        """
-        names: set[str] = set()
-        for regime in self.regimes.values():
-            names.update(regime)
-        ordered = [v for v in CANONICAL_VARIABLE_NAMES if v in names]
-        ordered += sorted(names - set(CANONICAL_VARIABLE_NAMES))
-        return tuple(ordered)
-
-
-def default_regimes() -> dict[ClassLabel, dict[str, ChannelModel]]:
-    """Tuned default regimes for the four canonical channels."""
-    normal = {
-        "P-TPT": ChannelModel(start=2.0e7, latent_loading=9.0e5, noise_sd=4.0e5),
-        "T-TPT": ChannelModel(start=80.0, latent_loading=4.5, noise_sd=2.2),
-        "P-MON-CKP": ChannelModel(start=1.7e7, latent_loading=6.5e5, noise_sd=3.0e5),
-        "T-JUS-CKP": ChannelModel(start=42.0, latent_loading=4.4, noise_sd=2.1),
-    }
-    # head offset from the normal centre: +/- 1.9 total-sd per channel with
-    # signs alternating against the latent axis (see module docstring)
-    rapid_loss = {
-        "P-TPT": ChannelModel(start=2.19e7, end=0.75e7,
-                              latent_loading=2.5e5, noise_sd=1.5e5),
-        "T-TPT": ChannelModel(start=70.5, end=2.0,
-                              latent_loading=1.6, noise_sd=1.0),
-        "P-MON-CKP": ChannelModel(start=1.563e7, end=1.43e7,
-                                  latent_loading=2.0e5, noise_sd=1.2e5),
-        "T-JUS-CKP": ChannelModel(start=51.3, end=16.0,
-                                  latent_loading=1.6, noise_sd=1.0),
-    }
-    hydrate = {
-        "P-TPT": ChannelModel(start=0.9e7, latent_loading=1.8e5, noise_sd=1.0e5),
-        "T-TPT": ChannelModel(start=5.0, latent_loading=2.6, noise_sd=1.5,
-                              clamp=(0.0, 50.0)),
-        "P-MON-CKP": ChannelModel(start=1.5e7, latent_loading=4.0e5, noise_sd=3.0e5),
-        "T-JUS-CKP": ChannelModel(start=22.0, latent_loading=2.6, noise_sd=1.5),
-    }
-    return {ClassLabel.NORMAL: normal,
-            ClassLabel.RAPID_LOSS: rapid_loss,
-            ClassLabel.HYDRATE: hydrate}
+def _base(ch: ChannelModel, length: int) -> np.ndarray:
+    """The channel's ``base_t``: a ramp from ``start`` to ``end``, or flat."""
+    if ch.end is None or length == 1:
+        return np.full(length, ch.start)
+    return np.linspace(ch.start, ch.end, length)
 
 
 def default_config(n_normal: int = 597, n_rapid_loss: int = 344,
@@ -259,7 +149,7 @@ def synth_generate(config: SynthConfig, seed: int) -> list[TimeSeriesInstance]:
         if not count:
             continue
         channels = [config.regimes[label][var] for var in variables]
-        bases = [ch.base(length) for ch in channels]
+        bases = [_base(ch, length) for ch in channels]
         keys = np.array([[inst.derive(s).key for s in range(n_ch + 2)]
                          for inst in (rng.derive(1, int(label), k)
                                       for k in range(count))], dtype=np.uint64)

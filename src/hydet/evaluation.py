@@ -8,12 +8,13 @@ an ``EvalReport`` as ``eval_<model>.json`` and reads it back for ``compare``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .declarations import ClassLabel, ClassMetrics, EvalReport
 from .errors import EmptyDataError
-from .dataset.model import ClassLabel, FeatureMatrix
+from .dataset.model import FeatureMatrix
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,6 @@ def accuracy(matrix: ConfusionMatrix) -> float:
     return float(np.trace(matrix.counts)) / matrix.total
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-
-
 def f1_per_class(matrix: ConfusionMatrix) -> dict[ClassLabel, ClassMetrics]:
     if matrix.total == 0:
         raise EmptyDataError("metrics of an empty confusion matrix")
@@ -98,43 +92,6 @@ def f1_per_class(matrix: ConfusionMatrix) -> dict[ClassLabel, ClassMetrics]:
             if precision + recall > 0 else 0.0
         out[cls] = ClassMetrics(precision=precision, recall=recall, f1=f1)
     return out
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """``eval_<model>.json``: ``matrix[i][j]`` counts rows of true class
-    ``classes[i]`` predicted as ``classes[j]``."""
-
-    model: str
-    classes: tuple[ClassLabel, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    accuracy: float
-    per_class: Mapping[ClassLabel, ClassMetrics]
-    macro_f1: float
-
-    def __post_init__(self):
-        n = len(self.classes)
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ValueError(f"matrix: expected {n} rows of {n} counts")
-        if sorted(self.per_class) != sorted(self.classes):
-            raise ValueError(f"per_class: keys {_names(self.per_class)} do not "
-                             f"match classes {_names(self.classes)}")
-
-    def f1_vector(self) -> tuple[float, ...]:
-        """Per-class F1 in class order; the sample the statistical tests use."""
-        return tuple(self.per_class[c].f1 for c in self.classes)
-
-    def confusion_csv(self) -> str:
-        """``eval_<model>_confusion.csv``: true classes down, predicted across."""
-        names = _names(self.classes)
-        lines = ["true\\predicted," + ",".join(names)]
-        for name, row in zip(names, self.matrix):
-            lines.append(name + "," + ",".join(map(str, row)))
-        return "\n".join(lines) + "\n"
-
-
-def _names(classes) -> list[str]:
-    return [c.display_name for c in classes]
 
 
 def report_from_confusion(matrix: ConfusionMatrix, model_name: str) -> EvalReport:

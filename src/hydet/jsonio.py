@@ -5,17 +5,17 @@ artifact is written with sorted keys, fixed separators and floats rendered
 at 17 significant digits (the shortest width that round-trips any IEEE-754
 double).  A numpy array is written as its ``.tolist()`` would be; a 2-D
 float64 array is written one block of rows at a time, so that ``dump`` never
-holds a large array as text.
+holds a large array as text.  No value is an array unless numpy is loaded,
+so this module never imports it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any, Callable
-
-import numpy as np
 
 from .errors import HydetError
 
@@ -69,7 +69,7 @@ def _render(obj: Any, pad: str, write: Callable[[str], Any]) -> None:
             _render(value, inner, write)
             sep = ",\n"
         write(f"\n{pad}]")
-    elif isinstance(obj, np.ndarray):
+    elif (np := sys.modules.get("numpy")) and isinstance(obj, np.ndarray):
         if obj.ndim == 2 and obj.dtype == np.float64:
             _render_float_matrix(obj, pad, write)
         else:
@@ -80,7 +80,7 @@ def _render(obj: Any, pad: str, write: Callable[[str], Any]) -> None:
         raise TypeError(f"unsupported JSON value type: {type(obj).__name__}")
 
 
-def _render_float_matrix(rows: np.ndarray, pad: str,
+def _render_float_matrix(rows, pad: str,
                          write: Callable[[str], Any]) -> None:
     """Write ``rows`` as ``_render`` writes ``rows.tolist()``, ``_ROW_BLOCK``
     rows at a time, so that no more than one block is ever text.  A block of
@@ -96,7 +96,7 @@ def _render_float_matrix(rows: np.ndarray, pad: str,
     sep = "[\n"
     for first in range(0, len(rows), _ROW_BLOCK):
         block = rows[first:first + _ROW_BLOCK]
-        if np.isfinite(block).all():
+        if sys.modules["numpy"].isfinite(block).all():
             write(sep)
             write(",\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
         else:

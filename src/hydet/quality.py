@@ -21,10 +21,10 @@ import numpy as np
 
 from . import jsonio
 from .codec import from_file, to_json
-from .errors import (AllMissingColumnError, ConfigError, EmptyDataError,
-                     MissingCellsError, ModelFormatError, NonFiniteError,
-                     WidthMismatchError)
-from .dataset.model import FeatureMatrix, TimeSeriesInstance, variable_info
+from .declarations import PreprocessConfig, variable_info
+from .errors import (AllMissingColumnError, EmptyDataError, MissingCellsError,
+                     ModelFormatError, NonFiniteError, WidthMismatchError)
+from .dataset.model import FeatureMatrix, TimeSeriesInstance
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +157,6 @@ def _names_where(instance: TimeSeriesInstance, flags: np.ndarray) -> set[str]:
 
 # ---------------------------------------------------------------------------
 # fitted preprocessing models
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    tukey_multiplier: float = 1.5
-    quartile_method: str = "linear"
-    normalization: str = "zscore"
-
-    def __post_init__(self):
-        if self.tukey_multiplier <= 0:
-            raise ConfigError("tukey_multiplier must be > 0")
-        if self.quartile_method not in ("linear", "nearest"):
-            raise ConfigError(f"unknown quartile_method {self.quartile_method!r}")
-        if self.normalization not in ("zscore", "minmax"):
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
 
 
 def _check_widths(columns: tuple[str, ...], **values: tuple) -> None:

@@ -34,7 +34,8 @@ keys at once: the counters of every row, then the open uniforms, then one
 ``_norm_ppf`` over the whole contiguous block. A draw depends on its
 (key, counter) pair alone, so a row of the block equals what its stream
 draws by itself. :class:`CounterRng`'s ``u64``, ``open_uniforms`` and
-``normals`` are the same stages with a single key.
+``normals`` are the same stages with a single key. The raw draws are mixed
+in place, so ``uniforms(n)`` holds at most two n-long arrays at once.
 
 Sampling
 --------
@@ -61,9 +62,14 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """``_mix`` of each element of ``z``, in place through one scratch array."""
+    scratch = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
 
 
 # Acklam's rational approximation to the inverse standard normal CDF.
@@ -106,9 +112,10 @@ def _norm_ppf(p: np.ndarray) -> np.ndarray:
 
 def _draw_bits(keys: np.ndarray, n: int, offset: int) -> np.ndarray:
     """``(len(keys), n)`` raw draws ``offset .. offset + n - 1`` of each stream."""
-    idx = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
-    keys = np.asarray(keys, dtype=np.uint64)
-    return _mix_array(keys[:, None] + idx * np.uint64(_PHI))
+    z = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
+    z *= np.uint64(_PHI)
+    z = np.asarray(keys, dtype=np.uint64)[:, None] + z  # frees the counter row
+    return _mix_array(z)
 
 
 def _open_unit(bits: np.ndarray) -> np.ndarray:
@@ -152,7 +159,11 @@ class CounterRng:
 
     def uniforms(self, n: int, offset: int = 0) -> np.ndarray:
         """n doubles in [0, 1)."""
-        return (self.u64(n, offset) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        bits = self.u64(n, offset)
+        bits >>= np.uint64(11)  # in place, as the scaling below
+        u = bits.astype(np.float64)
+        u *= 2.0 ** -53
+        return u
 
     def open_uniforms(self, n: int, offset: int = 0) -> np.ndarray:
         """n doubles in the open interval (0, 1)."""

@@ -279,11 +279,15 @@ def compare_models(f1_vectors: Mapping[str, Sequence[float]],
 
     pairs = {}
     for name_a, name_b in combinations(names, 2):
+        key = f"{name_a} vs {name_b}"
+        if key in pairs:  # a model name holding " vs " can repeat a key
+            same = [p for p in combinations(names, 2) if " vs ".join(p) == key]
+            raise ValueError(f"model pairs {same} share the key {key!r}")
         ks = ks_two_sample(f1_vectors[name_a], f1_vectors[name_b], config)
         mwu = mwu_two_sample(f1_vectors[name_a], f1_vectors[name_b], config)
         ks_significant = ks.p_value < config.alpha
         mwu_significant = mwu.p_value < config.alpha
-        pairs[f"{name_a} vs {name_b}"] = PairComparison(
+        pairs[key] = PairComparison(
             ks_stat=ks.statistic, ks_p=ks.p_value, ks_method=ks.method_used,
             ks_significant=ks_significant, u_stat=mwu.u_statistic,
             u_p=mwu.p_value, z=mwu.z, mwu_method=mwu.method_used,

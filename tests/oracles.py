@@ -258,7 +258,9 @@ def reference_synth(config, seed):
         regime = config.regimes[label]
         for j, var in enumerate(variables):
             ch = regime[var]
-            x = ch.base(length) + ch.latent_loading * z \
+            base = np.full(length, ch.start) if ch.end is None or length == 1 \
+                else np.linspace(ch.start, ch.end, length)
+            x = base + ch.latent_loading * z \
                 + ch.noise_sd * stream_normals(inst_rng.derive(2 + j).key, length)
             if ch.clamp is not None:
                 np.clip(x, ch.clamp[0], ch.clamp[1], out=x)

@@ -613,6 +613,10 @@ def _corpus_with_inf_cell(tmp_path):
                          "k-NN[1]: expected a finite number, got nan"),
     lambda tmp: _f1_file(tmp, {"k-NN": [1.0, True], "Naive Bayes": [0.5, 0.4]},
                          "k-NN[1]: expected a number, got True"),
+    # two pairs spell one key "a vs b vs c"; neither may replace the other
+    lambda tmp: _f1_file(tmp, dict.fromkeys(["a", "b vs c", "a vs b", "c"], [1.0, 0.5]),
+                         "model pairs [('a', 'b vs c'), ('a vs b', 'c')] share the "
+                         "key 'a vs b vs c'"),
     _truncated_f1_file,
     _truncated_knn_model,
     lambda tmp: _edited_report(tmp, lambda data: data.pop("per_class"),
@@ -697,8 +701,9 @@ def _corpus_with_inf_cell(tmp_path):
         "normalizer.center[0]: expected a finite number, got nan"),
 ], ids=["preprocess-without-fences", "model-without-params", "from-f1-list",
         "from-f1-non-numeric", "from-f1-empty-list", "from-f1-nan-score",
-        "from-f1-boolean", "from-f1-truncated", "knn-model-truncated",
-        "eval-report-without-per-class", "eval-report-f1-string",
+        "from-f1-boolean", "from-f1-pair-key-collision", "from-f1-truncated",
+        "knn-model-truncated", "eval-report-without-per-class",
+        "eval-report-f1-string",
         "eval-report-unknown-class", "eval-report-per-class-mismatch",
         "eval-report-short-matrix", "corpus-with-inf-cell",
         "knn-model-k-string", "knn-model-k-float", "nb-model-eps-rel-string",
@@ -818,17 +823,71 @@ def test_bad_config_value_is_usage_error_naming_its_key(tmp_path, capsys, edit,
     assert not out.exists()
 
 
-def test_pipeline_never_imports_scipy(tmp_path):
-    # scipy is an optional test cross-check, never a runtime dependency; a
-    # fresh interpreter shows what the pipeline itself imports
-    cfg, _ = small_synth_config(tmp_path)
-    script = ("import sys\n"
-              "from hydet.cli import main\n"
-              f"assert main(['pipeline', '--config', {str(cfg)!r}]) == 0\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+def _packages_loaded_by(script):
+    """The top-level packages in ``sys.modules`` after ``script`` runs in a
+    fresh interpreter with this checkout's hydet importable."""
+    script += ("\nimport json, sys"
+               "\nprint(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines()[-1] == "[]"
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def test_pipeline_never_imports_scipy(tmp_path):
+    # scipy is an optional test cross-check, never a runtime dependency
+    cfg, _ = small_synth_config(tmp_path)
+    assert "scipy" not in _packages_loaded_by(
+        "from hydet.cli import main\n"
+        f"assert main(['pipeline', '--config', {str(cfg)!r}]) == 0")
+
+
+def test_import_hydet_loads_no_numpy():
+    assert "numpy" not in _packages_loaded_by("import hydet")
+
+
+def test_compare_loads_no_numpy(tmp_path):
+    # the comparison layer is plain Python, for either kind of input
+    config, out = small_synth_config(tmp_path)
+    assert main(["pipeline", "--config", str(config)]) == EXIT_OK
+    f1 = tmp_path / "f1.json"
+    jsonio.dump({"a": [1.0, 0.5, 0.25], "b": [0.5, 0.5, 0.0]}, f1)
+    reports = sorted(str(p) for p in out.glob("eval_*.json"))
+    for inputs in (["--from-f1", str(f1)], ["--eval-reports", *reports]):
+        argv = ["compare", *inputs, "--out", str(tmp_path / "cmp")]
+        assert "numpy" not in _packages_loaded_by(
+            f"from hydet.cli import main\nassert main({argv!r}) == 0"), inputs
+    assert (tmp_path / "cmp" / "comparison.json").read_bytes() == \
+        (out / "comparison.json").read_bytes()
+
+
+#: every public name of ``hydet`` when its ``__init__`` imported each layer
+#: eagerly, the submodules included
+_HYDET_NAMES = (
+    "BoxplotStats CANONICAL_VARIABLES CANONICAL_VARIABLE_NAMES ClassLabel ClassMetrics "
+    "ClassifiersConfig ComparisonTable ConfusionMatrix DataConfig DatasetManifest "
+    "DecisionTree EvalReport FeatureMatrix Fences GaussianNb ImputationModel "
+    "KnnClassifier KsResult MwuResult NormalizationModel PreprocessConfig Preprocessor "
+    "QualityReport RunConfig SensorVariable SplitSpec SynthConfig TestConfig "
+    "TimeSeriesInstance accuracy apply_imputer apply_normalizer boxplot_stats "
+    "build_manifest classifiers codec compare_models config confusion dataset "
+    "default_config detect_empty detect_frozen ecdf_eval errors evaluate evaluation "
+    "f1_per_class fit_boxplots fit_imputer fit_normalizer flatten jsonio "
+    "ks_two_sample load_instance_csv load_model load_preprocessor mwu_two_sample "
+    "quality quality_report rng save_model save_preprocessor scan_missing split stats "
+    "synth_generate train_all treat_outliers write_instance_csv").split()
+
+
+def test_hydet_exports_every_name_it_did():
+    import hydet
+    for name in _HYDET_NAMES:
+        getattr(hydet, name)
+    namespace = {}
+    exec("from hydet import *", namespace)
+    assert set(_HYDET_NAMES) <= namespace.keys()
+    assert set(_HYDET_NAMES) <= set(dir(hydet))
+    assert hydet.ClassLabel is ClassLabel and hydet.stats.TestConfig is TestConfig
+    with pytest.raises(AttributeError):
+        hydet.no_such_name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hydet.rng import CounterRng, _mix, _norm_ppf, block_normals
+from hydet.rng import _PHI, CounterRng, _draw_bits, _mix, _norm_ppf, block_normals
 from oracles import stream_normals
 
 
@@ -77,6 +77,32 @@ def test_block_normals_rows_equal_per_stream_draws():
     # offset addressing reads the same stream further on
     assert np.array_equal(block_normals(keys, 30, offset=40),
                           block_normals(keys, 70)[:, 40:])
+
+
+def _expression_bits(keys, n, offset):
+    """Raw draws as whole-array expressions, each step a new array: the
+    formula the in-place ``_draw_bits`` and ``_mix_array`` must equal."""
+    idx = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
+    z = np.asarray(keys, dtype=np.uint64)[:, None] + idx * np.uint64(_PHI)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+@pytest.mark.parametrize("n, offset", [(1, 0), (2, 1), (7, 3), (1000, 0),
+                                       (4099, 2**40), (5, 2**64 - 8)])
+def test_in_place_draws_equal_the_expression_formula(n, offset):
+    rng = CounterRng(42).derive(3)
+    bits = _expression_bits([rng.key], n, offset)[0]
+    top = (bits >> np.uint64(11)).astype(np.float64)
+    assert np.array_equal(rng.u64(n, offset), bits)
+    assert np.array_equal(rng.uniforms(n, offset).view(np.uint64),
+                          (top * 2.0 ** -53).view(np.uint64))
+    assert np.array_equal(rng.open_uniforms(n, offset).view(np.uint64),
+                          ((top + 0.5) * 2.0 ** -53).view(np.uint64))
+    keys = np.array([0, 1, 2**63, 2**64 - 1, rng.key], dtype=np.uint64)
+    assert np.array_equal(_draw_bits(keys, n, offset),
+                          _expression_bits(keys, n, offset))
 
 
 class _GridRng(CounterRng):

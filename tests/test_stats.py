@@ -278,6 +278,8 @@ def test_compare_validation():
      "score vector of model 'Naive Bayes' contains non-finite values"),
     ({"Decision Tree": ONES, "k-NN": [1.0, 0.5]}, ValueError,
      "'Decision Tree' has 3, 'k-NN' has 2"),
+    (dict.fromkeys(["a", "b vs c", "a vs b", "c"], ONES), ValueError,
+     "model pairs [('a', 'b vs c'), ('a vs b', 'c')] share the key 'a vs b vs c'"),
 ])
 def test_compare_errors_name_the_model(vectors, error, text):
     with pytest.raises(error) as info:
