@@ -20,13 +20,13 @@ Queries are searched in chunks of at most ``_CHUNK`` in home-leaf order.
 A chunk walks ``(query, node)`` pairs down the tree one level at a time and
 drops a pair whose node box bound exceeds the query's tau. A node's box
 holds every box below it, so its bound is at most theirs: the leaves that
-survive are exactly those the bound keeps. Each query's kept rows form one
-row of a padded candidate matrix; pad cells point at a column that is +inf
-in every feature, so they are never picked before a training row. Queries
-are scored in order of their kept-leaf count, in blocks of at most
-``_CELLS`` cells, so that little of a block is padding. Each query's result
-depends on that query alone, so it does not change with how the queries are
-ordered or sliced. The tree is rebuilt on load and never serialised.
+survive are exactly those the bound keeps. Queries that keep the same number
+of leaves c are scored as one unpadded (queries, c) leaf matrix, in slices
+of at most ``_CELLS`` candidate cells; only a leaf's own row in the leaf
+table is padded, with a column that is +inf in every feature, so a pad is
+never picked before a training row. Each query's result depends on that
+query alone, so it does not change with how the queries are ordered or
+sliced. The tree is rebuilt on load and never serialised.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .validation import validate_rows, validate_training_inputs
 
 _LEAF = 32         # smallest leaf when k is smaller
 _CHUNK = 1024      # queries searched together at most
-_CELLS = 2 ** 14   # queries times candidate rows scored together at most
+_CELLS = 2 ** 16   # queries times candidate rows scored together at most
 
 
 def _squares_summed(terms):
@@ -133,10 +133,9 @@ class KnnClassifier:
         # one row per feature, like ``_columns``
         self._lo = np.concatenate(lo).T.copy()
         self._hi = np.concatenate(hi).T.copy()
-        # each leaf's rows, then one all-pad row; pads point at column n,
-        # which is +inf in every feature
+        # each leaf's rows; pads point at column n, +inf in every feature
         sizes = np.diff(bounds)
-        self._table = np.full((sizes.size + 1, sizes.max()), n, dtype=np.intp)
+        self._table = np.full((sizes.size, sizes.max()), n, dtype=np.intp)
         self._table[np.arange(sizes.size).repeat(sizes),
                     np.arange(n) - bounds[:-1].repeat(sizes)] = perm
         self._columns = np.concatenate([X.T, np.full((X.shape[1], 1), np.inf)],
@@ -210,30 +209,20 @@ class KnnClassifier:
         tau = np.partition(self._sq_distances(queries, self._table[home]),
                            k - 1, axis=1)[:, k - 1]
         who, leaf = self._kept_leaves(queries, tau)
-        # queries in order of their kept-leaf count, so that little of a
-        # block is padding; the pairs, sorted by query, follow that order
         counts = np.bincount(who, minlength=queries.shape[0])
-        order = np.argsort(counts, kind="stable")
-        leaf = leaf[np.argsort(counts[who], kind="stable")]
-        counts = counts[order]
-        ends = np.cumsum(counts)
-        row = np.repeat(np.arange(order.size), counts)
-        slot = np.arange(row.size) - np.repeat(ends - counts, counts)
-        width = counts * self._table.shape[1]
+        kept = counts[who]
         votes = np.empty((queries.shape[0], len(self.classes_)))
         picks = np.empty(queries.shape[0], dtype=np.intp)
-        start = 0
-        while start < order.size:
-            cells = np.arange(1, order.size - start + 1) * width[start:]
-            stop = start + max(1, int(np.searchsorted(cells, _CELLS, "right")))
-            # one row of kept leaves per query, padded with the all-pad leaf
-            first, last = ends[start] - counts[start], ends[stop - 1]
-            leaves = np.full((stop - start, counts[stop - 1]), len(self._table) - 1)
-            leaves[row[first:last] - start, slot[first:last]] = leaf[first:last]
-            block = order[start:stop]
-            votes[block], picks[block] = self._block_votes(
-                queries[block], self._table[leaves].reshape(block.size, -1))
-            start = stop
+        for c in np.unique(counts).tolist():
+            # the queries that keep c leaves; their pairs, sorted by query
+            # then leaf, are one row of c leaves each
+            group = np.flatnonzero(counts == c)
+            leaves = leaf[kept == c].reshape(group.size, c)
+            step = max(1, _CELLS // (c * self._table.shape[1]))
+            for s in range(0, group.size, step):
+                block, cand = group[s:s + step], self._table[leaves[s:s + step]]
+                votes[block], picks[block] = self._block_votes(
+                    queries[block], cand.reshape(block.size, -1))
         return votes, picks
 
     def _votes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -219,8 +219,12 @@ def _inject_corruption(values: np.ndarray, config: SynthConfig,
 
     k_missing = rounded_count(config.missing_fraction, total_cells)
     if k_missing:
-        pool = np.flatnonzero(~outlier_mask)
-        if k_missing > len(pool):
+        outliers = np.flatnonzero(outlier_mask)
+        undamaged = total_cells - len(outliers)
+        if k_missing > undamaged:
             raise ConfigError("missing_fraction leaves too few undamaged cells")
-        picks = pool[rng.derive(4).sample_indices(len(pool), k_missing)]
+        picks = rng.derive(4).sample_indices(undamaged, k_missing)
+        # undamaged cell p lies past every outlier with at most p undamaged
+        # cells before it
+        picks += np.searchsorted(outliers - np.arange(len(outliers)), picks, "right")
         values.reshape(-1)[picks] = np.nan

@@ -54,16 +54,13 @@ def rounded_count(fraction: float, n: int) -> int:
     return int(np.floor(fraction * n + 0.5))
 
 
-def _pick_test_rows(indices: np.ndarray, fraction: float, rng: CounterRng) -> np.ndarray:
-    k = rounded_count(fraction, len(indices))
-    return indices[rng.sample_indices(len(indices), k)]
-
-
 def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Deterministic, disjoint and exhaustive train/test partition.
 
-    Row order within each part preserves the original matrix order. In
-    instance mode all rows of an episode land on the same side.
+    Test takes ``rounded_count`` of each class's units (unstratified: of all
+    units): rows in row mode, or instances labelled by their first row in
+    instance mode, where all rows of an episode land on the same side. Row
+    order within each part preserves the original matrix order.
     """
     n = matrix.n_rows
     if n < 2:
@@ -71,60 +68,37 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
     rng = CounterRng(spec.seed)
 
     if spec.mode == "row":
-        test_idx = _split_row(matrix, spec, rng)
+        test = np.zeros(n, dtype=bool)
+        test[_test_units(matrix.labels, spec, rng, "row")] = True
     else:
-        test_idx = _split_instance(matrix, spec, rng)
+        inst_of_row = matrix.origin[:, 0]
+        # first row of every instance, in order of first appearance
+        firsts = np.sort(np.unique(inst_of_row, return_index=True)[1])
+        if len(firsts) < 2:
+            raise SplitError("instance split needs at least 2 instances")
+        chosen = _test_units(matrix.labels[firsts], spec, rng, "instance")
+        test = np.isin(inst_of_row, inst_of_row[firsts[chosen]])
 
-    if len(test_idx) == 0 or len(test_idx) == n:
+    n_test = int(np.count_nonzero(test))
+    if n_test == 0 or n_test == n:
         raise SplitError(
             f"test_fraction {spec.test_fraction} yields an empty part "
-            f"({len(test_idx)} of {n} rows in test)")
-
-    mask = np.zeros(n, dtype=bool)
-    mask[test_idx] = True
-    train = matrix.take(np.flatnonzero(~mask))
-    test = matrix.take(np.flatnonzero(mask))
-    return train, test
+            f"({n_test} of {n} rows in test)")
+    return matrix.take(np.flatnonzero(~test)), matrix.take(np.flatnonzero(test))
 
 
-def _split_row(matrix: FeatureMatrix, spec: SplitSpec, rng: CounterRng) -> np.ndarray:
-    if not spec.stratified:
-        return _pick_test_rows(np.arange(matrix.n_rows), spec.test_fraction,
-                               rng.derive(0))
+def _test_units(labels: np.ndarray, spec: SplitSpec, rng: CounterRng,
+                unit: str) -> np.ndarray:
+    """Indices of the units drawn for test, given each unit's label: each
+    class's draw comes from ``rng.derive(label)``, the unstratified one from
+    ``rng.derive(0)``."""
     picks = []
-    for label in np.unique(matrix.labels):
-        rows = np.flatnonzero(matrix.labels == label)
-        if len(rows) < 2:
-            raise SplitError(f"class {int(label)} has {len(rows)} row(s); "
-                             "stratified row split needs at least 2")
-        picks.append(_pick_test_rows(rows, spec.test_fraction,
-                                     rng.derive(int(label))))
+    for key in np.unique(labels).tolist() if spec.stratified else [0]:
+        units = (np.flatnonzero(labels == key) if spec.stratified
+                 else np.arange(len(labels)))
+        if spec.stratified and len(units) < 2:
+            raise SplitError(f"class {key} has {len(units)} {unit}(s); "
+                             f"stratified {unit} split needs at least 2")
+        k = rounded_count(spec.test_fraction, len(units))
+        picks.append(units[rng.derive(key).sample_indices(len(units), k)])
     return np.concatenate(picks)
-
-
-def _split_instance(matrix: FeatureMatrix, spec: SplitSpec,
-                    rng: CounterRng) -> np.ndarray:
-    inst_of_row = matrix.origin[:, 0]
-    # first row of every instance, in order of first appearance
-    firsts = np.sort(np.unique(inst_of_row, return_index=True)[1])
-    if len(firsts) < 2:
-        raise SplitError("instance split needs at least 2 instances")
-
-    def rows_of(chosen: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(np.isin(inst_of_row, inst_of_row[firsts[chosen]]))
-
-    if not spec.stratified:
-        test_inst = _pick_test_rows(np.arange(len(firsts)), spec.test_fraction,
-                                    rng.derive(0))
-        return rows_of(test_inst)
-
-    labels_arr = matrix.labels[firsts]
-    picks = []
-    for label in np.unique(labels_arr):
-        members = np.flatnonzero(labels_arr == label)
-        if len(members) < 2:
-            raise SplitError(f"class {int(label)} has {len(members)} instance(s); "
-                             "stratified instance split needs at least 2")
-        picks.append(_pick_test_rows(members, spec.test_fraction,
-                                     rng.derive(int(label))))
-    return rows_of(np.concatenate(picks))

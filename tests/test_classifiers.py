@@ -453,6 +453,26 @@ def test_knn_deep_tree_matches_all_pairs_oracle(k):
     assert model.predict(unique[pick]).tolist() == expected[pick].tolist()
 
 
+def test_knn_blocks_carry_no_pad_leaf():
+    rng = np.random.default_rng(3)
+    Xtr = rng.normal(size=(3000, 3))
+    model = KnnClassifier(k=5).fit(Xtr, rng.integers(0, 3, size=3000))
+    n, width = len(Xtr), model._table.shape[1]
+    blocks = []
+    score = model._block_votes
+
+    def spy(queries, cand):
+        blocks.append(cand)
+        return score(queries, cand)
+
+    model._block_votes = spy
+    model.predict(rng.normal(size=(2000, 3)))
+    assert len(blocks) > 1
+    for cand in blocks:
+        # a kept leaf's rows pad to the widest leaf, which holds one row more
+        assert ((cand == n).sum(axis=1) <= cand.shape[1] // width).all()
+
+
 def test_knn_k_validation():
     with pytest.raises(ValueError):
         KnnClassifier(k=0)

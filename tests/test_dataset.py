@@ -657,10 +657,25 @@ def test_stratified_instance_split_proportions_within_one():
 def test_split_degenerate_errors():
     with pytest.raises(SplitError):
         split(_matrix([0]), SplitSpec())
-    with pytest.raises(SplitError):  # class with a single row
-        split(_matrix([0, 0, 1]), SplitSpec(test_fraction=0.5, stratified=True))
+    for unit in ("row", "instance"):  # class with a single unit
+        with pytest.raises(SplitError, match=re.escape(
+                f"class 1 has 1 {unit}(s); stratified {unit} split needs at least 2")):
+            split(_matrix([0, 0, 1]), SplitSpec(test_fraction=0.5, mode=unit))
     with pytest.raises(SplitError):  # empty test part
         split(_matrix([0, 0, 0]), SplitSpec(test_fraction=0.01, stratified=False))
+
+
+def test_split_modes_draw_alike_on_one_row_instances():
+    # with one row per instance, an instance is a row: both modes draw the
+    # same units with the same streams
+    m = _matrix([0] * 13 + [1] * 7 + [2] * 5 + [0] * 4)
+    for stratified in (True, False):
+        for seed in (0, 1, 42, 99):
+            row, inst = (split(m, SplitSpec(test_fraction=0.3, seed=seed, mode=mode,
+                                            stratified=stratified))
+                         for mode in ("row", "instance"))
+            assert row[0].origin.tolist() == inst[0].origin.tolist()
+            assert row[1].origin.tolist() == inst[1].origin.tolist()
 
 
 def test_split_spec_validation():
