@@ -165,18 +165,12 @@ def cmd_qc(config: RunConfig, args) -> int:
 
 
 def cmd_synth(config: RunConfig, args) -> int:
-    from .dataset import (CLASS_DIRS, build_manifest, default_config, synth_generate,
-                          write_instance_csv)
+    from .dataset import build_manifest, default_config, synth_generate, write_instances
     out = Path(config.out_dir)
     _echo_config(config, out)
     synth = config.data.synth or default_config()
     instances = synth_generate(synth, config.seed)
-    dir_of = {label: name for name, label in CLASS_DIRS.items()}
-    for label in ClassLabel:
-        (out / dir_of[label]).mkdir(parents=True, exist_ok=True)
-    for inst in instances:
-        stem = inst.instance_id.split("/")[-1]
-        write_instance_csv(inst, out / dir_of[inst.label] / f"{stem}.csv")
+    write_instances(instances, out)
     manifest = build_manifest(out)
     jsonio.dump(to_json(manifest), out / "manifest.json")
     print(f"wrote {len(instances)} instances under {out}")

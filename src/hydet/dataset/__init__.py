@@ -1,7 +1,7 @@
 """Loading, modeling, splitting and synthesizing labeled well time series."""
 
 from .io import (CLASS_DIRS, build_manifest, load_instance_csv, load_instances,
-                 write_instance_csv)
+                 write_instance_csv, write_instances)
 from .model import (CANONICAL_VARIABLE_NAMES, CANONICAL_VARIABLES, ClassLabel,
                     DatasetManifest, FeatureMatrix, ManifestEntry, SensorVariable,
                     SplitSpec, TimeSeriesInstance, variable_info)
@@ -15,5 +15,5 @@ __all__ = [
     "ManifestEntry", "SensorVariable", "SplitSpec", "SynthConfig",
     "TimeSeriesInstance", "build_manifest", "default_config", "default_regimes",
     "flatten", "load_instance_csv", "load_instances", "qc_probe_config", "split",
-    "synth_generate", "variable_info", "write_instance_csv",
+    "synth_generate", "variable_info", "write_instance_csv", "write_instances",
 ]

@@ -21,6 +21,30 @@ the same instance as the one-pass parse wherever both accept a file.
 
 Writing renders every row with one ``%`` template and then blanks the NaN
 cells, so the floats have ``jsonio.format_float``'s 17 significant digits.
+
+``load_instances`` and ``write_instances`` run their per-file loop on every
+CPU this process may use, once the files are large enough. The files are cut
+into contiguous shares, one per CPU but none under ``_SHARE_FLOOR_BYTES``
+(8 MiB) of CSV text; a file to write is sized at 23 bytes per value. This
+process works the first share, and each other share runs in a child forked
+by ``multiprocessing``. A reading child streams each instance back over a
+pipe as a small pickled head and the raw bytes of its arrays; this process
+reads them between its own files straight into arrays it allocates, and
+returns the instances in manifest order. A writing child sends back only an
+error. Either way the first failing file in order raises what the serial
+loop raises. On one CPU, or below the floor, the loop runs serially.
+
+The floor comes from ``hydet pipeline --models dt,nb`` and ``hydet synth``
+forced to fork every share, against the serial loop, in alternating runs on
+a 2-CPU VM: reading lost 0.12-0.14 s on the 5.7 MB default corpus, was even
+to 0.12 s ahead at 11.2 MB and 0.05-0.17 s ahead at 22 MB; writing lost
+0.07 s at 5.7 MB and gained 0.17 s at 11.2 MB. So the default corpus stays
+serial. On the benchmark's 53.8 MB long dirty corpus (two shares), the
+median ``hydet synth`` took 2.20 s instead of 2.88 s and ``hydet pipeline``
+4.24 s instead of 4.63 s. Instances sent as pickles, not raw arrays, raised
+that pipeline's peak RSS from 104.8 to ~111 MiB: the message buffers left
+holes among the instance arrays, so the freed corpus no longer held one
+block as large as ``split``'s train array.
 """
 
 from __future__ import annotations
@@ -29,10 +53,15 @@ import csv
 import io
 import logging
 import math
+import os
+import pickle
+import select
+import struct
 import warnings
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import Any, BinaryIO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +82,14 @@ _MISSING_TOKENS = {"", "NaN", "nan"}
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 Timestamp = int | datetime
+
+#: a share of the per-file loops is forked off only when it holds at least
+#: this many bytes of CSV text (the break-even is in the module docstring)
+_SHARE_FLOOR_BYTES = 8 << 20
+
+#: CSV text per value when a written file is sized for the floor: the
+#: default corpus writes 5.7 MB for its 246,000 values
+_TEXT_BYTES_PER_VALUE = 23
 
 #: any other character in a file body sends it to the row loop
 _TABLE_CHARS = b"0123456789.,-+eE\n"
@@ -150,11 +187,7 @@ def _load_table(name: str, text: str, instance_id: str,
     body = text[stream.tell():]
     if not body or not body.isascii() or body.encode().translate(None, _TABLE_CHARS):
         raise ValueError("not a plain numeric table")
-    if ",," in body:
-        body = body.replace(",,", ",nan,").replace(",,", ",nan,")
-    body = body.replace(",\n", ",nan\n")
-    if body[-1] == ",":
-        body += "nan"
+    body = _fill_missing(body)
     # One row per line: a blank line, which loadtxt skips, fails the row
     # count below. Allocated before the parse, below its buffers: a copy made
     # after it sat above the freed table, and the heap kept ~19 MiB of such
@@ -181,6 +214,24 @@ def _load_table(name: str, text: str, instance_id: str,
         file_label = _parse_label_token(str(codes[0]), label_map, name)
     return _instance(name, instance_id, label, file_label,
                      stamps, var_names, values)
+
+
+def _fill_missing(body: str) -> str:
+    """``body`` with ``nan`` in every empty cell.
+
+    Three ``str.replace`` scans (the second fills every other cell of a run
+    of empty cells) and not one ``re.sub``: that is ~0.2 s faster on the
+    benchmark's long dirty corpus, but it builds each body from ~50 slices
+    of about 1 KB, which glibc keeps in its per-thread cache among the
+    instance arrays. The freed corpus then no longer holds one block as
+    large as ``split``'s train array, and peak RSS rose by 8-12 MiB.
+    """
+    if ",," in body:
+        body = body.replace(",,", ",nan,").replace(",,", ",nan,")
+    body = body.replace(",\n", ",nan\n")
+    if body.endswith(","):
+        body += "nan"
+    return body
 
 
 def _load_rows(name: str, text: str, instance_id: str,
@@ -371,7 +422,190 @@ def load_instances(root: str | Path, manifest: DatasetManifest,
                    ) -> list[TimeSeriesInstance]:
     """Load every instance listed in a manifest, labeled by its directory."""
     root = Path(root)
-    return [
-        load_instance_csv(root / e.path, e.id, e.label, label_map)
-        for e in manifest.instances
-    ]
+    return _fan_out(
+        lambda e: load_instance_csv(root / e.path, e.id, e.label, label_map),
+        manifest.instances, lambda e: os.path.getsize(root / e.path))
+
+
+def write_instances(instances: Sequence[TimeSeriesInstance],
+                    root: str | Path) -> None:
+    """Write a corpus in the layout ``build_manifest`` reads: each instance
+    to ``<root>/<its class directory>/<last part of its id>.csv``."""
+    root = Path(root)
+    dir_of = {label: root / name for name, label in CLASS_DIRS.items()}
+    for path in dir_of.values():
+        path.mkdir(parents=True, exist_ok=True)
+    _fan_out(
+        lambda inst: write_instance_csv(
+            inst, dir_of[inst.label] / f"{inst.instance_id.split('/')[-1]}.csv"),
+        instances, lambda inst: inst.values.size * _TEXT_BYTES_PER_VALUE)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say (and
+    where, as on Windows, it cannot fork either)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> list:
+    """``[work(item) for item in items]``, on every CPU when that pays.
+
+    The items are cut into contiguous shares, one per CPU but none smaller
+    than ``_SHARE_FLOOR_BYTES`` by ``size_of``. This process works the first
+    share; each other share runs in a forked child, which streams back over
+    a pipe each result that is not None (``work`` returns a
+    ``TimeSeriesInstance`` for every item or None for every item), or the
+    error that stopped it. Between its own items this process reads what is
+    waiting, so that no child waits long on a full pipe. The error raised is
+    the one the serial loop would raise: that of the first failing item, or
+    a ``HydetError`` for a child that died. Every child is joined.
+    """
+    cpus = _cpu_count()
+    n_shares = 1 if cpus == 1 else min(
+        cpus, len(items), sum(map(size_of, items)) // _SHARE_FLOOR_BYTES)
+    if n_shares <= 1:
+        return [work(item) for item in items]
+
+    import multiprocessing  # here: a serial run never loads it
+    context = multiprocessing.get_context("fork")
+    cuts = [len(items) * k // n_shares for k in range(n_shares + 1)]
+    results: list = [None] * len(items)
+    children: list[_Child] = []
+    reading: dict[int, _Child] = {}  # by the read end of its pipe
+    poller = select.poll()
+
+    def receive(timeout: float | None) -> None:
+        while reading and (ready := poller.poll(timeout)):
+            for fd, _ in ready:
+                child = reading[fd]
+                result = _read_frame(fd)
+                if result is None:  # end of file: the child has exited
+                    poller.unregister(fd)
+                    del reading[fd]
+                    os.close(fd)
+                elif isinstance(result, BaseException):
+                    child.error = result
+                else:
+                    results[child.next] = result
+                    child.next += 1
+
+    try:
+        for first, stop in zip(cuts[1:-1], cuts[2:]):
+            fd, write_end = os.pipe()
+            reading[fd] = child = _Child(first, stop, first)
+            poller.register(fd, select.POLLIN)
+            try:
+                child.process = context.Process(
+                    target=_work_share, args=(work, items[first:stop], write_end),
+                    daemon=True)
+                child.process.start()
+            finally:
+                os.close(write_end)  # before the next fork, so that EOF means exit
+            children.append(child)
+        for i in range(cuts[1]):
+            results[i] = work(items[i])
+            receive(0)
+        receive(None)
+        for child in children:
+            child.process.join()
+            if child.error is not None:
+                raise child.error
+            if child.process.exitcode != 0:
+                raise HydetError(f"the process working items {child.first + 1} to "
+                                 f"{child.stop} of {len(items)} exited with code "
+                                 f"{child.process.exitcode}")
+    finally:
+        for child in children:
+            if child.process.exitcode is None:
+                child.process.terminate()
+            child.process.join()
+        for fd in reading:
+            os.close(fd)
+    return results
+
+
+@dataclass
+class _Child:
+    """A forked child working ``items[first:stop]`` for ``_fan_out``."""
+
+    first: int
+    stop: int
+    next: int  # the index its next result goes to
+    process: Any = None
+    error: BaseException | None = None
+
+
+def _work_share(work: Callable, share: Sequence, write_end: int) -> None:
+    """Body of a forked child: ``work`` each item of its share and write
+    every result that is not None, or the first error, as a frame."""
+    with open(write_end, "wb") as out:
+        try:
+            for item in share:
+                result = work(item)
+                if result is not None:
+                    _write_frame(out, result)
+        except Exception as exc:  # raised again, in item order, by the parent
+            _write_frame(out, exc)
+
+
+#: a frame starts with the length of its pickled head
+_FRAME_LENGTH = struct.Struct("<Q")
+
+
+def _write_frame(out: BinaryIO, result: TimeSeriesInstance | BaseException) -> None:
+    """An error is a frame of its pickle alone. An instance's head is the
+    pickle of ``(id, label, variable names, rows, ISO stamps or None)``; its
+    values, then its epoch stamps, follow as raw bytes, so that the reader
+    fills arrays it allocated itself and no copy of them is made."""
+    arrays = []
+    head = result
+    if isinstance(result, TimeSeriesInstance):
+        stamps = result.timestamps
+        iso = stamps if isinstance(stamps, tuple) else None
+        head = (result.instance_id, result.label, result.variable_names,
+                len(result), iso)
+        arrays = [result.values] + ([stamps] if iso is None else [])
+    head = pickle.dumps(head)
+    out.write(_FRAME_LENGTH.pack(len(head)))
+    out.write(head)
+    for array in arrays:
+        out.write(np.ascontiguousarray(array).data)
+    out.flush()
+
+
+def _read_frame(fd: int) -> TimeSeriesInstance | BaseException | None:
+    """The next frame ``_write_frame`` wrote to pipe ``fd``; None where the
+    pipe ends before a whole frame, as it does when its writer has exited."""
+    length = bytearray(_FRAME_LENGTH.size)
+    if not _read_into(fd, length):
+        return None
+    head = bytearray(_FRAME_LENGTH.unpack(length)[0])
+    if not _read_into(fd, head):
+        return None
+    head = pickle.loads(head)
+    if isinstance(head, BaseException):
+        return head
+    instance_id, label, variable_names, n_rows, iso = head
+    values = np.empty((n_rows, len(variable_names)))
+    stamps = iso
+    arrays = [values]
+    if iso is None:
+        stamps = np.empty(n_rows, dtype=np.int64)
+        arrays.append(stamps)
+    if not all(_read_into(fd, array) for array in arrays):
+        return None
+    return TimeSeriesInstance(instance_id, label, stamps, variable_names, values)
+
+
+def _read_into(fd: int, buffer) -> bool:
+    """Fill ``buffer`` from ``fd``; False if the pipe ends first."""
+    view = memoryview(buffer).cast("B")
+    got = 0
+    while got < len(view):
+        n = os.readv(fd, [view[got:]])
+        if not n:
+            return False
+        got += n
+    return True

@@ -72,6 +72,24 @@ class TimeSeriesInstance:
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    def __reduce__(self):
+        # through the constructor: the default would restore the fields
+        # unchecked, with writable arrays
+        return (_unpickled_instance, (self.instance_id, self.label, self.timestamps,
+                                      self.variable_names, self.values))
+
+
+def _unpickled_instance(instance_id, label, timestamps, variable_names,
+                        values) -> TimeSeriesInstance:
+    """numpy unpickles a large array as a view of the pickle's bytes, with a
+    dtype equal to but not the same object as ``np.float64``'s, which would
+    make the constructor's ``asarray`` a view again. ``astype`` copies each
+    array out, so that it owns its data as a loaded instance's does."""
+    if isinstance(timestamps, np.ndarray):
+        timestamps = timestamps.astype(np.int64)
+    return TimeSeriesInstance(instance_id, label, timestamps, variable_names,
+                              values.astype(np.float64))
+
 
 @dataclass(frozen=True)
 class ManifestEntry:

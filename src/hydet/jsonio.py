@@ -117,10 +117,16 @@ def dumps(obj: Any) -> str:
 
 def dump(obj: Any, path: str | Path) -> None:
     """Write ``dumps(obj)`` to ``path``, streamed: a 2-D float array is
-    rendered and written a block of rows at a time."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _render(obj, "", fh.write)
-        fh.write("\n")
+    rendered and written a block of rows at a time.  If rendering or
+    writing fails, the partial file is removed before the error goes on."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            _render(obj, "", fh.write)
+            fh.write("\n")
+    except BaseException:
+        Path(path).unlink()
+        raise
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 import re
 from datetime import datetime, timedelta
 
@@ -14,12 +15,13 @@ from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config
                            flatten, load_instance_csv, split, synth_generate,
                            write_instance_csv)
 from hydet.dataset import io as dataset_io
-from hydet.dataset.io import _load_rows, write_matrix_csv
+from hydet.dataset.io import _fill_missing, _load_rows, write_matrix_csv
 from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance
 from hydet.jsonio import format_float
 from hydet.errors import (CsvFormatError, EmptyDataError, LabelConflictError,
                           MissingVariableError, NonFiniteError, SplitError,
                           TimestampOrderError)
+from oracles import reference_fill_missing
 
 
 def _stream(text):
@@ -346,6 +348,27 @@ def test_plain_numeric_files_never_reach_the_row_loop(tmp_path, monkeypatch):
     assert same_bits(load_instance_csv(path, "fast").values, inst.values)
 
 
+@st.composite
+def _bodies(draw):
+    """CSV bodies with runs of empty cells, empty first and last cells and,
+    sometimes, a last line without its line end."""
+    lines = draw(st.lists(st.lists(st.sampled_from(["", "", "1", "-2.5e3"]),
+                                   min_size=1, max_size=6), min_size=1, max_size=5))
+    body = "\n".join(",".join(cells) for cells in lines)
+    return body + draw(st.sampled_from(["", "\n"]))
+
+
+@given(body=_bodies())
+@settings(max_examples=300, deadline=None)
+def test_fill_missing_equals_the_one_pass_regex(body):
+    assert _fill_missing(body) == reference_fill_missing(body)
+
+
+@pytest.mark.parametrize("body", [",,,\n", "1,,,,2\n", ",1,\n,", "1,", "1,,"])
+def test_fill_missing_fills_runs_and_ends(body):
+    assert _fill_missing(body) == reference_fill_missing(body)
+
+
 # ---------------------------------------------------------------------------
 # timestamps: one read-only int64 array for epoch seconds, datetimes for ISO
 
@@ -376,6 +399,32 @@ def test_iso_timestamps_stay_a_tuple_of_datetimes():
     for inst in (load_instance_csv(_stream(text), "iso", ClassLabel.NORMAL),
                  _load_rows("iso", text, "iso", ClassLabel.NORMAL, None)):
         assert_iso_stamps(inst.timestamps, expected)
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_instance_pickles_through_its_constructor(tmp_path, protocol):
+    epoch, = synth_generate(default_config(n_normal=1, n_rapid_loss=0, n_hydrate=0,
+                                           length=700), 5)
+    path = tmp_path / "e.csv"
+    write_instance_csv(epoch, path)
+    iso = load_instance_csv(_stream("timestamp,x\n2024-01-01T00:00:00Z,1.0\n"
+                                    "2024-01-01T00:00:07+00:00,\n"), "iso",
+                            ClassLabel.HYDRATE)
+    # a long instance: numpy unpickles large arrays as views of the pickle
+    for inst in (epoch, load_instance_csv(path, "e"), iso):
+        back = pickle.loads(pickle.dumps(inst, protocol=protocol))
+        assert (back.instance_id, back.label, back.variable_names) == \
+            (inst.instance_id, inst.label, inst.variable_names)
+        if isinstance(inst.timestamps, tuple):
+            assert_iso_stamps(back.timestamps, inst.timestamps)
+        else:
+            assert_epoch_stamps(back.timestamps, inst.timestamps.tolist())
+        assert same_bits(back.values, inst.values)
+        assert not back.values.flags.writeable and back.values.base is None
+    # the constructor checks what a pickle brings
+    rebuild, args = iso.__reduce__()
+    with pytest.raises(NonFiniteError, match="infinite value at row 1"):
+        rebuild(*args[:4], np.array([[1.0], [np.inf]]))
 
 
 @pytest.mark.parametrize("stamps, shown", [

@@ -60,6 +60,18 @@ def test_dump_and_load_file(tmp_path):
     assert path.read_bytes().endswith(b"}\n")
 
 
+def test_dump_leaves_no_partial_file_when_rendering_fails(tmp_path):
+    # the rows before the bad value are rendered, and written, first
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError, match="unsupported JSON value type: object"):
+        jsonio.dump({"a": np.zeros((jsonio._ROW_BLOCK * 2, 2)), "b": object()}, path)
+    assert not path.exists()
+    path.write_text("old", encoding="utf-8")
+    with pytest.raises(TypeError, match="non-string JSON key"):
+        jsonio.dump({"a": [1, {2: 3}]}, path)
+    assert not path.exists()
+
+
 _FLOATS = st.one_of(st.floats(), st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
      -1.7976931348623157e308, math.inf, -math.inf, math.nan]))
