@@ -39,9 +39,10 @@ forced to fork every share, against the serial loop, in alternating runs on
 a 2-CPU VM: reading lost 0.12-0.14 s on the 5.7 MB default corpus, was even
 to 0.12 s ahead at 11.2 MB and 0.05-0.17 s ahead at 22 MB; writing lost
 0.07 s at 5.7 MB and gained 0.17 s at 11.2 MB. So the default corpus stays
-serial. On the benchmark's 53.8 MB long dirty corpus (two shares), the
-median ``hydet synth`` took 2.20 s instead of 2.88 s and ``hydet pipeline``
-4.24 s instead of 4.63 s. Instances sent as pickles, not raw arrays, raised
+serial. On the benchmark's 53.8 MB long dirty corpus (two shares), two
+rounds of 10 alternating pairs took ``hydet synth`` from 2.88 to 2.20 s and
+from 2.45 to 1.90 s, and ``hydet pipeline`` from 4.63 to 4.24 s and from
+4.10 to 3.80 s (medians). Instances sent as pickles, not raw arrays, raised
 that pipeline's peak RSS from 104.8 to ~111 MiB: the message buffers left
 holes among the instance arrays, so the freed corpus no longer held one
 block as large as ``split``'s train array.
