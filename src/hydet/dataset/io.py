@@ -23,29 +23,29 @@ Writing renders every row with one ``%`` template and then blanks the NaN
 cells, so the floats have ``jsonio.format_float``'s 17 significant digits.
 
 ``load_instances`` and ``write_instances`` run their per-file loop on every
-CPU this process may use, once the files are large enough. The files are cut
-into contiguous shares, one per CPU but none under ``_SHARE_FLOOR_BYTES``
-(8 MiB) of CSV text; a file to write is sized at 23 bytes per value. This
-process works the first share, and each other share runs in a child forked
-by ``multiprocessing``. A reading child streams each instance back over a
-pipe as a small pickled head and the raw bytes of its arrays; this process
-reads them between its own files straight into arrays it allocates, and
-returns the instances in manifest order. A writing child sends back only an
-error. Either way the first failing file in order raises what the serial
-loop raises. On one CPU, or below the floor, the loop runs serially.
+CPU this process may use, once the files are large enough: one process per
+CPU, but none for less than ``_SHARE_FLOOR_BYTES`` (8 MiB) of CSV text; a
+file to write is sized at 23 bytes per value. This process and children
+forked by ``multiprocessing`` take the next file from a shared counter, so
+that none idles while another, slowed by a busy CPU, still holds a long
+share. A reading child streams each instance back over a pipe as a small
+pickled head and the raw bytes of its arrays; this process reads them
+between its own files straight into arrays it allocates, and returns the
+instances in manifest order. A writing child sends back only an error.
+Either way the first failing file in order raises what the serial loop
+raises. On one CPU, or below the floor, the loop runs serially.
 
 The floor comes from ``hydet pipeline --models dt,nb`` and ``hydet synth``
-forced to fork every share, against the serial loop, in alternating runs on
-a 2-CPU VM: reading lost 0.12-0.14 s on the 5.7 MB default corpus, was even
-to 0.12 s ahead at 11.2 MB and 0.05-0.17 s ahead at 22 MB; writing lost
-0.07 s at 5.7 MB and gained 0.17 s at 11.2 MB. So the default corpus stays
-serial. On the benchmark's 53.8 MB long dirty corpus (two shares), two
-rounds of 10 alternating pairs took ``hydet synth`` from 2.88 to 2.20 s and
-from 2.45 to 1.90 s, and ``hydet pipeline`` from 4.63 to 4.24 s and from
-4.10 to 3.80 s (medians). Instances sent as pickles, not raw arrays, raised
-that pipeline's peak RSS from 104.8 to ~111 MiB: the message buffers left
-holes among the instance arrays, so the freed corpus no longer held one
-block as large as ``split``'s train array.
+forced to fork, against the serial loop, in alternating runs on a 2-CPU VM:
+reading lost 0.12-0.14 s on the 5.7 MB default corpus, was even to 0.12 s
+ahead at 11.2 MB and 0.05-0.17 s ahead at 22 MB; writing lost 0.07 s at
+5.7 MB and gained 0.17 s at 11.2 MB. So the default corpus stays serial.
+Fixed contiguous shares, one per process, left this process waiting up to
+0.5 s for a child whose CPU other work was using. Instances sent as pickles,
+not raw arrays, raised the benchmark's long dirty pipeline peak RSS from
+104.8 to ~111 MiB: the message buffers left holes among the instance
+arrays, so the freed corpus no longer held one block as large as
+``split``'s train array.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ import csv
 import io
 import logging
 import math
+import mmap
 import os
 import pickle
 import select
 import struct
 import warnings
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Mapping, Sequence
@@ -453,119 +453,125 @@ def _cpu_count() -> int:
 def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> list:
     """``[work(item) for item in items]``, on every CPU when that pays.
 
-    The items are cut into contiguous shares, one per CPU but none smaller
-    than ``_SHARE_FLOOR_BYTES`` by ``size_of``. This process works the first
-    share; each other share runs in a forked child, which streams back over
-    a pipe each result that is not None (``work`` returns a
-    ``TimeSeriesInstance`` for every item or None for every item), or the
-    error that stopped it. Between its own items this process reads what is
-    waiting, so that no child waits long on a full pipe. The error raised is
-    the one the serial loop would raise: that of the first failing item, or
-    a ``HydetError`` for a child that died. Every child is joined.
+    One process per CPU works, but none for less than ``_SHARE_FLOOR_BYTES``
+    by ``size_of``: this one and forked children. Each takes the next item
+    from a shared counter, so that none waits while another, slowed by a
+    busy CPU, still holds a long share. A child streams back over a pipe
+    each result that is not None (``work`` returns a ``TimeSeriesInstance``
+    for every item or None for every item) with its index, or the error that
+    stopped it. Between its own items this process reads what is waiting, so
+    that no child waits long on a full pipe. The error raised is the one the
+    serial loop would raise: that of the first failing item, or a
+    ``HydetError`` for a child that died. Every child is joined.
     """
     cpus = _cpu_count()
-    n_shares = 1 if cpus == 1 else min(
+    n_workers = 1 if cpus == 1 else min(
         cpus, len(items), sum(map(size_of, items)) // _SHARE_FLOOR_BYTES)
-    if n_shares <= 1:
+    if n_workers <= 1:
         return [work(item) for item in items]
 
     import multiprocessing  # here: a serial run never loads it
     context = multiprocessing.get_context("fork")
-    cuts = [len(items) * k // n_shares for k in range(n_shares + 1)]
+    counter = mmap.mmap(-1, _INDEX.size)  # shared: the next item's index
+    lock = context.Lock()
+
+    def take(stop: bool = False) -> int:
+        """The next item's index; ``stop`` ends the taking (after an error:
+        every item before it has been taken, and no later one matters)."""
+        with lock:
+            i, = _INDEX.unpack_from(counter)
+            _INDEX.pack_into(counter, 0, len(items) if stop else i + 1)
+        return i
+
     results: list = [None] * len(items)
-    children: list[_Child] = []
-    reading: dict[int, _Child] = {}  # by the read end of its pipe
+    errors: dict[int, BaseException] = {}
+    children: dict[int, Any] = {}  # by the read end of its pipe
     poller = select.poll()
 
     def receive(timeout: float | None) -> None:
-        while reading and (ready := poller.poll(timeout)):
+        while children and (ready := poller.poll(timeout)):
             for fd, _ in ready:
-                child = reading[fd]
-                result = _read_frame(fd)
-                if result is None:  # end of file: the child has exited
+                frame = _read_frame(fd)
+                if frame is None:  # end of file: the child has exited
                     poller.unregister(fd)
-                    del reading[fd]
                     os.close(fd)
-                elif isinstance(result, BaseException):
-                    child.error = result
+                    children.pop(fd).join()
+                elif isinstance(frame[1], BaseException):
+                    errors[frame[0]] = frame[1]
                 else:
-                    results[child.next] = result
-                    child.next += 1
+                    results[frame[0]] = frame[1]
 
     try:
-        for first, stop in zip(cuts[1:-1], cuts[2:]):
+        for _ in range(n_workers - 1):
             fd, write_end = os.pipe()
-            reading[fd] = child = _Child(first, stop, first)
             poller.register(fd, select.POLLIN)
             try:
-                child.process = context.Process(
-                    target=_work_share, args=(work, items[first:stop], write_end),
+                children[fd] = context.Process(
+                    target=_work_share, args=(work, items, take, write_end),
                     daemon=True)
-                child.process.start()
+                children[fd].start()
             finally:
                 os.close(write_end)  # before the next fork, so that EOF means exit
-            children.append(child)
-        for i in range(cuts[1]):
-            results[i] = work(items[i])
+        exited = list(children.values())
+        while (i := take()) < len(items):
+            try:
+                results[i] = work(items[i])
+            except Exception as exc:  # raised below, once no earlier item can fail
+                errors[i] = exc
+                take(stop=True)
             receive(0)
         receive(None)
-        for child in children:
-            child.process.join()
-            if child.error is not None:
-                raise child.error
-            if child.process.exitcode != 0:
-                raise HydetError(f"the process working items {child.first + 1} to "
-                                 f"{child.stop} of {len(items)} exited with code "
-                                 f"{child.process.exitcode}")
+        died = [p.exitcode for p in exited if p.exitcode != 0]
+        if died:
+            raise HydetError(f"a forked process working on {len(items)} items "
+                             f"exited with code {died[0]}")
+        if errors:
+            raise errors[min(errors)]
     finally:
-        for child in children:
-            if child.process.exitcode is None:
-                child.process.terminate()
-            child.process.join()
-        for fd in reading:
+        for fd, process in children.items():
+            process.terminate()
+            process.join()
             os.close(fd)
+        counter.close()
     return results
 
 
-@dataclass
-class _Child:
-    """A forked child working ``items[first:stop]`` for ``_fan_out``."""
-
-    first: int
-    stop: int
-    next: int  # the index its next result goes to
-    process: Any = None
-    error: BaseException | None = None
-
-
-def _work_share(work: Callable, share: Sequence, write_end: int) -> None:
-    """Body of a forked child: ``work`` each item of its share and write
-    every result that is not None, or the first error, as a frame."""
+def _work_share(work: Callable, items: Sequence, take: Callable[..., int],
+                write_end: int) -> None:
+    """Body of a forked child: ``work`` each item it takes and write every
+    result that is not None, or the first error, as a frame."""
     with open(write_end, "wb") as out:
-        try:
-            for item in share:
-                result = work(item)
-                if result is not None:
-                    _write_frame(out, result)
-        except Exception as exc:  # raised again, in item order, by the parent
-            _write_frame(out, exc)
+        while (i := take()) < len(items):
+            try:
+                result = work(items[i])
+            except Exception as exc:  # raised again, in item order, by the parent
+                take(stop=True)
+                _write_frame(out, i, exc)
+                return
+            if result is not None:
+                _write_frame(out, i, result)
 
 
 #: a frame starts with the length of its pickled head
 _FRAME_LENGTH = struct.Struct("<Q")
 
+#: the shared index of the next item to take
+_INDEX = struct.Struct("q")
 
-def _write_frame(out: BinaryIO, result: TimeSeriesInstance | BaseException) -> None:
-    """An error is a frame of its pickle alone. An instance's head is the
-    pickle of ``(id, label, variable names, rows, ISO stamps or None)``; its
-    values, then its epoch stamps, follow as raw bytes, so that the reader
-    fills arrays it allocated itself and no copy of them is made."""
+
+def _write_frame(out: BinaryIO, index: int,
+                 result: TimeSeriesInstance | BaseException) -> None:
+    """The result of item ``index``. An error is a frame of the pickle of
+    ``(index, error)`` alone. An instance's head is the pickle of ``(index,
+    id, label, variable names, rows, ISO stamps or None)``; its values, then
+    its epoch stamps, follow as raw bytes, so that the reader fills arrays it
+    allocated itself and no copy of them is made."""
     arrays = []
-    head = result
+    head = (index, result)
     if isinstance(result, TimeSeriesInstance):
         stamps = result.timestamps
         iso = stamps if isinstance(stamps, tuple) else None
-        head = (result.instance_id, result.label, result.variable_names,
+        head = (index, result.instance_id, result.label, result.variable_names,
                 len(result), iso)
         arrays = [result.values] + ([stamps] if iso is None else [])
     head = pickle.dumps(head)
@@ -576,9 +582,10 @@ def _write_frame(out: BinaryIO, result: TimeSeriesInstance | BaseException) -> N
     out.flush()
 
 
-def _read_frame(fd: int) -> TimeSeriesInstance | BaseException | None:
-    """The next frame ``_write_frame`` wrote to pipe ``fd``; None where the
-    pipe ends before a whole frame, as it does when its writer has exited."""
+def _read_frame(fd: int) -> tuple[int, TimeSeriesInstance | BaseException] | None:
+    """The next ``(index, result)`` that ``_write_frame`` wrote to pipe
+    ``fd``; None where the pipe ends before a whole frame, as it does when
+    its writer has exited."""
     length = bytearray(_FRAME_LENGTH.size)
     if not _read_into(fd, length):
         return None
@@ -586,9 +593,9 @@ def _read_frame(fd: int) -> TimeSeriesInstance | BaseException | None:
     if not _read_into(fd, head):
         return None
     head = pickle.loads(head)
-    if isinstance(head, BaseException):
+    if len(head) == 2:
         return head
-    instance_id, label, variable_names, n_rows, iso = head
+    index, instance_id, label, variable_names, n_rows, iso = head
     values = np.empty((n_rows, len(variable_names)))
     stamps = iso
     arrays = [values]
@@ -597,7 +604,8 @@ def _read_frame(fd: int) -> TimeSeriesInstance | BaseException | None:
         arrays.append(stamps)
     if not all(_read_into(fd, array) for array in arrays):
         return None
-    return TimeSeriesInstance(instance_id, label, stamps, variable_names, values)
+    return index, TimeSeriesInstance(instance_id, label, stamps, variable_names,
+                                     values)
 
 
 def _read_into(fd: int, buffer) -> bool:

@@ -1,10 +1,11 @@
 """The per-file loops on several CPUs: ``load_instances`` and
-``write_instances`` forced to 1, 2 and 3 shares on small corpora must give
+``write_instances`` forced to 1, 2 and 3 processes on small corpora must give
 what the serial loop gives, raise what it raises, and leave no process."""
 
 import multiprocessing
 import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,22 @@ def no_process_left():
 
 
 def force_shares(monkeypatch, n):
-    """Every size is worth a share; ``n`` CPUs."""
+    """Every size is worth a process; ``n`` CPUs. This process takes 10 ms
+    longer over each file, so that the children, which start later, take
+    files too."""
     monkeypatch.setattr(dataset_io, "_cpu_count", lambda: n)
     monkeypatch.setattr(dataset_io, "_SHARE_FLOOR_BYTES", 1)
+    parent = os.getpid()
+    for name in ("load_instance_csv", "write_instance_csv"):
+        monkeypatch.setattr(dataset_io, name, slow_in(parent, getattr(dataset_io, name)))
+
+
+def slow_in(pid, fn):
+    def slow(*args):
+        if os.getpid() == pid:
+            time.sleep(0.01)
+        return fn(*args)
+    return slow
 
 
 @pytest.fixture
@@ -91,7 +105,7 @@ def corrupt(root: Path, entry) -> None:
 
 @pytest.mark.parametrize("bad", [(5, 11), (9, 11), (0, 9), (2, 6)])
 def test_the_first_bad_file_raises_the_serial_error(corpus, monkeypatch, bad):
-    # 13 files in 3 shares: 0-3 here, 4-7 and 8-12 in two children
+    # 13 files taken one at a time by this process and two children
     manifest = build_manifest(corpus)
     for i in bad:
         corrupt(corpus, manifest.instances[i])
@@ -123,16 +137,15 @@ def test_a_child_that_dies_raises_instead_of_hanging(corpus, monkeypatch):
     manifest = build_manifest(corpus)
     parent = os.getpid()
     load = dataset_io.load_instance_csv
-    doomed = manifest.instances[10].id
 
-    def dies_in_a_child(source, instance_id, *args):
-        if os.getpid() != parent and instance_id == doomed:
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
             os._exit(3)
-        return load(source, instance_id, *args)
+        return load(*args)
 
     monkeypatch.setattr(dataset_io, "load_instance_csv", dies_in_a_child)
     force_shares(monkeypatch, 3)
-    with pytest.raises(HydetError, match="^the process working items 9 to 13 of 13 "
+    with pytest.raises(HydetError, match="^a forked process working on 13 items "
                                          "exited with code 3$"):
         load_instances(corpus, manifest)
 
