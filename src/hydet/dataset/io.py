@@ -40,11 +40,13 @@ forced to fork, against the serial loop, in alternating runs on a 2-CPU VM:
 reading lost 0.12-0.14 s on the 5.7 MB default corpus, was even to 0.12 s
 ahead at 11.2 MB and 0.05-0.17 s ahead at 22 MB; writing lost 0.07 s at
 5.7 MB and gained 0.17 s at 11.2 MB. So the default corpus stays serial.
-Fixed contiguous shares, one per process, left this process waiting up to
-0.5 s for a child whose CPU other work was using. Instances sent as pickles,
-not raw arrays, raised the benchmark's long dirty pipeline peak RSS from
-104.8 to ~111 MiB: the message buffers left holes among the instance
-arrays, so the freed corpus no longer held one block as large as
+On the benchmark's 53.8 MB long dirty corpus (two processes), the medians of
+10 alternating pairs took ``hydet synth`` from 3.02 to 1.67 s and ``hydet
+pipeline`` from 4.64 to 3.97 s. Fixed contiguous shares, one per process,
+left this process waiting up to 0.5 s for a child whose CPU other work was
+using. Instances sent as pickles, not raw arrays, raised that pipeline's
+peak RSS from 104.8 to ~111 MiB: the message buffers left holes among the
+instance arrays, so the freed corpus no longer held one block as large as
 ``split``'s train array.
 """
 
@@ -504,15 +506,14 @@ def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> li
     try:
         for _ in range(n_workers - 1):
             fd, write_end = os.pipe()
+            children[fd] = context.Process(
+                target=_work_share, args=(work, items, take, write_end), daemon=True)
             poller.register(fd, select.POLLIN)
             try:
-                children[fd] = context.Process(
-                    target=_work_share, args=(work, items, take, write_end),
-                    daemon=True)
                 children[fd].start()
             finally:
                 os.close(write_end)  # before the next fork, so that EOF means exit
-        exited = list(children.values())
+        started = list(children.values())
         while (i := take()) < len(items):
             try:
                 results[i] = work(items[i])
@@ -521,7 +522,7 @@ def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> li
                 take(stop=True)
             receive(0)
         receive(None)
-        died = [p.exitcode for p in exited if p.exitcode != 0]
+        died = [p.exitcode for p in started if p.exitcode != 0]
         if died:
             raise HydetError(f"a forked process working on {len(items)} items "
                              f"exited with code {died[0]}")
@@ -529,8 +530,9 @@ def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> li
             raise errors[min(errors)]
     finally:
         for fd, process in children.items():
-            process.terminate()
-            process.join()
+            if process.pid is not None:  # started
+                process.terminate()
+                process.join()
             os.close(fd)
         counter.close()
     return results

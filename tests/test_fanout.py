@@ -65,7 +65,25 @@ def test_forked_load_equals_the_serial_load(corpus, monkeypatch, shares):
     manifest = build_manifest(corpus)
     serial = load_instances(corpus, manifest)
     force_shares(monkeypatch, shares)
+    parent, taken_here, received = os.getpid(), [], []
+    load, read_frame = dataset_io.load_instance_csv, dataset_io._read_frame
+
+    def counted_load(*args):
+        if os.getpid() == parent:
+            taken_here.append(args)
+        return load(*args)
+
+    def counted_frame(fd):
+        frame = read_frame(fd)
+        received.extend([frame] * (frame is not None))
+        return frame
+
+    monkeypatch.setattr(dataset_io, "load_instance_csv", counted_load)
+    monkeypatch.setattr(dataset_io, "_read_frame", counted_frame)
     forked = load_instances(corpus, manifest)
+    # every file was loaded once, by this process or by a child
+    assert len(taken_here) + len(received) == len(manifest.instances)
+    assert (len(received) > 0) == (shares > 1)
     assert len(forked) == len(serial) == len(manifest.instances)
     for got, want in zip(forked, serial):
         assert (got.instance_id, got.label, got.variable_names) == \
@@ -113,6 +131,26 @@ def test_the_first_bad_file_raises_the_serial_error(corpus, monkeypatch, bad):
         load_instances(corpus, manifest)
     assert manifest.instances[bad[0]].path in str(serial.value)
     force_shares(monkeypatch, 3)
+    with pytest.raises(CsvFormatError, match=f"^{re.escape(str(serial.value))}$"):
+        load_instances(corpus, manifest)
+
+
+def test_an_earlier_file_that_fails_later_still_raises(corpus, monkeypatch):
+    # file 1 fails 0.2 s after file 2 does, in another child
+    manifest = build_manifest(corpus)
+    for i in (1, 2):
+        corrupt(corpus, manifest.instances[i])
+    with pytest.raises(CsvFormatError) as serial:
+        load_instances(corpus, manifest)
+    force_shares(monkeypatch, 3)
+    load, slow = dataset_io.load_instance_csv, manifest.instances[1].id
+
+    def slow_to_fail(source, instance_id, *args):
+        if instance_id == slow:
+            time.sleep(0.2)
+        return load(source, instance_id, *args)
+
+    monkeypatch.setattr(dataset_io, "load_instance_csv", slow_to_fail)
     with pytest.raises(CsvFormatError, match=f"^{re.escape(str(serial.value))}$"):
         load_instances(corpus, manifest)
 
