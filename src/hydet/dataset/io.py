@@ -86,8 +86,8 @@ _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 Timestamp = int | datetime
 
-#: a share of the per-file loops is forked off only when it holds at least
-#: this many bytes of CSV text (the break-even is in the module docstring)
+#: the per-file loops take one process per CPU, but one only for each this
+#: many bytes of CSV text (the break-even is in the module docstring)
 _SHARE_FLOOR_BYTES = 8 << 20
 
 #: CSV text per value when a written file is sized for the floor: the
