@@ -167,10 +167,10 @@ def cmd_qc(config: RunConfig, args) -> int:
 def cmd_synth(config: RunConfig, args) -> int:
     from .dataset import build_manifest, default_config, synth_generate, write_instances
     out = Path(config.out_dir)
-    _echo_config(config, out)
     synth = config.data.synth or default_config()
     instances = synth_generate(synth, config.seed)
-    write_instances(instances, out)
+    write_instances(instances, out)  # first: it refuses a directory in use
+    _echo_config(config, out)
     manifest = build_manifest(out)
     jsonio.dump(to_json(manifest), out / "manifest.json")
     print(f"wrote {len(instances)} instances under {out}")
@@ -289,37 +289,43 @@ def cmd_pipeline(config: RunConfig, args) -> int:
     from .dataset import flatten, split
     out = Path(config.out_dir)
     stage = "configure"
+
+    def begin(name: str) -> None:  # the marker stays until the last stage succeeds
+        nonlocal stage
+        stage = name
+        (out / "INCOMPLETE").write_text(f"pipeline aborted in stage {name}\n",
+                                        encoding="utf-8")
+
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        begin("configure")
         _echo_config(config, out)
-        (out / "INCOMPLETE").unlink(missing_ok=True)
-        stage = "ingest"
+        begin("ingest")
         instances = _load_corpus(config)
-        stage = "quality-audit"
+        begin("quality-audit")
         matrix = flatten(instances, config.variables)
         _write_quality(config, instances, matrix, out)
         del instances  # each stage's input goes once the next has what it needs
-        stage = "split"
+        begin("split")
         train_m, test_m = split(matrix, config.split)
         del matrix
-        stage = "preprocess"
+        begin("preprocess")
         prep = _fit_preprocessor(config, train_m, out / "models")
         train_ready, test_ready = prep.transform(train_m), prep.transform(test_m)
         del train_m, test_m
-        stage = "train"
+        begin("train")
         models = _train_and_save(config, train_ready, out / "models")
-        stage = "evaluate"
+        begin("evaluate")
         reports = _evaluate_and_write(config, models, test_ready, out)
-        stage = "compare"
+        begin("compare")
         if len(reports) >= 2:
             f1_vectors = {r.model: r.f1_vector() for r in reports.values()}
             _comparison_outputs(compare_models(f1_vectors, config.stats), out)
         else:
             print("comparison skipped: needs at least 2 models")
+        (out / "INCOMPLETE").unlink()
         return EXIT_OK
     except (HydetError, OSError, ValueError) as exc:
-        if out.is_dir():  # flag partial outputs for reproducibility audits
-            (out / "INCOMPLETE").write_text(f"pipeline aborted in stage {stage}\n",
-                                            encoding="utf-8")
         raise HydetError(f"stage {stage} failed: {exc}") from exc
 
 

@@ -23,17 +23,13 @@ Writing renders every row with one ``%`` template and then blanks the NaN
 cells, so the floats have ``jsonio.format_float``'s 17 significant digits.
 
 ``load_instances`` and ``write_instances`` run their per-file loop on every
-CPU this process may use, once the files are large enough: one process per
-CPU, but none for less than ``_SHARE_FLOOR_BYTES`` (8 MiB) of CSV text; a
-file to write is sized at 23 bytes per value. This process and children
-forked by ``multiprocessing`` take the next file from a shared counter, so
-that none idles while another, slowed by a busy CPU, still holds a long
-share. A reading child streams each instance back over a pipe as a small
-pickled head and the raw bytes of its arrays; this process reads them
-between its own files straight into arrays it allocates, and returns the
-instances in manifest order. A writing child sends back only an error.
-Either way the first failing file in order raises what the serial loop
-raises. On one CPU, or below the floor, the loop runs serially.
+CPU this process may use once the files are large enough (``_fan_out``): one
+process per CPU, but none for less than ``_SHARE_FLOOR_BYTES`` (8 MiB) of CSV
+text, a file to write being sized at 23 bytes per value. A reading child
+streams each instance back as a small pickled head and the raw bytes of its
+arrays, which this process reads straight into arrays it allocates. The
+outcome is always the serial loop's: after a failure anywhere, that loop runs
+again from the first file.
 
 The floor comes from ``hydet pipeline --models dt,nb`` and ``hydet synth``
 forced to fork, against the serial loop, in alternating runs on a 2-CPU VM:
@@ -56,11 +52,10 @@ import csv
 import io
 import logging
 import math
-import mmap
 import os
 import pickle
-import select
 import struct
+import sys
 import warnings
 from datetime import datetime
 from pathlib import Path
@@ -433,15 +428,29 @@ def load_instances(root: str | Path, manifest: DatasetManifest,
 def write_instances(instances: Sequence[TimeSeriesInstance],
                     root: str | Path) -> None:
     """Write a corpus in the layout ``build_manifest`` reads: each instance
-    to ``<root>/<its class directory>/<last part of its id>.csv``."""
+    to ``<root>/<its class directory>/<last part of its id>.csv``.
+
+    Before writing anything, raises ``HydetError`` if two instances map to
+    one file or a class directory holds a ``.csv`` that this would not write.
+    """
     root = Path(root)
     dir_of = {label: root / name for name, label in CLASS_DIRS.items()}
+    jobs = [(inst, dir_of[inst.label] / f"{inst.instance_id.split('/')[-1]}.csv")
+            for inst in instances]
+    id_of: dict[Path, str] = {}
+    for inst, path in jobs:
+        if path in id_of:
+            raise HydetError(f"{path}: instances {id_of[path]} and "
+                             f"{inst.instance_id} would both be written here")
+        id_of[path] = inst.instance_id
+    stale = sorted(p for d in dir_of.values() for p in d.glob("*.csv") if p not in id_of)
+    if stale:
+        raise HydetError(f"{stale[0]}: this corpus would not write this file; "
+                         "write the corpus to a new directory")
     for path in dir_of.values():
         path.mkdir(parents=True, exist_ok=True)
-    _fan_out(
-        lambda inst: write_instance_csv(
-            inst, dir_of[inst.label] / f"{inst.instance_id.split('/')[-1]}.csv"),
-        instances, lambda inst: inst.values.size * _TEXT_BYTES_PER_VALUE)
+    _fan_out(lambda job: write_instance_csv(*job), jobs,
+             lambda job: job[0].values.size * _TEXT_BYTES_PER_VALUE)
 
 
 def _cpu_count() -> int:
@@ -457,14 +466,13 @@ def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> li
 
     One process per CPU works, but none for less than ``_SHARE_FLOOR_BYTES``
     by ``size_of``: this one and forked children. Each takes the next item
-    from a shared counter, so that none waits while another, slowed by a
-    busy CPU, still holds a long share. A child streams back over a pipe
-    each result that is not None (``work`` returns a ``TimeSeriesInstance``
-    for every item or None for every item) with its index, or the error that
-    stopped it. Between its own items this process reads what is waiting, so
-    that no child waits long on a full pipe. The error raised is the one the
-    serial loop would raise: that of the first failing item, or a
-    ``HydetError`` for a child that died. Every child is joined.
+    from a shared counter, so that none waits on one slowed by a busy CPU. A
+    child streams back over a pipe each result that is not None with its
+    index; this process reads what is waiting between its own items. Once an
+    item fails anywhere, or a child exits with a code other than 0, no
+    process takes another item, every child is joined and the serial loop
+    runs: its result or its error is the outcome. An error that is not an
+    ``Exception``, such as ``KeyboardInterrupt``, propagates.
     """
     cpus = _cpu_count()
     n_workers = 1 if cpus == 1 else min(
@@ -473,83 +481,77 @@ def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> li
         return [work(item) for item in items]
 
     import multiprocessing  # here: a serial run never loads it
+    from multiprocessing.connection import wait
     context = multiprocessing.get_context("fork")
-    counter = mmap.mmap(-1, _INDEX.size)  # shared: the next item's index
-    lock = context.Lock()
-
-    def take(stop: bool = False) -> int:
-        """The next item's index; ``stop`` ends the taking (after an error:
-        every item before it has been taken, and no later one matters)."""
-        with lock:
-            i, = _INDEX.unpack_from(counter)
-            _INDEX.pack_into(counter, 0, len(items) if stop else i + 1)
-        return i
-
+    counter = context.Value("q", 0)  # the next item's index
     results: list = [None] * len(items)
-    errors: dict[int, BaseException] = {}
     children: dict[int, Any] = {}  # by the read end of its pipe
-    poller = select.poll()
+    failed = False
 
     def receive(timeout: float | None) -> None:
-        while children and (ready := poller.poll(timeout)):
-            for fd, _ in ready:
+        nonlocal failed
+        while children and (ready := wait(list(children), timeout)):
+            for fd in ready:
                 frame = _read_frame(fd)
-                if frame is None:  # end of file: the child has exited
-                    poller.unregister(fd)
-                    os.close(fd)
-                    children.pop(fd).join()
-                elif isinstance(frame[1], BaseException):
-                    errors[frame[0]] = frame[1]
-                else:
+                if frame is not None:
                     results[frame[0]] = frame[1]
+                    continue
+                os.close(fd)  # end of file: the child has exited
+                process = children.pop(fd)
+                process.join()
+                if process.exitcode:  # 1: an item failed
+                    failed = True
+                    counter.value = len(items)
+                    if process.exitcode != 1:
+                        logger.warning("a forked process exited with code %d; "
+                                       "the serial loop runs", process.exitcode)
 
     try:
         for _ in range(n_workers - 1):
             fd, write_end = os.pipe()
             children[fd] = context.Process(
-                target=_work_share, args=(work, items, take, write_end), daemon=True)
-            poller.register(fd, select.POLLIN)
+                target=_work_share, args=(work, items, counter, write_end), daemon=True)
             try:
                 children[fd].start()
             finally:
                 os.close(write_end)  # before the next fork, so that EOF means exit
-        started = list(children.values())
-        while (i := take()) < len(items):
+        while (i := _take(counter)) < len(items):
             try:
                 results[i] = work(items[i])
-            except Exception as exc:  # raised below, once no earlier item can fail
-                errors[i] = exc
-                take(stop=True)
+            except Exception:  # the serial loop raises it again
+                failed = True
+                counter.value = len(items)  # no process takes another item
             receive(0)
         receive(None)
-        died = [p.exitcode for p in started if p.exitcode != 0]
-        if died:
-            raise HydetError(f"a forked process working on {len(items)} items "
-                             f"exited with code {died[0]}")
-        if errors:
-            raise errors[min(errors)]
     finally:
         for fd, process in children.items():
             if process.pid is not None:  # started
                 process.terminate()
                 process.join()
             os.close(fd)
-        counter.close()
+    if failed:
+        results.clear()  # before the serial loop makes its own
+        return [work(item) for item in items]
     return results
 
 
-def _work_share(work: Callable, items: Sequence, take: Callable[..., int],
-                write_end: int) -> None:
-    """Body of a forked child: ``work`` each item it takes and write every
-    result that is not None, or the first error, as a frame."""
+def _take(counter: Any) -> int:
+    """The next item's index from the shared ``counter``."""
+    with counter.get_lock():
+        counter.value += 1
+        return counter.value - 1
+
+
+def _work_share(work: Callable, items: Sequence, counter: Any, write_end: int) -> None:
+    """Body of a forked child: write each result that is not None as a
+    frame; exit quietly with code 1 once an item fails."""
     with open(write_end, "wb") as out:
-        while (i := take()) < len(items):
+        while (i := _take(counter)) < len(items):
             try:
                 result = work(items[i])
-            except Exception as exc:  # raised again, in item order, by the parent
-                take(stop=True)
-                _write_frame(out, i, exc)
-                return
+            except Exception:  # the serial loop raises it again
+                counter.value = len(items)  # no process takes another item
+                sys.exit(1)
             if result is not None:
                 _write_frame(out, i, result)
 
@@ -557,35 +559,25 @@ def _work_share(work: Callable, items: Sequence, take: Callable[..., int],
 #: a frame starts with the length of its pickled head
 _FRAME_LENGTH = struct.Struct("<Q")
 
-#: the shared index of the next item to take
-_INDEX = struct.Struct("q")
 
-
-def _write_frame(out: BinaryIO, index: int,
-                 result: TimeSeriesInstance | BaseException) -> None:
-    """The result of item ``index``. An error is a frame of the pickle of
-    ``(index, error)`` alone. An instance's head is the pickle of ``(index,
-    id, label, variable names, rows, ISO stamps or None)``; its values, then
-    its epoch stamps, follow as raw bytes, so that the reader fills arrays it
-    allocated itself and no copy of them is made."""
-    arrays = []
-    head = (index, result)
-    if isinstance(result, TimeSeriesInstance):
-        stamps = result.timestamps
-        iso = stamps if isinstance(stamps, tuple) else None
-        head = (index, result.instance_id, result.label, result.variable_names,
-                len(result), iso)
-        arrays = [result.values] + ([stamps] if iso is None else [])
-    head = pickle.dumps(head)
+def _write_frame(out: BinaryIO, index: int, instance: TimeSeriesInstance) -> None:
+    """Instance ``index`` as a frame: the pickle of ``(index, id, label,
+    variable names, rows, ISO stamps or None)``, then its values and its
+    epoch stamps as raw bytes, so that the reader fills arrays it allocated
+    itself and no copy of them is made."""
+    stamps = instance.timestamps
+    iso = stamps if isinstance(stamps, tuple) else None
+    head = pickle.dumps((index, instance.instance_id, instance.label,
+                         instance.variable_names, len(instance), iso))
     out.write(_FRAME_LENGTH.pack(len(head)))
     out.write(head)
-    for array in arrays:
+    for array in [instance.values] + ([stamps] if iso is None else []):
         out.write(np.ascontiguousarray(array).data)
     out.flush()
 
 
-def _read_frame(fd: int) -> tuple[int, TimeSeriesInstance | BaseException] | None:
-    """The next ``(index, result)`` that ``_write_frame`` wrote to pipe
+def _read_frame(fd: int) -> tuple[int, TimeSeriesInstance] | None:
+    """The next ``(index, instance)`` that ``_write_frame`` wrote to pipe
     ``fd``; None where the pipe ends before a whole frame, as it does when
     its writer has exited."""
     length = bytearray(_FRAME_LENGTH.size)
@@ -595,8 +587,6 @@ def _read_frame(fd: int) -> tuple[int, TimeSeriesInstance | BaseException] | Non
     if not _read_into(fd, head):
         return None
     head = pickle.loads(head)
-    if len(head) == 2:
-        return head
     index, instance_id, label, variable_names, n_rows, iso = head
     values = np.empty((n_rows, len(variable_names)))
     stamps = iso

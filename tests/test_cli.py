@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydet import jsonio
+from hydet import cli, jsonio
 from hydet.classifiers import (ClassifiersConfig, KnnConfig, NbConfig, TreeConfig,
                                load_model, save_model)
 from hydet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -206,6 +206,25 @@ def test_synth_then_qc_roundtrip_on_disk(tmp_path):
     assert main(["qc", "--data", str(out), "--out", str(out2)]) == EXIT_OK
     report = jsonio.load(out2 / "quality_report.json")
     assert report["n_instances"] == 26
+
+
+def test_synth_refuses_a_directory_that_holds_another_corpus(tmp_path, capsys):
+    config_path, out = small_synth_config(tmp_path, out_name="corpus")
+    assert main(["synth", "--config", str(config_path)]) == EXIT_OK
+    written = read_tree(out)
+    # the same config and seed again: the same files, the same bytes
+    assert main(["synth", "--config", str(config_path)]) == EXIT_OK
+    assert read_tree(out) == written
+    config = jsonio.load(config_path)
+    config["data"]["synth"]["counts"]["NormalCondition"] = 4
+    jsonio.dump(config, config_path)
+    capsys.readouterr()
+    assert main(["synth", "--config", str(config_path)]) == EXIT_DATA
+    stale = out / "0_normal" / "synth-normal-00004.csv"
+    assert capsys.readouterr().err == (f"error: {stale}: this corpus would not write "
+                                       "this file; write the corpus to a new "
+                                       "directory\n")
+    assert read_tree(out) == written  # config.json too
 
 
 def test_pipeline_full_layout_and_models_flag(tmp_path, capsys):
@@ -460,6 +479,22 @@ def test_pipeline_failure_names_stage_and_flags_partial_output(tmp_path, capsys)
                  "--out", str(out)]) == EXIT_DATA
     assert "stage train failed" in capsys.readouterr().err
     assert (out / "INCOMPLETE").read_text() == "pipeline aborted in stage train\n"
+
+
+@pytest.mark.parametrize("error", [TypeError("bad model"), KeyboardInterrupt()],
+                         ids=["TypeError", "KeyboardInterrupt"])
+def test_pipeline_flags_partial_output_whatever_stops_it(tmp_path, monkeypatch,
+                                                         error):
+    config_path, out = small_synth_config(tmp_path)
+
+    def fails(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "_train_and_save", fails)
+    with pytest.raises(type(error)):
+        main(["pipeline", "--config", str(config_path)])
+    assert (out / "INCOMPLETE").read_text() == "pipeline aborted in stage train\n"
+    assert (out / "quality_report.json").exists()
 
 
 def _drop_key(path, *keys):

@@ -13,14 +13,14 @@ from hypothesis.extra.numpy import arrays
 from hydet.codec import to_json
 from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config,
                            flatten, load_instance_csv, split, synth_generate,
-                           write_instance_csv)
+                           write_instance_csv, write_instances)
 from hydet.dataset import io as dataset_io
 from hydet.dataset.io import _fill_missing, _load_rows, write_matrix_csv
 from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance
 from hydet.jsonio import format_float
-from hydet.errors import (CsvFormatError, EmptyDataError, LabelConflictError,
-                          MissingVariableError, NonFiniteError, SplitError,
-                          TimestampOrderError)
+from hydet.errors import (CsvFormatError, EmptyDataError, HydetError,
+                          LabelConflictError, MissingVariableError, NonFiniteError,
+                          SplitError, TimestampOrderError)
 from oracles import reference_fill_missing
 
 
@@ -524,6 +524,19 @@ def test_writers_equal_per_value_writers(tmp_path_factory, data):
         np.array([(data.draw(st.integers(0, 2)), t) for t in range(shape[0])]), ids)
     write_matrix_csv(matrix, path)
     assert path.read_text(encoding="utf-8") == reference_matrix_csv(matrix)
+
+
+def test_write_instances_refuses_two_instances_for_one_file(tmp_path):
+    first, second = synth_generate(default_config(n_normal=2, n_rapid_loss=0,
+                                                  n_hydrate=0, length=5), 1)
+    twin = TimeSeriesInstance(f"elsewhere/{first.instance_id}", second.label,
+                              second.timestamps, second.variable_names, second.values)
+    path = tmp_path / "0_normal" / f"{first.instance_id}.csv"
+    with pytest.raises(HydetError, match=f"^{re.escape(str(path))}: instances "
+                       f"{first.instance_id} and elsewhere/{first.instance_id} "
+                       "would both be written here$"):
+        write_instances([first, second, twin], tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
