@@ -41,64 +41,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hydet",
-                     description="Hydrate-detection workflow for well telemetry")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
-    def common(p):
-        p.add_argument("--config", metavar="JSON", default=None,
-                       help="run configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--models", default=None,
-                       help=f"comma list from {','.join(MODEL_SECTIONS)}")
-        p.add_argument("--data", default=None,
-                       help="dataset root (folder-per-class corpus)")
-        p.add_argument("--variables", default=None,
-                       help="comma list of channels to use")
 
-    for name, help_txt in (
-            ("qc", "audit data quality and write quality_report.json + boxplots"),
-            ("synth", "generate a synthetic corpus on disk"),
-            ("train", "preprocess, split and fit the classifiers"),
-            ("eval", "evaluate previously trained models"),
-            ("compare", "pairwise KS/MWU comparison of model F1 vectors"),
-            ("pipeline", "end-to-end: qc, preprocess, train, eval, compare")):
-        p = sub.add_parser(name, help=help_txt)
-        common(p)
-        if name == "qc":
-            p.add_argument("--report", metavar="JSON", default=None,
-                           help="write the quality report to this path instead "
-                                "of <out>/quality_report.json")
-            p.add_argument("--points", metavar="CSV", default=None,
-                           help="also export the labeled flattened rows")
-        if name == "compare":
-            p.add_argument("--from-f1", metavar="JSON", default=None,
-                           help="file mapping model name -> list of F1 scores")
-            p.add_argument("--eval-reports", nargs="*", default=None,
-                           help="eval_*.json files to compare")
-    return parser
+#: each flag: the ``RunConfig`` field it overrides (or None) and its argparse options
+FLAGS = {
+    "--config": (None, dict(metavar="JSON", help="run configuration file")),
+    "--seed": ("seed", dict(type=int, help="override seed")),
+    "--out": ("out_dir", dict(metavar="OUT", help="output directory")),
+    "--models": ("models", dict(type=_names,
+                                help=f"comma list from {','.join(MODEL_SECTIONS)}")),
+    "--data": ("data", dict(type=DataConfig,
+                            help="dataset root (folder-per-class corpus)")),
+    "--variables": ("variables", dict(type=_names,
+                                      help="comma list of channels to use")),
+    "--report": (None, dict(metavar="JSON",
+                            help="write the quality report to this path instead "
+                                 "of <out>/quality_report.json")),
+    "--points": (None, dict(metavar="CSV",
+                            help="also export the labeled flattened rows")),
+    "--from-f1": (None, dict(metavar="JSON",
+                             help="file mapping model name -> list of F1 scores")),
+    "--eval-reports": (None, dict(nargs="*", help="eval_*.json files to compare")),
+}
 
 
 def _load_run_config(args) -> RunConfig:
-    if args.config is not None:
-        config = from_json(RunConfig, jsonio.load(args.config), "config")
-    else:
-        config = RunConfig()
-    updates: dict = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.models is not None:
-        updates["models"] = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    if args.data is not None:
-        updates["data"] = DataConfig(root=args.data)
-    if args.variables is not None:
-        updates["variables"] = tuple(v.strip() for v in args.variables.split(",")
-                                     if v.strip())
-    return replace(config, **updates)
+    """The config file's values, overridden by the flags given."""
+    file = jsonio.load(args.config) if args.config is not None else {}
+    config = from_json(RunConfig, file, "config")
+    given = {field: getattr(args, field) for field, _ in FLAGS.values()
+             if field is not None and getattr(args, field, None) is not None}
+    return replace(config, **given)
 
 
 def _load_corpus(config: RunConfig) -> list[TimeSeriesInstance]:
@@ -159,13 +134,14 @@ def cmd_qc(config: RunConfig, args) -> int:
     _write_quality(config, instances, matrix, out, report_path)
     if args.points:
         write_matrix_csv(matrix, args.points)
-    print(f"quality report written to "
-          f"{report_path or out / 'quality_report.json'}")
+    print(f"quality report written to {report_path or out / 'quality_report.json'}")
     return EXIT_OK
 
 
 def cmd_synth(config: RunConfig, args) -> int:
     from .dataset import build_manifest, default_config, synth_generate, write_instances
+    if config.data.root is not None:  # what --data would set, which synth refuses
+        raise ConfigError("synth generates its corpus; the config names data.root")
     out = Path(config.out_dir)
     synth = config.data.synth or default_config()
     instances = synth_generate(synth, config.seed)
@@ -179,8 +155,7 @@ def cmd_synth(config: RunConfig, args) -> int:
 
 def _split_matrices(config: RunConfig, instances):
     from .dataset import flatten, split
-    matrix = flatten(instances, config.variables)
-    return split(matrix, config.split)
+    return split(flatten(instances, config.variables), config.split)
 
 
 def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
@@ -241,8 +216,7 @@ def cmd_eval(config: RunConfig, args) -> int:
         raise HydetError(f"no models directory at {models_dir}; run train first")
     _echo_config(config, out)
     _, test_m = _split_matrices(config, _load_corpus(config))
-    prep = load_preprocessor(models_dir / "preprocess.json")
-    test_ready = prep.transform(test_m)
+    test_ready = load_preprocessor(models_dir / "preprocess.json").transform(test_m)
     models = {name: load_model(models_dir / f"{name}.json")
               for name in config.models if (models_dir / f"{name}.json").exists()}
     if not models:
@@ -253,9 +227,13 @@ def cmd_eval(config: RunConfig, args) -> int:
 
 def _comparison_outputs(table, out: Path) -> None:
     jsonio.dump(to_json(table), out / "comparison.json")
-    (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8",
-                                        newline="\n")
-    _print_comparison(table)
+    (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8", newline="\n")
+    print("comparison".ljust(30) + "KS".rjust(6) + "p".rjust(8)
+          + "U".rjust(8) + "p".rjust(8) + "  significant")
+    for name, pc in table.pairs.items():
+        print(name.ljust(30) + f"{pc.ks_stat:6.2f}{pc.ks_p:8.3f}"
+              + f"{pc.u_stat:8.1f}{pc.u_p:8.3f}"
+              + ("  yes" if pc.significant_at_alpha else "  no"))
 
 
 def cmd_compare(config: RunConfig, args) -> int:
@@ -329,24 +307,39 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         raise HydetError(f"stage {stage} failed: {exc}") from exc
 
 
-def _print_comparison(table) -> None:
-    print("comparison".ljust(30) + "KS".rjust(6) + "p".rjust(8)
-          + "U".rjust(8) + "p".rjust(8) + "  significant")
-    for name, pc in table.pairs.items():
-        print(name.ljust(30) + f"{pc.ks_stat:6.2f}{pc.ks_p:8.3f}"
-              + f"{pc.u_stat:8.1f}{pc.u_p:8.3f}"
-              + ("  yes" if pc.significant_at_alpha else "  no"))
+#: each command: its function, help text and flags read besides --config and --out
+COMMANDS = {
+    "qc": (cmd_qc, "audit data quality and write quality_report.json + boxplots",
+           ("--seed", "--data", "--variables", "--report", "--points")),
+    "synth": (cmd_synth, "generate a synthetic corpus on disk", ("--seed",)),
+    "train": (cmd_train, "preprocess, split and fit the classifiers",
+              ("--seed", "--models", "--data", "--variables")),
+    "eval": (cmd_eval, "evaluate previously trained models",
+             ("--seed", "--models", "--data", "--variables")),
+    "compare": (cmd_compare, "pairwise KS/MWU comparison of model F1 vectors",
+                ("--from-f1", "--eval-reports")),
+    "pipeline": (cmd_pipeline, "end-to-end: qc, preprocess, train, eval, compare",
+                 ("--seed", "--models", "--data", "--variables")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="hydet",
+                     description="Hydrate-detection workflow for well telemetry")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, help_txt, reads) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_txt)
+        p.set_defaults(run=run)
+        for flag, (field, options) in FLAGS.items():
+            if flag in ("--config", "--out", *reads):
+                p.add_argument(flag, dest=field, **options)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _load_run_config(args)
-        command = {"qc": cmd_qc, "synth": cmd_synth, "train": cmd_train,
-                   "eval": cmd_eval, "compare": cmd_compare,
-                   "pipeline": cmd_pipeline}[args.command]
-        return command(config, args)
+        args = build_parser().parse_args(argv)
+        return args.run(_load_run_config(args), args)
     except (_UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -457,6 +457,34 @@ def test_unknown_flag_is_usage_error():
     assert main(["pipeline", "--threads", "2"]) == EXIT_USAGE  # removed flag
 
 
+@pytest.mark.parametrize("argv, data", [
+    (["qc", "--models", "dt"], None),
+    (["synth", "--data", "corpus"], None),
+    (["synth", "--models", "dt"], None),
+    (["synth", "--variables", "P-TPT"], None),
+    (["compare", "--seed", "5"], None),
+    (["compare", "--models", "dt"], None),
+    (["compare", "--data", "corpus"], None),
+    (["compare", "--variables", "P-TPT"], None),
+    (["synth"], {"root": "corpus"}),  # what synth --data would set
+], ids=["qc-models", "synth-data", "synth-models", "synth-variables", "compare-seed",
+        "compare-models", "compare-data", "compare-variables", "synth-config-data-root"])
+def test_a_setting_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv,
+                                                            data):
+    # each used to be accepted, echoed to config.json and ignored
+    config_path, _ = small_synth_config(tmp_path)
+    if data is not None:
+        jsonio.dump({"data": data}, config_path)
+    f1_path = tmp_path / "f1.json"
+    jsonio.dump({"a": [0.5, 0.6, 0.7], "b": [0.8, 0.9, 1.0]}, f1_path)
+    inputs = ["--from-f1", str(f1_path)] if argv[0] == "compare" else []
+    out = tmp_path / "never"
+    assert main([*argv, *inputs, "--config", str(config_path),
+                 "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
 def test_pipeline_failure_names_stage_and_flags_partial_output(tmp_path, capsys):
     out = tmp_path / "broken"
     code = main(["pipeline", "--data", str(tmp_path / "missing_corpus"),
