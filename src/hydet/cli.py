@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -97,6 +98,25 @@ def _load_corpus(config: RunConfig) -> list[TimeSeriesInstance]:
 def _echo_config(config: RunConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     jsonio.dump(config.to_json_dict(), out / "config.json")
+
+
+@contextmanager
+def _stages(command: str, config: RunConfig):
+    """Yield ``begin(stage)``; <out>/INCOMPLETE names it until the block succeeds."""
+    out, stage = Path(config.out_dir), ["configure"]
+
+    def begin(name: str) -> None:
+        stage[0] = name
+        (out / "INCOMPLETE").write_text(f"{command} aborted in stage {name}\n", "utf-8")
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        begin("configure")
+        _echo_config(config, out)
+        yield begin
+        (out / "INCOMPLETE").unlink()
+    except (HydetError, OSError, ValueError) as exc:
+        raise HydetError(f"stage {stage[0]} failed: {exc}") from exc
 
 
 def _shared_channels(instances: list[TimeSeriesInstance]) -> tuple[str, ...]:
@@ -199,11 +219,14 @@ def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatr
 
 
 def cmd_train(config: RunConfig, args) -> int:
-    out = Path(config.out_dir)
-    _echo_config(config, out)
-    train_m, _ = _split_matrices(config, _load_corpus(config))
-    prep = _fit_preprocessor(config, train_m, out / "models")
-    _train_and_save(config, prep.transform(train_m), out / "models")
+    models_dir = Path(config.out_dir) / "models"
+    with _stages("train", config) as begin:
+        begin("ingest")
+        train_m, _ = _split_matrices(config, _load_corpus(config))
+        begin("preprocess")
+        prep = _fit_preprocessor(config, train_m, models_dir)
+        begin("train")
+        _train_and_save(config, prep.transform(train_m), models_dir)
     return EXIT_OK
 
 
@@ -214,14 +237,17 @@ def cmd_eval(config: RunConfig, args) -> int:
     models_dir = out / "models"
     if not models_dir.is_dir():
         raise HydetError(f"no models directory at {models_dir}; run train first")
-    _echo_config(config, out)
-    _, test_m = _split_matrices(config, _load_corpus(config))
-    test_ready = load_preprocessor(models_dir / "preprocess.json").transform(test_m)
-    models = {name: load_model(models_dir / f"{name}.json")
-              for name in config.models if (models_dir / f"{name}.json").exists()}
-    if not models:
-        raise HydetError(f"no model files found under {models_dir}")
-    _evaluate_and_write(config, models, test_ready, out)
+    with _stages("eval", config) as begin:
+        begin("ingest")
+        _, test_m = _split_matrices(config, _load_corpus(config))
+        begin("preprocess")
+        test_ready = load_preprocessor(models_dir / "preprocess.json").transform(test_m)
+        begin("evaluate")
+        models = {name: load_model(models_dir / f"{name}.json")
+                  for name in config.models if (models_dir / f"{name}.json").exists()}
+        if not models:
+            raise HydetError(f"no model files found under {models_dir}")
+        _evaluate_and_write(config, models, test_ready, out)
     return EXIT_OK
 
 
@@ -266,18 +292,7 @@ def cmd_compare(config: RunConfig, args) -> int:
 def cmd_pipeline(config: RunConfig, args) -> int:
     from .dataset import flatten, split
     out = Path(config.out_dir)
-    stage = "configure"
-
-    def begin(name: str) -> None:  # the marker stays until the last stage succeeds
-        nonlocal stage
-        stage = name
-        (out / "INCOMPLETE").write_text(f"pipeline aborted in stage {name}\n",
-                                        encoding="utf-8")
-
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        begin("configure")
-        _echo_config(config, out)
+    with _stages("pipeline", config) as begin:
         begin("ingest")
         instances = _load_corpus(config)
         begin("quality-audit")
@@ -301,10 +316,7 @@ def cmd_pipeline(config: RunConfig, args) -> int:
             _comparison_outputs(compare_models(f1_vectors, config.stats), out)
         else:
             print("comparison skipped: needs at least 2 models")
-        (out / "INCOMPLETE").unlink()
-        return EXIT_OK
-    except (HydetError, OSError, ValueError) as exc:
-        raise HydetError(f"stage {stage} failed: {exc}") from exc
+    return EXIT_OK
 
 
 #: each command: its function, help text and flags read besides --config and --out

@@ -525,6 +525,42 @@ def test_pipeline_flags_partial_output_whatever_stops_it(tmp_path, monkeypatch,
     assert (out / "quality_report.json").exists()
 
 
+def _unfittable_knn(config_path):
+    """A copy of the config whose k-NN cannot be fitted (k above the rows)."""
+    config = jsonio.load(config_path)
+    config["classifiers"] = {"knn": {"k": 10_000}}
+    path = config_path.with_name("unfittable.json")
+    jsonio.dump(config, path)
+    return path
+
+
+def test_train_whose_fit_fails_flags_partial_output(tmp_path, capsys):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["train", "--config", str(_unfittable_knn(config_path))]) == EXIT_DATA
+    assert "error: stage train failed: " in capsys.readouterr().err
+    # the new preprocess.json is written before the fits
+    assert (out / "models" / "preprocess.json").exists()
+    assert (out / "INCOMPLETE").read_text() == "train aborted in stage train\n"
+
+
+def test_eval_over_a_malformed_model_flags_partial_output(tmp_path, capsys):
+    bad, argv = _trained_then_broken(tmp_path, "dt.json", "params")
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert f"error: stage evaluate failed: {bad}" in capsys.readouterr().err
+    assert (bad.parents[1] / "INCOMPLETE").read_text() == \
+        "eval aborted in stage evaluate\n"
+
+
+def test_train_then_eval_clear_an_earlier_marker(tmp_path):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["pipeline", "--config", str(_unfittable_knn(config_path))]) == EXIT_DATA
+    assert (out / "INCOMPLETE").exists()
+    assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    assert main(["eval", "--config", str(config_path)]) == EXIT_OK
+    assert not (out / "INCOMPLETE").exists()
+
+
 def _drop_key(path, *keys):
     data = jsonio.load(path)
     parent = data
