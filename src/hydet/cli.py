@@ -69,11 +69,13 @@ FLAGS = {
 
 
 def _load_run_config(args) -> RunConfig:
-    """The config file's values, overridden by the flags given."""
+    """The config file's values, overridden by the flags given. Sets
+    ``args.named`` to the fields that the file or a flag names."""
     file = jsonio.load(args.config) if args.config is not None else {}
     config = from_json(RunConfig, file, "config")
     given = {field: getattr(args, field) for field, _ in FLAGS.values()
              if field is not None and getattr(args, field, None) is not None}
+    args.named = {*file, *given}
     return replace(config, **given)
 
 
@@ -143,14 +145,16 @@ def cmd_qc(config: RunConfig, args) -> int:
     from .dataset import flatten
     from .dataset.io import write_matrix_csv
     out = Path(config.out_dir)
-    _echo_config(config, out)
     instances = _load_corpus(config)
-    # standalone qc audits every channel in the corpus unless restricted,
-    # so 8-channel corpora report all-channel aggregates by default
-    variables = config.variables if args.variables is not None \
-        else (_shared_channels(instances) or config.variables)
+    # standalone qc audits every channel in the corpus unless the flag or the
+    # file names them, so 8-channel corpora report all-channel aggregates by
+    # default; config.json lists the channels audited
+    if "variables" not in args.named:
+        config = replace(config,
+                         variables=_shared_channels(instances) or config.variables)
+    _echo_config(config, out)
     report_path = Path(args.report) if args.report else None
-    matrix = flatten(instances, variables)
+    matrix = flatten(instances, config.variables)
     _write_quality(config, instances, matrix, out, report_path)
     if args.points:
         write_matrix_csv(matrix, args.points)

@@ -40,7 +40,12 @@ class TimeSeriesInstance:
         if len(set(self.variable_names)) != len(self.variable_names):
             raise ValueError(f"instance {self.instance_id!r}: duplicate channel "
                              f"names in {self.variable_names}")
-        values = np.asarray(self.values, dtype=np.float64)
+        values = self.values
+        # kept as it is: asarray gives a view of an array whose dtype equals
+        # float64 but is another object (as an unpickled one's is), and the
+        # caller's array would stay writable
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
+            values = np.asarray(values, dtype=np.float64)
         if values.shape != (n, len(self.variable_names)):
             raise ValueError(f"instance {self.instance_id!r}: values shape "
                              f"{values.shape} is not ({n} timestamps, "
@@ -81,10 +86,9 @@ class TimeSeriesInstance:
 
 def _unpickled_instance(instance_id, label, timestamps, variable_names,
                         values) -> TimeSeriesInstance:
-    """numpy unpickles a large array as a view of the pickle's bytes, with a
-    dtype equal to but not the same object as ``np.float64``'s, which would
-    make the constructor's ``asarray`` a view again. ``astype`` copies each
-    array out, so that it owns its data as a loaded instance's does."""
+    """numpy unpickles a large array as a view of the pickle's bytes, which
+    the constructor would keep as it is. ``astype`` copies each array out, so
+    that it owns its data as a loaded instance's does."""
     if isinstance(timestamps, np.ndarray):
         timestamps = timestamps.astype(np.int64)
     return TimeSeriesInstance(instance_id, label, timestamps, variable_names,

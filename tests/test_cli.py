@@ -174,6 +174,17 @@ def test_qc_empty_variables_is_usage_error(tmp_path):
         == EXIT_USAGE
 
 
+def test_qc_audits_the_channels_its_config_file_names(tmp_path):
+    config_path, out = small_synth_config(tmp_path)
+    config = jsonio.load(config_path)
+    config["variables"] = ["P-TPT"]
+    jsonio.dump(config, config_path)
+    assert main(["qc", "--config", str(config_path)]) == EXIT_OK
+    report = jsonio.load(out / "quality_report.json")
+    assert [channel["name"] for channel in report["channels"]] == ["P-TPT"]
+    assert jsonio.load(out / "config.json")["variables"] == ["P-TPT"]
+
+
 def test_qc_missing_dataset_is_data_error(tmp_path):
     assert main(["qc", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "o")]) == EXIT_DATA
@@ -277,6 +288,8 @@ def test_wide_corpus_audits_all_channels_models_use_four(tmp_path):
     report = jsonio.load(out / "quality_report.json")
     assert len(report["channels"]) == 6
     assert report["total_cells"] == 12 * 6 * 12
+    assert jsonio.load(out / "config.json")["variables"] == \
+        [channel["name"] for channel in report["channels"]]
 
     out2 = tmp_path / "wide_pipeline"
     assert main(["pipeline", "--data", str(tmp_path / "wide"),

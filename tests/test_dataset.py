@@ -427,6 +427,15 @@ def test_instance_pickles_through_its_constructor(tmp_path, protocol):
         rebuild(*args[:4], np.array([[1.0], [np.inf]]))
 
 
+def test_instance_keeps_a_float64_array_it_is_given():
+    # an unpickled dtype equals float64 but is another object
+    given = pickle.loads(pickle.dumps(np.zeros((3, 1)))).copy()
+    inst = TimeSeriesInstance("i", ClassLabel.NORMAL, np.arange(3), ("x",), given)
+    assert inst.values is given and not given.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        given[0, 0] = np.inf
+
+
 @pytest.mark.parametrize("stamps, shown", [
     ((0, 5, 3, 9), "3"),
     (np.array([0, 5, 3, 9]), "3"),
