@@ -16,8 +16,9 @@ character (letters, spaces, quotes, CR), a blank line, a parse error, a
 timestamp or class cell that is not an integer, an infinite value such as
 ``1e999``, a class column that changes, or a label that does not check sends
 the file to the row loop, which parses it cell by cell and raises the error
-that names file, row and column. That loop is only the error path: it gives
-the same instance as the one-pass parse wherever both accept a file.
+that names file, row and column. That loop also reads every file the one-pass
+parse does not try, ISO-stamped files among them, and it gives the same
+instance as the one-pass parse wherever both accept a file.
 
 Writing renders every row with one ``%`` template and then blanks the NaN
 cells, so the floats have ``jsonio.format_float``'s 17 significant digits.
