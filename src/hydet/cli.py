@@ -146,9 +146,9 @@ def cmd_qc(config: RunConfig, args) -> int:
     from .dataset.io import write_matrix_csv
     out = Path(config.out_dir)
     instances = _load_corpus(config)
-    # standalone qc audits every channel in the corpus unless the flag or the
-    # file names them, so 8-channel corpora report all-channel aggregates by
-    # default; config.json lists the channels audited
+    # standalone qc audits every channel in the corpus unless --variables or
+    # the config file names the channels, so 8-channel corpora report
+    # all-channel aggregates by default; config.json lists those audited
     if "variables" not in args.named:
         config = replace(config,
                          variables=_shared_channels(instances) or config.variables)
