@@ -70,12 +70,12 @@ FLAGS = {
 
 def _load_run_config(args) -> RunConfig:
     """The config file's values, overridden by the flags given. Sets
-    ``args.named`` to the fields that the file or a flag names."""
+    ``args.variables_named`` when the file or a flag names the channels."""
     file = jsonio.load(args.config) if args.config is not None else {}
     config = from_json(RunConfig, file, "config")
     given = {field: getattr(args, field) for field, _ in FLAGS.values()
              if field is not None and getattr(args, field, None) is not None}
-    args.named = {*file, *given}
+    args.variables_named = "variables" in file or "variables" in given
     return replace(config, **given)
 
 
@@ -149,7 +149,7 @@ def cmd_qc(config: RunConfig, args) -> int:
     # standalone qc audits every channel in the corpus unless --variables or
     # the config file names the channels, so 8-channel corpora report
     # all-channel aggregates by default; config.json lists those audited
-    if "variables" not in args.named:
+    if not args.variables_named:
         config = replace(config,
                          variables=_shared_channels(instances) or config.variables)
     _echo_config(config, out)
@@ -158,7 +158,8 @@ def cmd_qc(config: RunConfig, args) -> int:
     _write_quality(config, instances, matrix, out, report_path)
     if args.points:
         write_matrix_csv(matrix, args.points)
-    print(f"quality report written to {report_path or out / 'quality_report.json'}")
+    print(f"quality report written to "
+          f"{report_path or out / 'quality_report.json'}")
     return EXIT_OK
 
 
@@ -179,7 +180,8 @@ def cmd_synth(config: RunConfig, args) -> int:
 
 def _split_matrices(config: RunConfig, instances):
     from .dataset import flatten, split
-    return split(flatten(instances, config.variables), config.split)
+    matrix = flatten(instances, config.variables)
+    return split(matrix, config.split)
 
 
 def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
@@ -241,11 +243,16 @@ def cmd_eval(config: RunConfig, args) -> int:
     models_dir = out / "models"
     if not models_dir.is_dir():
         raise HydetError(f"no models directory at {models_dir}; run train first")
+    marker = out / "INCOMPLETE"  # another command's marker: the models may be partial
+    if marker.exists() and not marker.read_text("utf-8").startswith("eval "):
+        raise HydetError(f"{marker} reads {marker.read_text('utf-8').strip()!r}; "
+                         "run train again")
     with _stages("eval", config) as begin:
         begin("ingest")
         _, test_m = _split_matrices(config, _load_corpus(config))
         begin("preprocess")
-        test_ready = load_preprocessor(models_dir / "preprocess.json").transform(test_m)
+        prep = load_preprocessor(models_dir / "preprocess.json")
+        test_ready = prep.transform(test_m)
         begin("evaluate")
         models = {name: load_model(models_dir / f"{name}.json")
                   for name in config.models if (models_dir / f"{name}.json").exists()}
@@ -257,13 +264,9 @@ def cmd_eval(config: RunConfig, args) -> int:
 
 def _comparison_outputs(table, out: Path) -> None:
     jsonio.dump(to_json(table), out / "comparison.json")
-    (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8", newline="\n")
-    print("comparison".ljust(30) + "KS".rjust(6) + "p".rjust(8)
-          + "U".rjust(8) + "p".rjust(8) + "  significant")
-    for name, pc in table.pairs.items():
-        print(name.ljust(30) + f"{pc.ks_stat:6.2f}{pc.ks_p:8.3f}"
-              + f"{pc.u_stat:8.1f}{pc.u_p:8.3f}"
-              + ("  yes" if pc.significant_at_alpha else "  no"))
+    (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8",
+                                        newline="\n")
+    _print_comparison(table)
 
 
 def cmd_compare(config: RunConfig, args) -> int:
@@ -321,6 +324,15 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         else:
             print("comparison skipped: needs at least 2 models")
     return EXIT_OK
+
+
+def _print_comparison(table) -> None:
+    print("comparison".ljust(30) + "KS".rjust(6) + "p".rjust(8)
+          + "U".rjust(8) + "p".rjust(8) + "  significant")
+    for name, pc in table.pairs.items():
+        print(name.ljust(30) + f"{pc.ks_stat:6.2f}{pc.ks_p:8.3f}"
+              + f"{pc.u_stat:8.1f}{pc.u_p:8.3f}"
+              + ("  yes" if pc.significant_at_alpha else "  no"))
 
 
 #: each command: its function, help text and flags read besides --config and --out

@@ -565,6 +565,29 @@ def test_eval_over_a_malformed_model_flags_partial_output(tmp_path, capsys):
         "eval aborted in stage evaluate\n"
 
 
+def test_eval_refuses_the_output_of_a_failed_train(tmp_path, capsys):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    assert main(["train", "--config", str(_unfittable_knn(config_path))]) == EXIT_DATA
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_path)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {out / 'INCOMPLETE'} reads 'train aborted in stage train'; "
+        "run train again\n")
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_eval_runs_again_over_its_own_marker(tmp_path):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    _drop_key(out / "models" / "dt.json", "params")
+    assert main(["eval", "--config", str(config_path)]) == EXIT_DATA
+    assert (out / "INCOMPLETE").read_text() == "eval aborted in stage evaluate\n"
+    assert main(["eval", "--config", str(config_path), "--models", "knn,nb"]) == EXIT_OK
+    assert not (out / "INCOMPLETE").exists()
+
+
 def test_train_then_eval_clear_an_earlier_marker(tmp_path):
     config_path, out = small_synth_config(tmp_path)
     assert main(["pipeline", "--config", str(_unfittable_knn(config_path))]) == EXIT_DATA
@@ -867,6 +890,15 @@ def test_pipeline_without_data_source_fails_at_ingest(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: stage ingest failed: config needs a "
                                        "data source: data.root or data.synth\n")
     assert (out / "INCOMPLETE").read_text() == "pipeline aborted in stage ingest\n"
+
+
+def test_train_without_data_source_fails_at_ingest(tmp_path, capsys):
+    # a configuration error found once a stage has begun exits 2, as in pipeline
+    out = tmp_path / "out"
+    assert main(["train", "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == ("error: stage ingest failed: config needs a "
+                                       "data source: data.root or data.synth\n")
+    assert (out / "INCOMPLETE").read_text() == "train aborted in stage ingest\n"
 
 
 def test_config_echo_lists_only_the_data_source_set(tmp_path):
