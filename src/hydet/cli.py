@@ -76,13 +76,15 @@ def _load_run_config(args) -> RunConfig:
     given = {field: getattr(args, field) for field, _ in FLAGS.values()
              if field is not None and getattr(args, field, None) is not None}
     args.variables_named = "variables" in file or "variables" in given
-    return replace(config, **given)
+    config = replace(config, **given)
+    # the run seed draws a synthetic corpus and nothing else
+    if "seed" in given and config.data.root is not None and args.command != "synth":
+        raise ConfigError(f"--seed draws a synthetic corpus, but data.root names "
+                          f"the corpus {config.data.root!r}")
+    return config
 
 
 def _load_corpus(config: RunConfig) -> list[TimeSeriesInstance]:
-    # the layers load before the corpus: a module imported later leaves its
-    # objects among freed arrays, +4 MiB peak RSS on the long dirty pipeline
-    from . import classifiers, evaluation, quality
     from .dataset import build_manifest, load_instances, synth_generate
     data = config.data
     if data.root is not None:
@@ -128,11 +130,10 @@ def _shared_channels(instances: list[TimeSeriesInstance]) -> tuple[str, ...]:
                  if all(v in inst.variable_names for inst in instances))
 
 
-def _write_quality(config: RunConfig, instances, matrix: FeatureMatrix,
-                   out: Path, report_path: Path | None = None) -> None:
+def _write_quality(config: RunConfig, matrix: FeatureMatrix, out: Path,
+                   report_path: Path | None = None) -> None:
     from .quality import quality_report, render_boxplot_svg
-    report = quality_report(instances, matrix,
-                            tukey_k=config.preprocess.tukey_multiplier,
+    report = quality_report(matrix, tukey_k=config.preprocess.tukey_multiplier,
                             quartile_method=config.preprocess.quartile_method)
     jsonio.dump(to_json(report), report_path or out / "quality_report.json")
     for j, channel in enumerate(report.channels):
@@ -155,7 +156,8 @@ def cmd_qc(config: RunConfig, args) -> int:
     _echo_config(config, out)
     report_path = Path(args.report) if args.report else None
     matrix = flatten(instances, config.variables)
-    _write_quality(config, instances, matrix, out, report_path)
+    del instances  # the audit reads the matrix alone
+    _write_quality(config, matrix, out, report_path)
     if args.points:
         write_matrix_csv(matrix, args.points)
     print(f"quality report written to "
@@ -304,8 +306,8 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         instances = _load_corpus(config)
         begin("quality-audit")
         matrix = flatten(instances, config.variables)
-        _write_quality(config, instances, matrix, out)
         del instances  # each stage's input goes once the next has what it needs
+        _write_quality(config, matrix, out)
         begin("split")
         train_m, test_m = split(matrix, config.split)
         del matrix

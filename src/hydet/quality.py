@@ -138,17 +138,23 @@ def detect_frozen(instance: TimeSeriesInstance, min_length: int = 2) -> set[str]
     A channel qualifies only with at least ``min_length`` observed values;
     all-missing channels are empty, not frozen (see :func:`detect_empty`).
     """
-    if min_length < 2:
-        raise ValueError("min_length must be >= 2")
-    values = instance.values
-    # fmin/fmax skip NaN, so equal extremes mean all observed values are equal
-    frozen = ((~np.isnan(values)).sum(axis=0) >= min_length) \
-        & (np.fmin.reduce(values, axis=0) == np.fmax.reduce(values, axis=0))
-    return _names_where(instance, frozen)
+    return _names_where(instance, _frozen_and_empty(instance.values, min_length)[0])
 
 
 def detect_empty(instance: TimeSeriesInstance) -> set[str]:
-    return _names_where(instance, np.isnan(instance.values).all(axis=0))
+    return _names_where(instance, _frozen_and_empty(instance.values)[1])
+
+
+def _frozen_and_empty(values: np.ndarray,
+                      min_length: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of one instance's rows: frozen flags, then empty flags."""
+    if min_length < 2:
+        raise ValueError("min_length must be >= 2")
+    n_observed = (~np.isnan(values)).sum(axis=0)
+    # fmin/fmax skip NaN, so equal extremes mean all observed values are equal
+    frozen = (n_observed >= min_length) \
+        & (np.fmin.reduce(values, axis=0) == np.fmax.reduce(values, axis=0))
+    return frozen, n_observed == 0
 
 
 def _names_where(instance: TimeSeriesInstance, flags: np.ndarray) -> set[str]:
@@ -350,31 +356,41 @@ class QualityReport:
     overall_outlier_pct: float
 
 
-def quality_report(instances: Sequence[TimeSeriesInstance],
-                   matrix: FeatureMatrix,
+def _instance_runs(matrix: FeatureMatrix) -> np.ndarray:
+    """The first row of each instance in a non-empty ``matrix``, which must
+    hold every instance of ``instance_ids`` whole, once and in order, as
+    ``flatten`` gives them."""
+    inst, step = matrix.origin[:, 0], matrix.origin[:, 1]
+    starts = np.flatnonzero(np.diff(inst, prepend=inst[0] - 1))
+    if np.array_equal(inst[starts], np.arange(len(matrix.instance_ids))):
+        offsets = np.arange(matrix.n_rows)  # each run counts its steps from 0
+        offsets -= np.repeat(starts, np.diff(starts, append=matrix.n_rows))
+        if np.array_equal(step, offsets):
+            return starts
+    raise ValueError("the matrix does not hold each of its instances as one "
+                     "whole run of rows in order; audit flatten's output")
+
+
+def quality_report(matrix: FeatureMatrix,
                    min_length: int = 2,
                    tukey_k: float = 1.5,
                    quartile_method: str = "linear") -> QualityReport:
-    """Aggregate missing/frozen/outlier audits over a corpus.
+    """Aggregate missing/frozen/outlier audits over a flattened corpus.
 
-    ``matrix`` must be the flattening of ``instances`` over the channels to
-    audit; all statistics are computed on raw (pre-imputation) data.
+    ``matrix`` is ``flatten``'s output over the channels to audit: each
+    instance is one run of rows, from which its frozen and empty channels
+    are counted. All statistics are computed on raw (pre-imputation) data.
     Percentages use the full cell count of each channel as denominator.
     """
     if matrix.n_rows == 0:
         raise EmptyDataError("quality_report on empty matrix")
     n = matrix.n_rows
+    flags = np.array([_frozen_and_empty(run, min_length)  # (runs, 2, columns)
+                      for run in np.split(matrix.values, _instance_runs(matrix)[1:])])
+    frozen_counts, empty_counts = flags.sum(axis=0).tolist()
     missing = np.isnan(matrix.values)
 
-    frozen_counts = dict.fromkeys(matrix.column_names, 0)
-    empty_counts = dict.fromkeys(matrix.column_names, 0)
-    for inst in instances:
-        for name in detect_frozen(inst, min_length) & frozen_counts.keys():
-            frozen_counts[name] += 1
-        for name in detect_empty(inst) & empty_counts.keys():
-            empty_counts[name] += 1
-
-    n_inst = len(instances)
+    n_inst = len(matrix.instance_ids)
     channels = []
     total_outliers = 0
     for j, name in enumerate(matrix.column_names):
@@ -386,9 +402,9 @@ def quality_report(instances: Sequence[TimeSeriesInstance],
             n_total=n,
             n_missing=int(missing[:, j].sum()),
             missing_pct=100.0 * missing[:, j].sum() / n,
-            n_frozen_instance_channels=frozen_counts[name],
-            frozen_pct=100.0 * frozen_counts[name] / n_inst,
-            n_empty_instance_channels=empty_counts[name],
+            n_frozen_instance_channels=frozen_counts[j],
+            frozen_pct=100.0 * frozen_counts[j] / n_inst,
+            n_empty_instance_channels=empty_counts[j],
             boxplot=bp,
             n_outliers=bp.n_outliers,
             outlier_pct=100.0 * bp.n_outliers / n,
@@ -401,7 +417,7 @@ def quality_report(instances: Sequence[TimeSeriesInstance],
         n_instances=n_inst,
         total_cells=total_cells,
         overall_missing_pct=100.0 * missing.sum() / total_cells,
-        overall_frozen_pct=100.0 * sum(frozen_counts.values()) / total_inst_channels,
+        overall_frozen_pct=100.0 * sum(frozen_counts) / total_inst_channels,
         overall_outlier_pct=100.0 * total_outliers / total_cells,
     )
 

@@ -152,7 +152,7 @@ def test_qc_ground_truth_recovery():
                               outlier_fractions=fractions)
         instances = synth_generate(cfg, 424242)
         matrix = flatten(instances, CANONICAL_VARIABLE_NAMES)
-        report = quality_report(instances, matrix)
+        report = quality_report(matrix)
 
         cells = n_inst * 4 * length
         n_channel_cells = n_inst * length
@@ -317,7 +317,7 @@ def test_real_corpus_missingness_and_accuracy():
                                                ClassLabel.HYDRATE: 84}
         instances = load_instances(REAL_ROOT, manifest)
         matrix = flatten(instances, CANONICAL_VARIABLE_NAMES)
-        report = quality_report(instances, matrix)
+        report = quality_report(matrix)
         assert report.overall_missing_pct == pytest.approx(24.18, abs=0.5)
 
         train, test = split(matrix, SplitSpec())

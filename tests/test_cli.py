@@ -498,6 +498,27 @@ def test_a_setting_the_command_does_not_read_is_usage_error(tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["qc", "train", "eval", "pipeline"])
+def test_seed_flag_over_a_directory_corpus_is_usage_error(tmp_path, capsys, command):
+    # the seed draws only a synthetic corpus; over a directory it used to be
+    # echoed to config.json and change no other byte
+    config_path, corpus = small_synth_config(tmp_path, "corpus")
+    assert main(["synth", "--config", str(config_path)]) == EXIT_OK
+    root_config = tmp_path / "root.json"
+    jsonio.dump({"seed": 5, "data": {"root": str(corpus)}}, root_config)
+    out = tmp_path / "never"
+    for source in (["--data", str(corpus)], ["--config", str(root_config)]):
+        capsys.readouterr()
+        assert main([command, *source, "--seed", "5", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --seed ")
+        assert f"data.root names the corpus {str(corpus)!r}" in err
+        assert not out.exists()
+    # a config file's seed next to --data stays accepted, as before
+    assert main(["qc", "--config", str(config_path), "--data", str(corpus),
+                 "--out", str(out)]) == EXIT_OK
+
+
 def test_pipeline_failure_names_stage_and_flags_partial_output(tmp_path, capsys):
     out = tmp_path / "broken"
     code = main(["pipeline", "--data", str(tmp_path / "missing_corpus"),

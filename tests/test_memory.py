@@ -13,6 +13,7 @@ import numpy as np
 
 from hydet.classifiers import DecisionTree, KnnClassifier, save_model
 from hydet.dataset import default_config, flatten, synth_generate
+from hydet.quality import quality_report
 
 
 def traced_peak(run):
@@ -44,6 +45,23 @@ def test_flatten_peaks_within_its_output():
     output = matrix.values.nbytes + matrix.labels.nbytes + matrix.origin.nbytes
     assert matrix.n_rows == 70 * 600
     assert peak <= 1.3 * output
+
+
+def test_quality_report_peaks_within_nine_tenths_of_its_matrix():
+    # the long dirty corpus's corruption rates on 70 episodes; the audit
+    # holds a missing-cell mask and one column's sort at a time (0.67x), and
+    # a per-run count that casts the whole mask (np.add.reduceat with an
+    # intp dtype) holds a full-size temporary on top
+    variables = default_config().variables
+    instances = synth_generate(default_config(
+        n_normal=40, n_rapid_loss=20, n_hydrate=10, length=600, missing_fraction=0.02,
+        frozen_fraction=0.02, outlier_fractions=dict.fromkeys(variables, 0.005)), 1)
+    matrix = flatten(instances, variables)
+    del instances
+    report, peak = traced_peak(lambda: quality_report(matrix))
+    assert report.n_instances == 70
+    assert sum(c.n_frozen_instance_channels for c in report.channels) > 0
+    assert peak <= 0.9 * matrix.values.nbytes
 
 
 def test_knn_save_model_peaks_within_half_its_file(tmp_path):

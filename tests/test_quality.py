@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from hydet import jsonio
 from hydet.codec import to_json
-from hydet.dataset import ClassLabel, default_config, flatten, synth_generate
+from hydet.dataset import (ClassLabel, SplitSpec, default_config, flatten, split,
+                           synth_generate)
 from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance
 from hydet.errors import (AllMissingColumnError, EmptyDataError,
                           MissingCellsError, ModelFormatError,
@@ -143,6 +146,19 @@ def test_all_missing_is_empty_not_frozen():
     assert detect_empty(inst) == {"a"}
 
 
+def cell_loop_frozen_and_empty(columns, min_length):
+    """Reference: the frozen and the empty names of ``columns``, one cell at
+    a time."""
+    frozen, empty = set(), set()
+    for name, col in columns.items():
+        observed = [v for v in col if not np.isnan(v)]
+        if len(observed) >= min_length and all(v == observed[0] for v in observed):
+            frozen.add(name)
+        if not observed:
+            empty.add(name)
+    return frozen, empty
+
+
 def test_frozen_min_length():
     inst = _instance({"a": [5.0, np.nan, np.nan, 5.0]})
     assert detect_frozen(inst, min_length=2) == {"a"}
@@ -155,14 +171,9 @@ def test_frozen_min_length():
 @settings(max_examples=200, deadline=None)
 def test_frozen_and_empty_match_cell_loop_oracle(columns, min_length):
     length = min(len(c) for c in columns)
-    inst = _instance({f"c{j}": c[:length] for j, c in enumerate(columns)})
-    frozen, empty = set(), set()
-    for j, col in enumerate(columns):  # reference: one cell at a time
-        observed = [v for v in col[:length] if not np.isnan(v)]
-        if len(observed) >= min_length and all(v == observed[0] for v in observed):
-            frozen.add(f"c{j}")
-        if not observed:
-            empty.add(f"c{j}")
+    columns = {f"c{j}": c[:length] for j, c in enumerate(columns)}
+    inst = _instance(columns)
+    frozen, empty = cell_loop_frozen_and_empty(columns, min_length)
     assert detect_frozen(inst, min_length) == frozen
     assert detect_empty(inst) == empty
     with pytest.raises(ValueError):
@@ -409,7 +420,7 @@ def test_quality_report_recovers_injected_ground_truth():
                           outlier_fractions={"P-TPT": 0.05})
     instances = synth_generate(cfg, 17)
     matrix = flatten(instances, VARS)
-    report = quality_report(instances, matrix)
+    report = quality_report(matrix)
     cells = 50 * 4 * 40
     assert sum(c.n_missing for c in report.channels) == round(0.2 * cells)
     assert report.overall_missing_pct == pytest.approx(
@@ -428,11 +439,70 @@ def test_quality_report_clean_corpus_all_zero():
     cfg = default_config(n_normal=10, n_rapid_loss=5, n_hydrate=3, length=20)
     instances = synth_generate(cfg, 9)
     matrix = flatten(instances, VARS)
-    report = quality_report(instances, matrix)
+    report = quality_report(matrix)
     assert report.overall_missing_pct == 0.0
     assert report.overall_frozen_pct == 0.0
     for ch in report.channels:
         assert ch.n_missing == 0 and ch.n_frozen_instance_channels == 0
+
+
+@st.composite
+def audit_episodes(draw):
+    """1-8 episodes of 1-20 rows over ``VARS``: each channel all missing,
+    observed once, or drawn cell by cell. One of them is a 4-row ramp, so
+    that every channel has the four observed values a boxplot needs."""
+    cells, episodes = st.sampled_from([1.0, 2.0, 0.0, -0.0, np.nan]), []
+    for _ in range(draw(st.integers(0, 7))):
+        length = draw(st.integers(1, 20))
+        episode = {}
+        for name in VARS:
+            kind = draw(st.sampled_from(["empty", "once", "cells"]))
+            if kind == "cells":
+                episode[name] = draw(st.lists(cells, min_size=length, max_size=length))
+            else:
+                episode[name] = [np.nan] * length
+                if kind == "once":
+                    episode[name][draw(st.integers(0, length - 1))] = 1.0
+        episodes.append(episode)
+    ramp = dict.fromkeys(VARS, [1.0, 2.0, 3.0, 4.0])
+    episodes.insert(draw(st.integers(0, len(episodes))), ramp)
+    return episodes
+
+
+@given(audit_episodes(), st.permutations(VARS), st.integers(1, len(VARS)))
+@settings(max_examples=100, deadline=None)
+def test_audit_counts_match_cell_loop_oracle_per_episode(episodes, order, width):
+    variables = tuple(order[:width])
+    values = [np.array([ep[v] for v in VARS]).T for ep in episodes]
+    instances = [TimeSeriesInstance(f"e{i}", ClassLabel.NORMAL, tuple(range(len(v))),
+                                    VARS, v) for i, v in enumerate(values)]
+    matrix = flatten(instances, variables)
+    for min_length in (2, 3):
+        report = quality_report(matrix, min_length)
+        frozen, empty = Counter(), Counter()
+        for episode in episodes:
+            ep_frozen, ep_empty = cell_loop_frozen_and_empty(
+                {v: episode[v] for v in variables}, min_length)
+            frozen.update(ep_frozen)
+            empty.update(ep_empty)
+        assert [c.name for c in report.channels] == list(variables)
+        assert [c.n_frozen_instance_channels for c in report.channels] == \
+            [frozen[v] for v in variables]
+        assert [c.n_empty_instance_channels for c in report.channels] == \
+            [empty[v] for v in variables]
+        assert report.n_instances == len(episodes)
+
+
+def test_quality_report_refuses_rows_that_are_not_whole_instances():
+    cfg = default_config(n_normal=6, n_rapid_loss=4, n_hydrate=2, length=15)
+    matrix = flatten(synth_generate(cfg, 3), VARS)
+    quality_report(matrix)
+    row_parts = split(matrix, SplitSpec(mode="row"))
+    instance_parts = split(matrix, SplitSpec(mode="instance"))
+    reversed_rows = matrix.take(np.arange(matrix.n_rows)[::-1])
+    for refused in (*row_parts, *instance_parts, reversed_rows):
+        with pytest.raises(ValueError, match="one whole run of rows"):
+            quality_report(refused)
 
 
 def test_quality_report_json_serializable():
@@ -441,7 +511,7 @@ def test_quality_report_json_serializable():
                          missing_fraction=0.05)
     instances = synth_generate(cfg, 2)
     matrix = flatten(instances, VARS)
-    report = quality_report(instances, matrix)
+    report = quality_report(matrix)
     text = jsonio.dumps(to_json(report))
     assert '"overall_missing_pct"' in text
 
