@@ -180,9 +180,11 @@ def cmd_synth(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _split_matrices(config: RunConfig, instances):
+def _split_matrices(config: RunConfig):
     from .dataset import flatten, split
+    instances = _load_corpus(config)
     matrix = flatten(instances, config.variables)
+    del instances  # split holds the matrix and both of its parts
     return split(matrix, config.split)
 
 
@@ -230,11 +232,13 @@ def cmd_train(config: RunConfig, args) -> int:
     models_dir = Path(config.out_dir) / "models"
     with _stages("train", config) as begin:
         begin("ingest")
-        train_m, _ = _split_matrices(config, _load_corpus(config))
+        train_m = _split_matrices(config)[0]
         begin("preprocess")
         prep = _fit_preprocessor(config, train_m, models_dir)
+        train_ready = prep.transform(train_m)
+        del train_m
         begin("train")
-        _train_and_save(config, prep.transform(train_m), models_dir)
+        _train_and_save(config, train_ready, models_dir)
     return EXIT_OK
 
 
@@ -251,7 +255,7 @@ def cmd_eval(config: RunConfig, args) -> int:
                          "run train again")
     with _stages("eval", config) as begin:
         begin("ingest")
-        _, test_m = _split_matrices(config, _load_corpus(config))
+        test_m = _split_matrices(config)[1]
         begin("preprocess")
         prep = load_preprocessor(models_dir / "preprocess.json")
         test_ready = prep.transform(test_m)

@@ -27,10 +27,10 @@ cells, so the floats have ``jsonio.format_float``'s 17 significant digits.
 CPU this process may use once the files are large enough (``_fan_out``): one
 process per CPU, but none for less than ``_SHARE_FLOOR_BYTES`` (8 MiB) of CSV
 text, a file to write being sized at 23 bytes per value. A reading child
-streams each instance back as a small pickled head and the raw bytes of its
-arrays, which this process reads straight into arrays it allocates. The
-outcome is always the serial loop's: after a failure anywhere, that loop runs
-again from the first file.
+streams each instance back as its pickle, then the raw bytes of each of its
+arrays, which this process reads into arrays it allocates. The outcome is
+always the serial loop's: after a failure anywhere, that loop runs again
+from the first file.
 
 The floor comes from ``hydet pipeline --models dt,nb`` and ``hydet synth``
 forced to fork, against the serial loop, in alternating runs on a 2-CPU VM:
@@ -41,10 +41,10 @@ On the benchmark's 53.8 MB long dirty corpus (two processes), the medians of
 10 alternating pairs took ``hydet synth`` from 3.02 to 1.67 s and ``hydet
 pipeline`` from 4.64 to 3.97 s. Fixed contiguous shares, one per process,
 left this process waiting up to 0.5 s for a child whose CPU other work was
-using. Instances sent as pickles, not raw arrays, raised that pipeline's
-peak RSS from 104.8 to ~111 MiB: the message buffers left holes among the
-instance arrays, so the freed corpus no longer held one block as large as
-``split``'s train array.
+using. Instances sent as whole pickles, arrays in them, raised that
+pipeline's peak RSS from 104.8 to ~111 MiB: the message buffers left holes
+among the instance arrays, so the freed corpus no longer held one block as
+large as ``split``'s train array.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import logging
 import math
 import os
 import pickle
-import struct
 import sys
 import warnings
 from datetime import datetime
@@ -557,57 +556,54 @@ def _work_share(work: Callable, items: Sequence, counter: Any, write_end: int) -
                 _write_frame(out, i, result)
 
 
-#: a frame starts with the length of its pickled head
-_FRAME_LENGTH = struct.Struct("<Q")
+def _write_frame(out: BinaryIO, index: int, result: Any) -> None:
+    """``(index, result)`` as a frame: the length of its pickle, the pickle,
+    in which each plain array that holds no Python objects is only its shape
+    and dtype, then the bytes of those arrays in C order, so that the reader
+    fills arrays it allocated itself and no copy of them is made."""
+    arrays = []
 
+    def persistent_id(obj: Any) -> tuple | None:  # None: pickled as it is
+        if type(obj) is np.ndarray and not obj.dtype.hasobject:
+            arrays.append(obj)
+            return obj.shape, obj.dtype
 
-def _write_frame(out: BinaryIO, index: int, instance: TimeSeriesInstance) -> None:
-    """Instance ``index`` as a frame: the pickle of ``(index, id, label,
-    variable names, rows, ISO stamps or None)``, then its values and its
-    epoch stamps as raw bytes, so that the reader fills arrays it allocated
-    itself and no copy of them is made."""
-    stamps = instance.timestamps
-    iso = stamps if isinstance(stamps, tuple) else None
-    head = pickle.dumps((index, instance.instance_id, instance.label,
-                         instance.variable_names, len(instance), iso))
-    out.write(_FRAME_LENGTH.pack(len(head)))
-    out.write(head)
-    for array in [instance.values] + ([stamps] if iso is None else []):
-        out.write(np.ascontiguousarray(array).data)
+    head = io.BytesIO()
+    pickler = pickle.Pickler(head)
+    pickler.persistent_id = persistent_id
+    pickler.dump((index, result))
+    out.write(np.array(head.tell(), "<u8"))
+    out.write(head.getbuffer())
+    for array in arrays:  # as uint8: a datetime64 array is no buffer
+        out.write(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
     out.flush()
 
 
-def _read_frame(fd: int) -> tuple[int, TimeSeriesInstance] | None:
-    """The next ``(index, instance)`` that ``_write_frame`` wrote to pipe
+def _read_frame(fd: int) -> tuple[int, Any] | None:
+    """The next ``(index, result)`` that ``_write_frame`` wrote to pipe
     ``fd``; None where the pipe ends before a whole frame, as it does when
     its writer has exited."""
-    length = bytearray(_FRAME_LENGTH.size)
-    if not _read_into(fd, length):
+    def persistent_load(placeholder: tuple) -> np.ndarray:
+        return _read_into(fd, np.empty(*placeholder))
+
+    try:
+        length = _read_into(fd, np.empty((), "<u8"))
+        head = _read_into(fd, np.empty(int(length), np.uint8))
+        unpickler = pickle.Unpickler(io.BytesIO(head))
+        unpickler.persistent_load = persistent_load
+        return unpickler.load()
+    except EOFError:
         return None
-    head = bytearray(_FRAME_LENGTH.unpack(length)[0])
-    if not _read_into(fd, head):
-        return None
-    head = pickle.loads(head)
-    index, instance_id, label, variable_names, n_rows, iso = head
-    values = np.empty((n_rows, len(variable_names)))
-    stamps = iso
-    arrays = [values]
-    if iso is None:
-        stamps = np.empty(n_rows, dtype=np.int64)
-        arrays.append(stamps)
-    if not all(_read_into(fd, array) for array in arrays):
-        return None
-    return index, TimeSeriesInstance(instance_id, label, stamps, variable_names,
-                                     values)
 
 
-def _read_into(fd: int, buffer) -> bool:
-    """Fill ``buffer`` from ``fd``; False if the pipe ends first."""
-    view = memoryview(buffer).cast("B")
+def _read_into(fd: int, array: np.ndarray) -> np.ndarray:
+    """``array`` filled from ``fd`` with raw bytes, through a ``uint8`` view;
+    ``EOFError`` if the pipe ends first."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
     got = 0
     while got < len(view):
         n = os.readv(fd, [view[got:]])
         if not n:
-            return False
+            raise EOFError
         got += n
-    return True
+    return array

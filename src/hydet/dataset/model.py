@@ -87,12 +87,14 @@ class TimeSeriesInstance:
 def _unpickled_instance(instance_id, label, timestamps, variable_names,
                         values) -> TimeSeriesInstance:
     """numpy unpickles a large array as a view of the pickle's bytes, which
-    the constructor would keep as it is. ``astype`` copies each array out, so
-    that it owns its data as a loaded instance's does."""
-    if isinstance(timestamps, np.ndarray):
-        timestamps = timestamps.astype(np.int64)
-    return TimeSeriesInstance(instance_id, label, timestamps, variable_names,
-                              values.astype(np.float64))
+    the constructor would keep as it is. Only such a view is copied out: an
+    array that owns its data, as each one the fan-out's frames bring does, is
+    kept."""
+    if isinstance(timestamps, np.ndarray) and not timestamps.flags.owndata:
+        timestamps = timestamps.copy()
+    if not values.flags.owndata:
+        values = values.copy()
+    return TimeSeriesInstance(instance_id, label, timestamps, variable_names, values)
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,12 @@ class FeatureMatrix:
             raise ValueError("labels length does not match row count")
         if origin.shape != (values.shape[0], 2):
             raise ValueError(f"origin shape {origin.shape} is not (rows, 2)")
+        n_ids = len(self.instance_ids)
+        low, high = origin.min(axis=0, initial=0), origin.max(axis=0, initial=-1)
+        if low.min() < 0 or high[0] >= n_ids:  # neither holds for no rows
+            row = int(np.argmax((origin < 0).any(axis=1) | (origin[:, 0] >= n_ids)))
+            raise ValueError(f"origin row {row} is {origin[row].tolist()}: its instance "
+                             f"must be in 0..{n_ids - 1} and its time step not negative")
         for name, array in (("values", values), ("labels", labels), ("origin", origin)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hydet.dataset
 from hydet import cli, jsonio
 from hydet.classifiers import (ClassifiersConfig, KnnConfig, NbConfig, TreeConfig,
                                load_model, save_model)
@@ -575,6 +577,28 @@ def test_train_whose_fit_fails_flags_partial_output(tmp_path, capsys):
     # the new preprocess.json is written before the fits
     assert (out / "models" / "preprocess.json").exists()
     assert (out / "INCOMPLETE").read_text() == "train aborted in stage train\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "pipeline"])
+def test_the_corpus_is_freed_before_split(tmp_path, monkeypatch, command):
+    config_path, _ = small_synth_config(tmp_path)
+    assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    load, split, first, split_calls = cli._load_corpus, hydet.dataset.split, [], []
+
+    def loaded(config):
+        instances = load(config)
+        first.append(weakref.ref(instances[0]))
+        return instances
+
+    def split_after_free(matrix, spec):
+        assert first[0]() is None  # only the matrix holds the corpus's rows
+        split_calls.append(spec)
+        return split(matrix, spec)
+
+    monkeypatch.setattr(cli, "_load_corpus", loaded)
+    monkeypatch.setattr(hydet.dataset, "split", split_after_free)
+    assert main([command, "--config", str(config_path)]) == EXIT_OK
+    assert len(first) == len(split_calls) == 1
 
 
 def test_eval_over_a_malformed_model_flags_partial_output(tmp_path, capsys):

@@ -16,7 +16,7 @@ from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config
                            write_instance_csv, write_instances)
 from hydet.dataset import io as dataset_io
 from hydet.dataset.io import _fill_missing, _load_rows, write_matrix_csv
-from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance
+from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance, _unpickled_instance
 from hydet.jsonio import format_float
 from hydet.errors import (CsvFormatError, EmptyDataError, HydetError,
                           LabelConflictError, MissingVariableError, NonFiniteError,
@@ -427,6 +427,20 @@ def test_instance_pickles_through_its_constructor(tmp_path, protocol):
         rebuild(*args[:4], np.array([[1.0], [np.inf]]))
 
 
+def test_unpickled_instance_copies_only_an_array_that_does_not_own_its_data():
+    # the fan-out's frames bring arrays allocated for the instance: kept
+    stamps, values = np.arange(3, dtype=np.int64), np.zeros((3, 1))
+    kept = _unpickled_instance("i", ClassLabel.NORMAL, stamps, ("x",), values)
+    assert kept.timestamps is stamps and kept.values is values
+    # a plain pickle's large array is a view of the pickle's bytes: copied
+    stamps, values = np.arange(6, dtype=np.int64), np.arange(6.0).reshape(6, 1)
+    copied = _unpickled_instance("i", ClassLabel.NORMAL, stamps[:3], ("x",), values[:3])
+    assert copied.timestamps.base is None and copied.values.base is None
+    assert copied.timestamps.tolist() == [0, 1, 2]
+    assert copied.values.tolist() == [[0.0], [1.0], [2.0]]
+    assert stamps.flags.writeable and values.flags.writeable
+
+
 def test_instance_keeps_a_float64_array_it_is_given():
     # an unpickled dtype equals float64 but is another object
     given = pickle.loads(pickle.dumps(np.zeros((3, 1)))).copy()
@@ -645,6 +659,26 @@ def test_flatten_preserves_missing_cells():
     inst = make_instance(n=3, channels={"x": [1.0, np.nan, 3.0]})
     m = flatten([inst], ("x",))
     assert np.isnan(m.values[1, 0]) and not np.isnan(m.values[0, 0])
+
+
+@pytest.mark.parametrize("origin, message", [
+    ([[5, 0], [5, 1], [-1, 0], [0, 0]], "row 0 is [5, 0]"),
+    ([[0, 0], [0, 1], [-1, 0], [0, 2]], "row 2 is [-1, 0]"),
+    ([[0, 0], [0, 1], [0, 2], [0, -3]], "row 3 is [0, -3]"),
+    ([[0, 0], [1, 0], [0, 1], [1, 1]], "row 1 is [1, 0]"),
+])
+def test_feature_matrix_refuses_an_origin_outside_its_instances(origin, message):
+    with pytest.raises(ValueError, match=re.escape(
+            f"origin {message}: its instance must be in 0..0 and its time step "
+            "not negative")):
+        FeatureMatrix(("P-TPT",), np.ones((4, 1)), np.zeros(4), origin, ("a",))
+    # every row in range, in any order, is accepted
+    m = FeatureMatrix(("P-TPT",), np.ones((4, 1)), np.zeros(4),
+                      [[1, 7], [0, 0], [1, 0], [0, 3]], ("a", "b"))
+    assert m.take([3, 0]).origin.tolist() == [[0, 3], [1, 7]]
+    assert m.take([]).n_rows == 0
+    assert FeatureMatrix(("P-TPT",), np.ones((0, 1)), np.zeros(0), np.zeros((0, 2)),
+                         ()).n_rows == 0
 
 
 # ---------------------------------------------------------------------------

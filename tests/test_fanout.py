@@ -2,6 +2,7 @@
 ``write_instances`` forced to 1, 2 and 3 processes on small corpora must give
 what the serial loop gives, raise what it raises, and leave no process."""
 
+import io
 import logging
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hydet.cli import EXIT_OK, main
@@ -232,3 +234,64 @@ def test_small_corpora_and_one_cpu_stay_serial(corpus, monkeypatch):
     assert len(load_instances(corpus, manifest)) == 13  # under the size floor
     force_shares(monkeypatch, 1)
     assert len(load_instances(corpus, manifest)) == 13
+
+
+def arrays_of_every_kind() -> dict[str, np.ndarray]:
+    """Most above 1,000 bytes, which a plain pickle would bring back as
+    views of its bytes, not as arrays that own their memory."""
+    grid = np.arange(600.0).reshape(20, 30) / 7
+    return {
+        "c_order": grid,
+        "f_order": np.asfortranarray(grid),
+        "int64": np.arange(-100, 100, dtype=np.int64),
+        "datetime64": np.datetime64("2024-01-01", "us") + np.arange(200) * 1_000_003,
+        "zero_size": np.empty((0, 3)),
+        "zero_d": np.array(2.5),
+        "structured": np.array([(i, i / 3) for i in range(100)],
+                               dtype=[("code", "<i4"), ("value", "<f8")]),
+        "objects": np.array([{"x": 1}, "s", None, (2, 3)], dtype=object),
+    }
+
+
+def test_a_frame_carries_its_result_and_its_arrays_back():
+    sent = arrays_of_every_kind()
+    result = {"arrays": sent, "nested": (None, [sent["int64"], "text"], 1.5)}
+    read_end, write_end = os.pipe()
+    try:
+        with open(write_end, "wb") as out:
+            dataset_io._write_frame(out, 7, result)
+        index, back = dataset_io._read_frame(read_end)
+        assert dataset_io._read_frame(read_end) is None  # the writer has closed
+    finally:
+        os.close(read_end)
+    assert index == 7
+    assert back["nested"][0] is None and back["nested"][1][1:] == ["text"]
+    assert back["nested"][2] == 1.5
+    got = back["arrays"]
+    assert list(got) == list(sent)
+    for name, want in sent.items():
+        array = got[name]
+        assert type(array) is np.ndarray, name
+        assert (array.dtype, array.shape) == (want.dtype, want.shape), name
+        if name == "objects":  # pickled as it is
+            assert array.tolist() == want.tolist()
+            continue
+        assert array.tobytes() == want.tobytes(), name
+        assert array.flags.owndata and array.flags.c_contiguous, name
+    assert got["structured"].dtype.names == ("code", "value")
+    assert back["nested"][1][0].tobytes() == sent["int64"].tobytes()
+
+
+def test_a_frame_cut_short_reads_as_none():
+    buffer = io.BytesIO()
+    dataset_io._write_frame(buffer, 3, {"arrays": arrays_of_every_kind()})
+    frame = buffer.getvalue()
+    # in the length, in the pickle and in the arrays' bytes
+    for cut in (0, 5, 8, 40, len(frame) // 2, len(frame) - 1):
+        read_end, write_end = os.pipe()
+        try:
+            with open(write_end, "wb") as out:
+                out.write(frame[:cut])
+            assert dataset_io._read_frame(read_end) is None, cut
+        finally:
+            os.close(read_end)
