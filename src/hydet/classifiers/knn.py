@@ -243,7 +243,8 @@ class KnnClassifier:
         return self._votes(X)[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.classes_[self._votes(X)[1]]
+        picks = self._votes(X)[1]  # first: it refuses an unfitted model
+        return self.classes_[picks]
 
     @classmethod
     def from_payload(cls, params: KnnConfig, payload: KnnPayload) -> "KnnClassifier":

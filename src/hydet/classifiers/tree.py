@@ -14,15 +14,15 @@ Routing sends ``value <= threshold`` left. The fitted tree is flat preorder
 node lists, also its ``dt.json`` payload (``TreePayload``).
 
 The search runs over presorted attribute lists (SLIQ: Mehta, Agrawal &
-Rissanen 1996). ``fit`` sorts each feature once, stably, into an int32 row
-order, reading the features through ``X.T``, a view. A split's left rows
-are the first ``n_left`` of the split feature's order (the threshold lies
-between the ``n_left``-th value and the next); it marks them in one boolean
-array over all rows and filters every order of the node by it. The node's
-row set is ascending, so each filtered order equals a stable argsort of the
-node's own rows, and the candidate thresholds and their class counts are
-those of a per-node sort. A node drops its orders once its children's are
-built, so only the open path's orders stay alive.
+Rissanen 1996): a node holds one int32 ``(features, rows)`` order matrix,
+and ``fit`` fills the root's row by row with stable argsorts of ``X.T``, a
+view. A split's left rows are the first ``n_left`` of the split feature's
+order (the threshold lies between the ``n_left``-th value and the next);
+one gather of their marks over the matrix splits it into the children's.
+Every order row holds each node row once and keeps its order, so each
+child's rows are a stable argsort of its own rows, and the candidates and
+their class counts are those of a per-node sort. Only the open path's
+matrices stay alive.
 
 Per feature, the search keeps one int32 ``cumsum`` of each class over the
 node's order and does the float gain arithmetic ``_BLOCK`` sorted positions
@@ -39,11 +39,11 @@ right, so below 8 classes the squares are added one class column at a time,
 on numpy unrolls the row sum into partial sums, so there the matrix is built
 and summed by numpy. ``tests/oracles.py`` keeps the per-node search, and the
 tests compare the two fits node for node. On the x10 corpus (461,250
-training rows, 4 features, 1,256 leaves) the fit takes 1.9-2.1 s against
-8.2-8.8 s for the per-node search, and traces a 17.3 MiB peak (tracemalloc)
-for a 14.1 MiB matrix, against 77.6 MiB when the search held ``X.T`` as a
-copy and node-long float temporaries; on the default corpus (46,125 rows)
-it takes 0.10-0.14 s against 0.42-0.54 s (2-CPU Xeon VM, numpy 2.4).
+training rows, 4 features, 1,256 leaves) the fit takes 1.6-1.8 s against
+8.2-8.8 s for the per-node search, and traces a 19.5 MiB peak (tracemalloc)
+for a 14.1 MiB matrix, against 77.6 MiB when it held a copy of ``X.T`` and
+node-long float temporaries; on the default corpus (46,125 rows) it takes
+0.10-0.13 s against 0.42-0.54 s (2-CPU Xeon VM, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -62,10 +62,7 @@ _BLOCK = 1 << 15
 
 
 def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
+    p = counts / counts.sum()
     return float(1.0 - np.sum(p * p))
 
 
@@ -189,8 +186,8 @@ class DecisionTree:
 class _Grower:
     """One fit's tree growth over presorted attribute lists.
 
-    A node holds one row order per feature: its rows sorted by that
-    feature's value, ties in ascending row order."""
+    A node holds one ``(features, rows)`` int32 order matrix: its row f lists
+    the node's rows sorted by feature f's value, ties in ascending row order."""
 
     def __init__(self, params: TreeConfig, X: np.ndarray, y: np.ndarray,
                  n_classes: int):
@@ -207,8 +204,9 @@ class _Grower:
         preorder on top; ``parent`` is the split whose right child one is, or -1."""
         params = self.params
         nodes = []  # [feature, threshold, right, counts] per node, in preorder
-        orders = [np.argsort(col, kind="stable").astype(np.int32)
-                  for col in self.columns]
+        orders = np.empty(self.columns.shape, dtype=np.int32)
+        for feature in range(len(orders)):  # one int64 argsort alive at a time
+            orders[feature] = np.argsort(self.columns[feature], kind="stable")
         stack = [(orders, np.bincount(self.y, minlength=self.n_classes), 0, -1)]
         while stack:
             orders, counts, depth, parent = stack.pop()
@@ -230,23 +228,21 @@ class _Grower:
             del left, right  # only the open path's orders stay alive
         return tuple(zip(*nodes))
 
-    def _partition(self, orders: list[np.ndarray], feature: int, n_left: int):
-        """Each order filtered to the rows routed left and to the rest, both
-        still ascending among ties, and the left rows' class counts. The rows
-        routed left are the first ``n_left`` of the split feature's order:
-        the threshold lies between its ``n_left``-th and next value."""
-        rows = orders[feature][:n_left]
+    def _partition(self, orders: np.ndarray, feature: int, n_left: int):
+        """The order matrix compressed to the rows routed left and to the
+        rest, and the left rows' class counts. The left rows are the first
+        ``n_left`` of the split feature's order (the threshold lies between
+        its ``n_left``-th and next value), and every order row holds them."""
+        rows = orders[feature, :n_left]
         goes_left = self.goes_left
         goes_left[rows] = True
-        left, right = [], []
-        for order in orders:
-            mask = goes_left[order]
-            left.append(order[mask])
-            right.append(order[~mask])
+        mask = goes_left[orders]
         goes_left[rows] = False
+        left = orders[mask].reshape(len(orders), n_left)
+        right = orders[~mask].reshape(len(orders), -1)
         return left, right, np.bincount(self.y[rows], minlength=self.n_classes)
 
-    def _best_split(self, orders: list[np.ndarray],
+    def _best_split(self, orders: np.ndarray,
                     counts: np.ndarray) -> tuple[float, int, float, int] | None:
         """The best ``(gain, feature, threshold, n_left)``, or None where no
         feature has two distinct values. Each order is searched ``_BLOCK``

@@ -10,6 +10,7 @@ reruns. Each command imports the numpy layers it runs when it runs, so
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Mapping
 from contextlib import contextmanager
@@ -268,11 +269,19 @@ def cmd_eval(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _comparison_outputs(table, out: Path) -> None:
+def _comparison_outputs(table, f1_vectors: Mapping, out: Path) -> None:
     jsonio.dump(to_json(table), out / "comparison.json")
     (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8",
                                         newline="\n")
     _print_comparison(table)
+    # the smallest exact KS p-value: 2 of the C(2n, n) orders separate fully
+    n_scores = len(next(iter(f1_vectors.values())))  # equal, as compare_models checks
+    floor = 2 / math.comb(2 * n_scores, n_scores)
+    if floor >= table.alpha and any(pc.ks_method == "exact"
+                                    for pc in table.pairs.values()):
+        print(f"note: exact KS on {n_scores} scores per model cannot reject: its "
+              f"p-value is at least 2/C({2 * n_scores},{n_scores}) = {floor:.3g}, "
+              f"not below alpha {table.alpha:g}", file=sys.stderr)
 
 
 def cmd_compare(config: RunConfig, args) -> int:
@@ -298,7 +307,7 @@ def cmd_compare(config: RunConfig, args) -> int:
         table = compare_models(f1_vectors, config.stats)
     except (HydetError, ValueError) as exc:  # the message names the model
         raise HydetError(f"{', '.join(paths)}: {exc}") from None
-    _comparison_outputs(table, out)
+    _comparison_outputs(table, f1_vectors, out)
     return EXIT_OK
 
 
@@ -326,7 +335,8 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         begin("compare")
         if len(reports) >= 2:
             f1_vectors = {r.model: r.f1_vector() for r in reports.values()}
-            _comparison_outputs(compare_models(f1_vectors, config.stats), out)
+            _comparison_outputs(compare_models(f1_vectors, config.stats),
+                                f1_vectors, out)
         else:
             print("comparison skipped: needs at least 2 models")
     return EXIT_OK

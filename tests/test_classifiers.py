@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -13,7 +14,8 @@ from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, Gaussian
                                KnnClassifier, KnnConfig, NbConfig, TreeConfig,
                                load_model, payload, save_model, train_all)
 from hydet import jsonio
-from hydet.classifiers.tree import _BLOCK, _gini_rows
+from hydet.classifiers.nb import NbPayload
+from hydet.classifiers.tree import _BLOCK, TreePayload, _gini_rows
 from hydet.codec import to_json
 from hydet.config import RunConfig
 from hydet.dataset import default_config, flatten, split, synth_generate
@@ -143,12 +145,41 @@ def test_tree_input_validation():
         DecisionTree().fit(np.array([[np.nan]]), np.array([0]))
     with pytest.raises(NonFiniteError):
         DecisionTree().fit(np.array([[np.inf]]), np.array([0]))
+    with pytest.raises(ValueError, match=re.escape("X must be 2-D, got shape (3,)")):
+        DecisionTree().fit(np.zeros(3), np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match=re.escape(
+            "labels shape (2,) does not match 3 rows")):
+        DecisionTree().fit(np.zeros((3, 1)), np.zeros(2, dtype=int))
     model = DecisionTree().fit(np.array([[0.0], [1.0]]), np.array([0, 1]))
     with pytest.raises(WidthMismatchError):
         model.predict(np.array([[0.0, 1.0]]))
+    with pytest.raises(NonFiniteError, match="non-finite values in rows"):
+        model.predict(np.array([[np.inf]]))
 
 
-_TIES = st.sampled_from([-1.5, -1.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("cls", [DecisionTree, KnnClassifier, GaussianNb])
+def test_predict_before_fit_is_refused(cls):
+    with pytest.raises(ValueError, match="model is not fitted"):
+        cls().predict(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: NbPayload(classes=(0,), priors=(1.0,), means=(), variances=(),
+                       epsilon=1e-9),
+     "classes and means[0] must not be empty"),
+    (lambda: NbPayload(classes=(0, 1), priors=(0.5, 0.5), means=((0.0,), (1.0,)),
+                       variances=((1.0,),), epsilon=1e-9),
+     "variances: expected 2 rows of 1 values"),
+    (lambda: TreePayload(classes=(0,), n_features=1, feature=(-1,), threshold=(0.0,),
+                         right=(), counts=((1,),)),
+     "right: 0 entries for 1 nodes"),
+], ids=["nb-without-means", "nb-variances-short", "tree-right-short"])
+def test_payload_lists_of_unequal_length_are_refused(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+_TIES = st.sampled_from([-1.5, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
 
 
 @given(data=st.data())

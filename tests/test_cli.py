@@ -192,6 +192,14 @@ def test_qc_missing_dataset_is_data_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == EXIT_DATA
 
 
+def test_corpus_whose_class_directories_hold_no_csv_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    for name in hydet.dataset.CLASS_DIRS:
+        (corpus / name).mkdir(parents=True)
+    assert main(["qc", "--data", str(corpus), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: dataset is empty\n"
+
+
 @pytest.mark.parametrize("first, second, kinds", [
     ("2024-01-01T00:00:00", "2024-01-01T00:00:01Z", "iso then iso-offset"),
     ("2024-01-01T00:00:00+01:00", "2024-01-01T00:00:01", "iso-offset then iso"),
@@ -410,6 +418,32 @@ def test_compare_from_f1_reference_vectors(tmp_path, capsys):
     csv_lines = (out / "comparison.csv").read_text().strip().split("\n")
     row = dict(zip(csv_lines[0].split(","), csv_lines[2].split(",")))
     assert float(row["u_p"]) == data["Decision Tree vs Naive Bayes"]["u_p"]
+
+
+_KS_NOTE = ("note: exact KS on 3 scores per model cannot reject: its p-value is at "
+            "least 2/C(6,3) = 0.1, not below alpha 0.05\n")
+
+
+def test_pipeline_notes_that_exact_ks_on_three_scores_cannot_reject(tmp_path, capsys):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
+    assert capsys.readouterr().err == _KS_NOTE
+
+
+@pytest.mark.parametrize("n_scores, method, err", [
+    (3, "exact", _KS_NOTE),
+    (11, "exact", ""),  # 2/C(22,11) = 2.9e-6
+    (3, "asymptotic", ""),
+], ids=["3-exact", "11-exact", "3-asymptotic"])
+def test_compare_notes_only_an_exact_ks_that_cannot_reject(tmp_path, capsys, n_scores,
+                                                           method, err):
+    f1_path, config_path = tmp_path / "f1.json", tmp_path / "config.json"
+    jsonio.dump({"a": [k / n_scores for k in range(n_scores)],
+                 "b": [1.0 + k for k in range(n_scores)]}, f1_path)
+    jsonio.dump({"stats": {"method": method}}, config_path)
+    assert main(["compare", "--from-f1", str(f1_path), "--config", str(config_path),
+                 "--out", str(tmp_path / "cmp")]) == EXIT_OK
+    assert capsys.readouterr().err == err
 
 
 def test_compare_repeated_eval_report_model_is_data_error_naming_both(tmp_path, capsys):
@@ -781,6 +815,22 @@ def _corpus_with_inf_cell(tmp_path):
         "stage ingest failed", "row 4, column 'T-TPT': non-finite numeric cell 'inf'"
 
 
+def _corpus_file_rewritten(tmp_path, raw, *texts):
+    """A synthetic corpus whose first rapid-loss file holds ``raw``."""
+    config_path, corpus = small_synth_config(tmp_path, out_name="corpus")
+    assert main(["synth", "--config", str(config_path)]) == EXIT_OK
+    bad = sorted((corpus / "1_rapid_loss").glob("*.csv"))[0]
+    bad.write_bytes(raw)
+    return bad, ["qc", "--data", str(corpus), "--out", str(tmp_path / "q")], *texts
+
+
+def _eval_of_an_untrained_model(tmp_path):
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["train", "--config", str(config_path), "--models", "dt"]) == EXIT_OK
+    return out / "models", ["eval", "--config", str(config_path), "--models", "nb"], \
+        "no model files found under"
+
+
 @pytest.mark.parametrize("make_case", [
     lambda tmp: _trained_then_broken(tmp, "preprocess.json", "fences"),
     lambda tmp: _trained_then_broken(tmp, "dt.json", "params"),
@@ -793,6 +843,9 @@ def _corpus_with_inf_cell(tmp_path):
                          "k-NN[1]: expected a finite number, got nan"),
     lambda tmp: _f1_file(tmp, {"k-NN": [1.0, True], "Naive Bayes": [0.5, 0.4]},
                          "k-NN[1]: expected a number, got True"),
+    # the one-pass read overflows and leaves the item-by-item read to name it
+    lambda tmp: _f1_file(tmp, {"k-NN": [1.0, 10**400], "Naive Bayes": [0.5, 0.4]},
+                         "k-NN[1]: expected a number, got 1000"),
     # two pairs spell one key "a vs b vs c"; neither may replace the other
     lambda tmp: _f1_file(tmp, dict.fromkeys(["a", "b vs c", "a vs b", "c"], [1.0, 0.5]),
                          "model pairs [('a', 'b vs c'), ('a vs b', 'c')] share the "
@@ -879,9 +932,22 @@ def _corpus_with_inf_cell(tmp_path):
     lambda tmp: _trained_then_edited(
         tmp, "preprocess.json", _set("normalizer", "center", 0, value=float("nan")),
         "normalizer.center[0]: expected a finite number, got nan"),
+    lambda tmp: _corpus_file_rewritten(tmp, b"timestamp,P-TPT,class\n1,\xff,1\n",
+                                       "not valid UTF-8"),
+    lambda tmp: _corpus_file_rewritten(tmp, b"timestamp,class\n1,1\n",
+                                       "no sensor variable columns in header"),
+    _eval_of_an_untrained_model,
+    lambda tmp: _trained_then_edited(tmp, "dt.json", _set("format", value="hydet-report"),
+                                     "not a model file"),
+    lambda tmp: _trained_then_edited(tmp, "knn.json", _set("params", "k", value=10_000),
+                                     "malformed knn model", "k=10000 exceeds"),
+    lambda tmp: _trained_then_edited(
+        tmp, "preprocess.json", lambda data: data["normalizer"]["columns"].reverse(),
+        "differ from imputer.columns"),
 ], ids=["preprocess-without-fences", "model-without-params", "from-f1-list",
         "from-f1-non-numeric", "from-f1-empty-list", "from-f1-nan-score",
-        "from-f1-boolean", "from-f1-pair-key-collision", "from-f1-truncated",
+        "from-f1-boolean", "from-f1-beyond-float-range", "from-f1-pair-key-collision",
+        "from-f1-truncated",
         "knn-model-truncated", "eval-report-without-per-class",
         "eval-report-f1-string",
         "eval-report-unknown-class", "eval-report-per-class-mismatch",
@@ -898,7 +964,9 @@ def _corpus_with_inf_cell(tmp_path):
         "nb-priors-short", "nb-variance-string",
         "nb-class-float", "nb-variance-negative", "knn-classes-not-labels",
         "knn-unknown-key", "nb-means-nan", "dt-threshold-nan", "knn-x-infinity",
-        "preprocess-center-nan"])
+        "preprocess-center-nan", "corpus-not-utf8", "corpus-header-without-channels",
+        "eval-of-an-untrained-model", "dt-not-a-model-file", "knn-k-beyond-rows",
+        "preprocess-normalizer-columns-differ"])
 def test_malformed_input_file_is_data_error_naming_it(tmp_path, capsys, make_case):
     bad, argv, *more_texts = make_case(tmp_path)
     capsys.readouterr()
@@ -993,12 +1061,37 @@ def _regime_without_start(config):
      "config.data.synth: epoch_start and the length must keep every timestamp"),
     (lambda c: c["data"]["synth"].update(epoch_start=-2**63 - 1),
      "config.data.synth: epoch_start and the length must keep every timestamp"),
+    (lambda c: c.update(preprocess={"tukey_multiplier": 0}),
+     "config.preprocess: tukey_multiplier must be > 0"),
+    (lambda c: c.update(preprocess={"quartile_method": "median"}),
+     "config.preprocess: unknown quartile_method 'median'"),
+    (lambda c: c.update(preprocess={"normalization": "l2"}),
+     "config.preprocess: unknown normalization 'l2'"),
+    (lambda c: c.update(classifiers={"tree": {"min_samples_split": 1}}),
+     "config.classifiers.tree: min_samples_split must be >= 2"),
+    (lambda c: c.update(classifiers={"tree": {"min_impurity_decrease": -0.1}}),
+     "config.classifiers.tree: min_impurity_decrease must be >= 0"),
+    (lambda c: c.update(models=[]), "config: models list is empty"),
+    (lambda c: c["data"]["synth"]["counts"].update(Hydrate=-1),
+     "config.data.synth: instance counts must be >= 0"),
+    (lambda c: c["data"]["synth"].update(length=0),
+     "config.data.synth: length must be >= 1"),
+    (lambda c: c["data"]["synth"]["regimes"].pop("Hydrate"),
+     "config.data.synth: no regime configured for class HYDRATE"),
+    (lambda c: c["data"]["synth"]["regimes"]["Hydrate"].pop("T-TPT"),
+     "config.data.synth: regime HYDRATE lacks channels ['T-TPT']"),
+    (lambda c: c["data"]["synth"]["regimes"]["Hydrate"]["P-TPT"].update(clamp=[1.0]),
+     "config.data.synth.regimes.Hydrate.P-TPT.clamp: expected 2 items"),
 ], ids=["split-not-object", "channel-without-start", "test-fraction-1.5",
         "knn-k-0", "tree-max-depth-negative", "nb-eps-rel-0", "length-string",
         "unknown-class-name", "stratified-string", "seed-string", "seed-float",
         "variables-string", "alpha-beyond-float-range",
         "tree-min-impurity-decrease-nan", "threads-removed",
-        "epoch-start-past-int64", "epoch-start-below-int64"])
+        "epoch-start-past-int64", "epoch-start-below-int64",
+        "tukey-multiplier-0", "quartile-method-unknown", "normalization-unknown",
+        "tree-min-samples-split-1", "tree-min-impurity-decrease-negative",
+        "models-empty", "count-negative", "length-0", "class-without-regime",
+        "regime-without-channel", "clamp-one-item"])
 def test_bad_config_value_is_usage_error_naming_its_key(tmp_path, capsys, edit,
                                                          key_path):
     path, _ = small_synth_config(tmp_path)
@@ -1009,6 +1102,32 @@ def test_bad_config_value_is_usage_error_naming_its_key(tmp_path, capsys, edit,
     out = tmp_path / "never"
     assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
     assert key_path in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _outliers_past_unfrozen_cells(synth):
+    synth.update(frozen_fraction=0.9, outlier_fractions={"P-TPT": 0.5})
+
+
+def _missing_past_undamaged_cells(synth):
+    synth.update(missing_fraction=0.9,
+                 outlier_fractions=dict.fromkeys(CANONICAL_VARIABLE_NAMES, 0.5))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_outliers_past_unfrozen_cells,
+     "channel 'P-TPT': outlier fraction 0.5 leaves too few unfrozen cells"),
+    (_missing_past_undamaged_cells, "missing_fraction leaves too few undamaged cells"),
+], ids=["outliers-past-unfrozen", "missing-past-undamaged"])
+def test_synth_fractions_that_leave_too_few_cells_are_usage_errors(tmp_path, capsys,
+                                                                   edit, message):
+    # each fraction is in [0, 1) alone; only generation finds them incompatible
+    path, out = small_synth_config(tmp_path)
+    config = jsonio.load(path)
+    edit(config["data"]["synth"])
+    jsonio.dump(config, path)
+    assert main(["synth", "--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
 
 

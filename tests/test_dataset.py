@@ -16,7 +16,8 @@ from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config
                            write_instance_csv, write_instances)
 from hydet.dataset import io as dataset_io
 from hydet.dataset.io import _fill_missing, _load_rows, write_matrix_csv
-from hydet.dataset.model import FeatureMatrix, TimeSeriesInstance, _unpickled_instance
+from hydet.dataset.model import (DatasetManifest, FeatureMatrix, ManifestEntry,
+                                 TimeSeriesInstance, _unpickled_instance)
 from hydet.jsonio import format_float
 from hydet.errors import (CsvFormatError, EmptyDataError, HydetError,
                           LabelConflictError, MissingVariableError, NonFiniteError,
@@ -655,6 +656,46 @@ def test_flatten_missing_variable():
         flatten([make_instance()], ("P-TPT", "NOPE"))
 
 
+def test_flatten_refuses_no_instances_and_no_variables():
+    with pytest.raises(EmptyDataError, match="flatten: no instances"):
+        flatten([], ("P-TPT",))
+    with pytest.raises(EmptyDataError, match="flatten: no variables requested"):
+        flatten([make_instance()], ())
+
+
+@pytest.mark.parametrize("stamps, names, values, message", [
+    ((), ("P-TPT",), np.zeros((0, 1)), "instance 'i0' has zero rows"),
+    ((0, 1), (), np.zeros((2, 0)), "instance 'i0' has no channels"),
+], ids=["zero-rows", "no-channels"])
+def test_instance_refuses_zero_rows_and_no_channels(stamps, names, values, message):
+    with pytest.raises(EmptyDataError, match=re.escape(message)):
+        TimeSeriesInstance("i0", ClassLabel.NORMAL, stamps, names, values)
+
+
+@pytest.mark.parametrize("values, labels, origin, message", [
+    (np.ones(4), np.zeros(4), np.zeros((4, 2)),
+     "values shape (4,) does not match 1 columns"),
+    (np.ones((4, 1)), np.zeros(3), np.zeros((4, 2)),
+     "labels length does not match row count"),
+    (np.ones((4, 1)), np.zeros(4), np.zeros((4, 3)),
+     "origin shape (4, 3) is not (rows, 2)"),
+], ids=["values-1d", "labels-short", "origin-three-columns"])
+def test_feature_matrix_refuses_arrays_of_other_shapes(values, labels, origin, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FeatureMatrix(("P-TPT",), values, labels, origin, ("a",))
+
+
+@pytest.mark.parametrize("paths, counts, message", [
+    (("a.csv",), 2, "class_counts does not sum to the entry count"),
+    (("a.csv", "a.csv"), 2, "manifest contains duplicate paths"),
+], ids=["counts-disagree", "duplicate-paths"])
+def test_manifest_refuses_counts_or_paths_that_disagree(paths, counts, message):
+    entries = tuple(ManifestEntry(f"i{k}", path, ClassLabel.NORMAL)
+                    for k, path in enumerate(paths))
+    with pytest.raises(ValueError, match=message):
+        DatasetManifest(entries, {ClassLabel.NORMAL: counts})
+
+
 def test_flatten_preserves_missing_cells():
     inst = make_instance(n=3, channels={"x": [1.0, np.nan, 3.0]})
     m = flatten([inst], ("x",))
@@ -762,6 +803,8 @@ def test_stratified_instance_split_proportions_within_one():
 def test_split_degenerate_errors():
     with pytest.raises(SplitError):
         split(_matrix([0]), SplitSpec())
+    with pytest.raises(SplitError, match="instance split needs at least 2 instances"):
+        split(flatten([make_instance()], ("P-TPT",)), SplitSpec(mode="instance"))
     for unit in ("row", "instance"):  # class with a single unit
         with pytest.raises(SplitError, match=re.escape(
                 f"class 1 has 1 {unit}(s); stratified {unit} split needs at least 2")):

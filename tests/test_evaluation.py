@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,19 @@ def test_confusion_errors():
         confusion([0, 9], [0, 0])
     with pytest.raises(EmptyDataError):
         confusion([], [])
+    with pytest.raises(ValueError, match=re.escape("counts shape (2, 2) does not")):
+        cm(np.zeros((2, 2), dtype=int))
+    with pytest.raises(ValueError, match="negative confusion counts"):
+        cm(-np.eye(3, dtype=int))
+    empty = cm(np.zeros((3, 3), dtype=int))
+    with pytest.raises(EmptyDataError, match="accuracy of an empty confusion matrix"):
+        accuracy(empty)
+    with pytest.raises(EmptyDataError, match="metrics of an empty confusion matrix"):
+        f1_per_class(empty)
+    model = DecisionTree().fit(np.array([[0.0], [1.0]]), np.array([0, 1]))
+    no_rows = FeatureMatrix(("x",), np.zeros((0, 1)), np.zeros(0), np.zeros((0, 2)), ())
+    with pytest.raises(EmptyDataError, match="evaluate on empty test matrix"):
+        evaluate(model, no_rows)
 
 
 def test_accuracy_identity_matrix():

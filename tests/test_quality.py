@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -52,6 +53,13 @@ def test_quantile_matches_numpy_linear_oracle():
             st_ = boxplot_stats(col, quartile_method=method)
             assert (st_.q1, st_.median, st_.q3) == tuple(
                 quantile(x, p, method) for p in (0.25, 0.5, 0.75))
+
+
+def test_quantile_refuses_an_empty_sample_and_an_unknown_method():
+    with pytest.raises(EmptyDataError, match="quantile of empty sample"):
+        quantile(np.array([]), 0.5)
+    with pytest.raises(ValueError, match="unknown quantile method 'median'"):
+        quantile(np.array([1.0, 2.0]), 0.5, "median")
 
 
 def test_boxplot_one_to_nine():
@@ -321,6 +329,24 @@ def test_normalizer_minmax_mode():
 def test_normalizer_rejects_missing():
     with pytest.raises(MissingCellsError):
         fit_normalizer(matrix_of([1.0, np.nan]))
+    model = fit_normalizer(matrix_of([1.0, 2.0]))
+    with pytest.raises(MissingCellsError, match="normalizer requires no missing cells"):
+        apply_normalizer(model, matrix_of([1.0, np.nan]))
+
+
+def test_normalizer_refuses_other_columns():
+    model = fit_normalizer(matrix_of([1.0, 2.0]))
+    with pytest.raises(WidthMismatchError, match=re.escape(
+            "fitted on columns ('c0',), applying to ('c0', 'c1')")):
+        apply_normalizer(model, matrix_of([1.0, 2.0], [3.0, 4.0]))
+
+
+def test_scans_of_a_matrix_without_rows_are_refused():
+    no_rows = matrix_of([])
+    with pytest.raises(EmptyDataError, match="scan_missing on empty matrix"):
+        scan_missing(no_rows)
+    with pytest.raises(EmptyDataError, match="quality_report on empty matrix"):
+        quality_report(no_rows)
 
 
 @pytest.mark.parametrize("mode", ["zscore", "minmax"])
@@ -521,3 +547,13 @@ def test_render_boxplot_svg_smoke():
     svg = render_boxplot_svg(col, "P-TPT", boxplot_stats(col))
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "<circle" in svg  # the injected outlier dot
+
+
+def test_render_boxplot_svg_draws_at_most_1000_outliers():
+    # quartiles and fences at 0: every one of the 1,200 nonzero cells is an outlier
+    col = np.concatenate([np.zeros(9000), np.arange(1.0, 1201.0)])
+    stats = boxplot_stats(col)
+    assert stats.n_outliers == 1200
+    svg = render_boxplot_svg(col, "P-TPT", stats)
+    assert svg.count("<circle") == 1000
+    assert ">1200 outliers (1000 drawn)</text>" in svg
