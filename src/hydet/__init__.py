@@ -25,10 +25,10 @@ _MODULE_OF = {name: module for module, names in {
                     "SensorVariable SplitSpec SynthConfig",
     "evaluation": "ConfusionMatrix accuracy confusion evaluate f1_per_class",
     "quality": "BoxplotStats Fences ImputationModel NormalizationModel Preprocessor "
-               "QualityReport apply_imputer apply_normalizer boxplot_stats detect_empty "
-               "detect_frozen fit_boxplots fit_imputer fit_normalizer load_preprocessor "
-               "quality_report save_preprocessor scan_missing treat_outliers",
-    "stats": "ComparisonTable KsResult MwuResult TestConfig compare_models ecdf_eval "
+               "QualityReport apply_imputer apply_normalizer boxplot_stats fit_boxplots "
+               "fit_imputer fit_normalizer load_preprocessor quality_report "
+               "save_preprocessor treat_outliers",
+    "stats": "ComparisonTable KsResult MwuResult TestConfig compare_models "
              "ks_two_sample mwu_two_sample",
 }.items() for name in (module, *names.split())}
 

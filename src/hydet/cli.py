@@ -86,18 +86,17 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _load_corpus(config: RunConfig) -> list[TimeSeriesInstance]:
-    from .dataset import build_manifest, load_instances, synth_generate
+    from .dataset import CLASS_DIRS, build_manifest, load_instances, synth_generate
     data = config.data
     if data.root is not None:
         manifest = build_manifest(data.root)
-        instances = load_instances(data.root, manifest) if manifest.instances else []
-    elif data.synth is not None:
-        instances = synth_generate(data.synth, config.seed)
-    else:
-        raise ConfigError("config needs a data source: data.root or data.synth")
-    if not instances:
-        raise HydetError("dataset is empty")
-    return instances
+        if not manifest.instances:
+            raise HydetError(f"dataset is empty: {data.root} has no .csv file in its "
+                             f"class directories {', '.join(CLASS_DIRS)}")
+        return load_instances(data.root, manifest)
+    if data.synth is not None:
+        return synth_generate(data.synth, config.seed)
+    raise ConfigError("config needs a data source: data.root or data.synth")
 
 
 def _echo_config(config: RunConfig, out: Path) -> None:
@@ -154,10 +153,10 @@ def cmd_qc(config: RunConfig, args) -> int:
     if not args.variables_named:
         config = replace(config,
                          variables=_shared_channels(instances) or config.variables)
-    _echo_config(config, out)
     report_path = Path(args.report) if args.report else None
     matrix = flatten(instances, config.variables)
     del instances  # the audit reads the matrix alone
+    _echo_config(config, out)
     _write_quality(config, matrix, out, report_path)
     if args.points:
         write_matrix_csv(matrix, args.points)
@@ -286,7 +285,6 @@ def _comparison_outputs(table, f1_vectors: Mapping, out: Path) -> None:
 
 def cmd_compare(config: RunConfig, args) -> int:
     out = Path(config.out_dir)
-    _echo_config(config, out)
     if args.from_f1:
         paths = [args.from_f1]
         f1_vectors = from_file(Mapping[str, tuple[float, ...]],
@@ -307,6 +305,7 @@ def cmd_compare(config: RunConfig, args) -> int:
         table = compare_models(f1_vectors, config.stats)
     except (HydetError, ValueError) as exc:  # the message names the model
         raise HydetError(f"{', '.join(paths)}: {exc}") from None
+    _echo_config(config, out)
     _comparison_outputs(table, f1_vectors, out)
     return EXIT_OK
 

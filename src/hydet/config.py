@@ -50,6 +50,10 @@ class RunConfig:
                               f"choose from {', '.join(MODEL_SECTIONS)}")
         if not self.models:
             raise ConfigError("models list is empty")
+        for key, names in (("variables", self.variables), ("models", self.models)):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ConfigError(f"{key} lists {name!r} more than once")
 
     def to_json_dict(self) -> dict:
         """``to_json`` with only the data source that is set under ``data``."""

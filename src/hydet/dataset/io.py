@@ -64,7 +64,8 @@ from typing import Any, BinaryIO, Callable, Mapping, Sequence
 import numpy as np
 
 from ..errors import CsvFormatError, EmptyDataError, HydetError, LabelConflictError
-from .model import ClassLabel, DatasetManifest, ManifestEntry, TimeSeriesInstance
+from .model import (ClassLabel, DatasetManifest, ManifestEntry, TimeSeriesInstance,
+                    check_header_names)
 
 logger = logging.getLogger(__name__)
 
@@ -335,20 +336,18 @@ def _instance(name: str, instance_id: str, label: ClassLabel | None,
     )
 
 
-def write_instance_csv(instance: TimeSeriesInstance, dest: str | Path,
-                       include_class: bool = True) -> None:
+def write_instance_csv(instance: TimeSeriesInstance, dest: str | Path) -> None:
     """Write an instance so that re-loading reproduces it exactly.
 
     Floats are rendered at 17 significant digits (bit round-trip); missing
     cells are empty fields.
     """
-    header = ("timestamp," + ",".join(instance.variable_names)
-              + (",class" if include_class else ""))
+    check_header_names(instance.variable_names)
+    header = "timestamp," + ",".join(instance.variable_names) + ",class"
     stamps = instance.timestamps
     if isinstance(stamps[0], datetime):  # a file's timestamps are all of one kind
         stamps = [ts.isoformat() for ts in stamps]
-    rows = _format_rows(stamps, instance.values,
-                        int(instance.label) if include_class else None)
+    rows = _format_rows(stamps, instance.values, int(instance.label))
     Path(dest).write_text(header + "\n" + rows, encoding="utf-8", newline="\n")
 
 
@@ -357,6 +356,7 @@ def write_matrix_csv(matrix, dest: str | Path) -> None:
 
     Columns: instance_id, t_index, one column per channel, label.
     """
+    check_header_names(matrix.column_names)
     header = "instance_id,t_index," + ",".join(matrix.column_names) + ",label\n"
     rows = _format_rows(matrix.origin[:, 1], matrix.values, matrix.labels)
     ids = [matrix.instance_ids[i] for i in matrix.origin[:, 0].tolist()]
@@ -366,8 +366,8 @@ def write_matrix_csv(matrix, dest: str | Path) -> None:
         encoding="utf-8", newline="\n")
 
 
-def _format_rows(first, values: np.ndarray, last=None) -> str:
-    """CSV lines ``<first>,<value>,...[,<last>]`` from one ``%`` template.
+def _format_rows(first, values: np.ndarray, last) -> str:
+    """CSV lines ``<first>,<value>,...,<last>`` from one ``%`` template.
 
     ``first`` and ``last`` are columns (``last`` may be one value for every
     row) written with ``str``. Values are written as ``jsonio.format_float``
@@ -375,12 +375,11 @@ def _format_rows(first, values: np.ndarray, last=None) -> str:
     cell is left empty and an infinite one is spelled ``Infinity``.
     """
     n_rows, n_cols = values.shape
-    cells = np.empty((n_rows, n_cols + 1 + (last is not None)), dtype=object)
+    cells = np.empty((n_rows, n_cols + 2), dtype=object)
     cells[:, 0] = first
     cells[:, 1:n_cols + 1] = values
-    if last is not None:
-        cells[:, -1] = last
-    line = "%s" + ",%.17g" * n_cols + (",%s" if last is not None else "") + "\n"
+    cells[:, -1] = last
+    line = "%s" + ",%.17g" * n_cols + ",%s\n"
     text = (line * n_rows) % tuple(cells.ravel().tolist())
     text = text.replace(",nan", ",")
     if np.isinf(values).any():

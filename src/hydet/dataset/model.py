@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..declarations import (CANONICAL_VARIABLE_NAMES, CANONICAL_VARIABLES, ClassLabel,
-                            SensorVariable, SplitSpec, variable_info)
+                            SensorVariable, SplitSpec, check_header_names, variable_info)
 from ..errors import EmptyDataError, NonFiniteError, TimestampOrderError
 
 

@@ -48,6 +48,7 @@ the temporaries of one draw.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -105,19 +106,11 @@ def qc_probe_config(n_instances: int = 120, length: int = 50,
     seed-lucky. Class mixtures do not have this guarantee (a minority
     cluster can sit outside the pooled fences), hence one regime.
     """
-    base = {
-        "P-TPT": (2.0e7, 9.0e5, 4.0e5),
-        "T-TPT": (80.0, 4.5, 2.2),
-        "P-MON-CKP": (1.7e7, 6.5e5, 3.0e5),
-        "T-JUS-CKP": (42.0, 4.4, 2.1),
-    }
     regime = {}
-    for var, (center, loading, noise) in base.items():
-        total_sd = float(np.hypot(loading, noise))
-        regime[var] = ChannelModel(start=center, latent_loading=loading,
-                                   noise_sd=noise,
-                                   clamp=(center - 2.0 * total_sd,
-                                          center + 2.0 * total_sd))
+    for var, ch in default_regimes()[ClassLabel.NORMAL].items():
+        total_sd = float(np.hypot(ch.latent_loading, ch.noise_sd))
+        regime[var] = replace(ch, clamp=(ch.start - 2.0 * total_sd,
+                                         ch.start + 2.0 * total_sd))
     return SynthConfig(
         counts={ClassLabel.NORMAL: n_instances},
         length=length,

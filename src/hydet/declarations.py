@@ -64,6 +64,14 @@ def variable_info(name: str) -> SensorVariable:
     return _CANONICAL_BY_NAME.get(name, SensorVariable(name, ""))
 
 
+def check_header_names(names, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming the first of ``names`` that a CSV header cell would
+    not read back: one with a comma, double quote, CR, LF or edge whitespace."""
+    for name in names:
+        if name != name.strip() or any(c in name for c in ',"\r\n'):
+            raise error(f"channel {name!r} would not read back from a CSV header")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Parameters of the deterministic train/test partition."""
@@ -198,16 +206,17 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be in [0,1), got {frac}")
         for label, count in self.counts.items():
             if count > 0 and label not in self.regimes:
-                raise ConfigError(f"no regime configured for class {label.name}")
+                raise ConfigError(f"no regime configured for class {label.display_name}")
         for label, count in self.counts.items():
             if count > 0:
                 absent = set(self.variables) - set(self.regimes[label])
                 if absent:
-                    raise ConfigError(f"regime {label.name} lacks channels "
+                    raise ConfigError(f"regime {label.display_name} lacks channels "
                                       f"{sorted(absent)}")
         for var in self.outlier_fractions:
             if var not in self.variables:
                 raise ConfigError(f"outlier fraction for unknown channel {var!r}")
+        check_header_names(self.variables, ConfigError)
 
     @property
     def variables(self) -> tuple[str, ...]:

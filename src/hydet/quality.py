@@ -24,7 +24,7 @@ from .codec import from_file, to_json
 from .declarations import PreprocessConfig, variable_info
 from .errors import (AllMissingColumnError, EmptyDataError, MissingCellsError,
                      ModelFormatError, NonFiniteError, WidthMismatchError)
-from .dataset.model import FeatureMatrix, TimeSeriesInstance
+from .dataset.model import FeatureMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -105,60 +105,6 @@ def boxplot_stats(column: np.ndarray, tukey_k: float = 1.5,
     return BoxplotStats(q1=q1, median=med, q3=q3, iqr=iqr,
                         lower_fence=lower, upper_fence=upper,
                         outlier_row_indices=tuple(np.flatnonzero(outside).tolist()))
-
-
-# ---------------------------------------------------------------------------
-# audits
-
-
-@dataclass(frozen=True)
-class MissingScan:
-    per_column: tuple[int, ...]
-    per_column_fraction: tuple[float, ...]
-    n_rows: int
-    overall_fraction: float
-
-
-def scan_missing(matrix: FeatureMatrix) -> MissingScan:
-    if matrix.n_rows == 0:
-        raise EmptyDataError("scan_missing on empty matrix")
-    missing = np.isnan(matrix.values)
-    per_col = missing.sum(axis=0)
-    return MissingScan(
-        per_column=tuple(int(c) for c in per_col),
-        per_column_fraction=tuple(float(c) / matrix.n_rows for c in per_col),
-        n_rows=matrix.n_rows,
-        overall_fraction=float(missing.sum()) / missing.size,
-    )
-
-
-def detect_frozen(instance: TimeSeriesInstance, min_length: int = 2) -> set[str]:
-    """Channels whose observed values are all exactly equal.
-
-    A channel qualifies only with at least ``min_length`` observed values;
-    all-missing channels are empty, not frozen (see :func:`detect_empty`).
-    """
-    return _names_where(instance, _frozen_and_empty(instance.values, min_length)[0])
-
-
-def detect_empty(instance: TimeSeriesInstance) -> set[str]:
-    return _names_where(instance, _frozen_and_empty(instance.values)[1])
-
-
-def _frozen_and_empty(values: np.ndarray,
-                      min_length: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of one instance's rows: frozen flags, then empty flags."""
-    if min_length < 2:
-        raise ValueError("min_length must be >= 2")
-    n_observed = (~np.isnan(values)).sum(axis=0)
-    # fmin/fmax skip NaN, so equal extremes mean all observed values are equal
-    frozen = (n_observed >= min_length) \
-        & (np.fmin.reduce(values, axis=0) == np.fmax.reduce(values, axis=0))
-    return frozen, n_observed == 0
-
-
-def _names_where(instance: TimeSeriesInstance, flags: np.ndarray) -> set[str]:
-    return {name for name, f in zip(instance.variable_names, flags.tolist()) if f}
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +317,18 @@ def _instance_runs(matrix: FeatureMatrix) -> np.ndarray:
                      "whole run of rows in order; audit flatten's output")
 
 
+def _frozen_and_empty(values: np.ndarray,
+                      min_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of one instance's rows: frozen flags, then empty flags."""
+    if min_length < 2:
+        raise ValueError("min_length must be >= 2")
+    n_observed = (~np.isnan(values)).sum(axis=0)
+    # fmin/fmax skip NaN, so equal extremes mean all observed values are equal
+    frozen = (n_observed >= min_length) \
+        & (np.fmin.reduce(values, axis=0) == np.fmax.reduce(values, axis=0))
+    return frozen, n_observed == 0
+
+
 def quality_report(matrix: FeatureMatrix,
                    min_length: int = 2,
                    tukey_k: float = 1.5,
@@ -454,6 +412,7 @@ def render_boxplot_svg(column: np.ndarray, name: str, stats: BoxplotStats) -> st
         return (f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
                 f'stroke="black" stroke-width="{width}"/>')
 
+    name = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',

@@ -82,12 +82,6 @@ def _validate_sample(sample: Sequence[float], what: str) -> list[float]:
     return values
 
 
-def ecdf_eval(sample: Sequence[float], x: float) -> float:
-    """Right-continuous empirical CDF: (# values <= x) / n."""
-    values = _validate_sample(sample, "sample ecdf")
-    return sum(1 for v in values if v <= x) / len(values)
-
-
 # ---------------------------------------------------------------------------
 # shared pooled-sample machinery
 
@@ -98,12 +92,6 @@ def _pooled_layout(a: list[float], b: list[float]) -> tuple[list[int], list[int]
     pooled = sorted([(v, 1) for v in a] + [(v, 0) for v in b])
     ends = [i for i in range(len(pooled) - 1) if pooled[i][0] != pooled[i + 1][0]]
     return [in_a for _, in_a in pooled], ends + [len(pooled) - 1]
-
-
-def _ks_numerator(in_a: list[int], ends: list[int], n1: int, n2: int) -> int:
-    """max over distinct pooled values of |cA*n2 - cB*n1| (integer)."""
-    cum_a = list(accumulate(in_a))
-    return max(abs(cum_a[e] * n2 - (e + 1 - cum_a[e]) * n1) for e in ends)
 
 
 def _doubled_midranks(ends: list[int]) -> list[int]:
@@ -118,14 +106,6 @@ def _doubled_midranks(ends: list[int]) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov
-
-
-def ks_statistic(a: Sequence[float], b: Sequence[float]) -> float:
-    """D = sup_x |F_a(x) - F_b(x)| evaluated at pooled sample points."""
-    a = _validate_sample(a, "sample a")
-    b = _validate_sample(b, "sample b")
-    in_a, ends = _pooled_layout(a, b)
-    return _ks_numerator(in_a, ends, len(a), len(b)) / (len(a) * len(b))
 
 
 def _kolmogorov_sf(lam: float) -> float:
@@ -150,7 +130,8 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float],
     n1, n2 = len(a), len(b)
     n = n1 + n2
     in_a, ends = _pooled_layout(a, b)
-    m_obs = _ks_numerator(in_a, ends, n1, n2)
+    cum_a = list(accumulate(in_a))  # max |cA*n2 - cB*n1| over distinct pooled values
+    m_obs = max(abs(cum_a[e] * n2 - (e + 1 - cum_a[e]) * n1) for e in ends)
     d = m_obs / (n1 * n2)
 
     use_exact = config.method == "exact" or (

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,7 +89,7 @@ _synth = st.builds(
 _run_config = st.builds(
     RunConfig,
     seed=st.integers(0, 2**63), out_dir=_name,
-    variables=st.lists(_name, min_size=1, max_size=5).map(tuple),
+    variables=st.lists(_name, min_size=1, max_size=5, unique=True).map(tuple),
     models=st.lists(st.sampled_from(["dt", "knn", "nb"]), min_size=1,
                     max_size=3, unique=True).map(tuple),
     data=st.builds(DataConfig, root=st.none() | _name),
@@ -196,8 +197,48 @@ def test_corpus_whose_class_directories_hold_no_csv_is_data_error(tmp_path, caps
     corpus = tmp_path / "corpus"
     for name in hydet.dataset.CLASS_DIRS:
         (corpus / name).mkdir(parents=True)
+    message = (f"error: dataset is empty: {corpus} has no .csv file in its class "
+               "directories 0_normal, 1_rapid_loss, 2_hydrate\n")
     assert main(["qc", "--data", str(corpus), "--out", str(tmp_path / "o")]) == EXIT_DATA
-    assert capsys.readouterr().err == "error: dataset is empty\n"
+    assert capsys.readouterr().err == message
+    for name in hydet.dataset.CLASS_DIRS:  # only directories it does not read
+        (corpus / name).rename(corpus / name[0])
+    assert main(["qc", "--data", str(corpus), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert capsys.readouterr().err.endswith(message)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--variables", "P-TPT,P-TPT,T-TPT"], "variables lists 'P-TPT' more than once"),
+    (["--models", "dt,dt"], "models lists 'dt' more than once"),
+], ids=["variables", "models"])
+def test_repeated_channel_or_model_flag_is_usage_error(tmp_path, capsys, flags, message):
+    # each used to run: a channel counted twice, a model fitted twice
+    config_path, _ = small_synth_config(tmp_path)
+    out = tmp_path / "never"
+    assert main(["pipeline", "--config", str(config_path), *flags,
+                 "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, names, repeated", [
+    ("variables", ["T-TPT", "P-TPT", "T-TPT"], "T-TPT"),
+    ("models", ["nb", "dt", "nb", "dt"], "nb"),
+], ids=["variables", "models"])
+def test_repeated_channel_or_model_in_config_file_is_usage_error(tmp_path, capsys, key,
+                                                                 names, repeated):
+    config_path, _ = small_synth_config(tmp_path)
+    config = jsonio.load(config_path)
+    config[key] = names
+    jsonio.dump(config, config_path)
+    out = tmp_path / "never"
+    for command in ("qc", "pipeline") if key == "variables" else ("pipeline",):
+        assert main([command, "--config", str(config_path), "--out", str(out)]) \
+            == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"usage error: config: {key} lists {repeated!r} more than once\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("first, second, kinds", [
@@ -467,6 +508,54 @@ def test_compare_single_model_usage_error(tmp_path):
     jsonio.dump({"only-model": [1.0, 1.0, 1.0]}, f1_path)
     assert main(["compare", "--from-f1", str(f1_path),
                  "--out", str(tmp_path / "x")]) == EXIT_USAGE
+
+
+def test_refused_compare_writes_nothing(tmp_path, capsys):
+    f1_path = tmp_path / "f1.json"
+    jsonio.dump({"only-model": [1.0, 1.0, 1.0]}, f1_path)
+    out = tmp_path / "never"
+    assert main(["compare", "--from-f1", str(f1_path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "usage error: comparison needs at least 2 models, got 1\n"
+    assert not out.exists()
+
+
+def test_refused_qc_writes_nothing(tmp_path, capsys):
+    config_path, _ = small_synth_config(tmp_path)
+    out = tmp_path / "never"
+    assert main(["qc", "--config", str(config_path), "--variables", "NOPE",
+                 "--out", str(out)]) == EXIT_DATA
+    assert "NOPE" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_qc_boxplots_of_channels_named_with_markup_parse_as_xml(tmp_path):
+    corpus = tmp_path / "corpus"
+    (corpus / "0_normal").mkdir(parents=True)
+    rows = "".join(f"{t},{t % 3}.5,{t * t}\n" for t in range(8))
+    (corpus / "0_normal" / "w.csv").write_text("timestamp,P&T,<x>\n" + rows)
+    out = tmp_path / "out"
+    assert main(["qc", "--data", str(corpus), "--out", str(out)]) == EXIT_OK
+    for name in ("P&T", "<x>"):
+        root = ET.parse(out / f"boxplot_{name}.svg").getroot()
+        assert root.find("{http://www.w3.org/2000/svg}title").text == name
+
+
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb", " a", "a\t"],
+                         ids=["comma", "quote", "lf", "cr", "leading-space",
+                              "trailing-tab"])
+def test_synth_channel_that_would_not_read_back_is_usage_error(tmp_path, capsys, name):
+    # a comma used to write a header that the corpus's own reader refused
+    config_path, out = small_synth_config(tmp_path)
+    config = jsonio.load(config_path)
+    for regime in config["data"]["synth"]["regimes"].values():
+        regime[name] = {"start": 1.0}
+    jsonio.dump(config, config_path)
+    assert main(["synth", "--config", str(config_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("usage error: config.data.synth: channel "
+                                       f"{name!r} would not read back from a CSV "
+                                       "header\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--config", "--from-f1"])
@@ -1077,9 +1166,9 @@ def _regime_without_start(config):
     (lambda c: c["data"]["synth"].update(length=0),
      "config.data.synth: length must be >= 1"),
     (lambda c: c["data"]["synth"]["regimes"].pop("Hydrate"),
-     "config.data.synth: no regime configured for class HYDRATE"),
+     "config.data.synth: no regime configured for class Hydrate"),
     (lambda c: c["data"]["synth"]["regimes"]["Hydrate"].pop("T-TPT"),
-     "config.data.synth: regime HYDRATE lacks channels ['T-TPT']"),
+     "config.data.synth: regime Hydrate lacks channels ['T-TPT']"),
     (lambda c: c["data"]["synth"]["regimes"]["Hydrate"]["P-TPT"].update(clamp=[1.0]),
      "config.data.synth.regimes.Hydrate.P-TPT.clamp: expected 2 items"),
 ], ids=["split-not-object", "channel-without-start", "test-fraction-1.5",
@@ -1181,10 +1270,10 @@ _HYDET_NAMES = (
     "QualityReport RunConfig SensorVariable SplitSpec SynthConfig TestConfig "
     "TimeSeriesInstance accuracy apply_imputer apply_normalizer boxplot_stats "
     "build_manifest classifiers codec compare_models config confusion dataset "
-    "default_config detect_empty detect_frozen ecdf_eval errors evaluate evaluation "
+    "default_config errors evaluate evaluation "
     "f1_per_class fit_boxplots fit_imputer fit_normalizer flatten jsonio "
     "ks_two_sample load_instance_csv load_model load_preprocessor mwu_two_sample "
-    "quality quality_report rng save_model save_preprocessor scan_missing split stats "
+    "quality quality_report rng save_model save_preprocessor split stats "
     "synth_generate train_all treat_outliers write_instance_csv").split()
 
 

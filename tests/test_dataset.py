@@ -496,13 +496,11 @@ def _cells(row):
     return ["" if math.isnan(v) else format_float(v) for v in row]
 
 
-def reference_instance_csv(inst, include_class):
-    lines = ["timestamp," + ",".join(inst.variable_names)
-             + (",class" if include_class else "")]
+def reference_instance_csv(inst):
+    lines = ["timestamp," + ",".join(inst.variable_names) + ",class"]
     for ts, row in zip(inst.timestamps, inst.values.tolist()):
         ts_txt = ts.isoformat() if isinstance(ts, datetime) else str(ts)
-        lines.append(",".join([ts_txt, *_cells(row)])
-                     + (f",{int(inst.label)}" if include_class else ""))
+        lines.append(",".join([ts_txt, *_cells(row), str(int(inst.label))]))
     return "\n".join(lines) + "\n"
 
 
@@ -536,10 +534,9 @@ def test_writers_equal_per_value_writers(tmp_path_factory, data):
     inst = TimeSeriesInstance("w", data.draw(st.sampled_from(ClassLabel)), timestamps,
                               tuple(f"c{j}" for j in range(shape[1])),
                               np.where(np.isinf(values), np.nan, values))
-    include_class = data.draw(st.booleans())
     path = tmp_path_factory.mktemp("writers") / "w.csv"
-    write_instance_csv(inst, path, include_class=include_class)
-    assert path.read_text(encoding="utf-8") == reference_instance_csv(inst, include_class)
+    write_instance_csv(inst, path)
+    assert path.read_text(encoding="utf-8") == reference_instance_csv(inst)
 
     ids = ("a,nan", "nan", "b")
     matrix = FeatureMatrix(
@@ -548,6 +545,25 @@ def test_writers_equal_per_value_writers(tmp_path_factory, data):
         np.array([(data.draw(st.integers(0, 2)), t) for t in range(shape[0])]), ids)
     write_matrix_csv(matrix, path)
     assert path.read_text(encoding="utf-8") == reference_matrix_csv(matrix)
+
+
+@given(name=st.text(st.sampled_from('ab. ,"\r\n\t&<'), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_writers_write_only_channel_names_that_read_back(tmp_path_factory, name):
+    inst = TimeSeriesInstance("w", ClassLabel.HYDRATE, (1, 2), ("P-TPT", name),
+                              np.array([[1.0, 2.0], [3.0, np.nan]]))
+    matrix = flatten([inst], inst.variable_names)
+    path = tmp_path_factory.mktemp("names") / "w.csv"
+    if name == name.strip() and not any(c in name for c in ',"\r\n'):
+        write_instance_csv(inst, path)
+        assert load_instance_csv(path, "w").variable_names == ("P-TPT", name)
+        write_matrix_csv(matrix, path)
+        return
+    for write in (write_instance_csv, write_matrix_csv):
+        with pytest.raises(ValueError, match=re.escape(
+                f"channel {name!r} would not read back from a CSV header")):
+            write(inst if write is write_instance_csv else matrix, path)
+    assert not path.exists()
 
 
 def test_write_instances_refuses_two_instances_for_one_file(tmp_path):

@@ -1,4 +1,5 @@
 import re
+import xml.etree.ElementTree as ET
 from collections import Counter
 
 import numpy as np
@@ -15,11 +16,10 @@ from hydet.errors import (AllMissingColumnError, EmptyDataError,
                           MissingCellsError, ModelFormatError,
                           WidthMismatchError)
 from hydet.quality import (PreprocessConfig, Preprocessor, apply_imputer,
-                           apply_normalizer, boxplot_stats, detect_empty,
-                           detect_frozen, fit_boxplots, fit_imputer,
-                           fit_normalizer, load_preprocessor, quality_report,
-                           quantile, render_boxplot_svg, save_preprocessor,
-                           scan_missing, treat_outliers)
+                           apply_normalizer, boxplot_stats, fit_boxplots,
+                           fit_imputer, fit_normalizer, load_preprocessor,
+                           quality_report, quantile, render_boxplot_svg,
+                           save_preprocessor, treat_outliers)
 
 from oracles import reference_impute, reference_preprocess, reference_winsorize
 
@@ -125,33 +125,44 @@ def test_tukey_multiplier_knob():
 
 
 def test_scan_missing_fractions():
-    m = matrix_of([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
-    scan = scan_missing(m)
-    assert scan.per_column == (1, 0)
-    assert scan.per_column_fraction[0] == pytest.approx(1 / 3)
-    assert scan.overall_fraction == pytest.approx(1 / 6)
+    report = quality_report(matrix_of([1.0, np.nan, 3.0, 4.0, 5.0],
+                                      [1.0, 2.0, 3.0, 4.0, 5.0]))
+    assert [c.n_missing for c in report.channels] == [1, 0]
+    assert report.channels[0].missing_pct == pytest.approx(100 / 5)
+    assert report.overall_missing_pct == pytest.approx(100 / 10)
 
 
 def test_scan_missing_fully_observed_is_zero():
-    m = matrix_of([1.0, 2.0], [3.0, 4.0])
-    assert scan_missing(m).overall_fraction == 0.0
+    report = quality_report(matrix_of([1.0, 2.0, 3.0, 4.0], [3.0, 4.0, 5.0, 6.0]))
+    assert report.overall_missing_pct == 0.0
 
 
-def _instance(channels):
+def _instance(channels, instance_id="i"):
     values = np.array(list(channels.values()), dtype=np.float64).T
-    return TimeSeriesInstance("i", ClassLabel.NORMAL, tuple(range(len(values))),
+    return TimeSeriesInstance(instance_id, ClassLabel.NORMAL, tuple(range(len(values))),
                               tuple(channels), values)
 
 
+def frozen_and_empty_counts(channels, min_length=2):
+    """The report's frozen and empty counts per channel of the instance
+    ``channels`` followed by a 4-row ramp, which gives each channel the four
+    observed values a boxplot needs and is neither frozen nor empty."""
+    ramp = _instance(dict.fromkeys(channels, [1.0, 2.0, 3.0, 4.0]), "ramp")
+    matrix = flatten([_instance(channels), ramp], tuple(channels))
+    report = quality_report(matrix, min_length)
+    return ([c.n_frozen_instance_channels for c in report.channels],
+            [c.n_empty_instance_channels for c in report.channels])
+
+
 def test_detect_frozen_exact_equality_required():
-    inst = _instance({"a": [7.0, 7.0, 7.0, 7.0], "b": [7.0, 7.0, 7.0001, 7.0]})
-    assert detect_frozen(inst) == {"a"}
+    frozen, _ = frozen_and_empty_counts({"a": [7.0, 7.0, 7.0, 7.0],
+                                         "b": [7.0, 7.0, 7.0001, 7.0]})
+    assert frozen == [1, 0]
 
 
 def test_all_missing_is_empty_not_frozen():
-    inst = _instance({"a": [np.nan, np.nan, np.nan], "b": [1.0, 1.0, 1.0]})
-    assert detect_frozen(inst) == {"b"}
-    assert detect_empty(inst) == {"a"}
+    assert frozen_and_empty_counts({"a": [np.nan, np.nan, np.nan],
+                                    "b": [1.0, 1.0, 1.0]}) == ([0, 1], [1, 0])
 
 
 def cell_loop_frozen_and_empty(columns, min_length):
@@ -168,24 +179,11 @@ def cell_loop_frozen_and_empty(columns, min_length):
 
 
 def test_frozen_min_length():
-    inst = _instance({"a": [5.0, np.nan, np.nan, 5.0]})
-    assert detect_frozen(inst, min_length=2) == {"a"}
-    assert detect_frozen(inst, min_length=3) == set()
-
-
-@given(st.lists(st.lists(st.sampled_from([1.0, 2.0, 0.0, -0.0, np.nan]),
-                         min_size=1, max_size=6), min_size=1, max_size=4),
-       st.integers(2, 4))
-@settings(max_examples=200, deadline=None)
-def test_frozen_and_empty_match_cell_loop_oracle(columns, min_length):
-    length = min(len(c) for c in columns)
-    columns = {f"c{j}": c[:length] for j, c in enumerate(columns)}
-    inst = _instance(columns)
-    frozen, empty = cell_loop_frozen_and_empty(columns, min_length)
-    assert detect_frozen(inst, min_length) == frozen
-    assert detect_empty(inst) == empty
-    with pytest.raises(ValueError):
-        detect_frozen(inst, min_length=1)
+    channels = {"a": [5.0, np.nan, np.nan, 5.0]}
+    assert frozen_and_empty_counts(channels, min_length=2)[0] == [1]
+    assert frozen_and_empty_counts(channels, min_length=3)[0] == [0]
+    with pytest.raises(ValueError, match="min_length must be >= 2"):
+        frozen_and_empty_counts(channels, min_length=1)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +340,8 @@ def test_normalizer_refuses_other_columns():
 
 
 def test_scans_of_a_matrix_without_rows_are_refused():
-    no_rows = matrix_of([])
-    with pytest.raises(EmptyDataError, match="scan_missing on empty matrix"):
-        scan_missing(no_rows)
     with pytest.raises(EmptyDataError, match="quality_report on empty matrix"):
-        quality_report(no_rows)
+        quality_report(matrix_of([]))
 
 
 @pytest.mark.parametrize("mode", ["zscore", "minmax"])
@@ -503,7 +498,7 @@ def test_audit_counts_match_cell_loop_oracle_per_episode(episodes, order, width)
     instances = [TimeSeriesInstance(f"e{i}", ClassLabel.NORMAL, tuple(range(len(v))),
                                     VARS, v) for i, v in enumerate(values)]
     matrix = flatten(instances, variables)
-    for min_length in (2, 3):
+    for min_length in (2, 3, 4):
         report = quality_report(matrix, min_length)
         frozen, empty = Counter(), Counter()
         for episode in episodes:
@@ -557,3 +552,15 @@ def test_render_boxplot_svg_draws_at_most_1000_outliers():
     svg = render_boxplot_svg(col, "P-TPT", stats)
     assert svg.count("<circle") == 1000
     assert ">1200 outliers (1000 drawn)</text>" in svg
+
+
+@pytest.mark.parametrize("name", ["P-TPT", "P&T", "<x>", "a>b&lt;"])
+def test_render_boxplot_svg_escapes_the_channel_name(name):
+    col = np.concatenate([np.arange(1.0, 50.0), [400.0]])
+    svg = render_boxplot_svg(col, name, boxplot_stats(col))
+    root = ET.fromstring(svg)
+    svg_ns = "{http://www.w3.org/2000/svg}"
+    assert root.find(f"{svg_ns}title").text == name
+    assert root.find(f"{svg_ns}text").text == name
+    if name == "P-TPT":  # a name without markup is written as it is
+        assert "<title>P-TPT</title>" in svg

@@ -8,37 +8,12 @@ from hypothesis import strategies as st
 
 from hydet.codec import to_json
 from hydet.errors import EmptyDataError, NonFiniteError
-from hydet.stats import (TestConfig, compare_models, ecdf_eval, ks_statistic,
-                         ks_two_sample, mwu_two_sample)
+from hydet.stats import TestConfig, compare_models, ks_two_sample, mwu_two_sample
 from oracles import (ks_d as oracle_ks_d, ks_exact_p as oracle_ks_exact_p,
                      mwu_exact_p as oracle_mwu_exact_p, mwu_u as oracle_mwu_u)
 
 ONES = [1.00, 1.00, 1.00]
 NB_F1 = [0.04, 0.58, 0.00]
-
-
-# ---------------------------------------------------------------------------
-# ecdf
-
-
-def test_ecdf_basic_points():
-    assert ecdf_eval([1.0, 2.0, 3.0], 2.0) == pytest.approx(2 / 3)
-    assert ecdf_eval([1.0, 2.0, 3.0], 0.5) == 0.0
-    assert ecdf_eval([1.0, 2.0, 3.0], 3.0) == 1.0
-    assert ecdf_eval([1.0, 2.0, 3.0], 99.0) == 1.0
-
-
-def test_ecdf_matches_sort_and_count_oracle():
-    rng = np.random.default_rng(0)
-    sample = rng.normal(size=40)
-    for x in rng.normal(size=20):
-        expected = sum(1 for v in sample if v <= x) / 40
-        assert ecdf_eval(sample, x) == expected
-
-
-def test_ecdf_empty_errors():
-    with pytest.raises(EmptyDataError):
-        ecdf_eval([], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +165,7 @@ def test_pvalues_in_unit_interval(xs, ys):
                 TestConfig(method="asymptotic")):
         assert 0.0 <= ks_two_sample(xs, ys, cfg).p_value <= 1.0
         assert 0.0 <= mwu_two_sample(xs, ys, cfg).p_value <= 1.0
-    d = ks_statistic(xs, ys)
+    d = ks_two_sample(xs, ys).statistic
     assert 0.0 <= d <= 1.0
 
 
