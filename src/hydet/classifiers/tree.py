@@ -15,22 +15,35 @@ node lists, also its ``dt.json`` payload (``TreePayload``).
 
 The search runs over presorted attribute lists (SLIQ: Mehta, Agrawal &
 Rissanen 1996): a node holds one int32 ``(features, rows)`` order matrix,
-and ``fit`` fills the root's row by row with stable argsorts of ``X.T``, a
-view. A split's left rows are the first ``n_left`` of the split feature's
-order (the threshold lies between the ``n_left``-th value and the next);
-one gather of their marks over the matrix splits it into the children's.
-Every order row holds each node row once and keeps its order, so each
-child's rows are a stable argsort of its own rows, and the candidates and
-their class counts are those of a per-node sort. Only the open path's
-matrices stay alive.
+and ``fit`` fills the root's row by row from ``X.T``, a view. A split's left
+rows are the first ``n_left`` of the split feature's order (the threshold
+lies between the ``n_left``-th value and the next); one gather of their
+marks over the matrix splits it into the children's. Every order row holds
+each node row once and keeps its order, so each child's rows are a stable
+argsort of its own rows, and the candidates and their class counts are
+those of a per-node sort. Only the open path's matrices stay alive.
+
+The root's rows are a stable argsort without its merge sort
+(``_stable_argsort``): an unstable argsort, then each run of equal values put
+in row order by one sort of the tied rows' ``run * n + row`` keys.
 
 Per feature, the search keeps one int32 ``cumsum`` of each class over the
-node's order and does the float gain arithmetic ``_BLOCK`` sorted positions
-at a time: each block's values, candidates and gains are its only other
-arrays, so the search holds no float temporary as long as the node. A
-block's first maximum wins within it, and a later block or feature replaces
-the best only with a strictly larger gain, so ties still go to the lowest
-feature, then the lowest threshold, as one ``argmax`` over all candidates.
+node's order and flags the cuts, the sorted positions whose value differs
+from the next. Only a cut at a class boundary can hold the best Gini or
+entropy gain (Fayyad & Irani 1992, *Machine Learning* 8; Elomaa & Rousu
+1999, *Machine Learning* 36): along a run of tie blocks of one class the
+weighted child impurity is concave, so in a node of more than one class an
+interior cut's gain lies strictly below one of the run's ends. So a node of
+``_PRUNE_MIN_ROWS`` or more rows computes a gain only where the rows from
+the start of the cut's left tie block to the end of its right one hold two
+classes (``_winnable``): at the x10 root, 8-37% of a feature's cuts. The
+kept gains are the same elementwise float operations on a subset, so bitwise
+those of every cut. The gain arithmetic runs over the cuts of ``_BLOCK``
+sorted positions at a time, so the search holds no float temporary as long
+as the node. A block's first maximum wins within it, and a later block or
+feature replaces the best only with a strictly larger gain, so ties still
+go to the lowest feature, then the lowest threshold, as one ``argmax`` over
+all candidates.
 
 Gains are bitwise those of summing the ``(m, C)`` squared-proportion matrix
 with ``np.sum(axis=1)``: numpy adds a row of fewer than 8 items left to
@@ -39,11 +52,13 @@ right, so below 8 classes the squares are added one class column at a time,
 on numpy unrolls the row sum into partial sums, so there the matrix is built
 and summed by numpy. ``tests/oracles.py`` keeps the per-node search, and the
 tests compare the two fits node for node. On the x10 corpus (461,250
-training rows, 4 features, 1,256 leaves) the fit takes 1.6-1.8 s against
-8.2-8.8 s for the per-node search, and traces a 19.5 MiB peak (tracemalloc)
-for a 14.1 MiB matrix, against 77.6 MiB when it held a copy of ``X.T`` and
-node-long float temporaries; on the default corpus (46,125 rows) it takes
-0.10-0.13 s against 0.42-0.54 s (2-CPU Xeon VM, numpy 2.4).
+training rows, 4 features, 1,256 leaves) the fit takes 1.46-1.55 s against
+2.14-2.27 s with a stable merge sort and a gain at every cut (10
+alternating fresh-process fits each), and traces a 19.5 MiB peak
+(tracemalloc) for a 14.1 MiB matrix, against 77.6 MiB when it held a copy
+of ``X.T`` and node-long float temporaries; on the default corpus (46,125
+rows) it takes 0.109-0.121 s against 0.173-0.190 s (2-CPU Xeon VM, numpy
+2.4).
 """
 
 from __future__ import annotations
@@ -59,6 +74,10 @@ from .validation import validate_rows, validate_training_inputs
 #: sorted positions whose split gains are computed at once: the float
 #: temporaries of one feature's search are at most this long
 _BLOCK = 1 << 15
+
+#: nodes of fewer rows compute a gain at every cut: below ~512-1,024 rows,
+#: finding the winnable cuts costs more than the gains it skips
+_PRUNE_MIN_ROWS = 1024
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -206,7 +225,7 @@ class _Grower:
         nodes = []  # [feature, threshold, right, counts] per node, in preorder
         orders = np.empty(self.columns.shape, dtype=np.int32)
         for feature in range(len(orders)):  # one int64 argsort alive at a time
-            orders[feature] = np.argsort(self.columns[feature], kind="stable")
+            orders[feature] = _stable_argsort(self.columns[feature])
         stack = [(orders, np.bincount(self.y, minlength=self.n_classes), 0, -1)]
         while stack:
             orders, counts, depth, parent = stack.pop()
@@ -246,30 +265,34 @@ class _Grower:
                     counts: np.ndarray) -> tuple[float, int, float, int] | None:
         """The best ``(gain, feature, threshold, n_left)``, or None where no
         feature has two distinct values. Each order is searched ``_BLOCK``
-        sorted positions at a time; only the class ``cumsum`` counts are as
-        long as the node."""
+        sorted positions at a time; only the class ``cumsum`` counts and the
+        cut flags are as long as the node."""
         n = int(counts.sum())
         parent_gini = _gini(counts)
         # Absent classes add exact zeros, so the class-by-class sum skips
         # them; the matrix sum of 8 or more classes needs every column.
         classes = [c for c in range(self.n_classes)
                    if counts[c] or self.n_classes >= 8]
-        best: tuple[float, int, float, int] | None = None
+        best: tuple[float, int, int] | None = None  # gain, feature, n_left
 
         for feature, order in enumerate(orders):
             column = self.columns[feature]
             ys = self.y[order]
             cums = [np.cumsum(ys == c, dtype=np.int32) for c in classes]
+            is_cut = np.empty(n - 1, dtype=bool)  # a cut i splits positions <= i off
+            for first in range(0, n - 1, _BLOCK):
+                xs = column[order[first:first + _BLOCK + 1]]
+                np.not_equal(xs[:-1], xs[1:], out=is_cut[first:first + _BLOCK])
+            if n >= _PRUNE_MIN_ROWS:
+                is_cut = _winnable(is_cut, ys)
             del ys
             for first in range(0, n - 1, _BLOCK):
-                # a candidate i splits sorted positions <= i from the rest
-                xs = column[order[first:first + _BLOCK + 1]]
-                local = np.flatnonzero(xs[:-1] != xs[1:])
-                if not local.size:
+                cuts = np.flatnonzero(is_cut[first:first + _BLOCK])
+                if not cuts.size:
                     continue
-                block = local + first
-                left = [cum[block] for cum in cums]
-                n_left = (block + 1).astype(np.float64)
+                cuts += first
+                left = [cum[cuts] for cum in cums]
+                n_left = (cuts + 1).astype(np.float64)
                 n_right = n - n_left
                 gini_left = _gini_rows(left, n_left)
                 gini_right = _gini_rows(
@@ -283,13 +306,52 @@ class _Grower:
                 gain = float(gains[pos])
                 # strict: an earlier block or a lower feature wins ties
                 if best is None or gain > best[0]:
-                    i = int(local[pos])
-                    lo, hi = float(xs[i]), float(xs[i + 1])
-                    mid = (lo + hi) / 2.0  # in Python floats an overflow does not warn
-                    best = (gain, feature,
-                            mid if math.isfinite(mid) and mid < hi else lo, first + i + 1)
-            del cums  # before the next feature's are built
-        return best
+                    best = (gain, feature, int(cuts[pos]) + 1)
+            del cums, is_cut  # before the next feature's are built
+        if best is None:
+            return None
+        gain, feature, n_left = best
+        column, order = self.columns[feature], orders[feature]
+        lo, hi = float(column[order[n_left - 1]]), float(column[order[n_left]])
+        mid = (lo + hi) / 2.0  # in Python floats an overflow does not warn
+        return gain, feature, mid if math.isfinite(mid) and mid < hi else lo, n_left
+
+
+def _winnable(is_cut: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The cuts of ``is_cut`` that can hold a node's best gain, over the
+    classes ``ys`` in sorted order: those where the class changes across
+    the cut or next to a tie block that holds two classes."""
+    wanted = ys[:-1] != ys[1:]
+    mixed = wanted & ~is_cut  # a class change between equal values
+    wanted &= is_cut
+    if mixed.any():
+        cuts = np.flatnonzero(is_cut)
+        after = np.searchsorted(cuts, np.flatnonzero(mixed))
+        wanted[cuts[after[after < len(cuts)]]] = True  # the cut ending its tie block
+        wanted[cuts[after[after > 0] - 1]] = True  # the cut before it
+    return wanted
+
+
+def _stable_argsort(column: np.ndarray) -> np.ndarray:
+    """``np.argsort(column, kind="stable")``: an unstable argsort, then each
+    run of equal values put in ascending row order by one sort of the tied
+    rows' ``run * n + row`` keys."""
+    n = len(column)
+    order = np.argsort(column)
+    values = column[order]
+    tied = values[1:] == values[:-1]  # -0.0 == 0.0: they tie, as in a stable sort
+    del values
+    in_run = np.zeros(n, dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    at = np.flatnonzero(in_run)
+    keys = np.zeros(len(at), dtype=np.int64)
+    np.cumsum(~tied[at[1:] - 1], out=keys[1:])  # a run starts where no tie precedes
+    keys *= n
+    keys += order[at]
+    keys.sort()
+    order[at] = keys % n
+    return order
 
 
 def _gini_rows(class_counts: list[np.ndarray], n: np.ndarray) -> np.ndarray:

@@ -133,13 +133,18 @@ def _shared_channels(instances: list[TimeSeriesInstance]) -> tuple[str, ...]:
 def _write_quality(config: RunConfig, matrix: FeatureMatrix, out: Path,
                    report_path: Path | None = None) -> None:
     from .quality import quality_report, render_boxplot_svg
+    names = matrix.column_names
+    files = [f"boxplot_{name.replace('/', '_')}.svg" for name in names]
+    for j, file in enumerate(files):
+        if (first := files.index(file)) < j:
+            raise HydetError(f"channels {names[first]!r} and {names[j]!r} would both "
+                             f"write {file}")
     report = quality_report(matrix, tukey_k=config.preprocess.tukey_multiplier,
                             quartile_method=config.preprocess.quartile_method)
     jsonio.dump(to_json(report), report_path or out / "quality_report.json")
-    for j, channel in enumerate(report.channels):
+    for j, (file, channel) in enumerate(zip(files, report.channels)):
         svg = render_boxplot_svg(matrix.values[:, j], channel.name, channel.boxplot)
-        safe = channel.name.replace("/", "_")
-        (out / f"boxplot_{safe}.svg").write_text(svg, encoding="utf-8", newline="\n")
+        (out / file).write_text(svg, encoding="utf-8", newline="\n")
 
 
 def cmd_qc(config: RunConfig, args) -> int:

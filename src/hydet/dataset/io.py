@@ -310,6 +310,10 @@ def _read_header(name: str, reader) -> tuple[list[str], bool]:
     var_names = header[1:-1] if has_class else header[1:]
     if not var_names:
         raise CsvFormatError(f"{name}: no sensor variable columns in header")
+    try:  # a channel that the CSV writers would refuse
+        check_header_names(var_names, CsvFormatError)
+    except CsvFormatError as exc:
+        raise CsvFormatError(f"{name}: {exc}") from None
     dupes = {v for v in var_names if var_names.count(v) > 1}
     if dupes:
         raise CsvFormatError(f"{name}: duplicate channel names {sorted(dupes)}")

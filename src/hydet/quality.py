@@ -31,20 +31,10 @@ from .dataset.model import FeatureMatrix
 # quantiles and boxplot statistics
 
 
-def quantile(values: np.ndarray, p: float, method: str = "linear") -> float:
-    """Quantile of a 1-D array of finite values.
-
-    ``linear``: interpolate between order statistics at position (n-1)*p.
-    ``nearest``: the order statistic at round((n-1)*p).
-    """
-    x = np.sort(np.asarray(values, dtype=np.float64))
-    if x.size == 0:
-        raise EmptyDataError("quantile of empty sample")
-    return _sorted_quantile(x, p, method)
-
-
 def _sorted_quantile(x: np.ndarray, p: float, method: str) -> float:
-    """``quantile`` of the non-empty, ascending array ``x``."""
+    """The ``p`` quantile of the non-empty, ascending array ``x`` of finite
+    values. ``linear``: interpolate between the order statistics at
+    position (n-1)*p. ``nearest``: the order statistic at round((n-1)*p)."""
     pos = (x.size - 1) * p
     if method == "nearest":
         return float(x[int(np.floor(pos + 0.5))])

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, Gaussian
                                load_model, payload, save_model, train_all)
 from hydet import jsonio
 from hydet.classifiers.nb import NbPayload
-from hydet.classifiers.tree import _BLOCK, TreePayload, _gini_rows
+from hydet.classifiers import tree as tree_module
+from hydet.classifiers.tree import (_BLOCK, TreePayload, _gini_rows, _stable_argsort,
+                                    _winnable)
 from hydet.codec import to_json
 from hydet.config import RunConfig
 from hydet.dataset import default_config, flatten, split, synth_generate
@@ -286,6 +289,69 @@ def test_tree_equal_gains_across_a_block_border_keep_the_lower_threshold():
     model = DecisionTree(max_depth=1).fit(X, y)
     assert model.threshold_[0] == a - 0.5
     assert fitted_tree(model) == reference_tree(X, y, max_depth=1)
+
+
+# tiny alphabets: long tie runs, -0.0 beside 0.0 (equal, so one tie block)
+_ALPHABETS = st.sampled_from([(-0.0, 0.0), (-0.0, 0.0, 1.0), (-1.5, -0.0, 0.0, 0.25, 3.0)])
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_tree_pruned_search_in_tiny_blocks_equals_per_node_reference_fit(data):
+    # every node computes gains only at its winnable cuts, a few sorted
+    # positions at a time, so block borders fall inside tie runs, and tie
+    # blocks hold several classes
+    n = data.draw(st.integers(9, 120))
+    alphabet = data.draw(_ALPHABETS)
+    X = np.array(data.draw(st.lists(st.lists(st.sampled_from(alphabet), min_size=2,
+                                             max_size=2), min_size=n, max_size=n)))
+    codes = data.draw(st.sampled_from([(0, 1), (3, 7, 9), tuple(range(-4, 4)),
+                                       tuple(range(0, 18, 2))]))
+    # every class present: from 8 classes on the gains take numpy's row sum
+    y = np.array(data.draw(st.permutations(codes)) + data.draw(
+        st.lists(st.sampled_from(codes), min_size=n - len(codes), max_size=n - len(codes))))
+    params = {"max_depth": data.draw(st.sampled_from([1, 3, None])),
+              "min_impurity_decrease": data.draw(st.sampled_from([0.0, 1e-3]))}
+    with mock.patch.object(tree_module, "_BLOCK", data.draw(st.sampled_from([1, 2, 3, 5]))), \
+            mock.patch.object(tree_module, "_PRUNE_MIN_ROWS", 0):
+        model = DecisionTree(**params).fit(X, y)
+    assert fitted_tree(model) == reference_tree(X, y, **params)
+
+
+@given(values=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), min_size=1, max_size=40),
+       classes=st.data())
+@settings(max_examples=200, deadline=None)
+def test_tree_winnable_cuts_hold_two_classes_from_tie_block_to_tie_block(values, classes):
+    # a cut keeps its gain iff the rows from the start of the tie block on
+    # its left to the end of the one on its right hold more than one class
+    xs = np.sort(np.array(values))
+    ys = np.array(classes.draw(st.lists(st.integers(0, 2), min_size=len(xs),
+                                        max_size=len(xs))), dtype=np.uint8)
+    is_cut = xs[:-1] != xs[1:]
+    cuts = np.flatnonzero(is_cut).tolist()
+    expected = np.zeros(len(is_cut), dtype=bool)
+    for k, i in enumerate(cuts):
+        start = cuts[k - 1] + 1 if k else 0
+        end = cuts[k + 1] if k + 1 < len(cuts) else len(xs) - 1
+        expected[i] = len(set(ys[start:end + 1].tolist())) > 1
+    assert _winnable(is_cut, ys).tolist() == expected.tolist()
+
+
+_SORT_CASES = {
+    "no-ties": np.random.default_rng(1).permutation(1000).astype(np.float64),
+    "few-tie-runs": np.random.default_rng(2).choice(
+        np.concatenate([np.arange(500.0), [7.5] * 200, [-2.0] * 300]), 1000, replace=False),
+    "many-tie-runs": np.random.default_rng(3).permutation(np.repeat(np.arange(5000.0), 3)),
+    "all-equal": np.full(1000, 2.5),
+    "signed-zeros": np.random.default_rng(4).choice([-0.0, 0.0, -1.0, 1.0], 1000),
+    "length-1": np.array([3.0]),
+}
+
+
+@pytest.mark.parametrize("values", _SORT_CASES.values(), ids=_SORT_CASES.keys())
+def test_tree_root_sort_equals_numpy_stable_argsort(values):
+    column = np.stack([values, -values], axis=1).T[0]  # a strided view, as in fit
+    assert np.array_equal(_stable_argsort(column), np.argsort(values, kind="stable"))
 
 
 def test_tree_deep_chain_fits_saves_and_loads(tmp_path):

@@ -541,6 +541,26 @@ def test_qc_boxplots_of_channels_named_with_markup_parse_as_xml(tmp_path):
         assert root.find("{http://www.w3.org/2000/svg}title").text == name
 
 
+@pytest.mark.parametrize("header, message", [
+    ("timestamp,a/b,a_b", "channels 'a/b' and 'a_b' would both write boxplot_a_b.svg"),
+    ('timestamp,P-TPT,q"x', "{csv}: channel 'q\"x' would not read back from a CSV header"),
+], ids=["boxplot-names-collide", "quote-in-channel"])
+def test_qc_refuses_channels_before_writing_report_or_boxplots(tmp_path, capsys, header,
+                                                              message):
+    # a/b and a_b once wrote one boxplot file, the second over the first; q"x
+    # was read, audited and drawn, and refused only by a --points export
+    corpus = tmp_path / "corpus"
+    (corpus / "0_normal").mkdir(parents=True)
+    csv = corpus / "0_normal" / "w.csv"
+    csv.write_text(header + "\n" + "".join(f"{t},{t % 3}.5,{t * t}\n" for t in range(8)))
+    out = tmp_path / "out"
+    assert main(["qc", "--data", str(corpus), "--out", str(out),
+                 "--points", str(tmp_path / "points.csv")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message.format(csv=csv)}\n"
+    assert not list(out.glob("boxplot_*")) and not (out / "quality_report.json").exists()
+    assert not (tmp_path / "points.csv").exists()
+
+
 @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb", " a", "a\t"],
                          ids=["comma", "quote", "lf", "cr", "leading-space",
                               "trailing-tab"])

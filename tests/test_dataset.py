@@ -135,6 +135,17 @@ def test_crlf_line_endings_accepted():
     assert same_bits(inst.values, [[1.5], [2.5]])
 
 
+@pytest.mark.parametrize("cell, name", [('q"x', 'q"x'), ('"a,b"', "a,b"),
+                                        ('"a\nb"', "a\nb"), ('"a\rb"', "a\rb")],
+                         ids=["quote", "comma", "lf", "cr"])
+def test_channel_that_no_writer_reads_back_is_refused_naming_the_file(cell, name):
+    # ingest accepted q"x, and a later --points export refused it
+    message = f"f.csv: channel {name!r} would not read back from a CSV header"
+    with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+        load_instance_csv(_stream(f"timestamp,x,{cell}\n0,1.0,2.0\n"), "f.csv",
+                          ClassLabel.NORMAL)
+
+
 def test_duplicate_channel_names_rejected():
     with pytest.raises(CsvFormatError):
         load_instance_csv(_stream("timestamp,x,x\n0,1.0,2.0\n"), "i",

@@ -18,7 +18,7 @@ from hydet.errors import (AllMissingColumnError, EmptyDataError,
 from hydet.quality import (PreprocessConfig, Preprocessor, apply_imputer,
                            apply_normalizer, boxplot_stats, fit_boxplots,
                            fit_imputer, fit_normalizer, load_preprocessor,
-                           quality_report, quantile, render_boxplot_svg,
+                           quality_report, render_boxplot_svg,
                            save_preprocessor, treat_outliers)
 
 from oracles import reference_impute, reference_preprocess, reference_winsorize
@@ -41,25 +41,24 @@ def matrix_of(*columns, labels=None):
 # quantiles / boxplot
 
 
-def test_quantile_matches_numpy_linear_oracle():
+def test_boxplot_quartiles_match_numpy_linear_oracle():
     rng = np.random.default_rng(0)
     for n in (4, 5, 9, 100, 101):
         x = rng.normal(size=n)
-        for p in (0.25, 0.5, 0.75, 0.1, 0.9):
-            assert quantile(x, p) == pytest.approx(np.quantile(x, p), abs=1e-12)
         # boxplot_stats reads its quartiles off the observed cells alone
         col = np.insert(x, [0, n // 2, n], np.nan)
-        for method in ("linear", "nearest"):
-            st_ = boxplot_stats(col, quartile_method=method)
-            assert (st_.q1, st_.median, st_.q3) == tuple(
-                quantile(x, p, method) for p in (0.25, 0.5, 0.75))
+        st_ = boxplot_stats(col)
+        for got, p in zip((st_.q1, st_.median, st_.q3), (0.25, 0.5, 0.75)):
+            assert got == pytest.approx(np.quantile(x, p), abs=1e-12)
+        # nearest: the order statistic at (n-1)*p, halves rounded up
+        st_ = boxplot_stats(col, quartile_method="nearest")
+        assert (st_.q1, st_.median, st_.q3) == tuple(
+            np.sort(x)[((n - 1) * k + 2) // 4] for k in (1, 2, 3))
 
 
-def test_quantile_refuses_an_empty_sample_and_an_unknown_method():
-    with pytest.raises(EmptyDataError, match="quantile of empty sample"):
-        quantile(np.array([]), 0.5)
+def test_boxplot_refuses_an_unknown_quartile_method():
     with pytest.raises(ValueError, match="unknown quantile method 'median'"):
-        quantile(np.array([1.0, 2.0]), 0.5, "median")
+        boxplot_stats(np.array([1.0, 2.0, 3.0, 4.0]), quartile_method="median")
 
 
 def test_boxplot_one_to_nine():
