@@ -39,6 +39,8 @@ class NbPayload:
         n, width = len(self.classes), len(self.means[0]) if len(self.means) else 0
         if not (n and width):
             raise ValueError("classes and means[0] must not be empty")
+        if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
+            raise ValueError(f"classes: {list(self.classes)} are not strictly ascending")
         if len(self.priors) != n:
             raise ValueError(f"priors: {len(self.priors)} entries for {n} classes")
         for key in ("means", "variances"):

@@ -27,23 +27,20 @@ The root's rows are a stable argsort without its merge sort
 (``_stable_argsort``): an unstable argsort, then each run of equal values put
 in row order by one sort of the tied rows' ``run * n + row`` keys.
 
-Per feature, the search keeps one int32 ``cumsum`` of each class over the
-node's order and flags the cuts, the sorted positions whose value differs
-from the next. Only a cut at a class boundary can hold the best Gini or
-entropy gain (Fayyad & Irani 1992, *Machine Learning* 8; Elomaa & Rousu
+Per feature, the search flags the cuts, the sorted positions whose value
+differs from the next. Only a cut at a class boundary can hold the best Gini
+or entropy gain (Fayyad & Irani 1992, *Machine Learning* 8; Elomaa & Rousu
 1999, *Machine Learning* 36): along a run of tie blocks of one class the
 weighted child impurity is concave, so in a node of more than one class an
-interior cut's gain lies strictly below one of the run's ends. So a node of
-``_PRUNE_MIN_ROWS`` or more rows computes a gain only where the rows from
-the start of the cut's left tie block to the end of its right one hold two
-classes (``_winnable``): at the x10 root, 8-37% of a feature's cuts. The
-kept gains are the same elementwise float operations on a subset, so bitwise
-those of every cut. The gain arithmetic runs over the cuts of ``_BLOCK``
-sorted positions at a time, so the search holds no float temporary as long
-as the node. A block's first maximum wins within it, and a later block or
-feature replaces the best only with a strictly larger gain, so ties still
-go to the lowest feature, then the lowest threshold, as one ``argmax`` over
-all candidates.
+interior cut's gain lies strictly below one of the run's ends. So every node
+computes a gain only where the rows from the start of the cut's left tie
+block to the end of its right one hold two classes (``_winnable``): at the
+x10 root, 8-37% of a feature's cuts. Class counts there are one int32
+``cumsum`` per class, gathered at the kept cuts. The kept gains are the same
+elementwise float operations on a subset, so bitwise those of every cut. A
+feature's first maximum wins within it, and a later feature replaces the
+best only with a strictly larger gain, so ties still go to the lowest
+feature, then the lowest threshold, as one ``argmax`` over all candidates.
 
 Gains are bitwise those of summing the ``(m, C)`` squared-proportion matrix
 with ``np.sum(axis=1)``: numpy adds a row of fewer than 8 items left to
@@ -52,13 +49,11 @@ right, so below 8 classes the squares are added one class column at a time,
 on numpy unrolls the row sum into partial sums, so there the matrix is built
 and summed by numpy. ``tests/oracles.py`` keeps the per-node search, and the
 tests compare the two fits node for node. On the x10 corpus (461,250
-training rows, 4 features, 1,256 leaves) the fit takes 1.46-1.55 s against
-2.14-2.27 s with a stable merge sort and a gain at every cut (10
-alternating fresh-process fits each), and traces a 19.5 MiB peak
-(tracemalloc) for a 14.1 MiB matrix, against 77.6 MiB when it held a copy
-of ``X.T`` and node-long float temporaries; on the default corpus (46,125
-rows) it takes 0.109-0.121 s against 0.173-0.190 s (2-CPU Xeon VM, numpy
-2.4).
+training rows, 4 features, 1,256 leaves) the fit takes 0.96-1.37 s (10
+fresh-process fits) and traces a 24.6 MiB peak (tracemalloc) for a 14.1 MiB
+matrix, set at the root's split search by its order matrix and one
+feature's gathered values; on the default corpus (46,125 rows) it takes
+0.112-0.121 s (2-CPU Xeon VM, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -70,14 +65,6 @@ import numpy as np
 
 from ..declarations import TreeConfig
 from .validation import validate_rows, validate_training_inputs
-
-#: sorted positions whose split gains are computed at once: the float
-#: temporaries of one feature's search are at most this long
-_BLOCK = 1 << 15
-
-#: nodes of fewer rows compute a gain at every cut: below ~512-1,024 rows,
-#: finding the winnable cuts costs more than the gains it skips
-_PRUNE_MIN_ROWS = 1024
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -100,6 +87,8 @@ class TreePayload:
     counts: tuple[tuple[int, ...], ...]  # training rows per class, in ``classes`` order
 
     def __post_init__(self):  # one reverse pass: exactly one preorder tree
+        if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
+            raise ValueError(f"classes: {list(self.classes)} are not strictly ascending")
         n = len(self.feature)
         if n == 0:
             raise ValueError("feature: a tree needs at least one node")
@@ -264,9 +253,7 @@ class _Grower:
     def _best_split(self, orders: np.ndarray,
                     counts: np.ndarray) -> tuple[float, int, float, int] | None:
         """The best ``(gain, feature, threshold, n_left)``, or None where no
-        feature has two distinct values. Each order is searched ``_BLOCK``
-        sorted positions at a time; only the class ``cumsum`` counts and the
-        cut flags are as long as the node."""
+        feature has two distinct values."""
         n = int(counts.sum())
         parent_gini = _gini(counts)
         # Absent classes add exact zeros, so the class-by-class sum skips
@@ -276,38 +263,30 @@ class _Grower:
         best: tuple[float, int, int] | None = None  # gain, feature, n_left
 
         for feature, order in enumerate(orders):
-            column = self.columns[feature]
             ys = self.y[order]
-            cums = [np.cumsum(ys == c, dtype=np.int32) for c in classes]
-            is_cut = np.empty(n - 1, dtype=bool)  # a cut i splits positions <= i off
-            for first in range(0, n - 1, _BLOCK):
-                xs = column[order[first:first + _BLOCK + 1]]
-                np.not_equal(xs[:-1], xs[1:], out=is_cut[first:first + _BLOCK])
-            if n >= _PRUNE_MIN_ROWS:
-                is_cut = _winnable(is_cut, ys)
+            xs = self.columns[feature][order]
+            is_cut = xs[:-1] != xs[1:]  # a cut i splits positions <= i off
+            del xs
+            cuts = np.flatnonzero(_winnable(is_cut, ys))
+            del is_cut
+            if not cuts.size:
+                continue
+            left = [np.cumsum(ys == c, dtype=np.int32)[cuts] for c in classes]
             del ys
-            for first in range(0, n - 1, _BLOCK):
-                cuts = np.flatnonzero(is_cut[first:first + _BLOCK])
-                if not cuts.size:
-                    continue
-                cuts += first
-                left = [cum[cuts] for cum in cums]
-                n_left = (cuts + 1).astype(np.float64)
-                n_right = n - n_left
-                gini_left = _gini_rows(left, n_left)
-                gini_right = _gini_rows(
-                    [counts[c] - cum for c, cum in zip(classes, left)], n_right)
-                gini_left *= n_left / n
-                gini_right *= n_right / n
-                gains = np.subtract(parent_gini, gini_left, out=gini_left)
-                gains -= gini_right
+            n_left = (cuts + 1).astype(np.float64)
+            n_right = n - n_left
+            gini_left = _gini_rows(left, n_left)
+            gini_right = _gini_rows(
+                [counts[c] - cum for c, cum in zip(classes, left)], n_right)
+            gini_left *= n_left / n
+            gini_right *= n_right / n
+            gains = np.subtract(parent_gini, gini_left, out=gini_left)
+            gains -= gini_right
 
-                pos = int(np.argmax(gains))  # first max: lowest threshold wins ties
-                gain = float(gains[pos])
-                # strict: an earlier block or a lower feature wins ties
-                if best is None or gain > best[0]:
-                    best = (gain, feature, int(cuts[pos]) + 1)
-            del cums, is_cut  # before the next feature's are built
+            pos = int(np.argmax(gains))  # first max: lowest threshold wins ties
+            gain = float(gains[pos])
+            if best is None or gain > best[0]:  # strict: a lower feature wins ties
+                best = (gain, feature, int(cuts[pos]) + 1)
         if best is None:
             return None
         gain, feature, n_left = best

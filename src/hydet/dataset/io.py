@@ -358,12 +358,16 @@ def write_instance_csv(instance: TimeSeriesInstance, dest: str | Path) -> None:
 def write_matrix_csv(matrix, dest: str | Path) -> None:
     """Labeled flattened rows as CSV (plot-ready scatter-point export).
 
-    Columns: instance_id, t_index, one column per channel, label.
+    Columns: instance_id, t_index, one column per channel, label. An id
+    that holds a comma, a double quote, CR or LF is quoted as RFC 4180 says,
+    its quotes doubled; every other id is written as it is.
     """
     check_header_names(matrix.column_names)
     header = "instance_id,t_index," + ",".join(matrix.column_names) + ",label\n"
     rows = _format_rows(matrix.origin[:, 1], matrix.values, matrix.labels)
-    ids = [matrix.instance_ids[i] for i in matrix.origin[:, 0].tolist()]
+    fields = ['"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i
+              for i in matrix.instance_ids]
+    ids = [fields[i] for i in matrix.origin[:, 0].tolist()]
     # the ids join last, so that blanking NaN cells cannot reach into them
     Path(dest).write_text(
         header + "".join(f"{i},{row}\n" for i, row in zip(ids, rows.split("\n"))),

@@ -171,10 +171,6 @@ class NormalizationModel:
             raise ValueError(f"unknown normalization mode {self.mode!r}")
         _check_widths(self.columns, center=self.center, scale=self.scale)
 
-    @property
-    def zero_scale_columns(self) -> tuple[str, ...]:
-        return tuple(name for name, s in zip(self.columns, self.scale) if s == 0.0)
-
 
 def fit_normalizer(train: FeatureMatrix, mode: str = "zscore") -> NormalizationModel:
     """Fit per-column center/scale. ``zscore``: mean and population standard

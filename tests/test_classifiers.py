@@ -3,7 +3,6 @@ import math
 import re
 import sys
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +15,7 @@ from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, Gaussian
                                load_model, payload, save_model, train_all)
 from hydet import jsonio
 from hydet.classifiers.nb import NbPayload
-from hydet.classifiers import tree as tree_module
-from hydet.classifiers.tree import (_BLOCK, TreePayload, _gini_rows, _stable_argsort,
-                                    _winnable)
+from hydet.classifiers.tree import TreePayload, _gini_rows, _stable_argsort, _winnable
 from hydet.codec import to_json
 from hydet.config import RunConfig
 from hydet.dataset import default_config, flatten, split, synth_generate
@@ -255,27 +252,27 @@ def test_tree_threshold_separates_adjacent_values(pair, max_depth):
     assert fitted_tree(model) == reference_tree(X, y, max_depth=max_depth)
 
 
-def test_tree_blocked_split_search_matches_the_per_node_search():
-    # the root's candidates on feature 0 fill three blocks and part of a
-    # fourth; feature 1 has ties, so its blocks hold fewer candidates
-    n = 3 * _BLOCK + 100
+def test_tree_split_search_over_a_long_root_matches_the_per_node_search():
+    # the root has over 98,000 candidates on feature 0; feature 1 has ties,
+    # so it holds fewer
+    n = 3 * (1 << 15) + 100
     rng = np.random.default_rng(5)
     X = rng.normal(size=(n, 2))
     X[:, 1] = np.round(X[:, 1], 2)
     y = (X[:, 0] + 0.5 * X[:, 1] > 0.3).astype(np.int64) + (X[:, 1] > 1)
     flip = rng.random(n) < 0.05
     y[flip] = rng.integers(0, 3, size=int(flip.sum()))
-    assert len(np.unique(X[:, 0])) - 1 > 3 * _BLOCK + 1
+    assert len(np.unique(X[:, 0])) - 1 > 3 * (1 << 15) + 1
     model = DecisionTree(max_depth=3).fit(X, y)
     assert model.n_leaves() == 8
     assert fitted_tree(model) == reference_tree(X, y, max_depth=3)
 
 
-def test_tree_equal_gains_across_a_block_border_keep_the_lower_threshold():
+def test_tree_equal_gains_far_apart_keep_the_lower_threshold():
     # rows 0 | 1 | 0 by x, the two runs of 0 equally long: splitting off
-    # either run gives bitwise the same gain, at candidates a - 1 (block 0)
-    # and a + m - 1 (block 1)
-    a, m = _BLOCK - 100, 300
+    # either run gives bitwise the same gain, at candidates a - 1 and
+    # a + m - 1
+    a, m = (1 << 15) - 100, 300
     n = 2 * a + m
     X = np.arange(n, dtype=np.float64)[:, None]
     y = np.array([0] * a + [1] * m + [0] * a)
@@ -297,10 +294,9 @@ _ALPHABETS = st.sampled_from([(-0.0, 0.0), (-0.0, 0.0, 1.0), (-1.5, -0.0, 0.0, 0
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_tree_pruned_search_in_tiny_blocks_equals_per_node_reference_fit(data):
-    # every node computes gains only at its winnable cuts, a few sorted
-    # positions at a time, so block borders fall inside tie runs, and tie
-    # blocks hold several classes
+def test_tree_pruned_search_on_tiny_alphabets_equals_per_node_reference_fit(data):
+    # every node computes gains only at its winnable cuts, and tie blocks
+    # hold several classes
     n = data.draw(st.integers(9, 120))
     alphabet = data.draw(_ALPHABETS)
     X = np.array(data.draw(st.lists(st.lists(st.sampled_from(alphabet), min_size=2,
@@ -312,9 +308,7 @@ def test_tree_pruned_search_in_tiny_blocks_equals_per_node_reference_fit(data):
         st.lists(st.sampled_from(codes), min_size=n - len(codes), max_size=n - len(codes))))
     params = {"max_depth": data.draw(st.sampled_from([1, 3, None])),
               "min_impurity_decrease": data.draw(st.sampled_from([0.0, 1e-3]))}
-    with mock.patch.object(tree_module, "_BLOCK", data.draw(st.sampled_from([1, 2, 3, 5]))), \
-            mock.patch.object(tree_module, "_PRUNE_MIN_ROWS", 0):
-        model = DecisionTree(**params).fit(X, y)
+    model = DecisionTree(**params).fit(X, y)
     assert fitted_tree(model) == reference_tree(X, y, **params)
 
 

@@ -1027,6 +1027,10 @@ def _eval_of_an_untrained_model(tmp_path):
                                      "variances: every variance must be > 0"),
     lambda tmp: _trained_then_edited(tmp, "knn.json", _set("classes", value=[9]),
                                      "classes: [9] are not the distinct labels"),
+    lambda tmp: _trained_then_edited(tmp, "dt.json", _set("classes", value=[1, 0, 2]),
+                                     "classes: [1, 0, 2] are not strictly ascending"),
+    lambda tmp: _trained_then_edited(tmp, "nb.json", _set("classes", value=[0, 0, 2]),
+                                     "classes: [0, 0, 2] are not strictly ascending"),
     lambda tmp: _trained_then_edited(tmp, "knn.json", _set("bogus", value=1),
                                      "unknown keys ['bogus']"),
     lambda tmp: _trained_then_edited(
@@ -1072,6 +1076,7 @@ def _eval_of_an_untrained_model(tmp_path):
         "dt-leaf-right-not-minus-one", "dt-unreached-trailing-node", "dt-empty-lists",
         "nb-priors-short", "nb-variance-string",
         "nb-class-float", "nb-variance-negative", "knn-classes-not-labels",
+        "dt-classes-reordered", "nb-classes-repeated",
         "knn-unknown-key", "nb-means-nan", "dt-threshold-nan", "knn-x-infinity",
         "preprocess-center-nan", "corpus-not-utf8", "corpus-header-without-channels",
         "eval-of-an-untrained-model", "dt-not-a-model-file", "knn-k-beyond-rows",

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import pickle
@@ -237,6 +238,21 @@ def test_write_matrix_csv_labeled_points(tmp_path):
     assert lines[0] == "instance_id,t_index,x,label"
     assert lines[1] == "a,0,1.5,2"
     assert lines[2] == "a,1,,2"
+
+
+def test_write_matrix_csv_ids_read_back_at_the_header_width(tmp_path):
+    # an id with a comma, a quote or a line break is one quoted field; a
+    # plain id stays as it is
+    ids = ("0_normal/a,b", '2_hydrate/q"x', "1_rapid_loss/c\r\nd", "0_normal/w")
+    m = flatten([make_instance(i, ClassLabel.HYDRATE, 2, channels={"x": [1.5, 2.5]})
+                 for i in ids], ("x",))
+    path = tmp_path / "points.csv"
+    write_matrix_csv(m, path)
+    assert path.read_text(encoding="utf-8").endswith("\n0_normal/w,1,2.5,2\n")
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[0] for row in rows] == [i for i in ids for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +535,10 @@ def reference_matrix_csv(matrix):
     lines = ["instance_id,t_index," + ",".join(matrix.column_names) + ",label"]
     for (inst, t), row, label in zip(matrix.origin.tolist(), matrix.values.tolist(),
                                      matrix.labels.tolist()):
-        lines.append(",".join([matrix.instance_ids[inst], str(t), *_cells(row),
-                               str(label)]))
+        instance_id = matrix.instance_ids[inst]
+        if set(instance_id) & set(',"\r\n'):  # RFC 4180
+            instance_id = '"' + instance_id.replace('"', '""') + '"'
+        lines.append(",".join([instance_id, str(t), *_cells(row), str(label)]))
     return "\n".join(lines) + "\n"
 
 
