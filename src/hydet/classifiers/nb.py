@@ -43,6 +43,8 @@ class NbPayload:
             raise ValueError(f"classes: {list(self.classes)} are not strictly ascending")
         if len(self.priors) != n:
             raise ValueError(f"priors: {len(self.priors)} entries for {n} classes")
+        if not all(0 < p <= 1 for p in self.priors):
+            raise ValueError(f"priors: {list(self.priors)} are not all in (0, 1]")
         for key in ("means", "variances"):
             rows = getattr(self, key)
             if len(rows) != n or any(len(row) != width for row in rows):

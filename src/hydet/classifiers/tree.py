@@ -15,17 +15,19 @@ node lists, also its ``dt.json`` payload (``TreePayload``).
 
 The search runs over presorted attribute lists (SLIQ: Mehta, Agrawal &
 Rissanen 1996): a node holds one int32 ``(features, rows)`` order matrix,
-and ``fit`` fills the root's row by row from ``X.T``, a view. A split's left
-rows are the first ``n_left`` of the split feature's order (the threshold
-lies between the ``n_left``-th value and the next); one gather of their
-marks over the matrix splits it into the children's. Every order row holds
-each node row once and keeps its order, so each child's rows are a stable
-argsort of its own rows, and the candidates and their class counts are
-those of a per-node sort. Only the open path's matrices stay alive.
+and ``fit`` fills the root's with one ``np.argsort`` of ``X.T``, a view. A
+split's left rows are the first ``n_left`` of the split feature's order (the
+threshold lies between the ``n_left``-th value and the next); one gather of
+their marks over the matrix splits it into the children's. Every order row
+holds each node row once and keeps its order, so each child's rows stay
+sorted by every feature. Only the open path's matrices stay alive.
 
-The root's rows are a stable argsort without its merge sort
-(``_stable_argsort``): an unstable argsort, then each run of equal values put
-in row order by one sort of the tied rows' ``run * n + row`` keys.
+The order of the rows within a tie block is the sort's and cannot change
+the tree: the cuts and the class counts at them depend only on which values
+are equal; ``_winnable`` keeps both cuts around a tie block of two classes,
+wherever in it the class changes; a node's left rows are a set, those with
+value <= ``lo``; and tied values differ at most as ``-0.0`` and ``0.0``, for
+which ``(lo + hi) / 2`` and the ``mid < hi`` test give the same threshold.
 
 Per feature, the search flags the cuts, the sorted positions whose value
 differs from the next. Only a cut at a class boundary can hold the best Gini
@@ -49,11 +51,11 @@ right, so below 8 classes the squares are added one class column at a time,
 on numpy unrolls the row sum into partial sums, so there the matrix is built
 and summed by numpy. ``tests/oracles.py`` keeps the per-node search, and the
 tests compare the two fits node for node. On the x10 corpus (461,250
-training rows, 4 features, 1,256 leaves) the fit takes 0.96-1.37 s (10
+training rows, 4 features, 1,256 leaves) the fit takes 0.89-1.22 s (10
 fresh-process fits) and traces a 24.6 MiB peak (tracemalloc) for a 14.1 MiB
 matrix, set at the root's split search by its order matrix and one
 feature's gathered values; on the default corpus (46,125 rows) it takes
-0.112-0.121 s (2-CPU Xeon VM, numpy 2.4).
+0.067-0.152 s, median 0.080 s (2-CPU Xeon VM, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ class TreePayload:
     counts: tuple[tuple[int, ...], ...]  # training rows per class, in ``classes`` order
 
     def __post_init__(self):  # one reverse pass: exactly one preorder tree
+        if not len(self.classes):
+            raise ValueError("classes: a tree needs at least one class")
         if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
             raise ValueError(f"classes: {list(self.classes)} are not strictly ascending")
         n = len(self.feature)
@@ -101,6 +105,9 @@ class TreePayload:
             if len(self.counts[i]) != len(self.classes):
                 raise ValueError(f"counts[{i}]: {len(self.counts[i])} counts "
                                  f"for {len(self.classes)} classes")
+            if min(self.counts[i]) < 0 or not sum(self.counts[i]):
+                raise ValueError(f"counts[{i}]: {list(self.counts[i])} has a negative "
+                                 f"count or no training row")
             if feature == -1:
                 if (right, self.threshold[i]) != (-1, 0.0):
                     raise ValueError(f"right[{i}], threshold[{i}]: a leaf has -1 and "
@@ -195,7 +202,7 @@ class _Grower:
     """One fit's tree growth over presorted attribute lists.
 
     A node holds one ``(features, rows)`` int32 order matrix: its row f lists
-    the node's rows sorted by feature f's value, ties in ascending row order."""
+    the node's rows sorted by feature f's value."""
 
     def __init__(self, params: TreeConfig, X: np.ndarray, y: np.ndarray,
                  n_classes: int):
@@ -212,9 +219,7 @@ class _Grower:
         preorder on top; ``parent`` is the split whose right child one is, or -1."""
         params = self.params
         nodes = []  # [feature, threshold, right, counts] per node, in preorder
-        orders = np.empty(self.columns.shape, dtype=np.int32)
-        for feature in range(len(orders)):  # one int64 argsort alive at a time
-            orders[feature] = _stable_argsort(self.columns[feature])
+        orders = np.argsort(self.columns, axis=1).astype(np.int32)
         stack = [(orders, np.bincount(self.y, minlength=self.n_classes), 0, -1)]
         while stack:
             orders, counts, depth, parent = stack.pop()
@@ -309,28 +314,6 @@ def _winnable(is_cut: np.ndarray, ys: np.ndarray) -> np.ndarray:
         wanted[cuts[after[after < len(cuts)]]] = True  # the cut ending its tie block
         wanted[cuts[after[after > 0] - 1]] = True  # the cut before it
     return wanted
-
-
-def _stable_argsort(column: np.ndarray) -> np.ndarray:
-    """``np.argsort(column, kind="stable")``: an unstable argsort, then each
-    run of equal values put in ascending row order by one sort of the tied
-    rows' ``run * n + row`` keys."""
-    n = len(column)
-    order = np.argsort(column)
-    values = column[order]
-    tied = values[1:] == values[:-1]  # -0.0 == 0.0: they tie, as in a stable sort
-    del values
-    in_run = np.zeros(n, dtype=bool)
-    in_run[1:] = tied
-    in_run[:-1] |= tied
-    at = np.flatnonzero(in_run)
-    keys = np.zeros(len(at), dtype=np.int64)
-    np.cumsum(~tied[at[1:] - 1], out=keys[1:])  # a run starts where no tie precedes
-    keys *= n
-    keys += order[at]
-    keys.sort()
-    order[at] = keys % n
-    return order
 
 
 def _gini_rows(class_counts: list[np.ndarray], n: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, Gaussian
                                load_model, payload, save_model, train_all)
 from hydet import jsonio
 from hydet.classifiers.nb import NbPayload
-from hydet.classifiers.tree import TreePayload, _gini_rows, _stable_argsort, _winnable
+from hydet.classifiers.tree import TreePayload, _gini_rows, _winnable
 from hydet.codec import to_json
 from hydet.config import RunConfig
 from hydet.dataset import default_config, flatten, split, synth_generate
@@ -170,11 +170,26 @@ def test_predict_before_fit_is_refused(cls):
     (lambda: NbPayload(classes=(0, 1), priors=(0.5, 0.5), means=((0.0,), (1.0,)),
                        variances=((1.0,),), epsilon=1e-9),
      "variances: expected 2 rows of 1 values"),
+    (lambda: NbPayload(classes=(0, 1, 2), priors=(-1.0, 0.5, 0.5),
+                       means=((0.0,), (1.0,), (2.0,)), variances=((1.0,),) * 3,
+                       epsilon=1e-9),
+     "priors: [-1.0, 0.5, 0.5] are not all in (0, 1]"),
     (lambda: TreePayload(classes=(0,), n_features=1, feature=(-1,), threshold=(0.0,),
                          right=(), counts=((1,),)),
      "right: 0 entries for 1 nodes"),
-], ids=["nb-without-means", "nb-variances-short", "tree-right-short"])
-def test_payload_lists_of_unequal_length_are_refused(make, message):
+    (lambda: TreePayload(classes=(), n_features=1, feature=(-1,), threshold=(0.0,),
+                         right=(-1,), counts=((),)),
+     "classes: a tree needs at least one class"),
+    (lambda: TreePayload(classes=(0, 1, 2), n_features=1, feature=(-1,),
+                         threshold=(0.0,), right=(-1,), counts=((-5, 0, 0),)),
+     "counts[0]: [-5, 0, 0] has a negative count or no training row"),
+    (lambda: TreePayload(classes=(0, 1), n_features=1, feature=(0, -1, -1),
+                         threshold=(0.5, 0.0, 0.0), right=(2, -1, -1),
+                         counts=((1, 1), (1, 1), (0, 0))),
+     "counts[2]: [0, 0] has a negative count or no training row"),
+], ids=["nb-without-means", "nb-variances-short", "nb-negative-prior", "tree-right-short",
+        "tree-without-classes", "tree-negative-count", "tree-empty-leaf"])
+def test_malformed_payloads_are_refused(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
 
@@ -343,9 +358,18 @@ _SORT_CASES = {
 
 
 @pytest.mark.parametrize("values", _SORT_CASES.values(), ids=_SORT_CASES.keys())
-def test_tree_root_sort_equals_numpy_stable_argsort(values):
-    column = np.stack([values, -values], axis=1).T[0]  # a strided view, as in fit
-    assert np.array_equal(_stable_argsort(column), np.argsort(values, kind="stable"))
+def test_tree_fit_does_not_depend_on_row_order(values):
+    # the root's sort leaves tied rows in any order; the tree must not see it
+    rng = np.random.default_rng(len(values))
+    coarse = np.copysign(rng.integers(0, 3, size=len(values)),  # -0.0 beside 0.0
+                         rng.choice([-1.0, 1.0], size=len(values)))
+    X = np.stack([values, coarse], axis=1)
+    y = rng.integers(0, 3, size=len(values))
+    p = rng.permutation(len(values))
+    model, shuffled = DecisionTree().fit(X, y), DecisionTree().fit(X[p], y[p])
+    assert (model.feature_, model.right_, model.counts_) == (
+        shuffled.feature_, shuffled.right_, shuffled.counts_)
+    assert np.array(model.threshold_).tobytes() == np.array(shuffled.threshold_).tobytes()
 
 
 def test_tree_deep_chain_fits_saves_and_loads(tmp_path):
