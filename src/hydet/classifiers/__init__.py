@@ -55,9 +55,16 @@ _HEADER = ("format", "version", "kind", "params")
 
 
 def payload(model):
-    """A fitted model's ``Payload``: each field ``x`` is its attribute ``x_``."""
-    return model.Payload(**{f.name: getattr(model, f"{f.name}_")
-                            for f in fields(model.Payload)})
+    """A fitted model's ``Payload``: each field ``x`` is its attribute ``x_``,
+    an array as its annotated tuples of Python numbers, but k-NN's per-row
+    ``train`` and ``labels``, which ``to_json`` passes through whole."""
+    values = {f.name: getattr(model, f"{f.name}_") for f in fields(model.Payload)}
+    return model.Payload(**{k: _tuples(v.tolist()) if hasattr(v, "tolist") and k not in
+                            ("train", "labels") else v for k, v in values.items()})
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def save_model(model, path: str | Path) -> None:

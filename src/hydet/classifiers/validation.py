@@ -10,9 +10,10 @@ from ..errors import (EmptyDataError, MissingCellsError, NonFiniteError,
 
 def validate_training_inputs(X: np.ndarray, y: np.ndarray,
                              what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` as float64 and ``y`` as int64, checked for fitting."""
+    """``X`` as float64 and ``y`` in its integer dtype (else int64), checked to fit."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
+    y = y if y.dtype.kind in "iu" else y.astype(np.int64)
     if X.ndim != 2:
         raise ValueError(f"{what}: X must be 2-D, got shape {X.shape}")
     if X.shape[0] == 0:

@@ -128,9 +128,11 @@ class DatasetManifest:
 class FeatureMatrix:
     """Row-per-timestamp numeric table; NaN marks a missing reading.
 
-    ``origin`` is a read-only int64 array of shape (n_rows, 2) holding, per
-    row, the source instance's index into ``instance_ids`` and the timestamp
-    index, so that partitions can be traced back to episodes.
+    ``labels`` is a read-only int8 array of class codes and ``origin`` a
+    read-only int32 array of shape (n_rows, 2) holding, per row, the source
+    instance's index into ``instance_ids`` and the timestamp index, so that
+    partitions can be traced back to episodes. A value outside either type
+    is a ``ValueError`` naming its row, never wrapped.
     """
 
     column_names: tuple[str, ...]
@@ -141,8 +143,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        origin = np.ascontiguousarray(self.origin, dtype=np.int64)
+        labels, origin = np.asarray(self.labels), np.asarray(self.origin)
         if values.ndim != 2 or values.shape[1] != len(self.column_names):
             raise ValueError(f"values shape {values.shape} does not match "
                              f"{len(self.column_names)} columns")
@@ -150,12 +151,18 @@ class FeatureMatrix:
             raise ValueError("labels length does not match row count")
         if origin.shape != (values.shape[0], 2):
             raise ValueError(f"origin shape {origin.shape} is not (rows, 2)")
-        n_ids = len(self.instance_ids)
+        if labels.dtype != np.int8 and ((labels < -128) | (labels > 127)).any():
+            row = int(np.argmax((labels < -128) | (labels > 127)))
+            raise ValueError(f"label row {row} is {labels[row]}: outside int8 -128..127")
+        n_ids, top = len(self.instance_ids), np.iinfo(np.int32).max
         low, high = origin.min(axis=0, initial=0), origin.max(axis=0, initial=-1)
-        if low.min() < 0 or high[0] >= n_ids:  # neither holds for no rows
-            row = int(np.argmax((origin < 0).any(axis=1) | (origin[:, 0] >= n_ids)))
+        if low.min() < 0 or high[0] >= n_ids or high[1] > top:  # none holds for no rows
+            row = int(np.argmax(((origin < 0) | (origin > [n_ids - 1, top])).any(axis=1)))
             raise ValueError(f"origin row {row} is {origin[row].tolist()}: its instance "
-                             f"must be in 0..{n_ids - 1} and its time step not negative")
+                             f"must be in 0..{n_ids - 1} and its time step not negative "
+                             f"and at most {top}")
+        labels = np.ascontiguousarray(labels, dtype=np.int8)
+        origin = np.ascontiguousarray(origin, dtype=np.int32)
         for name, array in (("values", values), ("labels", labels), ("origin", origin)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)

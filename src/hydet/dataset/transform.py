@@ -32,9 +32,9 @@ def flatten(instances: Sequence[TimeSeriesInstance],
         columns.append([inst.variable_names.index(var) for var in variables])
     n_rows = sum(map(len, instances))
     values = np.empty((n_rows, len(variables)))
-    labels = np.empty(n_rows, dtype=np.int64)
-    origin = np.empty((n_rows, 2), dtype=np.int64)
-    steps = np.arange(max(map(len, instances)))
+    labels = np.empty(n_rows, dtype=np.int8)
+    origin = np.empty((n_rows, 2), dtype=np.int32)
+    steps = np.arange(max(map(len, instances)), dtype=np.int32)
     start = 0
     for i, (inst, cols) in enumerate(zip(instances, columns)):
         stop = start + len(inst)

@@ -84,10 +84,12 @@ def boxplot_stats(column: np.ndarray, tukey_k: float = 1.5,
     for the quantiles and never flagged as outliers."""
     col = np.asarray(column, dtype=np.float64)
     observed = ~np.isnan(col)
-    x = np.sort(col[observed])
+    x = col[observed]
+    x.sort()  # in place: the fancy index above is already a copy
     if x.size < 4:
         raise EmptyDataError(f"boxplot needs >= 4 observed values, have {x.size}")
     q1, med, q3 = (_sorted_quantile(x, p, quartile_method) for p in (0.25, 0.5, 0.75))
+    del x  # freed before the outlier masks
     iqr = q3 - q1
     lower = q1 - tukey_k * iqr
     upper = q3 + tukey_k * iqr
@@ -132,8 +134,12 @@ def fit_imputer(train: FeatureMatrix) -> ImputationModel:
 
 def apply_imputer(model: ImputationModel, matrix: FeatureMatrix) -> FeatureMatrix:
     _check_columns(model.columns, matrix)
-    return matrix.with_values(np.where(np.isnan(matrix.values), model.means,
-                                       matrix.values))
+    return matrix.with_values(_impute(matrix.values.copy(), model))
+
+
+def _impute(values: np.ndarray, model: ImputationModel) -> np.ndarray:
+    np.copyto(values, model.means, where=np.isnan(values))
+    return values
 
 
 def fit_boxplots(train: FeatureMatrix, tukey_k: float = 1.5,
@@ -152,11 +158,14 @@ def treat_outliers(matrix: FeatureMatrix,
     if len(stats) != matrix.n_cols:
         raise WidthMismatchError(f"{len(stats)} fence sets for "
                                  f"{matrix.n_cols} columns")
+    return matrix.with_values(_clamp(matrix.values.copy(), stats))
+
+
+def _clamp(values: np.ndarray, stats: Sequence[Fences]) -> np.ndarray:
     # fence first: a cell equal to its fence keeps its own sign of zero, as
     # np.clip against scalar fences does; NaN cells pass through
-    values = np.maximum([st.lower_fence for st in stats], matrix.values)
-    return matrix.with_values(np.minimum([st.upper_fence for st in stats], values,
-                                         out=values))
+    np.maximum([st.lower_fence for st in stats], values, out=values)
+    return np.minimum([st.upper_fence for st in stats], values, out=values)
 
 
 @dataclass(frozen=True)
@@ -195,10 +204,14 @@ def apply_normalizer(model: NormalizationModel, matrix: FeatureMatrix) -> Featur
     if np.isnan(matrix.values).any():
         raise MissingCellsError("normalizer requires no missing cells")
     _check_columns(model.columns, matrix)
-    values = matrix.values - model.center
+    return matrix.with_values(_normalize(matrix.values.copy(), model))
+
+
+def _normalize(values: np.ndarray, model: NormalizationModel) -> np.ndarray:
+    values -= model.center
     scale = np.array(model.scale)
     values /= np.where(scale == 0.0, 1.0, scale)  # constant columns: centered only
-    return matrix.with_values(values)
+    return values
 
 
 def _check_columns(expected: tuple[str, ...], matrix: FeatureMatrix) -> None:
@@ -228,16 +241,18 @@ class Preprocessor:
     def fit(cls, train: FeatureMatrix,
             config: PreprocessConfig = PreprocessConfig()) -> "Preprocessor":
         imputer = fit_imputer(train)
-        imputed = apply_imputer(imputer, train)
-        boxplots = fit_boxplots(imputed, config.tukey_multiplier,
-                                config.quartile_method)
-        normalizer = fit_normalizer(treat_outliers(imputed, boxplots),
+        values = _impute(train.values.copy(), imputer)
+        fences = tuple(boxplot_stats(column, config.tukey_multiplier,
+                                     config.quartile_method).fences
+                       for column in values.T)
+        normalizer = fit_normalizer(train.with_values(_clamp(values, fences)),
                                     config.normalization)
-        return cls(imputer, tuple(b.fences for b in boxplots), normalizer)
+        return cls(imputer, fences, normalizer)
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        return apply_normalizer(self.normalizer, treat_outliers(
-            apply_imputer(self.imputer, matrix), self.fences))
+        _check_columns(self.imputer.columns, matrix)
+        values = _clamp(_impute(matrix.values.copy(), self.imputer), self.fences)
+        return matrix.with_values(_normalize(values, self.normalizer))
 
 
 _PREPROCESS_HEADER = {"format": "hydet-preprocess", "version": 1}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -736,6 +737,32 @@ def test_model_json_round_trip(tmp_path):
         assert type(back) is cls and back.params == model.params
         assert np.array_equal(back.predict(test.values[:50]),
                               model.predict(test.values[:50]))
+
+
+def test_payloads_hold_python_numbers_and_save_the_same_bytes(tmp_path):
+    # each field is its annotated tuples of Python numbers, so the payload's
+    # checks never run over int8 or float arrays; only k-NN's per-row fields
+    # stay arrays, which to_json passes through whole. The file is the one a
+    # payload of the fitted arrays themselves gives.
+    def leaves(value):
+        return [x for v in value for x in leaves(v)] if type(value) is tuple else [value]
+
+    train, _ = _prepared_desk_matrices()
+    assert train.labels.dtype == np.int8
+    for name, model in train_all(train).items():
+        fitted = payload(model)
+        for f in dataclasses.fields(fitted):
+            value = getattr(fitted, f.name)
+            if name == "knn" and f.name in ("train", "labels"):
+                assert value is getattr(model, f"{f.name}_")
+            else:
+                assert {type(x) for x in leaves(value)} <= {int, float}, (name, f.name)
+        arrays = model.Payload(**{f.name: getattr(model, f"{f.name}_")
+                                  for f in dataclasses.fields(model.Payload)})
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_text(encoding="utf-8") == jsonio.dumps({
+            "format": "hydet-model", "version": 2, "kind": model.kind,
+            "params": to_json(model.params), **to_json(arrays)})
 
 
 def test_load_model_rejects_unknown_version(tmp_path):

@@ -669,7 +669,7 @@ def test_flatten_labels_match_enumeration_oracle():
     for inst in instances:  # brute-force loop over (instance, t)
         for t in range(len(inst)):
             expected.append((inst.instance_id, t, int(inst.label)))
-    assert m.origin.dtype == np.int64 and m.origin.shape == (9, 2)
+    assert m.origin.dtype == np.int32 and m.origin.shape == (9, 2)
     got = [(m.instance_ids[i], t, int(lab))
            for (i, t), lab in zip(m.origin.tolist(), m.labels)]
     assert got == expected
@@ -765,6 +765,56 @@ def test_feature_matrix_refuses_an_origin_outside_its_instances(origin, message)
     assert m.take([]).n_rows == 0
     assert FeatureMatrix(("P-TPT",), np.ones((0, 1)), np.zeros(0), np.zeros((0, 2)),
                          ()).n_rows == 0
+
+
+@pytest.mark.parametrize("labels, origin, message", [
+    ([0, 1, 128, 0], [[0, 0]] * 4, "label row 2 is 128: outside int8 -128..127"),
+    ([0, -129, 0, 0], [[0, 0]] * 4, "label row 1 is -129: outside int8 -128..127"),
+    ([0] * 4, [[0, 0], [0, 1], [0, 2], [0, 2**31]],
+     "origin row 3 is [0, 2147483648]: its instance must be in 0..0 and its time step "
+     "not negative and at most 2147483647"),
+], ids=["label-128", "label-minus-129", "origin-2-31"])
+def test_feature_matrix_refuses_a_label_or_origin_that_a_cast_would_wrap(
+        labels, origin, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FeatureMatrix(("P-TPT",), np.ones((4, 1)), np.array(labels, dtype=np.int64),
+                      np.array(origin, dtype=np.int64), ("a",))
+
+
+@given(lengths=st.lists(st.integers(1, 5), min_size=2, max_size=8), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_labels_and_origins_survive_flatten_take_and_split_bitwise(lengths, data):
+    # flatten: int8 labels and int32 origins equal the (instance, step)
+    # enumeration; take and split: the int8/int32 range edges pass unchanged
+    codes = data.draw(st.lists(st.sampled_from(list(ClassLabel)), min_size=len(lengths),
+                               max_size=len(lengths)))
+    m = flatten([make_instance(f"i{k}", code, n) for k, (code, n)
+                 in enumerate(zip(codes, lengths))], ("P-TPT",))
+    assert (m.labels.dtype, m.origin.dtype) == (np.int8, np.int32)
+    assert m.labels.tolist() == [int(c) for c, n in zip(codes, lengths) for _ in range(n)]
+    assert m.origin.tolist() == [[k, t] for k, n in enumerate(lengths) for t in range(n)]
+
+    n = sum(lengths)
+    labels = np.array(data.draw(st.lists(st.integers(-128, 127), min_size=n, max_size=n)))
+    steps = data.draw(st.lists(st.integers(0, 2**31 - 1), min_size=n, max_size=n,
+                               unique=True))  # each row's key below
+    origin = np.column_stack((np.array(data.draw(st.lists(
+        st.integers(0, len(lengths) - 1), min_size=n, max_size=n))), steps))
+    wide = FeatureMatrix(("P-TPT",), np.zeros((n, 1)), labels, origin, m.instance_ids)
+    assert wide.labels.tobytes() == labels.astype(np.int8).tobytes()
+    assert wide.origin.tolist() == origin.tolist()
+    idx = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    part = wide.take(idx)
+    assert part.labels.tobytes() == labels.astype(np.int8)[idx].tobytes()
+    assert part.origin.tobytes() == origin.astype(np.int32)[idx].tobytes()
+    row_of = {step: row for row, step in enumerate(steps)}
+    rows = []
+    for part in split(wide, SplitSpec(test_fraction=0.5, stratified=False)):
+        idx = [row_of[step] for step in part.origin[:, 1].tolist()]
+        assert part.labels.tobytes() == wide.labels[idx].tobytes()
+        assert part.origin.tobytes() == wide.origin[idx].tobytes()
+        rows += idx
+    assert sorted(rows) == list(range(n))
 
 
 # ---------------------------------------------------------------------------
