@@ -118,8 +118,9 @@ class KnnClassifier:
                 dims.append(dim)
                 vals.append(X[perm[m], dim])
             bounds = np.sort(np.concatenate([bounds, mids]))
-        self.classes_ = np.unique(self.labels_)
-        self._codes = np.searchsorted(self.classes_, self.labels_)
+        classes = np.unique(self.labels_)  # codes on the labels' own dtype
+        self.classes_ = classes.astype(np.int64)  # predict gives int64
+        self._codes = np.searchsorted(classes, self.labels_)
         self._depth = depth
         self._dims = np.array(dims, dtype=np.intp)
         self._vals = np.array(vals, dtype=np.float64)

@@ -65,7 +65,7 @@ class GaussianNb:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianNb":
         X, y = validate_training_inputs(X, y, "naive Bayes fit")
-        self.classes_ = np.unique(y)
+        self.classes_ = np.unique(y).astype(np.int64)  # predict gives int64
 
         total_var = np.mean((X - X.mean(axis=0)) ** 2, axis=0)
         if total_var.max() == 0.0:
@@ -74,10 +74,10 @@ class GaussianNb:
         self.epsilon_ = float(self.params.eps_rel * total_var.max())
 
         priors, means, variances = [], [], []
-        for c in self.classes_:
+        for c in self.classes_.tolist():  # Python ints: y == c keeps y's dtype
             rows = X[y == c]
             if rows.shape[0] < 2:
-                raise EmptyDataError(f"class {int(c)} has {rows.shape[0]} row(s); "
+                raise EmptyDataError(f"class {c} has {rows.shape[0]} row(s); "
                                      "naive Bayes needs at least 2 per class")
             priors.append(rows.shape[0] / X.shape[0])
             mu = rows.mean(axis=0)

@@ -142,10 +142,11 @@ class DecisionTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         X, y = validate_training_inputs(X, y, "decision tree fit")
-        self.classes_ = np.unique(y)
+        classes = np.unique(y)  # codes on y's own dtype; predict gives int64
+        self.classes_ = classes.astype(np.int64)
         self.n_features_ = X.shape[1]
         self.feature_, self.threshold_, self.right_, self.counts_ = _Grower(
-            self.params, X, np.searchsorted(self.classes_, y), len(self.classes_)).grow()
+            self.params, X, np.searchsorted(classes, y), len(classes)).grow()
         return self
 
     # -- prediction --------------------------------------------------------

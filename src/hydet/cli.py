@@ -26,7 +26,7 @@ from .errors import ConfigError, HydetError
 from .stats import compare_models
 
 if TYPE_CHECKING:
-    from .dataset.model import FeatureMatrix, TimeSeriesInstance
+    from .dataset.model import FeatureMatrix
     from .quality import Preprocessor
 
 EXIT_OK = 0
@@ -85,18 +85,29 @@ def _load_run_config(args) -> RunConfig:
     return config
 
 
-def _load_corpus(config: RunConfig) -> list[TimeSeriesInstance]:
-    from .dataset import CLASS_DIRS, build_manifest, load_instances, synth_generate
-    data = config.data
+def _matrix(config: RunConfig, all_channels: bool = False) -> FeatureMatrix:
+    """The corpus at ``data.root``, or the one ``data.synth`` draws, flattened
+    over ``config.variables``. With ``all_channels`` (standalone qc, unless
+    --variables or the config file names the channels) it spans the channels
+    every instance holds, in first-instance order, so 8-channel corpora report
+    all-channel aggregates. Only the matrix leaves: the instances go on return."""
+    from .dataset import CLASS_DIRS, build_manifest, flatten, load_instances, synth_generate
+    data, variables = config.data, config.variables
     if data.root is not None:
         manifest = build_manifest(data.root)
         if not manifest.instances:
             raise HydetError(f"dataset is empty: {data.root} has no .csv file in its "
                              f"class directories {', '.join(CLASS_DIRS)}")
-        return load_instances(data.root, manifest)
-    if data.synth is not None:
-        return synth_generate(data.synth, config.seed)
-    raise ConfigError("config needs a data source: data.root or data.synth")
+        instances = load_instances(data.root, manifest)
+    elif data.synth is not None:
+        instances = synth_generate(data.synth, config.seed)
+    else:
+        raise ConfigError("config needs a data source: data.root or data.synth")
+    if all_channels:
+        shared = tuple(v for v in instances[0].variable_names
+                       if all(v in inst.variable_names for inst in instances))
+        variables = shared or variables
+    return flatten(instances, variables)
 
 
 def _echo_config(config: RunConfig, out: Path) -> None:
@@ -123,13 +134,6 @@ def _stages(command: str, config: RunConfig):
         raise HydetError(f"stage {stage[0]} failed: {exc}") from exc
 
 
-def _shared_channels(instances: list[TimeSeriesInstance]) -> tuple[str, ...]:
-    """Channels present in every instance, in first-instance order."""
-    first = instances[0].variable_names
-    return tuple(v for v in first
-                 if all(v in inst.variable_names for inst in instances))
-
-
 def _write_quality(config: RunConfig, matrix: FeatureMatrix, out: Path,
                    report_path: Path | None = None) -> None:
     from .quality import quality_report, render_boxplot_svg
@@ -148,19 +152,11 @@ def _write_quality(config: RunConfig, matrix: FeatureMatrix, out: Path,
 
 
 def cmd_qc(config: RunConfig, args) -> int:
-    from .dataset import flatten
     from .dataset.io import write_matrix_csv
     out = Path(config.out_dir)
-    instances = _load_corpus(config)
-    # standalone qc audits every channel in the corpus unless --variables or
-    # the config file names the channels, so 8-channel corpora report
-    # all-channel aggregates by default; config.json lists those audited
-    if not args.variables_named:
-        config = replace(config,
-                         variables=_shared_channels(instances) or config.variables)
+    matrix = _matrix(config, all_channels=not args.variables_named)
+    config = replace(config, variables=matrix.column_names)  # the channels audited
     report_path = Path(args.report) if args.report else None
-    matrix = flatten(instances, config.variables)
-    del instances  # the audit reads the matrix alone
     _echo_config(config, out)
     _write_quality(config, matrix, out, report_path)
     if args.points:
@@ -183,14 +179,6 @@ def cmd_synth(config: RunConfig, args) -> int:
     jsonio.dump(to_json(manifest), out / "manifest.json")
     print(f"wrote {len(instances)} instances under {out}")
     return EXIT_OK
-
-
-def _split_matrices(config: RunConfig):
-    from .dataset import flatten, split
-    instances = _load_corpus(config)
-    matrix = flatten(instances, config.variables)
-    del instances  # split holds the matrix and both of its parts
-    return split(matrix, config.split)
 
 
 def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
@@ -234,10 +222,11 @@ def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatr
 
 
 def cmd_train(config: RunConfig, args) -> int:
+    from .dataset import split
     models_dir = Path(config.out_dir) / "models"
     with _stages("train", config) as begin:
         begin("ingest")
-        train_m = _split_matrices(config)[0]
+        train_m = split(_matrix(config), config.split)[0]
         begin("preprocess")
         prep = _fit_preprocessor(config, train_m, models_dir)
         train_ready = prep.transform(train_m)
@@ -249,6 +238,7 @@ def cmd_train(config: RunConfig, args) -> int:
 
 def cmd_eval(config: RunConfig, args) -> int:
     from .classifiers import load_model
+    from .dataset import split
     from .quality import load_preprocessor
     out = Path(config.out_dir)
     models_dir = out / "models"
@@ -260,7 +250,7 @@ def cmd_eval(config: RunConfig, args) -> int:
                          "run train again")
     with _stages("eval", config) as begin:
         begin("ingest")
-        test_m = _split_matrices(config)[1]
+        test_m = split(_matrix(config), config.split)[1]
         begin("preprocess")
         prep = load_preprocessor(models_dir / "preprocess.json")
         test_ready = prep.transform(test_m)
@@ -316,18 +306,16 @@ def cmd_compare(config: RunConfig, args) -> int:
 
 
 def cmd_pipeline(config: RunConfig, args) -> int:
-    from .dataset import flatten, split
+    from .dataset import split
     out = Path(config.out_dir)
     with _stages("pipeline", config) as begin:
         begin("ingest")
-        instances = _load_corpus(config)
+        matrix = _matrix(config)
         begin("quality-audit")
-        matrix = flatten(instances, config.variables)
-        del instances  # each stage's input goes once the next has what it needs
         _write_quality(config, matrix, out)
         begin("split")
         train_m, test_m = split(matrix, config.split)
-        del matrix
+        del matrix  # each stage's input goes once the next has what it needs
         begin("preprocess")
         prep = _fit_preprocessor(config, train_m, out / "models")
         train_ready, test_ready = prep.transform(train_m), prep.transform(test_m)

@@ -83,10 +83,11 @@ def _render(obj: Any, pad: str, write: Callable[[str], Any]) -> None:
 def _render_float_matrix(rows, pad: str,
                          write: Callable[[str], Any]) -> None:
     """Write ``rows`` as ``_render`` writes ``rows.tolist()``, ``_ROW_BLOCK``
-    rows at a time, so that no more than one block is ever text.  A block of
-    finite values is rendered with one ``%`` template: ``%.17g`` gives
-    ``format_float``'s digits for every finite double.  A block with a NaN or
-    an infinite cell is rendered value by value."""
+    rows at a time, so that no more than one block is ever text.  Each block
+    is rendered with one ``%`` template: ``%.17g`` gives ``format_float``'s
+    digits for every finite double, and in a block with a NaN or an infinite
+    cell its ``nan``, ``inf`` and ``-inf`` are respelled as ``format_float``
+    spells them."""
     if not rows.size:
         _render(rows.tolist(), pad, write)
         return
@@ -96,14 +97,12 @@ def _render_float_matrix(rows, pad: str,
     sep = "[\n"
     for first in range(0, len(rows), _ROW_BLOCK):
         block = rows[first:first + _ROW_BLOCK]
-        if sys.modules["numpy"].isfinite(block).all():
-            write(sep)
-            write(",\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
-        else:
-            for values in block.tolist():
-                write(sep + inner)
-                _render(values, inner, write)
-                sep = ",\n"
+        text = ",\n".join([row] * len(block)) % tuple(block.ravel().tolist())
+        if not sys.modules["numpy"].isfinite(block).all():
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        write(sep)
+        write(text)
+        del text  # one block is text at a time
         sep = ",\n"
     write(f"\n{pad}]")
 

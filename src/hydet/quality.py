@@ -126,6 +126,7 @@ def fit_imputer(train: FeatureMatrix) -> ImputationModel:
         if observed.size == 0:
             raise AllMissingColumnError(f"column {name!r} has no observed values")
         mean = float(observed.mean())
+        del observed  # one column's copy at a time
         if not np.isfinite(mean):
             raise NonFiniteError(f"column {name!r}: training mean is not finite")
         means.append(mean)

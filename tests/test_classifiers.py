@@ -739,6 +739,20 @@ def test_model_json_round_trip(tmp_path):
                               model.predict(test.values[:50]))
 
 
+@pytest.mark.parametrize("name", list(MODELS))
+def test_fitted_and_loaded_models_predict_the_same_int64(tmp_path, name):
+    # a fit on a matrix's int8 labels and the saved model read back both
+    # predict int64 class codes
+    train, test = _prepared_desk_matrices()
+    assert train.labels.dtype == np.int8
+    model = train_all(train, models=(name,))[name]
+    save_model(model, tmp_path / f"{name}.json")
+    fitted = model.predict(test.values)
+    loaded = load_model(tmp_path / f"{name}.json").predict(test.values)
+    assert fitted.dtype == loaded.dtype == np.int64
+    assert np.array_equal(fitted, loaded)
+
+
 def test_payloads_hold_python_numbers_and_save_the_same_bytes(tmp_path):
     # each field is its annotated tuples of Python numbers, so the payload's
     # checks never run over int8 or float arrays; only k-NN's per-row fields

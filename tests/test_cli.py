@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hydet.dataset
+import hydet.quality
 from hydet import cli, jsonio
 from hydet.classifiers import (ClassifiersConfig, KnnConfig, NbConfig, TreeConfig,
                                load_model, save_model)
@@ -722,26 +723,49 @@ def test_train_whose_fit_fails_flags_partial_output(tmp_path, capsys):
     assert (out / "INCOMPLETE").read_text() == "train aborted in stage train\n"
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "pipeline"])
-def test_the_corpus_is_freed_before_split(tmp_path, monkeypatch, command):
+def _run_checking_the_corpus_is_freed(tmp_path, monkeypatch, command, module, name):
+    """Run ``command`` with ``module.name`` hooked to check, when the command
+    first hands it the matrix, that the instances flattened into it are dead."""
     config_path, _ = small_synth_config(tmp_path)
     assert main(["train", "--config", str(config_path)]) == EXIT_OK
-    load, split, first, split_calls = cli._load_corpus, hydet.dataset.split, [], []
+    flatten, use, first, uses = hydet.dataset.flatten, getattr(module, name), [], []
 
-    def loaded(config):
-        instances = load(config)
+    def flattened(instances, variables):
         first.append(weakref.ref(instances[0]))
-        return instances
+        return flatten(instances, variables)
 
-    def split_after_free(matrix, spec):
+    def used_after_free(matrix, *args, **kwargs):
         assert first[0]() is None  # only the matrix holds the corpus's rows
-        split_calls.append(spec)
-        return split(matrix, spec)
+        uses.append(name)
+        return use(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_load_corpus", loaded)
-    monkeypatch.setattr(hydet.dataset, "split", split_after_free)
+    monkeypatch.setattr(hydet.dataset, "flatten", flattened)
+    monkeypatch.setattr(module, name, used_after_free)
     assert main([command, "--config", str(config_path)]) == EXIT_OK
-    assert len(first) == len(split_calls) == 1
+    assert len(first) == len(uses) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "pipeline"])
+def test_the_corpus_is_freed_before_split(tmp_path, monkeypatch, command):
+    _run_checking_the_corpus_is_freed(tmp_path, monkeypatch, command,
+                                      hydet.dataset, "split")
+
+
+def test_qc_frees_the_corpus_before_its_audit(tmp_path, monkeypatch):
+    _run_checking_the_corpus_is_freed(tmp_path, monkeypatch, "qc",
+                                      hydet.quality, "quality_report")
+
+
+def test_pipeline_fails_a_missing_channel_at_ingest(tmp_path, capsys):
+    # ingest is corpus to matrix in train, eval and pipeline alike
+    config_path, out = small_synth_config(tmp_path)
+    assert main(["pipeline", "--config", str(config_path),
+                 "--variables", "P-TPT,NOPE"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage ingest failed: instance ")
+    assert err.endswith(" lacks channel 'NOPE'\n")
+    assert (out / "INCOMPLETE").read_text() == "pipeline aborted in stage ingest\n"
+    assert not (out / "quality_report.json").exists()
 
 
 def test_eval_over_a_malformed_model_flags_partial_output(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_dump_writes_a_float_array_as_its_rows(tmp_path, n_rows):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("row", [0, jsonio._ROW_BLOCK - 1, jsonio._ROW_BLOCK + 5])
 def test_dump_spells_non_finite_cells_as_before(tmp_path, bad, row):
-    # the block holding the cell is rendered value by value; the others are not
+    # the block holding the cell respells the template's nan, inf and -inf
     arr = _spread_floats(np.random.default_rng(row), jsonio._ROW_BLOCK + 9, 2)
     arr[row, 1] = bad
     path = tmp_path / "bad.json"
