@@ -23,7 +23,7 @@ _MODULE_OF = {name: module for module, names in {
     "declarations": "CANONICAL_VARIABLE_NAMES CANONICAL_VARIABLES ClassLabel "
                     "ClassMetrics ClassifiersConfig EvalReport PreprocessConfig "
                     "SensorVariable SplitSpec SynthConfig",
-    "evaluation": "ConfusionMatrix accuracy confusion evaluate f1_per_class",
+    "evaluation": "confusion evaluate",
     "quality": "BoxplotStats Fences ImputationModel NormalizationModel Preprocessor "
                "QualityReport apply_imputer apply_normalizer boxplot_stats fit_boxplots "
                "fit_imputer fit_normalizer load_preprocessor quality_report "

@@ -10,7 +10,10 @@ string per nested value, that ``hydet.jsonio.dumps`` must match byte for
 byte.  ``reference_synth`` is the per-instance synth loop that the blocked
 ``synth_generate`` must match bit for bit: it draws each stream alone, one
 Python ``_mix`` per draw, and picks damaged cells as ``permutation(n)[:k]``.
-``reference_confusion`` tallies a confusion matrix row by row.
+``reference_confusion`` tallies a confusion matrix row by row, and
+``reference_metrics`` scores a grid in exact rationals, F1 as
+2·TP / (row total + column total) (Sokolova & Lapalme 2009, Inf. Process.
+Manage. 45(4)) rather than the library's harmonic mean of two floats.
 ``reference_preprocess`` applies a fitted ``Preprocessor`` one column at a
 time, each stage in place on a copy, which the library's whole-matrix
 expressions must match bit for bit.  ``reference_fill_missing`` fills the
@@ -329,6 +332,24 @@ def reference_confusion(true_labels, predicted_labels, classes):
             raise ValueError(f"predicted label {p} not in classes")
         counts[code_to_pos[t], code_to_pos[p]] += 1
     return counts
+
+
+def reference_metrics(grid):
+    """(accuracy, [(precision, recall, f1) per class], macro F1) of a square
+    grid of counts as Fractions; a zero denominator gives 0."""
+    grid = [[int(v) for v in row] for row in grid]
+    n = len(grid)
+
+    def ratio(num, den):
+        return Fraction(num, den) if den else Fraction(0)
+
+    per_class = []
+    for j in range(n):
+        tp = grid[j][j]
+        row, col = sum(grid[j]), sum(grid[i][j] for i in range(n))
+        per_class.append((ratio(tp, col), ratio(tp, row), ratio(2 * tp, row + col)))
+    accuracy = Fraction(sum(grid[i][i] for i in range(n)), sum(map(sum, grid)))
+    return accuracy, per_class, sum(f1 for _, _, f1 in per_class) / n
 
 
 def reference_impute(means, values):

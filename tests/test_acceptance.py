@@ -20,7 +20,7 @@ from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config
                            synth_generate)
 from hydet.dataset.model import CANONICAL_VARIABLE_NAMES
 from hydet.codec import to_json
-from hydet.evaluation import ConfusionMatrix, accuracy, evaluate, f1_per_class
+from hydet.evaluation import evaluate, report_from_confusion
 from hydet.quality import Preprocessor, quality_report
 from hydet.stats import TestConfig, compare_models, ks_two_sample, mwu_two_sample
 from oracles import ks_exact_p, mwu_exact_p, tree_replay
@@ -54,20 +54,20 @@ def criterion(name: str, budget_seconds: float):
 
 def test_metric_math_oracle_reference_matrices():
     with criterion("metric math reproduces reference results", 1.0):
-        matrices = {name: ConfusionMatrix(classes=REF_CLASS_ORDER,
-                                          counts=np.array(grid))
-                    for name, grid in REFERENCE_MATRICES.items()}
+        reports = {name: report_from_confusion(grid, name, REF_CLASS_ORDER)
+                   for name, grid in REFERENCE_MATRICES.items()}
 
-        accs = {name: accuracy(m) for name, m in matrices.items()}
+        accs = {name: r.accuracy for name, r in reports.items()}
         # displayed accuracies (references truncate at 3 decimals)
         assert math.floor(accs["Decision Tree"] * 1000) / 1000 == 0.999
         assert math.floor(accs["k-NN"] * 1000) / 1000 == 0.997
         assert math.floor(accs["Naive Bayes"] * 1000) / 1000 == 0.393
         # full precision against independently recomputed trace/total; the
         # k-NN matrix arithmetic gives exactly 761639/763792 = 0.99718
-        for name, m in matrices.items():
-            trace = sum(int(m.counts[i, i]) for i in range(3))
-            assert accs[name] == pytest.approx(trace / m.total, abs=1e-12)
+        for name, grid in REFERENCE_MATRICES.items():
+            trace = sum(grid[i][i] for i in range(3))
+            total = sum(map(sum, grid))
+            assert accs[name] == pytest.approx(trace / total, abs=1e-12)
         assert accs["Decision Tree"] == pytest.approx(0.99994, abs=5e-6)
         assert accs["Naive Bayes"] == pytest.approx(0.39327, abs=5e-6)
         assert accs["k-NN"] == pytest.approx(761639 / 763792, abs=1e-12)
@@ -76,8 +76,7 @@ def test_metric_math_oracle_reference_matrices():
         for name, expected in (("Decision Tree", (1.00, 1.00, 1.00)),
                                ("k-NN", (1.00, 1.00, 1.00)),
                                ("Naive Bayes", (0.04, 0.58, 0.00))):
-            metrics = f1_per_class(matrices[name])
-            got = tuple(round(metrics[c].f1, 2) for c in REF_CLASS_ORDER)
+            got = tuple(round(f1, 2) for f1 in reports[name].f1_vector())
             assert got == expected, f"{name}: {got} != {expected}"
 
 

@@ -370,7 +370,10 @@ def test_train_then_eval_separate_commands(tmp_path):
 
 
 _PAYLOADS = ("models/dt.json", "models/knn.json", "models/nb.json",
-             "models/preprocess.json", "quality_report.json")
+             "models/preprocess.json", "quality_report.json",
+             "eval_dt.json", "eval_knn.json", "eval_nb.json",
+             "eval_dt_confusion.csv", "eval_knn_confusion.csv",
+             "eval_nb_confusion.csv")
 
 
 @pytest.mark.parametrize("dirt, sha256", [
@@ -378,21 +381,35 @@ _PAYLOADS = ("models/dt.json", "models/knn.json", "models/nb.json",
           "651f2b15c38ca84ae5ff15eb65fa42505f27f83a31768f20565aa8f4d688768f",
           "a528ff7c9ffc644ca8a0f560f595b0e2bf3c8ccea159b86a3da2db1578123d56",
           "1407b3f0bb4267db63da89c5546790842b2e6de1894d1e7b35141ca052f9babb",
-          "2760b4380685beacaa5bb399180a701b334dbd8ad9f0b0feac4fe03a81238c6c"]),
+          "2760b4380685beacaa5bb399180a701b334dbd8ad9f0b0feac4fe03a81238c6c",
+          "4849e0e04ecb2e6c0679da0e756f302c01389280801e3448b690e422f1ac2336",
+          "a281ab9abf29d7509d30dad919bf61f2947fe3326f3dcf1f640e6792ec0bd7a7",
+          "c62cd9e614bdcca91fc8bb10cdaf8dd3d9ff84ae35f4de4c68c11066887b7fef",
+          "e80e1f5102341cd62767526cd96fe494434373b5e6bda944700abcbd4723ee7d",
+          "b75a9f2a60160a0dfb6e05ce66b8ce29adb4de074c4b0474bb9fef6ad12e07fc",
+          "07714617dba9eeeb93ae72db1a31e774cb945cb5e93da6ec4d91edce99942579"]),
     ({"missing_fraction": 0.05, "frozen_fraction": 0.1,
       "outlier_fractions": {"P-TPT": 0.05}},
      ["9af83e30992c0efccb1578f3e356d32fb5a9a73e462359b2776f38be3b0f5eb7",
       "243b74247b3fb05e1e6e8e3ca0279caae78ae76bf4d3024b0669544b2cbc34be",
       "ea84f6d10e4188e0ee855063a61223c8481870563868848c4f8e065c957245e0",
       "1229f1bee67058c530bce2df0a2a39de5028ccd50b81bd87ecf744ea9fd8c431",
-      "cff07378fb268893a4be3c2d1d708ad10868ce904e0fda280336e38df784b518"]),
+      "cff07378fb268893a4be3c2d1d708ad10868ce904e0fda280336e38df784b518",
+      "2db3304a5a45ce0d56e3f6d67d9796fadb6ffb4951d1f95052579acaa80ae098",
+      "8fdab4e68adf782ca911bab7f6d61014bab1d871c4a25edbe42d6f7b86c4e5e6",
+      "cd367798e7c08fbd24148c8a3e20c1d07e933da543ef0426f6e38fc084f1e898",
+      "3733969554d0f7947ce4829eaa4fa16e7173d8554d2df87e7e4aec3f98b8d9eb",
+      "7cf317eb03fed6d4641e07efa2c8fcbbe9b457290e3a2fc7e7757c7775536697",
+      "245d612b4e732cfb655a20f7f9e57b191f4c6dffd0e1585fa0a6d1922f84a1a2"]),
 ], ids=["clean", "dirty"])
 def test_saved_payloads_keep_their_recorded_bytes(tmp_path, dirt, sha256):
     # digests recorded when each payload still had a hand-written encoder;
     # the three model files' digests were recorded again at model format
     # version 2, where knn.json and nb.json differ only in that line and
     # dt.json holds the same tree as preorder node lists; the dirty corpus
-    # puts 16 outlier rows into the quality report
+    # puts 16 outlier rows into the quality report; the eval reports and
+    # their confusion grids were recorded before the metric code was
+    # rewritten as one path from predictions to EvalReport
     config_path, out = small_synth_config(tmp_path, **dirt)
     assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
     assert [hashlib.sha256((out / rel).read_bytes()).hexdigest()
@@ -1310,17 +1327,19 @@ def test_compare_loads_no_numpy(tmp_path):
 
 
 #: every public name of ``hydet`` when its ``__init__`` imported each layer
-#: eagerly, the submodules included
+#: eagerly, the submodules included, less ``ConfusionMatrix``, ``accuracy`` and
+#: ``f1_per_class``, which went when ``EvalReport`` became the one holder of a
+#: confusion matrix
 _HYDET_NAMES = (
     "BoxplotStats CANONICAL_VARIABLES CANONICAL_VARIABLE_NAMES ClassLabel ClassMetrics "
-    "ClassifiersConfig ComparisonTable ConfusionMatrix DataConfig DatasetManifest "
+    "ClassifiersConfig ComparisonTable DataConfig DatasetManifest "
     "DecisionTree EvalReport FeatureMatrix Fences GaussianNb ImputationModel "
     "KnnClassifier KsResult MwuResult NormalizationModel PreprocessConfig Preprocessor "
     "QualityReport RunConfig SensorVariable SplitSpec SynthConfig TestConfig "
-    "TimeSeriesInstance accuracy apply_imputer apply_normalizer boxplot_stats "
+    "TimeSeriesInstance apply_imputer apply_normalizer boxplot_stats "
     "build_manifest classifiers codec compare_models config confusion dataset "
     "default_config errors evaluate evaluation "
-    "f1_per_class fit_boxplots fit_imputer fit_normalizer flatten jsonio "
+    "fit_boxplots fit_imputer fit_normalizer flatten jsonio "
     "ks_two_sample load_instance_csv load_model load_preprocessor mwu_two_sample "
     "quality quality_report rng save_model save_preprocessor split stats "
     "synth_generate train_all treat_outliers write_instance_csv").split()

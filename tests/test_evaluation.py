@@ -4,15 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hydet import jsonio
 from hydet.dataset.model import ClassLabel, FeatureMatrix
 from hydet.classifiers import DecisionTree
 from hydet.codec import from_json, to_json
 from hydet.errors import EmptyDataError
-from hydet.evaluation import (ConfusionMatrix, EvalReport, accuracy, confusion,
-                              evaluate, f1_per_class, report_from_confusion)
-from oracles import reference_confusion
+from hydet.evaluation import EvalReport, confusion, evaluate, report_from_confusion
+from oracles import reference_confusion, reference_metrics
 
 # Frozen reference confusion matrices (fixture data for the metric-math
 # oracles below); class order Hydrate / RapidLoss / Normal.
@@ -22,46 +23,44 @@ KNN_MATRIX = [[67896, 0, 30], [0, 297682, 950], [85, 1088, 396061]]
 NB_MATRIX = [[1244, 32462, 34220], [0, 298632, 0], [329, 396402, 503]]
 
 
-def cm(counts):
-    return ConfusionMatrix(classes=CLASSES, counts=np.array(counts))
+def report(counts, classes=CLASSES):
+    return report_from_confusion(np.array(counts), "m", classes)
 
 
 def test_confusion_perfect_predictions_are_diagonal():
-    m = confusion([0, 1, 2, 1], [0, 1, 2, 1])
-    assert np.array_equal(m.counts, np.diag([1, 2, 1]))
+    counts = confusion([0, 1, 2, 1], [0, 1, 2, 1])
+    assert np.array_equal(counts, np.diag([1, 2, 1]))
 
 
 def test_confusion_all_predicted_first_class():
-    m = confusion([0, 1, 2], [0, 0, 0])
-    assert m.counts[:, 0].tolist() == [1, 1, 1]
-    assert m.counts[:, 1:].sum() == 0
+    counts = confusion([0, 1, 2], [0, 0, 0])
+    assert counts[:, 0].tolist() == [1, 1, 1]
+    assert counts[:, 1:].sum() == 0
 
 
 def test_confusion_matches_pairwise_tally_oracle():
     rng = np.random.default_rng(0)
     y_true = rng.integers(0, 3, 500)
     y_pred = rng.integers(0, 3, 500)
-    m = confusion(y_true, y_pred)
+    counts = confusion(y_true, y_pred)
     for i in range(3):
         for j in range(3):
             tally = sum(1 for t, p in zip(y_true, y_pred) if t == i and p == j)
-            assert m.counts[i, j] == tally
+            assert counts[i, j] == tally
     # row sums are true class frequencies; column sums predicted frequencies
-    assert m.counts.sum(axis=1).tolist() == np.bincount(y_true, minlength=3).tolist()
-    assert m.counts.sum(axis=0).tolist() == np.bincount(y_pred, minlength=3).tolist()
+    assert counts.sum(axis=1).tolist() == np.bincount(y_true, minlength=3).tolist()
+    assert counts.sum(axis=0).tolist() == np.bincount(y_pred, minlength=3).tolist()
 
 
 @pytest.mark.parametrize("classes", [tuple(ClassLabel), CLASSES,
-                                     (ClassLabel.NORMAL, ClassLabel.HYDRATE),
-                                     (ClassLabel.NORMAL, ClassLabel.HYDRATE,
-                                      ClassLabel.NORMAL)])
+                                     (ClassLabel.NORMAL, ClassLabel.HYDRATE)])
 def test_confusion_matches_row_loop_oracle(classes):
     rng = np.random.default_rng(5)
     codes = np.array([int(c) for c in classes])
     y_true, y_pred = rng.choice(codes, 400), rng.choice(codes, 400)
     got = confusion(y_true, y_pred, classes)
-    assert got.counts.dtype == np.int64
-    assert got.counts.tolist() == reference_confusion(y_true, y_pred, classes).tolist()
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_confusion(y_true, y_pred, classes).tolist()
 
     def message(fn, t, p):
         with pytest.raises(ValueError) as err:
@@ -81,30 +80,43 @@ def test_confusion_matches_row_loop_oracle(classes):
     assert message(confusion, t, p) == "true label 9 not in classes"
 
 
+def test_class_listed_twice_is_refused():
+    classes = (ClassLabel.NORMAL, ClassLabel.HYDRATE, ClassLabel.NORMAL)
+    named = re.escape("class NormalCondition listed twice in classes")
+    with pytest.raises(ValueError, match=named):
+        confusion([0, 2], [2, 0], classes)
+    model = DecisionTree().fit(np.array([[0.0], [1.0]]), np.array([0, 2]))
+    test = FeatureMatrix(("x",), np.array([[0.0], [1.0]]), np.array([0, 2]),
+                         np.zeros((2, 2), dtype=np.int64), ("i",))
+    with pytest.raises(ValueError, match=named):
+        evaluate(model, test, "dt", classes)
+
+
 def test_confusion_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("length mismatch: 2 true vs 1 predicted")):
         confusion([0, 1], [0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="true label 9 not in classes"):
         confusion([0, 9], [0, 0])
-    with pytest.raises(EmptyDataError):
+    with pytest.raises(EmptyDataError, match="confusion of empty label sequences"):
         confusion([], [])
-    with pytest.raises(ValueError, match=re.escape("counts shape (2, 2) does not")):
-        cm(np.zeros((2, 2), dtype=int))
-    with pytest.raises(ValueError, match="negative confusion counts"):
-        cm(-np.eye(3, dtype=int))
-    empty = cm(np.zeros((3, 3), dtype=int))
-    with pytest.raises(EmptyDataError, match="accuracy of an empty confusion matrix"):
-        accuracy(empty)
-    with pytest.raises(EmptyDataError, match="metrics of an empty confusion matrix"):
-        f1_per_class(empty)
     model = DecisionTree().fit(np.array([[0.0], [1.0]]), np.array([0, 1]))
     no_rows = FeatureMatrix(("x",), np.zeros((0, 1)), np.zeros(0), np.zeros((0, 2)), ())
     with pytest.raises(EmptyDataError, match="evaluate on empty test matrix"):
         evaluate(model, no_rows)
 
 
+def test_report_from_confusion_refuses_bad_grids():
+    with pytest.raises(ValueError,
+                       match=re.escape("counts shape (2, 2) does not match 3 classes")):
+        report(np.zeros((2, 2), dtype=int))
+    with pytest.raises(ValueError, match="negative confusion counts"):
+        report(-np.eye(3, dtype=int))
+    with pytest.raises(EmptyDataError, match="metrics of an empty confusion matrix"):
+        report(np.zeros((3, 3), dtype=int))
+
+
 def test_accuracy_identity_matrix():
-    assert accuracy(cm(np.eye(3, dtype=int) * 5)) == 1.0
+    assert report(np.eye(3, dtype=int) * 5).accuracy == 1.0
 
 
 def display_3dp(x):
@@ -113,26 +125,25 @@ def display_3dp(x):
 
 
 def test_accuracy_reference_decision_tree():
-    acc = accuracy(cm(DT_MATRIX))
-    assert acc == pytest.approx(763743 / 763792, abs=1e-15)
+    acc = report(DT_MATRIX).accuracy
+    assert acc == 763743 / 763792
     assert display_3dp(acc) == 0.999
 
 
 def test_accuracy_reference_naive_bayes():
-    acc = accuracy(cm(NB_MATRIX))
-    assert acc == pytest.approx(300379 / 763792, abs=1e-15)
+    acc = report(NB_MATRIX).accuracy
+    assert acc == 300379 / 763792
     assert display_3dp(acc) == 0.393
 
 
 def test_accuracy_reference_knn():
-    acc = accuracy(cm(KNN_MATRIX))
-    assert acc == pytest.approx(761639 / 763792, abs=1e-15)
+    acc = report(KNN_MATRIX).accuracy
+    assert acc == 761639 / 763792
     assert display_3dp(acc) == 0.997
 
 
 def test_f1_reference_naive_bayes_display_rounding():
-    metrics = f1_per_class(cm(NB_MATRIX))
-    f1 = [metrics[c].f1 for c in CLASSES]
+    f1 = report(NB_MATRIX).f1_vector()
     assert round(f1[0], 2) == 0.04
     assert round(f1[1], 2) == 0.58
     assert round(f1[2], 2) == 0.00
@@ -142,28 +153,59 @@ def test_f1_reference_naive_bayes_display_rounding():
 
 def test_f1_reference_tree_and_knn_round_to_one():
     for matrix in (DT_MATRIX, KNN_MATRIX):
-        metrics = f1_per_class(cm(matrix))
-        for c in CLASSES:
-            assert round(metrics[c].f1, 2) == 1.00
+        for f1 in report(matrix).f1_vector():
+            assert round(f1, 2) == 1.00
 
 
 def test_f1_zero_division_convention():
     counts = [[0, 0, 0], [0, 5, 0], [0, 0, 5]]
-    metrics = f1_per_class(cm(counts))
-    absent = metrics[ClassLabel.HYDRATE]
+    absent = report(counts).per_class[ClassLabel.HYDRATE]
     assert (absent.precision, absent.recall, absent.f1) == (0.0, 0.0, 0.0)
 
 
 def test_class_permutation_leaves_metrics_invariant():
-    base = cm(NB_MATRIX)
+    base = report(NB_MATRIX)
     perm = [2, 0, 1]
-    permuted = ConfusionMatrix(
-        classes=tuple(CLASSES[i] for i in perm),
-        counts=np.asarray(NB_MATRIX)[np.ix_(perm, perm)])
-    assert accuracy(base) == accuracy(permuted)
-    f_base = sorted(m.f1 for m in f1_per_class(base).values())
-    f_perm = sorted(m.f1 for m in f1_per_class(permuted).values())
-    assert f_base == pytest.approx(f_perm, abs=0)
+    permuted = report(np.asarray(NB_MATRIX)[np.ix_(perm, perm)],
+                      tuple(CLASSES[i] for i in perm))
+    assert base.accuracy == permuted.accuracy
+    assert sorted(base.f1_vector()) == pytest.approx(sorted(permuted.f1_vector()), abs=0)
+
+
+@st.composite
+def grids(draw):
+    """1-3 class grids, some rows (no true rows of a class) and some columns
+    (no predictions of a class) zeroed, at least one count in all."""
+    n = draw(st.integers(1, 3))
+    cells = st.integers(0, 9) | st.integers(0, 2**40)
+    grid = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n)),
+                    dtype=np.int64).reshape(n, n)
+    grid[sorted(draw(st.sets(st.integers(0, n - 1)))), :] = 0
+    grid[:, sorted(draw(st.sets(st.integers(0, n - 1))))] = 0
+    assume(grid.sum() > 0)
+    return grid
+
+
+def within_ulps(got, exact, ulps):
+    want = float(exact)
+    if exact == 0:
+        return got == 0.0
+    return abs(got - want) <= ulps * math.ulp(want)
+
+
+@given(grid=grids())
+@settings(max_examples=400, deadline=None)
+def test_metrics_match_exact_rational_oracle(grid):
+    n = len(grid)
+    got = report(grid, tuple(ClassLabel)[:n])
+    accuracy, per_class, macro_f1 = reference_metrics(grid.tolist())
+    # each of these is one division of two integers: correctly rounded
+    assert got.accuracy == float(accuracy)
+    for cls, (precision, recall, f1) in zip(got.classes, per_class):
+        metrics = got.per_class[cls]
+        assert (metrics.precision, metrics.recall) == (float(precision), float(recall))
+        assert within_ulps(metrics.f1, f1, 4), (metrics.f1, f1)
+    assert within_ulps(got.macro_f1, macro_f1, 4), (got.macro_f1, macro_f1)
 
 
 def test_evaluate_memorizing_tree_and_recomposition():
@@ -176,23 +218,23 @@ def test_evaluate_memorizing_tree_and_recomposition():
                                                    np.arange(120))),
                            instance_ids=("i",))
     model = DecisionTree(max_depth=None).fit(values, labels)
-    report = evaluate(model, matrix, "tree")
-    assert report.accuracy == 1.0
+    scored = evaluate(model, matrix, "tree")
+    assert scored.accuracy == 1.0
     # recomposition oracle
-    recomputed = accuracy(confusion(labels, model.predict(values)))
-    assert report.accuracy == recomputed
-    assert report.macro_f1 == 1.0
+    assert scored == report_from_confusion(confusion(labels, model.predict(values)),
+                                           "tree")
+    assert scored.macro_f1 == 1.0
 
 
 def test_eval_report_json_round_trip_preserves_counts():
-    report = report_from_confusion(cm(KNN_MATRIX), "k-NN")
-    back = from_json(EvalReport, json.loads(jsonio.dumps(to_json(report))), "")
-    assert back == report
+    scored = report_from_confusion(np.array(KNN_MATRIX), "k-NN", CLASSES)
+    back = from_json(EvalReport, json.loads(jsonio.dumps(to_json(scored))), "")
+    assert back == scored
     assert back.matrix == tuple(map(tuple, KNN_MATRIX))
 
 
 def test_confusion_csv_grid():
-    text = report_from_confusion(cm(DT_MATRIX), "dt").confusion_csv()
+    text = report(DT_MATRIX).confusion_csv()
     lines = text.strip().split("\n")
     assert lines[0].split(",")[1] == "Hydrate"
     assert lines[1].split(",")[1:] == ["67926", "0", "0"]
