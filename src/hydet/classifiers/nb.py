@@ -25,6 +25,32 @@ from .validation import validate_rows, validate_training_inputs
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+#: training rows summed at once
+_ROW_BLOCK = 1 << 14
+
+
+def _row_slices(X: np.ndarray) -> list[slice]:
+    """Slices of ``X``'s rows for ``_sum_rows``: ``_ROW_BLOCK`` rows each
+    where numpy adds the rows of ``X`` one after another, as it does for a
+    C-order matrix of two or more columns; else one slice, since numpy sums
+    any other ``X`` pairwise."""
+    step = _ROW_BLOCK if X.flags.c_contiguous and X.shape[1] > 1 else len(X)
+    return [slice(first, first + step) for first in range(0, len(X), step)]
+
+
+def _sum_rows(blocks) -> np.ndarray:
+    """The column sums of the rows of the arrays ``blocks``, bit for bit
+    those of ``np.sum(axis=0)`` over all of them in one matrix that
+    ``_row_slices`` cut: each is summed with the running total as its
+    first row."""
+    total = None
+    for block in blocks:
+        if len(block):
+            total = block.sum(axis=0) if total is None \
+                else np.concatenate((total[None], block)).sum(axis=0)
+    return total
+
+
 @dataclass(frozen=True)
 class NbPayload:
     """The ``nb.json`` payload after its header: one row per class."""
@@ -67,7 +93,10 @@ class GaussianNb:
         X, y = validate_training_inputs(X, y, "naive Bayes fit")
         self.classes_ = np.unique(y).astype(np.int64)  # predict gives int64
 
-        total_var = np.mean((X - X.mean(axis=0)) ** 2, axis=0)
+        # np.mean((X - X.mean(axis=0)) ** 2, axis=0), a block of rows at a time
+        slices, n = _row_slices(X), len(X)
+        mean = _sum_rows(X[at] for at in slices) / n
+        total_var = _sum_rows((X[at] - mean) ** 2 for at in slices) / n
         if total_var.max() == 0.0:
             raise ValueError("every training feature is constant; Gaussian "
                              "class-conditional densities are undefined")
@@ -75,15 +104,18 @@ class GaussianNb:
 
         priors, means, variances = [], [], []
         for c in self.classes_.tolist():  # Python ints: y == c keeps y's dtype
-            rows = X[y == c]
-            if rows.shape[0] < 2:
-                raise EmptyDataError(f"class {c} has {rows.shape[0]} row(s); "
+            n_c = int(np.count_nonzero(y == c))
+            if n_c < 2:
+                raise EmptyDataError(f"class {c} has {n_c} row(s); "
                                      "naive Bayes needs at least 2 per class")
-            priors.append(rows.shape[0] / X.shape[0])
-            mu = rows.mean(axis=0)
+            priors.append(n_c / X.shape[0])
+            # rows.mean(axis=0) and np.mean((rows - mu) ** 2, axis=0) of
+            # rows = X[y == c], without that copy
+            mu = _sum_rows(X[at][y[at] == c] for at in slices) / n_c
             means.append(mu)
-            variances.append(np.maximum(np.mean((rows - mu) ** 2, axis=0),
-                                        self.epsilon_))
+            variances.append(np.maximum(
+                _sum_rows((X[at][y[at] == c] - mu) ** 2 for at in slices) / n_c,
+                self.epsilon_))
         self.priors_ = np.asarray(priors)
         self.means_ = np.vstack(means)
         self.variances_ = np.vstack(variances)
@@ -97,8 +129,15 @@ class GaussianNb:
         for ci in range(len(self.classes_)):
             var = self.variances_[ci]
             log_norm = -0.5 * (_LOG_2PI + np.log(var))
-            quad = (X - self.means_[ci]) ** 2 / (2.0 * var)
-            scores[:, ci] = np.log(self.priors_[ci]) + np.sum(log_norm - quad, axis=1)
+            # log_norm - (X - mu) ** 2 / (2 * var), in one temporary
+            terms = X - self.means_[ci]
+            terms **= 2
+            terms /= 2.0 * var
+            np.subtract(log_norm, terms, out=terms)
+            column = scores[:, ci]
+            np.sum(terms, axis=1, out=column)
+            column += np.log(self.priors_[ci])
+            del terms  # before the next class's is made
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -14,13 +14,14 @@ Routing sends ``value <= threshold`` left. The fitted tree is flat preorder
 node lists, also its ``dt.json`` payload (``TreePayload``).
 
 The search runs over presorted attribute lists (SLIQ: Mehta, Agrawal &
-Rissanen 1996): a node holds one int32 ``(features, rows)`` order matrix,
-and ``fit`` fills the root's with one ``np.argsort`` of ``X.T``, a view. A
-split's left rows are the first ``n_left`` of the split feature's order (the
-threshold lies between the ``n_left``-th value and the next); one gather of
-their marks over the matrix splits it into the children's. Every order row
-holds each node row once and keeps its order, so each child's rows stay
-sorted by every feature. Only the open path's matrices stay alive.
+Rissanen 1996): one int32 ``(features, rows)`` order matrix, which ``fit``
+fills one feature's ``np.argsort`` at a time, and a node is a column range
+of it. A split's left rows are the first ``n_left`` of the split feature's
+order (the threshold lies between the ``n_left``-th value and the next); a
+gather of their marks rewrites each other order row of the range stably as
+left rows, then right rows, so the children are its two parts. Every order
+row holds each node row once and keeps its order, so each child's rows stay
+sorted by every feature.
 
 The order of the rows within a tie block is the sort's and cannot change
 the tree: the cuts and the class counts at them depend only on which values
@@ -40,7 +41,8 @@ block to the end of its right one hold two classes (``_winnable``): at the
 x10 root, 8-37% of a feature's cuts. Class counts there are one int32
 ``cumsum`` per class, gathered at the kept cuts. The kept gains are the same
 elementwise float operations on a subset, so bitwise those of every cut. A
-feature's first maximum wins within it, and a later feature replaces the
+feature's gains are computed ``_CUT_BLOCK`` cuts at a time; a block's
+first maximum wins within it, and a later block or feature replaces the
 best only with a strictly larger gain, so ties still go to the lowest
 feature, then the lowest threshold, as one ``argmax`` over all candidates.
 
@@ -51,11 +53,13 @@ right, so below 8 classes the squares are added one class column at a time,
 on numpy unrolls the row sum into partial sums, so there the matrix is built
 and summed by numpy. ``tests/oracles.py`` keeps the per-node search, and the
 tests compare the two fits node for node. On the x10 corpus (461,250
-training rows, 4 features, 1,256 leaves) the fit takes 0.89-1.22 s (10
-fresh-process fits) and traces a 24.6 MiB peak (tracemalloc) for a 14.1 MiB
-matrix, set at the root's split search by its order matrix and one
-feature's gathered values; on the default corpus (46,125 rows) it takes
-0.067-0.152 s, median 0.080 s (2-CPU Xeon VM, numpy 2.4).
+training rows, 4 features, 1,256 leaves) the fit takes 0.86-0.96 s (10
+fresh-process fits) and traces a 15.0 MiB peak (tracemalloc) for a 14.1 MiB
+matrix, set at the root's split search by the order matrix (7.0 MiB) and
+one feature's gathered values; holding a second order matrix for the
+children and the root's gains whole, it traced 23.5 MiB. On the default
+corpus (46,125 rows) it takes 0.071-0.083 s, median 0.076 s (2-CPU Xeon VM,
+numpy 2.4).
 """
 
 from __future__ import annotations
@@ -145,8 +149,10 @@ class DecisionTree:
         classes = np.unique(y)  # codes on y's own dtype; predict gives int64
         self.classes_ = classes.astype(np.int64)
         self.n_features_ = X.shape[1]
+        # class indices in the smallest type: each feature's search gathers them
+        y = np.searchsorted(classes, y).astype(np.min_scalar_type(len(classes) - 1))
         self.feature_, self.threshold_, self.right_, self.counts_ = _Grower(
-            self.params, X, np.searchsorted(classes, y), len(classes)).grow()
+            self.params, X, y, len(classes)).grow()
         return self
 
     # -- prediction --------------------------------------------------------
@@ -199,31 +205,38 @@ class DecisionTree:
         return model
 
 
+#: candidate cuts whose gains are computed at once
+_CUT_BLOCK = 1 << 15
+
+
 class _Grower:
     """One fit's tree growth over presorted attribute lists.
 
-    A node holds one ``(features, rows)`` int32 order matrix: its row f lists
-    the node's rows sorted by feature f's value."""
+    ``orders`` is one ``(features, rows)`` int32 matrix: its row f lists the
+    rows sorted by feature f's value. A node owns a column range of it, in
+    which row f lists the node's rows in feature f's order."""
 
     def __init__(self, params: TreeConfig, X: np.ndarray, y: np.ndarray,
                  n_classes: int):
         self.params = params
         self.columns = X.T  # a view: a column is strided, never copied
-        # class indices in the smallest type: each feature's search gathers them
-        self.y = y.astype(np.min_scalar_type(n_classes - 1))
+        self.y = y
         self.n_classes = n_classes
         self.goes_left = np.zeros(len(y), dtype=bool)
+        self.orders = np.empty(self.columns.shape, dtype=np.int32)
+        for order, column in zip(self.orders, self.columns):
+            order[...] = np.argsort(column)  # one feature's int64 order at a time
 
     def grow(self) -> tuple[tuple, tuple, tuple, tuple]:
         """The preorder ``feature``, ``threshold``, ``right`` and ``counts`` of
-        the tree over every row. Open nodes wait on a stack, the next in
-        preorder on top; ``parent`` is the split whose right child one is, or -1."""
+        the tree over every row. Open nodes wait on a stack as column ranges
+        ``[lo, hi)``, the next in preorder on top; ``parent`` is the split
+        whose right child one is, or -1."""
         params = self.params
         nodes = []  # [feature, threshold, right, counts] per node, in preorder
-        orders = np.argsort(self.columns, axis=1).astype(np.int32)
-        stack = [(orders, np.bincount(self.y, minlength=self.n_classes), 0, -1)]
+        stack = [(0, len(self.y), np.bincount(self.y, minlength=self.n_classes), 0, -1)]
         while stack:
-            orders, counts, depth, parent = stack.pop()
+            lo, hi, counts, depth, parent = stack.pop()
             if parent != -1:
                 nodes[parent][2] = len(nodes)
             nodes.append([-1, 0.0, -1, tuple(counts.tolist())])  # a leaf until split
@@ -231,36 +244,40 @@ class _Grower:
             if ((counts > 0).sum() > 1
                     and (params.max_depth is None or depth < params.max_depth)
                     and counts.sum() >= params.min_samples_split):
-                best = self._best_split(orders, counts)
+                best = self._best_split(self.orders[:, lo:hi], counts)
             if best is None or best[0] < params.min_impurity_decrease:
                 continue
             _, feature, threshold, n_left = best
-            left, right, left_counts = self._partition(orders, feature, n_left)
+            left_counts = self._partition(self.orders[:, lo:hi], feature, n_left)
             nodes[-1][:2] = feature, threshold
-            stack.append((right, counts - left_counts, depth + 1, len(nodes) - 1))
-            stack.append((left, left_counts, depth + 1, -1))
-            del left, right  # only the open path's orders stay alive
+            stack.append((lo + n_left, hi, counts - left_counts, depth + 1,
+                          len(nodes) - 1))
+            stack.append((lo, lo + n_left, left_counts, depth + 1, -1))
         return tuple(zip(*nodes))
 
-    def _partition(self, orders: np.ndarray, feature: int, n_left: int):
-        """The order matrix compressed to the rows routed left and to the
-        rest, and the left rows' class counts. The left rows are the first
-        ``n_left`` of the split feature's order (the threshold lies between
-        its ``n_left``-th and next value), and every order row holds them."""
+    def _partition(self, orders: np.ndarray, feature: int, n_left: int) -> np.ndarray:
+        """Rewrite each row of a node's ``orders`` stably as the rows routed
+        left, then the rest, and return the left rows' class counts. The left
+        rows are the first ``n_left`` of the split feature's order, which
+        stays as it is (the threshold lies between its ``n_left``-th and next
+        value)."""
         rows = orders[feature, :n_left]
         goes_left = self.goes_left
         goes_left[rows] = True
-        mask = goes_left[orders]
+        for f, order in enumerate(orders):
+            if f != feature:
+                mask = goes_left[order]
+                right = order[~mask]
+                order[:n_left] = order[mask]
+                order[n_left:] = right
+                del mask, right
         goes_left[rows] = False
-        left = orders[mask].reshape(len(orders), n_left)
-        right = orders[~mask].reshape(len(orders), -1)
-        return left, right, np.bincount(self.y[rows], minlength=self.n_classes)
+        return np.bincount(self.y[rows], minlength=self.n_classes)
 
     def _best_split(self, orders: np.ndarray,
                     counts: np.ndarray) -> tuple[float, int, float, int] | None:
         """The best ``(gain, feature, threshold, n_left)``, or None where no
         feature has two distinct values."""
-        n = int(counts.sum())
         parent_gini = _gini(counts)
         # Absent classes add exact zeros, so the class-by-class sum skips
         # them; the matrix sum of 8 or more classes needs every column.
@@ -279,20 +296,18 @@ class _Grower:
                 continue
             left = [np.cumsum(ys == c, dtype=np.int32)[cuts] for c in classes]
             del ys
-            n_left = (cuts + 1).astype(np.float64)
-            n_right = n - n_left
-            gini_left = _gini_rows(left, n_left)
-            gini_right = _gini_rows(
-                [counts[c] - cum for c, cum in zip(classes, left)], n_right)
-            gini_left *= n_left / n
-            gini_right *= n_right / n
-            gains = np.subtract(parent_gini, gini_left, out=gini_left)
-            gains -= gini_right
-
-            pos = int(np.argmax(gains))  # first max: lowest threshold wins ties
-            gain = float(gains[pos])
-            if best is None or gain > best[0]:  # strict: a lower feature wins ties
-                best = (gain, feature, int(cuts[pos]) + 1)
+            # a block's first max, and strict > across blocks and features:
+            # the lowest feature, then the lowest threshold wins ties
+            for first in range(0, cuts.size, _CUT_BLOCK):
+                block = slice(first, first + _CUT_BLOCK)
+                gains = _gains(cuts[block], [cum[block] for cum in left], counts,
+                               classes, parent_gini)
+                pos = int(np.argmax(gains))
+                gain = float(gains[pos])
+                if best is None or gain > best[0]:
+                    best = (gain, feature, int(cuts[first + pos]) + 1)
+                del gains
+            del cuts, left  # before the next feature's arrays
         if best is None:
             return None
         gain, feature, n_left = best
@@ -300,6 +315,23 @@ class _Grower:
         lo, hi = float(column[order[n_left - 1]]), float(column[order[n_left]])
         mid = (lo + hi) / 2.0  # in Python floats an overflow does not warn
         return gain, feature, mid if math.isfinite(mid) and mid < hi else lo, n_left
+
+
+def _gains(cuts: np.ndarray, left: list[np.ndarray], counts: np.ndarray,
+           classes: list[int], parent_gini: float) -> np.ndarray:
+    """The Gini gain of each cut, given the class counts ``left`` of its
+    left rows (one array per class of ``classes``) and the node's
+    ``counts``."""
+    n = int(counts.sum())
+    n_left = (cuts + 1).astype(np.float64)
+    n_right = n - n_left
+    gini_left = _gini_rows(left, n_left)
+    gini_right = _gini_rows([counts[c] - cum for c, cum in zip(classes, left)], n_right)
+    gini_left *= n_left / n
+    gini_right *= n_right / n
+    gains = np.subtract(parent_gini, gini_left, out=gini_left)
+    gains -= gini_right
+    return gains
 
 
 def _winnable(is_cut: np.ndarray, ys: np.ndarray) -> np.ndarray:

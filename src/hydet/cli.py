@@ -90,19 +90,21 @@ def _matrix(config: RunConfig, all_channels: bool = False) -> FeatureMatrix:
     over ``config.variables``. With ``all_channels`` (standalone qc, unless
     --variables or the config file names the channels) it spans the channels
     every instance holds, in first-instance order, so 8-channel corpora report
-    all-channel aggregates. Only the matrix leaves: the instances go on return."""
-    from .dataset import CLASS_DIRS, build_manifest, flatten, load_instances, synth_generate
+    all-channel aggregates. No instance outlives its file."""
+    from .dataset import CLASS_DIRS, build_manifest, flatten, synth_generate
+    from .dataset.io import load_matrix, shared_channels
     data, variables = config.data, config.variables
     if data.root is not None:
         manifest = build_manifest(data.root)
         if not manifest.instances:
             raise HydetError(f"dataset is empty: {data.root} has no .csv file in its "
                              f"class directories {', '.join(CLASS_DIRS)}")
-        instances = load_instances(data.root, manifest)
-    elif data.synth is not None:
-        instances = synth_generate(data.synth, config.seed)
-    else:
+        if all_channels:
+            variables = shared_channels(data.root, manifest) or variables
+        return load_matrix(data.root, manifest, variables)
+    if data.synth is None:
         raise ConfigError("config needs a data source: data.root or data.synth")
+    instances = synth_generate(data.synth, config.seed)
     if all_channels:
         shared = tuple(v for v in instances[0].variable_names
                        if all(v in inst.variable_names for inst in instances))
@@ -182,12 +184,13 @@ def cmd_synth(config: RunConfig, args) -> int:
 
 
 def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
-                      models_dir: Path) -> Preprocessor:
+                      models_dir: Path) -> tuple[Preprocessor, FeatureMatrix]:
     from .quality import Preprocessor, save_preprocessor
-    prep = Preprocessor.fit(train, config.preprocess)
+    prep, train_ready = Preprocessor.fit_transform(train, config.preprocess,
+                                                   in_place=True)
     models_dir.mkdir(parents=True, exist_ok=True)
     save_preprocessor(prep, models_dir / "preprocess.json")
-    return prep
+    return prep, train_ready
 
 
 def _train_and_save(config: RunConfig, train_ready: FeatureMatrix,
@@ -226,10 +229,9 @@ def cmd_train(config: RunConfig, args) -> int:
     models_dir = Path(config.out_dir) / "models"
     with _stages("train", config) as begin:
         begin("ingest")
-        train_m = split(_matrix(config), config.split)[0]
+        train_m = split(_matrix(config), config.split, in_place=True)[0]
         begin("preprocess")
-        prep = _fit_preprocessor(config, train_m, models_dir)
-        train_ready = prep.transform(train_m)
+        train_ready = _fit_preprocessor(config, train_m, models_dir)[1]
         del train_m
         begin("train")
         _train_and_save(config, train_ready, models_dir)
@@ -250,10 +252,10 @@ def cmd_eval(config: RunConfig, args) -> int:
                          "run train again")
     with _stages("eval", config) as begin:
         begin("ingest")
-        test_m = split(_matrix(config), config.split)[1]
+        test_m = split(_matrix(config), config.split, in_place=True)[1]
         begin("preprocess")
         prep = load_preprocessor(models_dir / "preprocess.json")
-        test_ready = prep.transform(test_m)
+        test_ready = prep.transform(test_m, in_place=True)
         begin("evaluate")
         models = {name: load_model(models_dir / f"{name}.json")
                   for name in config.models if (models_dir / f"{name}.json").exists()}
@@ -314,11 +316,12 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         begin("quality-audit")
         _write_quality(config, matrix, out)
         begin("split")
-        train_m, test_m = split(matrix, config.split)
-        del matrix  # each stage's input goes once the next has what it needs
+        # each stage works in the arrays of the last; its input goes with it
+        train_m, test_m = split(matrix, config.split, in_place=True)
+        del matrix
         begin("preprocess")
-        prep = _fit_preprocessor(config, train_m, out / "models")
-        train_ready, test_ready = prep.transform(train_m), prep.transform(test_m)
+        prep, train_ready = _fit_preprocessor(config, train_m, out / "models")
+        test_ready = prep.transform(test_m, in_place=True)
         del train_m, test_m
         begin("train")
         models = _train_and_save(config, train_ready, out / "models")

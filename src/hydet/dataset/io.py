@@ -23,14 +23,20 @@ instance as the one-pass parse wherever both accept a file.
 Writing renders every row with one ``%`` template and then blanks the NaN
 cells, so the floats have ``jsonio.format_float``'s 17 significant digits.
 
-``load_instances`` and ``write_instances`` run their per-file loop on every
-CPU this process may use once the files are large enough (``_fan_out``): one
-process per CPU, but none for less than ``_SHARE_FLOOR_BYTES`` (8 MiB) of CSV
-text, a file to write being sized at 23 bytes per value. A reading child
-streams each instance back as its pickle, then the raw bytes of each of its
-arrays, which this process reads into arrays it allocates. The outcome is
-always the serial loop's: after a failure anywhere, that loop runs again
-from the first file.
+``load_instances``, ``load_matrix`` and ``write_instances`` run their
+per-file loop on every CPU this process may use once the files are large
+enough (``_fan_out``): one process per CPU, but none for less than
+``_SHARE_FLOOR_BYTES`` (8 MiB) of CSV text, a file to write being sized at
+23 bytes per value. A reading child streams each result back as its pickle,
+then the raw bytes of each of its arrays, which this process reads into
+arrays it allocates; results are handed on in file order. The outcome is
+always the serial loop's: after a failure anywhere, that loop runs on from
+the first file whose result was not handed on.
+
+``load_matrix`` is how the CLI reads a corpus: each file's selected channels
+are copied into the matrix as they come, so no instance outlives its file,
+and on the long dirty corpus ingest ends at ~57 MiB peak RSS where loading
+the instances and then flattening them reached ~80 MiB.
 
 The floor comes from ``hydet pipeline --models dt,nb`` and ``hydet synth``
 forced to fork, against the serial loop, in alternating runs on a 2-CPU VM:
@@ -42,9 +48,8 @@ On the benchmark's 53.8 MB long dirty corpus (two processes), the medians of
 pipeline`` from 4.64 to 3.97 s. Fixed contiguous shares, one per process,
 left this process waiting up to 0.5 s for a child whose CPU other work was
 using. Instances sent as whole pickles, arrays in them, raised that
-pipeline's peak RSS from 104.8 to ~111 MiB: the message buffers left holes
-among the instance arrays, so the freed corpus no longer held one block as
-large as ``split``'s train array.
+pipeline's peak RSS from 104.8 to ~111 MiB when the CLI still held every
+instance before flattening them.
 """
 
 from __future__ import annotations
@@ -63,9 +68,10 @@ from typing import Any, BinaryIO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import CsvFormatError, EmptyDataError, HydetError, LabelConflictError
-from .model import (ClassLabel, DatasetManifest, ManifestEntry, TimeSeriesInstance,
-                    check_header_names)
+from ..errors import (CsvFormatError, EmptyDataError, HydetError, LabelConflictError,
+                      MissingVariableError)
+from .model import (ClassLabel, DatasetManifest, FeatureMatrix, ManifestEntry,
+                    TimeSeriesInstance, check_header_names)
 
 logger = logging.getLogger(__name__)
 
@@ -219,11 +225,10 @@ def _fill_missing(body: str) -> str:
     """``body`` with ``nan`` in every empty cell.
 
     Three ``str.replace`` scans (the second fills every other cell of a run
-    of empty cells) and not one ``re.sub``: that is ~0.2 s faster on the
-    benchmark's long dirty corpus, but it builds each body from ~50 slices
-    of about 1 KB, which glibc keeps in its per-thread cache among the
-    instance arrays. The freed corpus then no longer holds one block as
-    large as ``split``'s train array, and peak RSS rose by 8-12 MiB.
+    of empty cells), which give what one ``re.sub`` of ``,(?=,|\\n|\\Z)``
+    gives. The ``re.sub`` takes half the CPU (0.15 against 0.31 s over the
+    long dirty corpus's bodies), but in 5 paired benchmark runs it raised
+    that pipeline's peak RSS by 0.07-0.36 MiB, so the scans stay.
     """
     if ",," in body:
         body = body.replace(",,", ",nan,").replace(",,", ",nan,")
@@ -426,10 +431,88 @@ def load_instances(root: str | Path, manifest: DatasetManifest,
                    label_map: Mapping[int, ClassLabel] | None = None,
                    ) -> list[TimeSeriesInstance]:
     """Load every instance listed in a manifest, labeled by its directory."""
-    root = Path(root)
-    return _fan_out(
-        lambda e: load_instance_csv(root / e.path, e.id, e.label, label_map),
-        manifest.instances, lambda e: os.path.getsize(root / e.path))
+    root, instances = Path(root), []
+    _fan_out(lambda e: load_instance_csv(root / e.path, e.id, e.label, label_map),
+             manifest.instances, lambda e: os.path.getsize(root / e.path),
+             instances.append)
+    return instances
+
+
+def load_matrix(root: str | Path, manifest: DatasetManifest,
+                variables: Sequence[str],
+                label_map: Mapping[int, ClassLabel] | None = None) -> FeatureMatrix:
+    """``flatten(load_instances(root, manifest, label_map), variables)``, bit
+    for bit and with its errors, without holding the instances: each file's
+    channels are copied into the matrix as its result comes, in manifest
+    order. The arrays start sized at the rows per byte of the files read so
+    far, with a tenth to spare, grow where that falls short and shrink to
+    the rows at the end; ``ndarray.resize`` moves their pages, not their
+    bytes. A file's instance never crosses the fan-out's pipe, only its
+    selected values and its label."""
+    root, variables = Path(root), tuple(variables)
+    entries = manifest.instances
+    sizes = [os.path.getsize(root / e.path) for e in entries]
+    arrays: tuple[np.ndarray, ...] = ()  # values, labels, origin
+    n_rows, n_files, lacking = 0, 0, None  # lacking: the first (id, channel) missing
+
+    def read(index: int):
+        entry = entries[index]
+        inst = load_instance_csv(root / entry.path, entry.id, entry.label, label_map)
+        names = inst.variable_names
+        missing = next((v for v in variables if v not in names), None)
+        if missing is not None:
+            return None, inst.label, missing
+        return inst.values[:, [names.index(v) for v in variables]], inst.label, None
+
+    def place(result) -> None:
+        nonlocal arrays, n_rows, n_files, lacking
+        part, label, missing = result
+        n_files += 1
+        if lacking is None and missing is not None:
+            lacking = entries[n_files - 1].id, missing
+        if lacking is not None:
+            return
+        start, n_rows = n_rows, n_rows + len(part)
+        if not arrays or n_rows > len(arrays[0]):
+            rows = n_rows * sum(sizes) // sum(sizes[:n_files]) * 11 // 10 + 1
+            if arrays:
+                for array in arrays:
+                    array.resize((rows, *array.shape[1:]), refcheck=False)
+            else:
+                arrays = (np.empty((rows, len(variables))), np.empty(rows, np.int8),
+                          np.empty((rows, 2), np.int32))
+        values, labels, origin = arrays
+        values[start:n_rows] = part
+        labels[start:n_rows] = label
+        origin[start:n_rows, 0] = n_files - 1
+        origin[start:n_rows, 1] = np.arange(len(part), dtype=np.int32)
+
+    _fan_out(read, range(len(entries)), sizes.__getitem__, place)
+    if not entries:
+        raise EmptyDataError("flatten: no instances")
+    if not variables:
+        raise EmptyDataError("flatten: no variables requested")
+    if lacking is not None:
+        raise MissingVariableError(f"instance {lacking[0]!r} lacks channel "
+                                   f"{lacking[1]!r}")
+    for array in arrays:
+        array.resize((n_rows, *array.shape[1:]), refcheck=False)
+    return FeatureMatrix(variables, *arrays, tuple(e.id for e in entries))
+
+
+def shared_channels(root: str | Path, manifest: DatasetManifest) -> tuple[str, ...]:
+    """The channels every file's header names, in the first file's order,
+    read off the headers alone; ``()`` where a header does not read, since
+    loading that file then raises the error that names it."""
+    root, shared = Path(root), None
+    for entry in manifest.instances:
+        try:
+            with open(root / entry.path, encoding="utf-8", newline="") as fh:
+                names = _read_header(entry.path, csv.reader(fh))[0]
+        except (HydetError, ValueError):
+            return ()
+        shared = names if shared is None else [v for v in shared if v in names]
+    return tuple(shared or ())
 
 
 def write_instances(instances: Sequence[TimeSeriesInstance],
@@ -468,32 +551,46 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> list:
-    """``[work(item) for item in items]``, on every CPU when that pays.
+def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int],
+             consume: Callable[[Any], Any] = lambda result: None) -> None:
+    """``for item in items: consume(work(item))``, on every CPU when that pays.
 
     One process per CPU works, but none for less than ``_SHARE_FLOOR_BYTES``
     by ``size_of``: this one and forked children. Each takes the next item
     from a shared counter, so that none waits on one slowed by a busy CPU. A
-    child streams back over a pipe each result that is not None with its
-    index; this process reads what is waiting between its own items. Once an
-    item fails anywhere, or a child exits with a code other than 0, no
-    process takes another item, every child is joined and the serial loop
-    runs: its result or its error is the outcome. An error that is not an
-    ``Exception``, such as ``KeyboardInterrupt``, propagates.
+    child streams back over a pipe each result with its index; this process
+    reads what is waiting between its own items and hands each result to
+    ``consume`` once every earlier one has been handed on, so ``consume``
+    sees the results in item order. Once an item fails anywhere, or a child
+    exits with a code other than 0, no process takes another item, every
+    child is joined and the serial loop runs on from the first item not yet
+    consumed: its error, or the results it consumes, are the outcome. An
+    error that is not an ``Exception``, such as ``KeyboardInterrupt``,
+    propagates.
     """
     cpus = _cpu_count()
     n_workers = 1 if cpus == 1 else min(
         cpus, len(items), sum(map(size_of, items)) // _SHARE_FLOOR_BYTES)
     if n_workers <= 1:
-        return [work(item) for item in items]
+        for item in items:
+            consume(work(item))
+        return
 
     import multiprocessing  # here: a serial run never loads it
     from multiprocessing.connection import wait
     context = multiprocessing.get_context("fork")
     counter = context.Value("q", 0)  # the next item's index
-    results: list = [None] * len(items)
+    early: dict[int, Any] = {}  # results that came before an earlier one
+    consumed = 0
     children: dict[int, Any] = {}  # by the read end of its pipe
     failed = False
+
+    def hand_on(index: int, result: Any) -> None:
+        nonlocal consumed
+        early[index] = result
+        while consumed in early:
+            consume(early.pop(consumed))
+            consumed += 1
 
     def receive(timeout: float | None) -> None:
         nonlocal failed
@@ -501,7 +598,7 @@ def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> li
             for fd in ready:
                 frame = _read_frame(fd)
                 if frame is not None:
-                    results[frame[0]] = frame[1]
+                    hand_on(*frame)
                     continue
                 os.close(fd)  # end of file: the child has exited
                 process = children.pop(fd)
@@ -524,10 +621,12 @@ def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> li
                 os.close(write_end)  # before the next fork, so that EOF means exit
         while (i := _take(counter)) < len(items):
             try:
-                results[i] = work(items[i])
+                result = work(items[i])
             except Exception:  # the serial loop raises it again
                 failed = True
                 counter.value = len(items)  # no process takes another item
+            else:
+                hand_on(i, result)
             receive(0)
         receive(None)
     finally:
@@ -537,9 +636,9 @@ def _fan_out(work: Callable, items: Sequence, size_of: Callable[..., int]) -> li
                 process.join()
             os.close(fd)
     if failed:
-        results.clear()  # before the serial loop makes its own
-        return [work(item) for item in items]
-    return results
+        early.clear()  # before the serial loop makes its own
+        for item in items[consumed:]:
+            consume(work(item))
 
 
 def _take(counter: Any) -> int:
@@ -550,8 +649,8 @@ def _take(counter: Any) -> int:
 
 
 def _work_share(work: Callable, items: Sequence, counter: Any, write_end: int) -> None:
-    """Body of a forked child: write each result that is not None as a
-    frame; exit quietly with code 1 once an item fails."""
+    """Body of a forked child: write each result as a frame; exit quietly
+    with code 1 once an item fails."""
     with open(write_end, "wb") as out:
         while (i := _take(counter)) < len(items):
             try:
@@ -559,8 +658,7 @@ def _work_share(work: Callable, items: Sequence, counter: Any, write_end: int) -
             except Exception:  # the serial loop raises it again
                 counter.value = len(items)  # no process takes another item
                 sys.exit(1)
-            if result is not None:
-                _write_frame(out, i, result)
+            _write_frame(out, i, result)
 
 
 def _write_frame(out: BinaryIO, index: int, result: Any) -> None:

@@ -54,14 +54,48 @@ def rounded_count(fraction: float, n: int) -> int:
     return int(np.floor(fraction * n + 0.5))
 
 
-def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:
+def split(matrix: FeatureMatrix, spec: SplitSpec, *,
+          in_place: bool = False) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Deterministic, disjoint and exhaustive train/test partition.
 
     Test takes ``rounded_count`` of each class's units (unstratified: of all
     units): rows in row mode, or instances labelled by their first row in
     instance mode, where all rows of an episode land on the same side. Row
     order within each part preserves the original matrix order.
+
+    ``matrix`` is left as it is, unless ``in_place``: then the test rows are
+    copied out, the train rows move forward within ``matrix``'s own arrays,
+    ``_MOVE_ROWS`` at a time, and the arrays shrink to them, so no more than
+    the test part and one such block is held beyond ``matrix``. The train
+    rows' indices ascend, so none is overwritten before it moves. ``matrix``
+    then holds the train part too; its arrays must own their memory, and
+    no view of them may outlive the call.
     """
+    test = _test_mask(matrix, spec)
+    test_part = matrix.take(np.flatnonzero(test))
+    if not in_place:
+        return matrix.take(np.flatnonzero(~test)), test_part
+    arrays = matrix.values, matrix.labels, matrix.origin
+    for array in arrays:
+        array.setflags(write=True)
+    n_train = 0
+    for first in range(0, matrix.n_rows, _MOVE_ROWS):
+        rows = np.flatnonzero(~test[first:first + _MOVE_ROWS])
+        rows += first
+        for array in arrays:
+            array[n_train:n_train + len(rows)] = array[rows]
+        n_train += len(rows)
+    for array in arrays:
+        array.resize((n_train, *array.shape[1:]), refcheck=False)
+    return FeatureMatrix(matrix.column_names, *arrays, matrix.instance_ids), test_part
+
+
+#: rows of a matrix that ``split(..., in_place=True)`` moves at once
+_MOVE_ROWS = 1 << 15
+
+
+def _test_mask(matrix: FeatureMatrix, spec: SplitSpec) -> np.ndarray:
+    """Which rows of ``matrix`` ``split`` puts in its test part."""
     n = matrix.n_rows
     if n < 2:
         raise SplitError(f"need at least 2 rows to split, have {n}")
@@ -84,7 +118,7 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
         raise SplitError(
             f"test_fraction {spec.test_fraction} yields an empty part "
             f"({n_test} of {n} rows in test)")
-    return matrix.take(np.flatnonzero(~test)), matrix.take(np.flatnonzero(test))
+    return test
 
 
 def _test_units(labels: np.ndarray, spec: SplitSpec, rng: CounterRng,

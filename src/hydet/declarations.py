@@ -266,11 +266,20 @@ def default_regimes() -> dict[ClassLabel, dict[str, ChannelModel]]:
             ClassLabel.HYDRATE: hydrate}
 
 
+def _check_fractions(value, *keys: str) -> None:
+    for key in keys:
+        if not 0.0 <= getattr(value, key) <= 1.0:
+            raise ValueError(f"{key}: {getattr(value, key)!r} is outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class ClassMetrics:
     precision: float
     recall: float
     f1: float
+
+    def __post_init__(self):
+        _check_fractions(self, "precision", "recall", "f1")
 
 
 @dataclass(frozen=True)
@@ -289,6 +298,13 @@ class EvalReport:
         n = len(self.classes)
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError(f"matrix: expected {n} rows of {n} counts")
+        for i, row in enumerate(self.matrix):
+            for j, count in enumerate(row):
+                if count < 0:
+                    raise ValueError(f"matrix[{i}][{j}]: count {count} is negative")
+        if not any(map(any, self.matrix)):
+            raise ValueError("matrix: every count is 0")
+        _check_fractions(self, "accuracy", "macro_f1")
         if sorted(self.per_class) != sorted(self.classes):
             raise ValueError(f"per_class: keys {_names(self.per_class)} do not "
                              f"match classes {_names(self.classes)}")

@@ -4,7 +4,7 @@ Output directories must be byte-identical across reruns, so every JSON
 artifact is written with sorted keys, fixed separators and floats rendered
 at 17 significant digits (the shortest width that round-trips any IEEE-754
 double).  A numpy array is written as its ``.tolist()`` would be; a 2-D
-float64 array is written one block of rows at a time, so that ``dump`` never
+float64 or 1-D integer array one block at a time, so that ``dump`` never
 holds a large array as text.  No value is an array unless numpy is loaded,
 so this module never imports it.
 """
@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 from .errors import HydetError
 
-#: rows of a float array rendered and written at once
+#: rows of an array rendered and written at once
 _ROW_BLOCK = 1 << 12
 
 
@@ -70,8 +70,9 @@ def _render(obj: Any, pad: str, write: Callable[[str], Any]) -> None:
             sep = ",\n"
         write(f"\n{pad}]")
     elif (np := sys.modules.get("numpy")) and isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.dtype == np.float64:
-            _render_float_matrix(obj, pad, write)
+        if obj.size and (obj.ndim == 2 and obj.dtype == np.float64
+                         or obj.ndim == 1 and obj.dtype.kind in "iu"):
+            _render_array(obj, pad, write)
         else:
             _render(obj.tolist(), pad, write)
     else:
@@ -80,25 +81,18 @@ def _render(obj: Any, pad: str, write: Callable[[str], Any]) -> None:
         raise TypeError(f"unsupported JSON value type: {type(obj).__name__}")
 
 
-def _render_float_matrix(rows, pad: str,
-                         write: Callable[[str], Any]) -> None:
-    """Write ``rows`` as ``_render`` writes ``rows.tolist()``, ``_ROW_BLOCK``
-    rows at a time, so that no more than one block is ever text.  Each block
-    is rendered with one ``%`` template: ``%.17g`` gives ``format_float``'s
-    digits for every finite double, and in a block with a NaN or an infinite
-    cell its ``nan``, ``inf`` and ``-inf`` are respelled as ``format_float``
-    spells them."""
-    if not rows.size:
-        _render(rows.tolist(), pad, write)
-        return
+def _render_array(array, pad: str, write: Callable[[str], Any]) -> None:
+    """``_render`` of ``array.tolist()``, ``_ROW_BLOCK`` items per ``%``
+    template: ``%d`` and ``%.17g`` write what ``str`` and ``format_float``
+    write, once ``nan`` and ``inf`` are respelled."""
     inner = pad + "  "
-    cell = f"\n{inner}  %.17g"
-    row = f"{inner}[" + ",".join([cell] * rows.shape[1]) + f"\n{inner}]"
+    item = f"{inner}%d" if array.ndim == 1 else \
+        f"{inner}[" + ",".join([f"\n{inner}  %.17g"] * array.shape[1]) + f"\n{inner}]"
     sep = "[\n"
-    for first in range(0, len(rows), _ROW_BLOCK):
-        block = rows[first:first + _ROW_BLOCK]
-        text = ",\n".join([row] * len(block)) % tuple(block.ravel().tolist())
-        if not sys.modules["numpy"].isfinite(block).all():
+    for first in range(0, len(array), _ROW_BLOCK):
+        block = array[first:first + _ROW_BLOCK]
+        text = ",\n".join([item] * len(block)) % tuple(block.ravel().tolist())
+        if array.ndim == 2 and not sys.modules["numpy"].isfinite(block).all():
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
         write(sep)
         write(text)

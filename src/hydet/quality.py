@@ -119,9 +119,13 @@ class ImputationModel:
 
 
 def fit_imputer(train: FeatureMatrix) -> ImputationModel:
+    return _fit_imputer(train.values, train.column_names)
+
+
+def _fit_imputer(values: np.ndarray, columns: tuple[str, ...]) -> ImputationModel:
     means = []
-    for j, name in enumerate(train.column_names):
-        col = train.values[:, j]
+    for j, name in enumerate(columns):
+        col = values[:, j]
         observed = col[~np.isnan(col)]
         if observed.size == 0:
             raise AllMissingColumnError(f"column {name!r} has no observed values")
@@ -130,7 +134,7 @@ def fit_imputer(train: FeatureMatrix) -> ImputationModel:
         if not np.isfinite(mean):
             raise NonFiniteError(f"column {name!r}: training mean is not finite")
         means.append(mean)
-    return ImputationModel(columns=train.column_names, means=tuple(means))
+    return ImputationModel(columns=columns, means=tuple(means))
 
 
 def apply_imputer(model: ImputationModel, matrix: FeatureMatrix) -> FeatureMatrix:
@@ -186,19 +190,23 @@ def fit_normalizer(train: FeatureMatrix, mode: str = "zscore") -> NormalizationM
     """Fit per-column center/scale. ``zscore``: mean and population standard
     deviation. ``minmax``: min and range. Requires a fully observed matrix
     (imputation runs first)."""
-    if np.isnan(train.values).any():
+    return _fit_normalizer(train.values, train.column_names, mode)
+
+
+def _fit_normalizer(values: np.ndarray, columns: tuple[str, ...],
+                    mode: str) -> NormalizationModel:
+    if np.isnan(values).any():
         raise MissingCellsError("normalizer fit requires no missing cells")
     center, scale = [], []
-    for j in range(train.n_cols):
-        col = train.values[:, j]
+    for col in values.T:
         if mode == "zscore":
             center.append(float(col.mean()))
             scale.append(float(np.sqrt(np.mean((col - col.mean()) ** 2))))
         else:
             center.append(float(col.min()))
             scale.append(float(col.max() - col.min()))
-    return NormalizationModel(columns=train.column_names,
-                              center=tuple(center), scale=tuple(scale), mode=mode)
+    return NormalizationModel(columns=columns, center=tuple(center),
+                              scale=tuple(scale), mode=mode)
 
 
 def apply_normalizer(model: NormalizationModel, matrix: FeatureMatrix) -> FeatureMatrix:
@@ -241,19 +249,50 @@ class Preprocessor:
     @classmethod
     def fit(cls, train: FeatureMatrix,
             config: PreprocessConfig = PreprocessConfig()) -> "Preprocessor":
-        imputer = fit_imputer(train)
-        values = _impute(train.values.copy(), imputer)
+        return cls._fit(train.values.copy(), train.column_names, config)
+
+    @classmethod
+    def fit_transform(cls, train: FeatureMatrix,
+                      config: PreprocessConfig = PreprocessConfig(), *,
+                      in_place: bool = False) -> tuple["Preprocessor", FeatureMatrix]:
+        """``fit(train, config)`` and its ``transform(train)``, bit for bit,
+        from one copy of the values, or with ``in_place`` in ``train``'s
+        own, which it overwrites."""
+        values = _own(train.values, in_place)
+        prep = cls._fit(values, train.column_names, config)
+        return prep, train.with_values(_normalize(values, prep.normalizer))
+
+    @classmethod
+    def _fit(cls, values: np.ndarray, columns: tuple[str, ...],
+             config: PreprocessConfig) -> "Preprocessor":
+        """The chain fitted on ``values``, which it leaves imputed and
+        clamped: the training rows as ``transform`` has them just before it
+        normalizes."""
+        imputer = _fit_imputer(values, columns)
         fences = tuple(boxplot_stats(column, config.tukey_multiplier,
                                      config.quartile_method).fences
-                       for column in values.T)
-        normalizer = fit_normalizer(train.with_values(_clamp(values, fences)),
-                                    config.normalization)
+                       for column in _impute(values, imputer).T)
+        normalizer = _fit_normalizer(_clamp(values, fences), columns,
+                                     config.normalization)
         return cls(imputer, fences, normalizer)
 
-    def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
+    def transform(self, matrix: FeatureMatrix, *,
+                  in_place: bool = False) -> FeatureMatrix:
+        """The chain applied to a copy of ``matrix``'s values, or with
+        ``in_place`` to its own, which it overwrites."""
         _check_columns(self.imputer.columns, matrix)
-        values = _clamp(_impute(matrix.values.copy(), self.imputer), self.fences)
-        return matrix.with_values(_normalize(values, self.normalizer))
+        values = _impute(_own(matrix.values, in_place), self.imputer)
+        return matrix.with_values(_normalize(_clamp(values, self.fences),
+                                             self.normalizer))
+
+
+def _own(values: np.ndarray, in_place: bool) -> np.ndarray:
+    """``values`` to work in: a copy, or with ``in_place`` the array itself,
+    made writable, which needs it to own its memory."""
+    if not in_place:
+        return values.copy()
+    values.setflags(write=True)
+    return values
 
 
 _PREPROCESS_HEADER = {"format": "hydet-preprocess", "version": 1}

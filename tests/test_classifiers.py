@@ -15,6 +15,8 @@ from hydet.classifiers import (MODELS, ClassifiersConfig, DecisionTree, Gaussian
                                KnnClassifier, KnnConfig, NbConfig, TreeConfig,
                                load_model, payload, save_model, train_all)
 from hydet import jsonio
+from hydet.classifiers import nb as nb_module
+from hydet.classifiers import tree as tree_module
 from hydet.classifiers.nb import NbPayload
 from hydet.classifiers.tree import TreePayload, _gini_rows, _winnable
 from hydet.codec import to_json
@@ -326,6 +328,22 @@ def test_tree_pruned_search_on_tiny_alphabets_equals_per_node_reference_fit(data
               "min_impurity_decrease": data.draw(st.sampled_from([0.0, 1e-3]))}
     model = DecisionTree(**params).fit(X, y)
     assert fitted_tree(model) == reference_tree(X, y, **params)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_tree_gains_in_blocks_of_cuts_equal_the_per_node_reference_fit(data):
+    # a feature's gains in blocks of 1 to 4 cuts: equal gains in two blocks,
+    # or in a block and a later feature, still go to the first
+    n = data.draw(st.integers(9, 80))
+    alphabet = data.draw(_ALPHABETS | st.just(tuple(np.arange(12.0))))
+    X = np.array(data.draw(st.lists(st.lists(st.sampled_from(alphabet), min_size=3,
+                                             max_size=3), min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_CUT_BLOCK", data.draw(st.integers(1, 4)))
+        model = DecisionTree(max_depth=None).fit(X, y)
+    assert fitted_tree(model) == reference_tree(X, y, max_depth=None)
 
 
 @given(values=st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), min_size=1, max_size=40),
@@ -799,3 +817,55 @@ def test_determinism_identical_fits():
     a = jsonio.dumps(to_json(payload(DecisionTree().fit(train.values, train.labels))))
     b = jsonio.dumps(to_json(payload(DecisionTree().fit(train.values, train.labels))))
     assert a == b
+
+
+def _whole_array_nb(X, y, eps_rel):
+    """The naive Bayes fit as whole-array formulas: (priors, means,
+    variances, epsilon)."""
+    total_var = np.mean((X - X.mean(axis=0)) ** 2, axis=0)
+    epsilon = float(eps_rel * total_var.max())
+    priors, means, variances = [], [], []
+    for c in np.unique(y).tolist():
+        rows = X[y == c]
+        priors.append(rows.shape[0] / X.shape[0])
+        means.append(rows.mean(axis=0))
+        variances.append(np.maximum(np.mean((rows - means[-1]) ** 2, axis=0), epsilon))
+    return np.asarray(priors), np.vstack(means), np.vstack(variances), epsilon
+
+
+def _whole_array_scores(model, Q):
+    scores = np.empty((Q.shape[0], len(model.classes_)))
+    for ci in range(len(model.classes_)):
+        var = model.variances_[ci]
+        quad = (Q - model.means_[ci]) ** 2 / (2.0 * var)
+        scores[:, ci] = np.log(model.priors_[ci]) \
+            + np.sum(-0.5 * (float(np.log(2.0 * np.pi)) + np.log(var)) - quad, axis=1)
+    return scores
+
+
+@given(data=st.data(), width=st.integers(1, 5), n=st.integers(6, 70),
+       block=st.integers(1, 9), fortran=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_nb_fit_and_scores_equal_the_whole_array_formulas_bitwise(data, width, n, block,
+                                                                  fortran):
+    # the fit sums blocks of ``block`` rows; scores are built in one temporary
+    values = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300])
+    X = data.draw(arrays(np.float64, (n, width), elements=values))
+    X = np.asfortranarray(X) if fortran else X
+    y = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                 dtype=np.int8)
+    y[:6] = [0, 0, 1, 1, 2, 2]
+    Q = data.draw(arrays(np.float64, (7, width), elements=values))
+    try:
+        want = _whole_array_nb(X, y, NbConfig().eps_rel)
+    except ValueError:
+        return  # every feature constant: the fit refuses it, as tested above
+    if want[3] == 0.0 or not np.all(np.isfinite(want[2])):
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nb_module, "_ROW_BLOCK", block)
+        model = GaussianNb().fit(X, y)
+    got = (model.priors_, model.means_, model.variances_)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want[:3]]
+    assert model.epsilon_ == want[3]
+    assert model.predict_scores(Q).tobytes() == _whole_array_scores(model, Q).tobytes()

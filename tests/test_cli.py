@@ -952,6 +952,24 @@ def _edited_report(tmp_path, edit, *texts):
                  "--out", str(out)], *texts
 
 
+@pytest.mark.parametrize("edit, message", [
+    (_set("accuracy", value=3.0), "accuracy: 3.0 is outside [0, 1]"),
+    (_set("macro_f1", value=-0.25), "macro_f1: -0.25 is outside [0, 1]"),
+    (_set("per_class", "Hydrate", "f1", value=1.5),
+     "per_class.Hydrate: f1: 1.5 is outside [0, 1]"),
+    (_set("per_class", "NormalCondition", "recall", value=-1),
+     "per_class.NormalCondition: recall: -1.0 is outside [0, 1]"),
+    (_set("matrix", 1, 2, value=-4), "matrix[1][2]: count -4 is negative"),
+    (_set("matrix", value=[[0, 0, 0]] * 3), "matrix: every count is 0"),
+], ids=["accuracy-3", "macro-f1-negative", "f1-above-1", "recall-negative",
+        "negative-count", "all-zero-grid"])
+def test_compare_refuses_an_impossible_eval_report(tmp_path, capsys, edit, message):
+    bad, argv = _edited_report(tmp_path, edit)
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 def _corpus_with_inf_cell(tmp_path):
     config_path, corpus = small_synth_config(tmp_path, out_name="corpus")
     assert main(["synth", "--config", str(config_path)]) == EXIT_OK

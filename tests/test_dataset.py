@@ -16,6 +16,7 @@ from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config
                            flatten, load_instance_csv, split, synth_generate,
                            write_instance_csv, write_instances)
 from hydet.dataset import io as dataset_io
+from hydet.dataset import transform as dataset_transform
 from hydet.dataset.io import _fill_missing, _load_rows, write_matrix_csv
 from hydet.dataset.model import (DatasetManifest, FeatureMatrix, ManifestEntry,
                                  TimeSeriesInstance, _unpickled_instance)
@@ -926,3 +927,49 @@ def test_split_spec_validation():
         SplitSpec(test_fraction=0.0)
     with pytest.raises(ValueError):
         SplitSpec(mode="columns")
+
+
+@given(lengths=st.lists(st.integers(1, 9), min_size=4, max_size=12), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_split_in_place_equals_split_bitwise(lengths, data):
+    # the train rows move in blocks of 1 to 8 rows, and the matrix's arrays
+    # then hold the train part
+    codes = data.draw(st.lists(st.sampled_from(list(ClassLabel)), min_size=len(lengths),
+                               max_size=len(lengths)))
+    instances = [make_instance(f"i{k}", code, n, {"x": list(np.linspace(-1, k, n)),
+                                                  "y": [float("nan")] * n})
+                 for k, (code, n) in enumerate(zip(codes, lengths))]
+    spec = SplitSpec(test_fraction=data.draw(st.sampled_from([0.2, 0.5, 0.75])),
+                     seed=data.draw(st.integers(0, 99)),
+                     mode=data.draw(st.sampled_from(["row", "instance"])),
+                     stratified=data.draw(st.booleans()))
+    matrix = flatten(instances, ("y", "x"))
+    try:
+        want = split(matrix, spec)
+    except SplitError as exc:
+        with pytest.raises(SplitError, match=f"^{re.escape(str(exc))}$"):
+            split(matrix, spec, in_place=True)
+        return
+    block = data.draw(st.integers(1, 8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_transform, "_MOVE_ROWS", block)
+        got = split(matrix, spec, in_place=True)
+    for part, expected in zip(got, want):
+        for name in ("values", "labels", "origin"):
+            array = getattr(part, name)
+            assert array.dtype == getattr(expected, name).dtype
+            assert array.tobytes() == getattr(expected, name).tobytes()
+            assert not array.flags.writeable
+        assert part.instance_ids == expected.instance_ids
+    assert matrix.values is got[0].values and matrix.n_rows == got[0].n_rows
+
+
+def test_split_in_place_leaves_a_view_free_matrix_owned():
+    matrix = flatten([make_instance(f"i{k}", ClassLabel(k % 3), 6) for k in range(9)],
+                     ("P-TPT", "T-TPT"))
+    before = matrix.values.copy()
+    split(matrix, SplitSpec())
+    assert matrix.values.tobytes() == before.tobytes()  # the library split copies
+    train, test = split(matrix, SplitSpec(), in_place=True)
+    assert train.values.flags.owndata and test.values.flags.owndata
+    assert train.n_rows + test.n_rows == before.shape[0]

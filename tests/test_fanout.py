@@ -1,6 +1,6 @@
-"""The per-file loops on several CPUs: ``load_instances`` and
-``write_instances`` forced to 1, 2 and 3 processes on small corpora must give
-what the serial loop gives, raise what it raises, and leave no process."""
+"""The per-file loops on several CPUs: ``load_instances``, ``load_matrix``
+and ``write_instances`` forced to 1, 2 and 3 processes on small corpora must
+give what the serial loop gives, raise what it raises, and leave no process."""
 
 import io
 import logging
@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from hydet.cli import EXIT_OK, main
-from hydet.dataset import (build_manifest, default_config, load_instances,
-                           synth_generate, write_instances)
+from hydet.dataset import (DatasetManifest, build_manifest, default_config, flatten,
+                           load_instances, synth_generate, write_instances)
 from hydet.dataset import io as dataset_io
-from hydet.errors import CsvFormatError
+from hydet.errors import CsvFormatError, HydetError
 
 
 @pytest.fixture(autouse=True)
@@ -295,3 +295,77 @@ def test_a_frame_cut_short_reads_as_none():
             assert dataset_io._read_frame(read_end) is None, cut
         finally:
             os.close(read_end)
+
+
+def matrix_fields(matrix):
+    return (matrix.column_names, matrix.instance_ids,
+            *((a.shape, a.dtype, a.tobytes())
+              for a in (matrix.values, matrix.labels, matrix.origin)))
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3])
+def test_the_direct_matrix_equals_the_flattened_instances(corpus, monkeypatch, shares):
+    manifest = build_manifest(corpus)
+    flat = flatten(load_instances(corpus, manifest), ["P-TPT"])
+    force_shares(monkeypatch, shares)
+    direct = dataset_io.load_matrix(corpus, manifest, ["P-TPT"])
+    assert matrix_fields(direct) == matrix_fields(flat)
+    for array in (direct.values, direct.labels, direct.origin):
+        assert array.flags.owndata and not array.flags.writeable
+
+
+@pytest.mark.parametrize("shares", [1, 3])
+def test_the_direct_matrix_grows_past_its_first_estimate(tmp_path, monkeypatch, shares):
+    # the first file has few rows for its bytes, so the arrays sized from it
+    # grow twice
+    root = tmp_path / "corpus"
+    (root / "0_normal").mkdir(parents=True)
+    (root / "0_normal" / "a.csv").write_text(
+        "timestamp,P-TPT,T-TPT\n0,1.25,-0.0\n1,,2.5e300\n", encoding="utf-8")
+    for name, n in (("b", 40), ("c", 400)):
+        rows = "".join(f"{t},{t % 7},{t / 3}\n" for t in range(n))
+        (root / "0_normal" / f"{name}.csv").write_text("timestamp,P-TPT,T-TPT\n" + rows,
+                                                       encoding="utf-8")
+    manifest = build_manifest(root)
+    flat = flatten(load_instances(root, manifest), ["T-TPT", "P-TPT"])
+    force_shares(monkeypatch, shares)
+    assert matrix_fields(dataset_io.load_matrix(root, manifest, ["T-TPT", "P-TPT"])) \
+        == matrix_fields(flat)
+
+
+@pytest.mark.parametrize("shares", [1, 3])
+@pytest.mark.parametrize("bad, variables", [
+    ((5, 11), ["P-TPT"]), ((0, 9), ["P-TPT"]),
+    ((), ["P-TPT", "T-TPT"]),  # the ISO file lacks T-TPT
+    ((7,), ["P-TPT", "T-TPT"]),  # a bad file after the first that lacks a channel
+    ((), ["P-TPT", "NOPE"]),
+    ((), []),
+])
+def test_the_direct_matrix_raises_the_flattened_error(corpus, monkeypatch, shares, bad,
+                                                      variables):
+    manifest = build_manifest(corpus)
+    entries = list(manifest.instances)
+    entries.insert(3, entries.pop())  # the ISO file among the others
+    manifest = DatasetManifest(tuple(entries), manifest.class_counts)
+    for i in bad:
+        corrupt(corpus, manifest.instances[i])
+    with pytest.raises(HydetError) as flattened:
+        flatten(load_instances(corpus, manifest), variables)
+    force_shares(monkeypatch, shares)
+    with pytest.raises(type(flattened.value),
+                       match=f"^{re.escape(str(flattened.value))}$"):
+        dataset_io.load_matrix(corpus, manifest, variables)
+
+
+def test_shared_channels_reads_the_headers_alone(tmp_path):
+    root = tmp_path / "corpus"
+    (root / "0_normal").mkdir(parents=True)
+    headers = {"a": "timestamp,T-TPT,P-TPT,QGL,class", "b": "timestamp,P-TPT,QGL,T-TPT",
+               "c": "timestamp,QGL,T-TPT,P-TPT"}
+    for name, header in headers.items():
+        (root / "0_normal" / f"{name}.csv").write_text(header + "\nbody, not read\n",
+                                                       encoding="utf-8")
+    manifest = build_manifest(root)
+    assert dataset_io.shared_channels(root, manifest) == ("T-TPT", "P-TPT", "QGL")
+    (root / "0_normal" / "b.csv").write_text("timestamp,P-TPT,P-TPT\n", encoding="utf-8")
+    assert dataset_io.shared_channels(root, manifest) == ()

@@ -178,3 +178,20 @@ def test_to_json_passes_arrays_whole_and_dump_writes_them_as_lists(tmp_path):
     for scalar in (np.float64(2.5), np.int32(-3), np.bool_(False)):
         out = to_json(scalar)
         assert type(out) is type(scalar.item()) and out == scalar.item()
+
+
+@pytest.mark.parametrize("n", [1, jsonio._ROW_BLOCK - 1, jsonio._ROW_BLOCK,
+                               2 * jsonio._ROW_BLOCK + 3])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+def test_dump_writes_an_integer_array_as_its_items(tmp_path, n, dtype):
+    # a block of items goes through one %d template
+    info = np.iinfo(dtype)
+    arr = np.random.default_rng(n).integers(info.min, info.max, size=n, dtype=dtype,
+                                            endpoint=True)
+    arr[0] = info.max
+    path = tmp_path / "labels.json"
+    jsonio.dump({"labels": arr, "k": [arr[:2], 1]}, path)
+    expected = reference_dumps({"labels": arr.tolist(), "k": [arr[:2].tolist(), 1]})
+    assert path.read_bytes() == expected.encode("utf-8")
+    for empty in (np.empty(0, dtype), np.array([True, False])):
+        assert jsonio.dumps({"a": empty}) == reference_dumps({"a": empty.tolist()})

@@ -10,9 +10,12 @@ import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from hydet.classifiers import DecisionTree, KnnClassifier, save_model
-from hydet.dataset import default_config, flatten, synth_generate
+from hydet.classifiers import DecisionTree, GaussianNb, KnnClassifier, nb, save_model
+from hydet.dataset import (FeatureMatrix, SplitSpec, default_config, flatten, split,
+                           synth_generate)
+from hydet.dataset import transform as dataset_transform
 from hydet.quality import Preprocessor, fit_imputer, quality_report
 
 
@@ -35,6 +38,45 @@ def test_tree_fit_peaks_within_two_and_a_half_times_its_matrix():
     model, peak = traced_peak(lambda: DecisionTree().fit(matrix.values, matrix.labels))
     assert model.n_leaves() > 10
     assert peak <= 2.5 * matrix.values.nbytes
+
+
+def test_tree_fit_peaks_within_one_and_a_quarter_times_its_matrix():
+    # one int32 order matrix (0.5x) that nodes partition in place, one
+    # feature's search arrays at a time and its gains in bounded blocks of
+    # cuts; the fit held a second order matrix and the root's full-length
+    # gains, about 2x
+    matrix = flatten(synth_generate(default_config(length=196), 0),
+                     default_config().variables)
+    model, peak = traced_peak(lambda: DecisionTree().fit(matrix.values, matrix.labels))
+    assert model.n_leaves() > 10
+    assert peak <= 1.25 * matrix.values.nbytes
+
+
+def _nbytes(matrix):
+    return matrix.values.nbytes + matrix.labels.nbytes + matrix.origin.nbytes
+
+
+@pytest.mark.parametrize("mode", ["row", "instance"])
+def test_split_in_place_holds_the_test_part_and_one_block_beyond_its_matrix(
+        monkeypatch, mode):
+    # the library split copies every row (1.17x of this matrix beyond it);
+    # in place, the test rows are copied out and the train rows moved 4,096
+    # at a time. The test mask, drawn alike by both, is drawn untraced.
+    matrix, spec = _dirty_matrix(), SplitSpec(mode=mode)
+    mask = dataset_transform._test_mask(matrix, spec)
+    monkeypatch.setattr(dataset_transform, "_test_mask", lambda *args: mask)
+    monkeypatch.setattr(dataset_transform, "_MOVE_ROWS", 4096)
+
+    def run():  # allocated under the trace, so that their shrinking is traced
+        owned = FeatureMatrix(matrix.column_names, matrix.values.copy(),
+                              matrix.labels.copy(), matrix.origin.copy(),
+                              matrix.instance_ids)
+        return split(owned, spec, in_place=True)
+
+    (train, test), peak = traced_peak(run)
+    assert train.n_rows + test.n_rows == matrix.n_rows
+    row_bytes = _nbytes(matrix) // matrix.n_rows
+    assert peak <= _nbytes(matrix) + _nbytes(test) + 4096 * (row_bytes + 8 + 1)
 
 
 def test_flatten_peaks_within_its_output():
@@ -117,3 +159,29 @@ def test_tree_fit_with_int8_labels_peaks_no_higher_than_with_int64():
     _, wide = traced_peak(lambda: DecisionTree().fit(X, y64))
     _, narrow = traced_peak(lambda: DecisionTree().fit(X, y8))
     assert narrow <= wide + 4096
+
+
+def test_preprocessor_fit_transform_in_place_peaks_within_a_column():
+    # the train part is imputed, clamped and normalized in its own values;
+    # fitting then transforming a copy held one (1.3x above)
+    matrix = _dirty_matrix()
+    owned = FeatureMatrix(matrix.column_names, matrix.values.copy(), matrix.labels,
+                          matrix.origin, matrix.instance_ids)
+    (prep, ready), peak = traced_peak(lambda: Preprocessor.fit_transform(
+        owned, in_place=True))
+    assert ready.values is owned.values and not np.isnan(ready.values).any()
+    assert peak <= 0.35 * matrix.values.nbytes
+
+
+def test_naive_bayes_fit_and_scores_peak_within_their_blocks(monkeypatch):
+    # the fit sums blocks of 1,024 rows; holding X - X.mean(0) or a class's
+    # rows took 1.19x. Scoring holds one (rows, features) temporary beside the
+    # scores, where the whole-array formula held 3.8x
+    monkeypatch.setattr(nb, "_ROW_BLOCK", 1024)
+    matrix = _dirty_matrix()
+    X = Preprocessor.fit(matrix).transform(matrix).values
+    GaussianNb().fit(X[:100], matrix.labels[:100]).predict_scores(X[:10])  # untraced
+    model, fit_peak = traced_peak(lambda: GaussianNb().fit(X, matrix.labels))
+    _, score_peak = traced_peak(lambda: model.predict_scores(X))
+    assert fit_peak <= 0.35 * X.nbytes
+    assert score_peak <= 2.0 * X.nbytes

@@ -563,3 +563,35 @@ def test_render_boxplot_svg_escapes_the_channel_name(name):
     assert root.find(f"{svg_ns}text").text == name
     if name == "P-TPT":  # a name without markup is written as it is
         assert "<title>P-TPT</title>" in svg
+
+
+@given(data=st.data(), width=st.integers(1, 4), n=st.integers(5, 60),
+       mode=st.sampled_from(["zscore", "minmax"]))
+@settings(max_examples=150, deadline=None)
+def test_preprocessing_in_place_equals_the_chained_step_functions(data, width, n, mode):
+    # fit_transform and transform in a matrix's own values give the bits of
+    # the step functions chained on copies, and leave the fitted models alike
+    cell = st.floats(-1e9, 1e9) | st.sampled_from([np.nan, 0.0, -0.0, 1e-310])
+    values = np.array(data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                                         min_size=n, max_size=n)))
+    values[:4] = np.arange(4 * width).reshape(4, width) / 3  # four observed per column
+    config = PreprocessConfig(normalization=mode)
+    m = matrix_of(*values.T)
+    imputer = fit_imputer(m)
+    imputed = apply_imputer(imputer, m)
+    fences = tuple(b.fences for b in fit_boxplots(imputed))
+    clamped = treat_outliers(imputed, fences)
+    normalizer = fit_normalizer(clamped, mode)
+    chained = apply_normalizer(normalizer, clamped).values
+    prep = Preprocessor.fit(m, config)
+    assert prep == Preprocessor(imputer, fences, normalizer)
+    assert prep.transform(m).values.tobytes() == chained.tobytes()
+    for make in (lambda owned: Preprocessor.fit_transform(owned, config, in_place=True)[1],
+                 lambda owned: prep.transform(owned, in_place=True),
+                 lambda owned: Preprocessor.fit_transform(owned, config)[1]):
+        owned = matrix_of(*values.T)
+        ready = make(owned)
+        assert ready.values.tobytes() == chained.tobytes()
+        assert not ready.values.flags.writeable
+    assert Preprocessor.fit_transform(m, config)[0] == prep
+    assert m.values.tobytes() == values.tobytes()  # the copying paths leave it
