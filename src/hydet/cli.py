@@ -92,7 +92,8 @@ def _matrix(config: RunConfig, all_channels: bool = False) -> FeatureMatrix:
     every instance holds, in first-instance order, so 8-channel corpora report
     all-channel aggregates. No instance outlives its file."""
     from .dataset import CLASS_DIRS, build_manifest, flatten, synth_generate
-    from .dataset.io import load_matrix, shared_channels
+    from .dataset.io import header_channels, load_matrix
+    from .dataset.transform import shared_channels
     data, variables = config.data, config.variables
     if data.root is not None:
         manifest = build_manifest(data.root)
@@ -100,14 +101,14 @@ def _matrix(config: RunConfig, all_channels: bool = False) -> FeatureMatrix:
             raise HydetError(f"dataset is empty: {data.root} has no .csv file in its "
                              f"class directories {', '.join(CLASS_DIRS)}")
         if all_channels:
-            variables = shared_channels(data.root, manifest) or variables
+            shared = shared_channels(header_channels(data.root, manifest))
+            variables = shared or variables
         return load_matrix(data.root, manifest, variables)
     if data.synth is None:
         raise ConfigError("config needs a data source: data.root or data.synth")
     instances = synth_generate(data.synth, config.seed)
     if all_channels:
-        shared = tuple(v for v in instances[0].variable_names
-                       if all(v in inst.variable_names for inst in instances))
+        shared = shared_channels(inst.variable_names for inst in instances)
         variables = shared or variables
     return flatten(instances, variables)
 
@@ -186,8 +187,7 @@ def cmd_synth(config: RunConfig, args) -> int:
 def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
                       models_dir: Path) -> tuple[Preprocessor, FeatureMatrix]:
     from .quality import Preprocessor, save_preprocessor
-    prep, train_ready = Preprocessor.fit_transform(train, config.preprocess,
-                                                   in_place=True)
+    prep, train_ready = Preprocessor.fit_transform(train, config.preprocess)
     models_dir.mkdir(parents=True, exist_ok=True)
     save_preprocessor(prep, models_dir / "preprocess.json")
     return prep, train_ready
@@ -225,11 +225,11 @@ def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatr
 
 
 def cmd_train(config: RunConfig, args) -> int:
-    from .dataset import split
+    from .dataset.transform import _split_in_place
     models_dir = Path(config.out_dir) / "models"
     with _stages("train", config) as begin:
         begin("ingest")
-        train_m = split(_matrix(config), config.split, in_place=True)[0]
+        train_m = _split_in_place(_matrix(config), config.split)[0]
         begin("preprocess")
         train_ready = _fit_preprocessor(config, train_m, models_dir)[1]
         del train_m
@@ -240,7 +240,7 @@ def cmd_train(config: RunConfig, args) -> int:
 
 def cmd_eval(config: RunConfig, args) -> int:
     from .classifiers import load_model
-    from .dataset import split
+    from .dataset.transform import _split_in_place
     from .quality import load_preprocessor
     out = Path(config.out_dir)
     models_dir = out / "models"
@@ -252,10 +252,10 @@ def cmd_eval(config: RunConfig, args) -> int:
                          "run train again")
     with _stages("eval", config) as begin:
         begin("ingest")
-        test_m = split(_matrix(config), config.split, in_place=True)[1]
+        test_m = _split_in_place(_matrix(config), config.split)[1]
         begin("preprocess")
         prep = load_preprocessor(models_dir / "preprocess.json")
-        test_ready = prep.transform(test_m, in_place=True)
+        test_ready = prep.transform(test_m)
         begin("evaluate")
         models = {name: load_model(models_dir / f"{name}.json")
                   for name in config.models if (models_dir / f"{name}.json").exists()}
@@ -308,7 +308,7 @@ def cmd_compare(config: RunConfig, args) -> int:
 
 
 def cmd_pipeline(config: RunConfig, args) -> int:
-    from .dataset import split
+    from .dataset.transform import _split_in_place
     out = Path(config.out_dir)
     with _stages("pipeline", config) as begin:
         begin("ingest")
@@ -317,11 +317,11 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         _write_quality(config, matrix, out)
         begin("split")
         # each stage works in the arrays of the last; its input goes with it
-        train_m, test_m = split(matrix, config.split, in_place=True)
+        train_m, test_m = _split_in_place(matrix, config.split)
         del matrix
         begin("preprocess")
         prep, train_ready = _fit_preprocessor(config, train_m, out / "models")
-        test_ready = prep.transform(test_m, in_place=True)
+        test_ready = prep.transform(test_m)
         del train_m, test_m
         begin("train")
         models = _train_and_save(config, train_ready, out / "models")

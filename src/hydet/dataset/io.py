@@ -64,7 +64,7 @@ import sys
 import warnings
 from datetime import datetime
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -227,8 +227,8 @@ def _fill_missing(body: str) -> str:
     Three ``str.replace`` scans (the second fills every other cell of a run
     of empty cells), which give what one ``re.sub`` of ``,(?=,|\\n|\\Z)``
     gives. The ``re.sub`` takes half the CPU (0.15 against 0.31 s over the
-    long dirty corpus's bodies), but in 5 paired benchmark runs it raised
-    that pipeline's peak RSS by 0.07-0.36 MiB, so the scans stay.
+    long dirty corpus's bodies), but it raised that pipeline's peak RSS in 8
+    of 10 paired benchmark runs (median +0.055 MiB), so the scans stay.
     """
     if ",," in body:
         body = body.replace(",,", ",nan,").replace(",,", ",nan,")
@@ -439,9 +439,8 @@ def load_instances(root: str | Path, manifest: DatasetManifest,
 
 
 def load_matrix(root: str | Path, manifest: DatasetManifest,
-                variables: Sequence[str],
-                label_map: Mapping[int, ClassLabel] | None = None) -> FeatureMatrix:
-    """``flatten(load_instances(root, manifest, label_map), variables)``, bit
+                variables: Sequence[str]) -> FeatureMatrix:
+    """``flatten(load_instances(root, manifest), variables)``, bit
     for bit and with its errors, without holding the instances: each file's
     channels are copied into the matrix as its result comes, in manifest
     order. The arrays start sized at the rows per byte of the files read so
@@ -457,7 +456,7 @@ def load_matrix(root: str | Path, manifest: DatasetManifest,
 
     def read(index: int):
         entry = entries[index]
-        inst = load_instance_csv(root / entry.path, entry.id, entry.label, label_map)
+        inst = load_instance_csv(root / entry.path, entry.id, entry.label)
         names = inst.variable_names
         missing = next((v for v in variables if v not in names), None)
         if missing is not None:
@@ -500,19 +499,19 @@ def load_matrix(root: str | Path, manifest: DatasetManifest,
     return FeatureMatrix(variables, *arrays, tuple(e.id for e in entries))
 
 
-def shared_channels(root: str | Path, manifest: DatasetManifest) -> tuple[str, ...]:
-    """The channels every file's header names, in the first file's order,
-    read off the headers alone; ``()`` where a header does not read, since
-    loading that file then raises the error that names it."""
-    root, shared = Path(root), None
+def header_channels(root: str | Path, manifest: DatasetManifest) -> Iterator[list[str]]:
+    """Each file's channels, read off its header alone, in manifest order;
+    where a header does not read, ``[]`` ends them, since loading that file
+    then raises the error that names it."""
+    root = Path(root)
     for entry in manifest.instances:
         try:
             with open(root / entry.path, encoding="utf-8", newline="") as fh:
                 names = _read_header(entry.path, csv.reader(fh))[0]
         except (HydetError, ValueError):
-            return ()
-        shared = names if shared is None else [v for v in shared if v in names]
-    return tuple(shared or ())
+            yield []
+            return
+        yield names
 
 
 def write_instances(instances: Sequence[TimeSeriesInstance],

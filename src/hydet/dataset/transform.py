@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,33 +48,47 @@ def flatten(instances: Sequence[TimeSeriesInstance],
                          instance_ids=tuple(inst.instance_id for inst in instances))
 
 
+def shared_channels(names_per_instance: Iterable[Sequence[str]]) -> tuple[str, ...]:
+    """The channels every instance names, in the first instance's order."""
+    shared = None
+    for names in names_per_instance:
+        shared = list(names) if shared is None else [v for v in shared if v in names]
+    return tuple(shared or ())
+
+
 def rounded_count(fraction: float, n: int) -> int:
     """``fraction * n`` rounded half up: per-class counts stay within one row
     of proportionality."""
     return int(np.floor(fraction * n + 0.5))
 
 
-def split(matrix: FeatureMatrix, spec: SplitSpec, *,
-          in_place: bool = False) -> tuple[FeatureMatrix, FeatureMatrix]:
+def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Deterministic, disjoint and exhaustive train/test partition.
 
     Test takes ``rounded_count`` of each class's units (unstratified: of all
     units): rows in row mode, or instances labelled by their first row in
     instance mode, where all rows of an episode land on the same side. Row
-    order within each part preserves the original matrix order.
+    order within each part preserves the original matrix order. ``matrix``
+    is left as it is.
+    """
+    test = _test_mask(matrix, spec)
+    return matrix.take(np.flatnonzero(~test)), matrix.take(np.flatnonzero(test))
 
-    ``matrix`` is left as it is, unless ``in_place``: then the test rows are
-    copied out, the train rows move forward within ``matrix``'s own arrays,
-    ``_MOVE_ROWS`` at a time, and the arrays shrink to them, so no more than
-    the test part and one such block is held beyond ``matrix``. The train
-    rows' indices ascend, so none is overwritten before it moves. ``matrix``
-    then holds the train part too; its arrays must own their memory, and
-    no view of them may outlive the call.
+
+def _split_in_place(matrix: FeatureMatrix,
+                    spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """``split(matrix, spec)``, bit for bit, consuming ``matrix``: the test
+    rows are copied out, the train rows move forward within ``matrix``'s own
+    arrays, ``_MOVE_ROWS`` at a time, and the arrays shrink to them, so no
+    more than the test part and one such block is held beyond ``matrix``.
+    The train rows' indices ascend, so none is overwritten before it moves.
+
+    ``ndarray.resize`` reallocates the arrays, so they must own their memory
+    and no view of them may exist: the CLI's own matrices, which nothing else
+    sees, are the only ones passed here.
     """
     test = _test_mask(matrix, spec)
     test_part = matrix.take(np.flatnonzero(test))
-    if not in_place:
-        return matrix.take(np.flatnonzero(~test)), test_part
     arrays = matrix.values, matrix.labels, matrix.origin
     for array in arrays:
         array.setflags(write=True)
@@ -90,7 +104,7 @@ def split(matrix: FeatureMatrix, spec: SplitSpec, *,
     return FeatureMatrix(matrix.column_names, *arrays, matrix.instance_ids), test_part
 
 
-#: rows of a matrix that ``split(..., in_place=True)`` moves at once
+#: rows of a matrix that ``_split_in_place`` moves at once
 _MOVE_ROWS = 1 << 15
 
 

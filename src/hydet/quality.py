@@ -253,12 +253,13 @@ class Preprocessor:
 
     @classmethod
     def fit_transform(cls, train: FeatureMatrix,
-                      config: PreprocessConfig = PreprocessConfig(), *,
-                      in_place: bool = False) -> tuple["Preprocessor", FeatureMatrix]:
+                      config: PreprocessConfig = PreprocessConfig(),
+                      ) -> tuple["Preprocessor", FeatureMatrix]:
         """``fit(train, config)`` and its ``transform(train)``, bit for bit,
-        from one copy of the values, or with ``in_place`` in ``train``'s
-        own, which it overwrites."""
-        values = _own(train.values, in_place)
+        in ``train``'s own values, which it overwrites: they must own their
+        memory."""
+        values = train.values
+        values.setflags(write=True)
         prep = cls._fit(values, train.column_names, config)
         return prep, train.with_values(_normalize(values, prep.normalizer))
 
@@ -276,23 +277,10 @@ class Preprocessor:
                                      config.normalization)
         return cls(imputer, fences, normalizer)
 
-    def transform(self, matrix: FeatureMatrix, *,
-                  in_place: bool = False) -> FeatureMatrix:
-        """The chain applied to a copy of ``matrix``'s values, or with
-        ``in_place`` to its own, which it overwrites."""
+    def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
         _check_columns(self.imputer.columns, matrix)
-        values = _impute(_own(matrix.values, in_place), self.imputer)
-        return matrix.with_values(_normalize(_clamp(values, self.fences),
-                                             self.normalizer))
-
-
-def _own(values: np.ndarray, in_place: bool) -> np.ndarray:
-    """``values`` to work in: a copy, or with ``in_place`` the array itself,
-    made writable, which needs it to own its memory."""
-    if not in_place:
-        return values.copy()
-    values.setflags(write=True)
-    return values
+        values = _clamp(_impute(matrix.values.copy(), self.imputer), self.fences)
+        return matrix.with_values(_normalize(values, self.normalizer))
 
 
 _PREPROCESS_HEADER = {"format": "hydet-preprocess", "version": 1}

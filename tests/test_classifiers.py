@@ -868,4 +868,6 @@ def test_nb_fit_and_scores_equal_the_whole_array_formulas_bitwise(data, width, n
     got = (model.priors_, model.means_, model.variances_)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want[:3]]
     assert model.epsilon_ == want[3]
-    assert model.predict_scores(Q).tobytes() == _whole_array_scores(model, Q).tobytes()
+    with np.errstate(over="ignore"):  # a variance near 1e-300 sends a term to inf
+        assert model.predict_scores(Q).tobytes() == \
+            _whole_array_scores(model, Q).tobytes()

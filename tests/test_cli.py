@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hydet.dataset
+import hydet.dataset.transform
 import hydet.quality
 from hydet import cli, jsonio
 from hydet.classifiers import (ClassifiersConfig, KnnConfig, NbConfig, TreeConfig,
@@ -764,8 +765,9 @@ def _run_checking_the_corpus_is_freed(tmp_path, monkeypatch, command, module, na
 
 @pytest.mark.parametrize("command", ["train", "eval", "pipeline"])
 def test_the_corpus_is_freed_before_split(tmp_path, monkeypatch, command):
+    # the CLI splits the matrix it alone holds with the consuming split
     _run_checking_the_corpus_is_freed(tmp_path, monkeypatch, command,
-                                      hydet.dataset, "split")
+                                      hydet.dataset.transform, "_split_in_place")
 
 
 def test_qc_frees_the_corpus_before_its_audit(tmp_path, monkeypatch):

@@ -948,12 +948,12 @@ def test_split_in_place_equals_split_bitwise(lengths, data):
         want = split(matrix, spec)
     except SplitError as exc:
         with pytest.raises(SplitError, match=f"^{re.escape(str(exc))}$"):
-            split(matrix, spec, in_place=True)
+            dataset_transform._split_in_place(matrix, spec)
         return
     block = data.draw(st.integers(1, 8))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataset_transform, "_MOVE_ROWS", block)
-        got = split(matrix, spec, in_place=True)
+        got = dataset_transform._split_in_place(matrix, spec)
     for part, expected in zip(got, want):
         for name in ("values", "labels", "origin"):
             array = getattr(part, name)
@@ -970,6 +970,6 @@ def test_split_in_place_leaves_a_view_free_matrix_owned():
     before = matrix.values.copy()
     split(matrix, SplitSpec())
     assert matrix.values.tobytes() == before.tobytes()  # the library split copies
-    train, test = split(matrix, SplitSpec(), in_place=True)
+    train, test = dataset_transform._split_in_place(matrix, SplitSpec())
     assert train.values.flags.owndata and test.values.flags.owndata
     assert train.n_rows + test.n_rows == before.shape[0]

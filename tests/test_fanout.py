@@ -17,6 +17,7 @@ from hydet.cli import EXIT_OK, main
 from hydet.dataset import (DatasetManifest, build_manifest, default_config, flatten,
                            load_instances, synth_generate, write_instances)
 from hydet.dataset import io as dataset_io
+from hydet.dataset.transform import shared_channels
 from hydet.errors import CsvFormatError, HydetError
 
 
@@ -357,7 +358,7 @@ def test_the_direct_matrix_raises_the_flattened_error(corpus, monkeypatch, share
         dataset_io.load_matrix(corpus, manifest, variables)
 
 
-def test_shared_channels_reads_the_headers_alone(tmp_path):
+def test_shared_header_channels_read_the_headers_alone(tmp_path):
     root = tmp_path / "corpus"
     (root / "0_normal").mkdir(parents=True)
     headers = {"a": "timestamp,T-TPT,P-TPT,QGL,class", "b": "timestamp,P-TPT,QGL,T-TPT",
@@ -366,6 +367,7 @@ def test_shared_channels_reads_the_headers_alone(tmp_path):
         (root / "0_normal" / f"{name}.csv").write_text(header + "\nbody, not read\n",
                                                        encoding="utf-8")
     manifest = build_manifest(root)
-    assert dataset_io.shared_channels(root, manifest) == ("T-TPT", "P-TPT", "QGL")
+    assert shared_channels(dataset_io.header_channels(root, manifest)) \
+        == ("T-TPT", "P-TPT", "QGL")
     (root / "0_normal" / "b.csv").write_text("timestamp,P-TPT,P-TPT\n", encoding="utf-8")
-    assert dataset_io.shared_channels(root, manifest) == ()
+    assert shared_channels(dataset_io.header_channels(root, manifest)) == ()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hydet.classifiers import DecisionTree, GaussianNb, KnnClassifier, nb, save_model
-from hydet.dataset import (FeatureMatrix, SplitSpec, default_config, flatten, split,
+from hydet.dataset import (FeatureMatrix, SplitSpec, default_config, flatten,
                            synth_generate)
 from hydet.dataset import transform as dataset_transform
 from hydet.quality import Preprocessor, fit_imputer, quality_report
@@ -71,7 +71,7 @@ def test_split_in_place_holds_the_test_part_and_one_block_beyond_its_matrix(
         owned = FeatureMatrix(matrix.column_names, matrix.values.copy(),
                               matrix.labels.copy(), matrix.origin.copy(),
                               matrix.instance_ids)
-        return split(owned, spec, in_place=True)
+        return dataset_transform._split_in_place(owned, spec)
 
     (train, test), peak = traced_peak(run)
     assert train.n_rows + test.n_rows == matrix.n_rows
@@ -167,8 +167,7 @@ def test_preprocessor_fit_transform_in_place_peaks_within_a_column():
     matrix = _dirty_matrix()
     owned = FeatureMatrix(matrix.column_names, matrix.values.copy(), matrix.labels,
                           matrix.origin, matrix.instance_ids)
-    (prep, ready), peak = traced_peak(lambda: Preprocessor.fit_transform(
-        owned, in_place=True))
+    (prep, ready), peak = traced_peak(lambda: Preprocessor.fit_transform(owned))
     assert ready.values is owned.values and not np.isnan(ready.values).any()
     assert peak <= 0.35 * matrix.values.nbytes
 

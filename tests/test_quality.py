@@ -569,8 +569,8 @@ def test_render_boxplot_svg_escapes_the_channel_name(name):
        mode=st.sampled_from(["zscore", "minmax"]))
 @settings(max_examples=150, deadline=None)
 def test_preprocessing_in_place_equals_the_chained_step_functions(data, width, n, mode):
-    # fit_transform and transform in a matrix's own values give the bits of
-    # the step functions chained on copies, and leave the fitted models alike
+    # fit_transform in a matrix's own values gives the bits of the step
+    # functions chained on copies, and fits the same models
     cell = st.floats(-1e9, 1e9) | st.sampled_from([np.nan, 0.0, -0.0, 1e-310])
     values = np.array(data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
                                          min_size=n, max_size=n)))
@@ -586,12 +586,9 @@ def test_preprocessing_in_place_equals_the_chained_step_functions(data, width, n
     prep = Preprocessor.fit(m, config)
     assert prep == Preprocessor(imputer, fences, normalizer)
     assert prep.transform(m).values.tobytes() == chained.tobytes()
-    for make in (lambda owned: Preprocessor.fit_transform(owned, config, in_place=True)[1],
-                 lambda owned: prep.transform(owned, in_place=True),
-                 lambda owned: Preprocessor.fit_transform(owned, config)[1]):
-        owned = matrix_of(*values.T)
-        ready = make(owned)
-        assert ready.values.tobytes() == chained.tobytes()
-        assert not ready.values.flags.writeable
-    assert Preprocessor.fit_transform(m, config)[0] == prep
+    owned = matrix_of(*values.T)
+    fitted, ready = Preprocessor.fit_transform(owned, config)
+    assert fitted == prep and ready.values is owned.values
+    assert ready.values.tobytes() == chained.tobytes()
+    assert not ready.values.flags.writeable
     assert m.values.tobytes() == values.tobytes()  # the copying paths leave it
