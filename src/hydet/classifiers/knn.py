@@ -87,18 +87,23 @@ class KnnClassifier:
         X, y = validate_training_inputs(X, y, "k-NN fit")
         if self.params.k > X.shape[0]:
             raise ValueError(f"k={self.params.k} exceeds {X.shape[0]} training rows")
-        self.train_ = X.copy()
+        # the one copy of the training rows, feature-major as the search
+        # reads them; train_ is a read-only view of it
+        self._columns = np.concatenate([X.T, np.full((X.shape[1], 1), np.inf)],
+                                       axis=1)
+        self._columns.setflags(write=False)
+        self.train_ = self._columns[:, :-1].T
         self.labels_ = y.copy()
-        self._build_index()
+        self._build_index(X)
         return self
 
-    def _build_index(self) -> None:
-        """Build the k-d tree as a complete binary tree in heap order.
+    def _build_index(self, X: np.ndarray) -> None:
+        """Build the k-d tree over the rows of ``X`` as a complete binary
+        tree in heap order.
 
         Halving every node of a level at its median keeps all leaf sizes
         within one of each other, so every leaf sits at the same depth: the
         largest one whose leaves still hold ``max(k, _LEAF)`` rows."""
-        X = self.train_
         n = X.shape[0]
         leaf = max(self.params.k, _LEAF)
         depth = 0
@@ -139,8 +144,6 @@ class KnnClassifier:
         self._table = np.full((sizes.size, sizes.max()), n, dtype=np.intp)
         self._table[np.arange(sizes.size).repeat(sizes),
                     np.arange(n) - bounds[:-1].repeat(sizes)] = perm
-        self._columns = np.concatenate([X.T, np.full((X.shape[1], 1), np.inf)],
-                                       axis=1)
 
     def _home_leaves(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(X.shape[0], dtype=np.intp)

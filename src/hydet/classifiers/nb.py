@@ -122,22 +122,32 @@ class GaussianNb:
         return self
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
+        """Per-class log-joints. A class whose squared term overflows scores
+        -inf on that row, so it is not picked there; a row on which every
+        class scores -inf is a ``ValueError``, since no class wins it."""
         if self.means_ is None:
             raise ValueError("model is not fitted")
         X = validate_rows(X, self.means_.shape[1], "naive Bayes predict")
         scores = np.empty((X.shape[0], len(self.classes_)), dtype=np.float64)
-        for ci in range(len(self.classes_)):
-            var = self.variances_[ci]
-            log_norm = -0.5 * (_LOG_2PI + np.log(var))
-            # log_norm - (X - mu) ** 2 / (2 * var), in one temporary
-            terms = X - self.means_[ci]
-            terms **= 2
-            terms /= 2.0 * var
-            np.subtract(log_norm, terms, out=terms)
-            column = scores[:, ci]
-            np.sum(terms, axis=1, out=column)
-            column += np.log(self.priors_[ci])
-            del terms  # before the next class's is made
+        with np.errstate(over="ignore"):
+            for ci in range(len(self.classes_)):
+                var = self.variances_[ci]
+                log_norm = -0.5 * (_LOG_2PI + np.log(var))
+                # log_norm - (X - mu) ** 2 / (2 * var), in one temporary
+                terms = X - self.means_[ci]
+                terms **= 2
+                terms /= 2.0 * var
+                np.subtract(log_norm, terms, out=terms)
+                column = scores[:, ci]
+                np.sum(terms, axis=1, out=column)
+                column += np.log(self.priors_[ci])
+                del terms  # before the next class's is made
+        lost = np.flatnonzero(scores.max(axis=1) == -np.inf)
+        if lost.size:
+            raise ValueError(f"naive Bayes predict: row {lost[0]} scores -inf under "
+                             f"every class: its squared distance to each class mean, "
+                             f"over variances down to the floor {self.epsilon_:.6g}, "
+                             f"overflows")
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -184,6 +184,15 @@ def cmd_synth(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _split(matrix: FeatureMatrix,
+           config: RunConfig) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """The train and test parts of ``matrix``, which the split consumes. No
+    stage after it traces a row to its episode, so the parts drop ``origin``."""
+    from .dataset.transform import _split_in_place
+    return tuple(replace(part, origin=None)
+                 for part in _split_in_place(matrix, config.split))
+
+
 def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
                       models_dir: Path) -> tuple[Preprocessor, FeatureMatrix]:
     from .quality import Preprocessor, save_preprocessor
@@ -225,22 +234,19 @@ def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatr
 
 
 def cmd_train(config: RunConfig, args) -> int:
-    from .dataset.transform import _split_in_place
     models_dir = Path(config.out_dir) / "models"
     with _stages("train", config) as begin:
         begin("ingest")
-        train_m = _split_in_place(_matrix(config), config.split)[0]
+        train = _split(_matrix(config), config)[0]
         begin("preprocess")
-        train_ready = _fit_preprocessor(config, train_m, models_dir)[1]
-        del train_m
+        train = _fit_preprocessor(config, train, models_dir)[1]
         begin("train")
-        _train_and_save(config, train_ready, models_dir)
+        _train_and_save(config, train, models_dir)
     return EXIT_OK
 
 
 def cmd_eval(config: RunConfig, args) -> int:
     from .classifiers import load_model
-    from .dataset.transform import _split_in_place
     from .quality import load_preprocessor
     out = Path(config.out_dir)
     models_dir = out / "models"
@@ -252,16 +258,16 @@ def cmd_eval(config: RunConfig, args) -> int:
                          "run train again")
     with _stages("eval", config) as begin:
         begin("ingest")
-        test_m = _split_in_place(_matrix(config), config.split)[1]
+        test = _split(_matrix(config), config)[1]
         begin("preprocess")
         prep = load_preprocessor(models_dir / "preprocess.json")
-        test_ready = prep.transform(test_m)
+        test = prep._transform_owned(test)  # the split's own copy of the test rows
         begin("evaluate")
         models = {name: load_model(models_dir / f"{name}.json")
                   for name in config.models if (models_dir / f"{name}.json").exists()}
         if not models:
             raise HydetError(f"no model files found under {models_dir}")
-        _evaluate_and_write(config, models, test_ready, out)
+        _evaluate_and_write(config, models, test, out)
     return EXIT_OK
 
 
@@ -308,7 +314,6 @@ def cmd_compare(config: RunConfig, args) -> int:
 
 
 def cmd_pipeline(config: RunConfig, args) -> int:
-    from .dataset.transform import _split_in_place
     out = Path(config.out_dir)
     with _stages("pipeline", config) as begin:
         begin("ingest")
@@ -316,17 +321,18 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         begin("quality-audit")
         _write_quality(config, matrix, out)
         begin("split")
-        # each stage works in the arrays of the last; its input goes with it
-        train_m, test_m = _split_in_place(matrix, config.split)
+        # each stage works in the arrays of the last, and each array goes
+        # with its last reader
+        train, test = _split(matrix, config)
         del matrix
         begin("preprocess")
-        prep, train_ready = _fit_preprocessor(config, train_m, out / "models")
-        test_ready = prep.transform(test_m)
-        del train_m, test_m
+        prep, train = _fit_preprocessor(config, train, out / "models")
+        test = prep._transform_owned(test)
         begin("train")
-        models = _train_and_save(config, train_ready, out / "models")
+        models = _train_and_save(config, train, out / "models")
+        del train  # evaluate reads the test part alone
         begin("evaluate")
-        reports = _evaluate_and_write(config, models, test_ready, out)
+        reports = _evaluate_and_write(config, models, test, out)
         begin("compare")
         if len(reports) >= 2:
             f1_vectors = {r.model: r.f1_vector() for r in reports.values()}

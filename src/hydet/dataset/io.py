@@ -369,10 +369,11 @@ def write_matrix_csv(matrix, dest: str | Path) -> None:
     """
     check_header_names(matrix.column_names)
     header = "instance_id,t_index," + ",".join(matrix.column_names) + ",label\n"
-    rows = _format_rows(matrix.origin[:, 1], matrix.values, matrix.labels)
+    origin = matrix._origin_for("the points export")
+    rows = _format_rows(origin[:, 1], matrix.values, matrix.labels)
     fields = ['"' + i.replace('"', '""') + '"' if any(c in i for c in ',"\r\n') else i
               for i in matrix.instance_ids]
-    ids = [fields[i] for i in matrix.origin[:, 0].tolist()]
+    ids = [fields[i] for i in origin[:, 0].tolist()]
     # the ids join last, so that blanking NaN cells cannot reach into them
     Path(dest).write_text(
         header + "".join(f"{i},{row}\n" for i, row in zip(ids, rows.split("\n"))),

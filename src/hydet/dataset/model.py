@@ -132,28 +132,41 @@ class FeatureMatrix:
     read-only int32 array of shape (n_rows, 2) holding, per row, the source
     instance's index into ``instance_ids`` and the timestamp index, so that
     partitions can be traced back to episodes. A value outside either type
-    is a ``ValueError`` naming its row, never wrapped.
+    is a ``ValueError`` naming its row, never wrapped. ``origin`` may be
+    None, for rows that no longer need tracing: the audit, the instance
+    split and the points export, which read it, refuse such a matrix with a
+    ``ValueError``, and ``take`` and ``with_values`` keep it None.
     """
 
     column_names: tuple[str, ...]
     values: np.ndarray
     labels: np.ndarray
-    origin: np.ndarray
+    origin: np.ndarray | None
     instance_ids: tuple[str, ...]
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
-        labels, origin = np.asarray(self.labels), np.asarray(self.origin)
+        labels = np.asarray(self.labels)
         if values.ndim != 2 or values.shape[1] != len(self.column_names):
             raise ValueError(f"values shape {values.shape} does not match "
                              f"{len(self.column_names)} columns")
         if labels.shape != (values.shape[0],):
             raise ValueError("labels length does not match row count")
-        if origin.shape != (values.shape[0], 2):
-            raise ValueError(f"origin shape {origin.shape} is not (rows, 2)")
+        arrays = {"values": values}
+        if self.origin is not None:
+            arrays["origin"] = self._checked_origin(np.asarray(self.origin),
+                                                    values.shape[0])
         if labels.dtype != np.int8 and ((labels < -128) | (labels > 127)).any():
             row = int(np.argmax((labels < -128) | (labels > 127)))
             raise ValueError(f"label row {row} is {labels[row]}: outside int8 -128..127")
+        arrays["labels"] = np.ascontiguousarray(labels, dtype=np.int8)
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def _checked_origin(self, origin: np.ndarray, n_rows: int) -> np.ndarray:
+        if origin.shape != (n_rows, 2):
+            raise ValueError(f"origin shape {origin.shape} is not (rows, 2)")
         n_ids, top = len(self.instance_ids), np.iinfo(np.int32).max
         low, high = origin.min(axis=0, initial=0), origin.max(axis=0, initial=-1)
         if low.min() < 0 or high[0] >= n_ids or high[1] > top:  # none holds for no rows
@@ -161,11 +174,7 @@ class FeatureMatrix:
             raise ValueError(f"origin row {row} is {origin[row].tolist()}: its instance "
                              f"must be in 0..{n_ids - 1} and its time step not negative "
                              f"and at most {top}")
-        labels = np.ascontiguousarray(labels, dtype=np.int8)
-        origin = np.ascontiguousarray(origin, dtype=np.int32)
-        for name, array in (("values", values), ("labels", labels), ("origin", origin)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        return np.ascontiguousarray(origin, dtype=np.int32)
 
     @property
     def n_rows(self) -> int:
@@ -178,9 +187,18 @@ class FeatureMatrix:
     def take(self, indices: Sequence[int]) -> "FeatureMatrix":
         idx = np.asarray(indices, dtype=np.int64)
         return FeatureMatrix(self.column_names, self.values[idx], self.labels[idx],
-                             self.origin[idx], self.instance_ids)
+                             None if self.origin is None else self.origin[idx],
+                             self.instance_ids)
 
     def with_values(self, values: np.ndarray) -> "FeatureMatrix":
         """Same rows/labels/origin with a replaced value grid."""
         return FeatureMatrix(self.column_names, values, self.labels, self.origin,
                              self.instance_ids)
+
+    def _origin_for(self, reader: str) -> np.ndarray:
+        """``origin``, for ``reader``, which traces rows to their episodes;
+        a ``ValueError`` if this matrix has dropped it."""
+        if self.origin is None:
+            raise ValueError(f"{reader} traces each row to its episode, but this "
+                             f"matrix has no origin")
+        return self.origin

@@ -119,7 +119,7 @@ def _test_mask(matrix: FeatureMatrix, spec: SplitSpec) -> np.ndarray:
         test = np.zeros(n, dtype=bool)
         test[_test_units(matrix.labels, spec, rng, "row")] = True
     else:
-        inst_of_row = matrix.origin[:, 0]
+        inst_of_row = matrix._origin_for("the instance split")[:, 0]
         # first row of every instance, in order of first appearance
         firsts = np.sort(np.unique(inst_of_row, return_index=True)[1])
         if len(firsts) < 2:

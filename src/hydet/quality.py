@@ -278,8 +278,15 @@ class Preprocessor:
         return cls(imputer, fences, normalizer)
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
+        return self._transform_owned(matrix.with_values(matrix.values.copy()))
+
+    def _transform_owned(self, matrix: FeatureMatrix) -> FeatureMatrix:
+        """``transform(matrix)``, bit for bit, in ``matrix``'s own values,
+        which it overwrites: they must own their memory."""
         _check_columns(self.imputer.columns, matrix)
-        values = _clamp(_impute(matrix.values.copy(), self.imputer), self.fences)
+        values = matrix.values
+        values.setflags(write=True)
+        _clamp(_impute(values, self.imputer), self.fences)
         return matrix.with_values(_normalize(values, self.normalizer))
 
 
@@ -335,7 +342,8 @@ def _instance_runs(matrix: FeatureMatrix) -> np.ndarray:
     """The first row of each instance in a non-empty ``matrix``, which must
     hold every instance of ``instance_ids`` whole, once and in order, as
     ``flatten`` gives them."""
-    inst, step = matrix.origin[:, 0], matrix.origin[:, 1]
+    origin = matrix._origin_for("the quality audit")
+    inst, step = origin[:, 0], origin[:, 1]
     starts = np.flatnonzero(np.diff(inst, prepend=inst[0] - 1))
     if np.array_equal(inst[starts], np.arange(len(matrix.instance_ids))):
         offsets = np.arange(matrix.n_rows)  # each run counts its steps from 0

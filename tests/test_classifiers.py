@@ -699,6 +699,27 @@ def test_nb_variance_floor_and_class_size():
         GaussianNb().fit(np.full((4, 2), 3.0), np.array([0, 0, 1, 1]))
 
 
+def test_nb_scores_past_the_float_range_without_a_warning():
+    # features near 1e-150 floor the variances near 1e-310, so the squared
+    # term of a row of 1.0 overflows for classes 1 and 2: they score -inf and
+    # class 0 is picked on its finite score; numpy used to warn on it
+    X = np.array([[1.86e-150]] + [[0.0]] * 5)
+    model = GaussianNb().fit(X, np.array([0, 0, 1, 1, 2, 2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = model.predict_scores(np.array([[1.0]]))
+        picks = model.predict(np.array([[1.0]]))
+    var, mu = model.variances_[0, 0], model.means_[0, 0]
+    finite = (-0.5 * (math.log(2.0 * math.pi) + math.log(var))
+              - (1.0 - mu) ** 2 / (2.0 * var)) + math.log(model.priors_[0])
+    assert scores.tolist() == [[finite, -math.inf, -math.inf]]
+    assert math.isfinite(finite) and picks.tolist() == [0]
+    # a row that every class scores -inf has no winner: it is refused, by row
+    with pytest.raises(ValueError, match=r"row 1 scores -inf under every class: .* "
+                                         r"the floor 4\.805e-310"):
+        model.predict(np.array([[1.0], [1e150]]))
+
+
 # ---------------------------------------------------------------------------
 # the fan-out trainer and serialization
 
@@ -869,5 +890,9 @@ def test_nb_fit_and_scores_equal_the_whole_array_formulas_bitwise(data, width, n
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want[:3]]
     assert model.epsilon_ == want[3]
     with np.errstate(over="ignore"):  # a variance near 1e-300 sends a term to inf
-        assert model.predict_scores(Q).tobytes() == \
-            _whole_array_scores(model, Q).tobytes()
+        want_scores = _whole_array_scores(model, Q)
+    if (want_scores.max(axis=1) == -np.inf).any():  # no class wins that row
+        with pytest.raises(ValueError, match="-inf under every class"):
+            model.predict_scores(Q)
+    else:
+        assert model.predict_scores(Q).tobytes() == want_scores.tobytes()

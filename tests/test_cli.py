@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hydet.classifiers
 import hydet.dataset
 import hydet.dataset.transform
+import hydet.evaluation
 import hydet.quality
 from hydet import cli, jsonio
 from hydet.classifiers import (ClassifiersConfig, KnnConfig, NbConfig, TreeConfig,
@@ -23,12 +25,12 @@ from hydet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from hydet.codec import from_json, to_json
 from hydet.config import DataConfig, RunConfig
 from hydet.dataset import CANONICAL_VARIABLE_NAMES, ClassLabel, SplitSpec
-from hydet.dataset.model import DatasetManifest
+from hydet.dataset.model import DatasetManifest, FeatureMatrix
 from hydet.dataset.synth import ChannelModel, SynthConfig, default_config
 from hydet.errors import ConfigError
 from hydet.evaluation import EvalReport
-from hydet.quality import (PreprocessConfig, QualityReport, load_preprocessor,
-                           save_preprocessor)
+from hydet.quality import (PreprocessConfig, Preprocessor, QualityReport,
+                           load_preprocessor, save_preprocessor)
 from hydet.stats import ComparisonTable, TestConfig
 
 
@@ -770,6 +772,55 @@ def test_the_corpus_is_freed_before_split(tmp_path, monkeypatch, command):
                                       hydet.dataset.transform, "_split_in_place")
 
 
+@pytest.mark.parametrize("command, readers", [
+    ("train", ["fit_transform", "train_all"]),
+    ("eval", ["_transform_owned"] + ["evaluate"] * 3),
+    ("pipeline", ["fit_transform", "_transform_owned", "train_all"] + ["evaluate"] * 3),
+])
+def test_the_parts_past_the_split_carry_no_origin(tmp_path, monkeypatch, command,
+                                                 readers):
+    # no stage after the split traces a row to its episode
+    config_path, _ = small_synth_config(tmp_path)
+    assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    seen = []
+
+    def hook(owner, name):
+        use = getattr(owner, name)
+
+        def read(*args, **kwargs):
+            assert next(a for a in args if isinstance(a, FeatureMatrix)).origin is None
+            seen.append(name)
+            return use(*args, **kwargs)
+        monkeypatch.setattr(owner, name, read)
+
+    for owner, name in [(Preprocessor, "fit_transform"), (Preprocessor, "_transform_owned"),
+                        (hydet.classifiers, "train_all"), (hydet.evaluation, "evaluate")]:
+        hook(owner, name)
+    assert main([command, "--config", str(config_path)]) == EXIT_OK
+    assert seen == readers
+
+
+def test_pipeline_frees_the_training_matrix_before_evaluate(tmp_path, monkeypatch):
+    # the models are fitted and saved by then, and evaluate reads the test part
+    config_path, _ = small_synth_config(tmp_path)
+    train_all, evaluate = hydet.classifiers.train_all, hydet.evaluation.evaluate
+    trained, evaluated = [], []
+
+    def training(matrix, *args, **kwargs):
+        trained.append(weakref.ref(matrix.values))
+        return train_all(matrix, *args, **kwargs)
+
+    def evaluating(*args, **kwargs):
+        assert trained[0]() is None
+        evaluated.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(hydet.classifiers, "train_all", training)
+    monkeypatch.setattr(hydet.evaluation, "evaluate", evaluating)
+    assert main(["pipeline", "--config", str(config_path)]) == EXIT_OK
+    assert len(trained) == 1 and len(evaluated) == 3
+
+
 def test_qc_frees_the_corpus_before_its_audit(tmp_path, monkeypatch):
     _run_checking_the_corpus_is_freed(tmp_path, monkeypatch, "qc",
                                       hydet.quality, "quality_report")
@@ -793,6 +844,23 @@ def test_eval_over_a_malformed_model_flags_partial_output(tmp_path, capsys):
     assert main(argv) == EXIT_DATA
     assert f"error: stage evaluate failed: {bad}" in capsys.readouterr().err
     assert (bad.parents[1] / "INCOMPLETE").read_text() == \
+        "eval aborted in stage evaluate\n"
+
+
+def test_eval_refuses_a_row_that_naive_bayes_scores_minus_inf_under_every_class(
+        tmp_path, capsys):
+    # variances at the smallest double send every squared term past the float
+    # range, so no class wins row 0
+    def tiny_variances(data):
+        data["variances"] = [[5e-324] * len(row) for row in data["variances"]]
+
+    _, argv = _trained_then_edited(tmp_path, "nb.json", tiny_variances)
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage evaluate failed: naive Bayes predict: row 0 "
+                          "scores -inf under every class: ")
+    assert (tmp_path / "out" / "INCOMPLETE").read_text() == \
         "eval aborted in stage evaluate\n"
 
 

@@ -21,6 +21,7 @@ from hydet.dataset.io import _fill_missing, _load_rows, write_matrix_csv
 from hydet.dataset.model import (DatasetManifest, FeatureMatrix, ManifestEntry,
                                  TimeSeriesInstance, _unpickled_instance)
 from hydet.jsonio import format_float
+from hydet.quality import quality_report
 from hydet.errors import (CsvFormatError, EmptyDataError, HydetError,
                           LabelConflictError, MissingVariableError, NonFiniteError,
                           SplitError, TimestampOrderError)
@@ -780,6 +781,28 @@ def test_feature_matrix_refuses_a_label_or_origin_that_a_cast_would_wrap(
     with pytest.raises(ValueError, match=re.escape(message)):
         FeatureMatrix(("P-TPT",), np.ones((4, 1)), np.array(labels, dtype=np.int64),
                       np.array(origin, dtype=np.int64), ("a",))
+
+
+def test_a_matrix_without_origin_keeps_none_and_its_readers_refuse_it(tmp_path):
+    # rows past the split need no episode; the audit, the instance split and
+    # the points export trace rows to episodes, so they refuse such a matrix
+    m = FeatureMatrix(("P-TPT",), np.arange(4.0)[:, None], [0, 0, 1, 1], None, ("a",))
+    assert m.origin is None and m.labels.dtype == np.int8
+    assert m.take([3, 0]).origin is None and m.with_values(m.values * 2).origin is None
+    assert [part.n_rows for part in split(m, SplitSpec(test_fraction=0.5))] == [2, 2]
+    for reader, run in [
+            ("the quality audit", lambda: quality_report(m)),
+            ("the instance split", lambda: split(m, SplitSpec(mode="instance"))),
+            ("the points export", lambda: write_matrix_csv(m, tmp_path / "p.csv"))]:
+        with pytest.raises(ValueError, match=f"^{reader} traces each row to its "
+                                             f"episode, but this matrix has no origin$"):
+            run()
+    assert not (tmp_path / "p.csv").exists()
+    # given an origin, flatten, take and split keep returning it
+    traced = flatten([make_instance("i0", n=3), make_instance("i1", n=3)], ("P-TPT",))
+    assert [part.origin.tolist() for part in split(traced, SplitSpec(mode="instance"))] \
+        in ([[[0, 0], [0, 1], [0, 2]], [[1, 0], [1, 1], [1, 2]]],
+            [[[1, 0], [1, 1], [1, 2]], [[0, 0], [0, 1], [0, 2]]])
 
 
 @given(lengths=st.lists(st.integers(1, 5), min_size=2, max_size=8), data=st.data())

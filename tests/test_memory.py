@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hydet.classifiers import DecisionTree, GaussianNb, KnnClassifier, nb, save_model
+from hydet.classifiers import (DecisionTree, GaussianNb, KnnClassifier, nb, payload,
+                               save_model)
 from hydet.dataset import (FeatureMatrix, SplitSpec, default_config, flatten,
                            synth_generate)
 from hydet.dataset import transform as dataset_transform
@@ -117,6 +118,30 @@ def test_knn_save_model_peaks_within_half_its_file(tmp_path):
     assert peak <= 0.5 * os.path.getsize(path)
 
 
+def _held_float_bytes(model):
+    """Bytes of the distinct float64 buffers that ``model``'s arrays view."""
+    held = {}
+    for value in vars(model).values():
+        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+            while value.base is not None:
+                value = value.base
+            held[id(value)] = value.nbytes
+    return sum(held.values())
+
+
+def test_knn_holds_its_training_rows_once():
+    # train_ is a read-only view of the feature-major rows the search reads;
+    # a row-major copy beside them held 2.09x. The node boxes add 0.09x.
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(46_125, 4)), rng.integers(0, 3, size=46_125).astype(np.int8)
+    model = KnnClassifier().fit(X, y)
+    assert _held_float_bytes(model) <= 1.2 * X.nbytes
+    assert np.array_equal(model.train_, X) and not model.train_.flags.writeable
+    loaded = KnnClassifier.from_payload(model.params, payload(model))
+    queries = rng.normal(size=(2_000, 4))
+    assert np.array_equal(loaded.predict(queries), model.predict(queries))
+
+
 def _dirty_matrix():
     """The long dirty corpus's corruption rates on 70 episodes of 600 steps."""
     variables = default_config().variables
@@ -170,6 +195,18 @@ def test_preprocessor_fit_transform_in_place_peaks_within_a_column():
     (prep, ready), peak = traced_peak(lambda: Preprocessor.fit_transform(owned))
     assert ready.values is owned.values and not np.isnan(ready.values).any()
     assert peak <= 0.35 * matrix.values.nbytes
+
+
+def test_preprocessor_transform_of_an_owned_matrix_makes_no_copy():
+    # the CLI's test part is transformed in its own values; transform's copy
+    # of them (1.13x above) is what this path saves
+    matrix = _dirty_matrix()
+    prep = Preprocessor.fit(matrix)
+    owned = FeatureMatrix(matrix.column_names, matrix.values.copy(), matrix.labels,
+                          None, matrix.instance_ids)
+    ready, peak = traced_peak(lambda: prep._transform_owned(owned))
+    assert ready.values is owned.values and not np.isnan(ready.values).any()
+    assert peak <= 0.2 * matrix.values.nbytes
 
 
 def test_naive_bayes_fit_and_scores_peak_within_their_blocks(monkeypatch):

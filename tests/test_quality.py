@@ -592,3 +592,33 @@ def test_preprocessing_in_place_equals_the_chained_step_functions(data, width, n
     assert ready.values.tobytes() == chained.tobytes()
     assert not ready.values.flags.writeable
     assert m.values.tobytes() == values.tobytes()  # the copying paths leave it
+
+
+@given(data=st.data(), width=st.integers(1, 4), n=st.integers(5, 40),
+       constant=st.booleans(), mode=st.sampled_from(["zscore", "minmax"]))
+@settings(max_examples=150, deadline=None)
+def test_transform_in_owned_values_equals_transform_bitwise(data, width, n, constant,
+                                                            mode):
+    # the CLI transforms its test part in that part's own values; the bits
+    # are transform's and the chained step functions', cell by cell: missing
+    # cells, cells past and at each fence, and -0.0 beside 0.0
+    cell = st.floats(-1e6, 1e6) | st.sampled_from([np.nan, 0.0, -0.0])
+    train = np.array(data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                                        min_size=n, max_size=n)))
+    train[:4] = np.arange(4 * width).reshape(4, width) / 3  # four observed per column
+    if constant:  # fences and center at 2.5, scale 0: centered only
+        train[:, 0] = 2.5
+    prep = Preprocessor.fit(matrix_of(*train.T), PreprocessConfig(normalization=mode))
+    columns = [st.floats(-1e9, 1e9) | st.sampled_from(
+        [np.nan, 0.0, -0.0, f.lower_fence, f.upper_fence, f.lower_fence - 1.0,
+         f.upper_fence + 1.0, -f.lower_fence, -f.upper_fence]) for f in prep.fences]
+    test = np.array(data.draw(st.lists(st.tuples(*columns), min_size=1, max_size=30)))
+    copied = matrix_of(*test.T)
+    chained = apply_normalizer(prep.normalizer, treat_outliers(
+        apply_imputer(prep.imputer, copied), prep.fences)).values
+    want = prep.transform(copied).values
+    owned = matrix_of(*test.T)
+    ready = prep._transform_owned(owned)
+    assert ready.values is owned.values and not ready.values.flags.writeable
+    assert ready.values.tobytes() == want.tobytes() == chained.tobytes()
+    assert copied.values.tobytes() == test.tobytes()  # transform copies
