@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hydet.classifiers import (DecisionTree, GaussianNb, KnnClassifier, nb, payload,
+from hydet.classifiers import (DecisionTree, GaussianNb, KnnClassifier, load_model, nb,
                                save_model)
 from hydet.dataset import (FeatureMatrix, SplitSpec, default_config, flatten,
                            synth_generate)
@@ -129,7 +129,7 @@ def _held_float_bytes(model):
     return sum(held.values())
 
 
-def test_knn_holds_its_training_rows_once():
+def test_knn_holds_its_training_rows_once(tmp_path):
     # train_ is a read-only view of the feature-major rows the search reads;
     # a row-major copy beside them held 2.09x. The node boxes add 0.09x.
     rng = np.random.default_rng(5)
@@ -137,7 +137,8 @@ def test_knn_holds_its_training_rows_once():
     model = KnnClassifier().fit(X, y)
     assert _held_float_bytes(model) <= 1.2 * X.nbytes
     assert np.array_equal(model.train_, X) and not model.train_.flags.writeable
-    loaded = KnnClassifier.from_payload(model.params, payload(model))
+    save_model(model, tmp_path / "knn.json")  # written from the view
+    loaded = load_model(tmp_path / "knn.json")  # through from_payload
     queries = rng.normal(size=(2_000, 4))
     assert np.array_equal(loaded.predict(queries), model.predict(queries))
 
