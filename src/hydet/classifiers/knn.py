@@ -123,9 +123,7 @@ class KnnClassifier:
                 dims.append(dim)
                 vals.append(X[perm[m], dim])
             bounds = np.sort(np.concatenate([bounds, mids]))
-        classes = np.unique(self.labels_)  # codes on the labels' own dtype
-        self.classes_ = classes.astype(np.int64)  # predict gives int64
-        self._codes = np.searchsorted(classes, self.labels_)
+        self.classes_ = np.unique(self.labels_).astype(np.int64)  # predict gives int64
         self._depth = depth
         self._dims = np.array(dims, dtype=np.intp)
         self._vals = np.array(vals, dtype=np.float64)
@@ -188,17 +186,16 @@ class KnnClassifier:
         tied = np.flatnonzero(np.count_nonzero(d2 <= kth[:, None], axis=1) > k)
         if tied.size:
             d, at = d2[tied], kth[tied, None]
-            past = len(self._codes) + 1  # above every index and the pads' n
+            past = len(self.labels_) + 1  # above every index and the pads' n
             key = np.where(d < at, -1, np.where(d == at, cand[tied], past))
             nbrs[tied] = np.argpartition(key, k - 1, axis=1)[:, :k]
         dist = np.take_along_axis(d2, nbrs, axis=1)
-        codes = self._codes[np.take_along_axis(cand, nbrs, axis=1)]
+        labels = self.labels_[np.take_along_axis(cand, nbrs, axis=1)]
 
-        n_classes = len(self.classes_)
-        votes = np.empty((queries.shape[0], n_classes), dtype=np.float64)
+        votes = np.empty((queries.shape[0], len(self.classes_)), dtype=np.float64)
         nearest = np.empty_like(votes)
-        for c in range(n_classes):
-            member = codes == c
+        for c, label in enumerate(self.classes_.tolist()):
+            member = labels == label
             votes[:, c] = np.count_nonzero(member, axis=1)
             nearest[:, c] = np.where(member, dist, np.inf).min(axis=1)
         contested = votes == votes.max(axis=1)[:, None]

@@ -266,26 +266,18 @@ def default_regimes() -> dict[ClassLabel, dict[str, ChannelModel]]:
             ClassLabel.HYDRATE: hydrate}
 
 
-def _check_fractions(value, *keys: str) -> None:
-    for key in keys:
-        if not 0.0 <= getattr(value, key) <= 1.0:
-            raise ValueError(f"{key}: {getattr(value, key)!r} is outside [0, 1]")
-
-
 @dataclass(frozen=True)
 class ClassMetrics:
     precision: float
     recall: float
     f1: float
 
-    def __post_init__(self):
-        _check_fractions(self, "precision", "recall", "f1")
-
 
 @dataclass(frozen=True)
 class EvalReport:
     """``eval_<model>.json``: ``matrix[i][j]`` counts rows of true class
-    ``classes[i]`` predicted as ``classes[j]``."""
+    ``classes[i]`` predicted as ``classes[j]``. Every metric is the one its
+    grid gives, so a report whose stored metric differs is refused."""
 
     model: str
     classes: tuple[ClassLabel, ...]
@@ -294,20 +286,28 @@ class EvalReport:
     per_class: Mapping[ClassLabel, ClassMetrics]
     macro_f1: float
 
+    @classmethod
+    def from_counts(cls, model: str, classes, matrix) -> "EvalReport":
+        """The report of a grid laid out as ``evaluation.confusion`` returns
+        it: accuracy, per-class precision, recall and F1 (0 where a
+        denominator is 0), and macro F1, the mean F1 in class order."""
+        classes, matrix = tuple(classes), tuple(map(tuple, matrix))
+        return cls(model, classes, matrix, *_scores(classes, matrix))
+
     def __post_init__(self):
-        n = len(self.classes)
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ValueError(f"matrix: expected {n} rows of {n} counts")
-        for i, row in enumerate(self.matrix):
-            for j, count in enumerate(row):
-                if count < 0:
-                    raise ValueError(f"matrix[{i}][{j}]: count {count} is negative")
-        if not any(map(any, self.matrix)):
-            raise ValueError("matrix: every count is 0")
-        _check_fractions(self, "accuracy", "macro_f1")
+        accuracy, per_class, macro_f1 = _scores(self.classes, self.matrix)
         if sorted(self.per_class) != sorted(self.classes):
             raise ValueError(f"per_class: keys {_names(self.per_class)} do not "
                              f"match classes {_names(self.classes)}")
+        checks = [("accuracy", self.accuracy, accuracy), *(
+            (f"per_class.{c.display_name}.{key}", getattr(self.per_class[c], key),
+             getattr(per_class[c], key))
+            for c in self.classes for key in ("precision", "recall", "f1")),
+            ("macro_f1", self.macro_f1, macro_f1)]
+        for key, stored, value in checks:
+            if stored != value:
+                raise ValueError(f"{key}: {stored!r} is not {value!r}, "
+                                 "which matrix gives")
 
     def f1_vector(self) -> tuple[float, ...]:
         """Per-class F1 in class order; the sample the statistical tests use."""
@@ -324,3 +324,30 @@ class EvalReport:
 
 def _names(classes) -> list[str]:
     return [c.display_name for c in classes]
+
+
+def _scores(classes, matrix) -> tuple[float, dict[ClassLabel, ClassMetrics], float]:
+    """Accuracy, per-class metrics and macro F1 of a grid of integer counts,
+    refused unless it is square in ``classes`` with no negative count and
+    one count at least. Plain Python, so that ``hydet compare`` loads no
+    numpy; the F1s are summed left to right, as ``numpy.mean`` sums three."""
+    n = len(classes)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"matrix: expected {n} rows of {n} counts")
+    for i, row in enumerate(matrix):
+        for j, count in enumerate(row):
+            if count < 0:
+                raise ValueError(f"matrix[{i}][{j}]: count {count} is negative")
+    total = sum(map(sum, matrix))
+    if total == 0:
+        raise ValueError("matrix: every count is 0")
+    per_class, f1_sum = {}, 0.0
+    for j, cls in enumerate(classes):
+        tp, row, col = matrix[j][j], sum(matrix[j]), sum(r[j] for r in matrix)
+        precision = tp / col if col > 0 else 0.0
+        recall = tp / row if row > 0 else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) \
+            if precision + recall > 0 else 0.0
+        per_class[cls] = ClassMetrics(precision, recall, f1)
+        f1_sum += f1
+    return sum(matrix[i][i] for i in range(n)) / total, per_class, f1_sum / n

@@ -1,8 +1,8 @@
-"""One path from predictions to an ``EvalReport``, whose values keep full
-precision: ``confusion`` counts labels into an int64 grid, and
-``report_from_confusion`` reads accuracy, per-class precision/recall/F1 and
-macro F1 off it. Zero-denominator precision/recall/F1 are 0 by convention, and
-a class listed twice is refused. ``codec`` writes reports as ``eval_<model>.json``.
+"""One path from predictions to an ``EvalReport``: ``confusion`` counts
+labels into an int64 grid, refusing a class listed twice, and ``evaluate``
+scores a model's predictions through it with ``EvalReport.from_counts``, which
+owns the metric math and its full-precision values. ``codec`` writes reports
+as ``eval_<model>.json``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .declarations import ClassLabel, ClassMetrics, EvalReport
+from .declarations import ClassLabel, EvalReport
 from .errors import EmptyDataError
 from .dataset.model import FeatureMatrix
 
@@ -44,37 +44,11 @@ def confusion(true_labels: Sequence[int], predicted_labels: Sequence[int],
     return np.bincount(cells, minlength=m * m).reshape(m, m)
 
 
-def report_from_confusion(
-        counts, model_name: str,
-        classes: Sequence[ClassLabel] = tuple(ClassLabel)) -> EvalReport:
-    """Score a grid laid out as ``confusion`` returns it."""
-    counts, classes = np.asarray(counts, dtype=np.int64), tuple(classes)
-    if counts.shape != (len(classes),) * 2:
-        raise ValueError(f"counts shape {counts.shape} does not match "
-                         f"{len(classes)} classes")
-    if (counts < 0).any():
-        raise ValueError("negative confusion counts")
-    total = int(counts.sum())
-    if total == 0:
-        raise EmptyDataError("metrics of an empty confusion matrix")
-    per_class = {}
-    for j, cls in enumerate(classes):
-        tp, row, col = int(counts[j, j]), int(counts[j].sum()), int(counts[:, j].sum())
-        precision = tp / col if col > 0 else 0.0
-        recall = tp / row if row > 0 else 0.0
-        f1 = 2.0 * precision * recall / (precision + recall) \
-            if precision + recall > 0 else 0.0
-        per_class[cls] = ClassMetrics(precision=precision, recall=recall, f1=f1)
-    return EvalReport(model=model_name, classes=classes,
-                      matrix=tuple(map(tuple, counts.tolist())),
-                      accuracy=float(np.trace(counts)) / total, per_class=per_class,
-                      macro_f1=float(np.mean([m.f1 for m in per_class.values()])))
-
-
 def evaluate(model, test: FeatureMatrix, model_name: str = "",
              classes: Sequence[ClassLabel] = tuple(ClassLabel)) -> EvalReport:
     """Predict on the test matrix and score against its labels."""
     if test.n_rows == 0:
         raise EmptyDataError("evaluate on empty test matrix")
     counts = confusion(test.labels, model.predict(test.values), classes)
-    return report_from_confusion(counts, model_name or type(model).__name__, classes)
+    return EvalReport.from_counts(model_name or type(model).__name__, classes,
+                                  counts.tolist())

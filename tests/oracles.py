@@ -352,6 +352,24 @@ def reference_metrics(grid):
     return accuracy, per_class, sum(f1 for _, _, f1 in per_class) / n
 
 
+def numpy_metrics(counts):
+    """(accuracy, [(precision, recall, f1) per class], macro F1) of a square
+    grid of counts as floats: the numpy formulas that scored every recorded
+    eval report, kept as they were."""
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    per_class = []
+    for j in range(len(counts)):
+        tp, row, col = int(counts[j, j]), int(counts[j].sum()), int(counts[:, j].sum())
+        precision = tp / col if col > 0 else 0.0
+        recall = tp / row if row > 0 else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) \
+            if precision + recall > 0 else 0.0
+        per_class.append((precision, recall, f1))
+    return (float(np.trace(counts)) / total, per_class,
+            float(np.mean([f1 for _, _, f1 in per_class])))
+
+
 def reference_impute(means, values):
     """Each missing cell set to its column's training mean."""
     values = values.copy()

@@ -20,7 +20,7 @@ from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config
                            synth_generate)
 from hydet.dataset.model import CANONICAL_VARIABLE_NAMES
 from hydet.codec import to_json
-from hydet.evaluation import evaluate, report_from_confusion
+from hydet.evaluation import EvalReport, evaluate
 from hydet.quality import Preprocessor, quality_report
 from hydet.stats import TestConfig, compare_models, ks_two_sample, mwu_two_sample
 from oracles import ks_exact_p, mwu_exact_p, tree_replay
@@ -54,7 +54,7 @@ def criterion(name: str, budget_seconds: float):
 
 def test_metric_math_oracle_reference_matrices():
     with criterion("metric math reproduces reference results", 1.0):
-        reports = {name: report_from_confusion(grid, name, REF_CLASS_ORDER)
+        reports = {name: EvalReport.from_counts(name, REF_CLASS_ORDER, grid)
                    for name, grid in REFERENCE_MATRICES.items()}
 
         accs = {name: r.accuracy for name, r in reports.items()}

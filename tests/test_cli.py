@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -964,12 +965,17 @@ def _nodes_emptied(data):
 
 
 def _set(*keys, value):
-    """An edit that sets the value at the key path ``keys``."""
+    """An edit that sets the value at the key path ``keys``; a callable
+    ``value`` is applied to the value there."""
     def edit(data):
         for key in keys[:-1]:
             data = data[key]
-        data[keys[-1]] = value
+        data[keys[-1]] = value(data[keys[-1]]) if callable(value) else value
     return edit
+
+
+def _one_ulp_down(number):
+    return math.nextafter(number, 0.0)
 
 
 def _config_file(tmp_path, text, *more_texts):
@@ -1023,16 +1029,29 @@ def _edited_report(tmp_path, edit, *texts):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_set("accuracy", value=3.0), "accuracy: 3.0 is outside [0, 1]"),
-    (_set("macro_f1", value=-0.25), "macro_f1: -0.25 is outside [0, 1]"),
+    (_set("accuracy", value=3.0),
+     "accuracy: 3.0 is not 0.8717948717948718, which matrix gives"),
+    (_set("macro_f1", value=-0.25),
+     "macro_f1: -0.25 is not 0.8646908646908646, which matrix gives"),
     (_set("per_class", "Hydrate", "f1", value=1.5),
-     "per_class.Hydrate: f1: 1.5 is outside [0, 1]"),
+     "per_class.Hydrate.f1: 1.5 is not 0.923076923076923, which matrix gives"),
     (_set("per_class", "NormalCondition", "recall", value=-1),
-     "per_class.NormalCondition: recall: -1.0 is outside [0, 1]"),
+     "per_class.NormalCondition.recall: -1.0 is not 0.9523809523809523, "
+     "which matrix gives"),
     (_set("matrix", 1, 2, value=-4), "matrix[1][2]: count -4 is negative"),
     (_set("matrix", value=[[0, 0, 0]] * 3), "matrix: every count is 0"),
+    # inside [0, 1], but not what the grid gives
+    (_set("per_class", "Hydrate", "f1", value=_one_ulp_down),
+     "per_class.Hydrate.f1: 0.9230769230769229 is not 0.923076923076923, "
+     "which matrix gives"),
+    (_set("per_class", "NormalCondition", "precision", value=_one_ulp_down),
+     "per_class.NormalCondition.precision: 0.8695652173913042 is not "
+     "0.8695652173913043, which matrix gives"),
+    (_set("accuracy", value=0.5),
+     "accuracy: 0.5 is not 0.8717948717948718, which matrix gives"),
 ], ids=["accuracy-3", "macro-f1-negative", "f1-above-1", "recall-negative",
-        "negative-count", "all-zero-grid"])
+        "negative-count", "all-zero-grid", "f1-one-ulp-off", "precision-one-ulp-off",
+        "accuracy-half"])
 def test_compare_refuses_an_impossible_eval_report(tmp_path, capsys, edit, message):
     bad, argv = _edited_report(tmp_path, edit)
     capsys.readouterr()

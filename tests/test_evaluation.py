@@ -12,8 +12,8 @@ from hydet.dataset.model import ClassLabel, FeatureMatrix
 from hydet.classifiers import DecisionTree
 from hydet.codec import from_json, to_json
 from hydet.errors import EmptyDataError
-from hydet.evaluation import EvalReport, confusion, evaluate, report_from_confusion
-from oracles import reference_confusion, reference_metrics
+from hydet.evaluation import EvalReport, confusion, evaluate
+from oracles import numpy_metrics, reference_confusion, reference_metrics
 
 # Frozen reference confusion matrices (fixture data for the metric-math
 # oracles below); class order Hydrate / RapidLoss / Normal.
@@ -24,7 +24,7 @@ NB_MATRIX = [[1244, 32462, 34220], [0, 298632, 0], [329, 396402, 503]]
 
 
 def report(counts, classes=CLASSES):
-    return report_from_confusion(np.array(counts), "m", classes)
+    return EvalReport.from_counts("m", classes, np.asarray(counts).tolist())
 
 
 def test_confusion_perfect_predictions_are_diagonal():
@@ -105,14 +105,14 @@ def test_confusion_errors():
         evaluate(model, no_rows)
 
 
-def test_report_from_confusion_refuses_bad_grids():
-    with pytest.raises(ValueError,
-                       match=re.escape("counts shape (2, 2) does not match 3 classes")):
-        report(np.zeros((2, 2), dtype=int))
-    with pytest.raises(ValueError, match="negative confusion counts"):
-        report(-np.eye(3, dtype=int))
-    with pytest.raises(EmptyDataError, match="metrics of an empty confusion matrix"):
-        report(np.zeros((3, 3), dtype=int))
+def test_from_counts_refuses_bad_grids():
+    for grid, message in (
+            (np.zeros((2, 2), dtype=int), "matrix: expected 3 rows of 3 counts"),
+            (-np.eye(3, dtype=int), "matrix[0][0]: count -1 is negative"),
+            (np.zeros((3, 3), dtype=int), "matrix: every count is 0")):
+        with pytest.raises(ValueError) as err:
+            report(grid)
+        assert str(err.value) == message
 
 
 def test_accuracy_identity_matrix():
@@ -173,11 +173,10 @@ def test_class_permutation_leaves_metrics_invariant():
 
 
 @st.composite
-def grids(draw):
+def grids(draw, cells=st.integers(0, 9) | st.integers(0, 2**40)):
     """1-3 class grids, some rows (no true rows of a class) and some columns
     (no predictions of a class) zeroed, at least one count in all."""
     n = draw(st.integers(1, 3))
-    cells = st.integers(0, 9) | st.integers(0, 2**40)
     grid = np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n)),
                     dtype=np.int64).reshape(n, n)
     grid[sorted(draw(st.sets(st.integers(0, n - 1)))), :] = 0
@@ -208,6 +207,18 @@ def test_metrics_match_exact_rational_oracle(grid):
     assert within_ulps(got.macro_f1, macro_f1, 4), (got.macro_f1, macro_f1)
 
 
+@given(grid=grids(st.integers(0, 9) | st.integers(0, 10**6)))
+@settings(max_examples=400, deadline=None)
+def test_from_counts_equals_the_numpy_formulas_bitwise(grid):
+    # the formulas every recorded eval report was scored with
+    got = report(grid, tuple(ClassLabel)[:len(grid)])
+    accuracy, per_class, macro_f1 = numpy_metrics(grid)
+    want = [accuracy, *(v for metrics in per_class for v in metrics), macro_f1]
+    have = [got.accuracy, *(getattr(got.per_class[c], key) for c in got.classes
+                            for key in ("precision", "recall", "f1")), got.macro_f1]
+    assert list(map(float.hex, have)) == list(map(float.hex, want))
+
+
 def test_evaluate_memorizing_tree_and_recomposition():
     rng = np.random.default_rng(1)
     values = rng.normal(size=(120, 3))
@@ -221,13 +232,13 @@ def test_evaluate_memorizing_tree_and_recomposition():
     scored = evaluate(model, matrix, "tree")
     assert scored.accuracy == 1.0
     # recomposition oracle
-    assert scored == report_from_confusion(confusion(labels, model.predict(values)),
-                                           "tree")
+    assert scored == EvalReport.from_counts(
+        "tree", tuple(ClassLabel), confusion(labels, model.predict(values)).tolist())
     assert scored.macro_f1 == 1.0
 
 
 def test_eval_report_json_round_trip_preserves_counts():
-    scored = report_from_confusion(np.array(KNN_MATRIX), "k-NN", CLASSES)
+    scored = EvalReport.from_counts("k-NN", CLASSES, KNN_MATRIX)
     back = from_json(EvalReport, json.loads(jsonio.dumps(to_json(scored))), "")
     assert back == scored
     assert back.matrix == tuple(map(tuple, KNN_MATRIX))

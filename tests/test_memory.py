@@ -118,11 +118,12 @@ def test_knn_save_model_peaks_within_half_its_file(tmp_path):
     assert peak <= 0.5 * os.path.getsize(path)
 
 
-def _held_float_bytes(model):
-    """Bytes of the distinct float64 buffers that ``model``'s arrays view."""
+def _held_bytes(model, kinds):
+    """Bytes of the distinct buffers of dtype kind in ``kinds`` (``"f"``
+    float, ``"iu"`` integer) that ``model``'s arrays view."""
     held = {}
     for value in vars(model).values():
-        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        if isinstance(value, np.ndarray) and value.dtype.kind in kinds:
             while value.base is not None:
                 value = value.base
             held[id(value)] = value.nbytes
@@ -135,12 +136,24 @@ def test_knn_holds_its_training_rows_once(tmp_path):
     rng = np.random.default_rng(5)
     X, y = rng.normal(size=(46_125, 4)), rng.integers(0, 3, size=46_125).astype(np.int8)
     model = KnnClassifier().fit(X, y)
-    assert _held_float_bytes(model) <= 1.2 * X.nbytes
+    assert _held_bytes(model, "f") <= 1.2 * X.nbytes
     assert np.array_equal(model.train_, X) and not model.train_.flags.writeable
     save_model(model, tmp_path / "knn.json")  # written from the view
     loaded = load_model(tmp_path / "knn.json")  # through from_payload
     queries = rng.normal(size=(2_000, 4))
     assert np.array_equal(loaded.predict(queries), model.predict(queries))
+
+
+def test_knn_keeps_no_integer_copy_of_its_labels():
+    # the votes compare the gathered labels themselves; a class-code copy of
+    # them as intp added 8 bytes a training row. Beside the labels and the
+    # leaf table, the split dimensions hold one intp per tree node and
+    # ``classes_`` one int64 per class.
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(46_125, 4)), rng.integers(0, 3, size=46_125).astype(np.int8)
+    model = KnnClassifier().fit(X, y)
+    assert _held_bytes(model, "iu") <= sum(
+        a.nbytes for a in (model.labels_, model._table, model._dims, model.classes_))
 
 
 def _dirty_matrix():
