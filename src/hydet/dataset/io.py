@@ -23,20 +23,20 @@ instance as the one-pass parse wherever both accept a file.
 Writing renders every row with one ``%`` template and then blanks the NaN
 cells, so the floats have ``jsonio.format_float``'s 17 significant digits.
 
-``load_instances``, ``load_matrix`` and ``write_instances`` run their
-per-file loop on every CPU this process may use once the files are large
-enough (``_fan_out``): one process per CPU, but none for less than
-``_SHARE_FLOOR_BYTES`` (8 MiB) of CSV text, a file to write being sized at
-23 bytes per value. A reading child streams each result back as its pickle,
-then the raw bytes of each of its arrays, which this process reads into
-arrays it allocates; results are handed on in file order. The outcome is
-always the serial loop's: after a failure anywhere, that loop runs on from
-the first file whose result was not handed on.
+``load_matrix`` and ``write_instances`` run their per-file loop on every
+CPU this process may use once the files are large enough (``_fan_out``): one
+process per CPU, but none for less than ``_SHARE_FLOOR_BYTES`` (8 MiB) of CSV
+text, a file to write being sized at 23 bytes per value. A reading child
+sends each file's selected values and label as the result's pickle, then the
+raw bytes of its array, which this process reads into an array it allocates;
+results are handed on in file order. The outcome is always the serial
+loop's: after a failure anywhere, that loop runs on from the first file whose
+result was not handed on. ``load_instances`` reads its files serially.
 
-``load_matrix`` is how the CLI reads a corpus: each file's selected channels
-are copied into the matrix as they come, so no instance outlives its file,
-and on the long dirty corpus ingest ends at ~57 MiB peak RSS where loading
-the instances and then flattening them reached ~80 MiB.
+``load_matrix`` is how the CLI reads a corpus: ``flatten``'s fill copies each
+file's selected channels into the matrix as they come, so no instance
+outlives its file; on the long dirty corpus ingest ends at ~57 MiB peak RSS
+where loading the instances and then flattening them reached ~80 MiB.
 
 The floor comes from ``hydet pipeline --models dt,nb`` and ``hydet synth``
 forced to fork, against the serial loop, in alternating runs on a 2-CPU VM:
@@ -68,10 +68,10 @@ from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import (CsvFormatError, EmptyDataError, HydetError, LabelConflictError,
-                      MissingVariableError)
+from ..errors import CsvFormatError, EmptyDataError, HydetError, LabelConflictError
 from .model import (ClassLabel, DatasetManifest, FeatureMatrix, ManifestEntry,
                     TimeSeriesInstance, check_header_names)
+from .transform import _MatrixRows
 
 logger = logging.getLogger(__name__)
 
@@ -431,73 +431,32 @@ def build_manifest(root: str | Path) -> DatasetManifest:
 def load_instances(root: str | Path, manifest: DatasetManifest,
                    label_map: Mapping[int, ClassLabel] | None = None,
                    ) -> list[TimeSeriesInstance]:
-    """Load every instance listed in a manifest, labeled by its directory."""
-    root, instances = Path(root), []
-    _fan_out(lambda e: load_instance_csv(root / e.path, e.id, e.label, label_map),
-             manifest.instances, lambda e: os.path.getsize(root / e.path),
-             instances.append)
-    return instances
+    """Load every instance listed in a manifest, labeled by its directory,
+    one file after another."""
+    root = Path(root)
+    return [load_instance_csv(root / e.path, e.id, e.label, label_map)
+            for e in manifest.instances]
 
 
 def load_matrix(root: str | Path, manifest: DatasetManifest,
                 variables: Sequence[str]) -> FeatureMatrix:
-    """``flatten(load_instances(root, manifest), variables)``, bit
-    for bit and with its errors, without holding the instances: each file's
-    channels are copied into the matrix as its result comes, in manifest
-    order. The arrays start sized at the rows per byte of the files read so
-    far, with a tenth to spare, grow where that falls short and shrink to
-    the rows at the end; ``ndarray.resize`` moves their pages, not their
-    bytes. A file's instance never crosses the fan-out's pipe, only its
-    selected values and its label."""
-    root, variables = Path(root), tuple(variables)
-    entries = manifest.instances
+    """``flatten(load_instances(root, manifest), variables)``, bit for bit
+    and with its errors, by ``flatten``'s fill, without holding the
+    instances. The arrays start sized at the rows per byte of the files read
+    so far, with a tenth to spare. Only each file's selected values and label
+    cross the fan-out's pipe."""
+    root, entries = Path(root), manifest.instances
     sizes = [os.path.getsize(root / e.path) for e in entries]
-    arrays: tuple[np.ndarray, ...] = ()  # values, labels, origin
-    n_rows, n_files, lacking = 0, 0, None  # lacking: the first (id, channel) missing
+    rows = _MatrixRows(variables, tuple(e.id for e in entries),
+                       lambda n_rows, placed:
+                       n_rows * sum(sizes) // sum(sizes[:placed]) * 11 // 10 + 1)
 
     def read(index: int):
         entry = entries[index]
-        inst = load_instance_csv(root / entry.path, entry.id, entry.label)
-        names = inst.variable_names
-        missing = next((v for v in variables if v not in names), None)
-        if missing is not None:
-            return None, inst.label, missing
-        return inst.values[:, [names.index(v) for v in variables]], inst.label, None
+        return rows.channels(load_instance_csv(root / entry.path, entry.id, entry.label))
 
-    def place(result) -> None:
-        nonlocal arrays, n_rows, n_files, lacking
-        part, label, missing = result
-        n_files += 1
-        if lacking is None and missing is not None:
-            lacking = entries[n_files - 1].id, missing
-        if lacking is not None:
-            return
-        start, n_rows = n_rows, n_rows + len(part)
-        if not arrays or n_rows > len(arrays[0]):
-            rows = n_rows * sum(sizes) // sum(sizes[:n_files]) * 11 // 10 + 1
-            if arrays:
-                for array in arrays:
-                    array.resize((rows, *array.shape[1:]), refcheck=False)
-            else:
-                arrays = (np.empty((rows, len(variables))), np.empty(rows, np.int8),
-                          np.empty((rows, 2), np.int32))
-        values, labels, origin = arrays
-        values[start:n_rows] = part
-        labels[start:n_rows] = label
-        origin[start:n_rows, 0] = n_files - 1
-        origin[start:n_rows, 1] = np.arange(len(part), dtype=np.int32)
-
-    _fan_out(read, range(len(entries)), sizes.__getitem__, place)
-    if not entries:
-        raise EmptyDataError("flatten: no instances")
-    if not variables:
-        raise EmptyDataError("flatten: no variables requested")
-    if lacking is not None:
-        raise MissingVariableError(f"instance {lacking[0]!r} lacks channel "
-                                   f"{lacking[1]!r}")
-    for array in arrays:
-        array.resize((n_rows, *array.shape[1:]), refcheck=False)
-    return FeatureMatrix(variables, *arrays, tuple(e.id for e in entries))
+    _fan_out(read, range(len(entries)), sizes.__getitem__, rows.place)
+    return rows.matrix()
 
 
 def header_channels(root: str | Path, manifest: DatasetManifest) -> Iterator[list[str]]:

@@ -23,6 +23,7 @@ class TimeSeriesInstance:
     rejects one too, so every instance round-trips through its own file.
     ``timestamps`` is a tuple of ``datetime`` (ISO files) or else a read-only
     int64 array of epoch seconds (T,); either kind must not decrease.
+    Unpickling skips the constructor's checks, and its arrays may be writable.
     """
 
     instance_id: str
@@ -76,25 +77,6 @@ class TimeSeriesInstance:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __reduce__(self):
-        # through the constructor: the default would restore the fields
-        # unchecked, with writable arrays
-        return (_unpickled_instance, (self.instance_id, self.label, self.timestamps,
-                                      self.variable_names, self.values))
-
-
-def _unpickled_instance(instance_id, label, timestamps, variable_names,
-                        values) -> TimeSeriesInstance:
-    """numpy unpickles a large array as a view of the pickle's bytes, which
-    the constructor would keep as it is. Only such a view is copied out: an
-    array that owns its data, as each one the fan-out's frames bring does, is
-    kept."""
-    if isinstance(timestamps, np.ndarray) and not timestamps.flags.owndata:
-        timestamps = timestamps.copy()
-    if not values.flags.owndata:
-        values = values.copy()
-    return TimeSeriesInstance(instance_id, label, timestamps, variable_names, values)
 
 
 @dataclass(frozen=True)

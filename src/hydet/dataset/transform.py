@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -15,37 +15,71 @@ def flatten(instances: Sequence[TimeSeriesInstance],
             variables: Sequence[str]) -> FeatureMatrix:
     """One matrix row per (instance, timestamp); labels broadcast per instance.
 
-    The output arrays are allocated once and filled instance by instance, so
-    flattening holds nothing beyond its result."""
-    if not instances:
-        raise EmptyDataError("flatten: no instances")
-    if not variables:
-        raise EmptyDataError("flatten: no variables requested")
-    variables = tuple(variables)
-
-    columns = []
+    The output arrays are allocated once, at the exact row count, and filled
+    instance by instance, so flattening holds nothing beyond its result."""
+    rows = _MatrixRows(variables, tuple(inst.instance_id for inst in instances),
+                       lambda n_rows, placed: sum(map(len, instances)))
     for inst in instances:
-        for var in variables:
-            if var not in inst.variable_names:
-                raise MissingVariableError(
-                    f"instance {inst.instance_id!r} lacks channel {var!r}")
-        columns.append([inst.variable_names.index(var) for var in variables])
-    n_rows = sum(map(len, instances))
-    values = np.empty((n_rows, len(variables)))
-    labels = np.empty(n_rows, dtype=np.int8)
-    origin = np.empty((n_rows, 2), dtype=np.int32)
-    steps = np.arange(max(map(len, instances)), dtype=np.int32)
-    start = 0
-    for i, (inst, cols) in enumerate(zip(instances, columns)):
-        stop = start + len(inst)
-        values[start:stop] = inst.values[:, cols]
-        labels[start:stop] = inst.label
-        origin[start:stop, 0] = i
-        origin[start:stop, 1] = steps[:stop - start]
-        start = stop
-    return FeatureMatrix(column_names=variables, values=values, labels=labels,
-                         origin=origin,
-                         instance_ids=tuple(inst.instance_id for inst in instances))
+        rows.place(rows.channels(inst))
+    return rows.matrix()
+
+
+class _MatrixRows:
+    """The fill of a ``FeatureMatrix`` that ``flatten`` and ``io.load_matrix``
+    share: ``place(channels(inst))`` for each instance, in ``ids`` order, then
+    ``matrix()``. Arrays that the rows overrun grow, by ``ndarray.resize``, to
+    ``capacity(rows placed, instances placed)`` rows."""
+
+    def __init__(self, variables: Sequence[str], ids: tuple[str, ...],
+                 capacity: Callable[[int, int], int]):
+        self.variables, self.ids, self.capacity = tuple(variables), ids, capacity
+        self.arrays: tuple[np.ndarray, ...] = ()  # values, labels, origin
+        self.n_rows = self.placed = 0
+        self.lacking = None  # the first (instance id, channel) missing
+
+    def channels(self, inst: TimeSeriesInstance) -> tuple:
+        """``inst``'s values over the variables, its label, and the first
+        variable it lacks, if any (then no values)."""
+        names = inst.variable_names
+        missing = next((v for v in self.variables if v not in names), None)
+        cols = [names.index(v) for v in self.variables if v in names]
+        return (inst.values[:, cols] if missing is None else None), inst.label, missing
+
+    def place(self, selected: tuple) -> None:
+        """The next instance's rows, from what ``channels`` gave for it; none
+        from the first instance that lacks a variable on."""
+        part, label, missing = selected
+        self.placed += 1
+        if self.lacking is None and missing is not None:
+            self.lacking = self.ids[self.placed - 1], missing
+        if self.lacking is not None:
+            return
+        start, self.n_rows = self.n_rows, self.n_rows + len(part)
+        if not self.arrays or self.n_rows > len(self.arrays[0]):
+            rows = self.capacity(self.n_rows, self.placed)
+            if self.arrays:
+                for array in self.arrays:
+                    array.resize((rows, *array.shape[1:]), refcheck=False)
+            else:
+                self.arrays = (np.empty((rows, len(self.variables))),
+                               np.empty(rows, np.int8), np.empty((rows, 2), np.int32))
+        values, labels, origin = self.arrays
+        values[start:self.n_rows] = part
+        labels[start:self.n_rows] = label
+        origin[start:self.n_rows, 0] = self.placed - 1
+        origin[start:self.n_rows, 1] = np.arange(len(part), dtype=np.int32)
+
+    def matrix(self) -> FeatureMatrix:
+        if not self.ids:
+            raise EmptyDataError("flatten: no instances")
+        if not self.variables:
+            raise EmptyDataError("flatten: no variables requested")
+        if self.lacking is not None:
+            raise MissingVariableError(f"instance {self.lacking[0]!r} lacks channel "
+                                       f"{self.lacking[1]!r}")
+        for array in self.arrays:
+            array.resize((self.n_rows, *array.shape[1:]), refcheck=False)
+        return FeatureMatrix(self.variables, *self.arrays, self.ids)
 
 
 def shared_channels(names_per_instance: Iterable[Sequence[str]]) -> tuple[str, ...]:

@@ -19,6 +19,10 @@ time, each stage in place on a copy, which the library's whole-matrix
 expressions must match bit for bit.  ``reference_fill_missing`` fills the
 empty cells of a CSV body in one regex pass, which the loader's three
 ``str.replace`` scans must match character for character.
+``reference_flatten`` builds a matrix with whole-array ``np.concatenate``
+and ``np.repeat`` over the instances, which ``flatten`` and
+``io.load_matrix``, filling row blocks into arrays they grow, must match bit
+for bit and error for error.
 """
 
 import json
@@ -29,9 +33,10 @@ from itertools import combinations
 
 import numpy as np
 
-from hydet.dataset.model import ClassLabel, TimeSeriesInstance
+from hydet.dataset.model import ClassLabel, FeatureMatrix, TimeSeriesInstance
 from hydet.dataset.synth import _INSTANCE_LATENT_W, _STEP_LATENT_W
 from hydet.dataset.transform import rounded_count
+from hydet.errors import EmptyDataError, MissingVariableError
 from hydet.rng import _PHI, CounterRng, _mix, _norm_ppf
 
 
@@ -411,3 +416,27 @@ def reference_fill_missing(body):
     """``nan`` after every comma that ends a cell: one followed by another
     comma, a line end or the end of the body."""
     return re.sub(r",(?=,|\n|\Z)", ",nan", body)
+
+
+def reference_flatten(instances, variables):
+    """Each instance's columns picked by name, all instances concatenated,
+    each label and index repeated over its instance's rows."""
+    if not instances:
+        raise EmptyDataError("flatten: no instances")
+    if not variables:
+        raise EmptyDataError("flatten: no variables requested")
+    for inst in instances:
+        lacking = [v for v in variables if v not in inst.variable_names]
+        if lacking:
+            raise MissingVariableError(f"instance {inst.instance_id!r} lacks "
+                                       f"channel {lacking[0]!r}")
+    lengths = [len(inst) for inst in instances]
+    values = np.concatenate([np.stack([inst.values[:, inst.variable_names.index(v)]
+                                       for v in variables], axis=1)
+                             for inst in instances])
+    labels = np.repeat([int(inst.label) for inst in instances], lengths)
+    origin = np.stack([np.repeat(np.arange(len(instances)), lengths),
+                       np.concatenate([np.arange(n) for n in lengths])], axis=1)
+    return FeatureMatrix(tuple(variables), values, labels.astype(np.int8),
+                         origin.astype(np.int32),
+                         tuple(inst.instance_id for inst in instances))

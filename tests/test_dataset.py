@@ -19,13 +19,13 @@ from hydet.dataset import io as dataset_io
 from hydet.dataset import transform as dataset_transform
 from hydet.dataset.io import _fill_missing, _load_rows, write_matrix_csv
 from hydet.dataset.model import (DatasetManifest, FeatureMatrix, ManifestEntry,
-                                 TimeSeriesInstance, _unpickled_instance)
+                                 TimeSeriesInstance)
 from hydet.jsonio import format_float
 from hydet.quality import quality_report
 from hydet.errors import (CsvFormatError, EmptyDataError, HydetError,
                           LabelConflictError, MissingVariableError, NonFiniteError,
                           SplitError, TimestampOrderError)
-from oracles import reference_fill_missing
+from oracles import reference_fill_missing, reference_flatten
 
 
 def _stream(text):
@@ -431,46 +431,6 @@ def test_iso_timestamps_stay_a_tuple_of_datetimes():
         assert_iso_stamps(inst.timestamps, expected)
 
 
-@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
-def test_instance_pickles_through_its_constructor(tmp_path, protocol):
-    epoch, = synth_generate(default_config(n_normal=1, n_rapid_loss=0, n_hydrate=0,
-                                           length=700), 5)
-    path = tmp_path / "e.csv"
-    write_instance_csv(epoch, path)
-    iso = load_instance_csv(_stream("timestamp,x\n2024-01-01T00:00:00Z,1.0\n"
-                                    "2024-01-01T00:00:07+00:00,\n"), "iso",
-                            ClassLabel.HYDRATE)
-    # a long instance: numpy unpickles large arrays as views of the pickle
-    for inst in (epoch, load_instance_csv(path, "e"), iso):
-        back = pickle.loads(pickle.dumps(inst, protocol=protocol))
-        assert (back.instance_id, back.label, back.variable_names) == \
-            (inst.instance_id, inst.label, inst.variable_names)
-        if isinstance(inst.timestamps, tuple):
-            assert_iso_stamps(back.timestamps, inst.timestamps)
-        else:
-            assert_epoch_stamps(back.timestamps, inst.timestamps.tolist())
-        assert same_bits(back.values, inst.values)
-        assert not back.values.flags.writeable and back.values.base is None
-    # the constructor checks what a pickle brings
-    rebuild, args = iso.__reduce__()
-    with pytest.raises(NonFiniteError, match="infinite value at row 1"):
-        rebuild(*args[:4], np.array([[1.0], [np.inf]]))
-
-
-def test_unpickled_instance_copies_only_an_array_that_does_not_own_its_data():
-    # the fan-out's frames bring arrays allocated for the instance: kept
-    stamps, values = np.arange(3, dtype=np.int64), np.zeros((3, 1))
-    kept = _unpickled_instance("i", ClassLabel.NORMAL, stamps, ("x",), values)
-    assert kept.timestamps is stamps and kept.values is values
-    # a plain pickle's large array is a view of the pickle's bytes: copied
-    stamps, values = np.arange(6, dtype=np.int64), np.arange(6.0).reshape(6, 1)
-    copied = _unpickled_instance("i", ClassLabel.NORMAL, stamps[:3], ("x",), values[:3])
-    assert copied.timestamps.base is None and copied.values.base is None
-    assert copied.timestamps.tolist() == [0, 1, 2]
-    assert copied.values.tolist() == [[0.0], [1.0], [2.0]]
-    assert stamps.flags.writeable and values.flags.writeable
-
-
 def test_instance_keeps_a_float64_array_it_is_given():
     # an unpickled dtype equals float64 but is another object
     given = pickle.loads(pickle.dumps(np.zeros((3, 1)))).copy()
@@ -696,6 +656,42 @@ def test_flatten_fills_columns_in_the_requested_order():
         assert same_bits(m.values, expected)
         assert m.values.flags.c_contiguous and not m.values.flags.writeable
         assert m.labels.tolist() == [0] * 3 + [2] * 2 + [0] * 4
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_flatten_equals_the_reference_flatten(data):
+    # instances holding the requested channels and others, in any order,
+    # NaN, -0.0 and subnormal cells among their values; now and then there
+    # is no instance, or one lacks a channel, and the reference's error is
+    # raised
+    names = ("a", "b", "c", "d")
+    cells = st.sampled_from([0.5, -0.0, np.nan, 5e-324, -1e300, 3.0])
+    variables = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                                   unique=True))
+    instances = []
+    for k in range(data.draw(st.integers(0, 5))):
+        extra = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
+        held = data.draw(st.permutations(sorted(set(variables) | set(extra))))
+        if data.draw(st.integers(0, 9)) == 0:
+            held = held[1:] or held
+        n = data.draw(st.integers(1, 6))
+        instances.append(make_instance(
+            f"i{k}", data.draw(st.sampled_from(list(ClassLabel))), n,
+            {v: data.draw(st.lists(cells, min_size=n, max_size=n)) for v in held}))
+    try:
+        want = reference_flatten(instances, variables)
+    except HydetError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            flatten(instances, variables)
+        return
+    got = flatten(instances, variables)
+    assert (got.column_names, got.instance_ids) == (want.column_names, want.instance_ids)
+    for array, expected in zip((got.values, got.labels, got.origin),
+                               (want.values, want.labels, want.origin)):
+        assert (array.shape, array.dtype) == (expected.shape, expected.dtype)
+        assert array.tobytes() == expected.tobytes()
+        assert array.flags.owndata and not array.flags.writeable
 
 
 def test_flatten_missing_variable():

@@ -1,6 +1,8 @@
-"""The per-file loops on several CPUs: ``load_instances``, ``load_matrix``
-and ``write_instances`` forced to 1, 2 and 3 processes on small corpora must
-give what the serial loop gives, raise what it raises, and leave no process."""
+"""The per-file loops on several CPUs: ``load_matrix`` and
+``write_instances`` forced to 1, 2 and 3 processes on small corpora must give
+what the serial loop gives, raise what it raises, and leave no process; and
+``load_matrix`` must give what ``reference_flatten`` gives over the
+instances."""
 
 import io
 import logging
@@ -19,6 +21,7 @@ from hydet.dataset import (DatasetManifest, build_manifest, default_config, flat
 from hydet.dataset import io as dataset_io
 from hydet.dataset.transform import shared_channels
 from hydet.errors import CsvFormatError, HydetError
+from oracles import reference_flatten
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +62,17 @@ def corpus(tmp_path):
     return root
 
 
+def load_matrix(root: Path, manifest: DatasetManifest):
+    """The corpus over the one channel that every file of ``corpus`` holds."""
+    return dataset_io.load_matrix(root, manifest, ["P-TPT"])
+
+
+def matrix_fields(matrix):
+    return (matrix.column_names, matrix.instance_ids,
+            *((a.shape, a.dtype, a.tobytes())
+              for a in (matrix.values, matrix.labels, matrix.origin)))
+
+
 def read_tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -67,7 +81,7 @@ def read_tree(root: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("shares", [1, 2, 3])
 def test_forked_load_equals_the_serial_load(corpus, monkeypatch, shares):
     manifest = build_manifest(corpus)
-    serial = load_instances(corpus, manifest)
+    serial = load_matrix(corpus, manifest)
     force_shares(monkeypatch, shares)
     parent, taken_here, received = os.getpid(), [], []
     load, read_frame = dataset_io.load_instance_csv, dataset_io._read_frame
@@ -84,22 +98,14 @@ def test_forked_load_equals_the_serial_load(corpus, monkeypatch, shares):
 
     monkeypatch.setattr(dataset_io, "load_instance_csv", counted_load)
     monkeypatch.setattr(dataset_io, "_read_frame", counted_frame)
-    forked = load_instances(corpus, manifest)
+    forked = load_matrix(corpus, manifest)
     # every file was loaded once, by this process or by a child
     assert len(taken_here) + len(received) == len(manifest.instances)
     assert (len(received) > 0) == (shares > 1)
-    assert len(forked) == len(serial) == len(manifest.instances)
-    for got, want in zip(forked, serial):
-        assert (got.instance_id, got.label, got.variable_names) == \
-            (want.instance_id, want.label, want.variable_names)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.values.flags.owndata and not got.values.flags.writeable
-        assert type(got.timestamps) is type(want.timestamps)
-        if isinstance(want.timestamps, tuple):
-            assert got.timestamps == want.timestamps
-        else:
-            assert got.timestamps.tobytes() == want.timestamps.tobytes()
-            assert got.timestamps.base is None and not got.timestamps.flags.writeable
+    assert len(forked.instance_ids) == len(manifest.instances)
+    assert matrix_fields(forked) == matrix_fields(serial)
+    for array in (forked.values, forked.labels, forked.origin):
+        assert array.flags.owndata and not array.flags.writeable
 
 
 @pytest.mark.parametrize("shares", [1, 2, 3])
@@ -132,11 +138,11 @@ def test_the_first_bad_file_raises_the_serial_error(corpus, monkeypatch, bad):
     for i in bad:
         corrupt(corpus, manifest.instances[i])
     with pytest.raises(CsvFormatError) as serial:
-        load_instances(corpus, manifest)
+        load_matrix(corpus, manifest)
     assert manifest.instances[bad[0]].path in str(serial.value)
     force_shares(monkeypatch, 3)
     with pytest.raises(CsvFormatError, match=f"^{re.escape(str(serial.value))}$"):
-        load_instances(corpus, manifest)
+        load_matrix(corpus, manifest)
 
 
 def test_an_earlier_file_that_fails_later_still_raises(corpus, monkeypatch):
@@ -145,7 +151,7 @@ def test_an_earlier_file_that_fails_later_still_raises(corpus, monkeypatch):
     for i in (1, 2):
         corrupt(corpus, manifest.instances[i])
     with pytest.raises(CsvFormatError) as serial:
-        load_instances(corpus, manifest)
+        load_matrix(corpus, manifest)
     force_shares(monkeypatch, 3)
     load, slow = dataset_io.load_instance_csv, manifest.instances[1].id
 
@@ -156,7 +162,7 @@ def test_an_earlier_file_that_fails_later_still_raises(corpus, monkeypatch):
 
     monkeypatch.setattr(dataset_io, "load_instance_csv", slow_to_fail)
     with pytest.raises(CsvFormatError, match=f"^{re.escape(str(serial.value))}$"):
-        load_instances(corpus, manifest)
+        load_matrix(corpus, manifest)
 
 
 def test_a_failed_write_raises_the_first_error_in_order(tmp_path, monkeypatch):
@@ -175,16 +181,10 @@ def test_a_failed_write_raises_the_first_error_in_order(tmp_path, monkeypatch):
         write_instances(instances, tmp_path)
 
 
-def fields(instances):
-    return [(i.instance_id, i.label, i.variable_names, i.values.tobytes(),
-             i.timestamps if isinstance(i.timestamps, tuple) else i.timestamps.tobytes())
-            for i in instances]
-
-
 def test_a_child_that_dies_hands_the_load_to_the_serial_loop(corpus, monkeypatch,
                                                              caplog):
     manifest = build_manifest(corpus)
-    serial = load_instances(corpus, manifest)
+    serial = load_matrix(corpus, manifest)
     parent = os.getpid()
     load = dataset_io.load_instance_csv
 
@@ -196,8 +196,8 @@ def test_a_child_that_dies_hands_the_load_to_the_serial_loop(corpus, monkeypatch
     monkeypatch.setattr(dataset_io, "load_instance_csv", dies_in_a_child)
     force_shares(monkeypatch, 3)
     with caplog.at_level(logging.WARNING, logger="hydet.dataset.io"):
-        forked = load_instances(corpus, manifest)
-    assert fields(forked) == fields(serial)
+        forked = load_matrix(corpus, manifest)
+    assert matrix_fields(forked) == matrix_fields(serial)
     # one warning for each child that took a file (the second may start late)
     assert set(caplog.messages) == {"a forked process exited with code 3; "
                                     "the serial loop runs"}
@@ -220,7 +220,7 @@ def test_an_interrupt_here_propagates_without_a_serial_rerun(corpus, monkeypatch
 
     monkeypatch.setattr(dataset_io, "load_instance_csv", interrupted_here)
     with pytest.raises(KeyboardInterrupt) as raised:
-        load_instances(corpus, manifest)
+        load_matrix(corpus, manifest)
     assert raised.value is interrupt
     assert len(taken_here) == 2
     assert multiprocessing.active_children() == []
@@ -232,9 +232,9 @@ def test_small_corpora_and_one_cpu_stay_serial(corpus, monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     manifest = build_manifest(corpus)
-    assert len(load_instances(corpus, manifest)) == 13  # under the size floor
+    assert len(load_matrix(corpus, manifest).instance_ids) == 13  # under the size floor
     force_shares(monkeypatch, 1)
-    assert len(load_instances(corpus, manifest)) == 13
+    assert len(load_matrix(corpus, manifest).instance_ids) == 13
 
 
 def arrays_of_every_kind() -> dict[str, np.ndarray]:
@@ -298,24 +298,20 @@ def test_a_frame_cut_short_reads_as_none():
             os.close(read_end)
 
 
-def matrix_fields(matrix):
-    return (matrix.column_names, matrix.instance_ids,
-            *((a.shape, a.dtype, a.tobytes())
-              for a in (matrix.values, matrix.labels, matrix.origin)))
-
-
 @pytest.mark.parametrize("shares", [1, 2, 3])
 def test_the_direct_matrix_equals_the_flattened_instances(corpus, monkeypatch, shares):
     manifest = build_manifest(corpus)
-    flat = flatten(load_instances(corpus, manifest), ["P-TPT"])
+    instances = load_instances(corpus, manifest)
+    reference = matrix_fields(reference_flatten(instances, ["P-TPT"]))
+    assert matrix_fields(flatten(instances, ["P-TPT"])) == reference
     force_shares(monkeypatch, shares)
-    direct = dataset_io.load_matrix(corpus, manifest, ["P-TPT"])
-    assert matrix_fields(direct) == matrix_fields(flat)
+    direct = load_matrix(corpus, manifest)
+    assert matrix_fields(direct) == reference
     for array in (direct.values, direct.labels, direct.origin):
         assert array.flags.owndata and not array.flags.writeable
 
 
-@pytest.mark.parametrize("shares", [1, 3])
+@pytest.mark.parametrize("shares", [1, 2, 3])
 def test_the_direct_matrix_grows_past_its_first_estimate(tmp_path, monkeypatch, shares):
     # the first file has few rows for its bytes, so the arrays sized from it
     # grow twice
@@ -328,10 +324,12 @@ def test_the_direct_matrix_grows_past_its_first_estimate(tmp_path, monkeypatch, 
         (root / "0_normal" / f"{name}.csv").write_text("timestamp,P-TPT,T-TPT\n" + rows,
                                                        encoding="utf-8")
     manifest = build_manifest(root)
-    flat = flatten(load_instances(root, manifest), ["T-TPT", "P-TPT"])
+    instances = load_instances(root, manifest)
+    reference = matrix_fields(reference_flatten(instances, ["T-TPT", "P-TPT"]))
+    assert matrix_fields(flatten(instances, ["T-TPT", "P-TPT"])) == reference
     force_shares(monkeypatch, shares)
     assert matrix_fields(dataset_io.load_matrix(root, manifest, ["T-TPT", "P-TPT"])) \
-        == matrix_fields(flat)
+        == reference
 
 
 @pytest.mark.parametrize("shares", [1, 3])
@@ -351,6 +349,9 @@ def test_the_direct_matrix_raises_the_flattened_error(corpus, monkeypatch, share
     for i in bad:
         corrupt(corpus, manifest.instances[i])
     with pytest.raises(HydetError) as flattened:
+        reference_flatten(load_instances(corpus, manifest), variables)
+    with pytest.raises(type(flattened.value),
+                       match=f"^{re.escape(str(flattened.value))}$"):
         flatten(load_instances(corpus, manifest), variables)
     force_shares(monkeypatch, shares)
     with pytest.raises(type(flattened.value),
