@@ -182,19 +182,7 @@ class DecisionTree:
         # first argmax = lowest class code on leaf-count ties
         return self.classes_[np.argmax(scores, axis=1)]
 
-    # -- introspection and serialization ------------------------------------
-
-    def depth(self) -> int:
-        if self.feature_ is None:
-            return 0
-        depths = [0] * len(self.feature_)
-        for node, right in enumerate(self.right_):
-            if right != -1:
-                depths[node + 1] = depths[right] = depths[node] + 1
-        return max(depths)
-
-    def n_leaves(self) -> int:
-        return 0 if self.feature_ is None else self.feature_.count(-1)
+    # -- serialization -----------------------------------------------------
 
     @classmethod
     def from_payload(cls, params: TreeConfig, payload: TreePayload) -> "DecisionTree":

@@ -6,7 +6,7 @@ from .model import (CANONICAL_VARIABLE_NAMES, CANONICAL_VARIABLES, ClassLabel,
                     DatasetManifest, FeatureMatrix, ManifestEntry, SensorVariable,
                     SplitSpec, TimeSeriesInstance, variable_info)
 from .synth import (ChannelModel, SynthConfig, default_config, default_regimes,
-                    qc_probe_config, synth_generate)
+                    synth_generate)
 from .transform import flatten, split
 
 __all__ = [
@@ -14,6 +14,6 @@ __all__ = [
     "ChannelModel", "ClassLabel", "DatasetManifest", "FeatureMatrix",
     "ManifestEntry", "SensorVariable", "SplitSpec", "SynthConfig",
     "TimeSeriesInstance", "build_manifest", "default_config", "default_regimes",
-    "flatten", "load_instance_csv", "load_instances", "qc_probe_config", "split",
+    "flatten", "load_instance_csv", "load_instances", "split",
     "synth_generate", "variable_info", "write_instance_csv", "write_instances",
 ]

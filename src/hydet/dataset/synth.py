@@ -48,7 +48,6 @@ the temporaries of one draw.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -85,36 +84,6 @@ def default_config(n_normal: int = 597, n_rapid_loss: int = 344,
                 ClassLabel.RAPID_LOSS: n_rapid_loss,
                 ClassLabel.HYDRATE: n_hydrate},
         length=length,
-        missing_fraction=missing_fraction,
-        frozen_fraction=frozen_fraction,
-        outlier_fractions=dict(outlier_fractions or {}),
-    )
-
-
-def qc_probe_config(n_instances: int = 120, length: int = 50,
-                    missing_fraction: float = 0.0,
-                    frozen_fraction: float = 0.0,
-                    outlier_fractions: Mapping[str, float] | None = None,
-                    ) -> SynthConfig:
-    """Single-regime corpus for exact quality-audit ground-truth checks.
-
-    Every channel is clamped at mean +/- 2 total-sd. Quartiles of such a
-    bounded column sit near +/- 0.67 sd, so Tukey fences (~ +/- 2.7 sd, and
-    wider once high-side extremes shift the upper quartile) always contain
-    the clean values: the only outliers a Tukey audit can flag are the
-    injected ones, making recovered corruption counts exact rather than
-    seed-lucky. Class mixtures do not have this guarantee (a minority
-    cluster can sit outside the pooled fences), hence one regime.
-    """
-    regime = {}
-    for var, ch in default_regimes()[ClassLabel.NORMAL].items():
-        total_sd = float(np.hypot(ch.latent_loading, ch.noise_sd))
-        regime[var] = replace(ch, clamp=(ch.start - 2.0 * total_sd,
-                                         ch.start + 2.0 * total_sd))
-    return SynthConfig(
-        counts={ClassLabel.NORMAL: n_instances},
-        length=length,
-        regimes={ClassLabel.NORMAL: regime},
         missing_fraction=missing_fraction,
         frozen_fraction=frozen_fraction,
         outlier_fractions=dict(outlier_fractions or {}),

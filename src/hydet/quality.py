@@ -119,13 +119,9 @@ class ImputationModel:
 
 
 def fit_imputer(train: FeatureMatrix) -> ImputationModel:
-    return _fit_imputer(train.values, train.column_names)
-
-
-def _fit_imputer(values: np.ndarray, columns: tuple[str, ...]) -> ImputationModel:
     means = []
-    for j, name in enumerate(columns):
-        col = values[:, j]
+    for j, name in enumerate(train.column_names):
+        col = train.values[:, j]
         observed = col[~np.isnan(col)]
         if observed.size == 0:
             raise AllMissingColumnError(f"column {name!r} has no observed values")
@@ -134,7 +130,7 @@ def _fit_imputer(values: np.ndarray, columns: tuple[str, ...]) -> ImputationMode
         if not np.isfinite(mean):
             raise NonFiniteError(f"column {name!r}: training mean is not finite")
         means.append(mean)
-    return ImputationModel(columns=columns, means=tuple(means))
+    return ImputationModel(columns=train.column_names, means=tuple(means))
 
 
 def apply_imputer(model: ImputationModel, matrix: FeatureMatrix) -> FeatureMatrix:
@@ -190,22 +186,17 @@ def fit_normalizer(train: FeatureMatrix, mode: str = "zscore") -> NormalizationM
     """Fit per-column center/scale. ``zscore``: mean and population standard
     deviation. ``minmax``: min and range. Requires a fully observed matrix
     (imputation runs first)."""
-    return _fit_normalizer(train.values, train.column_names, mode)
-
-
-def _fit_normalizer(values: np.ndarray, columns: tuple[str, ...],
-                    mode: str) -> NormalizationModel:
-    if np.isnan(values).any():
+    if np.isnan(train.values).any():
         raise MissingCellsError("normalizer fit requires no missing cells")
     center, scale = [], []
-    for col in values.T:
+    for col in train.values.T:
         if mode == "zscore":
             center.append(float(col.mean()))
             scale.append(float(np.sqrt(np.mean((col - col.mean()) ** 2))))
         else:
             center.append(float(col.min()))
             scale.append(float(col.max() - col.min()))
-    return NormalizationModel(columns=columns, center=tuple(center),
+    return NormalizationModel(columns=train.column_names, center=tuple(center),
                               scale=tuple(scale), mode=mode)
 
 
@@ -232,9 +223,9 @@ def _check_columns(expected: tuple[str, ...], matrix: FeatureMatrix) -> None:
 @dataclass(frozen=True)
 class Preprocessor:
     """The fitted chain: mean imputation, then winsorizing at the Tukey
-    fences, then normalization. Every model is fitted on training rows only;
-    the fences keep their cut points only, since the training outlier rows
-    are audit output, not part of the fitted model."""
+    fences, then normalization, each fitted by ``fit_transform`` on training
+    rows only. The fences keep their cut points only: the training outlier
+    rows are audit output, not part of the fitted model."""
     imputer: ImputationModel
     fences: tuple[Fences, ...]
     normalizer: NormalizationModel
@@ -249,33 +240,24 @@ class Preprocessor:
     @classmethod
     def fit(cls, train: FeatureMatrix,
             config: PreprocessConfig = PreprocessConfig()) -> "Preprocessor":
-        return cls._fit(train.values.copy(), train.column_names, config)
+        return cls.fit_transform(train.with_values(train.values.copy()), config)[0]
 
     @classmethod
     def fit_transform(cls, train: FeatureMatrix,
                       config: PreprocessConfig = PreprocessConfig(),
                       ) -> tuple["Preprocessor", FeatureMatrix]:
-        """``fit(train, config)`` and its ``transform(train)``, bit for bit,
-        in ``train``'s own values, which it overwrites: they must own their
-        memory."""
-        values = train.values
-        values.setflags(write=True)
-        prep = cls._fit(values, train.column_names, config)
-        return prep, train.with_values(_normalize(values, prep.normalizer))
-
-    @classmethod
-    def _fit(cls, values: np.ndarray, columns: tuple[str, ...],
-             config: PreprocessConfig) -> "Preprocessor":
-        """The chain fitted on ``values``, which it leaves imputed and
-        clamped: the training rows as ``transform`` has them just before it
-        normalizes."""
-        imputer = _fit_imputer(values, columns)
+        """The chain fitted on ``train``, each model on the rows as the steps
+        before it leave them, and ``transform(train)`` bit for bit, in
+        ``train``'s own values, which it overwrites: they must own their memory."""
+        train.values.setflags(write=True)
+        imputer = fit_imputer(train)
         fences = tuple(boxplot_stats(column, config.tukey_multiplier,
                                      config.quartile_method).fences
-                       for column in _impute(values, imputer).T)
-        normalizer = _fit_normalizer(_clamp(values, fences), columns,
-                                     config.normalization)
-        return cls(imputer, fences, normalizer)
+                       for column in _impute(train.values, imputer).T)
+        _clamp(train.values, fences)
+        normalizer = fit_normalizer(train, config.normalization)
+        return (cls(imputer, fences, normalizer),
+                train.with_values(_normalize(train.values, normalizer)))
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
         return self._transform_owned(matrix.with_values(matrix.values.copy()))
@@ -389,7 +371,10 @@ def quality_report(matrix: FeatureMatrix,
     channels = []
     total_outliers = 0
     for j, name in enumerate(matrix.column_names):
-        bp = boxplot_stats(matrix.values[:, j], tukey_k, quartile_method)
+        try:
+            bp = boxplot_stats(matrix.values[:, j], tukey_k, quartile_method)
+        except EmptyDataError as exc:
+            raise EmptyDataError(f"channel {name!r}: {exc}") from None
         total_outliers += bp.n_outliers
         channels.append(ChannelQuality(
             name=name,

@@ -4,12 +4,14 @@ The exact-test oracles use exact rational arithmetic (fractions.Fraction)
 and plain enumeration, deliberately avoiding the library's integer-numerator
 formulation so the two routes stay independent.  ``reference_tree`` is the
 straightforward per-node CART search that the library's presorted one must
-reproduce node for node, and ``tree_replay`` routes one row down the saved
-node lists.  ``reference_dumps`` renders JSON the plain recursive way, one
-string per nested value, that ``hydet.jsonio.dumps`` must match byte for
-byte.  ``reference_synth`` is the per-instance synth loop that the blocked
+reproduce node for node; ``tree_replay`` routes one row down the saved
+node lists, and ``tree_shape`` walks them from the root for the depth and
+the leaf count.  ``reference_dumps`` renders JSON the plain recursive way,
+one string per nested value, that ``hydet.jsonio.dumps`` must match byte
+for byte.  ``reference_synth`` is the per-instance synth loop that the blocked
 ``synth_generate`` must match bit for bit: it draws each stream alone, one
 Python ``_mix`` per draw, and picks damaged cells as ``permutation(n)[:k]``.
+``qc_probe_config`` is the audit tests' ground-truth corpus.
 ``reference_confusion`` tallies a confusion matrix row by row, and
 ``reference_metrics`` scores a grid in exact rationals, F1 as
 2·TP / (row total + column total) (Sokolova & Lapalme 2009, Inf. Process.
@@ -28,6 +30,7 @@ for bit and error for error.
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,6 +39,7 @@ import numpy as np
 from hydet.dataset.model import ClassLabel, FeatureMatrix, TimeSeriesInstance
 from hydet.dataset.synth import _INSTANCE_LATENT_W, _STEP_LATENT_W
 from hydet.dataset.transform import rounded_count
+from hydet.declarations import SynthConfig, default_regimes
 from hydet.errors import EmptyDataError, MissingVariableError
 from hydet.rng import _PHI, CounterRng, _mix, _norm_ppf
 
@@ -203,6 +207,21 @@ def tree_replay(saved, row):
     return max(range(len(counts)), key=lambda c: (counts[c], -c))
 
 
+def tree_shape(model):
+    """(depth, leaves) of a fitted ``DecisionTree``, walked from the root:
+    node i is a leaf when ``feature_[i]`` is -1, and else its children are
+    i + 1 and ``right_[i]``."""
+    depth = leaves = 0
+    pending = [(0, 0)]
+    while pending:
+        node, level = pending.pop()
+        if model.feature_[node] == -1:
+            depth, leaves = max(depth, level), leaves + 1
+        else:
+            pending += [(node + 1, level + 1), (model.right_[node], level + 1)]
+    return depth, leaves
+
+
 def reference_dumps(obj):
     """Canonical JSON text: sorted keys, two-space indent, one value per line,
     floats at 17 significant digits, non-finite floats as NaN/Infinity."""
@@ -284,6 +303,33 @@ def reference_synth(config, seed):
                                label=label, timestamps=timestamps,
                                variable_names=variables, values=values[i].T)
             for i, (label, k) in enumerate(plan)]
+
+
+def qc_probe_config(n_instances=120, length=50, missing_fraction=0.0,
+                    frozen_fraction=0.0, outlier_fractions=None):
+    """Single-regime corpus for exact quality-audit ground-truth checks.
+
+    Every channel is clamped at mean +/- 2 total-sd. Quartiles of such a
+    bounded column sit near +/- 0.67 sd, so Tukey fences (~ +/- 2.7 sd, and
+    wider once high-side extremes shift the upper quartile) always contain
+    the clean values: the only outliers a Tukey audit can flag are the
+    injected ones, making recovered corruption counts exact rather than
+    seed-lucky. Class mixtures do not have this guarantee (a minority
+    cluster can sit outside the pooled fences), hence one regime.
+    """
+    regime = {}
+    for var, ch in default_regimes()[ClassLabel.NORMAL].items():
+        total_sd = float(np.hypot(ch.latent_loading, ch.noise_sd))
+        regime[var] = replace(ch, clamp=(ch.start - 2.0 * total_sd,
+                                         ch.start + 2.0 * total_sd))
+    return SynthConfig(
+        counts={ClassLabel.NORMAL: n_instances},
+        length=length,
+        regimes={ClassLabel.NORMAL: regime},
+        missing_fraction=missing_fraction,
+        frozen_fraction=frozen_fraction,
+        outlier_fractions=dict(outlier_fractions or {}),
+    )
 
 
 def _reference_corruption(values, config, rng):

@@ -16,14 +16,13 @@ from hydet.classifiers import (ClassifiersConfig, DecisionTree, GaussianNb,
                                KnnClassifier, payload, train_all)
 from hydet.cli import EXIT_OK, main
 from hydet.dataset import (ClassLabel, SplitSpec, build_manifest, default_config,
-                           flatten, load_instances, qc_probe_config, split,
-                           synth_generate)
+                           flatten, load_instances, split, synth_generate)
 from hydet.dataset.model import CANONICAL_VARIABLE_NAMES
 from hydet.codec import to_json
 from hydet.evaluation import EvalReport, evaluate
 from hydet.quality import Preprocessor, quality_report
 from hydet.stats import TestConfig, compare_models, ks_two_sample, mwu_two_sample
-from oracles import ks_exact_p, mwu_exact_p, tree_replay
+from oracles import ks_exact_p, mwu_exact_p, qc_probe_config, tree_replay
 
 REF_CLASS_ORDER = (ClassLabel.HYDRATE, ClassLabel.RAPID_LOSS, ClassLabel.NORMAL)
 REFERENCE_MATRICES = {

@@ -26,7 +26,7 @@ from hydet.dataset.model import CANONICAL_VARIABLE_NAMES, SplitSpec
 from hydet.errors import (EmptyDataError, MissingCellsError, ModelFormatError,
                           NonFiniteError, WidthMismatchError)
 from hydet.quality import Preprocessor
-from oracles import reference_tree, tree_replay
+from oracles import reference_tree, tree_replay, tree_shape
 
 
 def fitted_tree(model):
@@ -41,7 +41,7 @@ def fitted_tree(model):
 def test_tree_single_class_is_single_leaf():
     X = np.array([[1.0], [2.0], [3.0]])
     model = DecisionTree().fit(X, np.array([2, 2, 2]))
-    assert model.n_leaves() == 1
+    assert tree_shape(model)[1] == 1
     assert model.predict(np.array([[99.0]])).tolist() == [2]
 
 
@@ -95,8 +95,8 @@ def test_tree_depth_and_min_samples_limits():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(200, 2))
     y = rng.integers(0, 2, size=200)
-    assert DecisionTree(max_depth=3).fit(X, y).depth() <= 3
-    assert DecisionTree(max_depth=0).fit(X, y).n_leaves() == 1
+    assert tree_shape(DecisionTree(max_depth=3).fit(X, y))[0] <= 3
+    assert tree_shape(DecisionTree(max_depth=0).fit(X, y))[1] == 1
 
     # no node smaller than min_samples_split is ever split: replay the
     # training rows through the exported tree and count arrivals
@@ -250,7 +250,7 @@ def test_tree_equals_reference_fit_on_dirty_corpus():
     train, _ = split(matrix, SplitSpec())
     train = Preprocessor.fit(train).transform(train)
     model = DecisionTree(max_depth=None).fit(train.values, train.labels)
-    assert model.n_leaves() > 10
+    assert tree_shape(model)[1] > 10
     assert fitted_tree(model) == reference_tree(train.values, train.labels, max_depth=None)
 
 
@@ -265,7 +265,7 @@ def test_tree_threshold_separates_adjacent_values(pair, max_depth):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = DecisionTree(max_depth=max_depth).fit(X, y)
-    assert (model.depth(), model.threshold_[0]) == (1, pair[0])
+    assert (tree_shape(model)[0], model.threshold_[0]) == (1, pair[0])
     assert model.predict(X).tolist() == [0, 1]
     assert fitted_tree(model) == reference_tree(X, y, max_depth=max_depth)
 
@@ -282,7 +282,7 @@ def test_tree_split_search_over_a_long_root_matches_the_per_node_search():
     y[flip] = rng.integers(0, 3, size=int(flip.sum()))
     assert len(np.unique(X[:, 0])) - 1 > 3 * (1 << 15) + 1
     model = DecisionTree(max_depth=3).fit(X, y)
-    assert model.n_leaves() == 8
+    assert tree_shape(model)[1] == 8
     assert fitted_tree(model) == reference_tree(X, y, max_depth=3)
 
 
@@ -400,11 +400,11 @@ def test_tree_deep_chain_fits_saves_and_loads(tmp_path):
         X = np.arange(n, dtype=np.float64)[:, None]
         y = np.arange(n) % 2
         model = DecisionTree(max_depth=None).fit(X, y)
-        assert (model.depth(), model.n_leaves()) == (n - 1, n)
+        assert tree_shape(model) == (n - 1, n)
         path = tmp_path / f"chain{n}.json"
         save_model(model, path)
         back = load_model(path)
-        assert (back.depth(), back.n_leaves()) == (n - 1, n)
+        assert tree_shape(back) == (n - 1, n)
         queries = np.concatenate([X, X + 0.5])  # thresholds sit at i + 0.5
         assert np.array_equal(back.predict_scores(queries), model.predict_scores(queries))
         assert np.array_equal(back.predict(X), y)

@@ -33,6 +33,7 @@ from hydet.evaluation import EvalReport
 from hydet.quality import (PreprocessConfig, Preprocessor, QualityReport,
                            load_preprocessor, save_preprocessor)
 from hydet.stats import ComparisonTable, TestConfig
+from oracles import tree_shape
 
 
 def small_synth_config(tmp_path, out_name="out", **synth_kwargs):
@@ -628,7 +629,7 @@ def test_deep_tree_trains_and_evaluates(tmp_path):
                  "classifiers": {"tree": {"max_depth": None}}}, config)
     assert main(["train", "--config", str(config)]) == EXIT_OK
     assert main(["eval", "--config", str(config)]) == EXIT_OK
-    assert load_model(out / "models" / "dt.json").depth() > 400
+    assert tree_shape(load_model(out / "models" / "dt.json"))[0] > 400
     assert (out / "eval_dt.json").exists()
 
 
@@ -837,6 +838,59 @@ def test_pipeline_fails_a_missing_channel_at_ingest(tmp_path, capsys):
     assert err.endswith(" lacks channel 'NOPE'\n")
     assert (out / "INCOMPLETE").read_text() == "pipeline aborted in stage ingest\n"
     assert not (out / "quality_report.json").exists()
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("qc", "error: "), ("pipeline", "error: stage quality-audit failed: ")],
+    ids=["qc", "pipeline"])
+def test_the_audit_names_a_channel_blank_in_every_file(tmp_path, capsys, command,
+                                                       prefix):
+    # a 3W channel can be blank for a whole file; the boxplot's refusal once
+    # did not say which channel it was
+    config_path, corpus = small_synth_config(tmp_path, out_name="corpus")
+    assert main(["synth", "--config", str(config_path)]) == EXIT_OK
+    for csv in corpus.rglob("*.csv"):
+        lines = csv.read_text(encoding="utf-8").split("\n")
+        assert lines[0].split(",")[2] == "T-TPT"
+        for i, line in enumerate(lines[1:], 1):
+            cells = line.split(",")
+            if len(cells) > 2:
+                cells[2] = ""
+                lines[i] = ",".join(cells)
+        csv.write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--data", str(corpus), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"{prefix}channel 'T-TPT': boxplot needs "
+                                       ">= 4 observed values, have 0\n")
+    assert not (out / "quality_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_the_preprocessor_is_fitted_through_the_module_fitters(tmp_path, monkeypatch,
+                                                               command):
+    # once each on the training part, looked up on hydet.quality, where a
+    # tracer that wraps the public names finds them
+    config_path, _ = small_synth_config(tmp_path)
+    calls = []
+
+    def hook(owner, name):
+        use = getattr(owner, name)
+
+        def record(matrix, *args, **kwargs):
+            calls.append((name, matrix.n_rows))
+            return use(matrix, *args, **kwargs)
+        monkeypatch.setattr(owner, name, record)
+
+    for owner, name in [(hydet.quality, "fit_imputer"),
+                        (hydet.quality, "fit_normalizer"),
+                        (hydet.classifiers, "train_all")]:
+        hook(owner, name)
+    assert main([command, "--config", str(config_path)]) == EXIT_OK
+    n_train = calls[-1][1]
+    assert calls == [("fit_imputer", n_train), ("fit_normalizer", n_train),
+                     ("train_all", n_train)]
+    assert n_train == round(0.75 * 26 * 12)
 
 
 def test_eval_over_a_malformed_model_flags_partial_output(tmp_path, capsys):

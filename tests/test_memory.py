@@ -18,6 +18,7 @@ from hydet.dataset import (FeatureMatrix, SplitSpec, default_config, flatten,
                            synth_generate)
 from hydet.dataset import transform as dataset_transform
 from hydet.quality import Preprocessor, fit_imputer, quality_report
+from oracles import tree_shape
 
 
 def traced_peak(run):
@@ -37,7 +38,7 @@ def test_tree_fit_peaks_within_two_and_a_half_times_its_matrix():
     matrix = flatten(synth_generate(default_config(length=196), 0),
                      default_config().variables)
     model, peak = traced_peak(lambda: DecisionTree().fit(matrix.values, matrix.labels))
-    assert model.n_leaves() > 10
+    assert tree_shape(model)[1] > 10
     assert peak <= 2.5 * matrix.values.nbytes
 
 
@@ -49,7 +50,7 @@ def test_tree_fit_peaks_within_one_and_a_quarter_times_its_matrix():
     matrix = flatten(synth_generate(default_config(length=196), 0),
                      default_config().variables)
     model, peak = traced_peak(lambda: DecisionTree().fit(matrix.values, matrix.labels))
-    assert model.n_leaves() > 10
+    assert tree_shape(model)[1] > 10
     assert peak <= 1.25 * matrix.values.nbytes
 
 

@@ -21,7 +21,8 @@ from hydet.quality import (PreprocessConfig, Preprocessor, apply_imputer,
                            quality_report, render_boxplot_svg,
                            save_preprocessor, treat_outliers)
 
-from oracles import reference_impute, reference_preprocess, reference_winsorize
+from oracles import (qc_probe_config, reference_impute, reference_preprocess,
+                     reference_winsorize)
 
 VARS = ("P-TPT", "T-TPT", "P-MON-CKP", "T-JUS-CKP")
 
@@ -434,7 +435,6 @@ def test_fitting_never_consults_test_rows():
 
 
 def test_quality_report_recovers_injected_ground_truth():
-    from hydet.dataset.synth import qc_probe_config
     cfg = qc_probe_config(n_instances=50, length=40,
                           missing_fraction=0.2, frozen_fraction=0.1,
                           outlier_fractions={"P-TPT": 0.05})

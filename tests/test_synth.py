@@ -4,13 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hydet.dataset import (ClassLabel, default_config, flatten, qc_probe_config,
-                           synth_generate)
+from hydet.dataset import ClassLabel, default_config, flatten, synth_generate
 from hydet.codec import from_json, to_json
 from hydet.dataset import synth
 from hydet.dataset.synth import SynthConfig
 from hydet.errors import ConfigError
-from oracles import reference_synth
+from oracles import qc_probe_config, reference_synth
 
 VARS = ("P-TPT", "T-TPT", "P-MON-CKP", "T-JUS-CKP")
 
