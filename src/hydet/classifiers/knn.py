@@ -137,9 +137,9 @@ class KnnClassifier:
         # one row per feature, like ``_columns``
         self._lo = np.concatenate(lo).T.copy()
         self._hi = np.concatenate(hi).T.copy()
-        # each leaf's rows; pads point at column n, +inf in every feature
+        # each leaf's rows, int32; pads point at column n, +inf in every feature
         sizes = np.diff(bounds)
-        self._table = np.full((sizes.size, sizes.max()), n, dtype=np.intp)
+        self._table = np.full((sizes.size, sizes.max()), n, dtype=np.int32)
         self._table[np.arange(sizes.size).repeat(sizes),
                     np.arange(n) - bounds[:-1].repeat(sizes)] = perm
 
@@ -153,8 +153,9 @@ class KnnClassifier:
 
     def _sq_distances(self, queries: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """Squared distances from each query to its row of candidate indices."""
-        return _squares_summed(queries[:, j, None] - self._columns[j][cand]
-                               for j in range(queries.shape[1]))
+        copies = (column[cand] for column in self._columns)  # overwritten below
+        return _squares_summed(np.subtract(queries[:, j, None], diff, out=diff)
+                               for j, diff in enumerate(copies))
 
     def _kept_leaves(self, queries: np.ndarray,
                      tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +208,8 @@ class KnnClassifier:
                      home: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Votes and picks of one chunk of queries with their home leaves."""
         k = self.params.k
-        tau = np.partition(self._sq_distances(queries, self._table[home]),
-                           k - 1, axis=1)[:, k - 1]
+        tau = np.partition(self._sq_distances(
+            queries, self._table[home].astype(np.intp)), k - 1, axis=1)[:, k - 1]
         who, leaf = self._kept_leaves(queries, tau)
         counts = np.bincount(who, minlength=queries.shape[0])
         kept = counts[who]
@@ -223,7 +224,7 @@ class KnnClassifier:
             for s in range(0, group.size, step):
                 block, cand = group[s:s + step], self._table[leaves[s:s + step]]
                 votes[block], picks[block] = self._block_votes(
-                    queries[block], cand.reshape(block.size, -1))
+                    queries[block], cand.reshape(block.size, -1).astype(np.intp))
         return votes, picks
 
     def _votes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

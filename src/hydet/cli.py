@@ -92,7 +92,7 @@ def _matrix(config: RunConfig, all_channels: bool = False) -> FeatureMatrix:
     every instance holds, in first-instance order, so 8-channel corpora report
     all-channel aggregates. No instance outlives its file."""
     from .dataset import CLASS_DIRS, build_manifest, flatten, synth_generate
-    from .dataset.io import header_channels, load_matrix
+    from .dataset.io import cached_matrix, header_channels, load_matrix
     from .dataset.transform import shared_channels
     data, variables = config.data, config.variables
     if data.root is not None:
@@ -100,10 +100,10 @@ def _matrix(config: RunConfig, all_channels: bool = False) -> FeatureMatrix:
         if not manifest.instances:
             raise HydetError(f"dataset is empty: {data.root} has no .csv file in its "
                              f"class directories {', '.join(CLASS_DIRS)}")
-        if all_channels:
+        if all_channels:  # a matrix no other command reads, so never cached
             shared = shared_channels(header_channels(data.root, manifest))
-            variables = shared or variables
-        return load_matrix(data.root, manifest, variables)
+            return load_matrix(data.root, manifest, shared or variables)
+        return cached_matrix(data.root, manifest, variables)
     if data.synth is None:
         raise ConfigError("config needs a data source: data.root or data.synth")
     instances = synth_generate(data.synth, config.seed)
@@ -184,15 +184,6 @@ def cmd_synth(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _split(matrix: FeatureMatrix,
-           config: RunConfig) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """The train and test parts of ``matrix``, which the split consumes. No
-    stage after it traces a row to its episode, so the parts drop ``origin``."""
-    from .dataset.transform import _split_in_place
-    return tuple(replace(part, origin=None)
-                 for part in _split_in_place(matrix, config.split))
-
-
 def _fit_preprocessor(config: RunConfig, train: FeatureMatrix,
                       models_dir: Path) -> tuple[Preprocessor, FeatureMatrix]:
     from .quality import Preprocessor, save_preprocessor
@@ -234,10 +225,11 @@ def _evaluate_and_write(config: RunConfig, models: dict, test_ready: FeatureMatr
 
 
 def cmd_train(config: RunConfig, args) -> int:
+    from .dataset.transform import _split_in_place
     models_dir = Path(config.out_dir) / "models"
     with _stages("train", config) as begin:
         begin("ingest")
-        train = _split(_matrix(config), config)[0]
+        train = _split_in_place(_matrix(config), config.split)[0]
         begin("preprocess")
         train = _fit_preprocessor(config, train, models_dir)[1]
         begin("train")
@@ -247,6 +239,7 @@ def cmd_train(config: RunConfig, args) -> int:
 
 def cmd_eval(config: RunConfig, args) -> int:
     from .classifiers import load_model
+    from .dataset.transform import _split_in_place
     from .quality import load_preprocessor
     out = Path(config.out_dir)
     models_dir = out / "models"
@@ -258,7 +251,7 @@ def cmd_eval(config: RunConfig, args) -> int:
                          "run train again")
     with _stages("eval", config) as begin:
         begin("ingest")
-        test = _split(_matrix(config), config)[1]
+        test = _split_in_place(_matrix(config), config.split)[1]
         begin("preprocess")
         prep = load_preprocessor(models_dir / "preprocess.json")
         test = prep._transform_owned(test)  # the split's own copy of the test rows
@@ -314,6 +307,7 @@ def cmd_compare(config: RunConfig, args) -> int:
 
 
 def cmd_pipeline(config: RunConfig, args) -> int:
+    from .dataset.transform import _split_in_place
     out = Path(config.out_dir)
     with _stages("pipeline", config) as begin:
         begin("ingest")
@@ -322,8 +316,9 @@ def cmd_pipeline(config: RunConfig, args) -> int:
         _write_quality(config, matrix, out)
         begin("split")
         # each stage works in the arrays of the last, and each array goes
-        # with its last reader
-        train, test = _split(matrix, config)
+        # with its last reader: the split consumes the matrix, and no stage
+        # after it traces a row to its episode, so the parts have no origin
+        train, test = _split_in_place(matrix, config.split)
         del matrix
         begin("preprocess")
         prep, train = _fit_preprocessor(config, train, out / "models")

@@ -37,6 +37,7 @@ result was not handed on. ``load_instances`` reads its files serially.
 file's selected channels into the matrix as they come, so no instance
 outlives its file; on the long dirty corpus ingest ends at ~57 MiB peak RSS
 where loading the instances and then flattening them reached ~80 MiB.
+The CLI, bar all-channel ``qc``, reads it through ``cached_matrix``.
 
 The floor comes from ``hydet pipeline --models dt,nb`` and ``hydet synth``
 forced to fork, against the serial loop, in alternating runs on a 2-CPU VM:
@@ -54,14 +55,17 @@ instance before flattening them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import json
 import logging
 import math
 import os
 import pickle
 import sys
 import warnings
+import zlib
 from datetime import datetime
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, Mapping, Sequence
@@ -95,6 +99,10 @@ _SHARE_FLOOR_BYTES = 8 << 20
 #: CSV text per value when a written file is sized for the floor: the
 #: default corpus writes 5.7 MB for its 246,000 values
 _TEXT_BYTES_PER_VALUE = 23
+
+#: ``cached_matrix``'s file at a corpus root; its key opens with the format version
+MATRIX_CACHE = ".hydet-matrix"
+_CACHE_MAGIC = b"hydet feature matrix 1\n"
 
 #: any other character in a file body sends it to the row loop
 _TABLE_CHARS = b"0123456789.,-+eE\n"
@@ -457,6 +465,67 @@ def load_matrix(root: str | Path, manifest: DatasetManifest,
 
     _fan_out(read, range(len(entries)), sizes.__getitem__, rows.place)
     return rows.matrix()
+
+
+def cached_matrix(root: str | Path, manifest: DatasetManifest,
+                  variables: Sequence[str]) -> FeatureMatrix:
+    """``load_matrix(root, manifest, variables)``, read from ``MATRIX_CACHE``
+    at ``root`` while its key is this call's, else parsed and stored there
+    (where storing fails, just returned). The file holds the key (the magic
+    line, then a JSON line of the variables and each entry's path, label,
+    size, CRC-32 and Adler-32), the row count, the arrays and their CRC-32."""
+    root, path = Path(root), Path(root) / MATRIX_CACHE
+    files = []
+    for entry in manifest.instances:
+        data = (root / entry.path).read_bytes()
+        files.append([entry.path, int(entry.label), len(data), zlib.crc32(data),
+                      zlib.adler32(data)])
+    key = _CACHE_MAGIC + json.dumps({"variables": list(variables), "files": files},
+                                    separators=(",", ":")).encode() + b"\n"
+    try:
+        with open(path, "rb", buffering=0) as cache:
+            return _read_cache(cache.fileno(), key, manifest, variables)
+    except (OSError, EOFError, ValueError):  # absent, short or of another key
+        pass
+    matrix = load_matrix(root, manifest, variables)
+    temp = path.with_name(f"{MATRIX_CACHE}.{os.getpid()}")
+    try:
+        with open(temp, "wb") as out:
+            out.write(key + np.array(matrix.n_rows, "<u8").tobytes())
+            crc = 0
+            for array in (matrix.values, matrix.labels, matrix.origin):
+                array = array.astype(array.dtype.newbyteorder("<"), copy=False)
+                array.tofile(out)
+                crc = zlib.crc32(array, crc)
+            out.write(crc.to_bytes(4, "little"))
+            out.flush()
+            os.fsync(out.fileno())  # the bytes on disk before the name
+        os.replace(temp, path)
+    except OSError:  # a read-only corpus is parsed every time
+        with contextlib.suppress(OSError):  # unlink fails there even when absent
+            temp.unlink()
+    return matrix
+
+
+def _read_cache(fd: int, key: bytes, manifest: DatasetManifest,
+                variables: Sequence[str]) -> FeatureMatrix:
+    """The matrix cached at ``fd`` under ``key``; ``ValueError`` where the
+    file holds another key, is not its row count's size or fails its CRC-32."""
+    head = _read_into(fd, np.empty(len(key) + 8, np.uint8))
+    if head[:len(key)].tobytes() != key:
+        raise ValueError("another key")
+    n_rows = int(head[len(key):].view("<u8")[0])
+    if os.fstat(fd).st_size != head.size + n_rows * (8 * len(variables) + 1 + 8) + 4:
+        raise ValueError("not its row count's size")
+    arrays = (np.empty((n_rows, len(variables)), "<f8"), np.empty(n_rows, np.int8),
+              np.empty((n_rows, 2), "<i4"))
+    crc = 0
+    for array in arrays:
+        crc = zlib.crc32(_read_into(fd, array), crc)
+    if _read_into(fd, np.empty(1, "<u4"))[0] != crc:
+        raise ValueError("damaged data")
+    return FeatureMatrix(tuple(variables), *arrays,
+                         tuple(e.id for e in manifest.instances))
 
 
 def header_channels(root: str | Path, manifest: DatasetManifest) -> Iterator[list[str]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -111,7 +112,8 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
 
 def _split_in_place(matrix: FeatureMatrix,
                     spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """``split(matrix, spec)``, bit for bit, consuming ``matrix``: the test
+    """``split(matrix, spec)``'s values and labels, bit for bit, without
+    ``origin``, consuming ``matrix``: once the test mask is drawn, the test
     rows are copied out, the train rows move forward within ``matrix``'s own
     arrays, ``_MOVE_ROWS`` at a time, and the arrays shrink to them, so no
     more than the test part and one such block is held beyond ``matrix``.
@@ -122,8 +124,9 @@ def _split_in_place(matrix: FeatureMatrix,
     sees, are the only ones passed here.
     """
     test = _test_mask(matrix, spec)
+    matrix = replace(matrix, origin=None)
     test_part = matrix.take(np.flatnonzero(test))
-    arrays = matrix.values, matrix.labels, matrix.origin
+    arrays = matrix.values, matrix.labels
     for array in arrays:
         array.setflags(write=True)
     n_train = 0
@@ -135,7 +138,7 @@ def _split_in_place(matrix: FeatureMatrix,
         n_train += len(rows)
     for array in arrays:
         array.resize((n_train, *array.shape[1:]), refcheck=False)
-    return FeatureMatrix(matrix.column_names, *arrays, matrix.instance_ids), test_part
+    return replace(matrix, values=arrays[0], labels=arrays[1]), test_part
 
 
 #: rows of a matrix that ``_split_in_place`` moves at once

@@ -417,10 +417,12 @@ def render_boxplot_svg(column: np.ndarray, name: str, stats: BoxplotStats) -> st
     median, whiskers to the most extreme in-fence values, and outlier dots
     (capped at 1000 for file size)."""
     col = np.asarray(column, dtype=np.float64)
-    observed = col[~np.isnan(col)]
-    inside = observed[(observed >= stats.lower_fence) & (observed <= stats.upper_fence)]
-    whisker_lo = float(inside.min())
-    whisker_hi = float(inside.max())
+    inside = col >= stats.lower_fence  # NaN is neither in nor out of the fences
+    inside &= col <= stats.upper_fence
+    if not inside.any():
+        raise ValueError(f"{name!r}: no observed value lies inside its fences")
+    whisker_lo = float(col.min(where=inside, initial=np.inf))
+    whisker_hi = float(col.max(where=inside, initial=-np.inf))
     outliers = [float(col[i]) for i in stats.outlier_row_indices[:_MAX_DOTS]]
 
     vmin = min([whisker_lo] + outliers)

@@ -17,7 +17,8 @@ from hydet.classifiers import (DecisionTree, GaussianNb, KnnClassifier, load_mod
 from hydet.dataset import (FeatureMatrix, SplitSpec, default_config, flatten,
                            synth_generate)
 from hydet.dataset import transform as dataset_transform
-from hydet.quality import Preprocessor, fit_imputer, quality_report
+from hydet.quality import (Preprocessor, boxplot_stats, fit_imputer, quality_report,
+                           render_boxplot_svg)
 from oracles import tree_shape
 
 
@@ -62,8 +63,9 @@ def _nbytes(matrix):
 def test_split_in_place_holds_the_test_part_and_one_block_beyond_its_matrix(
         monkeypatch, mode):
     # the library split copies every row (1.17x of this matrix beyond it);
-    # in place, the test rows are copied out and the train rows moved 4,096
-    # at a time. The test mask, drawn alike by both, is drawn untraced.
+    # in place, the test rows' values and labels are copied out and the
+    # train rows' moved 4,096 at a time, and ``origin`` is neither copied nor
+    # moved. The test mask, drawn alike by both, is drawn untraced.
     matrix, spec = _dirty_matrix(), SplitSpec(mode=mode)
     mask = dataset_transform._test_mask(matrix, spec)
     monkeypatch.setattr(dataset_transform, "_test_mask", lambda *args: mask)
@@ -77,8 +79,9 @@ def test_split_in_place_holds_the_test_part_and_one_block_beyond_its_matrix(
 
     (train, test), peak = traced_peak(run)
     assert train.n_rows + test.n_rows == matrix.n_rows
-    row_bytes = _nbytes(matrix) // matrix.n_rows
-    assert peak <= _nbytes(matrix) + _nbytes(test) + 4096 * (row_bytes + 8 + 1)
+    assert train.origin is None and test.origin is None
+    row_bytes = matrix.values.itemsize * matrix.n_cols + matrix.labels.itemsize
+    assert peak <= _nbytes(matrix) + test.n_rows * row_bytes + 4096 * (row_bytes + 8 + 1)
 
 
 def test_flatten_peaks_within_its_output():
@@ -106,6 +109,18 @@ def test_quality_report_peaks_within_nine_tenths_of_its_matrix():
     assert report.n_instances == 70
     assert sum(c.n_frozen_instance_channels for c in report.channels) > 0
     assert peak <= 0.9 * matrix.values.nbytes
+
+
+def test_render_boxplot_svg_peaks_within_a_third_of_its_column():
+    # two boolean masks of the column; the whisker ends were taken from a
+    # copy of its observed values and a copy of those inside the fences,
+    # up to twice the column
+    matrix = _dirty_matrix()
+    column = matrix.values[:, 1]  # a strided view, as the CLI passes it
+    stats = boxplot_stats(column)
+    svg, peak = traced_peak(lambda: render_boxplot_svg(column, "T-TPT", stats))
+    assert svg.count("<circle") == min(stats.n_outliers, 1000) > 0
+    assert peak <= column.size * column.itemsize / 3
 
 
 def test_knn_save_model_peaks_within_half_its_file(tmp_path):
@@ -148,13 +163,13 @@ def test_knn_holds_its_training_rows_once(tmp_path):
 def test_knn_keeps_no_integer_copy_of_its_labels():
     # the votes compare the gathered labels themselves; a class-code copy of
     # them as intp added 8 bytes a training row. Beside the labels and the
-    # leaf table, the split dimensions hold one intp per tree node and
-    # ``classes_`` one int64 per class.
+    # leaf table, 4 bytes a cell (it held intp), the split dimensions hold
+    # one intp per tree node and ``classes_`` one int64 per class.
     rng = np.random.default_rng(5)
     X, y = rng.normal(size=(46_125, 4)), rng.integers(0, 3, size=46_125).astype(np.int8)
     model = KnnClassifier().fit(X, y)
-    assert _held_bytes(model, "iu") <= sum(
-        a.nbytes for a in (model.labels_, model._table, model._dims, model.classes_))
+    assert _held_bytes(model, "iu") <= 4 * model._table.size + sum(
+        a.nbytes for a in (model.labels_, model._dims, model.classes_))
 
 
 def _dirty_matrix():

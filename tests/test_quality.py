@@ -1,10 +1,11 @@
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hydet import jsonio
@@ -551,6 +552,30 @@ def test_render_boxplot_svg_draws_at_most_1000_outliers():
     svg = render_boxplot_svg(col, "P-TPT", stats)
     assert svg.count("<circle") == 1000
     assert ">1200 outliers (1000 drawn)</text>" in svg
+
+
+@given(cells=st.lists(st.sampled_from([np.nan, 0.0, -0.0, 1.0, -1.0, 1e-310]) |
+                      st.floats(-1e6, 1e6), min_size=4, max_size=60),
+       k=st.sampled_from([0.0, 0.5, 1.5]))
+@settings(max_examples=200, deadline=None)
+def test_render_boxplot_svg_whiskers_are_the_extreme_in_fence_values(cells, k):
+    # with the outlier dots left out, the whiskers are all the column gives
+    # the drawing: the column of the two copied-out extremes draws the same bytes
+    col = np.array(cells)
+    assume(np.count_nonzero(~np.isnan(col)) >= 4)
+    stats = replace(boxplot_stats(col, tukey_k=k), outlier_row_indices=())
+    observed = col[~np.isnan(col)]
+    inside = observed[(observed >= stats.lower_fence) & (observed <= stats.upper_fence)]
+    extremes = np.array([inside.min(), inside.max()])
+    assert render_boxplot_svg(col, "P-TPT", stats) \
+        == render_boxplot_svg(extremes, "P-TPT", stats)
+
+
+def test_render_boxplot_svg_refuses_fences_that_hold_no_value():
+    col = np.array([1.0, 2.0, np.nan, 3.0, 4.0])
+    stats = replace(boxplot_stats(col), lower_fence=5.0, upper_fence=6.0)
+    with pytest.raises(ValueError):
+        render_boxplot_svg(col, "P-TPT", stats)
 
 
 @pytest.mark.parametrize("name", ["P-TPT", "P&T", "<x>", "a>b&lt;"])
